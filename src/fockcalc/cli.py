@@ -150,7 +150,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise CliError(f"result is not finite: {e}")
+    _emit(text + "\n", out)
 
 
 def _parse_direction(text: str | None) -> dict[str, complex]:
@@ -164,12 +168,16 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
         raise CliError("--direction must be a non-empty JSON object of id -> coefficient")
     out: dict[str, complex] = {}
     for key, val in raw.items():
-        if isinstance(val, (int, float)):
-            out[str(key)] = complex(val)
-        elif isinstance(val, list) and len(val) == 2:
-            out[str(key)] = complex(float(val[0]), float(val[1]))
-        else:
-            raise CliError(f"--direction value for {key!r} must be a number or [re, im]")
+        parts = [val, 0.0] if isinstance(val, (int, float)) else val
+        z = None
+        if isinstance(parts, list) and len(parts) == 2:
+            try:
+                z = complex(float(parts[0]), float(parts[1]))
+            except (TypeError, ValueError, OverflowError):
+                pass
+        if z is None or not np.isfinite(z):
+            raise CliError(f"--direction value for {key!r} must be a finite number or [re, im]")
+        out[str(key)] = z
     return out
 
 
@@ -218,6 +226,8 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     raw = body.get("matrix")
     if raw is None:
         raise CliError(f"{args.input}: missing 'matrix' field")
+    if not isinstance(raw, list):
+        raise CliError(f"{args.input}: 'matrix' must be a list of rows")
     r = len(raw)
     try:
         H = _coef_from_json(raw, r)
@@ -568,3 +578,7 @@ def main() -> None:
 
 
 __all__ = ["CliError", "RunConfig", "build_parser", "run", "main"]
+
+
+if __name__ == "__main__":
+    main()

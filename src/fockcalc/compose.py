@@ -18,13 +18,16 @@ neither         [a == b]  a! pi^-a
 Everything else (outer polynomial factors, spectator variables, matrix
 coefficients multiplying in operator order) tensors over coordinates.
 The generator :func:`base_terms` yields exact rational-in-1/pi
-coefficients; the float engine consumes the same terms.
+coefficients; the float engine reads the same terms through a memoised
+float table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -141,6 +144,62 @@ def k_base_exact(a: int, b: int, coordinate_kind: str) -> dict[tuple[int, int], 
 # -- the shared bracket core --------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def _pairing_table(
+    a: int, b: int, left_cross: bool, right_cross: bool
+) -> tuple[tuple[int, int, float], ...]:
+    """:func:`base_terms` in float form: ``((dz, dzp, coef / pi**p), ...)``.
+
+    Memoised: exponents up to the default degree cap give about a thousand
+    keys, well inside the cache bound.  An empty table means the pairing
+    vanishes.  A coefficient too large for a float reads ``inf``, because
+    the whole table is built before the degree cap is checked; the bracket
+    rejects a term only once it has passed the cap.
+    """
+    return tuple(
+        (dz, dzp, _over_pi_power(frac, p))
+        for dz, dzp, frac, p in base_terms(a, b, left_cross, right_cross)
+    )
+
+
+def _over_pi_power(frac: Fraction, p: int) -> float:
+    try:
+        return float(frac) / PI**p
+    except OverflowError:
+        return math.inf
+
+
+def _split_terms(p: Poly, side: str, n_mid: int, out_dims: Dims) -> list:
+    """Split each term of one side of a bracket once, before the pair loop.
+
+    Per term: outer exponents laid out in the result's slots, their total
+    degree, the middle ``(a, b)`` per middle coordinate, and the coefficient.
+    The left side's outer variable is unprimed and its middle primed; the
+    right side the other way round.
+    """
+    if side == "left":
+        outer_offsets, mid_offsets = (O_Z, O_ZB), (O_ZP, O_ZBP)
+    else:
+        outer_offsets, mid_offsets = (O_ZP, O_ZBP), (O_Z, O_ZB)
+    out = []
+    for e, c in p.terms.items():
+        outer = [0] * (4 * out_dims.n)
+        for i in range(p.dims.n):
+            for o in outer_offsets:
+                if e[4 * i + o]:
+                    if i >= out_dims.n:
+                        raise ValueError(f"{side} outer variable beyond result dimensions")
+                    outer[4 * i + o] = e[4 * i + o]
+            if i >= n_mid and any(e[4 * i + o] for o in mid_offsets):
+                raise ValueError(f"{side} middle variable beyond middle dimension")
+        mid = tuple(
+            tuple(e[4 * i + o] for o in mid_offsets) if i < p.dims.n else (0, 0)
+            for i in range(n_mid)
+        )
+        out.append((outer, sum(outer), mid, c))
+    return out
+
+
 def _bracket(
     left: Poly,
     right: Poly,
@@ -154,63 +213,47 @@ def _bracket(
 
     ``left``: unprimed = outer (stays unprimed), primed = middle.
     ``right``: unprimed = middle, primed = outer (stays primed).
-    Coordinates i <= left_cross couple the left outer variable, i <=
+    Coordinates i < left_cross couple the left outer variable, i <
     right_cross the right one.  Indices are preserved coordinate-wise.
+    Each term is split once; the pair loop only looks pairings up and
+    accumulates, in term-pair order.
     """
     if left.dims.fiber_rank != right.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
-    width = 4 * out_dims.n
+    if not left.terms or not right.terms:
+        return Poly.zero(out_dims)
+    lefts = _split_terms(left, "left", n_mid, out_dims)
+    rights = _split_terms(right, "right", n_mid, out_dims)
+    cross = [(i < left_cross, i < right_cross) for i in range(n_mid)]
     acc: dict[tuple[int, ...], np.ndarray] = {}
-    for e1, c1 in left.terms.items():
-        for e2, c2 in right.terms.items():
-            base = [0] * width
-            for i in range(left.dims.n):
-                if e1[4 * i + O_Z] or e1[4 * i + O_ZB]:
-                    if i >= out_dims.n:
-                        raise ValueError("left outer variable beyond result dimensions")
-                    base[4 * i + O_Z] += e1[4 * i + O_Z]
-                    base[4 * i + O_ZB] += e1[4 * i + O_ZB]
-                if i >= n_mid and (e1[4 * i + O_ZP] or e1[4 * i + O_ZBP]):
-                    raise ValueError("left middle variable beyond middle dimension")
-            for i in range(right.dims.n):
-                if e2[4 * i + O_ZP] or e2[4 * i + O_ZBP]:
-                    if i >= out_dims.n:
-                        raise ValueError("right outer variable beyond result dimensions")
-                    base[4 * i + O_ZP] += e2[4 * i + O_ZP]
-                    base[4 * i + O_ZBP] += e2[4 * i + O_ZBP]
-                if i >= n_mid and (e2[4 * i + O_Z] or e2[4 * i + O_ZB]):
-                    raise ValueError("right middle variable beyond middle dimension")
-            per_coord: list[list[tuple[int, int, Fraction, int]]] = []
-            dead = False
-            for i in range(n_mid):
-                a = (e1[4 * i + O_ZP] if i < left.dims.n else 0) + (
-                    e2[4 * i + O_Z] if i < right.dims.n else 0
-                )
-                b = (e1[4 * i + O_ZBP] if i < left.dims.n else 0) + (
-                    e2[4 * i + O_ZB] if i < right.dims.n else 0
-                )
-                opts = list(base_terms(a, b, i < left_cross, i < right_cross))
-                if not opts:
-                    dead = True
-                    break
-                per_coord.append(opts)
-            if dead:
+    for outer1, deg1, mid1, c1 in lefts:
+        for outer2, deg2, mid2, c2 in rights:
+            tables = [
+                _pairing_table(a1 + a2, b1 + b2, lc, rc)
+                for (a1, b1), (a2, b2), (lc, rc) in zip(mid1, mid2, cross)
+            ]
+            if not all(tables):
                 continue
             coef = c1 @ c2
-            for combo in itertools.product(*per_coord):
+            base = list(map(operator.add, outer1, outer2))
+            for combo in itertools.product(*tables):
                 exps = list(base)
+                degree = deg1 + deg2
                 scalar = 1.0
-                for i, (dz, dzp, frac, p) in enumerate(combo):
+                for i, (dz, dzp, s) in enumerate(combo):
                     if dz:
                         exps[4 * i + O_Z] += dz
                     if dzp:
                         exps[4 * i + O_ZBP] += dzp
-                    scalar *= float(frac) / PI**p
-                key = tuple(exps)
-                if sum(key) > degree_cap:
+                    degree += dz + dzp
+                    scalar *= s
+                if degree > degree_cap:
                     raise DegreeOverflowError(
-                        f"composition term degree {sum(key)} exceeds cap {degree_cap}"
+                        f"composition term degree {degree} exceeds cap {degree_cap}"
                     )
+                if scalar == math.inf:
+                    raise ValueError(f"composition term of degree {degree} overflows a float")
+                key = tuple(exps)
                 contrib = scalar * coef
                 acc[key] = acc[key] + contrib if key in acc else contrib
     return Poly(out_dims, acc)

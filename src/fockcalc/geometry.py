@@ -241,57 +241,24 @@ class GeometryData:
 # -- eigensolver ------------------------------------------------------------------
 
 
-def hermitian_eigs(H, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi rotations.
+def hermitian_eigs(H) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, by ``numpy.linalg.eigvalsh``.
 
-    The input must be Hermitian within 1e-10 (it is symmetrized before the
-    sweep); iteration stops when the off-diagonal Frobenius norm drops below
-    ``tol`` (relative-scaled for large matrices) and raises if the sweep
-    budget is exhausted first.
+    The input must be finite, square and Hermitian within 1e-10 (scaled by
+    its largest entry); it is symmetrized before the solve.
     """
     A = np.asarray(H, dtype=complex)
     if A.ndim == 0:
         A = A.reshape(1, 1)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
     dev = float(np.max(np.abs(A - A.conj().T)))
     if dev > _HERM_TOL * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (deviation {dev:.3e})")
-    A = 0.5 * (A + A.conj().T)
-    r = A.shape[0]
-    if r == 1:
-        return np.array([A[0, 0].real])
-    threshold = max(tol, 1e-15 * float(np.linalg.norm(A)))
-    for _ in range(max_sweeps):
-        # the difference can round below zero once the sweep has converged
-        off = math.sqrt(
-            max(0.0, float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2)))
-        )
-        if off <= threshold:
-            return np.sort(np.diag(A).real)
-        for p in range(r - 1):
-            for q in range(p + 1, r):
-                apq = A[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                app, aqq = A[p, p].real, A[q, q].real
-                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
-                c = math.cos(theta)
-                tau = math.sin(theta) * np.exp(1j * np.angle(apq))
-                U = np.array([[c, -tau], [np.conj(tau), c]], dtype=complex)
-                A[:, [p, q]] = A[:, [p, q]] @ U
-                A[[p, q], :] = U.conj().T @ A[[p, q], :]
-    off = math.sqrt(max(0.0, float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2))))
-    if off <= threshold:
-        return np.sort(np.diag(A).real)
-    raise RuntimeError(f"Jacobi did not converge in {max_sweeps} sweeps (off={off:.3e})")
-
-
-def _op_norm(A: np.ndarray) -> float:
-    """Spectral norm via the Hermitian eigensolver on A^H A."""
-    vals = hermitian_eigs(A.conj().T @ A)
-    return math.sqrt(max(0.0, float(vals[-1])))
+    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
 
 # -- constant assembly -------------------------------------------------------------

@@ -13,6 +13,7 @@ Exponents are stored as a flat tuple of length ``4*n`` with layout
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -161,6 +162,8 @@ def _as_coef(value, r: int) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.shape != (r, r):
         raise ValueError(f"coefficient shape {a.shape} != ({r}, {r})")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite coefficient")
     a = a.copy()
     a.setflags(write=False)
     return a
@@ -179,17 +182,37 @@ class Poly:
     def __post_init__(self) -> None:
         r = self.dims.fiber_rank
         width = 4 * self.dims.n
-        clean: dict[ExpKey, np.ndarray] = {}
-        for exps, coef in self.terms.items():
-            exps = tuple(int(e) for e in exps)
+        keys = list(self.terms)
+        count = len(keys)
+        if not count:
+            object.__setattr__(self, "terms", {})
+            return
+        for exps in keys:
             if len(exps) != width:
                 raise ValueError(f"exponent tuple length {len(exps)} != {width}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            c = _as_coef(coef, r)
-            if np.all(c == 0):
-                continue
-            clean[exps] = c
+        try:
+            E = np.array(keys, dtype=np.int64).reshape(count, width)
+        except OverflowError:
+            raise ValueError("exponent out of range") from None
+        if (E < 0).any():
+            row = E[(E < 0).any(axis=1)][0]
+            raise ValueError(f"negative exponent in {tuple(row.tolist())}")
+        # One stacked pass over the coefficients; scalars (fiber rank 1) and
+        # mixed inputs go through _as_coef, which also names a bad shape.
+        values = list(self.terms.values())
+        try:
+            C = np.array(values, dtype=complex)
+        except (ValueError, TypeError):
+            C = None
+        if C is not None and C.shape == (count,) and r == 1:
+            C = C.reshape(count, 1, 1)
+        if C is None or C.shape != (count, r, r):
+            C = np.array([_as_coef(v, r) for v in values], dtype=complex).reshape(count, r, r)
+        if not np.isfinite(C).all():
+            raise ValueError("non-finite coefficient")
+        C.setflags(write=False)
+        live = C.reshape(count, r * r).any(axis=1).tolist()
+        clean = {tuple(k): c for k, c, keep in zip(E.tolist(), C, live) if keep}
         object.__setattr__(self, "terms", clean)
 
     # -- constructors -------------------------------------------------------
@@ -277,7 +300,7 @@ class Poly:
         out: dict[ExpKey, np.ndarray] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 d = sum(e)
                 if d > degree_cap:
                     raise DegreeOverflowError(
@@ -448,6 +471,8 @@ def _coef_from_json(data, r: int) -> np.ndarray:
     a = np.asarray(data, dtype=float)
     if a.shape != (r, r, 2):
         raise ValueError(f"coef shape {a.shape} != ({r}, {r}, 2)")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite coefficient")
     return a[..., 0] + 1j * a[..., 1]
 
 

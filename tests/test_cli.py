@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +124,18 @@ def test_compose_output_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_compose_rejects_nan_coefficient(tmp_path, capsys):
+    body = {"schema": "kernel/1", **unit_expr(Bergman(1)).to_json_dict()}
+    body["terms"][0]["coef"] = [[[math.nan, 0.0]]]
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text(json.dumps(body))  # writes the bare NaN token
+    assert "NaN" in nan_file.read_text()
+    assert run(["compose", "--left", str(nan_file), "--right", str(nan_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+
 # -- oracle-check -----------------------------------------------------------------
 
 
@@ -167,6 +182,23 @@ def test_spectrum_errors(tmp_path):
     assert run(["spectrum", "--input", write_json(tmp_path, "x.json", {"schema": "matrix/1"})]) == 2
     skew = write_json(tmp_path, "s.json", matrix_json(np.array([[0.0, 1.0], [0.0, 0.0]])))
     assert run(["spectrum", "--input", skew]) == 2
+
+
+def test_spectrum_rejects_scalar_matrix(tmp_path, capsys):
+    mf = write_json(tmp_path, "m.json", {"schema": "matrix/1", "matrix": 5})
+    assert run(["spectrum", "--input", mf]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "list of rows" in err
+
+
+def test_spectrum_sixteen_by_sixteen(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    M = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    H = M + M.conj().T
+    mf = write_json(tmp_path, "m.json", matrix_json(H))
+    assert run(["spectrum", "--input", mf]) == 0
+    got = json.loads(capsys.readouterr().out)["eigenvalues"]
+    assert np.max(np.abs(np.array(got) - np.linalg.eigvalsh(H))) <= 1e-12
 
 
 # -- toeplitz-leading ---------------------------------------------------------------
@@ -268,6 +300,14 @@ def test_constants_errors(tmp_path, geom_data):
 # -- defect-check ---------------------------------------------------------------------
 
 
+def test_constants_direction_value_errors(tmp_path, capsys, geom_data):
+    gf = geom_file(tmp_path, "geom.json", geom_data)
+    for direction in ('{"d1": ["a", 1]}', '{"d1": [null, 1]}', '{"d1": [1, NaN]}', '{"d1": Infinity}'):
+        assert run(["constants", "--geom", gf, "--which", "dp3", "--direction", direction]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--direction value for 'd1'" in err
+
+
 def test_defect_check_default(tmp_path, capsys):
     assert run(["defect-check", "--max-n", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -324,3 +364,16 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eigenvalues"] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("module", ["fockcalc", "fockcalc.cli"])
+def test_python_dash_m_runs_selftest(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "selftest"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("selftest: 9/9 passed")

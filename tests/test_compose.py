@@ -27,6 +27,7 @@ from fockcalc import (
     unit_expr,
     DegreeOverflowError,
 )
+from fockcalc.compose import _bracket, _pairing_table
 
 from conftest import random_kernel_expr, supported_kind_pairs, trim_poly_for_kind, random_poly
 
@@ -303,3 +304,65 @@ def test_degree_cap_propagates():
         compose(big, other)
     out = compose(big, other, degree_cap=20)
     assert out.numerator.degree() == 18
+
+
+# -- the cached float pairing table and the bracket's guards ----------------------------
+
+
+def test_pairing_table_matches_exact_base_terms():
+    vanishing = 0
+    for a in range(9):
+        for b in range(9):
+            for lc in (False, True):
+                for rc in (False, True):
+                    want = [
+                        (dz, dzp, float(frac) / PI**p) for dz, dzp, frac, p in base_terms(a, b, lc, rc)
+                    ]
+                    assert list(_pairing_table(a, b, lc, rc)) == want
+                    vanishing += not want
+    # one-sided and normal coordinates vanish off their exponent conditions
+    assert vanishing == 2 * (9 * 8 // 2) + (9 * 9 - 9)
+
+
+def _bracket_args(left_exps, right_exps, n_left=2, n_right=2, n_mid=1, out_n=1):
+    left = Poly.monomial(Dims.of(n_left), left_exps)
+    right = Poly.monomial(Dims.of(n_right), right_exps)
+    return left, right, n_mid, n_mid, n_mid, Dims.of(out_n)
+
+
+@pytest.mark.parametrize(
+    "left_exps, right_exps, n_mid, out_n, message",
+    [
+        ({"z2": 1}, {}, 1, 1, "left outer variable beyond result dimensions"),
+        ({"z'2": 1}, {}, 1, 2, "left middle variable beyond middle dimension"),
+        ({}, {"zb'2": 1}, 1, 1, "right outer variable beyond result dimensions"),
+        ({}, {"zb2": 1}, 1, 2, "right middle variable beyond middle dimension"),
+    ],
+)
+def test_bracket_dimension_guards(left_exps, right_exps, n_mid, out_n, message):
+    args = _bracket_args(left_exps, right_exps, n_mid=n_mid, out_n=out_n)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _bracket(*args)
+
+
+def test_bracket_degree_cap_boundary():
+    # <z1^2 w^2 | zb'1^2 wbar^2> over one tangential coordinate has top degree 8
+    left = Poly.monomial(Dims.of(1), {"z1": 2, "z'1": 2})
+    right = Poly.monomial(Dims.of(1), {"zb1": 2, "zb'1": 2})
+    out = _bracket(left, right, 1, 1, 1, Dims.of(1), degree_cap=8)
+    assert out.degree() == 8
+    with pytest.raises(DegreeOverflowError, match="^composition term degree 8 exceeds cap 7$"):
+        _bracket(left, right, 1, 1, 1, Dims.of(1), degree_cap=7)
+
+
+@pytest.mark.parametrize("a", [200, 700])
+def test_float_overflowing_pairing_fails_cleanly(a):
+    # 200! overflows a float and so does pi**700; the top-degree term still
+    # meets the degree cap first, as it did when pairings were converted lazily
+    dims = Dims.of(1)
+    left = KernelExpr(Poly.monomial(dims, {"z'1": a}), Bergman(1))
+    right = KernelExpr(Poly.monomial(dims, {"zb1": a}), Bergman(1))
+    with pytest.raises(DegreeOverflowError, match=f"^composition term degree {2 * a} exceeds cap 16$"):
+        compose(left, right)
+    with pytest.raises(ValueError, match="overflows a float"):
+        compose(left, right, degree_cap=2 * a)

@@ -117,11 +117,22 @@ def test_hermitian_eigs_random(rng):
         assert abs(np.sum(got**2) - np.sum(np.abs(H) ** 2)) < 1e-8
 
 
+def test_hermitian_eigs_no_false_non_convergence():
+    # A cyclic-Jacobi sweep once raised RuntimeError on this matrix: its
+    # off-diagonal norm, taken as sum|A|^2 - sum|diag|^2, cancelled to ~3e-7.
+    rng = np.random.default_rng(1)
+    M = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    H = M + M.conj().T
+    assert np.max(np.abs(hermitian_eigs(H) - np.linalg.eigvalsh(H))) <= 1e-12
+
+
 def test_hermitian_eigs_errors():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         hermitian_eigs(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigs(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 # -- C0 -----------------------------------------------------------------------------

@@ -98,6 +98,34 @@ def test_bad_terms_rejected():
         Poly.monomial(dims, {"z2": 1})  # index beyond n
 
 
+def test_non_finite_coefficients_rejected():
+    dims = Dims.of(1)
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly(dims, {(0, 0, 0, 0): bad})  # scalar path
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly(dims, {(1, 0, 0, 0): [[1.0]], (0, 0, 0, 0): [[bad]]})  # stacked path
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly.constant(Dims.of(1, fiber_rank=2), np.array([[1.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Poly.from_json_dict({"dims": {"n": 1}, "terms": [{"exps": {}, "coef": [[[math.nan, 0.0]]]}]})
+
+
+def test_stored_coefficients_are_read_only_copies():
+    dims = Dims.of(1, fiber_rank=2)
+    src = np.array([[1.0, 2.0], [3.0, 4.0]])
+    p = Poly(dims, {(1, 0, 0, 0): src, (0, 0, 0, 0): [[0.0, 0.0], [0.0, -0.0]]})
+    src[0, 0] = 99.0
+    (key,) = p.terms  # the exact-zero term is pruned
+    coef = p.terms[key]
+    assert coef.dtype == complex and coef.shape == (2, 2) and coef[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        coef[0, 0] = 5.0
+    # fiber rank 1 accepts scalars, 1x1 matrices and a mix of both
+    q = Poly(Dims.of(1), {(1, 0, 0, 0): 2.0, (0, 1, 0, 0): [[3.0]], (0, 0, 0, 0): 0.0})
+    assert {k: complex(v[0, 0]) for k, v in q.terms.items()} == {(1, 0, 0, 0): 2.0, (0, 1, 0, 0): 3.0}
+
+
 def test_monomial_and_constant():
     dims = Dims.of(2, fiber_rank=2)
     c = np.array([[1.0, 2.0], [3.0, 4.0]])
