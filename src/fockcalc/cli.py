@@ -476,8 +476,15 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line, ``fockcalc <cmd>: error: ...``, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockcalc",
         description="Polynomial Gaussian-kernel calculus: composition, quadrature "
         "oracle, leading terms, and geometric constants.",

@@ -4,8 +4,8 @@ The package does no differential geometry: callers supply per-point samples
 of scalar curvatures, curvature contractions, normal-direction derivative
 data and the density kappa, following the ``geom/1`` JSON schema.  This
 module evaluates the constants C0, C3, C4, the third-order defect
-coefficient ``dp3`` and its tower generalization, with a small cyclic-Jacobi
-Hermitian eigensolver underneath.
+coefficient ``dp3`` and its tower generalization, with numpy's Hermitian
+eigensolver (``eigvalsh``) underneath.
 
 Direction records are understood as an orthonormal frame of the relevant
 normal space: every ``d_scal_diff`` / ``nabla_lambda_diff`` entry is the
@@ -50,6 +50,11 @@ def _check_i_hermitian(V: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} / (2 pi i) is not Hermitian (deviation {dev:.3e})")
 
 
+def _check_finite(value: float | None, name: str, owner: str) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} of {owner} must be finite, got {value!r}")
+
+
 # -- data model -----------------------------------------------------------------
 
 
@@ -65,6 +70,7 @@ class NormalDirection:
     def __post_init__(self) -> None:
         if self.level not in ("WY", "XW"):
             raise ValueError(f"direction level must be 'WY' or 'XW', got {self.level!r}")
+        _check_finite(self.d_scal_diff, "d_scal_diff", f"direction {self.id!r}")
 
     def matrix(self, r: int) -> np.ndarray:
         if self.nabla_lambda_diff is None:
@@ -95,6 +101,8 @@ class GeometrySample:
     normal_dirs: tuple[NormalDirection, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for name in ("scal_X", "scal_Y", "scal_W", "kappa"):
+            _check_finite(getattr(self, name), name, f"sample {self.id!r}")
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         ids = [d.id for d in self.normal_dirs]

@@ -20,7 +20,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, variable_columns
 
 __all__ = [
     "Bergman",
@@ -120,17 +120,16 @@ def cross_count(kind: KernelKind) -> int:
 
 def kernel_eval(kind: KernelKind, Z, Zp) -> complex:
     """Pure exponential kernel value at (Z, Z')."""
-    zu = _point(Z, unprimed_dim(kind), "unprimed")
-    zp = _point(Zp, primed_dim(kind), "primed")
+    zu = _point(Z, unprimed_dim(kind), "unprimed")[None]
+    zp = _point(Zp, primed_dim(kind), "primed")[None]
+    return complex(_gaussian(kind, zu, zp)[0])
+
+
+def _gaussian(kind: KernelKind, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """Kernel values at N point pairs, ``zu`` of shape (N, du) and ``zp`` (N, dp)."""
     c = cross_count(kind)
-    q = 0.0 + 0.0j
-    for i in range(c):
-        q += abs(zu[i]) ** 2 + abs(zp[i]) ** 2 - 2.0 * zu[i] * np.conj(zp[i])
-    for i in range(c, len(zu)):
-        q += abs(zu[i]) ** 2
-    for i in range(c, len(zp)):
-        q += abs(zp[i]) ** 2
-    return complex(np.exp(-0.5 * PI * q))
+    q = (abs(zu) ** 2).sum(1) + (abs(zp) ** 2).sum(1) - 2.0 * (zu[:, :c] * zp[:, :c].conj()).sum(1)
+    return np.exp(-0.5 * PI * q)
 
 
 def _point(Z, dim: int, label: str) -> np.ndarray:
@@ -192,6 +191,16 @@ class KernelExpr:
     def evaluate(self, Z, Zp) -> np.ndarray:
         return kernel_expr_eval(self, Z, Zp)
 
+    def evaluate_batch(self, Z, Zp) -> np.ndarray:
+        """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
+        kind, n = self.kind, self.kind.n
+        zu, zp = np.asarray(Z, dtype=complex), np.asarray(Zp, dtype=complex)
+        for z, dim, label in ((zu, unprimed_dim(kind), "unprimed"), (zp, primed_dim(kind), "primed")):
+            if z.ndim != 2 or z.shape[1] != dim or len(z) != len(zu):
+                raise ValueError(f"{label} points have shape {z.shape}, kernel expects (N, {dim})")
+        X = variable_columns(n, zu, zu.conj(), zp, zp.conj())
+        return self.numerator.evaluate_batch(X) * _gaussian(kind, zu, zp)[:, None, None]
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -248,12 +257,9 @@ class ScaledKernel:
 
 def kernel_expr_eval(e: KernelExpr, Z, Zp) -> np.ndarray:
     """Matrix value numerator(Z, Z') * kernel(Z, Z')."""
-    n = e.kind.n
     zu = _point(Z, unprimed_dim(e.kind), "unprimed")
     zp = _point(Zp, primed_dim(e.kind), "primed")
-    zu_full = np.concatenate([zu, np.zeros(n - len(zu), dtype=complex)])
-    zp_full = np.concatenate([zp, np.zeros(n - len(zp), dtype=complex)])
-    return e.numerator.evaluate(zu_full, zp_full) * kernel_eval(e.kind, zu, zp)
+    return e.evaluate_batch(zu[None], zp[None])[0]
 
 
 # -- ladder operators --------------------------------------------------------

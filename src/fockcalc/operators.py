@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .poly import (
     O_ZP,
     O_ZBP,
     var_offset,
+    variable_columns,
     _as_coef,
     _coef_to_json,
     _coef_from_json,
@@ -44,7 +44,7 @@ from .kernels import (
     unit_expr,
 )
 from .compose import compose
-from .oracle import InsufficientNodesError, gauss_hermite
+from .oracle import InsufficientNodesError, gaussian_mesh
 
 PI = math.pi
 
@@ -193,26 +193,21 @@ class Symbol:
 
     def evaluate(self, Z_N) -> np.ndarray:
         """Value at a normal point (length n-m), conjugates taken from it."""
-        z = np.asarray(Z_N, dtype=complex).reshape(-1)
-        if len(z) != self.k:
-            raise ValueError(f"normal point must have length {self.k}")
-        return self.evaluate_split(z, np.conj(z))
+        z = np.asarray(Z_N, dtype=complex).reshape(1, -1)
+        return self.evaluate_batch(z, z.conj())[0]
 
     def evaluate_split(self, hol_point, anti_point) -> np.ndarray:
         """Polarized value: w^alpha from hol_point, wbar^beta from anti_point."""
-        zh = np.asarray(hol_point, dtype=complex).reshape(-1)
-        za = np.asarray(anti_point, dtype=complex).reshape(-1)
-        r = self.fiber_rank
-        acc = np.zeros((r, r), dtype=complex)
-        for (hol, antihol), coef in self.terms().items():
-            v = 1.0 + 0.0j
-            for j in range(self.k):
-                if hol[j]:
-                    v *= zh[j] ** hol[j]
-                if antihol[j]:
-                    v *= za[j] ** antihol[j]
-            acc = acc + v * coef
-        return acc
+        return self.evaluate_batch(np.reshape(hol_point, (1, -1)), np.reshape(anti_point, (1, -1)))[0]
+
+    def evaluate_batch(self, hol, anti) -> np.ndarray:
+        """Polarized values at N points: hol and anti are (N, n-m); returns (N, r, r)."""
+        zh, za = np.asarray(hol, dtype=complex), np.asarray(anti, dtype=complex)
+        if zh.ndim != 2 or zh.shape[1] != self.k or za.shape != zh.shape:
+            raise ValueError(f"normal point must have length {self.k}")
+        tangential = np.zeros((len(zh), self.m))
+        zh, za = np.concatenate([tangential, zh], axis=1), np.concatenate([tangential, za], axis=1)
+        return self.poly.evaluate_batch(variable_columns(self.n, zh, za, 0.0, 0.0))
 
     # -- kernel embeddings ----------------------------------------------------
 
@@ -401,58 +396,26 @@ def lambda_a(g: Symbol) -> Symbol:
     return Symbol.from_terms(g.n, g.m, out, g.fiber_rank)
 
 
-@lru_cache(maxsize=32)
-def _gaussian_mesh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor quadrature for integral over C^k against exp(-pi |u|^2)."""
-    xs, ws = gauss_hermite(nodes)
-    x = np.array(xs) / math.sqrt(PI)
-    w = np.array(ws) / math.sqrt(PI)
-    pts_1d = (x[:, None] + 1j * x[None, :]).reshape(-1)
-    wts_1d = (w[:, None] * w[None, :]).reshape(-1)
-    pts, wts = pts_1d[:, None], wts_1d
-    for _ in range(k - 1):
-        pts = np.concatenate(
-            [
-                np.repeat(pts, len(pts_1d), axis=0),
-                np.tile(pts_1d, len(wts))[:, None],
-            ],
-            axis=1,
-        )
-        wts = (wts[:, None] * wts_1d[None, :]).reshape(-1)
-    return pts, wts
+def _mesh_integral(g: Symbol, nodes: int, hol_shift=0.0, anti_shift=0.0) -> np.ndarray:
+    """integral of g(u + hol_shift, conj(u) + anti_shift) exp(-pi|u|^2) du on the mesh."""
+    pts, wts = gaussian_mesh(g.k, nodes)
+    return np.tensordot(wts, g.evaluate_batch(pts + hol_shift, pts.conj() + anti_shift), axes=1)
 
 
 def lambda_eq_quadrature(g: Symbol, nodes: int = 20) -> np.ndarray:
     """Independent check of lambda_eq: integral of g(u) exp(-pi|u|^2) du."""
-    pts, wts = _gaussian_mesh(g.k, nodes)
-    r = g.fiber_rank
-    acc = np.zeros((r, r), dtype=complex)
-    for u, w in zip(pts, wts):
-        acc = acc + w * g.evaluate(u)
-    return acc
+    return _mesh_integral(g, nodes)
 
 
 def lambda_h_quadrature(g: Symbol, z_point, nodes: int = 20) -> np.ndarray:
     """Independent check of lambda_h at a holomorphic point z:
     integral of g(z + u, ubar) exp(-pi|u|^2) du minus the lambda_eq part."""
-    z = np.asarray(z_point, dtype=complex).reshape(-1)
-    pts, wts = _gaussian_mesh(g.k, nodes)
-    r = g.fiber_rank
-    acc = np.zeros((r, r), dtype=complex)
-    for u, w in zip(pts, wts):
-        acc = acc + w * g.evaluate_split(z + u, np.conj(u))
-    return acc - lambda_eq_quadrature(g, nodes)
+    return _mesh_integral(g, nodes, hol_shift=np.ravel(z_point)) - lambda_eq_quadrature(g, nodes)
 
 
 def lambda_a_quadrature(g: Symbol, zbar_point, nodes: int = 20) -> np.ndarray:
     """Independent check of lambda_a at an antiholomorphic point zbar."""
-    zb = np.asarray(zbar_point, dtype=complex).reshape(-1)
-    pts, wts = _gaussian_mesh(g.k, nodes)
-    r = g.fiber_rank
-    acc = np.zeros((r, r), dtype=complex)
-    for u, w in zip(pts, wts):
-        acc = acc + w * g.evaluate_split(u, np.conj(u) + zb)
-    return acc - lambda_eq_quadrature(g, nodes)
+    return _mesh_integral(g, nodes, anti_shift=np.ravel(zbar_point)) - lambda_eq_quadrature(g, nodes)
 
 
 # -- bracket fields and model operators ----------------------------------------

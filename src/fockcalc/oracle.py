@@ -4,7 +4,8 @@ Nothing here reuses the closed-form pairing rules from :mod:`.compose`;
 composites are integrated directly on Gauss-Hermite grids so the two
 routes check each other.  The Gauss-Hermite rule itself is built from
 scratch (Newton on the orthonormal Hermite recurrence, Christoffel
-weights); numpy's generator is only used for seeded iteration starts.
+weights), and :func:`gaussian_mesh` is the one tensor mesh every
+quadrature here and in :mod:`.operators` integrates on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly
+from .poly import Dims, Poly, monomial_values, variable_columns
 from .kernels import (
     KernelExpr,
     KernelKind,
@@ -37,6 +38,7 @@ __all__ = [
     "FockIndex",
     "fock_indices",
     "gauss_hermite",
+    "gaussian_mesh",
     "gaussian_moment",
     "fock_norm",
     "default_eval_points",
@@ -184,6 +186,27 @@ class QuadGrid:
         }
 
 
+@lru_cache(maxsize=32)
+def gaussian_mesh(k: int, nodes: int, weight_scale: float = PI) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tensor mesh on C^k for integrals against exp(-pi |u|^2).
+
+    Points are ``(nodes^(2k), k)``: each coordinate runs over the
+    ``x + iy`` grid of the ``QuadGrid(nodes, k, weight_scale)`` axis nodes,
+    x slower than y, the first coordinate slowest.  The axis rule absorbs
+    exp(-weight_scale x^2), so the weights ``(nodes^(2k),)`` carry
+    exp((weight_scale - pi) |u|^2) back in.
+    """
+    xs, ws = QuadGrid(nodes, k, weight_scale).axis_nodes()
+    axis = (xs[:, None] + 1j * xs[None, :]).ravel()
+    axis_w = (ws[:, None] * ws[None, :]).ravel()
+    idx = np.indices((len(axis),) * k).reshape(k, len(axis) ** k).T
+    pts = axis[idx]
+    wts = np.prod(axis_w[idx], axis=1) * np.exp((weight_scale - PI) * np.sum(np.abs(pts) ** 2, axis=1))
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
+
+
 @dataclass(frozen=True)
 class OracleReport:
     max_abs: float
@@ -253,6 +276,14 @@ def _middle_dim(e1: KernelExpr, e2: KernelExpr) -> int:
     return d1
 
 
+def _stack_points(eval_points: Sequence[tuple], du: int, dp: int) -> tuple[np.ndarray, np.ndarray]:
+    z = [np.asarray(Z, dtype=complex).ravel() for Z, _ in eval_points]
+    zp = [np.asarray(Zp, dtype=complex).ravel() for _, Zp in eval_points]
+    if any(len(u) != du for u in z) or any(len(v) != dp for v in zp):
+        raise ValueError("evaluation point has wrong dimensions")
+    return np.array(z, dtype=complex).reshape(len(z), du), np.array(zp, dtype=complex).reshape(len(zp), dp)
+
+
 def oracle_compose_values(
     e1: KernelExpr,
     e2: KernelExpr,
@@ -275,73 +306,48 @@ def oracle_compose_values(
     if eval_points is None:
         eval_points = default_eval_points(e1.kind, e2.kind)
     lc, rc = cross_count(e1.kind), cross_count(e2.kind)
-    n1, n2 = e1.dims.n, e2.dims.n
+    E1, C1 = e1.numerator.table
+    E2, C2 = e2.numerator.table
+    T1, T2 = len(E1), len(E2)
 
-    # Middle exponent pairs needed per coordinate, plus node-count check.
-    terms1 = e1.numerator.sorted_terms()
-    terms2 = e2.numerator.sorted_terms()
-    need: list[set[tuple[int, int]]] = [set() for _ in range(n_mid)]
-    max_ab = 0
-    for ex1, _ in terms1:
-        for ex2, _ in terms2:
-            for i in range(n_mid):
-                a = (ex1[4 * i + 2] if i < n1 else 0) + (ex2[4 * i + 0] if i < n2 else 0)
-                b = (ex1[4 * i + 3] if i < n1 else 0) + (ex2[4 * i + 1] if i < n2 else 0)
-                need[i].add((a, b))
-                max_ab = max(max_ab, a + b)
+    # Middle exponents (a, b) of every term pair and coordinate, (T1, T2, n_mid, 2):
+    # z'^a zb'^b of the left term times z^a zb^b of the right one.
+    ab = (
+        E1[:, : 4 * n_mid].reshape(T1, 1, n_mid, 4)[..., 2:]
+        + E2[:, : 4 * n_mid].reshape(1, T2, n_mid, 4)[..., :2]
+    )
+    max_ab = int(np.max(ab.sum(axis=-1), initial=0))
     if 2 * grid.nodes_per_axis - 1 < max_ab:
         raise InsufficientNodesError(
             f"{grid.nodes_per_axis} nodes per axis cannot integrate middle degree {max_ab}"
         )
 
-    xs, ws = grid.axis_nodes()
-    W = xs[:, None] + 1j * xs[None, :]
-    WW = ws[:, None] * ws[None, :]
-    du, dpr = unprimed_dim(e1.kind), primed_dim(e2.kind)
-
-    out = []
-    for Z, Zp in eval_points:
-        z = np.asarray(Z, dtype=complex).ravel()
-        zp = np.asarray(Zp, dtype=complex).ravel()
-        if len(z) != du or len(zp) != dpr:
-            raise ValueError("evaluation point has wrong dimensions")
-        moments: list[dict[tuple[int, int], complex]] = []
-        for i in range(n_mid):
-            base = WW.astype(complex)
-            if i < lc:
-                base = base * np.exp(PI * z[i] * np.conj(W))
-            if i < rc:
-                base = base * np.exp(PI * W * np.conj(zp[i]))
-            mi = {}
-            for a, b in sorted(need[i]):
-                mi[(a, b)] = complex(np.sum(base * W**a * np.conj(W) ** b))
-            moments.append(mi)
-        gauss_out = math.exp(-0.5 * PI * float(np.sum(np.abs(z) ** 2) + np.sum(np.abs(zp) ** 2)))
-        acc = np.zeros((r, r), dtype=complex)
-        for ex1, c1 in terms1:
-            mono1 = 1.0 + 0.0j
-            for i in range(n1):
-                u, v = ex1[4 * i], ex1[4 * i + 1]
-                if u:
-                    mono1 *= z[i] ** u
-                if v:
-                    mono1 *= np.conj(z[i]) ** v
-            for ex2, c2 in terms2:
-                mono2 = 1.0 + 0.0j
-                for i in range(n2):
-                    s, t = ex2[4 * i + 2], ex2[4 * i + 3]
-                    if s:
-                        mono2 *= zp[i] ** s
-                    if t:
-                        mono2 *= np.conj(zp[i]) ** t
-                m = 1.0 + 0.0j
-                for i in range(n_mid):
-                    a = (ex1[4 * i + 2] if i < n1 else 0) + (ex2[4 * i + 0] if i < n2 else 0)
-                    b = (ex1[4 * i + 3] if i < n1 else 0) + (ex2[4 * i + 1] if i < n2 else 0)
-                    m *= moments[i][(a, b)]
-                acc = acc + (mono1 * mono2 * m) * (c1 @ c2)
-        out.append(gauss_out * acc)
-    return out
+    z, zp = _stack_points(eval_points, unprimed_dim(e1.kind), primed_dim(e2.kind))
+    factor = (
+        monomial_values(variable_columns(e1.dims.n, z, z.conj(), 1.0, 1.0), E1)[:, :, None]
+        * monomial_values(variable_columns(e2.dims.n, 1.0, 1.0, zp, zp.conj()), E2)[:, None, :]
+    )
+    # On the one-coordinate mesh as a tensor grid w = x_i + i y_j the coupling
+    # exp(pi z conj(w) + pi conj(z') w) splits into exp(pi u x_i) exp(pi v y_j), so each
+    # moment is (P, nodes) @ (nodes, nodes) and no (P, nodes^2) array is formed.
+    nodes = grid.nodes_per_axis
+    mesh, wts = gaussian_mesh(1, nodes, grid.weight_scale)
+    w, weights = mesh.reshape(nodes, nodes), wts.reshape(nodes, nodes)
+    x, y, wc = w[:, 0].real, w[0, :].imag, w.conj()
+    for i in range(n_mid):
+        pairs, index = np.unique(ab[:, :, i].reshape(T1 * T2, 2), axis=0, return_inverse=True)
+        zi = z[:, i] if i < lc else np.zeros(len(z))
+        zpi = zp[:, i].conj() if i < rc else np.zeros(len(z))
+        ex = np.exp(PI * np.multiply.outer(zi + zpi, x))
+        ey = np.exp(1j * PI * np.multiply.outer(zpi - zi, y))
+        moments = np.empty((len(z), len(pairs)), dtype=complex)
+        for k, (ai, bi) in enumerate(pairs.tolist()):
+            moments[:, k] = np.sum((ex @ (weights * w**ai * wc**bi)) * ey, axis=1)
+        factor = factor * moments[:, index.reshape(T1, T2)]
+    pair_coefs = (C1[:, None] @ C2[None, :]).reshape(T1 * T2, r * r)
+    acc = (factor.reshape(len(z), T1 * T2) @ pair_coefs).reshape(len(z), r, r)
+    gauss_out = np.exp(-0.5 * PI * (np.sum(np.abs(z) ** 2, axis=1) + np.sum(np.abs(zp) ** 2, axis=1)))
+    return list(gauss_out[:, None, None] * acc)
 
 
 def oracle_compose(
@@ -365,14 +371,15 @@ def oracle_compose(
     if expected is None:
         expected = compose(e1, e2)
     numeric = oracle_compose_values(e1, e2, grid, eval_points)
-    max_abs = 0.0
-    scale = 0.0
-    for (Z, Zp), num in zip(eval_points, numeric):
-        want = expected.evaluate(Z, Zp)
-        max_abs = max(max_abs, float(np.max(np.abs(want - num))))
-        scale = max(scale, float(np.max(np.abs(want))))
+    want = expected.evaluate_batch(*_stack_points(eval_points, unprimed_dim(e1.kind), primed_dim(e2.kind)))
+    return _report(want, np.array(numeric).reshape(want.shape), grid, rel_tol)
+
+
+def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> OracleReport:
+    max_abs = float(np.max(np.abs(want - got), initial=0.0))
+    scale = float(np.max(np.abs(want), initial=0.0))
     max_rel = max_abs / scale if scale > 1e-150 else max_abs
-    return OracleReport(max_abs=max_abs, max_rel=max_rel, grid=grid, passed=max_rel <= rel_tol)
+    return OracleReport(max_abs=max_abs, max_rel=max_rel, grid=grid, passed=max_rel <= tol)
 
 
 # -- ladder spectrum check -----------------------------------------------------
@@ -387,8 +394,8 @@ def laplacian_eigencheck(
     """Check the flat spectrum: creation^alpha lifts of z^beta Gaussians.
 
     The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy
-    Laplacian = 4 pi |alpha| pointwise; the residual is evaluated on a
-    tensor mesh built from the grid nodes.
+    Laplacian = 4 pi |alpha| pointwise; the residual is evaluated on the
+    grid's tensor mesh, thinned to at most 4096 points by a fixed stride.
     """
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
@@ -406,24 +413,11 @@ def laplacian_eigencheck(
     lap = apply_model_laplacian(state)
     want = state.scale(4.0 * PI * sum(alpha))
 
-    xs, _ = grid.axis_nodes()
-    axis = [complex(x, y) for x in xs for y in xs]
-    pts: list[tuple[complex, ...]] = [()]
-    for _ in range(n):
-        pts = [p + (a,) for p in pts for a in axis]
+    pts, _ = gaussian_mesh(n, grid.nodes_per_axis, grid.weight_scale)
     if len(pts) > 4096:
-        stride = len(pts) // 4096 + 1
-        pts = pts[::stride]
-    max_abs = 0.0
-    scale = 0.0
-    for p in pts:
-        Z = np.array(p)
-        got = lap.evaluate(Z, None)
-        ref = want.evaluate(Z, None)
-        max_abs = max(max_abs, float(np.max(np.abs(got - ref))))
-        scale = max(scale, float(np.max(np.abs(ref))))
-    max_rel = max_abs / scale if scale > 1e-150 else max_abs
-    return OracleReport(max_abs=max_abs, max_rel=max_rel, grid=grid, passed=max_rel <= tol)
+        pts = pts[:: len(pts) // 4096 + 1]
+    no_primed = np.zeros((len(pts), 0))
+    return _report(want.evaluate_batch(pts, no_primed), lap.evaluate_batch(pts, no_primed), grid, tol)
 
 
 # -- exact Fock pairings and norm estimation -----------------------------------
@@ -482,12 +476,12 @@ def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
     return ScaledKernel(base, s1.p, s1.prefactor * s2.prefactor / s1.p**n_mid)
 
 
-def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int, seed: int = 0) -> float:
-    """Operator norm via the Gram matrix of basis images plus power iteration.
+def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
+    """Operator norm from the largest eigenvalue of a Gram matrix of basis images.
 
     Builds T*T (or TT* when that is the composable side), evaluates it
-    exactly on the weighted monomial basis up to ``basis_cutoff``, and
-    power-iterates the PSD matrix with a seeded start.  The result is a
+    exactly on the weighted monomial basis up to ``basis_cutoff`` and takes
+    the square root of the PSD matrix's top eigenvalue.  The result is a
     monotone lower bound converging in the cutoff.
     """
     if isinstance(op, KernelExpr):
@@ -512,21 +506,4 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int, seed: int = 
             blocks[ib, ig] = w * raw
     G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
     G = 0.5 * (G + G.conj().T)
-    if not np.any(G):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(1000):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(np.real(np.vdot(v, G @ v)))
-        if abs(new - lam) <= 1e-14 * max(1.0, abs(new)):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(max(lam, 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))

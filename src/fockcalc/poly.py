@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "var_offset",
     "var_name",
     "parse_var_name",
+    "variable_columns",
+    "monomial_values",
 ]
 
 # Offsets within one coordinate block.
@@ -364,26 +367,32 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------------
 
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only exponent rows ``(T, 4n)`` and coefficients ``(T, r, r)``, sorted."""
+        n, r = self.dims.n, self.dims.fiber_rank
+        items = self.sorted_terms()
+        E = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), 4 * n)
+        C = np.array([c for _, c in items], dtype=complex).reshape(len(items), r, r)
+        E.setflags(write=False)
+        C.setflags(write=False)
+        return E, C
+
+    def evaluate_batch(self, X) -> np.ndarray:
+        """Values at N points given as an ``(N, 4n)`` array of variable values
+        in the exponent layout (see :func:`variable_columns`): ``(N, r, r)``."""
+        E, C = self.table
+        X = np.asarray(X, dtype=complex)
+        if X.ndim != 2 or X.shape[1] != E.shape[1]:
+            raise ValueError(f"variable values have shape {X.shape}, need (N, {E.shape[1]})")
+        r = self.dims.fiber_rank
+        return (monomial_values(X, E) @ C.reshape(-1, r * r)).reshape(len(X), r, r)
+
     def evaluate(self, Z, Zp=None) -> np.ndarray:
         """Value at (Z, Z'); both arrays padded/validated to length n."""
-        n, r = self.dims.n, self.dims.fiber_rank
-        z = _pad_point(Z, n)
-        zp = _pad_point(Zp, n)
-        acc = np.zeros((r, r), dtype=complex)
-        for exps, coef in self.sorted_terms():
-            v = 1.0 + 0.0j
-            for i in range(n):
-                a, b, c, d = exps[4 * i : 4 * i + 4]
-                if a:
-                    v *= z[i] ** a
-                if b:
-                    v *= np.conj(z[i]) ** b
-                if c:
-                    v *= zp[i] ** c
-                if d:
-                    v *= np.conj(zp[i]) ** d
-            acc = acc + v * coef
-        return acc
+        n = self.dims.n
+        z, zp = _pad_point(Z, n)[None], _pad_point(Zp, n)[None]
+        return self.evaluate_batch(variable_columns(n, z, z.conj(), zp, zp.conj()))[0]
 
     # -- comparison ---------------------------------------------------------
 
@@ -450,6 +459,30 @@ class Poly:
             c = _coef_from_json(t["coef"], dims.fiber_rank)
             out[k] = out[k] + c if k in out else c
         return cls(dims, out)
+
+
+def variable_columns(n: int, z, zb, zp, zbp) -> np.ndarray:
+    """Values of ``z_i``, ``conj(z_i)``, ``z'_i``, ``conj(z'_i)`` in the ``(N, 4n)``
+    exponent layout.
+
+    Each slot is an ``(N, d)`` array filling the first ``d <= n`` coordinates
+    (the rest stay 0) or a scalar for all ``n``.  The slots need not be
+    conjugate pairs, which is how polarized and partial evaluation work.
+    """
+    slots = [np.asarray(v, dtype=complex) for v in (z, zb, zp, zbp)]
+    count = max(len(v) for v in slots if v.ndim)
+    X = np.zeros((count, n, 4), dtype=complex)
+    for o, v in enumerate(slots):
+        X[:, : v.shape[1] if v.ndim else n, o] = v
+    return X.reshape(count, 4 * n)
+
+
+def monomial_values(X, E) -> np.ndarray:
+    """``prod_j X[:, j] ** E[t, j]`` for N value rows and T exponent rows: ``(N, T)``."""
+    out = np.ones((len(X), len(E)), dtype=complex)
+    for j in E.any(axis=0).nonzero()[0]:
+        out *= X[:, j, None] ** E[:, j]
+    return out
 
 
 def _pad_point(Z, n: int) -> np.ndarray:

@@ -38,6 +38,22 @@ small_complex = st.builds(
 
 
 @st.composite
+def complex_rows(draw, count: int, width: int) -> np.ndarray:
+    """A (count, width) array of small complex values."""
+    flat = draw(st.lists(small_complex, min_size=count * width, max_size=count * width))
+    return np.array(flat, dtype=complex).reshape(count, width)
+
+
+@st.composite
+def kind_st(draw, max_n: int = 3):
+    """Any of the four kernel kinds on C^n, n <= max_n."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=0, max_value=n))
+    family = draw(st.sampled_from([OrthBergman, Extension, Restriction, None]))
+    return Bergman(n) if family is None else family(n, m)
+
+
+@st.composite
 def dims_st(draw, max_n: int = 3, max_rank: int = 2):
     n = draw(st.integers(min_value=1, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=n))
@@ -63,6 +79,22 @@ def poly_st(draw, dims: Dims | None = None, max_deg: int = 3, max_terms: int = 3
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coef
     return Poly(dims, terms)
+
+
+def term_sum(poly: Poly, x) -> tuple[np.ndarray, float]:
+    """Per-point reference for evaluation: sum over ``poly.terms`` of
+    coef * prod_j x[j] ** e[j], with x in the exponent layout, and the sum of
+    the terms' magnitudes (the scale a rounding error is relative to)."""
+    r = poly.dims.fiber_rank
+    acc = np.zeros((r, r), dtype=complex)
+    scale = 0.0
+    for exps, coef in poly.terms.items():
+        v = 1.0 + 0.0j
+        for xj, ej in zip(x, exps):
+            v *= complex(xj) ** ej
+        acc = acc + v * coef
+        scale += abs(v) * float(np.max(np.abs(coef)))
+    return acc, scale
 
 
 # -- seeded random builders (for the larger battery loops) -----------------------

@@ -297,6 +297,20 @@ def test_constants_errors(tmp_path, geom_data):
     assert run(["constants", "--geom", bad, "--which", "c0"]) == 2
 
 
+@pytest.mark.parametrize("field", ["scal_X", "scal_Y", "scal_W", "kappa", "d_scal_diff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constants_rejects_non_finite_geometry(tmp_path, capsys, geom_data, field, value):
+    body = geom_data.to_json_dict()
+    target = body["samples"][0]["normal_dirs"][0] if field == "d_scal_diff" else body["samples"][0]
+    target[field] = value
+    gf = tmp_path / "geom.json"
+    gf.write_text(json.dumps(body))  # writes the bare NaN / Infinity token
+    assert run(["constants", "--geom", str(gf), "--which", "c3c4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"{field} of " in captured.err and "must be finite" in captured.err
+
+
 # -- defect-check ---------------------------------------------------------------------
 
 
@@ -352,6 +366,26 @@ def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
     assert "compose" in capsys.readouterr().out
     assert run([]) == 2  # a subcommand is required
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        ([], "fockcalc: error: "),
+        (["nonsense"], "fockcalc: error: "),
+        (["compose"], "fockcalc compose: error: "),
+        (["oracle-check", "--left", "a.json"], "fockcalc oracle-check: error: "),
+        (["spectrum", "--input", "m.json", "--tol", "x"], "fockcalc spectrum: error: "),
+        (["toeplitz-leading", "--kind", "XX", "--symbol", "s.json"], "fockcalc toeplitz-leading: error: "),
+        (["constants", "--geom", "g.json", "--which", "c1"], "fockcalc constants: error: "),
+        (["defect-check", "--bogus"], "fockcalc: error: "),
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv, prefix):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
 
 
 @pytest.mark.skipif(shutil.which("fockcalc") is None, reason="console script not installed")

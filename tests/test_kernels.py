@@ -1,9 +1,11 @@
 """Kernel families: evaluation formulas, domain checks, adjoints, ladder operators."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fockcalc import (
     Bergman,
@@ -25,6 +27,8 @@ from fockcalc import (
     unit_expr,
     unprimed_dim,
 )
+
+from conftest import complex_rows, kind_st, random_kernel_expr, term_sum
 
 PI = math.pi
 
@@ -63,6 +67,25 @@ def test_kernel_eval_restriction_and_orth(rng):
     cross = abs(z2[0]) ** 2 + abs(zp2[0]) ** 2 - 2 * z2[0] * np.conj(zp2[0])
     want = np.exp(-0.5 * PI * (cross + abs(z2[1]) ** 2 + abs(zp2[1]) ** 2))
     assert abs(kernel_eval(OrthBergman(2, 1), z2, zp2) - want) < 1e-12 * abs(want)
+
+
+@given(kind_st(), st.sampled_from([1, 2]), st.sampled_from([0, 1, 7]), st.data())
+def test_kernel_expr_eval_matches_gaussian_closed_form(kind, rank, count, data):
+    e = random_kernel_expr(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), kind, rank, 3)
+    du, dp, n = unprimed_dim(kind), primed_dim(kind), kind.n
+    Z, Zp = data.draw(complex_rows(count, du)), data.draw(complex_rows(count, dp))
+    batch = e.evaluate_batch(Z, Zp)
+    assert batch.shape == (count, rank, rank)
+    for row, z, zp in zip(batch, Z, Zp):
+        # exp(-pi/2 (|Z|^2 + |Z'|^2) + pi sum over coupled i of z_i conj(z'_i))
+        exponent = -0.5 * PI * (np.sum(np.abs(z) ** 2) + np.sum(np.abs(zp) ** 2))
+        exponent += PI * sum(z[i] * np.conj(zp[i]) for i in range(cross_count(kind)))
+        zf, zpf = np.concatenate([z, np.zeros(n - du)]), np.concatenate([zp, np.zeros(n - dp)])
+        poly, scale = term_sum(e.numerator, np.stack([zf, zf.conj(), zpf, zpf.conj()], axis=1).ravel())
+        want = poly * cmath.exp(exponent)
+        tol = 1e-12 * (1.0 + scale) * abs(cmath.exp(exponent))
+        assert np.max(np.abs(row - want)) <= tol
+        assert np.max(np.abs(kernel_expr_eval(e, z, zp) - want)) <= tol
 
 
 def test_kernel_eval_dimension_errors():

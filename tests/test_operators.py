@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fockcalc import (
     Bergman,
@@ -37,7 +38,7 @@ from fockcalc import (
 )
 from fockcalc.geometry import hermitian_eigs
 
-from conftest import random_symbol
+from conftest import complex_rows, random_symbol, term_sum
 
 PI = math.pi
 
@@ -112,6 +113,25 @@ def test_symbol_evaluate():
     assert abs(split - 2.0 * w**2 * (1.0 - 1.0j)) < 1e-15
     with pytest.raises(ValueError):
         g.evaluate([w, w])
+
+
+@given(st.integers(1, 3), st.data())
+def test_evaluate_split_matches_term_sum(n, data):
+    m = data.draw(st.integers(0, n))
+    rank = data.draw(st.sampled_from([1, 2]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    g = random_symbol(np.random.default_rng(seed), n, m, rank, max_deg=3 if m < n else 0)
+    count = data.draw(st.sampled_from([0, 1, 7]))
+    hol, anti = data.draw(complex_rows(count, n - m)), data.draw(complex_rows(count, n - m))
+    batch = g.evaluate_batch(hol, anti)
+    assert batch.shape == (count, rank, rank)
+    for row, zh, za in zip(batch, hol, anti):
+        zh_full = np.concatenate([np.zeros(m), zh])
+        za_full = np.concatenate([np.zeros(m), za])
+        x = np.stack([zh_full, za_full, 0 * zh_full, 0 * za_full], axis=1).ravel()
+        want, scale = term_sum(g.poly, x)
+        assert np.max(np.abs(row - want)) <= 1e-12 * (1.0 + scale)
+        assert np.max(np.abs(g.evaluate_split(zh, za) - want)) <= 1e-12 * (1.0 + scale)
 
 
 def test_symbol_to_poly_slots():

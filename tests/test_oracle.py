@@ -23,6 +23,7 @@ from fockcalc import (
     fock_indices,
     fock_norm,
     gauss_hermite,
+    gaussian_mesh,
     gaussian_moment,
     gaussian_pairing,
     laplacian_eigencheck,
@@ -174,6 +175,40 @@ def test_laplacian_eigencheck_passes():
         assert rep.passed, f"alpha={alpha} beta={beta}: rel={rep.max_rel:.2e}"
 
 
+def test_gaussian_mesh_order_and_weights():
+    # first coordinate slowest, x before y within a coordinate: the order the
+    # Laplacian check strides through.
+    xs, _ = QuadGrid(nodes_per_axis=3, n=2).axis_nodes()
+    axis = [complex(x, y) for x in xs for y in xs]
+    pts, wts = gaussian_mesh(2, 3)
+    assert pts.shape == (81, 2) and wts.shape == (81,)
+    assert np.array_equal(pts, np.array([(a, b) for a in axis for b in axis]))
+    assert not pts.flags.writeable and not wts.flags.writeable
+    # every scale integrates against exp(-pi |u|^2): mass 1, E|u|^2 = 1/pi
+    # (off pi the integrand is not polynomial, hence the 44 nodes)
+    for s in (PI, 2.0, 5.0):
+        pts, wts = gaussian_mesh(1, 44, s)
+        assert abs(float(np.sum(wts)) - 1.0) < 1e-13
+        assert abs(float(np.sum(wts * np.abs(pts[:, 0]) ** 2)) - 1.0 / PI) < 1e-13
+    pts, wts = gaussian_mesh(0, 4)
+    assert pts.shape == (1, 0) and wts.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("scale", [2.0, 5.0])
+def test_oracle_honours_weight_scale(scale):
+    # the grid's axis rule absorbs exp(-scale x^2); the middle weight stays exp(-pi |W|^2)
+    dims = Dims.of(2)
+    b = unit_expr(Bergman(1))
+    pair = (
+        KernelExpr(Poly.monomial(dims, {"z1": 1, "zb'2": 1}, 0.5).add(Poly.one(dims)), Bergman(2)),
+        KernelExpr(Poly.monomial(dims, {"zb2": 1}, 2.0).add(Poly.monomial(dims, {"z1": 2})), Bergman(2)),
+    )
+    for e1, e2 in ((b, b), pair):
+        grid = QuadGrid(nodes_per_axis=44, n=e1.kind.n, weight_scale=scale)
+        report = oracle_compose(e1, e2, grid=grid)
+        assert report.passed, f"scale {scale}: rel={report.max_rel:.2e}"
+
+
 def test_laplacian_eigencheck_validation():
     with pytest.raises(ValueError):
         laplacian_eigencheck((1,), (1, 0))
@@ -196,10 +231,9 @@ def _pairing_quadrature(expr, beta, gamma, nodes=14):
     Z1 = zs[:, None]
     Z2 = zs[None, :]
     W = zw[:, None] * zw[None, :]
-    kv = np.zeros_like(W, dtype=complex)
-    for i, za in enumerate(zs):
-        for j, zb in enumerate(zs):
-            kv[i, j] = expr.evaluate([za], [zb])[0, 0]
+    # kv[i, j] = expr(zs[i], zs[j]), all pairs in one batched call
+    pairs = expr.evaluate_batch(np.repeat(zs, len(zs))[:, None], np.tile(zs, len(zs))[:, None])
+    kv = pairs[:, 0, 0].reshape(len(zs), len(zs))
     integrand = (
         np.conj(Z1) ** beta[0]
         * Z2 ** gamma[0]
@@ -247,6 +281,15 @@ def test_norm_estimate_projectors():
     assert abs(norm_estimate(unit_expr(Bergman(2)), 3) - 1.0) < 1e-10
     assert abs(norm_estimate(unit_expr(Extension(2, 1)), 3) - 1.0) < 1e-10
     assert abs(norm_estimate(unit_expr(Restriction(2, 1)), 3) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [0, 2, 4, 8, 16])
+def test_norm_estimate_golden_through_cutoff(cutoff):
+    # z1 * Bergman(1) has Gram matrix diag(1/pi, ..., (c+1)/pi) up to cutoff c:
+    # the basis path is exercised and the estimate is the last entry.
+    z1 = KernelExpr(Poly.monomial(Dims.of(1), {"z1": 1}), Bergman(1))
+    want = math.sqrt((cutoff + 1) / PI)
+    assert abs(norm_estimate(z1, cutoff) - want) <= 1e-12 * want
 
 
 def test_norm_estimate_zero():

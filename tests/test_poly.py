@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from fockcalc import (
     DEFAULT_DEGREE_CAP,
@@ -22,7 +22,7 @@ from fockcalc import (
     var_offset,
 )
 
-from conftest import dims_st, poly_st
+from conftest import complex_rows, dims_st, poly_st, term_sum
 
 PI = math.pi
 
@@ -271,6 +271,39 @@ def test_evaluate_matches_manual():
     assert abs(p.evaluate(Z, Zp[:1])[0, 0] - want) < 1e-14
     with pytest.raises(ValueError):
         p.evaluate(np.zeros(3), None)
+
+
+@given(poly_st(), st.sampled_from([0, 1, 7]), st.data())
+def test_evaluate_batch_matches_term_sum(p, count, data):
+    X = data.draw(complex_rows(count, 4 * p.dims.n))
+    got = p.evaluate_batch(X)
+    r = p.dims.fiber_rank
+    assert got.shape == (count, r, r)
+    for row, x in zip(got, X):
+        want, scale = term_sum(p, x)
+        assert np.max(np.abs(row - want)) <= 1e-12 * (1.0 + scale)
+
+
+@given(poly_st(), st.data())
+def test_evaluate_pads_short_points(p, data):
+    n = p.dims.n
+    Z = data.draw(complex_rows(1, data.draw(st.integers(0, n))))[0]
+    Zp = data.draw(complex_rows(1, data.draw(st.integers(0, n))))[0]
+    z = np.concatenate([Z, np.zeros(n - len(Z))])
+    zp = np.concatenate([Zp, np.zeros(n - len(Zp))])
+    want, scale = term_sum(p, np.stack([z, z.conj(), zp, zp.conj()], axis=1).ravel())
+    assert np.max(np.abs(p.evaluate(Z, Zp) - want)) <= 1e-12 * (1.0 + scale)
+
+
+def test_evaluate_batch_zero_and_shape_errors():
+    zero = Poly.zero(Dims.of(2, fiber_rank=2))
+    assert np.array_equal(zero.evaluate_batch(np.ones((7, 8))), np.zeros((7, 2, 2)))
+    assert zero.evaluate_batch(np.ones((0, 8))).shape == (0, 2, 2)
+    assert np.array_equal(zero.evaluate([1.0, 2.0], None), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        zero.evaluate_batch(np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        zero.evaluate_batch(np.ones(8))
 
 
 def test_scale_matrix():
