@@ -9,213 +9,72 @@ The package is organised bottom-up:
 - ``operators`` symbols, leading-term contractions, model multiplication ops
 - ``geometry``  curvature-sample data model and comparison constants
 - ``cli``       file-based command line (``fockcalc`` entry point)
+
+Every name in ``__all__`` is importable from the package itself; the
+submodule that defines it is imported on first use, so a process loads only
+the submodules it touches.
 """
 
-from .poly import (
-    DEFAULT_DEGREE_CAP,
-    DegreeOverflowError,
-    Dims,
-    VarId,
-    Poly,
-    poly_arith,
-    O_Z,
-    O_ZB,
-    O_ZP,
-    O_ZBP,
-    var_offset,
-    var_name,
-    parse_var_name,
-    variable_columns,
-    monomial_values,
-)
-from .kernels import (
-    Bergman,
-    OrthBergman,
-    Extension,
-    Restriction,
-    KernelKind,
-    KernelExpr,
-    ScaledKernel,
-    unit_expr,
-    kernel_eval,
-    kernel_expr_eval,
-    apply_ladder,
-    apply_model_laplacian,
-    kind_name,
-    kind_from_json,
-    unprimed_dim,
-    primed_dim,
-    cross_count,
-)
-from .compose import (
-    ComposePlan,
-    UnsupportedCompositionError,
-    base_terms,
-    k_base_exact,
-    k_base,
-    k_nm,
-    k_prime_nm,
-    k_ep,
-    k_e,
-    compose,
-    compose_plan,
-)
-from .oracle import (
-    InsufficientNodesError,
-    QuadGrid,
-    OracleReport,
-    FockIndex,
-    fock_indices,
-    gauss_hermite,
-    gaussian_mesh,
-    gaussian_moment,
-    fock_norm,
-    default_eval_points,
-    oracle_compose_values,
-    oracle_compose,
-    laplacian_eigencheck,
-    gaussian_pairing,
-    norm_estimate,
-)
-from .operators import (
-    Symbol,
-    CutoffSpec,
-    IDENTITY_CUTOFF,
-    BracketField,
-    MOpField,
-    HgpResult,
-    DefectRecord,
-    TOEPLITZ_KINDS,
-    rotate_symbol,
-    lambda_eq,
-    lambda_h,
-    lambda_a,
-    lambda_eq_quadrature,
-    lambda_h_quadrature,
-    lambda_a_quadrature,
-    bracket,
-    m_op,
-    h_gp,
-    c1_c2,
-    toeplitz_leading,
-    toeplitz_flat_composite,
-    toeplitz_predicted_kernel,
-    flat_defect_checks,
-)
-from .geometry import (
-    GEOM_SCHEMA,
-    NormalDirection,
-    GeometrySample,
-    GeometryData,
-    ConstantResult,
-    C3C4Result,
-    hermitian_eigs,
-    c0,
-    c3_c4,
-    dp3,
-    tower_dp3,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # poly
-    "DEFAULT_DEGREE_CAP",
-    "DegreeOverflowError",
-    "Dims",
-    "VarId",
-    "Poly",
-    "poly_arith",
-    "O_Z",
-    "O_ZB",
-    "O_ZP",
-    "O_ZBP",
-    "var_offset",
-    "var_name",
-    "parse_var_name",
-    "variable_columns",
-    "monomial_values",
-    # kernels
-    "Bergman",
-    "OrthBergman",
-    "Extension",
-    "Restriction",
-    "KernelKind",
-    "KernelExpr",
-    "ScaledKernel",
-    "unit_expr",
-    "kernel_eval",
-    "kernel_expr_eval",
-    "apply_ladder",
-    "apply_model_laplacian",
-    "kind_name",
-    "kind_from_json",
-    "unprimed_dim",
-    "primed_dim",
-    "cross_count",
-    # compose
-    "ComposePlan",
-    "UnsupportedCompositionError",
-    "base_terms",
-    "k_base_exact",
-    "k_base",
-    "k_nm",
-    "k_prime_nm",
-    "k_ep",
-    "k_e",
-    "compose",
-    "compose_plan",
-    # oracle
-    "InsufficientNodesError",
-    "QuadGrid",
-    "OracleReport",
-    "FockIndex",
-    "fock_indices",
-    "gauss_hermite",
-    "gaussian_mesh",
-    "gaussian_moment",
-    "fock_norm",
-    "default_eval_points",
-    "oracle_compose_values",
-    "oracle_compose",
-    "laplacian_eigencheck",
-    "gaussian_pairing",
-    "norm_estimate",
-    # operators
-    "Symbol",
-    "CutoffSpec",
-    "IDENTITY_CUTOFF",
-    "BracketField",
-    "MOpField",
-    "HgpResult",
-    "DefectRecord",
-    "TOEPLITZ_KINDS",
-    "rotate_symbol",
-    "lambda_eq",
-    "lambda_h",
-    "lambda_a",
-    "lambda_eq_quadrature",
-    "lambda_h_quadrature",
-    "lambda_a_quadrature",
-    "bracket",
-    "m_op",
-    "h_gp",
-    "c1_c2",
-    "toeplitz_leading",
-    "toeplitz_flat_composite",
-    "toeplitz_predicted_kernel",
-    "flat_defect_checks",
-    # geometry
-    "GEOM_SCHEMA",
-    "NormalDirection",
-    "GeometrySample",
-    "GeometryData",
-    "ConstantResult",
-    "C3C4Result",
-    "hermitian_eigs",
-    "c0",
-    "c3_c4",
-    "dp3",
-    "tower_dp3",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "poly": (
+        "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "VarId", "Poly",
+        "O_Z", "O_ZB", "O_ZP", "O_ZBP", "var_offset", "var_name", "parse_var_name",
+        "variable_columns", "monomial_values",
+    ),
+    "kernels": (
+        "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
+        "ScaledKernel", "unit_expr", "kernel_eval", "kernel_expr_eval", "apply_ladder",
+        "apply_model_laplacian", "kind_name", "kind_from_json", "unprimed_dim",
+        "primed_dim", "cross_count", "TOEPLITZ_KINDS",
+    ),
+    "compose": (
+        "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact",
+        "k_base", "k_nm", "k_prime_nm", "k_ep", "k_e", "compose", "compose_plan",
+    ),
+    "oracle": (
+        "InsufficientNodesError", "QuadGrid", "OracleReport", "FockIndex", "fock_indices",
+        "gauss_hermite", "gaussian_mesh", "gaussian_moment", "fock_norm",
+        "default_eval_points", "oracle_compose_values", "oracle_compose",
+        "laplacian_eigencheck", "gaussian_pairing", "norm_estimate",
+    ),
+    "operators": (
+        "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "BracketField", "MOpField", "HgpResult",
+        "DefectRecord", "rotate_symbol", "lambda_eq", "lambda_h", "lambda_a",
+        "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature", "bracket",
+        "m_op", "h_gp", "c1_c2", "toeplitz_leading", "toeplitz_flat_composite",
+        "toeplitz_predicted_kernel", "flat_defect_checks",
+    ),
+    "geometry": (
+        "GEOM_SCHEMA", "NormalDirection", "GeometrySample", "GeometryData",
+        "ConstantResult", "C3C4Result", "hermitian_eigs", "c0", "c3_c4", "dp3", "tower_dp3",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+# ``compose`` is both a submodule and its main function.  The first import of
+# a submodule sets the package attribute of that name to the module, so the
+# function is bound here, after ``fockcalc.compose`` has been imported; bound
+# lazily, any later ``import fockcalc.compose`` would replace it by the module.
+from .compose import compose  # noqa: E402
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return list(__all__)

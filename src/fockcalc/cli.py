@@ -14,47 +14,18 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _coef_to_json, _coef_from_json
-from .kernels import (
-    KernelExpr,
-    Bergman,
-    Extension,
-    Restriction,
-    kernel_eval,
-    unit_expr,
-    primed_dim,
-)
-from .compose import UnsupportedCompositionError, compose, compose_plan, k_base_exact
-from .oracle import (
-    QuadGrid,
-    default_eval_points,
-    laplacian_eigencheck,
-    norm_estimate,
-    oracle_compose,
-)
-from .operators import (
-    Symbol,
-    TOEPLITZ_KINDS,
-    flat_defect_checks,
-    m_op,
-    toeplitz_flat_composite,
-    toeplitz_leading,
-    toeplitz_predicted_kernel,
-)
-from .geometry import (
-    GEOM_SCHEMA,
-    GeometryData,
-    GeometrySample,
-    NormalDirection,
-    c0,
-    c3_c4,
-    dp3,
-    hermitian_eigs,
-    tower_dp3,
-)
+
+# Every command needs ``poly``; the other modules are imported by the
+# functions that use them, so a process loads only what its command needs.
+if TYPE_CHECKING:
+    from .geometry import GeometryData
+    from .kernels import KernelExpr
+    from .operators import Symbol
 
 PI = math.pi
 
@@ -116,6 +87,8 @@ def _strip_schema(d: dict, expected: str, path: str) -> dict:
 
 
 def _load_kernel(path: str) -> KernelExpr:
+    from .kernels import KernelExpr
+
     body = _strip_schema(_read_json(path), KERNEL_SCHEMA, path)
     try:
         return KernelExpr.from_json_dict(body)
@@ -124,6 +97,8 @@ def _load_kernel(path: str) -> KernelExpr:
 
 
 def _load_symbol(path: str) -> Symbol:
+    from .operators import Symbol
+
     body = _strip_schema(_read_json(path), SYMBOL_SCHEMA, path)
     try:
         return Symbol.from_json_dict(body)
@@ -132,6 +107,8 @@ def _load_symbol(path: str) -> Symbol:
 
 
 def _load_geometry(path: str) -> GeometryData:
+    from .geometry import GeometryData
+
     try:
         return GeometryData.from_json_dict(_read_json(path))
     except (ValueError, KeyError, TypeError) as e:
@@ -185,6 +162,8 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
 
 
 def _cmd_compose(cfg: RunConfig, args) -> int:
+    from .compose import UnsupportedCompositionError, compose, compose_plan
+
     e1, e2 = _load_kernel(args.left), _load_kernel(args.right)
     try:
         plan = compose_plan(e1.kind, e2.kind)
@@ -199,6 +178,12 @@ def _cmd_compose(cfg: RunConfig, args) -> int:
 
 
 def _cmd_oracle_check(cfg: RunConfig, args) -> int:
+    from .compose import UnsupportedCompositionError, compose_plan
+    from .kernels import primed_dim
+    from .oracle import QuadGrid, default_eval_points, oracle_compose
+
+    if args.points < 1:
+        raise CliError(f"--points must be >= 1, got {args.points}")
     e1, e2 = _load_kernel(args.left), _load_kernel(args.right)
     try:
         plan = compose_plan(e1.kind, e2.kind)
@@ -222,6 +207,8 @@ def _cmd_oracle_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> int:
+    from .geometry import hermitian_eigs
+
     body = _strip_schema(_read_json(args.input), MATRIX_SCHEMA, args.input)
     raw = body.get("matrix")
     if raw is None:
@@ -242,6 +229,8 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def _cmd_toeplitz_leading(cfg: RunConfig, args) -> int:
+    from .operators import Symbol, toeplitz_leading
+
     g = _load_symbol(args.symbol)
     try:
         value = toeplitz_leading(args.kind, g)
@@ -271,6 +260,8 @@ def _cmd_toeplitz_leading(cfg: RunConfig, args) -> int:
 
 
 def _cmd_constants(cfg: RunConfig, args) -> int:
+    from .geometry import c0, c3_c4, dp3, tower_dp3
+
     data = _load_geometry(args.geom)
     which = args.which
     csv_rows: list[tuple[str, float, str]] | None = None
@@ -313,6 +304,10 @@ def _cmd_constants(cfg: RunConfig, args) -> int:
 
 
 def _cmd_defect_check(cfg: RunConfig, args) -> int:
+    from .operators import flat_defect_checks
+
+    if args.max_n < 0:
+        raise CliError(f"--max-n must be >= 0, got {args.max_n}")
     explicit = [v is not None for v in (args.n, args.l, args.m)]
     if any(explicit) and not all(explicit):
         raise CliError("--n, --l, --m must be given together")
@@ -350,6 +345,26 @@ def _cmd_defect_check(cfg: RunConfig, args) -> int:
 
 def _selftest_checks(seed: int):
     """Yield (name, callable) pairs; each callable returns (ok, detail)."""
+    from .compose import k_base_exact
+    from .geometry import (
+        GeometryData,
+        GeometrySample,
+        NormalDirection,
+        c0,
+        c3_c4,
+        dp3,
+        hermitian_eigs,
+        tower_dp3,
+    )
+    from .kernels import Bergman, Extension, KernelExpr, Restriction, unit_expr
+    from .oracle import laplacian_eigencheck, norm_estimate, oracle_compose
+    from .operators import (
+        Symbol,
+        flat_defect_checks,
+        m_op,
+        toeplitz_flat_composite,
+        toeplitz_predicted_kernel,
+    )
 
     def base_goldens():
         tang = k_base_exact(1, 1, "tangential")
@@ -378,15 +393,17 @@ def _selftest_checks(seed: int):
         rng = np.random.default_rng(seed)
         worst = 0.0
         for n, m in ((1, 0), (2, 1), (3, 1)):
-            res, ext = unit_expr(Restriction(n, m)), unit_expr(Extension(n, m))
-            for _ in range(60):
-                zy = rng.normal(size=m) + 1j * rng.normal(size=m)
-                w = rng.normal(size=n) + 1j * rng.normal(size=n)
-                lhs = res.evaluate(zy, w)[0, 0]
-                rhs = np.conj(ext.evaluate(w, zy)[0, 0])
-                pad = np.concatenate([zy, np.zeros(n - m)])
-                berg = kernel_eval(Bergman(n), pad, w)
-                worst = max(worst, abs(lhs - rhs), abs(lhs - berg))
+            pts = [
+                (rng.normal(size=m) + 1j * rng.normal(size=m), rng.normal(size=n) + 1j * rng.normal(size=n))
+                for _ in range(60)
+            ]
+            zy = np.array([p for p, _ in pts]).reshape(60, m)
+            w = np.array([q for _, q in pts])
+            lhs = unit_expr(Restriction(n, m)).evaluate_batch(zy, w)[:, 0, 0]
+            rhs = np.conj(unit_expr(Extension(n, m)).evaluate_batch(w, zy)[:, 0, 0])
+            pad = np.hstack([zy, np.zeros((60, n - m))])
+            berg = unit_expr(Bergman(n)).evaluate_batch(pad, w)[:, 0, 0]
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs - berg))))
         return worst <= 1e-12, f"max_abs={worst:.2e}"
 
     def flat_defects():
@@ -484,6 +501,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .kernels import TOEPLITZ_KINDS
+
     parser = _Parser(
         prog="fockcalc",
         description="Polynomial Gaussian-kernel calculus: composition, quadrature "
@@ -525,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("constants", help="geometric constants from sampled data")
-    p.add_argument("--geom", required=True, help=f"geometry JSON file (schema {GEOM_SCHEMA})")
+    # the schema is spelled out so that building the parser does not load geometry
+    p.add_argument("--geom", required=True, help="geometry JSON file (schema geom/1)")
     p.add_argument("--which", required=True, choices=["c0", "c3c4", "dp3", "tower"])
     p.add_argument("--direction", default=None, help='JSON object, e.g. \'{"d1": 1.0}\'')
     p.add_argument("--sample", default=None, help="sample id for dp3 (default: first)")

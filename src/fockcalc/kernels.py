@@ -40,9 +40,15 @@ __all__ = [
     "unprimed_dim",
     "primed_dim",
     "cross_count",
+    "TOEPLITZ_KINDS",
 ]
 
 PI = math.pi
+
+# The five basic operator kinds whose leading terms ``operators.toeplitz_leading``
+# gives.  Defined here so the command line can list them without loading
+# ``operators``.
+TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .poly import (
     _coef_from_json,
 )
 from .kernels import (
+    TOEPLITZ_KINDS,
     KernelExpr,
     ScaledKernel,
     Bergman,
@@ -45,6 +46,7 @@ from .kernels import (
 )
 from .compose import compose
 from .oracle import InsufficientNodesError, gaussian_mesh
+from .geometry import hermitian_eigs
 
 PI = math.pi
 
@@ -606,8 +608,6 @@ def h_gp(
 def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[float, float]:
     """sup over kappa samples of kappa^(1/2) ||lambda_eq(g* g)||^(1/2) and
     kappa^(-1/2) ||lambda_eq(g g*)||^(1/2), norms as largest eigenvalues."""
-    from .geometry import hermitian_eigs
-
     kappas = [1.0] if kappa_samples is None else [float(v) for v in kappa_samples]
     if not kappas:
         raise ValueError("need at least one kappa sample")
@@ -621,8 +621,6 @@ def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[floa
 
 
 # -- leading-term dispatch -------------------------------------------------------
-
-TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 
 
 def toeplitz_leading(kind: str, g: Symbol):
@@ -718,6 +716,8 @@ def flat_defect_checks(max_n: int = 4, fiber_rank: int = 1) -> list[DefectRecord
     (ii) adjoint extension: Res o (Res o B_n)* = B_m.
     Both vanish identically in the flat model.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     records: list[DefectRecord] = []
     for n in range(max_n + 1):
         for l in range(n + 1):
@@ -762,7 +762,6 @@ __all__ = [
     "MOpField",
     "HgpResult",
     "DefectRecord",
-    "TOEPLITZ_KINDS",
     "rotate_symbol",
     "lambda_eq",
     "lambda_h",

@@ -368,6 +368,8 @@ def oracle_compose(
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
     if eval_points is None:
         eval_points = default_eval_points(e1.kind, e2.kind)
+    if len(eval_points) == 0:
+        raise ValueError("need at least one evaluation point")
     if expected is None:
         expected = compose(e1, e2)
     numeric = oracle_compose_values(e1, e2, grid, eval_points)

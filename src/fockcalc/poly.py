@@ -26,7 +26,6 @@ __all__ = [
     "Dims",
     "VarId",
     "Poly",
-    "poly_arith",
     "O_Z",
     "O_ZB",
     "O_ZP",
@@ -508,18 +507,3 @@ def _coef_from_json(data, r: int) -> np.ndarray:
         raise ValueError("non-finite coefficient")
     return a[..., 0] + 1j * a[..., 1]
 
-
-def poly_arith(a: Poly, b, op: str, degree_cap: int = DEFAULT_DEGREE_CAP):
-    """Uniform entry point: op in {'add', 'mul', 'scale', 'conjugate_swap'}.
-
-    'scale' takes a complex scalar for b; 'conjugate_swap' ignores b.
-    """
-    if op == "add":
-        return a.add(b)
-    if op == "mul":
-        return a.mul(b, degree_cap=degree_cap)
-    if op == "scale":
-        return a.scale(b)
-    if op == "conjugate_swap":
-        return a.conjugate_swap()
-    raise ValueError(f"unknown op {op!r}")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fockcalc import (
+    GEOM_SCHEMA,
     Bergman,
     Dims,
     Extension,
@@ -158,6 +159,16 @@ def test_oracle_check_custom_budget(tmp_path, capsys):
     assert run(["oracle-check", "--left", lf, "--right", lf, "--nodes", "16", "--points", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["grid"]["nodes_per_axis"] == 16
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_oracle_check_rejects_no_points(tmp_path, capsys, points):
+    # checking zero points used to report "pass": true with max_rel 0.0
+    lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
+    assert run(["oracle-check", "--left", lf, "--right", lf, "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fockcalc: error: --points must be >= 1, got {points}\n"
 
 
 # -- spectrum ------------------------------------------------------------------------
@@ -344,6 +355,14 @@ def test_defect_check_usage_errors():
     assert run(["defect-check", "--n", "1", "--l", "2", "--m", "0"]) == 2  # bad ordering
 
 
+def test_defect_check_rejects_negative_max_n(capsys):
+    # --max-n -1 used to check no chain and report "pass": true
+    assert run(["defect-check", "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fockcalc: error: --max-n must be >= 0, got -1\n"
+
+
 # -- selftest and shared flags -----------------------------------------------------------
 
 
@@ -366,6 +385,11 @@ def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
     assert "compose" in capsys.readouterr().out
     assert run([]) == 2  # a subcommand is required
+
+
+def test_constants_help_names_the_geometry_schema(capsys):
+    assert run(["constants", "--help"]) == 0
+    assert f"(schema {GEOM_SCHEMA})" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -411,3 +435,35 @@ def test_python_dash_m_runs_selftest(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("selftest: 9/9 passed")
+
+
+@pytest.mark.parametrize(
+    "command,unused",
+    [("compose", {"oracle", "operators", "geometry"}), ("spectrum", {"oracle", "operators"})],
+)
+def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
+    lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
+    mf = write_json(tmp_path, "m.json", matrix_json(np.diag([2.0, 1.0])))
+    argv = {
+        "compose": ["compose", "--left", lf, "--right", lf],
+        "spectrum": ["spectrum", "--input", mf],
+    }[command]
+    code = (
+        "import sys\n"
+        "import fockcalc.cli\n"
+        f"assert fockcalc.cli.run({argv!r} + ['--out', 'out.json']) == 0\n"
+        "print(*sorted(m[9:] for m in sys.modules if m.startswith('fockcalc.')))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"cli", "poly"} <= loaded
+    assert not loaded & unused, f"{command} loaded {sorted(loaded & unused)}"
+    assert (tmp_path / "out.json").is_file()

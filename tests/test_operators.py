@@ -508,3 +508,13 @@ def test_flat_defect_record_shape():
     assert set(d) == {"name", "n", "m", "deviation", "l"}
     adj = next(r for r in records if r.l is None)
     assert set(adj.to_json_dict()) == {"name", "n", "m", "deviation"}
+
+
+def test_flat_defect_checks_needs_a_chain():
+    # max_n < 0 used to return no records, which a caller reads as "no defect"
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        flat_defect_checks(max_n=-1)
+    assert [(r.name, r.n, r.m) for r in flat_defect_checks(max_n=0)] == [
+        ("transitivity", 0, 0),
+        ("adjoint_extension", 0, 0),
+    ]

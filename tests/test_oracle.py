@@ -158,6 +158,13 @@ def test_default_eval_points_shapes():
         assert len(Z) == 3 and len(Zp) == 2
 
 
+def test_oracle_needs_an_evaluation_point():
+    # no points used to report max_rel 0.0 and a pass
+    e = unit_expr(Bergman(1))
+    with pytest.raises(ValueError, match="at least one evaluation point"):
+        oracle_compose(e, e, eval_points=[])
+
+
 def test_oracle_report_shape(rng):
     e = unit_expr(Bergman(1))
     rep = oracle_compose(e, e)

@@ -1,0 +1,117 @@
+"""The package namespace: the public names, and that they load lazily."""
+
+import importlib
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import fockcalc
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBMODULES = ("poly", "kernels", "compose", "oracle", "operators", "geometry")
+
+# The public API.  Removing a name is an API change: note it in CHANGES.md.
+PUBLIC_API = {
+    "__version__",
+    # poly
+    "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "VarId", "Poly", "O_Z", "O_ZB",
+    "O_ZP", "O_ZBP", "var_offset", "var_name", "parse_var_name", "variable_columns",
+    "monomial_values",
+    # kernels
+    "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
+    "ScaledKernel", "unit_expr", "kernel_eval", "kernel_expr_eval", "apply_ladder",
+    "apply_model_laplacian", "kind_name", "kind_from_json", "unprimed_dim", "primed_dim",
+    "cross_count", "TOEPLITZ_KINDS",
+    # compose
+    "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "k_base",
+    "k_nm", "k_prime_nm", "k_ep", "k_e", "compose", "compose_plan",
+    # oracle
+    "InsufficientNodesError", "QuadGrid", "OracleReport", "FockIndex", "fock_indices",
+    "gauss_hermite", "gaussian_mesh", "gaussian_moment", "fock_norm", "default_eval_points",
+    "oracle_compose_values", "oracle_compose", "laplacian_eigencheck", "gaussian_pairing",
+    "norm_estimate",
+    # operators
+    "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "BracketField", "MOpField", "HgpResult",
+    "DefectRecord", "rotate_symbol", "lambda_eq", "lambda_h", "lambda_a",
+    "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature", "bracket", "m_op",
+    "h_gp", "c1_c2", "toeplitz_leading", "toeplitz_flat_composite",
+    "toeplitz_predicted_kernel", "flat_defect_checks",
+    # geometry
+    "GEOM_SCHEMA", "NormalDirection", "GeometrySample", "GeometryData", "ConstantResult",
+    "C3C4Result", "hermitian_eigs", "c0", "c3_c4", "dp3", "tower_dp3",
+}
+
+
+def run_python(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_all_is_the_public_api():
+    assert len(fockcalc.__all__) == len(set(fockcalc.__all__))
+    assert set(fockcalc.__all__) == PUBLIC_API
+    assert set(dir(fockcalc)) == PUBLIC_API
+
+
+def test_each_name_is_the_object_its_submodule_defines():
+    owner = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"fockcalc.{name}")
+        for attr in module.__all__:
+            assert attr not in owner, f"{attr} exported by {owner.get(attr)} and {name}"
+            owner[attr] = module
+    assert set(owner) == PUBLIC_API - {"__version__"}
+    for attr, module in owner.items():
+        assert getattr(fockcalc, attr) is getattr(module, attr)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fockcalc.no_such_name
+    with pytest.raises(AttributeError):
+        fockcalc.poly_arith  # removed; Poly.add/mul/scale/conjugate_swap remain
+    with pytest.raises(ImportError):
+        from fockcalc import poly_arith  # noqa: F401
+    assert not hasattr(fockcalc, "_bracket")
+
+
+def test_compose_stays_the_function_after_submodule_imports():
+    out = run_python(
+        "import fockcalc.oracle, fockcalc.operators, fockcalc.compose\n"
+        "import fockcalc, sys\n"
+        "from fockcalc import compose\n"
+        "print(type(fockcalc.compose).__name__, compose is sys.modules['fockcalc.compose'].compose)\n"
+    )
+    assert out.split() == ["function", "True"]
+
+
+def test_import_loads_only_what_is_used():
+    out = run_python(
+        "import sys, fockcalc\n"
+        "loaded = lambda: sorted(m[9:] for m in sys.modules if m.startswith('fockcalc.'))\n"
+        "print(*loaded())\n"
+        "print(type(fockcalc.oracle).__name__, *loaded())\n"
+        "fockcalc.Symbol\n"
+        "print(*loaded())\n"
+    )
+    assert out.splitlines() == [
+        "compose kernels poly",
+        "module compose kernels oracle poly",
+        "compose geometry kernels operators oracle poly",
+    ]
+
+
+def test_package_attributes_are_cached():
+    value = fockcalc.QuadGrid
+    assert vars(fockcalc)["QuadGrid"] is value
+    assert isinstance(fockcalc.compose, types.FunctionType)

@@ -17,7 +17,6 @@ from fockcalc import (
     O_ZP,
     O_ZBP,
     parse_var_name,
-    poly_arith,
     var_name,
     var_offset,
 )
@@ -344,14 +343,3 @@ def test_json_rejects_unknown_keys():
     with pytest.raises(ValueError):
         Poly.from_json_dict(d2)
 
-
-def test_poly_arith_dispatch():
-    dims = Dims.of(1)
-    a = Poly.monomial(dims, {"z1": 1})
-    b = Poly.one(dims)
-    assert poly_arith(a, b, "add").almost_equal(a.add(b))
-    assert poly_arith(a, b, "mul").almost_equal(a)
-    assert poly_arith(a, 2.0, "scale").almost_equal(a.scale(2.0))
-    assert poly_arith(a, None, "conjugate_swap").almost_equal(a.conjugate_swap())
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "divide")
