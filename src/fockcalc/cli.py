@@ -54,8 +54,8 @@ class RunConfig:
     out: str | None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise CliError(f"--tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise CliError(f"--tol must be positive and finite, got {self.tol}")
         if self.nodes is not None and self.nodes < 1:
             raise CliError(f"--nodes must be >= 1, got {self.nodes}")
         if self.degree_cap < 0:
@@ -92,7 +92,7 @@ def _load_kernel(path: str) -> KernelExpr:
     body = _strip_schema(_read_json(path), KERNEL_SCHEMA, path)
     try:
         return KernelExpr.from_json_dict(body)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise CliError(f"{path}: invalid kernel payload: {e}")
 
 
@@ -102,7 +102,7 @@ def _load_symbol(path: str) -> Symbol:
     body = _strip_schema(_read_json(path), SYMBOL_SCHEMA, path)
     try:
         return Symbol.from_json_dict(body)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise CliError(f"{path}: invalid symbol payload: {e}")
 
 
@@ -111,7 +111,7 @@ def _load_geometry(path: str) -> GeometryData:
 
     try:
         return GeometryData.from_json_dict(_read_json(path))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise CliError(f"{path}: invalid geometry payload: {e}")
 
 

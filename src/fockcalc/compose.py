@@ -25,25 +25,14 @@ float table.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .poly import (
-    DEFAULT_DEGREE_CAP,
-    DegreeOverflowError,
-    Dims,
-    Poly,
-    O_Z,
-    O_ZB,
-    O_ZP,
-    O_ZBP,
-)
+from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect, _group
 from .kernels import (
     Bergman,
     OrthBergman,
@@ -83,12 +72,7 @@ class ComposePlan:
     rule: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "left_kind": self.left_kind,
-            "right_kind": self.right_kind,
-            "result_kind": self.result_kind,
-            "rule": self.rule,
-        }
+        return asdict(self)
 
 
 # -- base cases ---------------------------------------------------------------
@@ -169,35 +153,26 @@ def _over_pi_power(frac: Fraction, p: int) -> float:
         return math.inf
 
 
-def _split_terms(p: Poly, side: str, n_mid: int, out_dims: Dims) -> list:
-    """Split each term of one side of a bracket once, before the pair loop.
+def _split_terms(p: Poly, side: str, n_mid: int, out_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split the terms of one side of a bracket, before the pairs are formed.
 
-    Per term: outer exponents laid out in the result's slots, their total
-    degree, the middle ``(a, b)`` per middle coordinate, and the coefficient.
-    The left side's outer variable is unprimed and its middle primed; the
-    right side the other way round.
+    Returns the outer exponents laid out in the result's coordinate blocks
+    ``(T, out_n, 4)`` and the middle ``(a, b)`` per middle coordinate
+    ``(T, n_mid, 2)``.  The left side's outer variable is unprimed and its
+    middle primed; the right side the other way round.
     """
-    if side == "left":
-        outer_offsets, mid_offsets = (O_Z, O_ZB), (O_ZP, O_ZBP)
-    else:
-        outer_offsets, mid_offsets = (O_ZP, O_ZBP), (O_Z, O_ZB)
-    out = []
-    for e, c in p.terms.items():
-        outer = [0] * (4 * out_dims.n)
-        for i in range(p.dims.n):
-            for o in outer_offsets:
-                if e[4 * i + o]:
-                    if i >= out_dims.n:
-                        raise ValueError(f"{side} outer variable beyond result dimensions")
-                    outer[4 * i + o] = e[4 * i + o]
-            if i >= n_mid and any(e[4 * i + o] for o in mid_offsets):
-                raise ValueError(f"{side} middle variable beyond middle dimension")
-        mid = tuple(
-            tuple(e[4 * i + o] for o in mid_offsets) if i < p.dims.n else (0, 0)
-            for i in range(n_mid)
-        )
-        out.append((outer, sum(outer), mid, c))
-    return out
+    outer, mid = (slice(0, 2), slice(2, 4)) if side == "left" else (slice(2, 4), slice(0, 2))
+    E = p._blocks()
+    count, n = E.shape[:2]
+    if n > out_n and E[:, out_n:, outer].any():
+        raise ValueError(f"{side} outer variable beyond result dimensions")
+    if n > n_mid and E[:, n_mid:, mid].any():
+        raise ValueError(f"{side} middle variable beyond middle dimension")
+    outers = np.zeros((count, out_n, 4), dtype=np.int64)
+    outers[:, : min(n, out_n), outer] = E[:, :out_n, outer]
+    mids = np.zeros((count, n_mid, 2), dtype=np.int64)
+    mids[:, : min(n, n_mid)] = E[:, :n_mid, mid]
+    return outers, mids
 
 
 def _bracket(
@@ -215,48 +190,50 @@ def _bracket(
     ``right``: unprimed = middle, primed = outer (stays primed).
     Coordinates i < left_cross couple the left outer variable, i <
     right_cross the right one.  Indices are preserved coordinate-wise.
-    Each term is split once; the pair loop only looks pairings up and
-    accumulates, in term-pair order.
+    Each term pair expands into the product of its coordinates' pairing
+    tables (last coordinate fastest); the expanded terms accumulate in
+    term-pair order.
     """
     if left.dims.fiber_rank != right.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
-    if not left.terms or not right.terms:
+    if left.is_zero() or right.is_zero():
         return Poly.zero(out_dims)
-    lefts = _split_terms(left, "left", n_mid, out_dims)
-    rights = _split_terms(right, "right", n_mid, out_dims)
-    cross = [(i < left_cross, i < right_cross) for i in range(n_mid)]
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for outer1, deg1, mid1, c1 in lefts:
-        for outer2, deg2, mid2, c2 in rights:
-            tables = [
-                _pairing_table(a1 + a2, b1 + b2, lc, rc)
-                for (a1, b1), (a2, b2), (lc, rc) in zip(mid1, mid2, cross)
-            ]
-            if not all(tables):
-                continue
-            coef = c1 @ c2
-            base = list(map(operator.add, outer1, outer2))
-            for combo in itertools.product(*tables):
-                exps = list(base)
-                degree = deg1 + deg2
-                scalar = 1.0
-                for i, (dz, dzp, s) in enumerate(combo):
-                    if dz:
-                        exps[4 * i + O_Z] += dz
-                    if dzp:
-                        exps[4 * i + O_ZBP] += dzp
-                    degree += dz + dzp
-                    scalar *= s
-                if degree > degree_cap:
-                    raise DegreeOverflowError(
-                        f"composition term degree {degree} exceeds cap {degree_cap}"
-                    )
-                if scalar == math.inf:
-                    raise ValueError(f"composition term of degree {degree} overflows a float")
-                key = tuple(exps)
-                contrib = scalar * coef
-                acc[key] = acc[key] + contrib if key in acc else contrib
-    return Poly(out_dims, acc)
+    out_n, r = out_dims.n, out_dims.fiber_rank
+    outer1, mid1 = _split_terms(left, "left", n_mid, out_n)
+    outer2, mid2 = _split_terms(right, "right", n_mid, out_n)
+    pairs = len(outer1) * len(outer2)
+    # one table lookup per distinct (coordinate, a, b), stacked as entry rows
+    mids = (mid1[:, None] + mid2[None]).reshape(pairs, n_mid, 2)
+    span = int(mids.max(initial=0)) + 1
+    spec = (np.arange(n_mid) * span + mids[:, :, 0]) * span + mids[:, :, 1]
+    specs, which, _ = _group(spec.ravel())
+    decoded = [(s // span**2, s // span % span, s % span) for s in specs.tolist()]
+    tables = [_pairing_table(a, b, i < left_cross, i < right_cross) for i, a, b in decoded]
+    sizes = np.array([len(t) for t in tables], dtype=np.int64)
+    # per entry: what it adds to its coordinate's (z, zb, z', zb') exponents, and its coefficient
+    step = np.array([(dz, 0, 0, dzp) for t in tables for dz, dzp, _ in t], dtype=np.int64).reshape(-1, 4)
+    coef = np.array([c for t in tables for *_, c in t], dtype=float)
+    # each expanded term's entry in its coordinates' tables: the digits of its
+    # index within the pair, in the mixed radix of the table sizes
+    which = which.reshape(pairs, n_mid)
+    radix = sizes[which]
+    counts = radix.prod(axis=1)
+    pair = np.repeat(np.arange(pairs), counts)
+    within = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
+    stride = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1] // np.maximum(radix, 1)
+    entry = (np.cumsum(sizes) - sizes)[which[pair]] + within[:, None] // stride[pair] % radix[pair]
+    E = (outer1[:, None] + outer2[None]).reshape(pairs, out_n, 4)[pair]
+    E[:, : min(n_mid, out_n)] += step[entry[:, :out_n]]
+    E = E.reshape(len(pair), 4 * out_n)
+    scalar = coef[entry].prod(axis=1)  # multiply-reductions run in order: coordinate 0 first
+    degree = E.sum(axis=1)
+    if degree.max(initial=0) > degree_cap or scalar.max(initial=0.0) == math.inf:
+        d = degree[((degree > degree_cap) | (scalar == math.inf)).argmax()]
+        if d > degree_cap:
+            raise DegreeOverflowError(f"composition term degree {d} exceeds cap {degree_cap}")
+        raise ValueError(f"composition term of degree {d} overflows a float")
+    coefs = (left.coefs[:, None] @ right.coefs[None]).reshape(pairs, r, r)
+    return Poly._from_arrays(out_dims, *_collect(E, scalar[:, None, None] * coefs[pair]))
 
 
 # -- named bracket assemblies (polynomial level) -------------------------------
@@ -288,10 +265,8 @@ def k_prime_nm(A1: Poly, A2: Poly, n: int, m: int) -> Poly:
 
 def k_ep(A: Poly, D: Poly, n: int, m: int) -> Poly:
     """Pairing over a C^m middle: A(Z, W_Y) against D(W_Y, Z'_Y)."""
-    for i in range(m, n):
-        for o in (O_ZP, O_ZBP):
-            if A.max_exponent(i + 1, o):
-                raise ValueError("A must not use primed coordinates beyond m")
+    if A.uses_slot("primed", beyond=m):
+        raise ValueError("A must not use primed coordinates beyond m")
     dims = _out_dims(n, m, A.dims.fiber_rank)
     return _bracket(_embed(A, n), _embed(D, n), m, m, m, dims)
 
@@ -300,14 +275,10 @@ def k_e(A4: Poly, A5: Poly, n: int, l: int, m: int) -> Poly:
     """Two-step extension pairing over a C^l middle, landing tangential in C^m."""
     if not (m <= l <= n):
         raise ValueError(f"need m <= l <= n, got n={n} l={l} m={m}")
-    for i in range(l, n):
-        for o in (O_ZP, O_ZBP):
-            if A4.max_exponent(i + 1, o):
-                raise ValueError("A4 must not use primed coordinates beyond l")
-    for i in range(m, A5.dims.n):
-        for o in (O_ZP, O_ZBP):
-            if A5.max_exponent(i + 1, o):
-                raise ValueError("A5 must not use primed coordinates beyond m")
+    if A4.uses_slot("primed", beyond=l):
+        raise ValueError("A4 must not use primed coordinates beyond l")
+    if A5.uses_slot("primed", beyond=m):
+        raise ValueError("A5 must not use primed coordinates beyond m")
     dims = Dims(n=n, l=l, m=m, fiber_rank=A4.dims.fiber_rank)
     return _bracket(_embed(A4, n), _embed(A5, n), l, l, m, dims)
 
@@ -316,14 +287,11 @@ def _embed(p: Poly, n: int) -> Poly:
     """Reindex a polynomial into ambient dimension n (exponents keep coordinates)."""
     if p.dims.n == n:
         return p
-    if p.dims.n > n:
-        for e in p.terms:
-            if any(e[4 * i + o] for i in range(n, p.dims.n) for o in range(4)):
-                raise ValueError(f"polynomial uses coordinates beyond n={n}")
-        dims = Dims(n=n, l=n, m=min(p.dims.m, n), fiber_rank=p.dims.fiber_rank)
-        return Poly(dims, {e[: 4 * n]: c for e, c in p.terms.items()})
-    dims = Dims(n=n, l=n, m=p.dims.m, fiber_rank=p.dims.fiber_rank)
-    return Poly(dims, {e + (0,) * (4 * (n - p.dims.n)): c for e, c in p.terms.items()})
+    if p.exps[:, 4 * n :].any():
+        raise ValueError(f"polynomial uses coordinates beyond n={n}")
+    E = np.pad(p.exps[:, : 4 * n], ((0, 0), (0, 4 * max(0, n - p.dims.n))))
+    dims = Dims(n=n, l=n, m=min(p.dims.m, n), fiber_rank=p.dims.fiber_rank)
+    return Poly._from_arrays(dims, E, p.coefs)
 
 
 # -- kernel-level composition ---------------------------------------------------

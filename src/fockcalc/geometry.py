@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import _coef_to_json, _coef_from_json
+from .poly import _coef_to_json, _coef_from_json, _json_object
 
 PI = math.pi
 
@@ -190,7 +190,7 @@ class GeometryData:
         r = int(d.get("fiber_rank", 1))
         samples = []
         for rec in d["samples"]:
-            bad = set(rec) - {
+            bad = set(_json_object(rec, "sample")) - {
                 "id",
                 "scal_X",
                 "scal_Y",
@@ -205,7 +205,7 @@ class GeometryData:
                 raise ValueError(f"unknown sample keys: {sorted(bad)}")
             dirs = []
             for dd in rec.get("normal_dirs", []):
-                badd = set(dd) - {"id", "level", "d_scal_diff", "nabla_lambda_diff"}
+                badd = set(_json_object(dd, "direction")) - {"id", "level", "d_scal_diff", "nabla_lambda_diff"}
                 if badd:
                     raise ValueError(f"unknown direction keys: {sorted(badd)}")
                 dirs.append(
@@ -309,7 +309,13 @@ class C3C4Result:
 
 
 def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 8) -> float:
-    """sup over unit u in C^D of the spectral norm of sum_d u_d mats[d]."""
+    """sup over unit u in C^D of the spectral norm of sum_d u_d mats[d].
+
+    Alternating maximisation over u and the top singular pair of
+    sum_d u_d mats[d], started from each mats[d] alone (so from its top right
+    singular vector) and from ``restarts`` seeded random u.  The result lies
+    between max_d ||mats[d]|| and sqrt(lambda_max(sum_d mats[d]^H mats[d])).
+    """
     D = len(mats)
     if D == 0:
         return 0.0
@@ -346,21 +352,9 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 
     return float(best)
 
 
-def _top_right_singular(A: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Dominant eigenvector of A^H A by fixed-start power iteration."""
-    G = A.conj().T @ A
-    r = G.shape[0]
-    x = np.ones(r, dtype=complex) / math.sqrt(r)
-    for _ in range(iters):
-        nxt = G @ x
-        nn = np.linalg.norm(nxt)
-        if nn == 0.0:
-            return x
-        nxt = nxt / nn
-        if np.linalg.norm(nxt - x) <= 1e-15:
-            return nxt
-        x = nxt
-    return x
+def _top_right_singular(A: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of A^H A for its largest eigenvalue."""
+    return np.linalg.eigh(A.conj().T @ A)[1][:, -1]
 
 
 def c0(data: GeometryData, seed: int = 0) -> ConstantResult:

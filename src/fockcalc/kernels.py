@@ -156,20 +156,13 @@ class KernelExpr:
         num, kind = self.numerator, self.kind
         if num.dims.n != kind.n:
             raise ValueError(f"numerator dims n={num.dims.n} != kernel n={kind.n}")
-        if isinstance(kind, Extension):
-            for i in range(kind.m + 1, kind.n + 1):
-                for o in (O_ZP, O_ZBP):
-                    if num.max_exponent(i, o):
-                        raise ValueError(
-                            f"extension numerator uses primed coordinate {i} > m={kind.m}"
-                        )
-        if isinstance(kind, Restriction):
-            for i in range(kind.m + 1, kind.n + 1):
-                for o in (O_Z, O_ZB):
-                    if num.max_exponent(i, o):
-                        raise ValueError(
-                            f"restriction numerator uses unprimed coordinate {i} > m={kind.m}"
-                        )
+        checks = ((Extension, "extension", "primed", O_ZP), (Restriction, "restriction", "unprimed", O_Z))
+        for family, label, slot, offset in checks:
+            if isinstance(kind, family):
+                used = num._blocks()[:, kind.m :, offset : offset + 2].any(axis=(0, 2))
+                if used.any():
+                    i = kind.m + 1 + int(used.argmax())
+                    raise ValueError(f"{label} numerator uses {slot} coordinate {i} > m={kind.m}")
 
     @property
     def dims(self) -> Dims:

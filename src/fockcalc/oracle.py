@@ -442,10 +442,14 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     gamma = tuple(int(x) for x in gamma)
     if len(beta) != d or len(gamma) != d:
         raise ValueError(f"index length must be {d}")
-    c = cross_count(kind)
-    r = expr.dims.fiber_rank
+    return _pairing_sum(expr.numerator.sorted_terms(), cross_count(kind), expr.dims.fiber_rank, beta, gamma)
+
+
+def _pairing_sum(terms: list, c: int, r: int, beta: tuple[int, ...], gamma: tuple[int, ...]) -> np.ndarray:
+    """:func:`gaussian_pairing` summed over a numerator's ``sorted_terms``."""
+    d = len(beta)
     acc = np.zeros((r, r), dtype=complex)
-    for exps, coef in expr.numerator.sorted_terms():
+    for exps, coef in terms:
         val = 1.0
         for i in range(d):
             u, v, s, t = exps[4 * i : 4 * i + 4]
@@ -496,9 +500,10 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     r = gram_kernel.expr.dims.fiber_rank
     basis = fock_indices(d, basis_cutoff)
     blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
+    terms, c = gram_kernel.expr.numerator.sorted_terms(), cross_count(gram_kernel.kind)
     for ib, b in enumerate(basis):
         for ig, g in enumerate(basis):
-            raw = gaussian_pairing(gram_kernel.expr, b, g)
+            raw = _pairing_sum(terms, c, r, b, g)
             w = (
                 gram_kernel.prefactor
                 * gram_kernel.p ** (-d)

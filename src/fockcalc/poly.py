@@ -6,16 +6,16 @@ together with its conjugate.  Coefficients are dense ``(r, r)`` complex
 matrices (``r`` = fiber rank), so scalar problems use ``r = 1`` and
 matrix-symbol problems keep full endomorphism coefficients.
 
-Exponents are stored as a flat tuple of length ``4*n`` with layout
-``exps[4*(i-1) + o]`` where ``o`` selects, in order,
+A term's exponents are a row of length ``4*n`` (a tuple as a ``terms`` key)
+with layout ``exps[4*(i-1) + o]`` where ``o`` selects, in order,
 ``z_i``, ``conj(z_i)``, ``z'_i``, ``conj(z'_i)``.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping, Union
 
 import numpy as np
@@ -174,21 +174,20 @@ def _as_coef(value, r: int) -> np.ndarray:
 ExpKey = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Sparse polynomial with matrix coefficients; exact zeros are pruned."""
+    """Sparse polynomial with matrix coefficients; exact zeros are pruned.
 
-    dims: Dims
-    terms: Mapping[ExpKey, np.ndarray] = field(default_factory=dict)
+    The store is two read-only arrays: exponent rows ``exps`` ``(T, 4n)`` and
+    coefficients ``coefs`` ``(T, r, r)``, in first-occurrence order (the order
+    of the mapping given, or of the term pairs a product visits).  ``terms``
+    and ``table`` are views derived from it.
+    """
 
-    def __post_init__(self) -> None:
-        r = self.dims.fiber_rank
-        width = 4 * self.dims.n
-        keys = list(self.terms)
+    def __init__(self, dims: Dims, terms: Mapping[ExpKey, object] | None = None) -> None:
+        r, width = dims.fiber_rank, 4 * dims.n
+        terms = terms or {}
+        keys, values = list(terms), list(terms.values())
         count = len(keys)
-        if not count:
-            object.__setattr__(self, "terms", {})
-            return
         for exps in keys:
             if len(exps) != width:
                 raise ValueError(f"exponent tuple length {len(exps)} != {width}")
@@ -201,7 +200,6 @@ class Poly:
             raise ValueError(f"negative exponent in {tuple(row.tolist())}")
         # One stacked pass over the coefficients; scalars (fiber rank 1) and
         # mixed inputs go through _as_coef, which also names a bad shape.
-        values = list(self.terms.values())
         try:
             C = np.array(values, dtype=complex)
         except (ValueError, TypeError):
@@ -210,12 +208,32 @@ class Poly:
             C = C.reshape(count, 1, 1)
         if C is None or C.shape != (count, r, r):
             C = np.array([_as_coef(v, r) for v in values], dtype=complex).reshape(count, r, r)
+        self._store(dims, E, C)
+
+    @classmethod
+    def _from_arrays(cls, dims: Dims, E: np.ndarray, C: np.ndarray) -> "Poly":
+        """A polynomial over distinct exponent rows ``E`` with coefficients ``C``."""
+        p = cls.__new__(cls)
+        p._store(dims, E, C)
+        return p
+
+    def _store(self, dims: Dims, E: np.ndarray, C: np.ndarray) -> None:
         if not np.isfinite(C).all():
             raise ValueError("non-finite coefficient")
+        live = C.any(axis=(1, 2))
+        if not live.all():
+            E, C = E[live], C[live]
+        E.setflags(write=False)
         C.setflags(write=False)
-        live = C.reshape(count, r * r).any(axis=1).tolist()
-        clean = {tuple(k): c for k, c, keep in zip(E.tolist(), C, live) if keep}
-        object.__setattr__(self, "terms", clean)
+        self.dims, self.exps, self.coefs = dims, E, C
+
+    def __repr__(self) -> str:
+        return f"Poly({self.dims!r}, {dict(self.terms)!r})"
+
+    @property
+    def terms(self) -> Mapping[ExpKey, np.ndarray]:
+        """Read-only ``{exponent tuple: coefficient}`` in store order, built on each access."""
+        return MappingProxyType(dict(zip(map(tuple, self.exps.tolist()), self.coefs)))
 
     # -- constructors -------------------------------------------------------
 
@@ -229,7 +247,8 @@ class Poly:
 
     @classmethod
     def constant(cls, dims: Dims, coef) -> "Poly":
-        return cls(dims, {tuple([0] * (4 * dims.n)): _as_coef(coef, dims.fiber_rank)})
+        E = np.zeros((1, 4 * dims.n), dtype=np.int64)
+        return cls._from_arrays(dims, E, _as_coef(coef, dims.fiber_rank)[None])
 
     @classmethod
     def monomial(cls, dims: Dims, powers: Mapping[Union[VarId, str], int], coef=1.0) -> "Poly":
@@ -245,72 +264,64 @@ class Poly:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.exps)
 
     def sorted_terms(self) -> list[tuple[ExpKey, np.ndarray]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        E, C = self.table
+        return list(zip(map(tuple, E.tolist()), C))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return int(self.exps.sum(axis=1).max(initial=-1))
 
     def parity(self) -> int | None:
         """0 if every term has even total degree, 1 if odd, None if mixed or zero."""
-        if not self.terms:
-            return None
-        ps = {sum(e) % 2 for e in self.terms}
-        return ps.pop() if len(ps) == 1 else None
+        ps = self.exps.sum(axis=1) % 2
+        return int(ps[0]) if len(ps) and (ps == ps[0]).all() else None
 
     def max_exponent(self, index: int, o: int) -> int:
-        off = var_offset(index, o)
-        return max((e[off] for e in self.terms), default=0)
+        return int(self.exps[:, var_offset(index, o)].max(initial=0))
 
-    def uses_slot(self, slot: str) -> bool:
+    def uses_slot(self, slot: str, beyond: int = 0) -> bool:
+        """Whether any term uses a variable of the slot with coordinate index > beyond."""
         lo, hi = (2, 4) if slot == "primed" else (0, 2)
-        return any(
-            any(e[4 * i + o] for o in range(lo, hi))
-            for e in self.terms
-            for i in range(self.dims.n)
-        )
+        return bool(self._blocks()[:, beyond:, lo:hi].any())
+
+    def _blocks(self) -> np.ndarray:
+        """The exponent rows as ``(T, n, 4)`` coordinate blocks."""
+        return self.exps.reshape(len(self.exps), self.dims.n, 4)
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        out: dict[ExpKey, np.ndarray] = {k: v for k, v in self.terms.items()}
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return Poly(self.dims, out)
+        E = np.concatenate([self.exps, other.exps])
+        return Poly._from_arrays(self.dims, *_collect(E, np.concatenate([self.coefs, other.coefs])))
 
     def sub(self, other: "Poly") -> "Poly":
         return self.add(other.scale(-1.0))
 
     def scale(self, scalar: complex) -> "Poly":
-        return Poly(self.dims, {k: v * complex(scalar) for k, v in self.terms.items()})
+        return Poly._from_arrays(self.dims, self.exps, self.coefs * complex(scalar))
 
     def scale_matrix(self, left=None, right=None) -> "Poly":
         """Multiply every coefficient by fixed matrices: left @ coef @ right."""
         r = self.dims.fiber_rank
         lm = np.eye(r) if left is None else _as_coef(left, r)
         rm = np.eye(r) if right is None else _as_coef(right, r)
-        return Poly(self.dims, {k: lm @ v @ rm for k, v in self.terms.items()})
+        return Poly._from_arrays(self.dims, self.exps, lm @ self.coefs @ rm)
 
     def mul(self, other: "Poly", degree_cap: int = DEFAULT_DEGREE_CAP) -> "Poly":
+        """Product; terms accumulate in term-pair order (self outer, other inner)."""
         self._check_compatible(other)
-        out: dict[ExpKey, np.ndarray] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                d = sum(e)
-                if d > degree_cap:
-                    raise DegreeOverflowError(
-                        f"product term degree {d} exceeds cap {degree_cap}"
-                    )
-                c = c1 @ c2
-                out[e] = out[e] + c if e in out else c
-        return Poly(self.dims, out)
+        count, r = len(self.exps) * len(other.exps), self.dims.fiber_rank
+        E = (self.exps[:, None] + other.exps[None]).reshape(count, self.exps.shape[1])
+        degree = E.sum(axis=1)
+        if (over := degree > degree_cap).any():
+            d = degree[over.argmax()]
+            raise DegreeOverflowError(f"product term degree {d} exceeds cap {degree_cap}")
+        C = (self.coefs[:, None] @ other.coefs[None]).reshape(count, r, r)
+        return Poly._from_arrays(self.dims, *_collect(E, C))
 
     def conjugate_swap(self) -> "Poly":
         """Kernel adjoint on numerators: swap slots, conjugate, transpose coefficients.
@@ -318,61 +329,50 @@ class Poly:
         For a term C z^a zb^b z'^c zb'^d the image is C^H z^d zb^c z'^b zb'^a,
         i.e. offsets map o -> 3 - o.  Involution and mul-antihomomorphism.
         """
-        out: dict[ExpKey, np.ndarray] = {}
-        for exps, coef in self.terms.items():
-            new = [0] * len(exps)
-            for i in range(self.dims.n):
-                for o in range(4):
-                    new[4 * i + (3 - o)] = exps[4 * i + o]
-            k = tuple(new)
-            c = coef.conj().T
-            out[k] = out[k] + c if k in out else c
-        return Poly(self.dims, out)
+        E = self._blocks()[:, :, ::-1].reshape(self.exps.shape)
+        return Poly._from_arrays(self.dims, E, self.coefs.conj().transpose(0, 2, 1))
 
     # -- calculus helpers ---------------------------------------------------
 
     def diff(self, index: int, o: int) -> "Poly":
         """Formal partial derivative in the variable (index, o)."""
         off = var_offset(index, o)
-        out: dict[ExpKey, np.ndarray] = {}
-        for exps, coef in self.terms.items():
-            p = exps[off]
-            if p == 0:
-                continue
-            e = list(exps)
-            e[off] = p - 1
-            k = tuple(e)
-            c = coef * p
-            out[k] = out[k] + c if k in out else c
-        return Poly(self.dims, out)
+        keep = self.exps[:, off] > 0
+        E, p = self.exps[keep], self.exps[keep, off]
+        E[:, off] -= 1
+        return Poly._from_arrays(self.dims, E, self.coefs[keep] * p[:, None, None])
 
     def times_var(self, index: int, o: int, power: int = 1) -> "Poly":
         off = var_offset(index, o)
-        out: dict[ExpKey, np.ndarray] = {}
-        for exps, coef in self.terms.items():
-            e = list(exps)
-            e[off] = exps[off] + power
-            out[tuple(e)] = coef
-        return Poly(self.dims, out)
+        E = self.exps.copy()
+        E[:, off] += power
+        if (E[:, off] < 0).any():
+            raise ValueError(f"negative exponent from times_var power {power}")
+        return Poly._from_arrays(self.dims, E, self.coefs)
 
     def set_var_zero(self, index: int, o: int) -> "Poly":
-        off = var_offset(index, o)
-        return Poly(self.dims, {e: c for e, c in self.terms.items() if e[off] == 0})
+        keep = self.exps[:, var_offset(index, o)] == 0
+        return Poly._from_arrays(self.dims, self.exps[keep], self.coefs[keep])
 
     def dilate(self, s: float) -> "Poly":
         """P(Z, Z') -> P(sZ, sZ') for real s: coefficient times s^degree."""
-        s = float(s)
-        return Poly(self.dims, {e: c * (s ** sum(e)) for e, c in self.terms.items()})
+        factor = float(s) ** self.exps.sum(axis=1).astype(float)
+        return Poly._from_arrays(self.dims, self.exps, self.coefs * factor[:, None, None])
 
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
+    def _order(self) -> np.ndarray | None:
+        """Permutation that sorts the store's rows like the exponent tuples; None if they are."""
+        keys = _row_keys(self.exps)
+        return None if (keys[1:] > keys[:-1]).all() else keys.argsort()
+
+    @property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only exponent rows ``(T, 4n)`` and coefficients ``(T, r, r)``, sorted."""
-        n, r = self.dims.n, self.dims.fiber_rank
-        items = self.sorted_terms()
-        E = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), 4 * n)
-        C = np.array([c for _, c in items], dtype=complex).reshape(len(items), r, r)
+        if self._order is None:
+            return self.exps, self.coefs
+        E, C = self.exps[self._order], self.coefs[self._order]
         E.setflags(write=False)
         C.setflags(write=False)
         return E, C
@@ -396,26 +396,13 @@ class Poly:
     # -- comparison ---------------------------------------------------------
 
     def almost_equal(self, other: "Poly", tol: float = 1e-12) -> bool:
-        self._check_compatible(other)
-        keys = set(self.terms) | set(other.terms)
-        zero = np.zeros((self.dims.fiber_rank,) * 2)
-        for k in keys:
-            a = self.terms.get(k, zero)
-            b = other.terms.get(k, zero)
-            if np.max(np.abs(a - b)) > tol:
-                return False
-        return True
+        return self.max_coef_diff(other) <= tol
 
     def max_coef_diff(self, other: "Poly") -> float:
         self._check_compatible(other)
-        keys = set(self.terms) | set(other.terms)
-        zero = np.zeros((self.dims.fiber_rank,) * 2)
-        out = 0.0
-        for k in keys:
-            a = self.terms.get(k, zero)
-            b = other.terms.get(k, zero)
-            out = max(out, float(np.max(np.abs(a - b))))
-        return out
+        E = np.concatenate([self.exps, other.exps])
+        _, C = _collect(E, np.concatenate([self.coefs, -other.coefs]))
+        return float(np.abs(C).max(initial=0.0))
 
     def _check_compatible(self, other: "Poly") -> None:
         if self.dims.n != other.dims.n or self.dims.fiber_rank != other.dims.fiber_rank:
@@ -424,15 +411,11 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for exps, coef in self.sorted_terms():
-            named = {}
-            for i in range(1, self.dims.n + 1):
-                for o in range(4):
-                    p = exps[var_offset(i, o)]
-                    if p:
-                        named[var_name(i, o)] = p
-            terms.append({"exps": named, "coef": _coef_to_json(coef)})
+        names = [var_name(i, o) for i in range(1, self.dims.n + 1) for o in range(4)]
+        terms = [
+            {"exps": {name: p for name, p in zip(names, exps) if p}, "coef": _coef_to_json(coef)}
+            for exps, coef in self.sorted_terms()
+        ]
         return {"dims": self.dims.to_json_dict(), "terms": terms}
 
     @classmethod
@@ -443,11 +426,11 @@ class Poly:
         dims = Dims.from_json_dict(d["dims"])
         out: dict[ExpKey, np.ndarray] = {}
         for t in d["terms"]:
-            textra = set(t) - {"exps", "coef"}
+            textra = set(_json_object(t, "term")) - {"exps", "coef"}
             if textra:
                 raise ValueError(f"unknown term keys: {sorted(textra)}")
             exps = [0] * (4 * dims.n)
-            for name, p in t["exps"].items():
+            for name, p in _json_object(t["exps"], "term exps").items():
                 index, o = parse_var_name(name)
                 if index > dims.n:
                     raise ValueError(f"variable {name} exceeds n={dims.n}")
@@ -484,6 +467,48 @@ def monomial_values(X, E) -> np.ndarray:
     return out
 
 
+def _row_keys(E: np.ndarray) -> np.ndarray:
+    """One int64 per exponent row that sorts like the row tuples: its digits in
+    base (largest exponent + 1), first column most significant.  Rows too wide
+    for 63 bits are keyed by their rank among the distinct rows instead."""
+    base, width = int(E.max(initial=0)) + 1, E.shape[1]
+    if base**width > 2**63:
+        return np.unique(E, axis=0, return_inverse=True)[1].ravel()
+    return E @ _digit_weights(base, width)
+
+
+@lru_cache(maxsize=64)
+def _digit_weights(base: int, width: int) -> np.ndarray:
+    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal keys grouped, groups numbered in key order: the distinct keys,
+    the group of every key and the index of each group's first key."""
+    order = keys.argsort()
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    group = np.empty_like(order)
+    group[order] = new.cumsum() - 1
+    return ordered[new], group, np.minimum.reduceat(order, new.nonzero()[0])
+
+
+def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients of equal exponent rows; distinct rows in first-occurrence order.
+
+    Each sum runs in row order from -0.0, so its first addition is exact and
+    a lone signed zero survives: the sums a dict accumulating
+    ``out[k] = out[k] + c if k in out else c`` forms.
+    """
+    _, group, first = _group(_row_keys(E))
+    acc = np.full((len(first),) + C.shape[1:], complex(-0.0, -0.0))
+    np.add.at(acc, group, C)
+    rank = first.argsort()
+    return E[first[rank]], acc[rank]
+
+
 def _pad_point(Z, n: int) -> np.ndarray:
     if Z is None:
         return np.zeros(n, dtype=complex)
@@ -493,6 +518,12 @@ def _pad_point(Z, n: int) -> np.ndarray:
     if len(z) < n:
         z = np.concatenate([z, np.zeros(n - len(z), dtype=complex)])
     return z
+
+
+def _json_object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _coef_to_json(coef: np.ndarray) -> list:

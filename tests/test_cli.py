@@ -381,6 +381,40 @@ def test_shared_flag_validation(tmp_path):
     assert run(["compose", "--left", lf, "--right", lf, "--degree-cap", "-1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_a_usage_error(capsys, tol):
+    # a NaN tolerance used to fail every check (exit 1) or reach the output
+    assert run(["defect-check", "--max-n", "0", "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload, edit",
+    [
+        ("compose", "kernel", lambda d: d["terms"][0]["exps"].update({"z1": math.inf})),
+        ("compose", "kernel", lambda d: d["dims"].update({"n": -math.inf})),
+        ("compose", "kernel", lambda d: d["terms"][0].update({"exps": None})),
+        ("constants", "geom", lambda d: d["samples"].append(["id"])),
+        ("constants", "geom", lambda d: d["samples"][0]["normal_dirs"].append(None)),
+        ("constants", "geom", lambda d: d.update({"dims": [0, math.inf]})),
+    ],
+    ids=["inf-exponent", "inf-dims", "null-exps", "list-sample", "null-direction", "inf-chain"],
+)
+def test_malformed_payload_values_are_usage_errors(tmp_path, capsys, geom_data, command, payload, edit):
+    # int(inf) raised OverflowError and a non-object term or sample raised
+    # AttributeError; both escaped the loaders as tracebacks
+    doc = {
+        "kernel": {"schema": "kernel/1", **unit_expr(Bergman(1)).to_json_dict()},
+        "geom": geom_data.to_json_dict(),
+    }[payload]
+    edit(doc)
+    path = write_json(tmp_path, "in.json", doc)
+    argv = {"compose": ["--left", path, "--right", path], "constants": ["--geom", path, "--which", "c0"]}
+    assert run([command, *argv[command]]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
     assert "compose" in capsys.readouterr().out
@@ -439,20 +473,29 @@ def test_python_dash_m_runs_selftest(module):
 
 @pytest.mark.parametrize(
     "command,unused",
-    [("compose", {"oracle", "operators", "geometry"}), ("spectrum", {"oracle", "operators"})],
+    [
+        ("compose", {"oracle", "operators", "geometry"}),
+        ("spectrum", {"oracle", "operators"}),
+        ("toeplitz-leading", {"oracle"}),
+        ("defect-check", {"oracle"}),
+    ],
 )
 def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
     lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
     mf = write_json(tmp_path, "m.json", matrix_json(np.diag([2.0, 1.0])))
+    sf = symbol_file(tmp_path, "g.json", Symbol.monomial(1, 0, (1,), (1,)))
     argv = {
         "compose": ["compose", "--left", lf, "--right", lf],
         "spectrum": ["spectrum", "--input", mf],
+        "toeplitz-leading": ["toeplitz-leading", "--kind", "YY", "--symbol", sf],
+        "defect-check": ["defect-check", "--max-n", "1"],
     }[command]
     code = (
         "import sys\n"
         "import fockcalc.cli\n"
         f"assert fockcalc.cli.run({argv!r} + ['--out', 'out.json']) == 0\n"
         "print(*sorted(m[9:] for m in sys.modules if m.startswith('fockcalc.')))\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
@@ -463,7 +506,9 @@ def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    modules, masked = proc.stdout.splitlines()
+    loaded = set(modules.split())
+    assert masked == "False", f"{command} imported numpy.ma"  # ~1 MB and its import time
     assert {"cli", "poly"} <= loaded
     assert not loaded & unused, f"{command} loaded {sorted(loaded & unused)}"
     assert (tmp_path / "out.json").is_file()

@@ -1,5 +1,7 @@
 """Closed-form composition: exact base cases, the kind table, algebraic laws."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from fockcalc import (
     k_prime_nm,
     unit_expr,
     DegreeOverflowError,
+    var_offset,
 )
 from fockcalc.compose import _bracket, _pairing_table
 
@@ -366,3 +369,72 @@ def test_float_overflowing_pairing_fails_cleanly(a):
         compose(left, right)
     with pytest.raises(ValueError, match="overflows a float"):
         compose(left, right, degree_cap=2 * a)
+
+
+# -- output bytes pinned across refactors ----------------------------------------------
+
+# SHA-256 over ``json.dumps(x.to_json_dict(), indent=2)`` of every ``Poly.mul``
+# and ``compose`` output of ``_pinned_outputs``, in order.  Any change to the
+# arithmetic, the accumulation order or the signed zeros changes it.
+PINNED_OUTPUT_SHA256 = "89740716cefdf4d837902bf45ed6a9375b50bb97b17539f647789abb332156a4"
+
+
+def _numerator_slots(kind) -> list[int]:
+    """Exponent columns a numerator of this kind may use."""
+    m = getattr(kind, "m", kind.n)
+    return [
+        var_offset(i, o)
+        for i in range(1, kind.n + 1)
+        for o in range(4)
+        if not (isinstance(kind, Extension) and o >= 2 and i > m)
+        and not (isinstance(kind, Restriction) and o < 2 and i > m)
+    ]
+
+
+def _pinned_factor(rng, kind, rank: int, count: int, signed_zero: bool) -> Poly:
+    dims = Dims(n=kind.n, l=kind.n, m=getattr(kind, "m", kind.n), fiber_rank=rank)
+    slots = _numerator_slots(kind)
+    terms = {}
+    for _ in range(8 * count):
+        if len(terms) == count:
+            break
+        exps = [0] * (4 * kind.n)
+        for _ in range(int(rng.integers(0, 3)) if slots else 0):
+            exps[slots[int(rng.integers(0, len(slots)))]] += 1
+        terms[tuple(exps)] = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    if signed_zero:
+        key = next(iter(terms))
+        coef = terms[key].copy()
+        coef[0, 0] = complex(-0.0, coef[0, 0].imag)
+        terms[key] = coef
+    return Poly(dims, terms)
+
+
+def _pinned_outputs():
+    """Products of seeded factors (about 3 to 30 terms) and their composites over
+    the ten supported kind pairs of several chains, at fiber ranks 1 and 2."""
+    rng = np.random.default_rng(60220112)
+    case = 0
+    for chain in [(2, 1, 1), (3, 2, 1), (2, 2, 0), (3, 3, 3)]:
+        for k1, k2 in supported_kind_pairs(*chain):
+            for rank in (1, 2):
+                sides = []
+                for kind in (k1, k2):
+                    f = _pinned_factor(rng, kind, rank, 1 + case % 5, signed_zero=case % 3 == 0)
+                    g = _pinned_factor(rng, kind, rank, 3 + case % 4, signed_zero=False)
+                    product = f.mul(g)
+                    yield product
+                    sides.append(KernelExpr(product, kind))
+                    case += 1
+                yield compose(*sides)
+
+
+def test_compose_and_mul_output_bytes_are_pinned():
+    h = hashlib.sha256()
+    sizes = []
+    for out in _pinned_outputs():
+        h.update(json.dumps(out.to_json_dict(), indent=2).encode())
+        if isinstance(out, Poly):
+            sizes.append(len(out.terms))
+    assert min(sizes) <= 3 and max(sizes) >= 20
+    assert h.hexdigest() == PINNED_OUTPUT_SHA256

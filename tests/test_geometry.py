@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fockcalc import (
     C3C4Result,
@@ -18,6 +19,9 @@ from fockcalc import (
     hermitian_eigs,
     tower_dp3,
 )
+from fockcalc.geometry import _tensor_norm
+
+from conftest import complex_rows
 
 PI = math.pi
 
@@ -177,6 +181,33 @@ def test_c0_rank_one_family():
     out = c0(data_with([GeometrySample(id="s", normal_dirs=(d1, d2))], fiber_rank=2))
     want = math.sqrt(5.0) * 2.0 / math.sqrt(PI)
     assert abs(float(out) - want) < 1e-10
+
+
+def test_c0_rank_two_golden():
+    # the direction matrix is -[[2, -1], [-1, 2]], with singular values 1 and 3;
+    # a power iteration started from the ones vector (the singular vector for
+    # 1) never leaves it and reads this constant low
+    d = wy("a", nabla=2j * PI * np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    out = c0(data_with([GeometrySample(id="s", normal_dirs=(d,))], fiber_rank=2))
+    assert abs(float(out) - 3.0 / math.sqrt(PI)) < 1e-12
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda D: st.integers(min_value=2, max_value=3).flatmap(
+            lambda r: complex_rows(D * r, r).map(lambda rows: list(rows.reshape(D, r, r)))
+        )
+    )
+)
+def test_tensor_norm_lies_in_its_bracket(mats):
+    r = mats[0].shape[0]
+    got = _tensor_norm(mats, r, seed=0)
+    lower = max(np.linalg.norm(m, 2) for m in mats)
+    upper = math.sqrt(max(np.linalg.eigvalsh(sum(m.conj().T @ m for m in mats))[-1], 0.0))
+    slack = 1e-12 * max(1.0, upper)
+    assert lower - slack <= got <= upper + slack
+    if len(mats) == 1:
+        assert abs(got - lower) <= slack
 
 
 def test_constant_result_shape():
