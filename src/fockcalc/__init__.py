@@ -3,7 +3,7 @@
 The package is organised bottom-up:
 
 - ``poly``      four-family polynomial coefficients with matrix fibers
-- ``kernels``   the four numerator-times-Gaussian kernel families and ladder ops
+- ``kernels``   the one kernel descriptor, its four named families, and ladder ops
 - ``compose``   closed-form operator composition on those families
 - ``oracle``    Gauss-Hermite quadrature cross-checks and norm estimation
 - ``operators`` symbols, leading-term contractions, model multiplication ops
@@ -29,12 +29,11 @@ _EXPORTS = {
     "kernels": (
         "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
         "ScaledKernel", "unit_expr", "kernel_eval", "kernel_expr_eval", "apply_ladder",
-        "apply_model_laplacian", "kind_name", "kind_from_json", "unprimed_dim",
-        "primed_dim", "cross_count", "TOEPLITZ_KINDS",
+        "apply_model_laplacian", "kind_name", "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
     ),
     "compose": (
-        "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact",
-        "k_base", "k_nm", "k_prime_nm", "k_ep", "k_e", "compose", "compose_plan",
+        "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "compose",
+        "compose_plan",
     ),
     "oracle": (
         "InsufficientNodesError", "QuadGrid", "OracleReport", "FockIndex", "fock_indices",

@@ -167,19 +167,16 @@ def _cmd_compose(cfg: RunConfig, args) -> int:
     e1, e2 = _load_kernel(args.left), _load_kernel(args.right)
     try:
         plan = compose_plan(e1.kind, e2.kind)
-        result = compose(e1, e2, degree_cap=cfg.degree_cap)
+        # a result kind without a kernel/1 name cannot be written
+        result = _kernel_json(compose(e1, e2, degree_cap=cfg.degree_cap))
     except (UnsupportedCompositionError, DegreeOverflowError, ValueError) as e:
         raise CliError(str(e))
-    _emit_json(
-        {"schema": "compose/1", "plan": plan.to_json_dict(), "result": _kernel_json(result)},
-        cfg.out,
-    )
+    _emit_json({"schema": "compose/1", "plan": plan.to_json_dict(), "result": result}, cfg.out)
     return 0
 
 
 def _cmd_oracle_check(cfg: RunConfig, args) -> int:
     from .compose import UnsupportedCompositionError, compose_plan
-    from .kernels import primed_dim
     from .oracle import QuadGrid, default_eval_points, oracle_compose
 
     if args.points < 1:
@@ -189,7 +186,7 @@ def _cmd_oracle_check(cfg: RunConfig, args) -> int:
         plan = compose_plan(e1.kind, e2.kind)
         grid = None
         if cfg.nodes is not None:
-            grid = QuadGrid(nodes_per_axis=cfg.nodes, n=primed_dim(e1.kind))
+            grid = QuadGrid(nodes_per_axis=cfg.nodes, n=e1.kind.dp)
         points = default_eval_points(e1.kind, e2.kind, count=args.points)
         report = oracle_compose(e1, e2, grid=grid, eval_points=points, rel_tol=cfg.tol)
     except (UnsupportedCompositionError, DegreeOverflowError, ValueError) as e:

@@ -1,10 +1,12 @@
 """Closed-form composition of polynomial-times-Gaussian kernel expressions.
 
-Composing two model kernels integrates out the shared middle variable
-W in C^k against the Gaussian weight exp(-pi |W|^2) that the two kernel
-halves always assemble.  Per middle coordinate the answer depends only on
-whether the left kernel couples the outer unprimed variable to conj(w)
-and whether the right kernel couples w to the outer conj(z'):
+Composing ``(du1, dp1, c1)`` with ``(du2, dp2, c2)`` needs ``dp1 == du2``
+and gives ``(du1, dp2, min(c1, c2))``: it integrates out the shared middle
+variable W in C^dp1 against the Gaussian weight exp(-pi |W|^2) that the two
+kernel halves always assemble.  Per middle coordinate the answer depends
+only on whether the left kernel couples the outer unprimed variable to
+conj(w) (coordinate i < c1) and whether the right kernel couples w to the
+outer conj(z') (i < c2):
 
 ==============  ==========================================================
 left, right     one-coordinate value of the pairing  <w^a wbar^b>
@@ -33,26 +35,13 @@ from typing import Iterator
 import numpy as np
 
 from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect, _group
-from .kernels import (
-    Bergman,
-    OrthBergman,
-    Extension,
-    Restriction,
-    KernelExpr,
-    KernelKind,
-    kind_name,
-)
+from .kernels import KernelExpr, KernelKind, _named
 
 __all__ = [
     "ComposePlan",
     "UnsupportedCompositionError",
     "base_terms",
     "k_base_exact",
-    "k_base",
-    "k_nm",
-    "k_prime_nm",
-    "k_ep",
-    "k_e",
     "compose",
     "compose_plan",
 ]
@@ -61,15 +50,20 @@ PI = math.pi
 
 
 class UnsupportedCompositionError(ValueError):
-    """Raised for kind pairs outside the supported composition table."""
+    """Raised when the left kind's primed dimension differs from the right kind's unprimed one."""
 
 
 @dataclass(frozen=True)
 class ComposePlan:
+    """The kinds of a composition and the three integers the pairing rule uses:
+    the middle dimension and how many leading middle coordinates each side couples."""
+
     left_kind: str
     right_kind: str
     result_kind: str
-    rule: str
+    middle_dim: int
+    left_cross: int
+    right_cross: int
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -136,9 +130,9 @@ def _pairing_table(
 
     Memoised: exponents up to the default degree cap give about a thousand
     keys, well inside the cache bound.  An empty table means the pairing
-    vanishes.  A coefficient too large for a float reads ``inf``, because
-    the whole table is built before the degree cap is checked; the bracket
-    rejects a term only once it has passed the cap.
+    vanishes.  A coefficient too large for a float reads ``inf``; the
+    bracket checks the degree cap before it builds any table, so only
+    pairs within the cap get here.
     """
     return tuple(
         (dz, dzp, _over_pi_power(frac, p))
@@ -175,6 +169,35 @@ def _split_terms(p: Poly, side: str, n_mid: int, out_n: int) -> tuple[np.ndarray
     return outers, mids
 
 
+def _live_pairs_within_cap(
+    outer1: np.ndarray,
+    outer2: np.ndarray,
+    mids: np.ndarray,
+    left_cross: int,
+    right_cross: int,
+    degree_cap: int,
+) -> np.ndarray:
+    """Indices of the term pairs whose pairing does not vanish, once each one's
+    top output degree is known to be within ``degree_cap``.
+
+    A pair survives when at every middle coordinate ``(a, b)`` the left side
+    couples or ``a <= b``, and the right side couples or ``b <= a``.  Its top
+    degree is its outer degree plus ``a + b`` per coordinate both sides
+    couple and ``|a - b|`` per other one.  No pairing table is built, so a
+    huge exponent costs nothing.
+    """
+    a, b = mids[:, :, 0], mids[:, :, 1]
+    coord = np.arange(mids.shape[1])
+    lc, rc = coord < left_cross, coord < right_cross
+    live = np.flatnonzero(((lc | (a <= b)) & (rc | (b <= a))).all(axis=1))
+    outer = (outer1.sum(axis=(1, 2))[:, None] + outer2.sum(axis=(1, 2))[None]).ravel()
+    top = outer[live] + np.where(lc & rc, a + b, abs(a - b))[live].sum(axis=1)
+    if top.max(initial=0) > degree_cap:
+        d = top[(top > degree_cap).argmax()]
+        raise DegreeOverflowError(f"composition term degree {d} exceeds cap {degree_cap}")
+    return live
+
+
 def _bracket(
     left: Poly,
     right: Poly,
@@ -192,7 +215,8 @@ def _bracket(
     right_cross the right one.  Indices are preserved coordinate-wise.
     Each term pair expands into the product of its coordinates' pairing
     tables (last coordinate fastest); the expanded terms accumulate in
-    term-pair order.
+    term-pair order.  The degree cap is checked before any pairing table
+    is built.
     """
     if left.dims.fiber_rank != right.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
@@ -202,8 +226,14 @@ def _bracket(
     outer1, mid1 = _split_terms(left, "left", n_mid, out_n)
     outer2, mid2 = _split_terms(right, "right", n_mid, out_n)
     pairs = len(outer1) * len(outer2)
-    # one table lookup per distinct (coordinate, a, b), stacked as entry rows
     mids = (mid1[:, None] + mid2[None]).reshape(pairs, n_mid, 2)
+    live = np.arange(pairs)
+    # a pair's output degree is at most the sum of its two terms' degrees, so
+    # only inputs past that bound need each pair's exact top degree
+    if left.degree() + right.degree() > degree_cap:
+        live = _live_pairs_within_cap(outer1, outer2, mids, left_cross, right_cross, degree_cap)
+        mids = mids[live]
+    # one table lookup per distinct (coordinate, a, b), stacked as entry rows
     span = int(mids.max(initial=0)) + 1
     spec = (np.arange(n_mid) * span + mids[:, :, 0]) * span + mids[:, :, 1]
     specs, which, _ = _group(spec.ravel())
@@ -215,151 +245,47 @@ def _bracket(
     coef = np.array([c for t in tables for *_, c in t], dtype=float)
     # each expanded term's entry in its coordinates' tables: the digits of its
     # index within the pair, in the mixed radix of the table sizes
-    which = which.reshape(pairs, n_mid)
+    which = which.reshape(len(live), n_mid)
     radix = sizes[which]
     counts = radix.prod(axis=1)
-    pair = np.repeat(np.arange(pairs), counts)
+    pair = np.repeat(np.arange(len(live)), counts)
     within = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
     stride = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1] // np.maximum(radix, 1)
     entry = (np.cumsum(sizes) - sizes)[which[pair]] + within[:, None] // stride[pair] % radix[pair]
-    E = (outer1[:, None] + outer2[None]).reshape(pairs, out_n, 4)[pair]
+    source = live[pair]  # each expanded term's index among all term pairs
+    E = (outer1[:, None] + outer2[None]).reshape(pairs, out_n, 4)[source]
     E[:, : min(n_mid, out_n)] += step[entry[:, :out_n]]
     E = E.reshape(len(pair), 4 * out_n)
     scalar = coef[entry].prod(axis=1)  # multiply-reductions run in order: coordinate 0 first
-    degree = E.sum(axis=1)
-    if degree.max(initial=0) > degree_cap or scalar.max(initial=0.0) == math.inf:
-        d = degree[((degree > degree_cap) | (scalar == math.inf)).argmax()]
-        if d > degree_cap:
-            raise DegreeOverflowError(f"composition term degree {d} exceeds cap {degree_cap}")
+    if scalar.max(initial=0.0) == math.inf:
+        d = E[(scalar == math.inf).argmax()].sum()
         raise ValueError(f"composition term of degree {d} overflows a float")
     coefs = (left.coefs[:, None] @ right.coefs[None]).reshape(pairs, r, r)
-    return Poly._from_arrays(out_dims, *_collect(E, scalar[:, None, None] * coefs[pair]))
-
-
-# -- named bracket assemblies (polynomial level) -------------------------------
-
-
-def _out_dims(n: int, m: int, r: int) -> Dims:
-    return Dims(n=n, l=n, m=m, fiber_rank=r)
-
-
-def k_base(B: Poly, n: int, m: int) -> Poly:
-    """Pairing of 1 against a middle-only polynomial B on C^n, tangential in C^m."""
-    if B.uses_slot("primed"):
-        raise ValueError("k_base middle polynomial must use unprimed variables only")
-    dims = _out_dims(n, m, B.dims.fiber_rank)
-    return _bracket(Poly.one(dims), _embed(B, n), n, m, m, dims)
-
-
-def k_nm(A1: Poly, A2: Poly, n: int, m: int) -> Poly:
-    """Full pairing: A1(Z, W) against A2(W, Z'), tangential in the first m coords."""
-    dims = _out_dims(n, m, A1.dims.fiber_rank)
-    return _bracket(_embed(A1, n), _embed(A2, n), n, m, m, dims)
-
-
-def k_prime_nm(A1: Poly, A2: Poly, n: int, m: int) -> Poly:
-    """Pairing with a full Bergman kernel on the left: normal coords couple z only."""
-    dims = _out_dims(n, m, A1.dims.fiber_rank)
-    return _bracket(_embed(A1, n), _embed(A2, n), n, n, m, dims)
-
-
-def k_ep(A: Poly, D: Poly, n: int, m: int) -> Poly:
-    """Pairing over a C^m middle: A(Z, W_Y) against D(W_Y, Z'_Y)."""
-    if A.uses_slot("primed", beyond=m):
-        raise ValueError("A must not use primed coordinates beyond m")
-    dims = _out_dims(n, m, A.dims.fiber_rank)
-    return _bracket(_embed(A, n), _embed(D, n), m, m, m, dims)
-
-
-def k_e(A4: Poly, A5: Poly, n: int, l: int, m: int) -> Poly:
-    """Two-step extension pairing over a C^l middle, landing tangential in C^m."""
-    if not (m <= l <= n):
-        raise ValueError(f"need m <= l <= n, got n={n} l={l} m={m}")
-    if A4.uses_slot("primed", beyond=l):
-        raise ValueError("A4 must not use primed coordinates beyond l")
-    if A5.uses_slot("primed", beyond=m):
-        raise ValueError("A5 must not use primed coordinates beyond m")
-    dims = Dims(n=n, l=l, m=m, fiber_rank=A4.dims.fiber_rank)
-    return _bracket(_embed(A4, n), _embed(A5, n), l, l, m, dims)
-
-
-def _embed(p: Poly, n: int) -> Poly:
-    """Reindex a polynomial into ambient dimension n (exponents keep coordinates)."""
-    if p.dims.n == n:
-        return p
-    if p.exps[:, 4 * n :].any():
-        raise ValueError(f"polynomial uses coordinates beyond n={n}")
-    E = np.pad(p.exps[:, : 4 * n], ((0, 0), (0, 4 * max(0, n - p.dims.n))))
-    dims = Dims(n=n, l=n, m=min(p.dims.m, n), fiber_rank=p.dims.fiber_rank)
-    return Poly._from_arrays(dims, E, p.coefs)
+    return Poly._from_arrays(out_dims, *_collect(E, scalar[:, None, None] * coefs[source]))
 
 
 # -- kernel-level composition ---------------------------------------------------
 
 
-def _plan_config(k1: KernelKind, k2: KernelKind):
-    """Return (n_mid, left_cross, right_cross, result_kind, rule) or raise."""
-    if isinstance(k1, Bergman) and isinstance(k2, Bergman):
-        _need(k1.n == k2.n, k1, k2)
-        return k1.n, k1.n, k2.n, Bergman(k1.n), "full tangential pairing"
-    if isinstance(k1, OrthBergman) and isinstance(k2, OrthBergman):
-        _need(k1 == k2, k1, k2)
-        return k1.n, k1.m, k2.m, OrthBergman(k1.n, k1.m), "tangential pairing, normal moments"
-    if isinstance(k1, Bergman) and isinstance(k2, OrthBergman):
-        _need(k1.n == k2.n, k1, k2)
-        return k1.n, k1.n, k2.m, OrthBergman(k2.n, k2.m), "tangential pairing, bergman-left normal band"
-    if isinstance(k1, Bergman) and isinstance(k2, Extension):
-        _need(k1.n == k2.n, k1, k2)
-        return k1.n, k1.n, k2.m, Extension(k2.n, k2.m), "tangential pairing, bergman-left normal band"
-    if isinstance(k1, OrthBergman) and isinstance(k2, Extension):
-        _need(k1.n == k2.n and k1.m == k2.m, k1, k2)
-        return k1.n, k1.m, k2.m, Extension(k2.n, k2.m), "tangential pairing, normal moments"
-    if isinstance(k1, Restriction) and isinstance(k2, Extension):
-        _need(k1.n == k2.n and k1.m == k2.m, k1, k2)
-        return k1.n, k1.m, k2.m, Bergman(k1.m), "tangential pairing, normal moments, lands on the subspace"
-    if isinstance(k1, Extension) and isinstance(k2, Bergman):
-        _need(k1.m == k2.n, k1, k2)
-        return k2.n, k1.m, k2.n, Extension(k1.n, k1.m), "tangential pairing over the subspace"
-    if isinstance(k1, Extension) and isinstance(k2, Extension):
-        _need(k1.m == k2.n, k1, k2)
-        return k2.n, k1.m, k2.m, Extension(k1.n, k2.m), "two-step extension pairing"
-    if isinstance(k1, Restriction) and isinstance(k2, Bergman):
-        _need(k1.n == k2.n, k1, k2)
-        return k1.n, k1.m, k2.n, Restriction(k1.n, k1.m), "tangential pairing, bergman-right normal band"
-    if isinstance(k1, Bergman) and isinstance(k2, Restriction):
-        _need(k1.n == k2.m, k1, k2)
-        return k1.n, k1.n, k2.m, Restriction(k2.n, k2.m), "tangential pairing over the subspace"
-    raise UnsupportedCompositionError(
-        f"unsupported kind pair ({_kind_str(k1)}, {_kind_str(k2)})"
-    )
-
-
-def _need(cond: bool, k1: KernelKind, k2: KernelKind) -> None:
-    if not cond:
+def _result_kind(k1: KernelKind, k2: KernelKind) -> KernelKind:
+    if k1.dp != k2.du:
         raise UnsupportedCompositionError(
-            f"dimension mismatch in pair ({_kind_str(k1)}, {_kind_str(k2)})"
+            f"middle dimension mismatch in pair ({k1!r}, {k2!r}): {k1.dp} vs {k2.du}"
         )
-
-
-def _kind_str(k: KernelKind) -> str:
-    if isinstance(k, Bergman):
-        return f"Bergman({k.n})"
-    return f"{kind_name(k)}({k.n},{k.m})"
+    return _named(k1.du, k2.dp, min(k1.c, k2.c))
 
 
 def compose_plan(k1: KernelKind, k2: KernelKind) -> ComposePlan:
-    _, _, _, result, rule = _plan_config(k1, k2)
-    return ComposePlan(_kind_str(k1), _kind_str(k2), _kind_str(result), rule)
+    result = _result_kind(k1, k2)
+    return ComposePlan(repr(k1), repr(k2), repr(result), k1.dp, k1.c, k2.c)
 
 
 def compose(e1: KernelExpr, e2: KernelExpr, degree_cap: int = DEFAULT_DEGREE_CAP) -> KernelExpr:
-    """Operator composition (e1 o e2) within the supported kind table."""
-    n_mid, lc, rc, result_kind, _ = _plan_config(e1.kind, e2.kind)
+    """Operator composition (e1 o e2) of any two kinds whose middle dimensions match."""
+    k1, k2 = e1.kind, e2.kind
+    result_kind = _result_kind(k1, k2)
     if e1.dims.fiber_rank != e2.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
-    r = e1.dims.fiber_rank
-    res_n = result_kind.n
-    res_m = getattr(result_kind, "m", result_kind.n)
-    out_dims = Dims(n=res_n, l=res_n, m=res_m, fiber_rank=r)
-    num = _bracket(e1.numerator, e2.numerator, n_mid, lc, rc, out_dims, degree_cap)
+    out_dims = Dims(n=result_kind.n, l=result_kind.n, m=result_kind.m, fiber_rank=e1.dims.fiber_rank)
+    num = _bracket(e1.numerator, e2.numerator, k1.dp, k1.c, k2.c, out_dims, degree_cap)
     return KernelExpr(num, result_kind)

@@ -1,12 +1,15 @@
 """Model kernels on C^n with a marked subspace C^m, and ladder operators.
 
-Four Gaussian kernel families, all written with the weight split evenly
-between the two arguments so they act on plain L^2 of Lebesgue measure:
+Every kernel is a Gaussian with the weight split evenly between its two
+arguments, so it acts on plain L^2 of Lebesgue measure.  One descriptor
+:class:`KernelKind` ``(du, dp, c)`` names it: the unprimed argument lives on
+C^du, the primed one on C^dp, and the first c coordinates couple z_i to
+conj(z'_i).  Four families have names:
 
-- ``Bergman(n)``        P_n(Z, Z')      on C^n x C^n
-- ``OrthBergman(n, m)`` P-perp_{n,m}    cross terms only in the first m coords
-- ``Extension(n, m)``   E_{n,m}(Z, Z')  second argument lives on C^m
-- ``Restriction(n, m)`` R_{n,m}(Z, Z')  first argument lives on C^m
+- ``Bergman(n)``        ``(n, n, n)``  P_n(Z, Z')
+- ``OrthBergman(n, m)`` ``(n, n, m)``  P-perp_{n,m}, cross terms in the first m coords
+- ``Extension(n, m)``   ``(n, m, m)``  E_{n,m}(Z, Z'), second argument on C^m
+- ``Restriction(n, m)`` ``(m, n, m)``  R_{n,m}(Z, Z'), first argument on C^m
 
 A :class:`KernelExpr` is ``numerator * kernel`` with a polynomial numerator;
 ladder operators act on expressions and stay in the family.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -37,9 +40,7 @@ __all__ = [
     "apply_model_laplacian",
     "kind_name",
     "kind_from_json",
-    "unprimed_dim",
     "primed_dim",
-    "cross_count",
     "TOEPLITZ_KINDS",
 ]
 
@@ -51,89 +52,117 @@ PI = math.pi
 TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 
 
-@dataclass(frozen=True)
-class Bergman:
-    n: int
+@dataclass(frozen=True, eq=False, repr=False)
+class KernelKind:
+    """The kernel exp(-pi/2 (|Z|^2 + |Z'|^2) + pi sum_{i<=c} z_i conj(z'_i)), Z in C^du, Z' in C^dp.
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+    Kinds compare and hash by descriptor, so ``Extension(n, n) == Bergman(n)``;
+    the name a kind was built with is kept for labels and JSON.
+    """
+
+    du: int
+    dp: int
+    c: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.c <= min(self.du, self.dp):
+            raise ValueError(f"need 0 <= c <= min(du, dp), got (du, dp, c) = {(self.du, self.dp, self.c)}")
+
+    @property
+    def n(self) -> int:
+        """Ambient dimension: numerators are polynomials on C^n x C^n."""
+        return max(self.du, self.dp)
+
+    @property
+    def m(self) -> int:
+        return self.c
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KernelKind):
+            return NotImplemented
+        return (self.du, self.dp, self.c) == (other.du, other.dp, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.du, self.dp, self.c))
+
+    def __repr__(self) -> str:
+        args = (self.du, self.dp, self.c) if type(self) is KernelKind else (self.n, self.m)
+        return f"{type(self).__name__}({','.join(map(str, args))})"
 
 
-@dataclass(frozen=True)
-class OrthBergman:
-    n: int
-    m: int
+class Bergman(KernelKind):
+    def __init__(self, n: int):
+        super().__init__(n, n, n)
 
-    def __post_init__(self):
-        if not 0 <= self.m <= self.n:
-            raise ValueError(f"need 0 <= m <= n, got n={self.n} m={self.m}")
+    def __repr__(self) -> str:
+        return f"Bergman({self.n})"
 
 
-@dataclass(frozen=True)
-class Extension:
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= self.n:
-            raise ValueError(f"need 0 <= m <= n, got n={self.n} m={self.m}")
+class OrthBergman(KernelKind):
+    def __init__(self, n: int, m: int):
+        super().__init__(n, n, m)
 
 
-@dataclass(frozen=True)
-class Restriction:
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= self.n:
-            raise ValueError(f"need 0 <= m <= n, got n={self.n} m={self.m}")
+class Extension(KernelKind):
+    def __init__(self, n: int, m: int):
+        super().__init__(n, m, m)
 
 
-KernelKind = Union[Bergman, OrthBergman, Extension, Restriction]
+class Restriction(KernelKind):
+    def __init__(self, n: int, m: int):
+        super().__init__(m, n, m)
 
-_KIND_NAMES = {Bergman: "Bergman", OrthBergman: "OrthBergman", Extension: "Extension", Restriction: "Restriction"}
+
+def _named(du: int, dp: int, c: int) -> KernelKind:
+    """The kind ``(du, dp, c)`` under its canonical name, or unnamed if it has none."""
+    if du == dp == c:
+        return Bergman(du)
+    if du == dp:
+        return OrthBergman(du, c)
+    if c == dp:
+        return Extension(du, c)
+    if c == du:
+        return Restriction(dp, c)
+    return KernelKind(du, dp, c)
 
 
 def kind_name(kind: KernelKind) -> str:
-    return _KIND_NAMES[type(kind)]
+    """The ``kernel/1`` name: the one the kind was built with, else its canonical one."""
+    if type(kind) is KernelKind:
+        kind = _named(kind.du, kind.dp, kind.c)
+    if type(kind) is KernelKind:
+        raise ValueError(f"{kind!r} has no kernel/1 name")
+    return type(kind).__name__
+
+
+_FROM_JSON = {
+    "Bergman": lambda n, m: Bergman(n),
+    "OrthBergman": OrthBergman,
+    "Extension": Extension,
+    "Restriction": Restriction,
+}
 
 
 def kind_from_json(name: str, dims: Dims) -> KernelKind:
-    if name == "Bergman":
-        return Bergman(dims.n)
-    if name == "OrthBergman":
-        return OrthBergman(dims.n, dims.m)
-    if name == "Extension":
-        return Extension(dims.n, dims.m)
-    if name == "Restriction":
-        return Restriction(dims.n, dims.m)
-    raise ValueError(f"unknown kernel kind {name!r}")
-
-
-def unprimed_dim(kind: KernelKind) -> int:
-    return kind.m if isinstance(kind, Restriction) else kind.n
+    if not isinstance(name, str) or name not in _FROM_JSON:
+        raise ValueError(f"unknown kernel kind {name!r}")
+    return _FROM_JSON[name](dims.n, dims.m)
 
 
 def primed_dim(kind: KernelKind) -> int:
-    return kind.m if isinstance(kind, Extension) else kind.n
-
-
-def cross_count(kind: KernelKind) -> int:
-    """Number of leading coordinates i where the kernel couples z_i to conj(z'_i)."""
-    return kind.n if isinstance(kind, Bergman) else kind.m
+    return kind.dp
 
 
 def kernel_eval(kind: KernelKind, Z, Zp) -> complex:
     """Pure exponential kernel value at (Z, Z')."""
-    zu = _point(Z, unprimed_dim(kind), "unprimed")[None]
-    zp = _point(Zp, primed_dim(kind), "primed")[None]
+    zu = _point(Z, kind.du, "unprimed")[None]
+    zp = _point(Zp, kind.dp, "primed")[None]
     return complex(_gaussian(kind, zu, zp)[0])
 
 
 def _gaussian(kind: KernelKind, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
     """Kernel values at N point pairs, ``zu`` of shape (N, du) and ``zp`` (N, dp)."""
-    c = cross_count(kind)
+    c = kind.c
     q = (abs(zu) ** 2).sum(1) + (abs(zp) ** 2).sum(1) - 2.0 * (zu[:, :c] * zp[:, :c].conj()).sum(1)
     return np.exp(-0.5 * PI * q)
 
@@ -147,7 +176,7 @@ def _point(Z, dim: int, label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelExpr:
-    """``numerator(Z, Z') * kernel(Z, Z')`` with per-kind variable-domain checks."""
+    """``numerator(Z, Z') * kernel(Z, Z')``; the numerator uses no coordinate beyond its slot's dimension."""
 
     numerator: Poly
     kind: KernelKind
@@ -156,13 +185,9 @@ class KernelExpr:
         num, kind = self.numerator, self.kind
         if num.dims.n != kind.n:
             raise ValueError(f"numerator dims n={num.dims.n} != kernel n={kind.n}")
-        checks = ((Extension, "extension", "primed", O_ZP), (Restriction, "restriction", "unprimed", O_Z))
-        for family, label, slot, offset in checks:
-            if isinstance(kind, family):
-                used = num._blocks()[:, kind.m :, offset : offset + 2].any(axis=(0, 2))
-                if used.any():
-                    i = kind.m + 1 + int(used.argmax())
-                    raise ValueError(f"{label} numerator uses {slot} coordinate {i} > m={kind.m}")
+        for slot, dim in (("unprimed", kind.du), ("primed", kind.dp)):
+            if dim < kind.n and num.uses_slot(slot, beyond=dim):
+                raise ValueError(f"{kind!r} numerator uses a {slot} coordinate beyond {dim}")
 
     @property
     def dims(self) -> Dims:
@@ -177,15 +202,9 @@ class KernelExpr:
         return KernelExpr(self.numerator.add(other.numerator), self.kind)
 
     def adjoint(self) -> "KernelExpr":
-        """Kernel adjoint: numerator conjugate-swap plus kind swap (E <-> R)."""
+        """Kernel adjoint: numerator conjugate-swap plus kind swap ``(du, dp, c) -> (dp, du, c)``."""
         kind = self.kind
-        if isinstance(kind, Extension):
-            new_kind: KernelKind = Restriction(kind.n, kind.m)
-        elif isinstance(kind, Restriction):
-            new_kind = Extension(kind.n, kind.m)
-        else:
-            new_kind = kind
-        return KernelExpr(self.numerator.conjugate_swap(), new_kind)
+        return KernelExpr(self.numerator.conjugate_swap(), _named(kind.dp, kind.du, kind.c))
 
     def evaluate(self, Z, Zp) -> np.ndarray:
         return kernel_expr_eval(self, Z, Zp)
@@ -194,7 +213,7 @@ class KernelExpr:
         """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
         kind, n = self.kind, self.kind.n
         zu, zp = np.asarray(Z, dtype=complex), np.asarray(Zp, dtype=complex)
-        for z, dim, label in ((zu, unprimed_dim(kind), "unprimed"), (zp, primed_dim(kind), "primed")):
+        for z, dim, label in ((zu, kind.du, "unprimed"), (zp, kind.dp, "primed")):
             if z.ndim != 2 or z.shape[1] != dim or len(z) != len(zu):
                 raise ValueError(f"{label} points have shape {z.shape}, kernel expects (N, {dim})")
         X = variable_columns(n, zu, zu.conj(), zp, zp.conj())
@@ -217,7 +236,7 @@ class KernelExpr:
 
 
 def unit_expr(kind: KernelKind, fiber_rank: int = 1) -> KernelExpr:
-    dims = Dims(n=kind.n, l=kind.n, m=getattr(kind, "m", kind.n), fiber_rank=fiber_rank)
+    dims = Dims(n=kind.n, l=kind.n, m=kind.m, fiber_rank=fiber_rank)
     return KernelExpr(Poly.one(dims), kind)
 
 
@@ -243,8 +262,8 @@ class ScaledKernel:
 
     def evaluate(self, Z, Zp) -> np.ndarray:
         s = math.sqrt(self.p)
-        zu = s * _point(Z, unprimed_dim(self.kind), "unprimed")
-        zp = s * _point(Zp, primed_dim(self.kind), "primed")
+        zu = s * _point(Z, self.kind.du, "unprimed")
+        zp = s * _point(Zp, self.kind.dp, "primed")
         return self.prefactor * kernel_expr_eval(self.expr, zu, zp)
 
     def scale(self, scalar: complex) -> "ScaledKernel":
@@ -256,8 +275,8 @@ class ScaledKernel:
 
 def kernel_expr_eval(e: KernelExpr, Z, Zp) -> np.ndarray:
     """Matrix value numerator(Z, Z') * kernel(Z, Z')."""
-    zu = _point(Z, unprimed_dim(e.kind), "unprimed")
-    zp = _point(Zp, primed_dim(e.kind), "primed")
+    zu = _point(Z, e.kind.du, "unprimed")
+    zp = _point(Zp, e.kind.dp, "primed")
     return e.evaluate_batch(zu[None], zp[None])[0]
 
 
@@ -279,11 +298,11 @@ def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> K
         raise ValueError(f"bad ladder kind {which!r}")
     if slot not in ("unprimed", "primed"):
         raise ValueError(f"bad slot {slot!r}")
-    dim = unprimed_dim(e.kind) if slot == "unprimed" else primed_dim(e.kind)
+    dim = e.kind.du if slot == "unprimed" else e.kind.dp
     if not 1 <= j <= dim:
         raise ValueError(f"coordinate {j} outside {slot} slot of dimension {dim}")
     P = e.numerator
-    crossed = j <= cross_count(e.kind)
+    crossed = j <= e.kind.c
     if slot == "unprimed":
         if which == "annihilation":
             out = P.diff(j, O_ZB).scale(2.0)
@@ -303,7 +322,7 @@ def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> K
 
 def apply_model_laplacian(e: KernelExpr, slot: str = "unprimed") -> KernelExpr:
     """Sum over coordinates of creation after annihilation, in the given slot."""
-    dim = unprimed_dim(e.kind) if slot == "unprimed" else primed_dim(e.kind)
+    dim = e.kind.du if slot == "unprimed" else e.kind.dp
     acc = KernelExpr(Poly.zero(e.numerator.dims), e.kind)
     for j in range(1, dim + 1):
         acc = acc.add(apply_ladder(apply_ladder(e, j, "annihilation", slot), j, "creation", slot))

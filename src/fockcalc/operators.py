@@ -660,8 +660,8 @@ def toeplitz_flat_composite(family: str, g: Symbol) -> KernelExpr:
     family XY: (B - Borth) o (B g B) o E  -> lambda_h(g) * Extension(n, m)
     family YX: Res o (B g B) o (B - Borth)-> lambda_a(g) * Restriction(n, m)
 
-    The orthogonal projector leg is expanded through Borth = E o Res, which
-    keeps every pairwise composition inside the supported table.
+    Borth = E o Res is the projector onto the sub-band; its leg is applied
+    as E after Res, one composition at a time.
     """
     n, m, r = g.n, g.m, g.fiber_rank
     bergman = unit_expr(Bergman(n), r)

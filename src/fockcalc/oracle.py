@@ -25,11 +25,8 @@ from .kernels import (
     Extension,
     apply_ladder,
     apply_model_laplacian,
-    cross_count,
-    primed_dim,
-    unprimed_dim,
 )
-from .compose import compose, UnsupportedCompositionError
+from .compose import compose
 
 __all__ = [
     "InsufficientNodesError",
@@ -259,8 +256,7 @@ _PALETTE = [
 
 def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic point pairs with moderate coordinates for oracle checks."""
-    du = unprimed_dim(kind1)
-    dp = primed_dim(kind2)
+    du, dp = kind1.du, kind2.dp
     pts = []
     for t in range(count):
         Z = np.array([_PALETTE[(t + 2 * i) % len(_PALETTE)] for i in range(du)])
@@ -270,7 +266,7 @@ def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) ->
 
 
 def _middle_dim(e1: KernelExpr, e2: KernelExpr) -> int:
-    d1, d2 = primed_dim(e1.kind), unprimed_dim(e2.kind)
+    d1, d2 = e1.kind.dp, e2.kind.du
     if d1 != d2:
         raise ValueError(f"middle dimension mismatch: {d1} vs {d2}")
     return d1
@@ -305,7 +301,7 @@ def oracle_compose_values(
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
     if eval_points is None:
         eval_points = default_eval_points(e1.kind, e2.kind)
-    lc, rc = cross_count(e1.kind), cross_count(e2.kind)
+    lc, rc = e1.kind.c, e2.kind.c
     E1, C1 = e1.numerator.table
     E2, C2 = e2.numerator.table
     T1, T2 = len(E1), len(E2)
@@ -322,7 +318,7 @@ def oracle_compose_values(
             f"{grid.nodes_per_axis} nodes per axis cannot integrate middle degree {max_ab}"
         )
 
-    z, zp = _stack_points(eval_points, unprimed_dim(e1.kind), primed_dim(e2.kind))
+    z, zp = _stack_points(eval_points, e1.kind.du, e2.kind.dp)
     factor = (
         monomial_values(variable_columns(e1.dims.n, z, z.conj(), 1.0, 1.0), E1)[:, :, None]
         * monomial_values(variable_columns(e2.dims.n, 1.0, 1.0, zp, zp.conj()), E2)[:, None, :]
@@ -360,8 +356,8 @@ def oracle_compose(
 ) -> OracleReport:
     """Compare the closed-form composite against direct quadrature.
 
-    ``expected`` defaults to ``compose(e1, e2)``; pass it explicitly for
-    kind pairs outside the closed-form table.
+    ``expected`` defaults to ``compose(e1, e2)``; pass it to check another
+    closed form.
     """
     n_mid = _middle_dim(e1, e2)
     if grid is None:
@@ -373,7 +369,7 @@ def oracle_compose(
     if expected is None:
         expected = compose(e1, e2)
     numeric = oracle_compose_values(e1, e2, grid, eval_points)
-    want = expected.evaluate_batch(*_stack_points(eval_points, unprimed_dim(e1.kind), primed_dim(e2.kind)))
+    want = expected.evaluate_batch(*_stack_points(eval_points, e1.kind.du, e2.kind.dp))
     return _report(want, np.array(numeric).reshape(want.shape), grid, rel_tol)
 
 
@@ -435,14 +431,14 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     here (both slots must carry the same dimension).
     """
     kind = expr.kind
-    d = unprimed_dim(kind)
-    if primed_dim(kind) != d:
+    d = kind.du
+    if kind.dp != d:
         raise ValueError("pairing needs a square kernel (Bergman or OrthBergman)")
     beta = tuple(int(x) for x in beta)
     gamma = tuple(int(x) for x in gamma)
     if len(beta) != d or len(gamma) != d:
         raise ValueError(f"index length must be {d}")
-    return _pairing_sum(expr.numerator.sorted_terms(), cross_count(kind), expr.dims.fiber_rank, beta, gamma)
+    return _pairing_sum(expr.numerator.sorted_terms(), kind.c, expr.dims.fiber_rank, beta, gamma)
 
 
 def _pairing_sum(terms: list, c: int, r: int, beta: tuple[int, ...], gamma: tuple[int, ...]) -> np.ndarray:
@@ -485,22 +481,23 @@ def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
 def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     """Operator norm from the largest eigenvalue of a Gram matrix of basis images.
 
-    Builds T*T (or TT* when that is the composable side), evaluates it
-    exactly on the weighted monomial basis up to ``basis_cutoff`` and takes
-    the square root of the PSD matrix's top eigenvalue.  The result is a
-    monotone lower bound converging in the cutoff.
+    Builds the Gram kernel on the smaller side, T*T on C^dp when
+    ``dp <= du`` and TT* on C^du otherwise, evaluates it exactly on the
+    weighted monomial basis up to ``basis_cutoff`` and takes the square root
+    of the PSD matrix's top eigenvalue.  The result is a monotone lower
+    bound converging in the cutoff.
     """
     if isinstance(op, KernelExpr):
         op = ScaledKernel(op, 1.0, 1.0)
-    try:
+    if op.kind.dp <= op.kind.du:
         gram_kernel = _scaled_compose(op.adjoint(), op)
-    except UnsupportedCompositionError:
+    else:
         gram_kernel = _scaled_compose(op, op.adjoint())
-    d = unprimed_dim(gram_kernel.kind)
+    d = gram_kernel.kind.du
     r = gram_kernel.expr.dims.fiber_rank
     basis = fock_indices(d, basis_cutoff)
     blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
-    terms, c = gram_kernel.expr.numerator.sorted_terms(), cross_count(gram_kernel.kind)
+    terms, c = gram_kernel.expr.numerator.sorted_terms(), gram_kernel.kind.c
     for ib, b in enumerate(basis):
         for ig, g in enumerate(basis):
             raw = _pairing_sum(terms, c, r, b, g)

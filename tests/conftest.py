@@ -124,20 +124,18 @@ def random_poly(
 
 
 def trim_poly_for_kind(poly: Poly, kind) -> Poly:
-    """Zero out the variables the kernel kind's domain check forbids."""
-    if isinstance(kind, Extension):
-        for i in range(kind.m + 1, kind.n + 1):
-            poly = poly.set_var_zero(i, 2).set_var_zero(i, 3)
-    if isinstance(kind, Restriction):
-        for i in range(kind.m + 1, kind.n + 1):
-            poly = poly.set_var_zero(i, 0).set_var_zero(i, 1)
+    """Zero out the variables the kernel kind's domain check forbids: unprimed
+    ones beyond ``du`` and primed ones beyond ``dp``."""
+    for i in range(kind.du + 1, kind.n + 1):
+        poly = poly.set_var_zero(i, 0).set_var_zero(i, 1)
+    for i in range(kind.dp + 1, kind.n + 1):
+        poly = poly.set_var_zero(i, 2).set_var_zero(i, 3)
     return poly
 
 
 def random_kernel_expr(rng: np.random.Generator, kind, fiber_rank: int = 1, max_deg: int = 4) -> KernelExpr:
     n = kind.n
-    m = getattr(kind, "m", n)
-    dims = Dims(n=n, l=n, m=m, fiber_rank=fiber_rank)
+    dims = Dims(n=n, l=n, m=kind.m, fiber_rank=fiber_rank)
     poly = random_poly(rng, dims, max_deg=max_deg)
     poly = trim_poly_for_kind(poly, kind)
     if poly.is_zero():

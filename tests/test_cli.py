@@ -20,6 +20,7 @@ from fockcalc import (
     GeometrySample,
     KernelExpr,
     NormalDirection,
+    OrthBergman,
     Poly,
     Restriction,
     Symbol,
@@ -73,7 +74,14 @@ def test_compose_round_trip(tmp_path, capsys):
     assert run(["compose", "--left", lf, "--right", rf]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["schema"] == "compose/1"
-    assert out["plan"]["result_kind"] == "Bergman(1)"
+    assert out["plan"] == {
+        "left_kind": "Bergman(1)",
+        "right_kind": "Bergman(1)",
+        "result_kind": "Bergman(1)",
+        "middle_dim": 1,
+        "left_cross": 1,
+        "right_cross": 1,
+    }
     assert out["result"]["schema"] == "kernel/1"
     # the emitted kernel is valid input: compose it again
     back = write_json(tmp_path, "back.json", out["result"])
@@ -100,7 +108,8 @@ def test_compose_golden_value(tmp_path, capsys):
 def test_compose_error_paths(tmp_path):
     ef = kernel_file(tmp_path, "e.json", unit_expr(Extension(2, 1)))
     rf = kernel_file(tmp_path, "r.json", unit_expr(Restriction(2, 1)))
-    assert run(["compose", "--left", ef, "--right", rf]) == 2  # unsupported pair
+    assert run(["compose", "--left", rf, "--right", rf]) == 2  # middle dimensions 2 and 1
+    assert run(["compose", "--left", ef, "--right", ef]) == 2  # middle dimensions 1 and 2
     assert run(["compose", "--left", str(tmp_path / "nope.json"), "--right", rf]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -112,6 +121,18 @@ def test_compose_error_paths(tmp_path):
     body = json.loads((tmp_path / "e.json").read_text())
     extra = write_json(tmp_path, "extra.json", {**body, "colour": "green"})
     assert run(["compose", "--left", extra, "--right", rf]) == 2
+
+
+def test_compose_result_without_a_kind_name_exits_2(tmp_path, capsys):
+    # Extension(3,2) o OrthBergman(2,1) is the kind (3, 2, 1), which kernel/1 cannot name
+    lf = kernel_file(tmp_path, "e.json", unit_expr(Extension(3, 2)))
+    rf = kernel_file(tmp_path, "ob.json", unit_expr(OrthBergman(2, 1)))
+    assert run(["compose", "--left", lf, "--right", rf]) == 2
+    err = capsys.readouterr().err
+    assert err == "fockcalc: error: KernelKind(3,2,1) has no kernel/1 name\n"
+    # the oracle needs no name for the composite and still checks it
+    assert run(["oracle-check", "--left", lf, "--right", rf]) == 0
+    assert json.loads(capsys.readouterr().out)["plan"]["result_kind"] == "KernelKind(3,2,1)"
 
 
 def test_compose_output_deterministic(tmp_path):

@@ -1,18 +1,21 @@
-"""Closed-form composition: exact base cases, the kind table, algebraic laws."""
+"""Closed-form composition: exact base cases, the one composition rule, algebraic laws."""
 
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fockcalc import (
     Bergman,
     Dims,
     Extension,
     KernelExpr,
+    KernelKind,
     OrthBergman,
     Poly,
     Restriction,
@@ -20,19 +23,16 @@ from fockcalc import (
     base_terms,
     compose,
     compose_plan,
-    k_base,
+    default_eval_points,
     k_base_exact,
-    k_e,
-    k_ep,
-    k_nm,
-    k_prime_nm,
+    oracle_compose_values,
     unit_expr,
     DegreeOverflowError,
     var_offset,
 )
 from fockcalc.compose import _bracket, _pairing_table
 
-from conftest import random_kernel_expr, supported_kind_pairs, trim_poly_for_kind, random_poly
+from conftest import random_kernel_expr, supported_kind_pairs
 
 PI = math.pi
 
@@ -110,23 +110,21 @@ def test_composite_golden_tangential():
 def test_composite_golden_normal():
     # the same middle polynomial integrated over a normal coordinate: 1/pi.
     dims = Dims.of(1, m=0)
-    B = Poly.monomial(Dims.of(1, m=0), {"z1": 1, "zb1": 1})
-    got = k_base(B, 1, 0)
+    B = Poly.monomial(dims, {"z1": 1, "zb1": 1})
+    got = compose(unit_expr(OrthBergman(1, 0)), KernelExpr(B, OrthBergman(1, 0)))
     want = Poly.one(dims).scale(1 / PI)
-    assert got.max_coef_diff(want) < 1e-15
-    with pytest.raises(ValueError):
-        k_base(Poly.monomial(Dims.of(1, m=0), {"z'1": 1}), 1, 0)
+    assert got.numerator.max_coef_diff(want) < 1e-15
 
 
 def test_composite_mixed_coordinates():
     # one tangential and one normal middle coordinate at once.
     dims = Dims(n=2, l=2, m=1)
     mid = Poly.monomial(dims, {"z1": 1, "zb1": 1, "z2": 1, "zb2": 1})
-    got = k_base(mid, 2, 1)
+    got = compose(unit_expr(OrthBergman(2, 1)), KernelExpr(mid, OrthBergman(2, 1)))
     want = Poly.monomial(dims, {"z1": 1, "zb'1": 1}, 1 / PI).add(
         Poly.one(dims).scale(1 / PI**2)
     )
-    assert got.max_coef_diff(want) < 1e-15
+    assert got.numerator.max_coef_diff(want) < 1e-15
 
 
 def test_matrix_coefficients_multiply_in_operator_order():
@@ -139,60 +137,118 @@ def test_matrix_coefficients_multiply_in_operator_order():
     assert got.numerator.max_coef_diff(Poly.constant(dims, A @ B)) < 1e-15
 
 
-# -- the kind table ---------------------------------------------------------------------
+# -- the composition rule ----------------------------------------------------------------
 
 
 def test_plan_table_covers_all_supported_pairs():
     n, l, m = 3, 2, 1
-    expected_kinds = [
-        Bergman(n),
-        OrthBergman(n, m),
-        OrthBergman(n, m),
-        Extension(n, m),
-        Extension(n, m),
-        Bergman(m),
-        Extension(n, m),
-        Extension(n, m),
-        Restriction(n, m),
-        Restriction(n, m),
+    # result kind, middle dimension, left and right cross counts
+    expected = [
+        (Bergman(n), n, n, n),
+        (OrthBergman(n, m), n, m, m),
+        (OrthBergman(n, m), n, n, m),
+        (Extension(n, m), n, n, m),
+        (Extension(n, m), n, m, m),
+        (Bergman(m), n, m, m),
+        (Extension(n, m), m, m, m),
+        (Extension(n, m), l, l, m),
+        (Restriction(n, m), n, m, n),
+        (Restriction(n, m), m, m, m),
     ]
-    from fockcalc import kind_name
-
-    def kind_str(k):
-        if isinstance(k, Bergman):
-            return f"Bergman({k.n})"
-        return f"{kind_name(k)}({k.n},{k.m})"
-
-    for (k1, k2), want in zip(supported_kind_pairs(n, l, m), expected_kinds):
+    for (k1, k2), (want, mid, lc, rc) in zip(supported_kind_pairs(n, l, m), expected):
         plan = compose_plan(k1, k2)
-        assert plan.result_kind == kind_str(want)
+        assert plan.to_json_dict() == {
+            "left_kind": repr(k1),
+            "right_kind": repr(k2),
+            "result_kind": repr(want),
+            "middle_dim": mid,
+            "left_cross": lc,
+            "right_cross": rc,
+        }
         got = compose(unit_expr(k1), unit_expr(k2))
-        assert got.kind == want
-        d = plan.to_json_dict()
-        assert set(d) == {"left_kind", "right_kind", "result_kind", "rule"}
+        assert got.kind == want and type(got.kind) is type(want)
+    labels = compose_plan(Extension(n, l), Extension(l, m)).to_json_dict()
+    assert [labels[k] for k in ("left_kind", "right_kind", "result_kind")] == [
+        "Extension(3,2)",
+        "Extension(2,1)",
+        "Extension(3,1)",
+    ]
+    assert compose_plan(Bergman(m), Restriction(n, m)).left_kind == "Bergman(1)"
 
 
 def test_unsupported_pairs_raise():
+    # the left kind's primed dimension must equal the right kind's unprimed one
     bad = [
-        (Extension(2, 1), Restriction(2, 1)),
         (Restriction(2, 1), Restriction(2, 1)),
-        (OrthBergman(2, 1), Bergman(2)),
         (Extension(2, 1), OrthBergman(2, 1)),
         (OrthBergman(2, 1), Restriction(2, 1)),
-        (Restriction(2, 1), OrthBergman(2, 1)),
+        (Bergman(2), Bergman(3)),
+        (Bergman(2), Extension(3, 1)),
+        (Extension(3, 1), Extension(3, 1)),
+        (KernelKind(3, 2, 1), Bergman(3)),
     ]
     for k1, k2 in bad:
-        with pytest.raises(UnsupportedCompositionError):
+        with pytest.raises(UnsupportedCompositionError, match="^middle dimension mismatch in pair"):
             compose_plan(k1, k2)
-    # dimension mismatches inside supported shapes
-    with pytest.raises(UnsupportedCompositionError):
-        compose_plan(Bergman(2), Bergman(3))
-    with pytest.raises(UnsupportedCompositionError):
-        compose_plan(Bergman(2), Extension(3, 1))
-    with pytest.raises(UnsupportedCompositionError):
-        compose_plan(Extension(3, 1), Extension(3, 1))
-    with pytest.raises(UnsupportedCompositionError):
-        compose_plan(Restriction(3, 1), Extension(3, 2))
+        with pytest.raises(UnsupportedCompositionError):
+            compose(unit_expr(k1), unit_expr(k2))
+
+
+# Pairs the old ten-row kind table rejected although their middle dimensions
+# match; the last three compose to kinds the table never produced.
+NEWLY_COMPOSABLE = [
+    (Extension(2, 1), Restriction(2, 1)),
+    (OrthBergman(2, 1), Bergman(2)),
+    (Restriction(2, 1), OrthBergman(2, 1)),
+    (Restriction(3, 1), Extension(3, 2)),
+    (Extension(3, 2), OrthBergman(2, 1)),
+    (Extension(3, 1), Restriction(3, 1)),
+    (OrthBergman(3, 1), Extension(3, 2)),
+]
+
+
+@pytest.mark.parametrize("k1, k2", NEWLY_COMPOSABLE, ids=repr)
+def test_matching_middle_dimensions_compose_like_the_oracle(rng, k1, k2):
+    points = default_eval_points(k1, k2)
+    Z = np.array([z for z, _ in points]).reshape(len(points), k1.du)
+    Zp = np.array([zp for _, zp in points]).reshape(len(points), k2.dp)
+    for rank in (1, 2):
+        e1 = random_kernel_expr(rng, k1, rank, max_deg=3)
+        e2 = random_kernel_expr(rng, k2, rank, max_deg=3)
+        got = compose(e1, e2)
+        assert got.kind == KernelKind(k1.du, k2.dp, min(k1.c, k2.c))
+        want = np.array(oracle_compose_values(e1, e2, eval_points=points))
+        err = np.max(np.abs(got.evaluate_batch(Z, Zp) - want))
+        assert err <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def kind_chain(draw, length: int = 3, max_dim: int = 3):
+    """``length`` kinds on random descriptors, each one's primed dimension the next one's unprimed."""
+    dims = [draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(length + 1)]
+    return [
+        KernelKind(du, dp, draw(st.integers(min_value=0, max_value=min(du, dp))))
+        for du, dp in zip(dims, dims[1:])
+    ]
+
+
+def _coef_scale(e: KernelExpr) -> float:
+    return max(1.0, float(np.max(np.abs(e.numerator.coefs), initial=0.0)))
+
+
+@given(kind_chain(), st.sampled_from([1, 2]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_composition_is_associative_and_reversed_by_adjoints(kinds, rank, seed):
+    rng = np.random.default_rng(seed)
+    e1, e2, e3 = (random_kernel_expr(rng, kind, rank, max_deg=2) for kind in kinds)
+    left = compose(compose(e1, e2), e3)
+    right = compose(e1, compose(e2, e3))
+    assert left.kind == right.kind == KernelKind(kinds[0].du, kinds[2].dp, min(k.c for k in kinds))
+    assert left.numerator.max_coef_diff(right.numerator) <= 1e-10 * _coef_scale(left)
+    # (a o b)* == b* o a*
+    ab = compose(e1, e2).adjoint()
+    ba = compose(e2.adjoint(), e1.adjoint())
+    assert ab.kind == ba.kind
+    assert ab.numerator.max_coef_diff(ba.numerator) <= 1e-12 * _coef_scale(ab)
 
 
 def test_fiber_rank_mismatch():
@@ -224,38 +280,6 @@ def test_unit_kernel_identities():
     eq(compose(Enl, Elm), unit_expr(Extension(n, m)))  # transitivity
     eq(compose(R, B), R)
     eq(compose(Bm, R), R)
-
-
-def test_named_assemblies_match_kernel_composition(rng):
-    n, m = 2, 1
-    dims = Dims(n=n, l=n, m=m)
-    A1 = random_poly(rng, dims, max_deg=2)
-    A2 = random_poly(rng, dims, max_deg=2)
-
-    got = k_nm(A1, A2, n, m)
-    want = compose(KernelExpr(A1, OrthBergman(n, m)), KernelExpr(A2, OrthBergman(n, m)))
-    assert got.max_coef_diff(want.numerator) < 1e-12
-
-    got = k_prime_nm(A1, A2, n, m)
-    want = compose(KernelExpr(A1, Bergman(n)), KernelExpr(A2, OrthBergman(n, m)))
-    assert got.max_coef_diff(want.numerator) < 1e-12
-
-    Aext = trim_poly_for_kind(A1, Extension(n, m))
-    D = random_poly(rng, Dims.of(m), max_deg=2)
-    got = k_ep(Aext, D, n, m)
-    want = compose(KernelExpr(Aext, Extension(n, m)), KernelExpr(D, Bergman(m)))
-    assert got.max_coef_diff(want.numerator) < 1e-12
-    with pytest.raises(ValueError):
-        k_ep(Poly.monomial(dims, {"z'2": 1}), D, n, m)
-
-    n2, l2, m2 = 3, 2, 1
-    A4 = trim_poly_for_kind(random_poly(rng, Dims(n=n2, l=n2, m=l2), max_deg=2), Extension(n2, l2))
-    A5 = trim_poly_for_kind(random_poly(rng, Dims(n=l2, l=l2, m=m2), max_deg=2), Extension(l2, m2))
-    got = k_e(A4, A5, n2, l2, m2)
-    want = compose(KernelExpr(A4, Extension(n2, l2)), KernelExpr(A5, Extension(l2, m2)))
-    assert got.max_coef_diff(want.numerator) < 1e-12
-    with pytest.raises(ValueError):
-        k_e(A4, A5, n2, 1, 2)
 
 
 def test_associativity_of_supported_chains(rng):
@@ -371,12 +395,40 @@ def test_float_overflowing_pairing_fails_cleanly(a):
         compose(left, right, degree_cap=2 * a)
 
 
+def test_degree_cap_is_checked_before_any_pairing_table_is_built():
+    dims = Dims.of(1)
+    left = KernelExpr(Poly.monomial(dims, {"z'1": 1000}), Bergman(1))
+    right = KernelExpr(Poly.monomial(dims, {"zb1": 1000}), Bergman(1))
+    _pairing_table.cache_clear()
+    t0 = time.perf_counter()
+    with pytest.raises(DegreeOverflowError, match="^composition term degree 2000 exceeds cap 16$"):
+        compose(left, right)
+    assert time.perf_counter() - t0 < 0.1
+    # a pair that vanishes in one coordinate builds no table for the others either
+    dims = Dims.of(2, m=1)
+    left = KernelExpr(Poly.monomial(dims, {"z'1": 1000, "z'2": 1}), OrthBergman(2, 1))
+    right = KernelExpr(Poly.monomial(dims, {"zb1": 1000}), OrthBergman(2, 1))
+    assert compose(left, right).numerator.is_zero()
+    assert _pairing_table.cache_info().currsize == 0
+
+
+def test_uncoupled_coordinates_do_not_count_toward_the_cap():
+    # <w^10 | wbar^10> over a coordinate neither side couples is 10!/pi^10: a
+    # constant, although a + b = 20 exceeds the default cap of 16
+    dims = Dims.of(1, m=0)
+    left = KernelExpr(Poly.monomial(dims, {"z'1": 10}), OrthBergman(1, 0))
+    right = KernelExpr(Poly.monomial(dims, {"zb1": 10}), OrthBergman(1, 0))
+    out = compose(left, right).numerator
+    assert out.degree() == 0
+    assert out.max_coef_diff(Poly.constant(dims, math.factorial(10) / PI**10)) == 0.0
+
+
 # -- output bytes pinned across refactors ----------------------------------------------
 
 # SHA-256 over ``json.dumps(x.to_json_dict(), indent=2)`` of every ``Poly.mul``
 # and ``compose`` output of ``_pinned_outputs``, in order.  Any change to the
 # arithmetic, the accumulation order or the signed zeros changes it.
-PINNED_OUTPUT_SHA256 = "89740716cefdf4d837902bf45ed6a9375b50bb97b17539f647789abb332156a4"
+PINNED_OUTPUT_SHA256 = "1c94495bc904aecedc39bfd7a74641b5afbc5f79adfdd0eafd1617bf847cf702"
 
 
 def _numerator_slots(kind) -> list[int]:

@@ -18,14 +18,12 @@ from fockcalc import (
     ScaledKernel,
     apply_ladder,
     apply_model_laplacian,
-    cross_count,
+    KernelKind,
     kernel_eval,
     kernel_expr_eval,
     kind_from_json,
     kind_name,
-    primed_dim,
     unit_expr,
-    unprimed_dim,
 )
 
 from conftest import complex_rows, kind_st, random_kernel_expr, term_sum
@@ -72,14 +70,14 @@ def test_kernel_eval_restriction_and_orth(rng):
 @given(kind_st(), st.sampled_from([1, 2]), st.sampled_from([0, 1, 7]), st.data())
 def test_kernel_expr_eval_matches_gaussian_closed_form(kind, rank, count, data):
     e = random_kernel_expr(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), kind, rank, 3)
-    du, dp, n = unprimed_dim(kind), primed_dim(kind), kind.n
+    du, dp, n = kind.du, kind.dp, kind.n
     Z, Zp = data.draw(complex_rows(count, du)), data.draw(complex_rows(count, dp))
     batch = e.evaluate_batch(Z, Zp)
     assert batch.shape == (count, rank, rank)
     for row, z, zp in zip(batch, Z, Zp):
         # exp(-pi/2 (|Z|^2 + |Z'|^2) + pi sum over coupled i of z_i conj(z'_i))
         exponent = -0.5 * PI * (np.sum(np.abs(z) ** 2) + np.sum(np.abs(zp) ** 2))
-        exponent += PI * sum(z[i] * np.conj(zp[i]) for i in range(cross_count(kind)))
+        exponent += PI * sum(z[i] * np.conj(zp[i]) for i in range(kind.c))
         zf, zpf = np.concatenate([z, np.zeros(n - du)]), np.concatenate([zp, np.zeros(n - dp)])
         poly, scale = term_sum(e.numerator, np.stack([zf, zf.conj(), zpf, zpf.conj()], axis=1).ravel())
         want = poly * cmath.exp(exponent)
@@ -105,21 +103,51 @@ def test_restriction_is_bergman_on_padded_point(rng):
 
 
 def test_dims_helpers():
-    assert (unprimed_dim(Extension(3, 1)), primed_dim(Extension(3, 1))) == (3, 1)
-    assert (unprimed_dim(Restriction(3, 1)), primed_dim(Restriction(3, 1))) == (1, 3)
-    assert unprimed_dim(OrthBergman(3, 1)) == primed_dim(OrthBergman(3, 1)) == 3
-    assert cross_count(Bergman(3)) == 3
-    assert cross_count(OrthBergman(3, 1)) == 1
-    assert cross_count(Extension(3, 2)) == 2
-    assert cross_count(Restriction(3, 2)) == 2
+    # each named family is one descriptor (du, dp, c), with n = max(du, dp) and m = c
+    named = {
+        Bergman(3): (3, 3, 3),
+        OrthBergman(3, 1): (3, 3, 1),
+        Extension(3, 2): (3, 2, 2),
+        Restriction(3, 2): (2, 3, 2),
+    }
+    for kind, descriptor in named.items():
+        assert (kind.du, kind.dp, kind.c) == descriptor
+        assert (kind.n, kind.m) == (max(descriptor[:2]), descriptor[2])
+        assert kind == KernelKind(*descriptor) and hash(kind) == hash(KernelKind(*descriptor))
+    assert repr(Extension(3, 2)) == "Extension(3,2)" and repr(Bergman(3)) == "Bergman(3)"
+    assert repr(KernelKind(3, 2, 1)) == "KernelKind(3,2,1)"
+    # the three named families on m = n are the Bergman kind
+    assert OrthBergman(2, 2) == Extension(2, 2) == Restriction(2, 2) == Bergman(2)
+    assert Extension(2, 1) != Restriction(2, 1)
+    for du, dp, c in ((2, 1, 2), (1, 2, 2), (2, 2, -1), (-1, 2, 0)):
+        with pytest.raises(ValueError, match="need 0 <= c <= min"):
+            KernelKind(du, dp, c)
+    with pytest.raises(ValueError):
+        Extension(1, 2)
 
 
 def test_kind_json_round_trip():
     for kind in (Bergman(2), OrthBergman(3, 1), Extension(3, 2), Restriction(2, 0)):
-        dims = Dims(n=kind.n, l=kind.n, m=getattr(kind, "m", kind.n))
+        dims = Dims(n=kind.n, l=kind.n, m=kind.m)
         assert kind_from_json(kind_name(kind), dims) == kind
-    with pytest.raises(ValueError):
-        kind_from_json("Hankel", Dims.of(1))
+    # a kind keeps the name it was built with; a bare descriptor takes its canonical one
+    assert kind_name(Extension(2, 2)) == "Extension"
+    assert kind_name(KernelKind(2, 2, 2)) == "Bergman"
+    assert kind_name(KernelKind(1, 3, 1)) == "Restriction"
+    for name in ("Hankel", ["Bergman"], None):
+        with pytest.raises(ValueError, match="unknown kernel kind"):
+            kind_from_json(name, Dims.of(1))
+    # a descriptor outside the four families has no kernel/1 name
+    e = unit_expr(KernelKind(3, 2, 1))
+    for write in (lambda: kind_name(e.kind), e.to_json_dict):
+        with pytest.raises(ValueError, match=r"^KernelKind\(3,2,1\) has no kernel/1 name$"):
+            write()
+
+
+def test_adjoint_names_its_kind_canonically():
+    assert unit_expr(Extension(3, 1)).adjoint().kind.__class__ is Restriction
+    assert unit_expr(Extension(2, 2)).adjoint().kind.__class__ is Bergman
+    assert unit_expr(KernelKind(3, 2, 1)).adjoint().kind == KernelKind(2, 3, 1)
 
 
 # -- expression-level checks ------------------------------------------------------
@@ -138,6 +166,11 @@ def test_kernel_expr_domain_validation():
     KernelExpr(Poly.monomial(dims, {"z1": 1, "z'2": 1}), Restriction(2, 1))
     with pytest.raises(ValueError):
         KernelExpr(Poly.one(Dims.of(3)), Bergman(2))
+    # any descriptor: no variable beyond its slot's dimension
+    kind = KernelKind(3, 2, 1)
+    KernelExpr(Poly.monomial(Dims.of(3), {"z3": 1, "zb'2": 1}), kind)
+    with pytest.raises(ValueError, match=r"^KernelKind\(3,2,1\) numerator uses a primed coordinate beyond 2$"):
+        KernelExpr(Poly.monomial(Dims.of(3), {"zb'3": 1}), kind)
 
 
 def test_kernel_expr_eval_and_add_scale(rng):
@@ -244,8 +277,8 @@ def test_ladder_matches_finite_differences(rng, which, slot):
     for e, j in cases:
         out = apply_ladder(e, j, which, slot)
         for _ in range(4):
-            Z = _pts(rng, unprimed_dim(e.kind)) * 0.5
-            Zp = _pts(rng, primed_dim(e.kind)) * 0.5
+            Z = _pts(rng, e.kind.du) * 0.5
+            Zp = _pts(rng, e.kind.dp) * 0.5
             got = out.evaluate(Z, Zp)[0, 0]
             want = _numeric_ladder(e, j, which, slot, Z, Zp)
             assert abs(got - want) < 2e-7 * max(1.0, abs(want))
@@ -254,9 +287,9 @@ def test_ladder_matches_finite_differences(rng, which, slot):
 def test_annihilation_kills_unit_kernels():
     for kind in (Bergman(2), OrthBergman(2, 1), Extension(2, 1)):
         e = unit_expr(kind)
-        for j in range(1, unprimed_dim(kind) + 1):
+        for j in range(1, kind.du + 1):
             assert apply_ladder(e, j, "annihilation").numerator.is_zero()
-        for j in range(1, primed_dim(kind) + 1):
+        for j in range(1, kind.dp + 1):
             assert apply_ladder(e, j, "annihilation", "primed").numerator.is_zero()
 
 
@@ -279,7 +312,7 @@ def test_ladder_commutator_is_4pi(rng):
 
     for kind, slot in ((Bergman(2), "unprimed"), (Bergman(2), "primed"), (Extension(2, 1), "unprimed")):
         e = random_kernel_expr(rng, kind, max_deg=3)
-        for j in range(1, (unprimed_dim(kind) if slot == "unprimed" else primed_dim(kind)) + 1):
+        for j in range(1, (kind.du if slot == "unprimed" else kind.dp) + 1):
             ac = apply_ladder(apply_ladder(e, j, "creation", slot), j, "annihilation", slot)
             ca = apply_ladder(apply_ladder(e, j, "annihilation", slot), j, "creation", slot)
             comm = ac.numerator.sub(ca.numerator)

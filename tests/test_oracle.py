@@ -310,6 +310,34 @@ def test_norm_estimate_model_operator():
     assert abs(norm_estimate(op, basis_cutoff=8) - want) < 1e-10
 
 
+# Estimates pinned bit for bit: the Gram kernel is T*T on C^dp when dp <= du
+# and TT* on C^du otherwise, so restriction operators (dp = n > du = m) keep
+# their Gram matrix on C^m.
+PINNED_NORMS = [
+    ((1, 0, (0,), (1,)), "adjoint", 1.0, 4, 0.5641895835477563),
+    ((1, 0, (0,), (1,)), "adjoint", 4.0, 6, 1.1283791670955126),
+    ((2, 1, (0,), (1,)), "adjoint", 1.0, 4, 0.5641895835477564),
+    ((2, 1, (0,), (1,)), "adjoint", 4.0, 6, 1.1283791670955128),
+    ((3, 1, (1, 0), (0, 1)), "adjoint", 1.0, 4, 0.3183098861837907),
+    ((3, 1, (1, 0), (0, 1)), "adjoint", 4.0, 6, 1.2732395447351628),
+    ((3, 2, (2,), (1,)), "adjoint", 1.0, 4, 0.4398968135815455),
+    ((3, 2, (2,), (1,)), "adjoint", 4.0, 6, 0.879793627163091),
+    ((3, 2, (2,), (1,)), "direct", 4.0, 6, 0.21994840679077274),
+]
+
+
+@pytest.mark.parametrize("shape, variant, p, cutoff, want", PINNED_NORMS)
+def test_norm_estimate_gram_side_is_pinned(shape, variant, p, cutoff, want):
+    op = m_op(Symbol.monomial(*shape), p=p, variant=variant)
+    assert norm_estimate(op, cutoff) == want
+
+
+def test_norm_estimate_z1_is_pinned():
+    z1 = KernelExpr(Poly.monomial(Dims.of(1), {"z1": 1}), Bergman(1))
+    got = [norm_estimate(z1, cutoff) for cutoff in (0, 2, 4, 8, 16)]
+    assert got == [0.5641895835477563, 0.9772050238058398, 1.2615662610100802, 1.692568750643269, 2.326213245840639]
+
+
 def test_norm_estimate_scaling():
     e = unit_expr(Bergman(1))
     assert abs(norm_estimate(ScaledKernel(e, 1.0, 2.5), 4) - 2.5) < 1e-9

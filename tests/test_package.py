@@ -1,5 +1,6 @@
 """The package namespace: the public names, and that they load lazily."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 
 import fockcalc
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SUBMODULES = ("poly", "kernels", "compose", "oracle", "operators", "geometry")
 
 # The public API.  Removing a name is an API change: note it in CHANGES.md.
@@ -24,11 +26,10 @@ PUBLIC_API = {
     # kernels
     "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
     "ScaledKernel", "unit_expr", "kernel_eval", "kernel_expr_eval", "apply_ladder",
-    "apply_model_laplacian", "kind_name", "kind_from_json", "unprimed_dim", "primed_dim",
-    "cross_count", "TOEPLITZ_KINDS",
+    "apply_model_laplacian", "kind_name", "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
     # compose
-    "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "k_base",
-    "k_nm", "k_prime_nm", "k_ep", "k_e", "compose", "compose_plan",
+    "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "compose",
+    "compose_plan",
     # oracle
     "InsufficientNodesError", "QuadGrid", "OracleReport", "FockIndex", "fock_indices",
     "gauss_hermite", "gaussian_mesh", "gaussian_moment", "fock_norm", "default_eval_points",
@@ -73,6 +74,26 @@ def test_each_name_is_the_object_its_submodule_defines():
     assert set(owner) == PUBLIC_API - {"__version__"}
     for attr, module in owner.items():
         assert getattr(fockcalc, attr) is getattr(module, attr)
+
+
+def test_benchmark_uses_only_public_names():
+    # the benchmark imports names and submodules from the package and calls
+    # names through ``call("<name>", ...)`` or ``partial(call, "<name>", ...)``;
+    # each name must stay in ``__all__``
+    used = {}
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fockcalc":
+                used.update({alias.name: path.name for alias in node.names})
+            elif isinstance(node, ast.Call):
+                args = [node.func, *node.args]
+                for fn, name in zip(args, args[1:]):
+                    if isinstance(fn, ast.Name) and fn.id == "call" and isinstance(name, ast.Constant):
+                        used[name.value] = path.name
+    assert {"primed_dim", "kind_name", "compose_plan", "flat_defect_checks"} <= set(used)
+    modules = {*SUBMODULES, "cli"}
+    missing = {name: where for name, where in used.items() if name not in {*fockcalc.__all__, *modules}}
+    assert not missing
 
 
 def test_unknown_names_raise_attribute_error():
