@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,6 +58,13 @@ def _multi_factorial(alpha: MultiIndex) -> int:
     for a in alpha:
         out *= math.factorial(a)
     return out
+
+
+def _check_level(p: float) -> float:
+    """The scaling level as a float; it must be finite and >= 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    return float(p)
 
 
 # -- symbols ------------------------------------------------------------------
@@ -321,8 +329,8 @@ class CutoffSpec:
     profile: str = "smooth_bump"
 
     def __post_init__(self) -> None:
-        if self.r_perp <= 0:
-            raise ValueError("r_perp must be positive")
+        if not (math.isfinite(self.r_perp) and self.r_perp > 0):
+            raise ValueError(f"r_perp must be positive and finite, got {self.r_perp!r}")
         if self.profile not in ("smooth_bump", "identity"):
             raise ValueError(f"unknown cutoff profile {self.profile!r}")
 
@@ -447,9 +455,7 @@ class BracketField:
 
 
 def bracket(g: Symbol, p: float, cutoff: CutoffSpec | None = None) -> BracketField:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return BracketField(g, float(p), cutoff or IDENTITY_CUTOFF)
+    return BracketField(g, _check_level(p), cutoff or IDENTITY_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -491,8 +497,7 @@ def m_op(
     Identity cutoff returns a :class:`ScaledKernel`; a smooth bump returns a
     sampled :class:`MOpField` (or raises if ``symbolic=True`` is forced).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _check_level(p)
     n = g.n if n is None else int(n)
     m = g.m if m is None else int(m)
     if (n, m) != (g.n, g.m):
@@ -504,11 +509,11 @@ def m_op(
         raise ValueError("smooth_bump cutoff has no symbolic kernel form")
     if variant == "direct":
         expr = KernelExpr(g.to_poly("unprimed"), Extension(n, m))
-        base = ScaledKernel(expr, float(p), float(p) ** m)
+        base = ScaledKernel(expr, p, p**m)
         slot = "unprimed"
     elif variant == "adjoint":
         expr = KernelExpr(g.to_poly("primed"), Restriction(n, m))
-        base = ScaledKernel(expr, float(p), float(p) ** n)
+        base = ScaledKernel(expr, p, p**n)
         slot = "primed"
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -532,8 +537,13 @@ class HgpResult:
         return float(np.max(np.abs(self.h_sq - self.leading)))
 
 
+@lru_cache(maxsize=8)
 def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _radial_pieces(N: int, R: float, cutoff: CutoffSpec) -> list[tuple[float, float]]:
@@ -573,11 +583,14 @@ def h_gp(
     e^{-pi|u|^2} g(u)^H g(u) rho(|u| / (sqrt(p) r_perp))^2 du.  Off-diagonal
     bidegrees vanish against the radial weight, so each diagonal bidegree
     alpha reduces to a 1-d radial integral with the Dirichlet constant
-    pi^k * prod(alpha_i!) / (|alpha| + k - 1)!.
+    pi^k * prod(alpha_i!) / (|alpha| + k - 1)!.  ``grid`` is the number of
+    Gauss-Legendre nodes on each of the radial pieces; the rule for a node
+    count is built once and cached.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _check_level(p)
     cutoff = cutoff or IDENTITY_CUTOFF
+    if grid is not None and not float(grid).is_integer():
+        raise ValueError(f"grid must be an integer node count, got {grid!r}")
     nodes = 160 if grid is None else int(grid)
     if nodes < 8:
         from .oracle import InsufficientNodesError
@@ -586,7 +599,7 @@ def h_gp(
     k = g.k
     r = g.fiber_rank
     product = g.adjoint().mul(g)
-    leading = lambda_eq(product) / float(p) ** k
+    leading = lambda_eq(product) / p**k
     if k == 0:
         consts = product.terms().get(((), ()))
         h_sq = np.zeros((r, r), dtype=complex) if consts is None else consts.copy()
@@ -602,7 +615,7 @@ def h_gp(
             moments[N] = _radial_moment(N + k - 1, R, cutoff, nodes)
         dirichlet = PI**k * _multi_factorial(hol) / math.factorial(N + k - 1)
         h_sq = h_sq + coef * dirichlet * moments[N]
-    return HgpResult(h_sq=h_sq / float(p) ** k, leading=leading)
+    return HgpResult(h_sq=h_sq / p**k, leading=leading)
 
 
 # -- norm constants -------------------------------------------------------------
@@ -614,8 +627,8 @@ def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[floa
     kappas = [1.0] if kappa_samples is None else [float(v) for v in kappa_samples]
     if not kappas:
         raise ValueError("need at least one kappa sample")
-    if any(v <= 0 for v in kappas):
-        raise ValueError("kappa samples must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in kappas):
+        raise ValueError(f"kappa samples must be positive and finite, got {kappas}")
     lam1 = max(0.0, float(hermitian_eigs(lambda_eq(g.adjoint().mul(g)))[-1]))
     lam2 = max(0.0, float(hermitian_eigs(lambda_eq(g.mul(g.adjoint())))[-1]))
     c1 = max(math.sqrt(v) for v in kappas) * math.sqrt(lam1)
@@ -660,8 +673,8 @@ def toeplitz_flat_composite(family: str, g: Symbol) -> KernelExpr:
     family XY: (B - Borth) o (B g B) o E  -> lambda_h(g) * Extension(n, m)
     family YX: Res o (B g B) o (B - Borth)-> lambda_a(g) * Restriction(n, m)
 
-    Borth = E o Res is the projector onto the sub-band; its leg is applied
-    as E after Res, one composition at a time.
+    Borth = E o Res is the projector onto the sub-band, an OrthBergman(n, m)
+    kernel composed directly from the pair.
     """
     n, m, r = g.n, g.m, g.fiber_rank
     bergman = unit_expr(Bergman(n), r)
@@ -672,11 +685,11 @@ def toeplitz_flat_composite(family: str, g: Symbol) -> KernelExpr:
         return compose(res, compose(sandwich, ext))
     if family == "XY":
         inner = compose(sandwich, ext)
-        through = compose(ext, compose(res, inner))
+        through = compose(compose(ext, res), inner)
         return compose(bergman, inner).add(through.scale(-1.0))
     if family == "YX":
         left = compose(res, sandwich)
-        through = compose(compose(left, ext), res)
+        through = compose(left, compose(ext, res))
         return compose(left, bergman).add(through.scale(-1.0))
     raise ValueError(f"unknown family {family!r}; expected YY, XY or YX")
 

@@ -164,10 +164,11 @@ class QuadGrid:
     weight_scale: float = PI
 
     def __post_init__(self):
-        if self.nodes_per_axis < 1:
-            raise ValueError("nodes_per_axis must be >= 1")
-        if self.weight_scale <= 0:
-            raise ValueError("weight_scale must be positive")
+        nodes, scale = self.nodes_per_axis, self.weight_scale
+        if not float(nodes).is_integer() or nodes < 1:
+            raise ValueError(f"nodes_per_axis must be an integer >= 1, got {nodes!r}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"weight_scale must be positive and finite, got {scale!r}")
 
     def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights absorbing the Gaussian: sum w f(x) ~ int f(x) e^{-s x^2} dx."""

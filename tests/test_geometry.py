@@ -307,6 +307,55 @@ def test_tower_flat_is_zero():
     assert np.max(np.abs(tower_dp3([flat], {"e1": 1.0, "e2": 1.0}))) == 0.0
 
 
+# Rank 2: non-diagonal, non-Hermitian nabla_lambda_diff, so a transposed or
+# conjugated matrix term would show.
+_NABLA_A = 2.0 * PI * np.array([[0.0, 1.0], [-3.0, 0.0]])
+_NABLA_B = np.array([[1.0 + 2.0j, 3.0 - 1.0j], [0.5j, -2.0]])
+
+
+def _rank_two_closed_form(components):
+    """sum_d c_d (d_scal_diff/(8 pi) I + (i/(2 pi)) nabla_lambda_diff)."""
+    return sum(
+        c * (d_scal / (8.0 * PI) * np.eye(2) + (1j / (2.0 * PI)) * nabla)
+        for c, d_scal, nabla in components
+    )
+
+
+def _rank_two_sample(sid="r2"):
+    return GeometrySample(
+        id=sid,
+        normal_dirs=(
+            wy("a", d_scal=8.0 * PI, nabla=_NABLA_A),
+            wy("b", d_scal=-3.0, nabla=_NABLA_B),
+            NormalDirection(id="x", level="XW", d_scal_diff=5.0, nabla_lambda_diff=_NABLA_B),
+        ),
+    )
+
+
+def test_dp3_rank_two_golden():
+    data = data_with([_rank_two_sample()], fiber_rank=2)
+    # d_scal = 8 pi gives I; (i/(2 pi)) * 2 pi [[0, 1], [-3, 0]] = [[0, i], [-3i, 0]]
+    assert np.allclose(dp3(data, {"a": 1.0}), [[1.0, 1.0j], [-3.0j, 1.0]], rtol=0, atol=1e-15)
+    got = dp3(data, {"a": 0.5 - 1.0j, "b": 2.0j, "x": 7.0})
+    want = _rank_two_closed_form([(0.5 - 1.0j, 8.0 * PI, _NABLA_A), (2.0j, -3.0, _NABLA_B)])
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+    flipped = _rank_two_closed_form([(0.5 - 1.0j, 8.0 * PI, _NABLA_A.T), (2.0j, -3.0, _NABLA_B.T)])
+    assert np.max(np.abs(got - flipped)) > 0.1
+
+
+def test_tower_rank_two_golden():
+    lower = _rank_two_sample("low")
+    upper = GeometrySample(id="up", normal_dirs=(wy("c", d_scal=1.0, nabla=_NABLA_B.conj()),))
+    direction = {"a": 1.0, "b": -0.5, "c": 1.0j}
+    got = tower_dp3([lower, upper], direction, fiber_rank=2)
+    want = _rank_two_closed_form(
+        [(1.0, 8.0 * PI, _NABLA_A), (-0.5, -3.0, _NABLA_B), (1.0j, 1.0, _NABLA_B.conj())]
+    )
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+    single = tower_dp3([lower], {"a": 1.0, "b": -0.5}, fiber_rank=2)
+    assert np.array_equal(single, dp3(data_with([lower], fiber_rank=2), {"a": 1.0, "b": -0.5}))
+
+
 def test_tower_errors():
     lower = GeometrySample(id="low", normal_dirs=(wy("e1"),))
     with pytest.raises(ValueError, match="at least one level"):

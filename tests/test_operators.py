@@ -36,6 +36,7 @@ from fockcalc import (
     toeplitz_leading,
     toeplitz_predicted_kernel,
 )
+from fockcalc import operators
 from fockcalc.geometry import hermitian_eigs
 
 from conftest import complex_rows, random_symbol, term_sum
@@ -207,6 +208,12 @@ def test_cutoff_validation():
         CutoffSpec(profile="hard_edge")
 
 
+@pytest.mark.parametrize("r_perp", [math.nan, math.inf])
+def test_cutoff_rejects_non_finite_radius(r_perp):
+    with pytest.raises(ValueError, match="r_perp must be positive and finite"):
+        CutoffSpec(r_perp=r_perp)
+
+
 # -- Lambda contractions ---------------------------------------------------------------
 
 
@@ -338,6 +345,11 @@ def test_m_op_errors():
         m_op(g, p=2.0, cutoff=CutoffSpec(), symbolic=True)
 
 
+def test_m_op_rejects_nan_level():
+    with pytest.raises(ValueError, match="p must be finite"):
+        m_op(Symbol.monomial(1, 0, (0,), (1,)), p=math.nan)
+
+
 def test_m_op_bump_field():
     g = Symbol.monomial(2, 1, (1,), (0,))
     op = m_op(g, p=1.0, cutoff=CutoffSpec(r_perp=1.0))
@@ -412,6 +424,57 @@ def test_h_gp_errors():
         h_gp(g, grid=4)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_h_gp_rejects_non_finite_level(p):
+    with pytest.raises(ValueError, match="p must be finite"):
+        h_gp(Symbol.monomial(1, 0, (0,), (1,)), p=p)
+
+
+def test_h_gp_rejects_fractional_grid():
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        h_gp(Symbol.monomial(1, 0, (0,), (1,)), grid=8.7)
+
+
+def test_gl_rule_is_built_once_per_node_count(monkeypatch):
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        builds.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    operators._gl_rule.cache_clear()
+    g = Symbol.monomial(2, 0, (1, 0), (2, 1)).add(Symbol.monomial(2, 0, (0, 0), (0, 3)))
+    for cutoff in (None, CutoffSpec(r_perp=1.0)):
+        for p in (1.0, 4.0, 64.0):
+            h_gp(g, p=p, cutoff=cutoff, grid=96)
+    operators._gl_rule.cache_clear()
+    assert builds == [96]
+
+
+def test_gl_rule_arrays_are_read_only():
+    x, w = operators._gl_rule(64)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("grid", [64, 160])
+@pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
+def test_h_gp_cached_rule_is_bit_identical(monkeypatch, grid, cutoff):
+    terms = {((1, 0), (1, 2)): [[1.0, 2.0j], [0.5, -1.0]], ((0, 2), (0, 0)): 3.0 * np.eye(2)}
+    g = Symbol.from_terms(2, 0, terms, fiber_rank=2)
+    cached = [h_gp(g, p=p, cutoff=cutoff, grid=grid) for p in (1.0, 8.0)]
+    cached += [h_gp(g, p=p, cutoff=cutoff, grid=grid) for p in (1.0, 8.0)]  # cache hits
+    monkeypatch.setattr(operators, "_gl_rule", np.polynomial.legendre.leggauss)
+    fresh = [h_gp(g, p=p, cutoff=cutoff, grid=grid) for p in (1.0, 8.0)] * 2
+    for got, want in zip(cached, fresh):
+        assert np.array_equal(got.h_sq, want.h_sq)
+        assert np.array_equal(got.leading, want.leading)
+
+
 # -- norm constants ----------------------------------------------------------------------
 
 
@@ -429,6 +492,11 @@ def test_c1_c2():
         c1_c2(g, kappa_samples=[])
     with pytest.raises(ValueError):
         c1_c2(g, kappa_samples=[-1.0])
+
+
+def test_c1_c2_rejects_nan_kappa():
+    with pytest.raises(ValueError, match="positive and finite"):
+        c1_c2(Symbol.monomial(1, 0, (0,), (1,)), kappa_samples=[math.nan])
 
 
 # -- leading-term dispatch ------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_quad_grid():
         QuadGrid(nodes_per_axis=3, n=1, weight_scale=-1.0)
 
 
+def test_quad_grid_rejects_nan_weight_scale():
+    with pytest.raises(ValueError, match="weight_scale must be positive and finite"):
+        QuadGrid(4, 1, weight_scale=math.nan)
+
+
+def test_quad_grid_rejects_fractional_node_count():
+    with pytest.raises(ValueError, match="nodes_per_axis must be an integer"):
+        QuadGrid(4.5, 1)
+
+
 # -- basis bookkeeping ---------------------------------------------------------------
 
 
