@@ -20,13 +20,12 @@ neither         [a == b]  a! pi^-a
 Everything else (outer polynomial factors, spectator variables, matrix
 coefficients multiplying in operator order) tensors over coordinates.
 The generator :func:`base_terms` yields exact rational-in-1/pi
-coefficients; the float engine reads the same terms through a memoised
-float table.
+coefficients; the float engine reads the same terms from one bounded
+registry of float entries, which builds each coordinate's table once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect, _group
+from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect
 from .kernels import KernelExpr, KernelKind, _named
 
 __all__ = [
@@ -112,39 +111,77 @@ def k_base_exact(a: int, b: int, coordinate_kind: str) -> dict[tuple[int, int], 
         lc = rc = False
     else:
         raise ValueError(f"coordinate_kind must be 'tangential' or 'normal', got {coordinate_kind!r}")
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for dz, dzp, coef, p in base_terms(a, b, lc, rc):
-        out.setdefault((dz, dzp), {})
-        out[(dz, dzp)][p] = out[(dz, dzp)].get(p, Fraction(0)) + coef
-    return {k: v for k, v in out.items() if any(c != 0 for c in v.values())}
+    # base_terms yields each (dz, dzp) once, with a positive coefficient
+    return {(dz, dzp): {p: coef} for dz, dzp, coef, p in base_terms(a, b, lc, rc)}
 
 
 # -- the shared bracket core --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _pairing_table(
-    a: int, b: int, left_cross: bool, right_cross: bool
-) -> tuple[tuple[int, int, float], ...]:
+def _pairing_table(a: int, b: int, left_cross: bool, right_cross: bool) -> tuple[tuple[int, int, float], ...]:
     """:func:`base_terms` in float form: ``((dz, dzp, coef / pi**p), ...)``.
 
-    Memoised: exponents up to the default degree cap give about a thousand
-    keys, well inside the cache bound.  An empty table means the pairing
-    vanishes.  A coefficient too large for a float reads ``inf``; the
-    bracket checks the degree cap before it builds any table, so only
-    pairs within the cap get here.
+    The bracket reads it through the pairing registry, which builds each key's
+    table once.  An empty table means the pairing vanishes.  A coefficient
+    too large for a float reads ``inf``; the bracket checks the degree cap
+    before it builds any table, so only pairs within the cap get here.
     """
-    return tuple(
-        (dz, dzp, _over_pi_power(frac, p))
-        for dz, dzp, frac, p in base_terms(a, b, left_cross, right_cross)
-    )
+    table = []
+    for dz, dzp, frac, p in base_terms(a, b, left_cross, right_cross):
+        try:
+            table.append((dz, dzp, float(frac) / PI**p))
+        except OverflowError:
+            table.append((dz, dzp, math.inf))
+    return tuple(table)
 
 
-def _over_pi_power(frac: Fraction, p: int) -> float:
-    try:
-        return float(frac) / PI**p
-    except OverflowError:
-        return math.inf
+#: Middle exponents below this pack into one registry key.
+_EXPONENT_LIMIT = 1 << 30
+_PACK = np.array([4 * _EXPONENT_LIMIT, 4])  # (a, b) -> 4 * (a * _EXPONENT_LIMIT + b)
+#: The registry starts afresh rather than hold more keys (the default cap allows about a thousand).
+_REGISTRY_BOUND = 4096
+
+
+class _PairingRegistry:
+    """Every pairing table built so far, as flat float entries, in one tuple
+    replaced whole: the sorted keys and a sentinel after them, each key's
+    first entry and entry count (0 where the pairing vanishes), and per entry
+    the ``(dz, 0, 0, dzp)`` it adds to its coordinate's exponents and its
+    coefficient.  A key, ``4 * (a * _EXPONENT_LIMIT + b) + 2 * left_cross +
+    right_cross``, names one middle coordinate's pairing."""
+
+    state = (np.array([2**63 - 1]), *np.zeros((2, 0), np.int64), np.zeros((0, 4), np.int64), np.zeros(0))
+
+    def __len__(self) -> int:
+        return len(self.state[1])
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each key's first entry and entry count, then every entry's step and coefficient."""
+        state = self.state
+        at = state[0].searchsorted(keys)
+        if not (state[0][at] == keys).all():
+            wanted = set(keys.ravel().tolist())
+            if len(self) + len(wanted) > _REGISTRY_BOUND:
+                state = _PairingRegistry.state
+            known, first, count, step, coef = state
+            new = sorted(wanted.difference(known.tolist()))
+            tables = [_pairing_table(k >> 32, (k >> 2) % _EXPONENT_LIMIT, k & 2 > 0, k & 1 > 0) for k in new]
+            sizes = np.array([len(t) for t in tables], np.int64)
+            rows = [row for t in tables for row in t]
+            every = np.append(known[:-1], new)
+            order = every.argsort()
+            self.state = state = (
+                np.append(every[order], known[-1]),
+                np.append(first, len(coef) + np.cumsum(sizes) - sizes)[order],
+                np.append(count, sizes)[order],
+                np.append(step, np.array([(dz, 0, 0, dzp) for dz, dzp, _ in rows], np.int64).reshape(-1, 4), 0),
+                np.append(coef, [c for *_, c in rows]),
+            )
+            at = state[0].searchsorted(keys)
+        return state[1][at], state[2][at], state[3], state[4]
+
+
+_REGISTRY = _PairingRegistry()
 
 
 def _split_terms(p: Poly, side: str, n_mid: int, out_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +189,9 @@ def _split_terms(p: Poly, side: str, n_mid: int, out_n: int) -> tuple[np.ndarray
 
     Returns the outer exponents laid out in the result's coordinate blocks
     ``(T, out_n, 4)`` and the middle ``(a, b)`` per middle coordinate
-    ``(T, n_mid, 2)``.  The left side's outer variable is unprimed and its
-    middle primed; the right side the other way round.
+    ``(T, n_mid, 2)``, a view (a side has at least ``n_mid`` coordinates).
+    The left side's outer variable is unprimed and its middle primed; the
+    right side the other way round.
     """
     outer, mid = (slice(0, 2), slice(2, 4)) if side == "left" else (slice(2, 4), slice(0, 2))
     E = p._blocks()
@@ -164,38 +202,7 @@ def _split_terms(p: Poly, side: str, n_mid: int, out_n: int) -> tuple[np.ndarray
         raise ValueError(f"{side} middle variable beyond middle dimension")
     outers = np.zeros((count, out_n, 4), dtype=np.int64)
     outers[:, : min(n, out_n), outer] = E[:, :out_n, outer]
-    mids = np.zeros((count, n_mid, 2), dtype=np.int64)
-    mids[:, : min(n, n_mid)] = E[:, :n_mid, mid]
-    return outers, mids
-
-
-def _live_pairs_within_cap(
-    outer1: np.ndarray,
-    outer2: np.ndarray,
-    mids: np.ndarray,
-    left_cross: int,
-    right_cross: int,
-    degree_cap: int,
-) -> np.ndarray:
-    """Indices of the term pairs whose pairing does not vanish, once each one's
-    top output degree is known to be within ``degree_cap``.
-
-    A pair survives when at every middle coordinate ``(a, b)`` the left side
-    couples or ``a <= b``, and the right side couples or ``b <= a``.  Its top
-    degree is its outer degree plus ``a + b`` per coordinate both sides
-    couple and ``|a - b|`` per other one.  No pairing table is built, so a
-    huge exponent costs nothing.
-    """
-    a, b = mids[:, :, 0], mids[:, :, 1]
-    coord = np.arange(mids.shape[1])
-    lc, rc = coord < left_cross, coord < right_cross
-    live = np.flatnonzero(((lc | (a <= b)) & (rc | (b <= a))).all(axis=1))
-    outer = (outer1.sum(axis=(1, 2))[:, None] + outer2.sum(axis=(1, 2))[None]).ravel()
-    top = outer[live] + np.where(lc & rc, a + b, abs(a - b))[live].sum(axis=1)
-    if top.max(initial=0) > degree_cap:
-        d = top[(top > degree_cap).argmax()]
-        raise DegreeOverflowError(f"composition term degree {d} exceeds cap {degree_cap}")
-    return live
+    return outers, E[:, :n_mid, mid]
 
 
 def _bracket(
@@ -213,55 +220,56 @@ def _bracket(
     ``right``: unprimed = middle, primed = outer (stays primed).
     Coordinates i < left_cross couple the left outer variable, i <
     right_cross the right one.  Indices are preserved coordinate-wise.
-    Each term pair expands into the product of its coordinates' pairing
-    tables (last coordinate fastest); the expanded terms accumulate in
-    term-pair order.  The degree cap is checked before any pairing table
-    is built.
+    Each term pair whose pairing does not vanish expands into the product of
+    its coordinates' pairing tables (last coordinate fastest); the expanded
+    terms accumulate in term-pair order.  The degree cap is checked before
+    any pairing table is built.
     """
-    if left.dims.fiber_rank != right.dims.fiber_rank:
-        raise ValueError("fiber rank mismatch")
-    if left.is_zero() or right.is_zero():
-        return Poly.zero(out_dims)
-    out_n, r = out_dims.n, out_dims.fiber_rank
+    out_n = out_dims.n
     outer1, mid1 = _split_terms(left, "left", n_mid, out_n)
     outer2, mid2 = _split_terms(right, "right", n_mid, out_n)
-    pairs = len(outer1) * len(outer2)
-    mids = (mid1[:, None] + mid2[None]).reshape(pairs, n_mid, 2)
-    live = np.arange(pairs)
-    # a pair's output degree is at most the sum of its two terms' degrees, so
-    # only inputs past that bound need each pair's exact top degree
-    if left.degree() + right.degree() > degree_cap:
-        live = _live_pairs_within_cap(outer1, outer2, mids, left_cross, right_cross, degree_cap)
-        mids = mids[live]
-    # one table lookup per distinct (coordinate, a, b), stacked as entry rows
-    span = int(mids.max(initial=0)) + 1
-    spec = (np.arange(n_mid) * span + mids[:, :, 0]) * span + mids[:, :, 1]
-    specs, which, _ = _group(spec.ravel())
-    decoded = [(s // span**2, s // span % span, s % span) for s in specs.tolist()]
-    tables = [_pairing_table(a, b, i < left_cross, i < right_cross) for i, a, b in decoded]
-    sizes = np.array([len(t) for t in tables], dtype=np.int64)
-    # per entry: what it adds to its coordinate's (z, zb, z', zb') exponents, and its coefficient
-    step = np.array([(dz, 0, 0, dzp) for t in tables for dz, dzp, _ in t], dtype=np.int64).reshape(-1, 4)
-    coef = np.array([c for t in tables for *_, c in t], dtype=float)
-    # each expanded term's entry in its coordinates' tables: the digits of its
-    # index within the pair, in the mixed radix of the table sizes
-    which = which.reshape(len(live), n_mid)
-    radix = sizes[which]
-    counts = radix.prod(axis=1)
-    pair = np.repeat(np.arange(len(live)), counts)
-    within = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
-    stride = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1] // np.maximum(radix, 1)
-    entry = (np.cumsum(sizes) - sizes)[which[pair]] + within[:, None] // stride[pair] % radix[pair]
-    source = live[pair]  # each expanded term's index among all term pairs
-    E = (outer1[:, None] + outer2[None]).reshape(pairs, out_n, 4)[source]
+    live = np.arange(len(mid1) * len(mid2))
+    coupling = [2 * (c < left_cross) + (c < right_cross) for c in range(n_mid)]  # each key's low bits
+    keys = ((mid1 @ _PACK + coupling)[:, None] + (mid2 @ _PACK)[None]).reshape(len(live), n_mid)
+    # the sides' degrees bound every pair's degree and middle exponents; past
+    # that, find the live pairs without a table and check each one's top degree
+    if left.degree() + right.degree() > min(degree_cap, _EXPONENT_LIMIT - 1):
+        lc, rc = np.arange(n_mid) < left_cross, np.arange(n_mid) < right_cross
+        mids = (mid1[:, None] + mid2[None]).reshape(len(live), n_mid, 2)
+        a, b = mids[:, :, 0], mids[:, :, 1]
+        # a pairing vanishes unless at every middle coordinate the left side
+        # couples or a <= b, and the right side couples or a >= b (see base_terms)
+        live = np.flatnonzero(((lc | (a <= b)) & (rc | (b <= a))).all(axis=1))
+        outer = (outer1.sum(axis=(1, 2))[:, None] + outer2.sum(axis=(1, 2))[None]).ravel()
+        top = outer[live] + np.where(lc & rc, a + b, abs(a - b))[live].sum(axis=1)
+        if (top > degree_cap).any():
+            worst = top[(top > degree_cap).argmax()]
+            raise DegreeOverflowError(f"composition term degree {worst} exceeds cap {degree_cap}")
+        if (mids[live] >= _EXPONENT_LIMIT).any():
+            raise ValueError(f"composition middle exponent {mids[live].max()} is too large to pair")
+        keys = keys[live]
+    first, count, step, coef = _REGISTRY.lookup(keys)
+    alive = count.all(axis=1)  # a pair whose pairing vanishes in a coordinate adds nothing
+    live, first, count = live[alive], first[alive], count[alive]
+    if (count == 1).all():
+        pair, entry = slice(None), first
+    else:
+        # each expanded term's entry in its coordinates' tables: the digits of
+        # its index within the pair, in the mixed radix of the entry counts
+        total = count.prod(axis=1)
+        pair = np.repeat(np.arange(len(live)), total)
+        within = np.arange(len(pair)) - (np.cumsum(total) - total)[pair]
+        stride = np.cumprod(count[:, ::-1], axis=1)[:, ::-1] // count
+        entry = first[pair] + within[:, None] // stride[pair] % count[pair]
+    i, j = np.divmod(live, len(outer2))
+    E = (outer1[i] + outer2[j])[pair]
     E[:, : min(n_mid, out_n)] += step[entry[:, :out_n]]
-    E = E.reshape(len(pair), 4 * out_n)
     scalar = coef[entry].prod(axis=1)  # multiply-reductions run in order: coordinate 0 first
-    if scalar.max(initial=0.0) == math.inf:
+    if (scalar == math.inf).any():
         d = E[(scalar == math.inf).argmax()].sum()
         raise ValueError(f"composition term of degree {d} overflows a float")
-    coefs = (left.coefs[:, None] @ right.coefs[None]).reshape(pairs, r, r)
-    return Poly._from_arrays(out_dims, *_collect(E, scalar[:, None, None] * coefs[source]))
+    C = scalar[:, None, None] * (left.coefs[i] @ right.coefs[j])[pair]
+    return Poly._from_arrays(out_dims, *_collect(E.reshape(len(E), 4 * out_n), C))
 
 
 # -- kernel-level composition ---------------------------------------------------

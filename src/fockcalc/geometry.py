@@ -427,8 +427,12 @@ def tower_dp3(
     fiber_rank: int = 1,
 ) -> np.ndarray:
     """Tower version: sum over levels of the same integrand, each level using
-    the components of the direction tabulated in its own frame.  With a
-    single level this reproduces :func:`dp3` on identical data."""
+    the components of the direction tabulated in its own frame.
+
+    Every tabulated component counts, XW-level ones included, where
+    :func:`dp3` skips those.  So a single level reproduces :func:`dp3` only
+    for a direction with no XW-level component.
+    """
     if not levels:
         raise ValueError("tower needs at least one level record")
     r = fiber_rank

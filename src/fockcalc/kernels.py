@@ -17,6 +17,7 @@ ladder operators act on expressions and stay in the family.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -253,8 +254,10 @@ class ScaledKernel:
     prefactor: complex = 1.0
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("p must be positive")
+        if not (self.p > 0 and math.isfinite(self.p)):
+            raise ValueError(f"p must be positive and finite, got {self.p}")
+        if not cmath.isfinite(self.prefactor):
+            raise ValueError(f"prefactor must be finite, got {self.prefactor}")
 
     @property
     def kind(self) -> KernelKind:

@@ -279,9 +279,6 @@ class Poly:
         ps = self.exps.sum(axis=1) % 2
         return int(ps[0]) if len(ps) and (ps == ps[0]).all() else None
 
-    def max_exponent(self, index: int, o: int) -> int:
-        return int(self.exps[:, var_offset(index, o)].max(initial=0))
-
     def uses_slot(self, slot: str, beyond: int = 0) -> bool:
         """Whether any term uses a variable of the slot with coordinate index > beyond."""
         lo, hi = (2, 4) if slot == "primed" else (0, 2)
@@ -482,29 +479,24 @@ def _digit_weights(base: int, width: int) -> np.ndarray:
     return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equal keys grouped, groups numbered in key order: the distinct keys,
-    the group of every key and the index of each group's first key."""
-    order = keys.argsort()
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    group = np.empty_like(order)
-    group[order] = new.cumsum() - 1
-    return ordered[new], group, np.minimum.reduceat(order, new.nonzero()[0])
-
-
 def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the coefficients of equal exponent rows; distinct rows in first-occurrence order.
 
     Each sum runs in row order from -0.0, so its first addition is exact and
-    a lone signed zero survives: the sums a dict accumulating
-    ``out[k] = out[k] + c if k in out else c`` forms.
+    a lone signed zero survives (the sums a dict accumulating ``out[k] =
+    out[k] + c if k in out else c`` forms), and distinct rows come back as is.
     """
-    _, group, first = _group(_row_keys(E))
-    acc = np.full((len(first),) + C.shape[1:], complex(-0.0, -0.0))
-    np.add.at(acc, group, C)
+    if len(E) < 2:
+        return E, C
+    keys = _row_keys(E)
+    order = keys.argsort(kind="stable")  # equal rows stay in row order
+    ordered = keys[order]
+    new = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    if new.all():
+        return E, C
+    acc = np.full((new.sum(),) + C.shape[1:], complex(-0.0, -0.0))
+    np.add.at(acc, new.cumsum() - 1, C[order])
+    first = order[new]
     rank = first.argsort()
     return E[first[rank]], acc[rank]
 

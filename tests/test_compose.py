@@ -1,6 +1,7 @@
 """Closed-form composition: exact base cases, the one composition rule, algebraic laws."""
 
 import hashlib
+import importlib
 import json
 import math
 import time
@@ -30,9 +31,12 @@ from fockcalc import (
     DegreeOverflowError,
     var_offset,
 )
-from fockcalc.compose import _bracket, _pairing_table
+from fockcalc.compose import _bracket, _pairing_table, _PairingRegistry
 
 from conftest import random_kernel_expr, supported_kind_pairs
+
+# the module, which the package's ``compose`` function shadows as an attribute
+compose_module = importlib.import_module("fockcalc.compose")
 
 PI = math.pi
 
@@ -333,7 +337,7 @@ def test_degree_cap_propagates():
     assert out.numerator.degree() == 18
 
 
-# -- the cached float pairing table and the bracket's guards ----------------------------
+# -- the float pairing tables, their registry and the bracket's guards --------------
 
 
 def test_pairing_table_matches_exact_base_terms():
@@ -395,11 +399,18 @@ def test_float_overflowing_pairing_fails_cleanly(a):
         compose(left, right, degree_cap=2 * a)
 
 
-def test_degree_cap_is_checked_before_any_pairing_table_is_built():
+@pytest.fixture
+def registry(monkeypatch):
+    """A fresh, empty pairing registry for the test."""
+    fresh = _PairingRegistry()
+    monkeypatch.setattr(compose_module, "_REGISTRY", fresh)
+    return fresh
+
+
+def test_degree_cap_is_checked_before_any_pairing_table_is_built(registry):
     dims = Dims.of(1)
     left = KernelExpr(Poly.monomial(dims, {"z'1": 1000}), Bergman(1))
     right = KernelExpr(Poly.monomial(dims, {"zb1": 1000}), Bergman(1))
-    _pairing_table.cache_clear()
     t0 = time.perf_counter()
     with pytest.raises(DegreeOverflowError, match="^composition term degree 2000 exceeds cap 16$"):
         compose(left, right)
@@ -409,7 +420,61 @@ def test_degree_cap_is_checked_before_any_pairing_table_is_built():
     left = KernelExpr(Poly.monomial(dims, {"z'1": 1000, "z'2": 1}), OrthBergman(2, 1))
     right = KernelExpr(Poly.monomial(dims, {"zb1": 1000}), OrthBergman(2, 1))
     assert compose(left, right).numerator.is_zero()
-    assert _pairing_table.cache_info().currsize == 0
+    assert len(registry) == 0
+
+
+def _registry_cases():
+    """Seeded compositions over every supported pair of two chains, at ranks 1 and 2."""
+    rng = np.random.default_rng(5)
+    return [
+        (random_kernel_expr(rng, k1, rank, 4), random_kernel_expr(rng, k2, rank, 5))
+        for chain in [(2, 1, 1), (3, 2, 1)]
+        for k1, k2 in supported_kind_pairs(*chain)
+        for rank in (1, 2)
+    ]
+
+
+def _output_bytes(e: KernelExpr) -> bytes:
+    return json.dumps(e.to_json_dict()).encode()
+
+
+def test_a_repeated_composition_builds_no_pairing_table(registry, monkeypatch):
+    built = []
+
+    def counting_base_terms(*args):
+        built.append(args)
+        return base_terms(*args)
+
+    monkeypatch.setattr(compose_module, "base_terms", counting_base_terms)
+    cases = _registry_cases()
+    first = [_output_bytes(compose(e1, e2)) for e1, e2 in cases]
+    # one build per distinct (a, b, left couples, right couples)
+    assert len(built) == len(set(built)) == len(registry) > 0
+    built.clear()
+    assert [_output_bytes(compose(e1, e2)) for e1, e2 in cases] == first
+    assert built == []
+
+
+def test_a_registry_past_its_bound_gives_the_same_composites(registry, monkeypatch):
+    cases = _registry_cases()
+    want = [_output_bytes(compose(e1, e2)) for e1, e2 in cases]
+    bounded = _PairingRegistry()
+    monkeypatch.setattr(compose_module, "_REGISTRY", bounded)
+    # smaller than the keys of many single compositions, so the registry starts
+    # afresh again and again and, after such a call, holds more than its bound
+    monkeypatch.setattr(compose_module, "_REGISTRY_BOUND", 3)
+    assert [_output_bytes(compose(e1, e2)) for e1, e2 in cases] == want
+    assert 0 < len(bounded) < len(registry)
+
+
+def test_a_middle_exponent_past_the_registry_key_is_rejected():
+    # a == b over a coordinate neither side couples adds no degree, so the
+    # degree cap lets it through; its registry key could not hold it
+    dims = Dims.of(1, m=0)
+    left = KernelExpr(Poly.monomial(dims, {"z'1": 1 << 30}), OrthBergman(1, 0))
+    right = KernelExpr(Poly.monomial(dims, {"zb1": 1 << 30}), OrthBergman(1, 0))
+    with pytest.raises(ValueError, match=f"^composition middle exponent {1 << 30} is too large to pair$"):
+        compose(left, right)
 
 
 def test_uncoupled_coordinates_do_not_count_toward_the_cap():
@@ -427,7 +492,10 @@ def test_uncoupled_coordinates_do_not_count_toward_the_cap():
 
 # SHA-256 over ``json.dumps(x.to_json_dict(), indent=2)`` of every ``Poly.mul``
 # and ``compose`` output of ``_pinned_outputs``, in order.  Any change to the
-# arithmetic, the accumulation order or the signed zeros changes it.
+# arithmetic, the accumulation order or the signed zeros changes it.  So does
+# the BLAS kernel behind the coefficient matmuls: the digest holds for
+# OpenBLAS's auto-selected kernel on an AVX-512 host (SkylakeX); under
+# OPENBLAS_CORETYPE=Haswell it reads e49c8565... and under Prescott 05ac2a0c...
 PINNED_OUTPUT_SHA256 = "1c94495bc904aecedc39bfd7a74641b5afbc5f79adfdd0eafd1617bf847cf702"
 
 

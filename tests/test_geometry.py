@@ -236,6 +236,21 @@ def test_c3_c4_matrix_case():
     assert abs(res.c4 - 0.5) < 1e-12
 
 
+def test_c3_c4_rank_two_golden():
+    # H = (lambda_X - lambda_Y)/(2 pi i) = [[2, 1-i], [1+i, 3]] is complex and
+    # non-diagonal, with trace 5 and determinant 4: eigenvalues 1 and 4
+    B = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+    H = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    s = GeometrySample(
+        id="a", scal_X=24.0 * PI, scal_Y=8.0 * PI, lambda_RF_X=2j * PI * (H + B), lambda_RF_Y=2j * PI * B
+    )
+    res = c3_c4(data_with([s], fiber_rank=2))
+    # s = (scal_X - scal_Y)/(8 pi) = 2, so C3 = -(2 - 4)/2 and C4 = (2 - 1)/2;
+    # the diagonal alone would give 0.5 and 0, the swapped difference -1.5 and 3
+    assert abs(res.c3 - 1.0) < 1e-12
+    assert abs(res.c4 - 0.5) < 1e-12
+
+
 def test_c3_c4_monotone_and_stable():
     s1 = GeometrySample(id="a", scal_X=8.0 * PI)
     s2 = GeometrySample(id="b", scal_X=-16.0 * PI)
@@ -290,6 +305,9 @@ def test_tower_single_level_matches_dp3():
     data = data_with([sample])
     direction = {"e1": 1.0, "e2": 0.5j}
     assert np.allclose(tower_dp3([sample], direction), dp3(data, direction))
+    # an XW-level component counts in the tower but not in dp3
+    assert np.max(np.abs(dp3(data, {"f1": 1.0}))) == 0.0
+    assert np.allclose(tower_dp3([sample], {"f1": 1.0}), [[100.0 / (8.0 * PI)]], rtol=0, atol=1e-15)
 
 
 def test_tower_telescopes():

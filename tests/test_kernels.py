@@ -227,6 +227,18 @@ def test_scaled_kernel(rng):
     assert np.max(np.abs(sa.evaluate(zp, z) - s.evaluate(z, zp).conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_scaled_kernel_rejects_a_non_finite_level(p):
+    with pytest.raises(ValueError, match="^p must be positive and finite"):
+        ScaledKernel(unit_expr(Bergman(1)), p=p)
+
+
+@pytest.mark.parametrize("prefactor", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
+def test_scaled_kernel_rejects_a_non_finite_prefactor(prefactor):
+    with pytest.raises(ValueError, match="^prefactor must be finite"):
+        ScaledKernel(unit_expr(Bergman(1)), prefactor=prefactor)
+
+
 # -- ladder operators ---------------------------------------------------------------
 
 
