@@ -226,25 +226,19 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def _cmd_toeplitz_leading(cfg: RunConfig, args) -> int:
-    from .operators import Symbol, toeplitz_leading
+    from .operators import Symbol, _effective_kind, toeplitz_leading
 
     g = _load_symbol(args.symbol)
     try:
         value = toeplitz_leading(args.kind, g)
     except (ValueError, AssertionError) as e:
         raise CliError(str(e))
-    parity = g.parity()
-    family = args.kind.split("_")[0]
-    if family == "YY" or parity is None:
-        effective = "YY" if family == "YY" else args.kind
-    else:
-        effective = f"{family}_{'odd' if parity else 'even'}"
-    order = 1 if effective.endswith("odd") else 0
+    effective = _effective_kind(args.kind, g)
     payload: dict = {
         "schema": "toeplitz/1",
         "kind": args.kind,
         "effective_kind": effective,
-        "order": order,
+        "order": 1 if effective.endswith("odd") else 0,
     }
     if isinstance(value, Symbol):
         payload["value_type"] = "symbol"

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import _coef_to_json, _coef_from_json, _json_object
+from .poly import _coef_to_json, _coef_from_json, _json_int, _json_object
 
 PI = math.pi
 
@@ -187,7 +187,7 @@ class GeometryData:
         extra = set(d) - allowed
         if extra:
             raise ValueError(f"unknown geometry keys: {sorted(extra)}")
-        r = int(d.get("fiber_rank", 1))
+        r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
         samples = []
         for rec in d["samples"]:
             bad = set(_json_object(rec, "sample")) - {
@@ -240,7 +240,7 @@ class GeometryData:
                 )
             )
         return cls(
-            dims=tuple(int(v) for v in d["dims"]),
+            dims=tuple(_json_int(v, "dims entry") for v in d["dims"]),
             fiber_rank=r,
             samples=tuple(samples),
         )

@@ -1,8 +1,11 @@
 """Normal-fibre symbols and the operator layer built on them.
 
 A :class:`Symbol` is a polynomial in the normal variables ``w_j = z_{m+j}``
-(and conjugates) with matrix coefficients.  On top of it this module
-provides:
+(and conjugates) with matrix coefficients.  It is a view over one
+:class:`~fockcalc.poly.Poly` store: every operation below reads the store's
+sorted exponent rows as ``hol`` / ``anti`` blocks and writes its result back
+as arrays, and only the ``{(hol, antihol): coef}`` constructors and
+serializers build or walk a dict.  On top of it this module provides:
 
 * the three Gaussian-moment contractions ``lambda_eq`` / ``lambda_h`` /
   ``lambda_a`` plus quadrature cross-checks of each;
@@ -28,13 +31,12 @@ from .poly import (
     Poly,
     O_Z,
     O_ZB,
-    O_ZP,
-    O_ZBP,
-    var_offset,
     variable_columns,
     _as_coef,
+    _collect,
     _coef_to_json,
     _coef_from_json,
+    _json_int,
 )
 from .kernels import (
     TOEPLITZ_KINDS,
@@ -51,13 +53,6 @@ from .geometry import hermitian_eigs
 PI = math.pi
 
 MultiIndex = tuple[int, ...]
-
-
-def _multi_factorial(alpha: MultiIndex) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
 
 
 def _check_level(p: float) -> float:
@@ -85,14 +80,10 @@ class Symbol:
     def __post_init__(self) -> None:
         if self.poly.dims != self.dims:
             raise ValueError("symbol poly dims disagree with declared dims")
-        n, m = self.dims.n, self.dims.m
-        for exps in self.poly.terms:
-            for i in range(1, n + 1):
-                for o in (O_ZP, O_ZBP):
-                    if exps[var_offset(i, o)]:
-                        raise ValueError("symbol uses a primed variable")
-                if i <= m and (exps[var_offset(i, O_Z)] or exps[var_offset(i, O_ZB)]):
-                    raise ValueError("symbol uses a tangential variable")
+        if self.poly.uses_slot("primed"):
+            raise ValueError("symbol uses a primed variable")
+        if self.poly._blocks()[:, : self.dims.m].any():
+            raise ValueError("symbol uses a tangential variable")
 
     # -- constructors ---------------------------------------------------------
 
@@ -111,21 +102,29 @@ class Symbol:
     ) -> "Symbol":
         dims = Dims.of(n, m=m, fiber_rank=fiber_rank)
         k = n - m
-        acc: dict[tuple, np.ndarray] = {}
-        for (hol, antihol), coef in terms.items():
-            hol, antihol = tuple(int(a) for a in hol), tuple(int(b) for b in antihol)
+        rows = []
+        for hol, antihol in terms:
             if len(hol) != k or len(antihol) != k:
                 raise ValueError(f"multi-index length must be n-m={k}")
-            if any(a < 0 for a in hol + antihol):
-                raise ValueError("negative exponent in symbol term")
-            exps = [0] * (4 * n)
-            for j in range(k):
-                exps[var_offset(m + j + 1, O_Z)] = hol[j]
-                exps[var_offset(m + j + 1, O_ZB)] = antihol[j]
-            key = tuple(exps)
-            c = _as_coef(coef, fiber_rank)
-            acc[key] = acc[key] + c if key in acc else c
-        return cls(dims, Poly(dims, acc))
+            rows.append([_json_int(a, "symbol exponent") for a in (*hol, *antihol)])
+        if any(a < 0 for row in rows for a in row):
+            raise ValueError("negative exponent in symbol term")
+        try:
+            HA = np.array(rows, dtype=np.int64).reshape(len(rows), 2, k)
+        except OverflowError:
+            raise ValueError("exponent out of range") from None
+        C = np.array([_as_coef(c, fiber_rank) for c in terms.values()], dtype=complex)
+        return cls._from_blocks(dims, HA[:, 0], HA[:, 1], C)
+
+    @classmethod
+    def _from_blocks(cls, dims: Dims, hol: np.ndarray, anti: np.ndarray, C) -> "Symbol":
+        """The sum of ``C[t] w^hol[t] wbar^anti[t]`` over the ``(T, k)`` exponent
+        blocks; equal rows are summed in row order (see :func:`~fockcalc.poly._collect`)."""
+        n, r, count = dims.n, dims.fiber_rank, len(hol)
+        E = np.zeros((count, n, 4), dtype=np.int64)
+        E[:, dims.m :, O_Z], E[:, dims.m :, O_ZB] = hol, anti
+        E, C = _collect(E.reshape(count, 4 * n), np.ascontiguousarray(C).reshape(count, r, r))
+        return cls(dims, Poly._from_arrays(dims, E, C))
 
     @classmethod
     def monomial(
@@ -158,17 +157,20 @@ class Symbol:
     def fiber_rank(self) -> int:
         return self.dims.fiber_rank
 
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exponent blocks ``hol`` and ``anti`` ``(T, k)`` of ``w`` and ``wbar``
+        and the coefficients ``(T, r, r)``, in the sorted order of ``poly.table``."""
+        E, C = self.poly.table
+        B = E.reshape(len(E), self.n, 4)[:, self.m :]
+        return B[:, :, O_Z], B[:, :, O_ZB], C
+
     def terms(self) -> dict[tuple[MultiIndex, MultiIndex], np.ndarray]:
-        n, m, k = self.n, self.m, self.k
-        out: dict[tuple[MultiIndex, MultiIndex], np.ndarray] = {}
-        for exps, coef in self.poly.sorted_terms():
-            hol = tuple(exps[var_offset(m + j + 1, O_Z)] for j in range(k))
-            antihol = tuple(exps[var_offset(m + j + 1, O_ZB)] for j in range(k))
-            out[(hol, antihol)] = coef
-        return out
+        hol, anti, C = self._table()
+        return dict(zip(zip(map(tuple, hol.tolist()), map(tuple, anti.tolist())), C))
 
     def bidegrees(self) -> list[tuple[int, int]]:
-        return sorted({(sum(h), sum(a)) for h, a in self.terms()})
+        hol, anti, _ = self._table()
+        return sorted(set(zip(hol.sum(axis=1).tolist(), anti.sum(axis=1).tolist())))
 
     def degree(self) -> int:
         return self.poly.degree()
@@ -192,11 +194,12 @@ class Symbol:
         return Symbol(self.dims, self.poly.mul(other.poly))
 
     def adjoint(self) -> "Symbol":
-        """g*: swap each bidegree (i, j) -> (j, i), conjugate-transpose coefs."""
-        out = {
-            (antihol, hol): coef.conj().T for (hol, antihol), coef in self.terms().items()
-        }
-        return Symbol.from_terms(self.n, self.m, out, self.fiber_rank)
+        """g*: swap each bidegree (i, j) -> (j, i), conjugate-transpose coefs.
+
+        The rows come out in the sorted order of ``self``, which fixes the
+        order later products accumulate in."""
+        hol, anti, C = self._table()
+        return Symbol._from_blocks(self.dims, anti, hol, C.conj().transpose(0, 2, 1))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -226,14 +229,10 @@ class Symbol:
             return self.poly
         if slot != "primed":
             raise ValueError(f"bad slot {slot!r}")
-        out: dict[tuple, np.ndarray] = {}
-        for exps, coef in self.poly.terms.items():
-            e = [0] * len(exps)
-            for i in range(1, self.n + 1):
-                e[var_offset(i, O_ZP)] = exps[var_offset(i, O_Z)]
-                e[var_offset(i, O_ZBP)] = exps[var_offset(i, O_ZB)]
-            out[tuple(e)] = coef
-        return Poly(self.dims, out)
+        B = self.poly._blocks()
+        E = np.zeros_like(B)
+        E[:, :, 2:] = B[:, :, :2]  # (z, zb) -> (z', zb'), in store order
+        return Poly._from_arrays(self.dims, E.reshape(self.poly.exps.shape), self.poly.coefs)
 
     # -- serialization --------------------------------------------------------
 
@@ -253,64 +252,45 @@ class Symbol:
         extra = set(d) - {"n", "m", "fiber_rank", "terms"}
         if extra:
             raise ValueError(f"unknown symbol keys: {sorted(extra)}")
-        r = int(d.get("fiber_rank", 1))
+        r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
         terms: dict[tuple[MultiIndex, MultiIndex], np.ndarray] = {}
         for t in d["terms"]:
             bad = set(t) - {"hol", "antihol", "coef"}
             if bad:
                 raise ValueError(f"unknown symbol term keys: {sorted(bad)}")
-            key = (tuple(int(a) for a in t["hol"]), tuple(int(b) for b in t["antihol"]))
+            key = tuple(tuple(_json_int(a, f"symbol {side}") for a in t[side]) for side in ("hol", "antihol"))
             c = _coef_from_json(t["coef"], r)
             terms[key] = terms[key] + c if key in terms else c
-        return cls.from_terms(int(d["n"]), int(d["m"]), terms, r)
-
-
-def _scalar_dict_mul(d1: dict, d2: dict) -> dict:
-    out: dict[MultiIndex, complex] = {}
-    for e1, v1 in d1.items():
-        for e2, v2 in d2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + v1 * v2
-    return out
-
-
-def _linear_power(coeffs: np.ndarray, power: int) -> dict:
-    """(sum_j coeffs[j] x_j)^power as dict[exp tuple -> scalar]."""
-    k = len(coeffs)
-    out: dict[MultiIndex, complex] = {tuple([0] * k): 1.0 + 0.0j}
-    lin = {
-        tuple(int(i == j) for i in range(k)): complex(c)
-        for j, c in enumerate(coeffs)
-        if c != 0
-    }
-    for _ in range(power):
-        out = _scalar_dict_mul(out, lin)
-    return out
+        return cls.from_terms(_json_int(d["n"], "n"), _json_int(d["m"], "m"), terms, r)
 
 
 def rotate_symbol(g: Symbol, U) -> Symbol:
     """Substitute w_i -> sum_j U[i, j] w_j (and the conjugate on wbar)."""
     U = np.asarray(U, dtype=complex)
-    k = g.k
+    n, m, k, cap = g.n, g.m, g.k, g.degree()
     if U.shape != (k, k):
         raise ValueError(f"rotation must be {k}x{k}")
-    acc: dict[tuple[MultiIndex, MultiIndex], np.ndarray] = {}
-    for (hol, antihol), coef in g.terms().items():
-        hol_part: dict[MultiIndex, complex] = {tuple([0] * k): 1.0 + 0.0j}
-        anti_part: dict[MultiIndex, complex] = {tuple([0] * k): 1.0 + 0.0j}
-        for i in range(k):
-            if hol[i]:
-                hol_part = _scalar_dict_mul(hol_part, _linear_power(U[i], hol[i]))
-            if antihol[i]:
-                anti_part = _scalar_dict_mul(
-                    anti_part, _linear_power(np.conj(U[i]), antihol[i])
-                )
-        for eh, vh in hol_part.items():
-            for ea, va in anti_part.items():
-                key = (eh, ea)
-                c = vh * va * coef
-                acc[key] = acc[key] + c if key in acc else c
-    return Symbol.from_terms(g.n, g.m, acc, g.fiber_rank)
+    if g.is_zero():
+        return g
+    scalar = Dims.of(n, m=m)
+
+    def linear(row, o: int) -> Poly:
+        E = np.zeros((k, n, 4), dtype=np.int64)
+        E[np.arange(k), m + np.arange(k), o] = 1
+        return Poly._from_arrays(scalar, E.reshape(k, 4 * n), row.reshape(k, 1, 1))
+
+    forms = [linear(U[i], O_Z) for i in range(k)] + [linear(U[i].conj(), O_ZB) for i in range(k)]
+    hol, anti, C = g._table()
+    rows, coefs = [], []
+    for powers, coef in zip(np.hstack([hol, anti]).tolist(), C):
+        term = Poly.one(scalar)
+        for form, power in zip(forms, powers):
+            for _ in range(power):
+                term = term.mul(form, degree_cap=cap)
+        rows.append(term.exps)
+        coefs.append(term.coefs * coef)
+    E, C = _collect(np.concatenate(rows), np.concatenate(coefs))
+    return Symbol(g.dims, Poly._from_arrays(g.dims, E, C))
 
 
 # -- cutoff profiles ----------------------------------------------------------
@@ -362,47 +342,42 @@ IDENTITY_CUTOFF = CutoffSpec(r_perp=1.0, profile="identity")
 
 def lambda_eq(g: Symbol) -> np.ndarray:
     """Equal-bidegree contraction: sum over alpha == beta of coef * alpha!/pi^|alpha|."""
-    r = g.fiber_rank
-    acc = np.zeros((r, r), dtype=complex)
-    for (hol, antihol), coef in g.terms().items():
-        if hol == antihol:
-            acc = acc + coef * (_multi_factorial(antihol) / PI ** sum(antihol))
-    return acc
+    hol, anti, C = g._table()
+    diag = (hol == anti).all(axis=1)
+    weights = [math.prod(map(math.factorial, a)) / PI ** sum(a) for a in anti[diag].tolist()]
+    # builtin sum adds row by row onto +0.0, in the order of the sorted rows
+    return sum(C[diag] * np.reshape(weights, (-1, 1, 1)), np.zeros((g.fiber_rank,) * 2, dtype=complex))
 
 
 def lambda_h(g: Symbol) -> Symbol:
     """Holomorphic contraction: (alpha, beta) with alpha > beta componentwise-ge
     maps to coef * prod alpha_i!/(alpha_i-beta_i)! / pi^|beta| * w^(alpha-beta)."""
-    out: dict[tuple[MultiIndex, MultiIndex], np.ndarray] = {}
-    zero = tuple([0] * g.k)
-    for (hol, antihol), coef in g.terms().items():
-        if hol == antihol or any(a < b for a, b in zip(hol, antihol)):
-            continue
-        weight = 1.0
-        for a, b in zip(hol, antihol):
-            weight *= math.factorial(a) / math.factorial(a - b)
-        weight /= PI ** sum(antihol)
-        key = (tuple(a - b for a, b in zip(hol, antihol)), zero)
-        c = coef * weight
-        out[key] = out[key] + c if key in out else c
-    return Symbol.from_terms(g.n, g.m, out, g.fiber_rank)
+    return _contract(g, holomorphic=True)
 
 
 def lambda_a(g: Symbol) -> Symbol:
     """Antiholomorphic contraction, mirror of :func:`lambda_h`."""
-    out: dict[tuple[MultiIndex, MultiIndex], np.ndarray] = {}
-    zero = tuple([0] * g.k)
-    for (hol, antihol), coef in g.terms().items():
-        if hol == antihol or any(b < a for a, b in zip(hol, antihol)):
-            continue
+    return _contract(g, holomorphic=False)
+
+
+def _contract(g: Symbol, holomorphic: bool) -> Symbol:
+    """lambda_h (holomorphic) or lambda_a: with (top, bottom) the (hol, anti)
+    blocks or the reverse, each row with top >= bottom componentwise and
+    top != bottom maps to coef * prod top_i!/(top_i - bottom_i)! / pi^|bottom|
+    times the monomial top - bottom in w (holomorphic) or wbar."""
+    hol, anti, C = g._table()
+    top, bottom = (hol, anti) if holomorphic else (anti, hol)
+    keep = (top >= bottom).all(axis=1) & (top != bottom).any(axis=1)
+    top, bottom, C = top[keep], bottom[keep], C[keep]
+    weights = []
+    for t, b in zip(top.tolist(), bottom.tolist()):
         weight = 1.0
-        for a, b in zip(hol, antihol):
-            weight *= math.factorial(b) / math.factorial(b - a)
-        weight /= PI ** sum(hol)
-        key = (zero, tuple(b - a for a, b in zip(hol, antihol)))
-        c = coef * weight
-        out[key] = out[key] + c if key in out else c
-    return Symbol.from_terms(g.n, g.m, out, g.fiber_rank)
+        for ti, bi in zip(t, b):
+            weight *= math.factorial(ti) / math.factorial(ti - bi)
+        weights.append(weight / PI ** sum(b))
+    diff, zero = top - bottom, np.zeros_like(top)
+    blocks = (diff, zero) if holomorphic else (zero, diff)
+    return Symbol._from_blocks(g.dims, *blocks, C * np.reshape(weights, (-1, 1, 1)))
 
 
 def _mesh_integral(g: Symbol, nodes: int, hol_shift=0.0, anti_shift=0.0) -> np.ndarray:
@@ -467,8 +442,7 @@ class MOpField:
     normal_slot: str  # which argument carries the normal variables
 
     def evaluate(self, Z, Zp) -> np.ndarray:
-        n = self.base.kind.n
-        m = getattr(self.base.kind, "m", n)
+        n, m = self.base.kind.n, self.base.kind.m
         point = np.asarray(Zp if self.normal_slot == "primed" else Z, dtype=complex)
         point = point.reshape(-1)
         if len(point) != n:
@@ -484,7 +458,6 @@ def m_op(
     m: int | None = None,
     cutoff: CutoffSpec | None = None,
     variant: str = "direct",
-    symbolic: bool | None = None,
 ):
     """Model operator kernel.
 
@@ -495,7 +468,7 @@ def m_op(
                    kernel.
 
     Identity cutoff returns a :class:`ScaledKernel`; a smooth bump returns a
-    sampled :class:`MOpField` (or raises if ``symbolic=True`` is forced).
+    sampled :class:`MOpField`.
     """
     p = _check_level(p)
     n = g.n if n is None else int(n)
@@ -505,8 +478,6 @@ def m_op(
             f"dimension mismatch: symbol has (n, m) = {(g.n, g.m)}, requested {(n, m)}"
         )
     cutoff = cutoff or IDENTITY_CUTOFF
-    if symbolic and not cutoff.is_identity:
-        raise ValueError("smooth_bump cutoff has no symbolic kernel form")
     if variant == "direct":
         expr = KernelExpr(g.to_poly("unprimed"), Extension(n, m))
         base = ScaledKernel(expr, p, p**m)
@@ -598,24 +569,30 @@ def h_gp(
         raise InsufficientNodesError("quadrature budget too small for h_gp")
     k = g.k
     r = g.fiber_rank
-    product = g.adjoint().mul(g)
+    product = _product(g.adjoint(), g)
     leading = lambda_eq(product) / p**k
-    if k == 0:
-        consts = product.terms().get(((), ()))
-        h_sq = np.zeros((r, r), dtype=complex) if consts is None else consts.copy()
+    hol, anti, C = product._table()
+    if k == 0:  # only the constant row
+        h_sq = C[0].copy() if len(C) else np.zeros((r, r), dtype=complex)
         return HgpResult(h_sq=h_sq, leading=leading)
     R = math.sqrt(p) * cutoff.r_perp
-    h_sq = np.zeros((r, r), dtype=complex)
+    diag = (hol == anti).all(axis=1)
     moments: dict[int, float] = {}
-    for (hol, antihol), coef in product.terms().items():
-        if hol != antihol:
-            continue
-        N = sum(hol)
+    dirichlet, moment = [], []
+    for alpha in hol[diag].tolist():
+        N = sum(alpha)
         if N not in moments:
             moments[N] = _radial_moment(N + k - 1, R, cutoff, nodes)
-        dirichlet = PI**k * _multi_factorial(hol) / math.factorial(N + k - 1)
-        h_sq = h_sq + coef * dirichlet * moments[N]
+        dirichlet.append(PI**k * math.prod(map(math.factorial, alpha)) / math.factorial(N + k - 1))
+        moment.append(moments[N])
+    terms = C[diag] * np.reshape(dirichlet, (-1, 1, 1)) * np.reshape(moment, (-1, 1, 1))
+    h_sq = sum(terms, np.zeros((r, r), dtype=complex))
     return HgpResult(h_sq=h_sq / p**k, leading=leading)
+
+
+def _product(a: Symbol, b: Symbol) -> Symbol:
+    """a b, capped at its own degree: fibre integrals take any valid symbol."""
+    return Symbol(a.dims, a.poly.mul(b.poly, degree_cap=a.degree() + b.degree()))
 
 
 # -- norm constants -------------------------------------------------------------
@@ -629,8 +606,8 @@ def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[floa
         raise ValueError("need at least one kappa sample")
     if not all(math.isfinite(v) and v > 0 for v in kappas):
         raise ValueError(f"kappa samples must be positive and finite, got {kappas}")
-    lam1 = max(0.0, float(hermitian_eigs(lambda_eq(g.adjoint().mul(g)))[-1]))
-    lam2 = max(0.0, float(hermitian_eigs(lambda_eq(g.mul(g.adjoint())))[-1]))
+    lam1 = max(0.0, float(hermitian_eigs(lambda_eq(_product(g.adjoint(), g)))[-1]))
+    lam2 = max(0.0, float(hermitian_eigs(lambda_eq(_product(g, g.adjoint())))[-1]))
     c1 = max(math.sqrt(v) for v in kappas) * math.sqrt(lam1)
     c2 = max(1.0 / math.sqrt(v) for v in kappas) * math.sqrt(lam2)
     return c1, c2
@@ -648,22 +625,27 @@ def toeplitz_leading(kind: str, g: Symbol):
     mixed-parity symbol is rejected.  For odd kinds the order-0 coefficient
     vanishes and the returned value sits at order 1.
     """
+    kind = _effective_kind(kind, g)
+    if kind == "YY":
+        return lambda_eq(g)
+    result = lambda_h(g) if kind.startswith("XY") else lambda_a(g)
+    hol, anti, _ = result._table()
+    if kind.endswith("odd") and not (hol.any(axis=1) | anti.any(axis=1)).all():
+        raise AssertionError("odd symbol produced a nonzero order-0 coefficient")
+    return result
+
+
+def _effective_kind(kind: str, g: Symbol) -> str:
+    """The table row that answers ``kind`` for ``g``: an even/odd kind reroutes
+    to its sibling of g's parity; a mixed-parity symbol is rejected."""
     if kind not in TOEPLITZ_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {TOEPLITZ_KINDS}")
     parity = g.parity()
     if parity is None and not g.is_zero():
         raise ValueError("symbol has mixed parity; split it into even and odd parts")
-    if kind == "YY":
-        return lambda_eq(g)
-    family = kind.split("_")[0]
-    if parity is not None:
-        kind = f"{family}_{'odd' if parity else 'even'}"
-    result = lambda_h(g) if family == "XY" else lambda_a(g)
-    if kind.endswith("odd"):
-        order0 = result.terms().get((tuple([0] * g.k), tuple([0] * g.k)))
-        if order0 is not None and np.max(np.abs(order0)) > 0:
-            raise AssertionError("odd symbol produced a nonzero order-0 coefficient")
-    return result
+    if kind == "YY" or parity is None:
+        return kind
+    return f"{kind.split('_')[0]}_{'odd' if parity else 'even'}"
 
 
 def toeplitz_flat_composite(family: str, g: Symbol) -> KernelExpr:

@@ -13,6 +13,7 @@ with layout ``exps[4*(i-1) + o]`` where ``o`` selects, in order,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -86,11 +87,12 @@ class Dims:
         extra = set(d) - {"n", "l", "m", "fiber_rank"}
         if extra:
             raise ValueError(f"unknown dims keys: {sorted(extra)}")
+        n = _json_int(d["n"], "dims n")
         return cls(
-            n=int(d["n"]),
-            l=int(d.get("l", d["n"])),
-            m=int(d.get("m", d["n"])),
-            fiber_rank=int(d.get("fiber_rank", 1)),
+            n=n,
+            l=_json_int(d.get("l", n), "dims l"),
+            m=_json_int(d.get("m", n), "dims m"),
+            fiber_rank=_json_int(d.get("fiber_rank", 1), "dims fiber_rank"),
         )
 
 
@@ -191,6 +193,8 @@ class Poly:
         for exps in keys:
             if len(exps) != width:
                 raise ValueError(f"exponent tuple length {len(exps)} != {width}")
+        if not all(type(v) is int for exps in keys for v in exps):
+            keys = [[_json_int(v, "exponent") for v in exps] for exps in keys]
         try:
             E = np.array(keys, dtype=np.int64).reshape(count, width)
         except OverflowError:
@@ -431,9 +435,10 @@ class Poly:
                 index, o = parse_var_name(name)
                 if index > dims.n:
                     raise ValueError(f"variable {name} exceeds n={dims.n}")
-                if int(p) < 0:
+                p = _json_int(p, f"exponent of {name}")
+                if p < 0:
                     raise ValueError(f"negative exponent for {name}")
-                exps[var_offset(index, o)] += int(p)
+                exps[var_offset(index, o)] += p
             k = tuple(exps)
             c = _coef_from_json(t["coef"], dims.fiber_rank)
             out[k] = out[k] + c if k in out else c
@@ -516,6 +521,18 @@ def _json_object(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _json_int(value, what: str) -> int:
+    """An integer field: ints and integral floats such as ``2.0``; booleans,
+    strings and fractional or non-finite numbers are rejected by name."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _coef_to_json(coef: np.ndarray) -> list:

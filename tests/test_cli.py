@@ -436,6 +436,58 @@ def test_malformed_payload_values_are_usage_errors(tmp_path, capsys, geom_data, 
     assert capsys.readouterr().err.count("\n") == 1
 
 
+INTEGER_FIELD_EDITS = {
+    "kernel-exponent": ("compose", "kernel", lambda d: d["terms"][0]["exps"].update({"z1": 1.5}), "exponent of z1"),
+    "kernel-dims-n": ("compose", "kernel", lambda d: d["dims"].update({"n": 1.9}), "dims n"),
+    "symbol-hol-fraction": ("toeplitz-leading", "symbol", lambda d: d["terms"][0].update({"hol": [1.5]}), "symbol hol"),
+    "symbol-hol-bool": ("toeplitz-leading", "symbol", lambda d: d["terms"][0].update({"hol": [True]}), "symbol hol"),
+    "symbol-n-string": ("toeplitz-leading", "symbol", lambda d: d.update({"n": "1"}), "n must"),
+    "symbol-n-fraction": ("toeplitz-leading", "symbol", lambda d: d.update({"n": 1.7}), "n must"),
+    "geom-dims": ("constants", "geom", lambda d: d.update({"dims": [0, 1.5]}), "dims entry"),
+    "geom-fiber-rank": ("constants", "geom", lambda d: d.update({"fiber_rank": 1.5}), "fiber_rank"),
+}
+
+
+def _integer_field_run(tmp_path, geom_data, command, payload, edit):
+    doc = {
+        "kernel": {"schema": "kernel/1", **unit_expr(Bergman(1)).to_json_dict()},
+        "symbol": {"schema": "symbol/1", **Symbol.monomial(1, 0, (1,), (1,)).to_json_dict()},
+        "geom": geom_data.to_json_dict(),
+    }[payload]
+    edit(doc)
+    path = write_json(tmp_path, "in.json", doc)
+    return run(
+        {
+            "compose": ["compose", "--left", path, "--right", path],
+            "toeplitz-leading": ["toeplitz-leading", "--kind", "YY", "--symbol", path],
+            "constants": ["constants", "--geom", path, "--which", "c0"],
+        }[command]
+    )
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_FIELD_EDITS))
+def test_non_integer_fields_are_usage_errors(tmp_path, capsys, geom_data, case):
+    # each of these used to exit 0 with the field read as int(value)
+    command, payload, edit, field = INTEGER_FIELD_EDITS[case]
+    assert _integer_field_run(tmp_path, geom_data, command, payload, edit) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload, edit",
+    [
+        ("compose", "kernel", lambda d: d["terms"][0]["exps"].update({"z1": 2.0})),
+        ("toeplitz-leading", "symbol", lambda d: d.update({"n": 1.0})),
+        ("constants", "geom", lambda d: d.update({"dims": [0.0, 1.0, 2.0]})),
+    ],
+    ids=["kernel-exponent", "symbol-n", "geom-dims"],
+)
+def test_integral_floats_are_accepted(tmp_path, capsys, geom_data, command, payload, edit):
+    assert _integer_field_run(tmp_path, geom_data, command, payload, edit) == 0
+    json.loads(capsys.readouterr().out)
+
+
 def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
     assert "compose" in capsys.readouterr().out

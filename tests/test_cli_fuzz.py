@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
@@ -71,6 +72,8 @@ INPUTS = {
 
 JUNK = [None, True, -1, 0, 1, 2, 3, 17, 2**70, 0.5, -0.0, math.nan, math.inf]
 JUNK += ["", "z1", [], [1], [[1.0, 0.0]], {}]
+# integer fields: fractions, an integral float and a numeric string
+JUNK += [1.5, 1.9, 2.0, "1", [1.5], [True]]
 
 TOL = ["1e-9", "0", "-1", "nan", "inf", "x"]
 FLAGS = {
@@ -137,10 +140,8 @@ def cli_case(draw):
     return command, None if payload is None else draw(mutated(payload)), flags
 
 
-@settings(max_examples=120)
-@given(cli_case())
-def test_mutated_inputs_exit_cleanly(case):
-    command, text, flags = case
+def _run(command, text, flags):
+    """Exit code, stdout and stderr of one in-process call on the input text."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, *flags]
         if text is not None:
@@ -154,9 +155,44 @@ def test_mutated_inputs_exit_cleanly(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-    assert code in (0, 2), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_clean_exit(code, out, err):
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err
     if code == 2:
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+        assert err.count("\n") == 1 and err.endswith("\n"), err
     else:
-        json.loads(out.getvalue())
+        json.loads(out)
+
+
+@settings(max_examples=120)
+@given(cli_case())
+def test_mutated_inputs_exit_cleanly(case):
+    _check_clean_exit(*_run(*case))
+
+
+# Integer fields given a fraction, a boolean or a string: (command, path, value).
+INTEGER_MUTATIONS = [
+    ("compose", ("terms", 0, "exps", "z1"), 1.5),
+    ("compose", ("dims", "n"), 1.9),
+    ("toeplitz-leading", ("terms", 0, "hol", 0), 1.5),
+    ("toeplitz-leading", ("terms", 0, "hol", 0), True),
+    ("toeplitz-leading", ("n",), "1"),
+    ("toeplitz-leading", ("n",), 1.7),
+    ("constants", ("dims", 1), 1.5),
+    ("constants", ("fiber_rank",), 1.5),
+]
+
+
+@pytest.mark.parametrize("command, path, value", INTEGER_MUTATIONS)
+def test_non_integer_field_mutations_are_usage_errors(command, path, value):
+    doc = copy.deepcopy(INPUTS[command][0])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, out, err = _run(command, json.dumps(doc), REQUIRED.get(command, []))
+    _check_clean_exit(code, out, err)
+    assert code == 2 and "must be an integer" in err

@@ -1,5 +1,7 @@
 """Normal symbols, Lambda contractions, model operators, leading-term table."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -38,6 +40,7 @@ from fockcalc import (
 )
 from fockcalc import operators
 from fockcalc.geometry import hermitian_eigs
+from fockcalc.poly import _coef_to_json
 
 from conftest import complex_rows, random_symbol, term_sum
 
@@ -74,6 +77,11 @@ def test_symbol_validation():
         Symbol(dims, Poly.monomial(dims, {"z'2": 1}))
     with pytest.raises(ValueError, match="dims"):
         Symbol(dims, Poly.one(Dims.of(2, m=0)))
+    # a fractional or boolean exponent used to be stored as int(value)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="symbol exponent must be an integer"):
+            Symbol.from_terms(1, 0, {((bad,), (0,)): 1.0})
+    assert Symbol.from_terms(1, 0, {((2.0,), (0,)): 1.0}).terms().keys() == {((2,), (0,))}
 
 
 def test_symbol_algebra():
@@ -182,6 +190,71 @@ def test_rotate_symbol(rng):
         assert _symbol_diff(lhs, rhs) < 1e-12
     with pytest.raises(ValueError, match="2x2"):
         rotate_symbol(Symbol.monomial(2, 0, (1, 0), (0, 0)), np.eye(3))
+
+
+def test_rotate_symbol_signed_permutation_is_exact():
+    # w1 -> -w2, w2 -> w3, w3 -> w1 (and conjugates) maps each monomial to one
+    # monomial, so every coefficient comes through to the bit
+    U = np.array([[0, -1, 0], [0, 0, 1], [1, 0, 0]])
+    g = Symbol.from_terms(
+        4, 1, {((2, 0, 1), (0, 1, 1)): 1.5 - 0.25j, ((0, 1, 0), (3, 0, 0)): -0.75 + 2.0j, ((0, 0, 0), (0, 0, 0)): 3.0}
+    )
+    want = {((1, 2, 0), (1, 0, 1)): 1.5 - 0.25j, ((0, 0, 1), (0, 3, 0)): 0.75 - 2.0j, ((0, 0, 0), (0, 0, 0)): 3.0}
+    got = rotate_symbol(g, U).terms()
+    assert got.keys() == want.keys()
+    for key, coef in want.items():
+        assert got[key][0, 0] == coef
+    assert rotate_symbol(Symbol.zero(4, 1), U).is_zero()
+
+
+# SHA-256 over the JSON of lambda_eq, lambda_h, lambda_a, adjoint and both
+# to_poly slots of every symbol of ``_pinned_symbols``, in order, each
+# polynomial with its exponent rows in store order (the order later products
+# accumulate in).  Any change to a contraction weight, the accumulation or row
+# order or the signed zeros changes it; no matrix product is involved, so it
+# does not depend on the BLAS kernel.
+PINNED_SYMBOL_SHA256 = "cf1500bcd308d78a77633fcb0e6a9fa920b76704161f157d3dd841fc819105b8"
+
+
+def _pinned_symbols():
+    """Seeded symbols for k = 0..3 normal variables, m in {0, 1}, fiber ranks 1
+    and 2, one to five terms of exponents <= 2, every third with signed-zero
+    coefficient entries."""
+    rng = np.random.default_rng(20261018)
+    case = 0
+    for k in range(4):
+        for m in (0, 1):
+            for rank in (1, 2):
+                for _ in range(12):
+                    terms = {}
+                    for _ in range(1 + case % 5):
+                        hol = tuple(int(v) for v in rng.integers(0, 3, size=k))
+                        anti = tuple(int(v) for v in rng.integers(0, 3, size=k))
+                        coef = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+                        if case % 3 == 0:
+                            coef[0, 0] = complex(-0.0, coef[0, 0].imag)
+                            coef[-1, -1] = complex(coef[-1, -1].real, -0.0)
+                        terms[(hol, anti)] = coef
+                    case += 1
+                    yield Symbol.from_terms(m + k, m, terms, rank)
+
+
+def _fingerprint(x) -> list:
+    if isinstance(x, np.ndarray):
+        return _coef_to_json(x)
+    poly = x.poly if isinstance(x, Symbol) else x
+    return [x.to_json_dict(), poly.exps.tolist()]
+
+
+def test_symbol_layer_output_bytes_are_pinned():
+    h = hashlib.sha256()
+    seen = set()
+    for g in _pinned_symbols():
+        outputs = [lambda_eq(g), lambda_h(g), lambda_a(g), g.adjoint(), g.to_poly("unprimed"), g.to_poly("primed")]
+        h.update(json.dumps([_fingerprint(x) for x in outputs]).encode())
+        seen.add((g.k, g.fiber_rank))
+    assert seen == {(k, r) for k in range(4) for r in (1, 2)}
+    assert h.hexdigest() == PINNED_SYMBOL_SHA256
 
 
 # -- cutoff profiles ------------------------------------------------------------------
@@ -341,8 +414,6 @@ def test_m_op_errors():
         m_op(g, p=2.0, n=2, m=0)
     with pytest.raises(ValueError, match="variant"):
         m_op(g, p=2.0, variant="sideways")
-    with pytest.raises(ValueError, match="symbolic"):
-        m_op(g, p=2.0, cutoff=CutoffSpec(), symbolic=True)
 
 
 def test_m_op_rejects_nan_level():
@@ -492,6 +563,19 @@ def test_c1_c2():
         c1_c2(g, kappa_samples=[])
     with pytest.raises(ValueError):
         c1_c2(g, kappa_samples=[-1.0])
+
+
+def test_fibre_integrals_take_symbols_beyond_the_default_cap():
+    # g* g of w^5 wbar^4 has degree 18 > DEFAULT_DEGREE_CAP = 16; h_gp and
+    # c1_c2 used to raise DegreeOverflowError on it
+    g = Symbol.monomial(1, 0, (5,), (4,))
+    want = math.factorial(9) / PI**9  # lambda_eq(|w|^18)
+    res = h_gp(g)
+    assert abs(res.leading[0, 0] - want) <= 1e-13 * want
+    assert res.max_abs_diff <= 1e-12 * want
+    c1, c2 = c1_c2(g)
+    assert math.isclose(c1, math.sqrt(want), rel_tol=1e-13)
+    assert math.isclose(c2, math.sqrt(want), rel_tol=1e-13)
 
 
 def test_c1_c2_rejects_nan_kappa():

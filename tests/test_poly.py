@@ -97,6 +97,20 @@ def test_bad_terms_rejected():
         Poly.monomial(dims, {"z2": 1})  # index beyond n
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1", math.inf])
+def test_non_integer_exponents_rejected(bad):
+    # the exponent used to be stored as int(bad), 1.5 as 1
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        Poly(Dims.of(1), {(bad, 0, 0, 0): 1.0})
+
+
+def test_integral_float_and_numpy_exponents_accepted():
+    want = Poly.monomial(Dims.of(1), {"z1": 2})
+    for exps in [(2.0, 0, 0, 0), tuple(np.array([2, 0, 0, 0]))]:
+        got = Poly(Dims.of(1), {exps: 1.0})
+        assert got.exps.tolist() == [[2, 0, 0, 0]] and got.max_coef_diff(want) == 0.0
+
+
 def test_non_finite_coefficients_rejected():
     dims = Dims.of(1)
     for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
