@@ -131,11 +131,13 @@ class GeometryData:
     samples: tuple[GeometrySample, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fiber_rank", _json_int(self.fiber_rank, "fiber_rank"))
+        object.__setattr__(self, "dims", tuple(_json_int(v, "dims entry") for v in self.dims))
         if self.fiber_rank < 1:
             raise ValueError("fiber_rank must be >= 1")
-        if len(self.dims) < 2 or any(int(d) < 0 for d in self.dims):
+        if len(self.dims) < 2 or any(d < 0 for d in self.dims):
             raise ValueError("dims must list the chain m <= ... <= n")
-        if list(self.dims) != sorted(int(d) for d in self.dims):
+        if list(self.dims) != sorted(self.dims):
             raise ValueError("dims chain must be non-decreasing")
         if not self.samples:
             raise ValueError("sample list must be non-empty")
@@ -156,7 +158,7 @@ class GeometryData:
         r = self.fiber_rank
         out = {
             "schema": GEOM_SCHEMA,
-            "dims": [int(d) for d in self.dims],
+            "dims": list(self.dims),
             "fiber_rank": r,
             "samples": [],
         }
@@ -240,7 +242,7 @@ class GeometryData:
                 )
             )
         return cls(
-            dims=tuple(_json_int(v, "dims entry") for v in d["dims"]),
+            dims=d["dims"],
             fiber_rank=r,
             samples=tuple(samples),
         )

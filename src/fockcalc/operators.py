@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -471,8 +472,8 @@ def m_op(
     sampled :class:`MOpField`.
     """
     p = _check_level(p)
-    n = g.n if n is None else int(n)
-    m = g.m if m is None else int(m)
+    n = g.n if n is None else _json_int(n, "n")
+    m = g.m if m is None else _json_int(m, "m")
     if (n, m) != (g.n, g.m):
         raise ValueError(
             f"dimension mismatch: symbol has (n, m) = {(g.n, g.m)}, requested {(n, m)}"
@@ -517,29 +518,30 @@ def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _radial_pieces(N: int, R: float, cutoff: CutoffSpec) -> list[tuple[float, float]]:
+def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec, nodes: int) -> dict[int, float]:
+    """N -> reduced integral over C of |u|^(2N): int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr.
+
+    Eight Gauss-Legendre pieces: per N, equal ones out to sqrt((2N + 80)/pi)
+    under the identity; under the bump one set for every N, two on the
+    plateau and six over [R/4, R/2].  Piece sums add as floats in order:
+    ``reduce``, because builtin ``sum`` compensates floats from Python 3.12.
+    """
     if cutoff.is_identity:
-        r_top = math.sqrt((2 * N + 80.0) / PI)
-        edges = np.linspace(0.0, r_top, 9)
-        return list(zip(edges[:-1], edges[1:]))
-    lo, hi = R / 4.0, R / 2.0
-    fracs = [0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0]
-    pieces = [(0.0, lo / 2.0), (lo / 2.0, lo)]
-    for fa, fb in zip(fracs[:-1], fracs[1:]):
-        pieces.append((lo + fa * (hi - lo), lo + fb * (hi - lo)))
-    return pieces
-
-
-def _radial_moment(N: int, R: float, cutoff: CutoffSpec, nodes: int) -> float:
-    """integral over C of |u|^(2N) -> reduced: int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr."""
+        groups = [(np.linspace(0.0, math.sqrt((2 * N + 80.0) / PI), 9), [N]) for N in Ns]
+    else:
+        lo, hi = R / 4.0, R / 2.0
+        transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
+        groups = [(np.array([0.0, lo / 2.0, *transition]), Ns)]
     x, w = _gl_rule(nodes)
-    total = 0.0
-    for a, b in _radial_pieces(N, R, cutoff):
+    out = {}
+    for edges, group in groups:
+        a, b = edges[:-1, None], edges[1:, None]
         r = 0.5 * (a + b) + 0.5 * (b - a) * x
-        wt = 0.5 * (b - a) * w
         rho = cutoff.rho(r / R)
-        total += float(np.sum(wt * np.exp(-PI * r * r) * rho * rho * r ** (2 * N + 1) * 2.0))
-    return total
+        weight = 0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho
+        for N in group:
+            out[N] = reduce(add, np.sum(weight * r ** (2 * N + 1) * 2.0, axis=1).tolist(), 0.0)
+    return out
 
 
 def h_gp(
@@ -556,13 +558,13 @@ def h_gp(
     alpha reduces to a 1-d radial integral with the Dirichlet constant
     pi^k * prod(alpha_i!) / (|alpha| + k - 1)!.  ``grid`` is the number of
     Gauss-Legendre nodes on each of the radial pieces; the rule for a node
-    count is built once and cached.
+    count is built once and cached.  Every radial degree the call needs is
+    taken from one array pass per piece set: one per degree under the
+    identity cutoff, one in all under the bump.
     """
     p = _check_level(p)
     cutoff = cutoff or IDENTITY_CUTOFF
-    if grid is not None and not float(grid).is_integer():
-        raise ValueError(f"grid must be an integer node count, got {grid!r}")
-    nodes = 160 if grid is None else int(grid)
+    nodes = 160 if grid is None else _json_int(grid, "grid")
     if nodes < 8:
         from .oracle import InsufficientNodesError
 
@@ -577,15 +579,11 @@ def h_gp(
         return HgpResult(h_sq=h_sq, leading=leading)
     R = math.sqrt(p) * cutoff.r_perp
     diag = (hol == anti).all(axis=1)
-    moments: dict[int, float] = {}
-    dirichlet, moment = [], []
-    for alpha in hol[diag].tolist():
-        N = sum(alpha)
-        if N not in moments:
-            moments[N] = _radial_moment(N + k - 1, R, cutoff, nodes)
-        dirichlet.append(PI**k * math.prod(map(math.factorial, alpha)) / math.factorial(N + k - 1))
-        moment.append(moments[N])
-    terms = C[diag] * np.reshape(dirichlet, (-1, 1, 1)) * np.reshape(moment, (-1, 1, 1))
+    alphas = hol[diag].tolist()
+    Ns = [sum(alpha) + k - 1 for alpha in alphas]
+    moments = _radial_moments(set(Ns), R, cutoff, nodes)
+    dirichlet = [PI**k * math.prod(map(math.factorial, a)) / math.factorial(N) for a, N in zip(alphas, Ns)]
+    terms = C[diag] * np.reshape(dirichlet, (-1, 1, 1)) * np.reshape([moments[N] for N in Ns], (-1, 1, 1))
     h_sq = sum(terms, np.zeros((r, r), dtype=complex))
     return HgpResult(h_sq=h_sq / p**k, leading=leading)
 

@@ -10,6 +10,7 @@ quadrature here and in :mod:`.operators` integrates on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,28 +63,13 @@ class FockIndex(tuple):
 
     @property
     def factorial(self) -> int:
-        out = 1
-        for a in self:
-            out *= math.factorial(a)
-        return out
+        return math.prod(map(math.factorial, self))
 
 
 def fock_indices(dim: int, max_total: int) -> list[FockIndex]:
     """All multi-indices of length dim with |beta| <= max_total, sorted."""
-    if dim == 0:
-        return [FockIndex(())]
-    out: list[FockIndex] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            for a in range(remaining + 1):
-                out.append(FockIndex(prefix + (a,)))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), max_total, dim)
-    return sorted(out)
+    grid = itertools.product(range(max_total + 1), repeat=dim)
+    return [FockIndex(b) for b in grid if sum(b) <= max_total]
 
 
 # -- Gauss-Hermite ------------------------------------------------------------
@@ -429,7 +415,9 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     kernel contributes the other half, so each coordinate reduces to
     diagonal Gaussian moments (with the cross series where the kernel
     couples the coordinate).  Only Bergman / OrthBergman kinds make sense
-    here (both slots must carry the same dimension).
+    here (both slots must carry the same dimension).  The value is the
+    gamma entry of :func:`_pairing_row`, whose selection rule fixes gamma
+    for each term given beta; every other gamma pairs to exactly zero.
     """
     kind = expr.kind
     d = kind.du
@@ -439,36 +427,44 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     gamma = tuple(int(x) for x in gamma)
     if len(beta) != d or len(gamma) != d:
         raise ValueError(f"index length must be {d}")
-    return _pairing_sum(expr.numerator.sorted_terms(), kind.c, expr.dims.fiber_rank, beta, gamma)
+    if min(beta + gamma, default=0) < 0:
+        raise ValueError("indices must be non-negative")
+    r = expr.dims.fiber_rank
+    row = _pairing_row(expr.numerator.sorted_terms(), kind.c, r, beta)
+    return row.get(gamma, np.zeros((r, r), dtype=complex))
 
 
-def _pairing_sum(terms: list, c: int, r: int, beta: tuple[int, ...], gamma: tuple[int, ...]) -> np.ndarray:
-    """:func:`gaussian_pairing` summed over a numerator's ``sorted_terms``."""
-    d = len(beta)
-    acc = np.zeros((r, r), dtype=complex)
+def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
+    """{gamma: pairing of conj(z)^beta with z'^gamma}, summed over ``sorted_terms``.
+
+    Per coordinate a term (u, v, s, t) fixes gamma_i: coupled (i < c) needs
+    j = v + beta_i - u >= 0 and gives gamma_i = j + t - s >= 0; uncoupled
+    needs u = v + beta_i and gives gamma_i = t - s >= 0.  Every other gamma
+    pairs to zero, so a row costs one pass over the terms, added in order.
+    """
+    zero = np.zeros((r, r), dtype=complex)
+    row: dict[tuple[int, ...], np.ndarray] = {}
     for exps, coef in terms:
-        val = 1.0
-        for i in range(d):
+        val, gamma = 1.0, []
+        for i, b in enumerate(beta):
             u, v, s, t = exps[4 * i : 4 * i + 4]
             if i < c:
-                j = v + beta[i] - u
-                if j < 0 or s + gamma[i] - t != j:
-                    val = 0.0
+                j = v + b - u
+                g = j + t - s
+                if j < 0 or g < 0:
                     break
-                val *= (
-                    PI**j
-                    / math.factorial(j)
-                    * gaussian_moment(u + j, u + j)
-                    * gaussian_moment(s + gamma[i], s + gamma[i])
-                )
+                val *= PI**j / math.factorial(j) * gaussian_moment(u + j, u + j) * gaussian_moment(s + g, s + g)
             else:
-                if u != v + beta[i] or s + gamma[i] != t:
-                    val = 0.0
+                g = t - s
+                if u != v + b or g < 0:
                     break
                 val *= gaussian_moment(u, u) * gaussian_moment(t, t)
-        if val:
-            acc = acc + val * coef
-    return acc
+            gamma.append(g)
+        else:
+            if val:
+                key = tuple(gamma)
+                row[key] = row.get(key, zero) + val * coef
+    return row
 
 
 def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
@@ -486,7 +482,9 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     ``dp <= du`` and TT* on C^du otherwise, evaluates it exactly on the
     weighted monomial basis up to ``basis_cutoff`` and takes the square root
     of the PSD matrix's top eigenvalue.  The result is a monotone lower
-    bound converging in the cutoff.
+    bound converging in the cutoff.  Each row of the Gram matrix is one
+    :func:`_pairing_row`, so filling it costs basis size times terms, not
+    basis size squared; the eigenvalue is taken of the full matrix.
     """
     if isinstance(op, KernelExpr):
         op = ScaledKernel(op, 1.0, 1.0)
@@ -497,18 +495,16 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     d = gram_kernel.kind.du
     r = gram_kernel.expr.dims.fiber_rank
     basis = fock_indices(d, basis_cutoff)
+    index = {b: i for i, b in enumerate(basis)}
     blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
     terms, c = gram_kernel.expr.numerator.sorted_terms(), gram_kernel.kind.c
+    scale = gram_kernel.prefactor * gram_kernel.p ** (-d)
     for ib, b in enumerate(basis):
-        for ig, g in enumerate(basis):
-            raw = _pairing_sum(terms, c, r, b, g)
-            w = (
-                gram_kernel.prefactor
-                * gram_kernel.p ** (-d)
-                * PI ** ((b.total + g.total) / 2.0)
-                / math.sqrt(b.factorial * g.factorial)
-            )
-            blocks[ib, ig] = w * raw
+        for gamma, raw in _pairing_row(terms, c, r, b).items():
+            if gamma in index:
+                g = basis[index[gamma]]
+                w = scale * PI ** ((b.total + g.total) / 2.0) / math.sqrt(b.factorial * g.factorial)
+                blocks[ib, index[gamma]] = w * raw
     G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
     G = 0.5 * (G + G.conj().T)
     return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))

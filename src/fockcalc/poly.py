@@ -66,6 +66,9 @@ class Dims:
     fiber_rank: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n", "l", "m", "fiber_rank"):
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, _json_int(getattr(self, name), f"dims {name}"))
         if not (0 <= self.m <= self.l <= self.n):
             raise ValueError(f"need 0 <= m <= l <= n, got n={self.n} l={self.l} m={self.m}")
         if self.fiber_rank < 1:

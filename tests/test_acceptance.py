@@ -21,6 +21,7 @@ from fockcalc import (
     GeometrySample,
     KernelExpr,
     NormalDirection,
+    OrthBergman,
     Poly,
     Restriction,
     Symbol,
@@ -171,10 +172,17 @@ def test_criterion_07_norm_asymptotics():
     got = norm_estimate(op, basis_cutoff=12)
     want = 1.0 / (2.0 * math.sqrt(PI))
     err = abs(got - want)
+    # the OrthBergman(3, 1) projector on its 286-element basis, pinned bit for bit
+    projector = norm_estimate(unit_expr(OrthBergman(3, 1)), basis_cutoff=10)
     elapsed = time.monotonic() - t0
     assert err <= 1e-4, f"norm {got:.8f} vs {want:.8f}"
+    assert projector == 1.0, f"OrthBergman(3,1) norm {projector!r} != 1.0"
     assert elapsed <= 60.0, f"took {elapsed:.1f}s"
-    report(7, "1e-4", f"norm {got:.8f} vs closed form {want:.8f} (err {err:.2e}), {elapsed:.1f}s")
+    report(
+        7,
+        "1e-4 / ==",
+        f"norm {got:.8f} vs closed form {want:.8f} (err {err:.2e}), OrthBergman(3,1) {projector!r}, {elapsed:.1f}s",
+    )
 
 
 # -- criterion 8 machinery ---------------------------------------------------------

@@ -37,6 +37,13 @@ def data_with(samples, dims=(1, 2), fiber_rank=1):
 # -- data model ---------------------------------------------------------------------
 
 
+def test_geometry_data_rejects_boolean_dims():
+    with pytest.raises(ValueError, match="dims entry must be an integer"):
+        GeometryData(dims=(True, 2), samples=(GeometrySample(id="a"),))
+    with pytest.raises(ValueError, match="fiber_rank must be an integer"):
+        GeometryData(dims=(1, 2), fiber_rank=1.5, samples=(GeometrySample(id="a"),))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="level"):
         NormalDirection(id="d", level="YZ")

@@ -416,6 +416,15 @@ def test_m_op_errors():
         m_op(g, p=2.0, variant="sideways")
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+def test_m_op_dimensions_must_be_integers(bad):
+    g = Symbol.monomial(1, 0, (0,), (1,))
+    for kwargs in ({"n": bad}, {"m": bad}, {"n": bad, "m": 0.7}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            m_op(g, p=2.0, **kwargs)
+    assert m_op(g, p=2.0, n=1.0, m=0.0).kind == Extension(1, 0)
+
+
 def test_m_op_rejects_nan_level():
     with pytest.raises(ValueError, match="p must be finite"):
         m_op(Symbol.monomial(1, 0, (0,), (1,)), p=math.nan)
@@ -502,8 +511,9 @@ def test_h_gp_rejects_non_finite_level(p):
 
 
 def test_h_gp_rejects_fractional_grid():
-    with pytest.raises(ValueError, match="grid must be an integer"):
-        h_gp(Symbol.monomial(1, 0, (0,), (1,)), grid=8.7)
+    for grid in (8.7, "96", True):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            h_gp(Symbol.monomial(1, 0, (0,), (1,)), grid=grid)
 
 
 def test_gl_rule_is_built_once_per_node_count(monkeypatch):
@@ -544,6 +554,28 @@ def test_h_gp_cached_rule_is_bit_identical(monkeypatch, grid, cutoff):
     for got, want in zip(cached, fresh):
         assert np.array_equal(got.h_sq, want.h_sq)
         assert np.array_equal(got.leading, want.leading)
+
+
+# SHA-256 over the JSON of h_sq and leading of h_gp for every symbol of
+# ``_pinned_symbols`` with k >= 1, under the identity cutoff at p = 1 and 4 and
+# the bump at p = 64.  It pins the radial moments' node layout and summation
+# order bit for bit.  g* g is a Poly.mul product, whose coefficient products
+# run through BLAS, so like PINNED_OUTPUT_SHA256 it holds for one BLAS kernel.
+PINNED_HGP_SHA256 = "8e3c34ca4cd1d586853a625955e755c334e42128d5bbd65beee80e1b5a0bfeb7"
+
+
+def test_h_gp_output_bytes_are_pinned():
+    h = hashlib.sha256()
+    calls = 0
+    for g in _pinned_symbols():
+        if g.k == 0:
+            continue
+        for p, cutoff in ((1.0, IDENTITY_CUTOFF), (4.0, IDENTITY_CUTOFF), (64.0, CutoffSpec(r_perp=1.0))):
+            res = h_gp(g, p=p, cutoff=cutoff)
+            h.update(json.dumps([_coef_to_json(res.h_sq), _coef_to_json(res.leading)]).encode())
+            calls += 1
+    assert calls == 432
+    assert h.hexdigest() == PINNED_HGP_SHA256
 
 
 # -- norm constants ----------------------------------------------------------------------

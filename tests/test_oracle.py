@@ -268,15 +268,28 @@ def _pairing_quadrature(expr, beta, gamma, nodes=14):
         ({"zb'1": 1}, (1,), (0,)),
         ({"z1": 1, "zb'1": 1}, (1,), (1,)),
         ({}, (2,), (2,)),
+        ({}, (1,), (1,)),
+        ({}, (0,), (1,)),
+        ({"z1": 1}, (1,), (0,)),
+        ({"zb1": 1}, (0,), (1,)),
+        ({"z'1": 1}, (1,), (0,)),
     ],
 )
 def test_gaussian_pairing_vs_quadrature(powers, beta, gamma):
+    # Bergman(1) couples its coordinate and OrthBergman(1, 0) does not; each
+    # case vanishes on one kind, both or neither.  A pair the quadrature finds
+    # zero must be exactly zero in closed form: the selection rule drops it.
     dims = Dims.of(1)
     poly = Poly.monomial(dims, powers) if powers else Poly.one(dims)
-    expr = KernelExpr(poly, Bergman(1))
-    exact = gaussian_pairing(expr, beta, gamma)[0, 0]
-    quad = _pairing_quadrature(expr, beta, gamma)
-    assert abs(exact - quad) < 1e-9 * max(1.0, abs(exact))
+    for kind in (Bergman(1), OrthBergman(1, 0)):
+        expr = KernelExpr(poly, kind)
+        exact = gaussian_pairing(expr, beta, gamma)[0, 0]
+        quad = _pairing_quadrature(expr, beta, gamma)
+        assert abs(exact - quad) < 1e-9 * max(1.0, abs(exact)), kind
+        if abs(quad) < 1e-12:
+            assert exact == 0.0, kind
+        else:
+            assert abs(quad) > 1e-2, kind  # no case sits near the threshold
 
 
 def test_gaussian_pairing_orthogonality():
@@ -289,6 +302,8 @@ def test_gaussian_pairing_orthogonality():
         gaussian_pairing(unit_expr(Extension(2, 1)), (0, 0), (0,))
     with pytest.raises(ValueError):
         gaussian_pairing(e, (0,), (0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        gaussian_pairing(e, (0, 0), (-1, 1))
 
 
 # -- norms ------------------------------------------------------------------------------
@@ -339,6 +354,20 @@ PINNED_NORMS = [
 @pytest.mark.parametrize("shape, variant, p, cutoff, want", PINNED_NORMS)
 def test_norm_estimate_gram_side_is_pinned(shape, variant, p, cutoff, want):
     op = m_op(Symbol.monomial(*shape), p=p, variant=variant)
+    assert norm_estimate(op, cutoff) == want
+
+
+# Pinned from the basis x basis double loop that filled the Gram matrix
+# before it was filled row by row from the selection rule.
+SELECTION_RULE_NORMS = [
+    (unit_expr(Bergman(2)), 14, 1.0),
+    (unit_expr(OrthBergman(3, 1)), 10, 1.0),
+    (KernelExpr(Poly.monomial(Dims.of(2), {"z1": 1, "zb'1": 1}), Bergman(2)), 10, 3.1830988618379066),
+]
+
+
+@pytest.mark.parametrize("op, cutoff, want", SELECTION_RULE_NORMS, ids=["Bergman2", "OrthBergman31", "z1zb'1"])
+def test_norm_estimate_selection_rule_is_pinned(op, cutoff, want):
     assert norm_estimate(op, cutoff) == want
 
 

@@ -42,6 +42,18 @@ def test_dims_validation():
     assert (d.n, d.l, d.m) == (3, 3, 1)
 
 
+def test_dims_of_rejects_a_fractional_dimension():
+    with pytest.raises(ValueError, match="dims n must be an integer"):
+        Dims.of(1.5)
+
+
+def test_dims_rejects_boolean_fields():
+    with pytest.raises(ValueError, match="dims n must be an integer"):
+        Dims(n=True, l=True, m=0)
+    d = Dims(n=2.0, l=2, m=1, fiber_rank=2.0)  # integral floats are read as ints, like the loader
+    assert (type(d.n), type(d.fiber_rank)) == (int, int) and d == Dims.of(2, m=1, fiber_rank=2)
+
+
 def test_dims_json_round_trip():
     d = Dims(n=3, l=2, m=1, fiber_rank=2)
     assert Dims.from_json_dict(d.to_json_dict()) == d
