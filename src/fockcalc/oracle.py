@@ -2,10 +2,12 @@
 
 Nothing here reuses the closed-form pairing rules from :mod:`.compose`;
 composites are integrated directly on Gauss-Hermite grids so the two
-routes check each other.  The Gauss-Hermite rule itself is built from
-scratch (Newton on the orthonormal Hermite recurrence, Christoffel
-weights), and :func:`gaussian_mesh` is the one tensor mesh every
-quadrature here and in :mod:`.operators` integrates on.
+routes check each other.  The one-axis rule is numpy's ``hermgauss``
+(:func:`gauss_hermite`).  The composition oracle shifts each middle
+axis's contour so that its integrand is a polynomial, which the rule
+integrates exactly at any evaluation point; :func:`gaussian_mesh` is the
+one tensor mesh the other quadratures here and in :mod:`.operators`
+integrate on.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly, monomial_values, variable_columns
+from .poly import Dims, Poly, _json_int, monomial_values, variable_columns
 from .kernels import (
     KernelExpr,
     KernelKind,
@@ -75,117 +77,59 @@ def fock_indices(dim: int, max_total: int) -> list[FockIndex]:
 # -- Gauss-Hermite ------------------------------------------------------------
 
 
-def _hermite_ortho(k: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite value h_k(x) for weight exp(-x^2)."""
-    h0 = np.full_like(x, PI ** -0.25, dtype=float)
-    if k == 0:
-        return h0
-    h1 = math.sqrt(2.0) * x * PI ** -0.25
-    if k == 1:
-        return h1
-    hm, h = h0, h1
-    for j in range(1, k):
-        hm, h = h, x * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(j / (j + 1)) * hm
-    return h
-
-
 @lru_cache(maxsize=64)
-def gauss_hermite(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights for integral f(x) exp(-x^2) dx, k-point rule.
-
-    Roots by sign-change bracketing plus Newton on the orthonormal
-    recurrence (h_k' = sqrt(2k) h_{k-1}); weights are Christoffel numbers
-    1 / sum_{j<k} h_j(x)^2.
-    """
+def gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights for integral f(x) exp(-x^2) dx, k-point rule (numpy's ``hermgauss``)."""
     if k < 1:
         raise ValueError("need at least one node")
-    if k == 1:
-        return (0.0,), (math.sqrt(PI),)
-    R = math.sqrt(2 * k + 1) + 1.0
-    grid = np.linspace(-R, R, 40 * k + 1)
-    vals = _hermite_ortho(k, grid)
-    # Zero-free sign convention: a grid node landing exactly on a root (the
-    # origin, for odd k) still registers as one sign change, not as sign 0.
-    sign = np.where(vals >= 0, 1, -1)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) != k:
-        raise RuntimeError(f"bracketing found {len(idx)} sign changes, expected {k}")
-    lo, hi = grid[idx].copy(), grid[idx + 1].copy()
-    flo = vals[idx].copy()
-    for _ in range(4):
-        mid = 0.5 * (lo + hi)
-        fm = _hermite_ortho(k, mid)
-        left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        f = _hermite_ortho(k, x)
-        fp = math.sqrt(2 * k) * _hermite_ortho(k - 1, x)
-        step = f / fp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(x)))):
-            break
-    x = np.sort(x)
-    # Christoffel weights: one recurrence pass accumulating sum h_j(x)^2.
-    h_prev = np.full_like(x, PI ** -0.25)
-    acc = h_prev**2
-    h = math.sqrt(2.0) * x * PI ** -0.25
-    if k >= 2:
-        acc = acc + h**2
-    for j in range(1, k - 1):
-        h_prev, h = h, x * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(j / (j + 1)) * h_prev
-        acc = acc + h**2
-    ws = 1.0 / acc
-    return tuple(float(v) for v in x), tuple(float(v) for v in ws)
+    from numpy.polynomial.hermite import hermgauss  # only commands that build a rule pay the import
+
+    rule = hermgauss(k)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @dataclass(frozen=True)
 class QuadGrid:
-    """Per-axis Gauss rule for the radial weight exp(-weight_scale * x^2) on C^n."""
+    """Per-axis Gauss-Hermite rule for the weight exp(-pi x^2) on each real axis of C^n:
+    exact up to degree ``2 * nodes_per_axis - 1``, the oracle's whole accuracy contract."""
 
     nodes_per_axis: int
     n: int
-    weight_scale: float = PI
 
     def __post_init__(self):
-        nodes, scale = self.nodes_per_axis, self.weight_scale
+        nodes = self.nodes_per_axis
         if not float(nodes).is_integer() or nodes < 1:
             raise ValueError(f"nodes_per_axis must be an integer >= 1, got {nodes!r}")
-        if not (math.isfinite(scale) and scale > 0):
-            raise ValueError(f"weight_scale must be positive and finite, got {scale!r}")
 
     def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes/weights absorbing the Gaussian: sum w f(x) ~ int f(x) e^{-s x^2} dx."""
+        """Nodes/weights absorbing the Gaussian: sum w f(x) ~ int f(x) e^{-pi x^2} dx."""
         xs, ws = gauss_hermite(self.nodes_per_axis)
-        s = math.sqrt(self.weight_scale)
-        return np.array(xs) / s, np.array(ws) / s
+        s = math.sqrt(PI)
+        return xs / s, ws / s
 
     def to_json_dict(self) -> dict:
-        return {
-            "nodes_per_axis": self.nodes_per_axis,
-            "n": self.n,
-            "weight_scale": self.weight_scale,
-        }
+        return {"nodes_per_axis": self.nodes_per_axis, "n": self.n}
 
 
 @lru_cache(maxsize=32)
-def gaussian_mesh(k: int, nodes: int, weight_scale: float = PI) -> tuple[np.ndarray, np.ndarray]:
+def gaussian_mesh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tensor mesh on C^k for integrals against exp(-pi |u|^2).
 
     Points are ``(nodes^(2k), k)``: each coordinate runs over the
-    ``x + iy`` grid of the ``QuadGrid(nodes, k, weight_scale)`` axis nodes,
-    x slower than y, the first coordinate slowest.  The axis rule absorbs
-    exp(-weight_scale x^2), so the weights ``(nodes^(2k),)`` carry
-    exp((weight_scale - pi) |u|^2) back in.
+    ``x + iy`` grid of the ``QuadGrid(nodes, k)`` axis nodes, x slower
+    than y, the first coordinate slowest.  The weights ``(nodes^(2k),)``
+    are products of axis weights, which absorb exp(-pi x^2) on each real
+    axis, so a polynomial of degree up to ``2 * nodes - 1`` in each real
+    variable integrates exactly.
     """
-    xs, ws = QuadGrid(nodes, k, weight_scale).axis_nodes()
+    xs, ws = QuadGrid(nodes, k).axis_nodes()
     axis = (xs[:, None] + 1j * xs[None, :]).ravel()
     axis_w = (ws[:, None] * ws[None, :]).ravel()
     idx = np.indices((len(axis),) * k).reshape(k, len(axis) ** k).T
     pts = axis[idx]
-    wts = np.prod(axis_w[idx], axis=1) * np.exp((weight_scale - PI) * np.sum(np.abs(pts) ** 2, axis=1))
+    wts = np.prod(axis_w[idx], axis=1)
     pts.setflags(write=False)
     wts.setflags(write=False)
     return pts, wts
@@ -193,8 +137,11 @@ def gaussian_mesh(k: int, nodes: int, weight_scale: float = PI) -> tuple[np.ndar
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Largest error over the points; ``max_rel`` and ``worst_point`` scale each point by its own values."""
+
     max_abs: float
     max_rel: float
+    worst_point: int
     grid: QuadGrid
     passed: bool
 
@@ -202,6 +149,7 @@ class OracleReport:
         return {
             "max_abs": self.max_abs,
             "max_rel": self.max_rel,
+            "worst_point": self.worst_point,
             "grid": self.grid.to_json_dict(),
             "pass": self.passed,
         }
@@ -278,59 +226,96 @@ def oracle_compose_values(
     Works for any kind pair with matching middle dimension; the middle
     Gaussian weight is always exp(-pi |W|^2) and each kernel couples a
     prefix of coordinates, so the integral factorizes per coordinate and
-    term pair.
+    term pair into moments of w^a conj(w)^b.
+
+    Middle coordinate i carries the coupling exp(pi z_i conj(w) + pi zp_i w),
+    with z_i the left outer coordinate where the left kernel couples i and
+    zp_i = conj(z'_i) where the right one does (else 0).  Completing the
+    square, -pi w conj(w) + pi z_i conj(w) + pi zp_i w equals
+    pi z_i zp_i - pi (w - z_i)(conj(w) - zp_i), so with w = x + iy the
+    contours shift to x = xi + (z_i + zp_i)/2 and y = eta + i(zp_i - z_i)/2,
+    and the integrand is a polynomial of degree a + b against
+    exp(-pi (xi^2 + eta^2)).  Expanding w^a conj(w)^b in x^m y^(a+b-m)
+    leaves products of one-axis Gauss-Hermite sums at the shifted nodes.
+    The grid is exact once ``2 * nodes - 1 >= a + b``, which
+    :class:`InsufficientNodesError` enforces, at every point however far.
+    e^{pi z_i zp_i} joins the outer normalisation in one exponent, so far
+    points do not overflow.
     """
     n_mid = _middle_dim(e1, e2)
-    if e1.dims.fiber_rank != e2.dims.fiber_rank:
-        raise ValueError("fiber rank mismatch")
-    r = e1.dims.fiber_rank
     if grid is None:
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
     if eval_points is None:
         eval_points = default_eval_points(e1.kind, e2.kind)
+    z, zp = _stack_points(eval_points, e1.kind.du, e2.kind.dp)
+    return list(_quadrature(e1, e2, grid, z, zp))
+
+
+def _quadrature(e1: KernelExpr, e2: KernelExpr, grid: QuadGrid, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """(P, r, r) values of the composite at stacked points; see :func:`oracle_compose_values`."""
+    if e1.dims.fiber_rank != e2.dims.fiber_rank:
+        raise ValueError("fiber rank mismatch")
+    r, n_mid = e1.dims.fiber_rank, e1.kind.dp
     lc, rc = e1.kind.c, e2.kind.c
     E1, C1 = e1.numerator.table
     E2, C2 = e2.numerator.table
     T1, T2 = len(E1), len(E2)
 
-    # Middle exponents (a, b) of every term pair and coordinate, (T1, T2, n_mid, 2):
+    # Middle exponents (a, b) of every coordinate and term pair, (n_mid, T1 * T2):
     # z'^a zb'^b of the left term times z^a zb^b of the right one.
     ab = (
         E1[:, : 4 * n_mid].reshape(T1, 1, n_mid, 4)[..., 2:]
         + E2[:, : 4 * n_mid].reshape(1, T2, n_mid, 4)[..., :2]
-    )
+    ).reshape(T1 * T2, n_mid, 2).transpose(1, 0, 2)
     max_ab = int(np.max(ab.sum(axis=-1), initial=0))
     if 2 * grid.nodes_per_axis - 1 < max_ab:
         raise InsufficientNodesError(
             f"{grid.nodes_per_axis} nodes per axis cannot integrate middle degree {max_ab}"
         )
 
-    z, zp = _stack_points(eval_points, e1.kind.du, e2.kind.dp)
+    P = len(z)
     factor = (
         monomial_values(variable_columns(e1.dims.n, z, z.conj(), 1.0, 1.0), E1)[:, :, None]
         * monomial_values(variable_columns(e2.dims.n, 1.0, 1.0, zp, zp.conj()), E2)[:, None, :]
-    )
-    # On the one-coordinate mesh as a tensor grid w = x_i + i y_j the coupling
-    # exp(pi z conj(w) + pi conj(z') w) splits into exp(pi u x_i) exp(pi v y_j), so each
-    # moment is (P, nodes) @ (nodes, nodes) and no (P, nodes^2) array is formed.
-    nodes = grid.nodes_per_axis
-    mesh, wts = gaussian_mesh(1, nodes, grid.weight_scale)
-    w, weights = mesh.reshape(nodes, nodes), wts.reshape(nodes, nodes)
-    x, y, wc = w[:, 0].real, w[0, :].imag, w.conj()
-    for i in range(n_mid):
-        pairs, index = np.unique(ab[:, :, i].reshape(T1 * T2, 2), axis=0, return_inverse=True)
-        zi = z[:, i] if i < lc else np.zeros(len(z))
-        zpi = zp[:, i].conj() if i < rc else np.zeros(len(z))
-        ex = np.exp(PI * np.multiply.outer(zi + zpi, x))
-        ey = np.exp(1j * PI * np.multiply.outer(zpi - zi, y))
-        moments = np.empty((len(z), len(pairs)), dtype=complex)
-        for k, (ai, bi) in enumerate(pairs.tolist()):
-            moments[:, k] = np.sum((ex @ (weights * w**ai * wc**bi)) * ey, axis=1)
-        factor = factor * moments[:, index.reshape(T1, T2)]
+    ).reshape(P, T1 * T2)
+    zi, zpi = np.zeros((2, n_mid, P), dtype=complex)
+    zi[:lc], zpi[:rc] = z[:, :lc].T, zp[:, :rc].conj().T
+
+    # Distinct (coordinate, a, b) under one packed key; d = a + b is the degree.
+    S = max_ab + 1
+    keys, inverse = np.unique((np.arange(n_mid)[:, None] * S + ab[..., 0]) * S + ab[..., 1], return_inverse=True)
+    coord, a, b = keys // (S * S), keys // S % S, keys % S
+    d = a + b
+    top = int(np.max(d, initial=0))
+
+    # mu[0 | 1, i, m, p]: sum_j W_j (xi_j + shift)^m on the x | y axis of coordinate i.
+    xs, ws = grid.axis_nodes()
+    shifted = np.stack([0.5 * (zi + zpi), 0.5j * (zpi - zi)])[..., None] + xs
+    mu = np.empty((2, n_mid, top + 1, P), dtype=complex)
+    mu[:, :, 0] = ws.sum()
+    term = ws * shifted
+    for power in range(1, top + 1):
+        mu[:, :, power] = term.sum(axis=-1)
+        term *= shifted
+
+    # w^a conj(w)^b = sum_m c_m x^m y^(a+b-m) on the shifted axes: c convolves
+    # (x + iy)^a's row C(a, s) i^(a-s) with (x - iy)^b's row C(b, t) (-i)^(b-t).
+    m = np.arange(top + 1)
+    binom = np.array([[math.comb(n, k) for k in range(top + 1)] for n in range(top + 1)], dtype=float)
+    i_pow = np.array([1.0, 1j, -1.0, -1j])
+    left = binom[a] * i_pow[(a[:, None] - m) % 4]
+    right = binom[b] * i_pow[(m - b[:, None]) % 4]
+    lag = m - m[:, None]
+    c = np.einsum("ks,ksm->km", left, np.where(lag >= 0, right[:, lag], 0.0))
+    # Past a + b the rows of c vanish, so the clipped y indices only meet zeros.
+    mu_y = mu[1][coord[:, None], np.maximum(d[:, None] - m, 0)]
+    moments = np.einsum("km,kmp,kmp->pk", c, mu[0][coord], mu_y)
+
+    factor = factor * np.prod(moments[:, inverse.reshape(n_mid, T1 * T2)], axis=1)
     pair_coefs = (C1[:, None] @ C2[None, :]).reshape(T1 * T2, r * r)
-    acc = (factor.reshape(len(z), T1 * T2) @ pair_coefs).reshape(len(z), r, r)
-    gauss_out = np.exp(-0.5 * PI * (np.sum(np.abs(z) ** 2, axis=1) + np.sum(np.abs(zp) ** 2, axis=1)))
-    return list(gauss_out[:, None, None] * acc)
+    acc = (factor @ pair_coefs).reshape(P, r, r)
+    norms = np.sum(np.abs(z) ** 2, axis=1) + np.sum(np.abs(zp) ** 2, axis=1)
+    return np.exp(PI * (np.sum(zi * zpi, axis=0) - 0.5 * norms))[:, None, None] * acc
 
 
 def oracle_compose(
@@ -355,16 +340,22 @@ def oracle_compose(
         raise ValueError("need at least one evaluation point")
     if expected is None:
         expected = compose(e1, e2)
-    numeric = oracle_compose_values(e1, e2, grid, eval_points)
-    want = expected.evaluate_batch(*_stack_points(eval_points, e1.kind.du, e2.kind.dp))
-    return _report(want, np.array(numeric).reshape(want.shape), grid, rel_tol)
+    z, zp = _stack_points(eval_points, e1.kind.du, e2.kind.dp)
+    numeric = _quadrature(e1, e2, grid, z, zp)
+    want = expected.evaluate_batch(z, zp)
+    return _report(want, numeric.reshape(want.shape), grid, rel_tol)
 
 
 def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> OracleReport:
-    max_abs = float(np.max(np.abs(want - got), initial=0.0))
-    scale = float(np.max(np.abs(want), initial=0.0))
-    max_rel = max_abs / scale if scale > 1e-150 else max_abs
-    return OracleReport(max_abs=max_abs, max_rel=max_rel, grid=grid, passed=max_rel <= tol)
+    """Errors per point, each scaled by that point's largest |want| entry (absolute below 1e-150)."""
+    err = np.max(np.abs(want - got).reshape(len(want), -1), axis=1, initial=0.0)
+    scale = np.max(np.abs(want).reshape(len(want), -1), axis=1, initial=0.0)
+    rel = np.where(scale > 1e-150, err / np.maximum(scale, 1e-150), err)
+    worst = int(np.argmax(rel))
+    max_rel = float(rel[worst])
+    return OracleReport(
+        max_abs=float(np.max(err)), max_rel=max_rel, worst_point=worst, grid=grid, passed=max_rel <= tol
+    )
 
 
 # -- ladder spectrum check -----------------------------------------------------
@@ -382,8 +373,8 @@ def laplacian_eigencheck(
     Laplacian = 4 pi |alpha| pointwise; the residual is evaluated on the
     grid's tensor mesh, thinned to at most 4096 points by a fixed stride.
     """
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
+    alpha = tuple(_json_int(a, "alpha entry") for a in alpha)
+    beta = tuple(_json_int(b, "beta entry") for b in beta)
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same length")
     n = len(alpha)
@@ -398,7 +389,7 @@ def laplacian_eigencheck(
     lap = apply_model_laplacian(state)
     want = state.scale(4.0 * PI * sum(alpha))
 
-    pts, _ = gaussian_mesh(n, grid.nodes_per_axis, grid.weight_scale)
+    pts, _ = gaussian_mesh(n, grid.nodes_per_axis)
     if len(pts) > 4096:
         pts = pts[:: len(pts) // 4096 + 1]
     no_primed = np.zeros((len(pts), 0))
@@ -423,8 +414,8 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     d = kind.du
     if kind.dp != d:
         raise ValueError("pairing needs a square kernel (Bergman or OrthBergman)")
-    beta = tuple(int(x) for x in beta)
-    gamma = tuple(int(x) for x in gamma)
+    beta = tuple(_json_int(x, "beta entry") for x in beta)
+    gamma = tuple(_json_int(x, "gamma entry") for x in gamma)
     if len(beta) != d or len(gamma) != d:
         raise ValueError(f"index length must be {d}")
     if min(beta + gamma, default=0) < 0:
@@ -486,6 +477,9 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     :func:`_pairing_row`, so filling it costs basis size times terms, not
     basis size squared; the eigenvalue is taken of the full matrix.
     """
+    basis_cutoff = _json_int(basis_cutoff, "basis_cutoff")
+    if basis_cutoff < 0:
+        raise ValueError(f"basis_cutoff must be >= 0, got {basis_cutoff}")
     if isinstance(op, KernelExpr):
         op = ScaledKernel(op, 1.0, 1.0)
     if op.kind.dp <= op.kind.du:

@@ -69,24 +69,38 @@ def report(num: int, tol, detail: str) -> None:
     print(f"[criterion {num:02d}] PASS tol={tol} {detail}")
 
 
+def far_eval_points(rng, kind1, kind2, count: int = 5):
+    """Point pairs with each coordinate uniform in the disc |z| <= 4, far past the palette's 1.05."""
+
+    def draw(d):
+        return 4.0 * np.sqrt(rng.random(d)) * np.exp(2j * PI * rng.random(d))
+
+    return [(draw(kind1.du), draw(kind2.dp)) for _ in range(count)]
+
+
 def test_criterion_01_oracle_equivalence():
+    # First pass on the default palette points, second on far points.
     rng = np.random.default_rng(11)
     t0 = time.monotonic()
-    count, worst = 0, 0.0
-    while count < 500:
-        n, l, m = CHAINS[count // 10 % len(CHAINS)]
-        for k1, k2 in supported_kind_pairs(n, l, m):
-            rank = 1 + count % 2
-            e1 = random_kernel_expr(rng, k1, fiber_rank=rank, max_deg=4)
-            e2 = random_kernel_expr(rng, k2, fiber_rank=rank, max_deg=4)
-            grid = QuadGrid(nodes_per_axis=24, n=primed_dim(e1.kind))
-            rep = oracle_compose(e1, e2, grid=grid, rel_tol=1e-9)
-            worst = max(worst, rep.max_rel)
-            assert rep.passed, f"{k1} o {k2} rank {rank}: rel={rep.max_rel:.2e}"
-            count += 1
+    summary = []
+    for far in (False, True):
+        count, worst = 0, 0.0
+        while count < 500:
+            n, l, m = CHAINS[count // 10 % len(CHAINS)]
+            for k1, k2 in supported_kind_pairs(n, l, m):
+                rank = 1 + count % 2
+                e1 = random_kernel_expr(rng, k1, fiber_rank=rank, max_deg=4)
+                e2 = random_kernel_expr(rng, k2, fiber_rank=rank, max_deg=4)
+                grid = QuadGrid(nodes_per_axis=24, n=primed_dim(e1.kind))
+                points = far_eval_points(rng, k1, k2) if far else None
+                rep = oracle_compose(e1, e2, grid=grid, eval_points=points, rel_tol=1e-9)
+                worst = max(worst, rep.max_rel)
+                assert rep.passed, f"{k1} o {k2} rank {rank} far={far}: rel={rep.max_rel:.2e} at point {rep.worst_point}"
+                count += 1
+        summary.append(f"{count} compositions {'|z| <= 4' if far else 'palette'}, worst rel {worst:.2e}")
     elapsed = time.monotonic() - t0
     assert elapsed <= 60.0, f"battery took {elapsed:.1f}s"
-    report(1, "1e-9 rel", f"{count} compositions, worst rel {worst:.2e}, {elapsed:.1f}s")
+    report(1, "1e-9 rel", f"{'; '.join(summary)}, {elapsed:.1f}s")
 
 
 def test_criterion_02_base_case_goldens():

@@ -568,7 +568,7 @@ def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
         "import fockcalc.cli\n"
         f"assert fockcalc.cli.run({argv!r} + ['--out', 'out.json']) == 0\n"
         "print(*sorted(m[9:] for m in sys.modules if m.startswith('fockcalc.')))\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
@@ -579,9 +579,11 @@ def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    modules, masked = proc.stdout.splitlines()
+    modules, numpy_extras = proc.stdout.splitlines()
     loaded = set(modules.split())
+    masked, polynomial = numpy_extras.split()
     assert masked == "False", f"{command} imported numpy.ma"  # ~1 MB and its import time
+    assert polynomial == "False", f"{command} imported numpy.polynomial"  # only Gauss rules need it
     assert {"cli", "poly"} <= loaded
     assert not loaded & unused, f"{command} loaded {sorted(loaded & unused)}"
     assert (tmp_path / "out.json").is_file()

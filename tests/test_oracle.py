@@ -1,6 +1,8 @@
-"""Quadrature oracle: the hand-rolled Gauss rule, numeric composition, norms."""
+"""Quadrature oracle: the Gauss-Hermite rule, numeric composition, norms."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from fockcalc import (
     oracle_compose_values,
     unit_expr,
 )
-from fockcalc.oracle import _scaled_compose
+from fockcalc.oracle import _report, _scaled_compose
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -41,14 +43,6 @@ PI = math.pi
 
 
 # -- Gauss-Hermite rule -----------------------------------------------------------
-
-
-def test_gauss_hermite_against_reference():
-    for k in (1, 2, 3, 5, 8, 13, 21, 34, 44, 55):
-        xs, ws = gauss_hermite(k)
-        rx, rw = np.polynomial.hermite.hermgauss(k)
-        assert np.max(np.abs(np.array(xs) - rx)) < 1e-13
-        assert np.max(np.abs(np.array(ws) - rw)) < 1e-13
 
 
 def test_gauss_hermite_moments_exact():
@@ -60,7 +54,7 @@ def test_gauss_hermite_moments_exact():
             n -= 2
         return out
 
-    for k in (1, 2, 5, 9):
+    for k in (1, 2, 5, 9, 24, 44, 80):
         xs, ws = gauss_hermite(k)
         x, w = np.array(xs), np.array(ws)
         assert abs(np.sum(w) - math.sqrt(PI)) < 1e-13
@@ -85,13 +79,6 @@ def test_quad_grid():
     assert abs(float(np.sum(ws * xs**2)) - 1.0 / (2 * PI)) < 1e-13
     with pytest.raises(ValueError):
         QuadGrid(nodes_per_axis=0, n=1)
-    with pytest.raises(ValueError):
-        QuadGrid(nodes_per_axis=3, n=1, weight_scale=-1.0)
-
-
-def test_quad_grid_rejects_nan_weight_scale():
-    with pytest.raises(ValueError, match="weight_scale must be positive and finite"):
-        QuadGrid(4, 1, weight_scale=math.nan)
 
 
 def test_quad_grid_rejects_fractional_node_count():
@@ -179,8 +166,58 @@ def test_oracle_report_shape(rng):
     e = unit_expr(Bergman(1))
     rep = oracle_compose(e, e)
     d = rep.to_json_dict()
-    assert set(d) == {"max_abs", "max_rel", "grid", "pass"}
+    assert set(d) == {"max_abs", "max_rel", "worst_point", "grid", "pass"}
+    assert d["grid"] == {"nodes_per_axis": 44, "n": 1}
     assert d["pass"] is True
+
+
+def test_report_scales_each_point_by_its_own_values():
+    # one point's values are 1e-6 of the other's: a shared scale hid its error
+    want = np.array([[[1e-6]], [[1.0]]], dtype=complex)
+    got = want + 1e-12
+    rep = _report(want, got, QuadGrid(4, 1), 1e-9)
+    assert rep.worst_point == 0 and not rep.passed
+    assert abs(rep.max_rel - 1e-6) < 1e-9 and abs(rep.max_abs - 1e-12) < 1e-15
+    # below the 1e-150 floor a point's error stays absolute
+    rep = _report(np.zeros((2, 1, 1)), np.array([[[0.0]], [[1e-300]]]), QuadGrid(4, 1), 1e-9)
+    assert rep.worst_point == 1 and rep.max_rel == 1e-300 and rep.passed
+
+
+@pytest.mark.parametrize("t", [3, 6])
+def test_oracle_exact_at_far_points(t):
+    # the coupling exp(pi z conj(w) + pi conj(z') w) is no polynomial; an
+    # unshifted grid read max_rel 3e-9 (t = 3) and 1.0 (t = 6) at Z' = t - 0.5i
+    e = unit_expr(Bergman(1))
+    Z = np.array([t + 0.3j])
+    points = [(Z, np.array([t - 0.5j])), (Z, np.array([-t])), (Z, np.array([0.2]))]
+    rep = oracle_compose(e, e, eval_points=points)
+    assert rep.max_rel <= 1e-12, f"rel={rep.max_rel:.2e} at point {rep.worst_point}"
+
+
+def test_oracle_exact_at_far_points_bergman2_pair():
+    dims = Dims.of(2)
+    e1 = KernelExpr(Poly.monomial(dims, {"z1": 1, "zb'2": 1}, 0.5).add(Poly.one(dims)), Bergman(2))
+    e2 = KernelExpr(Poly.monomial(dims, {"zb2": 1}, 2.0).add(Poly.monomial(dims, {"z1": 2})), Bergman(2))
+    points = [
+        (np.array([3.2 + 2.4j, -1.5 + 0.5j]), np.array([2.5 - 1.0j, -0.8 + 1.1j])),
+        (np.array([-4.0, 2.0 - 3.0j]), np.array([-3.5 + 0.5j, 1.5 - 2.5j])),
+        (np.array([0.5j, 3.9]), np.array([1.0 + 1.0j, 2.0])),
+    ]
+    for nodes in (24, 44):
+        rep = oracle_compose(e1, e2, grid=QuadGrid(nodes, 2), eval_points=points)
+        assert rep.max_rel <= 1e-12, f"{nodes} nodes: rel={rep.max_rel:.2e} at point {rep.worst_point}"
+
+
+def test_oracle_imports_only_compose_from_compose():
+    # the independence contract: no pairing rule, registry or base case
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "fockcalc" / "oracle.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("compose", "fockcalc.compose"):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module itself, e.g. from . import compose
+            names += [f"module {alias.name}" for alias in node.names if alias.name.endswith("compose")]
+    assert names == ["compose"]
 
 
 # -- ladder spectrum -----------------------------------------------------------------
@@ -201,34 +238,22 @@ def test_gaussian_mesh_order_and_weights():
     assert pts.shape == (81, 2) and wts.shape == (81,)
     assert np.array_equal(pts, np.array([(a, b) for a in axis for b in axis]))
     assert not pts.flags.writeable and not wts.flags.writeable
-    # every scale integrates against exp(-pi |u|^2): mass 1, E|u|^2 = 1/pi
-    # (off pi the integrand is not polynomial, hence the 44 nodes)
-    for s in (PI, 2.0, 5.0):
-        pts, wts = gaussian_mesh(1, 44, s)
-        assert abs(float(np.sum(wts)) - 1.0) < 1e-13
-        assert abs(float(np.sum(wts * np.abs(pts[:, 0]) ** 2)) - 1.0 / PI) < 1e-13
+    # integrates against exp(-pi |u|^2): mass 1, E|u|^2 = 1/pi
+    pts, wts = gaussian_mesh(1, 44)
+    assert abs(float(np.sum(wts)) - 1.0) < 1e-13
+    assert abs(float(np.sum(wts * np.abs(pts[:, 0]) ** 2)) - 1.0 / PI) < 1e-13
     pts, wts = gaussian_mesh(0, 4)
     assert pts.shape == (1, 0) and wts.tolist() == [1.0]
-
-
-@pytest.mark.parametrize("scale", [2.0, 5.0])
-def test_oracle_honours_weight_scale(scale):
-    # the grid's axis rule absorbs exp(-scale x^2); the middle weight stays exp(-pi |W|^2)
-    dims = Dims.of(2)
-    b = unit_expr(Bergman(1))
-    pair = (
-        KernelExpr(Poly.monomial(dims, {"z1": 1, "zb'2": 1}, 0.5).add(Poly.one(dims)), Bergman(2)),
-        KernelExpr(Poly.monomial(dims, {"zb2": 1}, 2.0).add(Poly.monomial(dims, {"z1": 2})), Bergman(2)),
-    )
-    for e1, e2 in ((b, b), pair):
-        grid = QuadGrid(nodes_per_axis=44, n=e1.kind.n, weight_scale=scale)
-        report = oracle_compose(e1, e2, grid=grid)
-        assert report.passed, f"scale {scale}: rel={report.max_rel:.2e}"
 
 
 def test_laplacian_eigencheck_validation():
     with pytest.raises(ValueError):
         laplacian_eigencheck((1,), (1, 0))
+    # (1.7,), (0.2,) used to be checked as (1,), (0,) and pass
+    with pytest.raises(ValueError, match="alpha entry must be an integer"):
+        laplacian_eigencheck((1.7,), (0.2,))
+    with pytest.raises(ValueError, match="beta entry must be an integer"):
+        laplacian_eigencheck((1,), (0.2,))
 
 
 # -- exact pairings ----------------------------------------------------------------------
@@ -304,6 +329,11 @@ def test_gaussian_pairing_orthogonality():
         gaussian_pairing(e, (0,), (0, 0))
     with pytest.raises(ValueError, match="non-negative"):
         gaussian_pairing(e, (0, 0), (-1, 1))
+    # beta = (1.9, 0) used to pair as (1, 0) and return 1/pi
+    with pytest.raises(ValueError, match="beta entry must be an integer"):
+        gaussian_pairing(e, (1.9, 0), (1, 0))
+    with pytest.raises(ValueError, match="gamma entry must be an integer"):
+        gaussian_pairing(e, (1, 0), (True, 0))
 
 
 # -- norms ------------------------------------------------------------------------------
@@ -322,6 +352,14 @@ def test_norm_estimate_golden_through_cutoff(cutoff):
     z1 = KernelExpr(Poly.monomial(Dims.of(1), {"z1": 1}), Bergman(1))
     want = math.sqrt((cutoff + 1) / PI)
     assert abs(norm_estimate(z1, cutoff) - want) <= 1e-12 * want
+
+
+def test_norm_estimate_rejects_bad_cutoff():
+    e = unit_expr(Bergman(2))
+    with pytest.raises(ValueError, match="basis_cutoff must be >= 0, got -1"):
+        norm_estimate(e, -1)  # used to raise IndexError from an empty Gram matrix
+    with pytest.raises(ValueError, match="basis_cutoff must be an integer"):
+        norm_estimate(e, 2.5)
 
 
 def test_norm_estimate_zero():
@@ -368,6 +406,35 @@ SELECTION_RULE_NORMS = [
 
 @pytest.mark.parametrize("op, cutoff, want", SELECTION_RULE_NORMS, ids=["Bergman2", "OrthBergman31", "z1zb'1"])
 def test_norm_estimate_selection_rule_is_pinned(op, cutoff, want):
+    assert norm_estimate(op, cutoff) == want
+
+
+def _poly(dims, terms):
+    out = Poly.zero(dims)
+    for powers, coef in terms:
+        out = out.add(Poly.monomial(dims, powers, coef))
+    return out
+
+
+# Non-diagonal Gram matrices with three or more terms on one entry, so the
+# pins also fix the order terms accumulate in and the basis order: reversing
+# either (in _pairing_row or before eigvalsh) moves the Bergman(2) value.
+_MIXED_TERMS = [
+    ({"z1": 1}, 0.7),
+    ({"zb'2": 1}, 0.3 - 0.2j),
+    ({"z1": 1, "zb'1": 1}, 1.1),
+    ({}, 0.45),
+    ({"z2": 1, "zb'1": 1}, -0.6j),
+    ({"zb1": 1, "z'2": 1}, 0.25),
+]
+ORDER_NORMS = [
+    (KernelExpr(_poly(Dims.of(2), _MIXED_TERMS), Bergman(2)), 4, 2.385626305286593),
+    (KernelExpr(_poly(Dims.of(2), _MIXED_TERMS), OrthBergman(2, 1)), 4, 2.3202558244658875),
+]
+
+
+@pytest.mark.parametrize("op, cutoff, want", ORDER_NORMS, ids=["Bergman2", "OrthBergman21"])
+def test_norm_estimate_accumulation_order_is_pinned(op, cutoff, want):
     assert norm_estimate(op, cutoff) == want
 
 
