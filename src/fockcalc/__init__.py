@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "kernels": (
         "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
-        "ScaledKernel", "unit_expr", "kernel_eval", "kernel_expr_eval", "apply_ladder",
-        "apply_model_laplacian", "kind_name", "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
+        "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
+        "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
     ),
     "compose": (
         "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "compose",

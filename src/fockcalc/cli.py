@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,24 +41,17 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated shared flags of one invocation."""
-
-    command: str
-    tol: float
-    seed: int
-    nodes: int | None
-    degree_cap: int
-    out: str | None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < math.inf:
-            raise CliError(f"--tol must be positive and finite, got {self.tol}")
-        if self.nodes is not None and self.nodes < 1:
-            raise CliError(f"--nodes must be >= 1, got {self.nodes}")
-        if self.degree_cap < 0:
-            raise CliError(f"--degree-cap must be >= 0, got {self.degree_cap}")
+def _check_flags(args) -> None:
+    """Validate the shared flags the command declares."""
+    tol, seed, nodes, degree_cap = (getattr(args, name, None) for name in ("tol", "seed", "nodes", "degree_cap"))
+    if tol is not None and not 0 < tol < math.inf:
+        raise CliError(f"--tol must be positive and finite, got {tol}")
+    if seed is not None and seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
+    if nodes is not None and nodes < 1:
+        raise CliError(f"--nodes must be >= 1, got {nodes}")
+    if degree_cap is not None and degree_cap < 0:
+        raise CliError(f"--degree-cap must be >= 0, got {degree_cap}")
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -161,22 +153,22 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
 # -- subcommands -------------------------------------------------------------------
 
 
-def _cmd_compose(cfg: RunConfig, args) -> int:
+def _cmd_compose(args) -> int:
     from .compose import UnsupportedCompositionError, compose, compose_plan
 
     e1, e2 = _load_kernel(args.left), _load_kernel(args.right)
     try:
         plan = compose_plan(e1.kind, e2.kind)
         # a result kind without a kernel/1 name cannot be written
-        result = _kernel_json(compose(e1, e2, degree_cap=cfg.degree_cap))
+        result = _kernel_json(compose(e1, e2, degree_cap=args.degree_cap))
     except (UnsupportedCompositionError, DegreeOverflowError, ValueError) as e:
         raise CliError(str(e))
-    _emit_json({"schema": "compose/1", "plan": plan.to_json_dict(), "result": result}, cfg.out)
+    _emit_json({"schema": "compose/1", "plan": plan.to_json_dict(), "result": result}, args.out)
     return 0
 
 
-def _cmd_oracle_check(cfg: RunConfig, args) -> int:
-    from .compose import UnsupportedCompositionError, compose_plan
+def _cmd_oracle_check(args) -> int:
+    from .compose import UnsupportedCompositionError, compose, compose_plan
     from .oracle import QuadGrid, default_eval_points, oracle_compose
 
     if args.points < 1:
@@ -185,25 +177,26 @@ def _cmd_oracle_check(cfg: RunConfig, args) -> int:
     try:
         plan = compose_plan(e1.kind, e2.kind)
         grid = None
-        if cfg.nodes is not None:
-            grid = QuadGrid(nodes_per_axis=cfg.nodes, n=e1.kind.dp)
+        if args.nodes is not None:
+            grid = QuadGrid(nodes_per_axis=args.nodes, n=e1.kind.dp)
         points = default_eval_points(e1.kind, e2.kind, count=args.points)
-        report = oracle_compose(e1, e2, grid=grid, eval_points=points, rel_tol=cfg.tol)
+        expected = compose(e1, e2, degree_cap=args.degree_cap)
+        report = oracle_compose(e1, e2, grid=grid, eval_points=points, expected=expected, rel_tol=args.tol)
     except (UnsupportedCompositionError, DegreeOverflowError, ValueError) as e:
         raise CliError(str(e))
     _emit_json(
         {
             "schema": "oracle/1",
             "plan": plan.to_json_dict(),
-            "tol": cfg.tol,
+            "tol": args.tol,
             "report": report.to_json_dict(),
         },
-        cfg.out,
+        args.out,
     )
     return 0 if report.passed else 1
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> int:
+def _cmd_spectrum(args) -> int:
     from .geometry import hermitian_eigs
 
     body = _strip_schema(_read_json(args.input), MATRIX_SCHEMA, args.input)
@@ -220,12 +213,12 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
         raise CliError(f"{args.input}: {e}")
     _emit_json(
         {"schema": "spectrum/1", "eigenvalues": [float(v) for v in vals]},
-        cfg.out,
+        args.out,
     )
     return 0
 
 
-def _cmd_toeplitz_leading(cfg: RunConfig, args) -> int:
+def _cmd_toeplitz_leading(args) -> int:
     from .operators import Symbol, _effective_kind, toeplitz_leading
 
     g = _load_symbol(args.symbol)
@@ -246,18 +239,18 @@ def _cmd_toeplitz_leading(cfg: RunConfig, args) -> int:
     else:
         payload["value_type"] = "matrix"
         payload["value"] = _coef_to_json(value)
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_constants(cfg: RunConfig, args) -> int:
+def _cmd_constants(args) -> int:
     from .geometry import c0, c3_c4, dp3, tower_dp3
 
     data = _load_geometry(args.geom)
     which = args.which
     csv_rows: list[tuple[str, float, str]] | None = None
     if which == "c0":
-        res = c0(data, seed=cfg.seed)
+        res = c0(data, seed=args.seed)
         payload = {
             "schema": "constants/1",
             "which": "c0",
@@ -290,11 +283,11 @@ def _cmd_constants(cfg: RunConfig, args) -> int:
         lines = ["constant,value,sample_id"]
         lines += [f"{name},{value!r},{sid}" for name, value, sid in csv_rows]
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_defect_check(cfg: RunConfig, args) -> int:
+def _cmd_defect_check(args) -> int:
     from .operators import flat_defect_checks
 
     if args.max_n < 0:
@@ -317,16 +310,16 @@ def _cmd_defect_check(cfg: RunConfig, args) -> int:
     else:
         records = flat_defect_checks(max_n=args.max_n)
     worst = max((rec.deviation for rec in records), default=0.0)
-    passed = worst <= cfg.tol
+    passed = worst <= args.tol
     _emit_json(
         {
             "schema": "defect/1",
-            "tol": cfg.tol,
+            "tol": args.tol,
             "max_deviation": worst,
             "pass": passed,
             "records": [rec.to_json_dict() for rec in records],
         },
-        cfg.out,
+        args.out,
     )
     return 0 if passed else 1
 
@@ -464,11 +457,11 @@ def _selftest_checks(seed: int):
     yield "model_norm", model_norm
 
 
-def _cmd_selftest(cfg: RunConfig, args) -> int:
+def _cmd_selftest(args) -> int:
     lines = []
     failures = 0
     total = 0
-    for name, check in _selftest_checks(cfg.seed):
+    for name, check in _selftest_checks(args.seed):
         total += 1
         try:
             ok, detail = check()
@@ -477,7 +470,7 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     lines.append(f"selftest: {total - failures}/{total} passed")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if failures == 0 else 1
 
 
@@ -501,29 +494,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, tol_default: float = 1e-9) -> None:
-        sp.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        sp.add_argument("--nodes", type=int, default=None, help="quadrature nodes per axis")
-        sp.add_argument(
-            "--degree-cap",
-            dest="degree_cap",
-            type=int,
-            default=DEFAULT_DEGREE_CAP,
-            help="polynomial degree cap",
-        )
+    def add_common(sp: argparse.ArgumentParser, *flags: str, tol_default: float = 1e-9) -> None:
+        """The shared flags the command reads, out of tol, seed, nodes and degree-cap, and --out."""
+        if "tol" in flags:
+            sp.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
+        if "seed" in flags:
+            sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if "nodes" in flags:
+            sp.add_argument("--nodes", type=int, default=None, help="quadrature nodes per axis")
+        if "degree-cap" in flags:
+            sp.add_argument(
+                "--degree-cap", dest="degree_cap", type=int, default=DEFAULT_DEGREE_CAP, help="polynomial degree cap"
+            )
         sp.add_argument("--out", type=str, default=None, help="write output to this file")
 
     p = sub.add_parser("compose", help="compose two kernel JSON files symbolically")
     p.add_argument("--left", required=True, help="left kernel JSON file")
     p.add_argument("--right", required=True, help="right kernel JSON file")
-    add_common(p)
+    add_common(p, "degree-cap")
 
     p = sub.add_parser("oracle-check", help="compare symbolic composition against quadrature")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--points", type=int, default=5, help="number of evaluation point pairs")
-    add_common(p)
+    add_common(p, "tol", "nodes", "degree-cap")
 
     p = sub.add_parser("spectrum", help="eigenvalues of a Hermitian matrix JSON file")
     p.add_argument("--input", required=True, help=f"matrix JSON file (schema {MATRIX_SCHEMA})")
@@ -541,17 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default=None, help='JSON object, e.g. \'{"d1": 1.0}\'')
     p.add_argument("--sample", default=None, help="sample id for dp3 (default: first)")
     p.add_argument("--csv", default=None, help="also write a CSV constant table here")
-    add_common(p)
+    add_common(p, "seed")
 
     p = sub.add_parser("defect-check", help="flat defect identities")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--max-n", dest="max_n", type=int, default=4)
-    add_common(p, tol_default=1e-12)
+    add_common(p, "tol", tol_default=1e-12)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    add_common(p)
+    add_common(p, "seed")
 
     return parser
 
@@ -574,15 +568,8 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            tol=args.tol,
-            seed=args.seed,
-            nodes=args.nodes,
-            degree_cap=args.degree_cap,
-            out=args.out,
-        )
-        return _DISPATCH[args.command](cfg, args)
+        _check_flags(args)
+        return _DISPATCH[args.command](args)
     except CliError as e:
         sys.stderr.write(f"fockcalc: error: {e}\n")
         return e.code
@@ -595,7 +582,7 @@ def main() -> None:
     sys.exit(run())
 
 
-__all__ = ["CliError", "RunConfig", "build_parser", "run", "main"]
+__all__ = ["CliError", "build_parser", "run", "main"]
 
 
 if __name__ == "__main__":

@@ -35,8 +35,6 @@ __all__ = [
     "KernelExpr",
     "ScaledKernel",
     "unit_expr",
-    "kernel_eval",
-    "kernel_expr_eval",
     "apply_ladder",
     "apply_model_laplacian",
     "kind_name",
@@ -154,25 +152,11 @@ def primed_dim(kind: KernelKind) -> int:
     return kind.dp
 
 
-def kernel_eval(kind: KernelKind, Z, Zp) -> complex:
-    """Pure exponential kernel value at (Z, Z')."""
-    zu = _point(Z, kind.du, "unprimed")[None]
-    zp = _point(Zp, kind.dp, "primed")[None]
-    return complex(_gaussian(kind, zu, zp)[0])
-
-
 def _gaussian(kind: KernelKind, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
     """Kernel values at N point pairs, ``zu`` of shape (N, du) and ``zp`` (N, dp)."""
     c = kind.c
     q = (abs(zu) ** 2).sum(1) + (abs(zp) ** 2).sum(1) - 2.0 * (zu[:, :c] * zp[:, :c].conj()).sum(1)
     return np.exp(-0.5 * PI * q)
-
-
-def _point(Z, dim: int, label: str) -> np.ndarray:
-    z = np.zeros(dim, dtype=complex) if Z is None else np.asarray(Z, dtype=complex).ravel()
-    if len(z) != dim:
-        raise ValueError(f"{label} argument has {len(z)} coords, kernel expects {dim}")
-    return z
 
 
 @dataclass(frozen=True)
@@ -206,9 +190,6 @@ class KernelExpr:
         """Kernel adjoint: numerator conjugate-swap plus kind swap ``(du, dp, c) -> (dp, du, c)``."""
         kind = self.kind
         return KernelExpr(self.numerator.conjugate_swap(), _named(kind.dp, kind.du, kind.c))
-
-    def evaluate(self, Z, Zp) -> np.ndarray:
-        return kernel_expr_eval(self, Z, Zp)
 
     def evaluate_batch(self, Z, Zp) -> np.ndarray:
         """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
@@ -263,24 +244,16 @@ class ScaledKernel:
     def kind(self) -> KernelKind:
         return self.expr.kind
 
-    def evaluate(self, Z, Zp) -> np.ndarray:
-        s = math.sqrt(self.p)
-        zu = s * _point(Z, self.kind.du, "unprimed")
-        zp = s * _point(Zp, self.kind.dp, "primed")
-        return self.prefactor * kernel_expr_eval(self.expr, zu, zp)
+    def evaluate_batch(self, Z, Zp) -> np.ndarray:
+        """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
+        zu, zp = (math.sqrt(self.p) * np.asarray(z, dtype=complex) for z in (Z, Zp))
+        return self.prefactor * self.expr.evaluate_batch(zu, zp)
 
     def scale(self, scalar: complex) -> "ScaledKernel":
         return ScaledKernel(self.expr, self.p, self.prefactor * complex(scalar))
 
     def adjoint(self) -> "ScaledKernel":
         return ScaledKernel(self.expr.adjoint(), self.p, complex(np.conj(self.prefactor)))
-
-
-def kernel_expr_eval(e: KernelExpr, Z, Zp) -> np.ndarray:
-    """Matrix value numerator(Z, Z') * kernel(Z, Z')."""
-    zu = _point(Z, e.kind.du, "unprimed")
-    zp = _point(Zp, e.kind.dp, "primed")
-    return e.evaluate_batch(zu[None], zp[None])[0]
 
 
 # -- ladder operators --------------------------------------------------------

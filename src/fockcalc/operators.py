@@ -204,11 +204,6 @@ class Symbol:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, Z_N) -> np.ndarray:
-        """Value at a normal point (length n-m), conjugates taken from it."""
-        z = np.asarray(Z_N, dtype=complex).reshape(1, -1)
-        return self.evaluate_batch(z, z.conj())[0]
-
     def evaluate_split(self, hol_point, anti_point) -> np.ndarray:
         """Polarized value: w^alpha from hol_point, wbar^beta from anti_point."""
         return self.evaluate_batch(np.reshape(hol_point, (1, -1)), np.reshape(anti_point, (1, -1)))[0]
@@ -319,20 +314,17 @@ class CutoffSpec:
     def is_identity(self) -> bool:
         return self.profile == "identity"
 
-    def rho(self, x):
-        """Profile value at x = |Z_N| / r_perp (scalar or array)."""
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+    def rho(self, x) -> np.ndarray:
+        """Profile values at an array of x = |Z_N| / r_perp, elementwise."""
+        x = np.asarray(x, dtype=float)
         if self.is_identity:
-            out = np.ones_like(arr)
-        else:
-            out = np.zeros_like(arr)
-            out[arr <= 0.25] = 1.0
-            mid = (arr > 0.25) & (arr < 0.5)
-            if np.any(mid):
-                t = 4.0 * arr[mid] - 1.0
-                out[mid] = np.exp(1.0 - 1.0 / (1.0 - t * t))
-        return float(out[0]) if scalar else out
+            return np.ones_like(x)
+        out = np.zeros_like(x)
+        out[x <= 0.25] = 1.0
+        mid = (x > 0.25) & (x < 0.5)
+        t = 4.0 * x[mid] - 1.0
+        out[mid] = np.exp(1.0 - 1.0 / (1.0 - t * t))
+        return out
 
 
 IDENTITY_CUTOFF = CutoffSpec(r_perp=1.0, profile="identity")
@@ -416,12 +408,11 @@ class BracketField:
     p: float
     cutoff: CutoffSpec
 
-    def __call__(self, Z_N) -> np.ndarray:
-        z = np.asarray(Z_N, dtype=complex).reshape(-1)
-        radius = float(np.linalg.norm(z))
-        return self.cutoff.rho(radius / self.cutoff.r_perp) * self.symbol.evaluate(
-            math.sqrt(self.p) * z
-        )
+    def evaluate_batch(self, Z_N) -> np.ndarray:
+        """Values at N normal points, Z_N of shape (N, n-m): (N, r, r)."""
+        z = math.sqrt(self.p) * np.asarray(Z_N, dtype=complex)
+        values = self.symbol.evaluate_batch(z, z.conj())
+        return self.cutoff.rho(np.linalg.norm(Z_N, axis=1) / self.cutoff.r_perp)[:, None, None] * values
 
     def polynomial(self) -> Poly:
         """The field as a plain polynomial; identity profile only."""
@@ -442,14 +433,11 @@ class MOpField:
     cutoff: CutoffSpec
     normal_slot: str  # which argument carries the normal variables
 
-    def evaluate(self, Z, Zp) -> np.ndarray:
-        n, m = self.base.kind.n, self.base.kind.m
-        point = np.asarray(Zp if self.normal_slot == "primed" else Z, dtype=complex)
-        point = point.reshape(-1)
-        if len(point) != n:
-            raise ValueError(f"expected a point in C^{n}")
-        radius = float(np.linalg.norm(point[m:]))
-        return self.cutoff.rho(radius / self.cutoff.r_perp) * self.base.evaluate(Z, Zp)
+    def evaluate_batch(self, Z, Zp) -> np.ndarray:
+        """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
+        values = self.base.evaluate_batch(Z, Zp)
+        normal = np.asarray(Zp if self.normal_slot == "primed" else Z)[:, self.base.kind.m :]
+        return self.cutoff.rho(np.linalg.norm(normal, axis=1) / self.cutoff.r_perp)[:, None, None] * values
 
 
 def m_op(

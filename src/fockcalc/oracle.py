@@ -99,9 +99,10 @@ class QuadGrid:
     n: int
 
     def __post_init__(self):
-        nodes = self.nodes_per_axis
-        if not float(nodes).is_integer() or nodes < 1:
+        nodes = _json_int(self.nodes_per_axis, "nodes_per_axis")
+        if nodes < 1:
             raise ValueError(f"nodes_per_axis must be an integer >= 1, got {nodes!r}")
+        object.__setattr__(self, "nodes_per_axis", nodes)
 
     def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights absorbing the Gaussian: sum w f(x) ~ int f(x) e^{-pi x^2} dx."""
@@ -207,12 +208,22 @@ def _middle_dim(e1: KernelExpr, e2: KernelExpr) -> int:
     return d1
 
 
-def _stack_points(eval_points: Sequence[tuple], du: int, dp: int) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_inputs(
+    e1: KernelExpr, e2: KernelExpr, grid: QuadGrid | None, eval_points: Sequence[tuple] | None
+) -> tuple[QuadGrid, np.ndarray, np.ndarray]:
+    """The grid (default 44 nodes per axis) and the evaluation pairs (default
+    :func:`default_eval_points`) stacked into ``(P, du)`` and ``(P, dp)`` arrays."""
+    n_mid = _middle_dim(e1, e2)
+    if grid is None:
+        grid = QuadGrid(nodes_per_axis=44, n=n_mid)
+    if eval_points is None:
+        eval_points = default_eval_points(e1.kind, e2.kind)
+    du, dp = e1.kind.du, e2.kind.dp
     z = [np.asarray(Z, dtype=complex).ravel() for Z, _ in eval_points]
     zp = [np.asarray(Zp, dtype=complex).ravel() for _, Zp in eval_points]
     if any(len(u) != du for u in z) or any(len(v) != dp for v in zp):
         raise ValueError("evaluation point has wrong dimensions")
-    return np.array(z, dtype=complex).reshape(len(z), du), np.array(zp, dtype=complex).reshape(len(zp), dp)
+    return grid, np.array(z, dtype=complex).reshape(len(z), du), np.array(zp, dtype=complex).reshape(len(zp), dp)
 
 
 def oracle_compose_values(
@@ -220,8 +231,8 @@ def oracle_compose_values(
     e2: KernelExpr,
     grid: QuadGrid | None = None,
     eval_points: Sequence[tuple] | None = None,
-) -> list[np.ndarray]:
-    """Numeric values of (e1 o e2)(Z, Z') at the evaluation pairs.
+) -> np.ndarray:
+    """Numeric values ``(P, r, r)`` of (e1 o e2)(Z, Z') at the P evaluation pairs.
 
     Works for any kind pair with matching middle dimension; the middle
     Gaussian weight is always exp(-pi |W|^2) and each kernel couples a
@@ -242,17 +253,7 @@ def oracle_compose_values(
     e^{pi z_i zp_i} joins the outer normalisation in one exponent, so far
     points do not overflow.
     """
-    n_mid = _middle_dim(e1, e2)
-    if grid is None:
-        grid = QuadGrid(nodes_per_axis=44, n=n_mid)
-    if eval_points is None:
-        eval_points = default_eval_points(e1.kind, e2.kind)
-    z, zp = _stack_points(eval_points, e1.kind.du, e2.kind.dp)
-    return list(_quadrature(e1, e2, grid, z, zp))
-
-
-def _quadrature(e1: KernelExpr, e2: KernelExpr, grid: QuadGrid, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    """(P, r, r) values of the composite at stacked points; see :func:`oracle_compose_values`."""
+    grid, z, zp = _oracle_inputs(e1, e2, grid, eval_points)
     if e1.dims.fiber_rank != e2.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
     r, n_mid = e1.dims.fiber_rank, e1.kind.dp
@@ -326,22 +327,17 @@ def oracle_compose(
     expected: KernelExpr | None = None,
     rel_tol: float = 1e-9,
 ) -> OracleReport:
-    """Compare the closed-form composite against direct quadrature.
+    """Compare the closed-form composite against direct quadrature (:func:`oracle_compose_values`).
 
     ``expected`` defaults to ``compose(e1, e2)``; pass it to check another
     closed form.
     """
-    n_mid = _middle_dim(e1, e2)
-    if grid is None:
-        grid = QuadGrid(nodes_per_axis=44, n=n_mid)
-    if eval_points is None:
-        eval_points = default_eval_points(e1.kind, e2.kind)
-    if len(eval_points) == 0:
+    grid, z, zp = _oracle_inputs(e1, e2, grid, eval_points)
+    if len(z) == 0:
         raise ValueError("need at least one evaluation point")
     if expected is None:
         expected = compose(e1, e2)
-    z, zp = _stack_points(eval_points, e1.kind.du, e2.kind.dp)
-    numeric = _quadrature(e1, e2, grid, z, zp)
+    numeric = oracle_compose_values(e1, e2, grid, list(zip(z, zp)))
     want = expected.evaluate_batch(z, zp)
     return _report(want, numeric.reshape(want.shape), grid, rel_tol)
 

@@ -391,12 +391,6 @@ class Poly:
         r = self.dims.fiber_rank
         return (monomial_values(X, E) @ C.reshape(-1, r * r)).reshape(len(X), r, r)
 
-    def evaluate(self, Z, Zp=None) -> np.ndarray:
-        """Value at (Z, Z'); both arrays padded/validated to length n."""
-        n = self.dims.n
-        z, zp = _pad_point(Z, n)[None], _pad_point(Zp, n)[None]
-        return self.evaluate_batch(variable_columns(n, z, z.conj(), zp, zp.conj()))[0]
-
     # -- comparison ---------------------------------------------------------
 
     def almost_equal(self, other: "Poly", tol: float = 1e-12) -> bool:
@@ -507,17 +501,6 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = order[new]
     rank = first.argsort()
     return E[first[rank]], acc[rank]
-
-
-def _pad_point(Z, n: int) -> np.ndarray:
-    if Z is None:
-        return np.zeros(n, dtype=complex)
-    z = np.asarray(Z, dtype=complex).ravel()
-    if len(z) > n:
-        raise ValueError(f"point has {len(z)} coords, dims allow {n}")
-    if len(z) < n:
-        z = np.concatenate([z, np.zeros(n - len(z), dtype=complex)])
-    return z
 
 
 def _json_object(value, what: str) -> Mapping:

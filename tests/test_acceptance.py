@@ -34,7 +34,6 @@ from fockcalc import (
     fock_indices,
     h_gp,
     k_base_exact,
-    kernel_eval,
     laplacian_eigencheck,
     m_op,
     norm_estimate,
@@ -231,13 +230,13 @@ def _numeric_composite(family: str, g: Symbol):
         pts = default_eval_points(bergman.kind, inner.kind)
         direct = oracle_compose_values(bergman, inner, eval_points=pts)
         reflected = oracle_compose_values(ext, compose(res, inner), eval_points=pts)
-        vals = [a - b for a, b in zip(direct, reflected)]
+        vals = direct - reflected
     else:  # YX
         left = compose(res, sandwich)
         pts = default_eval_points(left.kind, bergman.kind)
         direct = oracle_compose_values(left, bergman, eval_points=pts)
         reflected = oracle_compose_values(compose(left, ext), res, eval_points=pts)
-        vals = [a - b for a, b in zip(direct, reflected)]
+        vals = direct - reflected
     return pts, vals
 
 
@@ -254,10 +253,11 @@ def test_criterion_08_leading_term_table():
         nonlocal worst
         predicted = _leading_kernel(family, g)
         pts, vals = _numeric_composite(family, g)
-        for (Z, Zp), num in zip(pts, vals):
-            dev = float(np.max(np.abs(predicted.evaluate(Z, Zp) - num)))
-            worst = max(worst, dev)
-            assert dev <= 1e-8, f"{family} {g.bidegrees()}: {dev:.2e}"
+        Z = np.array([z for z, _ in pts]).reshape(len(pts), predicted.kind.du)
+        Zp = np.array([zp for _, zp in pts]).reshape(len(pts), predicted.kind.dp)
+        dev = float(np.max(np.abs(predicted.evaluate_batch(Z, Zp) - vals)))
+        worst = max(worst, dev)
+        assert dev <= 1e-8, f"{family} {g.bidegrees()}: {dev:.2e}"
         entries_seen.update(entries)
         if zero_order_entry is not None:
             assert _constant_coef_norm(predicted) == 0.0
@@ -315,13 +315,15 @@ def test_criterion_10_restriction_extension_duality():
     rng = np.random.default_rng(1010)
     total, worst = 0, 0.0
     for n, m in ((1, 0), (2, 1), (3, 1), (4, 2)):
-        for _ in range(2500):
-            zy = rng.normal(size=m) + 1j * rng.normal(size=m)
-            w = rng.normal(size=n) + 1j * rng.normal(size=n)
-            lhs = kernel_eval(Restriction(n, m), zy, w)
-            rhs = np.conj(kernel_eval(Extension(n, m), w, zy))
-            worst = max(worst, abs(lhs - rhs))
-            total += 1
+        pts = [
+            (rng.normal(size=m) + 1j * rng.normal(size=m), rng.normal(size=n) + 1j * rng.normal(size=n))
+            for _ in range(2500)
+        ]
+        zy, w = np.array([z for z, _ in pts]).reshape(2500, m), np.array([v for _, v in pts])
+        lhs = unit_expr(Restriction(n, m)).evaluate_batch(zy, w)[:, 0, 0]
+        rhs = np.conj(unit_expr(Extension(n, m)).evaluate_batch(w, zy)[:, 0, 0])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        total += len(lhs)
     assert total == 10_000
     assert worst <= 1e-12, f"worst deviation {worst:.2e}"
     report(10, "1e-12", f"{total} point pairs, worst deviation {worst:.2e}")

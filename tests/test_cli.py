@@ -26,7 +26,7 @@ from fockcalc import (
     Symbol,
     unit_expr,
 )
-from fockcalc.cli import run
+from fockcalc.cli import build_parser, run
 
 PI = math.pi
 
@@ -395,11 +395,66 @@ def test_selftest(tmp_path):
     assert text.count("PASS") == 9 and "FAIL" not in text
 
 
-def test_shared_flag_validation(tmp_path):
+def test_shared_flag_validation(tmp_path, capsys):
     lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
-    assert run(["compose", "--left", lf, "--right", lf, "--tol", "0"]) == 2
-    assert run(["oracle-check", "--left", lf, "--right", lf, "--nodes", "0"]) == 2
-    assert run(["compose", "--left", lf, "--right", lf, "--degree-cap", "-1"]) == 2
+    cases = [
+        (["oracle-check", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
+        (["oracle-check", "--nodes", "0"], "--nodes must be >= 1, got 0"),
+        (["oracle-check", "--degree-cap", "-1"], "--degree-cap must be >= 0, got -1"),
+        (["compose", "--degree-cap", "-1"], "--degree-cap must be >= 0, got -1"),
+    ]
+    for (command, *flag), message in cases:
+        assert run([command, "--left", lf, "--right", lf, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"fockcalc: error: {message}\n"
+    # a negative seed used to fail selftest's duality check (exit 1) and raise
+    # a traceback from c0 on a rank-2 geometry
+    for argv in (["selftest", "--seed", "-1"], ["constants", "--geom", lf, "--which", "c0", "--seed", "-5"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"fockcalc: error: --seed must be >= 0, got {argv[-1]}\n"
+
+
+# The shared flags each subcommand reads; --out is everyone's.
+SHARED_FLAGS = {
+    "compose": {"--degree-cap", "--out"},
+    "oracle-check": {"--tol", "--nodes", "--degree-cap", "--out"},
+    "spectrum": {"--out"},
+    "toeplitz-leading": {"--out"},
+    "constants": {"--seed", "--out"},
+    "defect-check": {"--tol", "--out"},
+    "selftest": {"--seed", "--out"},
+}
+
+
+def test_each_command_declares_only_the_shared_flags_it_reads(capsys):
+    shared = {"--tol", "--seed", "--nodes", "--degree-cap", "--out"}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    declared = {
+        name: {opt for action in sub._actions for opt in action.option_strings} & shared
+        for name, sub in commands.items()
+    }
+    assert declared == SHARED_FLAGS
+    assert sum(map(len, declared.values())) == 14
+    # a flag the command would ignore is a usage error, not a silent no-op
+    assert run(["spectrum", "--input", "m.json", "--tol", "1e-3"]) == 2
+    assert capsys.readouterr().err == "fockcalc: error: unrecognized arguments: --tol 1e-3\n"
+    assert run(["compose", "--left", "a.json", "--right", "b.json", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "fockcalc: error: unrecognized arguments: --seed 1\n"
+
+
+def test_oracle_check_reads_the_degree_cap(tmp_path, capsys):
+    # the cap used to reach compose only: oracle-check exited 2 with
+    # "composition term degree 36 exceeds cap 16" on this pair
+    e = KernelExpr(Poly.monomial(Dims.of(1), {"z1": 9, "zb'1": 9}), Bergman(1))
+    kf = kernel_file(tmp_path, "k.json", e)
+    assert run(["compose", "--left", kf, "--right", kf, "--degree-cap", "40"]) == 0
+    capsys.readouterr()
+    assert run(["oracle-check", "--left", kf, "--right", kf, "--degree-cap", "40", "--nodes", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["pass"] is True
+    assert run(["oracle-check", "--left", kf, "--right", kf, "--nodes", "12"]) == 2
+    assert capsys.readouterr().err == "fockcalc: error: composition term degree 36 exceeds cap 16\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -506,10 +561,11 @@ def test_constants_help_names_the_geometry_schema(capsys):
         (["nonsense"], "fockcalc: error: "),
         (["compose"], "fockcalc compose: error: "),
         (["oracle-check", "--left", "a.json"], "fockcalc oracle-check: error: "),
-        (["spectrum", "--input", "m.json", "--tol", "x"], "fockcalc spectrum: error: "),
+        (["spectrum", "--input", "m.json", "--out"], "fockcalc spectrum: error: "),
         (["toeplitz-leading", "--kind", "XX", "--symbol", "s.json"], "fockcalc toeplitz-leading: error: "),
         (["constants", "--geom", "g.json", "--which", "c1"], "fockcalc constants: error: "),
         (["defect-check", "--bogus"], "fockcalc: error: "),
+        (["defect-check", "--tol", "x"], "fockcalc defect-check: error: "),
     ],
 )
 def test_usage_errors_are_one_line(capsys, argv, prefix):

@@ -77,10 +77,11 @@ JUNK += [1.5, 1.9, 2.0, "1", [1.5], [True]]
 
 TOL = ["1e-9", "0", "-1", "nan", "inf", "x"]
 FLAGS = {
-    "compose": {"--degree-cap": ["0", "3", "16", "-1", "x"], "--tol": TOL, "--seed": ["0", "-5", "x"]},
+    "compose": {"--degree-cap": ["0", "3", "16", "-1", "x"]},
     "toeplitz-leading": {"--kind": ["YY", "XY_even", "XY_odd", "XX"]},
-    "spectrum": {"--tol": TOL},
+    "spectrum": {},
     "constants": {
+        "--seed": ["0", "-5", "x"],
         "--which": ["c0", "c3c4", "dp3", "tower", "zz"],
         "--direction": ['{"d1": 1.0}', '{"d1": [1, 2]}', '{"zz": 1}', '{"d1": "x"}', "[]", "{"],
         "--sample": ["p0", "zz"],

@@ -19,8 +19,6 @@ from fockcalc import (
     apply_ladder,
     apply_model_laplacian,
     KernelKind,
-    kernel_eval,
-    kernel_expr_eval,
     kind_from_json,
     kind_name,
     unit_expr,
@@ -35,6 +33,11 @@ def _pts(rng, d):
     return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
+def _gaussian(kind, z, zp):
+    """The pure kernel at one point pair: the unit kernel's batched value at a batch of one."""
+    return unit_expr(kind).evaluate_batch(np.asarray(z)[None], np.asarray(zp)[None])[0, 0, 0]
+
+
 # -- pure kernel values ---------------------------------------------------------
 
 
@@ -45,26 +48,26 @@ def test_kernel_eval_bergman_golden(rng):
         * PI
         * (np.sum(np.abs(z) ** 2) + np.sum(np.abs(zp) ** 2) - 2 * np.sum(z * np.conj(zp)))
     )
-    assert abs(kernel_eval(Bergman(2), z, zp) - want) < 1e-12 * abs(want)
+    assert abs(_gaussian(Bergman(2), z, zp) - want) < 1e-12 * abs(want)
 
 
 def test_kernel_eval_extension_golden(rng):
     z, zp = _pts(rng, 2), _pts(rng, 1)
     cross = abs(z[0]) ** 2 + abs(zp[0]) ** 2 - 2 * z[0] * np.conj(zp[0])
     want = np.exp(-0.5 * PI * (cross + abs(z[1]) ** 2))
-    assert abs(kernel_eval(Extension(2, 1), z, zp) - want) < 1e-12 * abs(want)
+    assert abs(_gaussian(Extension(2, 1), z, zp) - want) < 1e-12 * abs(want)
 
 
 def test_kernel_eval_restriction_and_orth(rng):
     z, zp = _pts(rng, 1), _pts(rng, 2)
     cross = abs(z[0]) ** 2 + abs(zp[0]) ** 2 - 2 * z[0] * np.conj(zp[0])
     want = np.exp(-0.5 * PI * (cross + abs(zp[1]) ** 2))
-    assert abs(kernel_eval(Restriction(2, 1), z, zp) - want) < 1e-12 * abs(want)
+    assert abs(_gaussian(Restriction(2, 1), z, zp) - want) < 1e-12 * abs(want)
 
     z2, zp2 = _pts(rng, 2), _pts(rng, 2)
     cross = abs(z2[0]) ** 2 + abs(zp2[0]) ** 2 - 2 * z2[0] * np.conj(zp2[0])
     want = np.exp(-0.5 * PI * (cross + abs(z2[1]) ** 2 + abs(zp2[1]) ** 2))
-    assert abs(kernel_eval(OrthBergman(2, 1), z2, zp2) - want) < 1e-12 * abs(want)
+    assert abs(_gaussian(OrthBergman(2, 1), z2, zp2) - want) < 1e-12 * abs(want)
 
 
 @given(kind_st(), st.sampled_from([1, 2]), st.sampled_from([0, 1, 7]), st.data())
@@ -83,22 +86,27 @@ def test_kernel_expr_eval_matches_gaussian_closed_form(kind, rank, count, data):
         want = poly * cmath.exp(exponent)
         tol = 1e-12 * (1.0 + scale) * abs(cmath.exp(exponent))
         assert np.max(np.abs(row - want)) <= tol
-        assert np.max(np.abs(kernel_expr_eval(e, z, zp) - want)) <= tol
 
 
 def test_kernel_eval_dimension_errors():
-    with pytest.raises(ValueError):
-        kernel_eval(Bergman(2), np.zeros(1), np.zeros(2))
-    with pytest.raises(ValueError):
-        kernel_eval(Extension(2, 1), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match=r"unprimed points have shape \(1, 1\), kernel expects \(N, 2\)"):
+        _gaussian(Bergman(2), np.zeros(1), np.zeros(2))
+    with pytest.raises(ValueError, match=r"primed points have shape \(1, 2\), kernel expects \(N, 1\)"):
+        _gaussian(Extension(2, 1), np.zeros(2), np.zeros(2))
+    e = unit_expr(Bergman(1))
+    for Z, Zp in ((np.zeros(1), np.zeros((1, 1))), (np.zeros((2, 1)), np.zeros((3, 1)))):
+        with pytest.raises(ValueError, match="kernel expects"):
+            e.evaluate_batch(Z, Zp)
+        with pytest.raises(ValueError, match="kernel expects"):
+            ScaledKernel(e, 4.0).evaluate_batch(Z, Zp)
 
 
 def test_restriction_is_bergman_on_padded_point(rng):
     for n, m in ((1, 0), (2, 1), (3, 1)):
         zy, w = _pts(rng, m), _pts(rng, n)
         pad = np.concatenate([zy, np.zeros(n - m)])
-        got = kernel_eval(Restriction(n, m), zy, w)
-        want = kernel_eval(Bergman(n), pad, w)
+        got = _gaussian(Restriction(n, m), zy, w)
+        want = _gaussian(Bergman(n), pad, w)
         assert abs(got - want) < 1e-13
 
 
@@ -178,11 +186,11 @@ def test_kernel_expr_eval_and_add_scale(rng):
     p = Poly.monomial(dims, {"z1": 1, "zb'1": 1}, 0.5)
     e = KernelExpr(p, Extension(2, 1))
     z, zp = _pts(rng, 2), _pts(rng, 1)
-    want = 0.5 * z[0] * np.conj(zp[0]) * kernel_eval(Extension(2, 1), z, zp)
-    assert abs(kernel_expr_eval(e, z, zp)[0, 0] - want) < 1e-13
+    want = 0.5 * z[0] * np.conj(zp[0]) * _gaussian(Extension(2, 1), z, zp)
+    assert abs(e.evaluate_batch(z[None], zp[None])[0, 0, 0] - want) < 1e-13
     two = e.add(e)
-    assert abs(two.evaluate(z, zp)[0, 0] - 2 * want) < 1e-13
-    assert abs(e.scale(-3.0).evaluate(z, zp)[0, 0] + 3 * want) < 1e-13
+    assert abs(two.evaluate_batch(z[None], zp[None])[0, 0, 0] - 2 * want) < 1e-13
+    assert abs(e.scale(-3.0).evaluate_batch(z[None], zp[None])[0, 0, 0] + 3 * want) < 1e-13
     with pytest.raises(ValueError):
         e.add(unit_expr(Bergman(2)))
 
@@ -197,34 +205,34 @@ def test_adjoint_swaps_kind_and_duality(rng):
     a = e.adjoint()
     assert isinstance(a.kind, Restriction)
     assert isinstance(a.adjoint().kind, Extension)
-    for _ in range(25):
-        z, zp = _pts(rng, 2), _pts(rng, 1)
-        lhs = a.evaluate(zp, z)
-        rhs = e.evaluate(z, zp).conj().T
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    pts = [(_pts(rng, 2), _pts(rng, 1)) for _ in range(25)]
+    Z, Zp = np.array([z for z, _ in pts]), np.array([zp for _, zp in pts])
+    lhs = a.evaluate_batch(Zp, Z)
+    rhs = e.evaluate_batch(Z, Zp).conj().transpose(0, 2, 1)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_unit_restriction_extension_duality(rng):
     for n, m in ((1, 0), (2, 1), (3, 1), (4, 2)):
         res, ext = unit_expr(Restriction(n, m)), unit_expr(Extension(n, m))
-        for _ in range(10):
-            zy, w = _pts(rng, m), _pts(rng, n)
-            lhs = res.evaluate(zy, w)[0, 0]
-            rhs = np.conj(ext.evaluate(w, zy)[0, 0])
-            assert abs(lhs - rhs) < 1e-13
+        pts = [(_pts(rng, m), _pts(rng, n)) for _ in range(10)]
+        zy, w = np.array([z for z, _ in pts]).reshape(10, m), np.array([v for _, v in pts])
+        lhs = res.evaluate_batch(zy, w)[:, 0, 0]
+        rhs = np.conj(ext.evaluate_batch(w, zy)[:, 0, 0])
+        assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_scaled_kernel(rng):
     e = unit_expr(Bergman(1))
     s = ScaledKernel(e, 4.0, 3.0)
-    z, zp = _pts(rng, 1), _pts(rng, 1)
-    want = 3.0 * e.evaluate(2.0 * z, 2.0 * zp)
-    assert np.max(np.abs(s.evaluate(z, zp) - want)) < 1e-13
+    z, zp = _pts(rng, 1)[None], _pts(rng, 1)[None]
+    want = 3.0 * e.evaluate_batch(2.0 * z, 2.0 * zp)
+    assert np.max(np.abs(s.evaluate_batch(z, zp) - want)) < 1e-13
     with pytest.raises(ValueError):
         ScaledKernel(e, 0.0)
     sa = s.adjoint()
     assert abs(sa.prefactor - 3.0) < 1e-15
-    assert np.max(np.abs(sa.evaluate(zp, z) - s.evaluate(z, zp).conj().T)) < 1e-12
+    assert np.max(np.abs(sa.evaluate_batch(zp, z) - s.evaluate_batch(z, zp).conj().transpose(0, 2, 1))) < 1e-12
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
@@ -246,7 +254,7 @@ def _numeric_ladder(e, j, which, slot, Z, Zp, h=1e-5):
     """Finite-difference application of the analytic ladder operator."""
 
     def val(z, zp):
-        return e.evaluate(z, zp)[0, 0]
+        return e.evaluate_batch(z[None], zp[None])[0, 0, 0]
 
     Z = np.asarray(Z, dtype=complex).copy()
     Zp = np.asarray(Zp, dtype=complex).copy()
@@ -291,7 +299,7 @@ def test_ladder_matches_finite_differences(rng, which, slot):
         for _ in range(4):
             Z = _pts(rng, e.kind.du) * 0.5
             Zp = _pts(rng, e.kind.dp) * 0.5
-            got = out.evaluate(Z, Zp)[0, 0]
+            got = out.evaluate_batch(Z[None], Zp[None])[0, 0, 0]
             want = _numeric_ladder(e, j, which, slot, Z, Zp)
             assert abs(got - want) < 2e-7 * max(1.0, abs(want))
 

@@ -37,6 +37,8 @@ from fockcalc import (
     toeplitz_flat_composite,
     toeplitz_leading,
     toeplitz_predicted_kernel,
+    unit_expr,
+    variable_columns,
 )
 from fockcalc import operators
 from fockcalc.geometry import hermitian_eigs
@@ -116,12 +118,15 @@ def test_symbol_adjoint():
 def test_symbol_evaluate():
     g = Symbol.monomial(2, 1, (2,), (1,), coef=2.0)
     w = 0.3 + 0.4j
-    got = g.evaluate([w])[0, 0]
+    got = g.evaluate_batch([[w]], [[np.conj(w)]])[0, 0, 0]
     assert abs(got - 2.0 * w**2 * np.conj(w)) < 1e-15
     split = g.evaluate_split([w], [1.0 - 1.0j])[0, 0]
     assert abs(split - 2.0 * w**2 * (1.0 - 1.0j)) < 1e-15
-    with pytest.raises(ValueError):
-        g.evaluate([w, w])
+    for hol, anti in (([w, w], [w, w]), ([[w, w]], [[w, w]]), ([[w]], [[w], [w]])):
+        with pytest.raises(ValueError, match="normal point must have length 1"):
+            g.evaluate_batch(hol, anti)
+    with pytest.raises(ValueError, match="normal point must have length 1"):
+        g.evaluate_split([w, w], [w, w])
 
 
 @given(st.integers(1, 3), st.data())
@@ -149,10 +154,12 @@ def test_symbol_to_poly_slots():
     primed = g.to_poly("primed")
     w, wp = 0.2 + 0.1j, -0.5 + 0.3j
     # unprimed slot reads the unprimed normal coordinate of Z
-    vu = unprimed.evaluate([0.9, w], [0.0, 0.0])[0, 0]
+    Z = np.array([[0.9, w]])
+    vu = unprimed.evaluate_batch(variable_columns(2, Z, Z.conj(), 0.0, 0.0))[0, 0, 0]
     assert abs(vu - w * np.conj(w) ** 2) < 1e-15
     # primed slot reads the primed normal coordinate of Z'
-    vp = primed.evaluate([0.0, 0.0], [0.9, wp])[0, 0]
+    Zp = np.array([[0.9, wp]])
+    vp = primed.evaluate_batch(variable_columns(2, 0.0, 0.0, Zp, Zp.conj()))[0, 0, 0]
     assert abs(vp - wp * np.conj(wp) ** 2) < 1e-15
     with pytest.raises(ValueError):
         g.to_poly("sideways")
@@ -263,15 +270,14 @@ def test_symbol_layer_output_bytes_are_pinned():
 def test_cutoff_profile_values():
     c = CutoffSpec(r_perp=2.0)
     assert not c.is_identity
-    assert c.rho(0.0) == 1.0
-    assert c.rho(0.25) == 1.0
-    assert c.rho(0.5) == 0.0
-    assert c.rho(1.7) == 0.0
-    assert abs(c.rho(0.375) - math.exp(1.0 - 1.0 / (1.0 - 0.25))) < 1e-15
+    plateaus = c.rho(np.array([0.0, 0.25, 0.5, 1.7]))
+    assert plateaus.tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert abs(c.rho(np.array([0.375]))[0] - math.exp(1.0 - 1.0 / (1.0 - 0.25))) < 1e-15
     arr = c.rho(np.array([0.1, 0.375, 0.9]))
     assert arr.shape == (3,)
     assert arr[0] == 1.0 and arr[2] == 0.0
-    assert IDENTITY_CUTOFF.is_identity and IDENTITY_CUTOFF.rho(7.0) == 1.0
+    assert c.rho(np.zeros((2, 3))).shape == (2, 3)
+    assert IDENTITY_CUTOFF.is_identity and IDENTITY_CUTOFF.rho(np.array([7.0])).tolist() == [1.0]
 
 
 def test_cutoff_validation():
@@ -364,18 +370,23 @@ def test_lambda_eq_positive_on_squares(rng):
 
 def test_bracket_field():
     g = Symbol.monomial(1, 0, (0,), (1,))
-    assert abs(bracket(g, 1.0)([1.0])[0, 0] - 1.0) < 1e-15
-    assert abs(bracket(g, 4.0)([1.0])[0, 0] - 2.0) < 1e-15
+    assert abs(bracket(g, 1.0).evaluate_batch([[1.0]])[0, 0, 0] - 1.0) < 1e-15
+    assert abs(bracket(g, 4.0).evaluate_batch([[1.0]])[0, 0, 0] - 2.0) < 1e-15
     bump = bracket(g, 4.0, CutoffSpec(r_perp=1.0))
-    assert bump([0.6])[0, 0] == 0.0
-    assert abs(bump([0.2])[0, 0] - 0.4) < 1e-15
+    values = bump.evaluate_batch([[0.6], [0.2]])
+    assert values.shape == (2, 1, 1)
+    assert values[0, 0, 0] == 0.0
+    assert abs(values[1, 0, 0] - 0.4) < 1e-15
+    with pytest.raises(ValueError, match="normal point must have length 1"):
+        bump.evaluate_batch([0.2])
 
 
 def test_bracket_polynomial():
     g = Symbol.monomial(1, 0, (2,), (0,))
     poly = bracket(g, 9.0).polynomial()
     w = 0.5 + 0.25j
-    assert abs(poly.evaluate([w], [0.0])[0, 0] - 9.0 * w**2) < 1e-14
+    X = variable_columns(1, [[w]], [[np.conj(w)]], 0.0, 0.0)
+    assert abs(poly.evaluate_batch(X)[0, 0, 0] - 9.0 * w**2) < 1e-14
     with pytest.raises(ValueError):
         bracket(g, 4.0, CutoffSpec()).polynomial()
     with pytest.raises(ValueError):
@@ -390,11 +401,9 @@ def test_m_op_direct_golden():
     op = m_op(g, p=4.0)
     assert isinstance(op, ScaledKernel)
     assert op.p == 4.0 and op.prefactor == 1.0  # p^m with m = 0
-    Z = [0.3 + 0.1j]
-    from fockcalc import kernel_eval
-
-    want = np.conj(2.0 * Z[0]) * kernel_eval(Extension(1, 0), [2.0 * Z[0]], [])
-    assert abs(op.evaluate(Z, [])[0, 0] - want) < 1e-14
+    Z, none = np.array([[0.3 + 0.1j]]), np.zeros((1, 0))
+    want = np.conj(2.0 * Z[0, 0]) * unit_expr(Extension(1, 0)).evaluate_batch(2.0 * Z, none)[0, 0, 0]
+    assert abs(op.evaluate_batch(Z, none)[0, 0, 0] - want) < 1e-14
 
 
 def test_m_op_adjoint_prefactor():
@@ -434,13 +443,16 @@ def test_m_op_bump_field():
     g = Symbol.monomial(2, 1, (1,), (0,))
     op = m_op(g, p=1.0, cutoff=CutoffSpec(r_perp=1.0))
     assert isinstance(op, MOpField)
-    inside = op.evaluate([0.5, 0.1], [0.4])
-    base = op.base.evaluate([0.5, 0.1], [0.4])
-    assert np.max(np.abs(inside - base)) < 1e-15  # |w| = 0.1 on the plateau
-    assert np.max(np.abs(op.evaluate([0.5, 0.9], [0.4]))) == 0.0  # |w| = 0.9 cut off
+    Z, Zp = np.array([[0.5, 0.1], [0.5, 0.9]]), np.array([[0.4], [0.4]])
+    values = op.evaluate_batch(Z, Zp)
+    base = op.base.evaluate_batch(Z, Zp)
+    assert np.max(np.abs(values[0] - base[0])) < 1e-15  # |w| = 0.1 on the plateau
+    assert np.max(np.abs(values[1])) == 0.0  # |w| = 0.9 cut off
     adj = m_op(g, p=1.0, cutoff=CutoffSpec(r_perp=1.0), variant="adjoint")
     # adjoint reads the normal radius off the primed argument
-    assert np.max(np.abs(adj.evaluate([0.4], [0.5, 0.9]))) == 0.0
+    assert np.max(np.abs(adj.evaluate_batch(Zp[1:], Z[1:]))) == 0.0
+    with pytest.raises(ValueError, match="kernel expects"):
+        op.evaluate_batch([0.5, 0.1], [0.4])
 
 
 def test_m_op_adjoint_identity(rng):
@@ -450,13 +462,14 @@ def test_m_op_adjoint_identity(rng):
         p = 4.0
         lhs = m_op(g, p=p, variant="adjoint").adjoint()
         rhs = m_op(g.adjoint(), p=p)
-        worst = 0.0
-        for _ in range(6):
-            Z = rng.normal(size=n) + 1j * rng.normal(size=n)
-            Zp = rng.normal(size=m) + 1j * rng.normal(size=m)
-            a = lhs.evaluate(Z, Zp)
-            b = p ** (n - m) * rhs.evaluate(Z, Zp)
-            worst = max(worst, float(np.max(np.abs(a - b))))
+        pts = [
+            (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=m) + 1j * rng.normal(size=m))
+            for _ in range(6)
+        ]
+        Z, Zp = np.array([z for z, _ in pts]), np.array([zp for _, zp in pts]).reshape(6, m)
+        a = lhs.evaluate_batch(Z, Zp)
+        b = p ** (n - m) * rhs.evaluate_batch(Z, Zp)
+        worst = float(np.max(np.abs(a - b)))
         assert worst < 1e-10, f"(n,m)=({n},{m}): {worst:.2e}"
 
 

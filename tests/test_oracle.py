@@ -35,6 +35,7 @@ from fockcalc import (
     oracle_compose_values,
     unit_expr,
 )
+from fockcalc import oracle
 from fockcalc.oracle import _report, _scaled_compose
 
 from conftest import random_kernel_expr, supported_kind_pairs
@@ -86,6 +87,17 @@ def test_quad_grid_rejects_fractional_node_count():
         QuadGrid(4.5, 1)
 
 
+def test_quad_grid_stores_an_int_node_count():
+    # 4.0 used to be kept as a float and fail at first use inside hermgauss;
+    # True used to run as a one-node grid and report a pass
+    grid = QuadGrid(4.0, 1)
+    assert type(grid.nodes_per_axis) is int and grid.nodes_per_axis == 4
+    e = unit_expr(Bergman(1))
+    assert oracle_compose(e, e, grid=grid).passed
+    with pytest.raises(ValueError, match="nodes_per_axis must be an integer, got True"):
+        QuadGrid(True, 1)
+
+
 # -- basis bookkeeping ---------------------------------------------------------------
 
 
@@ -131,6 +143,26 @@ def test_oracle_insufficient_nodes():
     # 5 nodes integrate middle degree 8 exactly
     vals = oracle_compose_values(e1, e2, grid=QuadGrid(nodes_per_axis=5, n=1))
     assert len(vals) == 5
+
+
+def test_oracle_compose_takes_its_values_from_oracle_compose_values(monkeypatch):
+    # one numeric entry: the default grid, the default points and their stacking live there
+    calls = []
+    values = oracle.oracle_compose_values
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return values(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "oracle_compose_values", counted)
+    e1 = KernelExpr(Poly.monomial(Dims.of(1), {"zb'1": 2}), Bergman(1))
+    e2 = unit_expr(Bergman(1))
+    report = oracle_compose(e1, e2)
+    assert len(calls) == 1 and report.passed
+    assert report.grid.nodes_per_axis == 44
+    want = values(e1, e2)
+    assert want.shape == (5, 1, 1)
+    assert np.array_equal(counted(*calls[0][0], **calls[0][1]), want)
 
 
 def test_oracle_middle_dimension_mismatch():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -25,8 +26,8 @@ PUBLIC_API = {
     "monomial_values",
     # kernels
     "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
-    "ScaledKernel", "unit_expr", "kernel_eval", "kernel_expr_eval", "apply_ladder",
-    "apply_model_laplacian", "kind_name", "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
+    "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
+    "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
     # compose
     "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "compose",
     "compose_plan",
@@ -94,6 +95,37 @@ def test_benchmark_uses_only_public_names():
     modules = {*SUBMODULES, "cli"}
     missing = {name: where for name, where in used.items() if name not in {*fockcalc.__all__, *modules}}
     assert not missing
+
+
+def test_benchmark_tracer_reaches_each_layer(monkeypatch):
+    # the benchmark's per-layer tracer, loaded read-only from its file: a layer
+    # whose function the program stops calling reads 0 calls and fails here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("layer_trace", ROOT / "benchmarks" / "layer_trace.py")
+    layer_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_trace)
+    for name in SUBMODULES:
+        importlib.import_module(f"fockcalc.{name}")
+    # resolve the names first, so that the package caches the functions and not their wrappers
+    names = ("compose", "oracle_compose", "lambda_eq_quadrature")
+    functions = [getattr(fockcalc, name) for name in names]
+    e = fockcalc.KernelExpr(fockcalc.Poly.monomial(fockcalc.Dims.of(1), {"zb'1": 1}), fockcalc.Bergman(1))
+    g = fockcalc.Symbol.monomial(1, 0, (1,), (1,))
+    tracer = layer_trace.Tracer()
+    tracer.install()
+    try:
+        fockcalc.compose(e, e)
+        fockcalc.oracle_compose(e, e)
+        fockcalc.lambda_eq_quadrature(g, 4)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(fockcalc, name) is fn for name, fn in zip(names, functions))
+    totals = tracer.layer_totals()
+    for layer in ("compose", "oracle.values", "operators.lambda_quad"):
+        assert totals.get(f"{layer}.calls", 0) > 0, layer
+    assert totals["oracle.points"] > 0
+    assert sorted(tracer.absent) == ["fockcalc.kernels.kernel_expr_eval", "fockcalc.poly.Poly.evaluate"]
+    assert not tracer.broken_hooks
 
 
 def test_unknown_names_raise_attribute_error():

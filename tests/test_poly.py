@@ -19,6 +19,7 @@ from fockcalc import (
     parse_var_name,
     var_name,
     var_offset,
+    variable_columns,
 )
 
 from conftest import complex_rows, dims_st, poly_st, term_sum
@@ -287,15 +288,16 @@ def test_diff_times_var_set_zero_dilate():
 def test_evaluate_matches_manual():
     dims = Dims.of(2, fiber_rank=1)
     p = Poly.monomial(dims, {"z1": 2, "zb2": 1, "z'1": 1}, 1.5)
-    Z = np.array([0.3 + 0.4j, -0.2 + 0.1j])
-    Zp = np.array([0.7 - 0.5j, 0.0])
-    want = 1.5 * Z[0] ** 2 * np.conj(Z[1]) * Zp[0]
-    got = p.evaluate(Z, Zp)[0, 0]
+    Z = np.array([[0.3 + 0.4j, -0.2 + 0.1j]])
+    Zp = np.array([[0.7 - 0.5j, 0.0]])
+    want = 1.5 * Z[0, 0] ** 2 * np.conj(Z[0, 1]) * Zp[0, 0]
+    got = p.evaluate_batch(variable_columns(2, Z, Z.conj(), Zp, Zp.conj()))[0, 0, 0]
     assert abs(got - want) < 1e-14
     # short points are zero-padded
-    assert abs(p.evaluate(Z, Zp[:1])[0, 0] - want) < 1e-14
+    short = Zp[:, :1]
+    assert abs(p.evaluate_batch(variable_columns(2, Z, Z.conj(), short, short.conj()))[0, 0, 0] - want) < 1e-14
     with pytest.raises(ValueError):
-        p.evaluate(np.zeros(3), None)
+        variable_columns(2, np.zeros((1, 3)), 0.0, 0.0, 0.0)
 
 
 @given(poly_st(), st.sampled_from([0, 1, 7]), st.data())
@@ -317,14 +319,16 @@ def test_evaluate_pads_short_points(p, data):
     z = np.concatenate([Z, np.zeros(n - len(Z))])
     zp = np.concatenate([Zp, np.zeros(n - len(Zp))])
     want, scale = term_sum(p, np.stack([z, z.conj(), zp, zp.conj()], axis=1).ravel())
-    assert np.max(np.abs(p.evaluate(Z, Zp) - want)) <= 1e-12 * (1.0 + scale)
+    X = variable_columns(n, Z[None], Z[None].conj(), Zp[None], Zp[None].conj())
+    assert np.max(np.abs(p.evaluate_batch(X)[0] - want)) <= 1e-12 * (1.0 + scale)
 
 
 def test_evaluate_batch_zero_and_shape_errors():
     zero = Poly.zero(Dims.of(2, fiber_rank=2))
     assert np.array_equal(zero.evaluate_batch(np.ones((7, 8))), np.zeros((7, 2, 2)))
     assert zero.evaluate_batch(np.ones((0, 8))).shape == (0, 2, 2)
-    assert np.array_equal(zero.evaluate([1.0, 2.0], None), np.zeros((2, 2)))
+    one_point = variable_columns(2, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), 0.0, 0.0)
+    assert np.array_equal(zero.evaluate_batch(one_point), np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
         zero.evaluate_batch(np.ones((3, 4)))
     with pytest.raises(ValueError):
