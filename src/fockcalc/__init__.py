@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "poly": (
-        "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "VarId", "Poly",
+        "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",
         "O_Z", "O_ZB", "O_ZP", "O_ZBP", "var_offset", "var_name", "parse_var_name",
         "variable_columns", "monomial_values",
     ),
@@ -32,13 +32,11 @@ _EXPORTS = {
         "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
     ),
     "compose": (
-        "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "compose",
-        "compose_plan",
+        "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     ),
     "oracle": (
-        "InsufficientNodesError", "QuadGrid", "OracleReport", "FockIndex", "fock_indices",
-        "gauss_hermite", "gaussian_mesh", "gaussian_moment", "fock_norm",
-        "default_eval_points", "oracle_compose_values", "oracle_compose",
+        "InsufficientNodesError", "QuadGrid", "OracleReport", "fock_indices", "gauss_hermite",
+        "gaussian_mesh", "default_eval_points", "oracle_compose_values", "oracle_compose",
         "laplacian_eigencheck", "gaussian_pairing", "norm_estimate",
     ),
     "operators": (

@@ -329,7 +329,7 @@ def _cmd_defect_check(args) -> int:
 
 def _selftest_checks(seed: int):
     """Yield (name, callable) pairs; each callable returns (ok, detail)."""
-    from .compose import k_base_exact
+    from .compose import base_terms
     from .geometry import (
         GeometryData,
         GeometrySample,
@@ -351,12 +351,10 @@ def _selftest_checks(seed: int):
     )
 
     def base_goldens():
-        tang = k_base_exact(1, 1, "tangential")
-        want_t = {(1, 1): {0: 1}, (0, 0): {1: 1}}
-        got_t = {k: {p: int(f) for p, f in v.items()} for k, v in tang.items()}
-        norm = k_base_exact(1, 1, "normal")
-        got_n = {k: {p: int(f) for p, f in v.items()} for k, v in norm.items()}
-        ok = got_t == want_t and got_n == {(0, 0): {1: 1}}
+        # coupled on both sides ("tangential") and on neither ("normal")
+        got_t = {(dz, dzp): {p: int(f)} for dz, dzp, f, p in base_terms(1, 1, True, True)}
+        got_n = {(dz, dzp): {p: int(f)} for dz, dzp, f, p in base_terms(1, 1, False, False)}
+        ok = got_t == {(1, 1): {0: 1}, (0, 0): {1: 1}} and got_n == {(0, 0): {1: 1}}
         return ok, f"tangential={got_t} normal={got_n}"
 
     def compose_oracle():

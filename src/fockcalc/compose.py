@@ -40,7 +40,6 @@ __all__ = [
     "ComposePlan",
     "UnsupportedCompositionError",
     "base_terms",
-    "k_base_exact",
     "compose",
     "compose_plan",
 ]
@@ -96,23 +95,6 @@ def base_terms(a: int, b: int, left_cross: bool, right_cross: bool) -> Iterator[
     else:
         if a == b:
             yield (0, 0, Fraction(math.factorial(a)), a)
-
-
-def k_base_exact(a: int, b: int, coordinate_kind: str) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """Exact rational-in-1/pi base case for one coordinate.
-
-    ``coordinate_kind``: 'tangential' (both kernels couple the coordinate)
-    or 'normal' (neither does).  Returns {(dz, dzp): {p: coef}} so the value
-    reads sum coef * pi**(-p) * z^dz * zb'^dzp, with no floats anywhere.
-    """
-    if coordinate_kind == "tangential":
-        lc = rc = True
-    elif coordinate_kind == "normal":
-        lc = rc = False
-    else:
-        raise ValueError(f"coordinate_kind must be 'tangential' or 'normal', got {coordinate_kind!r}")
-    # base_terms yields each (dz, dzp) once, with a positive coefficient
-    return {(dz, dzp): {p: coef} for dz, dzp, coef, p in base_terms(a, b, lc, rc)}
 
 
 # -- the shared bracket core --------------------------------------------------

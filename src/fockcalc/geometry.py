@@ -36,6 +36,8 @@ def _as_matrix(value, r: int, label: str) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.shape != (r, r):
         raise ValueError(f"{label} must be {r}x{r}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{label} has a non-finite entry")
     a = a.copy()
     a.setflags(write=False)
     return a
@@ -147,12 +149,10 @@ class GeometryData:
         r = self.fiber_rank
         for s in self.samples:
             for which in ("X", "Y", "W"):
-                v = getattr(s, f"lambda_RF_{which}")
-                if v is not None:
-                    _check_i_hermitian(
-                        _as_matrix(v, r, f"lambda_RF_{which}[{s.id}]"),
-                        f"lambda_RF_{which}[{s.id}]",
-                    )
+                if getattr(s, f"lambda_RF_{which}") is not None:
+                    _check_i_hermitian(s.lam(which, r), f"lambda_RF_{which}[{s.id}]")
+            for d in s.normal_dirs:
+                d.matrix(r)  # a wrong shape or a non-finite entry raises here
 
     def to_json_dict(self) -> dict:
         r = self.fiber_rank

@@ -414,12 +414,6 @@ class BracketField:
         values = self.symbol.evaluate_batch(z, z.conj())
         return self.cutoff.rho(np.linalg.norm(Z_N, axis=1) / self.cutoff.r_perp)[:, None, None] * values
 
-    def polynomial(self) -> Poly:
-        """The field as a plain polynomial; identity profile only."""
-        if not self.cutoff.is_identity:
-            raise ValueError("smooth_bump bracket has no polynomial form")
-        return self.symbol.poly.dilate(math.sqrt(self.p))
-
 
 def bracket(g: Symbol, p: float, cutoff: CutoffSpec | None = None) -> BracketField:
     return BracketField(g, _check_level(p), cutoff or IDENTITY_CUTOFF)
@@ -443,8 +437,6 @@ class MOpField:
 def m_op(
     g: Symbol,
     p: float,
-    n: int | None = None,
-    m: int | None = None,
     cutoff: CutoffSpec | None = None,
     variant: str = "direct",
 ):
@@ -460,12 +452,7 @@ def m_op(
     sampled :class:`MOpField`.
     """
     p = _check_level(p)
-    n = g.n if n is None else _json_int(n, "n")
-    m = g.m if m is None else _json_int(m, "m")
-    if (n, m) != (g.n, g.m):
-        raise ValueError(
-            f"dimension mismatch: symbol has (n, m) = {(g.n, g.m)}, requested {(n, m)}"
-        )
+    n, m = g.n, g.m
     cutoff = cutoff or IDENTITY_CUTOFF
     if variant == "direct":
         expr = KernelExpr(g.to_poly("unprimed"), Extension(n, m))

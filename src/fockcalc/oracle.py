@@ -35,12 +35,9 @@ __all__ = [
     "InsufficientNodesError",
     "QuadGrid",
     "OracleReport",
-    "FockIndex",
     "fock_indices",
     "gauss_hermite",
     "gaussian_mesh",
-    "gaussian_moment",
-    "fock_norm",
     "default_eval_points",
     "oracle_compose_values",
     "oracle_compose",
@@ -56,22 +53,10 @@ class InsufficientNodesError(ValueError):
     """Raised when the requested grid cannot integrate the middle degree exactly."""
 
 
-class FockIndex(tuple):
-    """Multi-index into the weighted monomial basis."""
-
-    @property
-    def total(self) -> int:
-        return sum(self)
-
-    @property
-    def factorial(self) -> int:
-        return math.prod(map(math.factorial, self))
-
-
-def fock_indices(dim: int, max_total: int) -> list[FockIndex]:
+def fock_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
     """All multi-indices of length dim with |beta| <= max_total, sorted."""
     grid = itertools.product(range(max_total + 1), repeat=dim)
-    return [FockIndex(b) for b in grid if sum(b) <= max_total]
+    return [b for b in grid if sum(b) <= max_total]
 
 
 # -- Gauss-Hermite ------------------------------------------------------------
@@ -154,26 +139,6 @@ class OracleReport:
             "grid": self.grid.to_json_dict(),
             "pass": self.passed,
         }
-
-
-# -- exact one-coordinate moments ---------------------------------------------
-
-
-def gaussian_moment(a: int, b: int) -> float:
-    """integral over C of z^a conj(z)^b exp(-pi |z|^2): diagonal a!/pi^a."""
-    if a < 0 or b < 0:
-        raise ValueError("negative exponent")
-    if a != b:
-        return 0.0
-    return math.factorial(a) / PI**a
-
-
-def fock_norm(beta: Sequence[int]) -> float:
-    """L^2 norm of z^beta exp(-pi |Z|^2 / 2): sqrt(beta! / pi^|beta|)."""
-    idx = FockIndex(tuple(int(b) for b in beta))
-    if any(b < 0 for b in idx):
-        raise ValueError("negative exponent")
-    return math.sqrt(idx.factorial / PI**idx.total)
 
 
 # -- numeric composition -------------------------------------------------------
@@ -428,6 +393,7 @@ def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tup
     j = v + beta_i - u >= 0 and gives gamma_i = j + t - s >= 0; uncoupled
     needs u = v + beta_i and gives gamma_i = t - s >= 0.  Every other gamma
     pairs to zero, so a row costs one pass over the terms, added in order.
+    Each diagonal moment, the integral of |w|^(2a) exp(-pi |w|^2), is a!/pi^a.
     """
     zero = np.zeros((r, r), dtype=complex)
     row: dict[tuple[int, ...], np.ndarray] = {}
@@ -440,12 +406,17 @@ def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tup
                 g = j + t - s
                 if j < 0 or g < 0:
                     break
-                val *= PI**j / math.factorial(j) * gaussian_moment(u + j, u + j) * gaussian_moment(s + g, s + g)
+                val *= (
+                    PI**j
+                    / math.factorial(j)
+                    * (math.factorial(u + j) / PI ** (u + j))
+                    * (math.factorial(s + g) / PI ** (s + g))
+                )
             else:
                 g = t - s
                 if u != v + b or g < 0:
                     break
-                val *= gaussian_moment(u, u) * gaussian_moment(t, t)
+                val *= math.factorial(u) / PI**u * (math.factorial(t) / PI**t)
             gamma.append(g)
         else:
             if val:
@@ -486,15 +457,16 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     r = gram_kernel.expr.dims.fiber_rank
     basis = fock_indices(d, basis_cutoff)
     index = {b: i for i, b in enumerate(basis)}
+    total = [sum(b) for b in basis]
+    factorial = [math.prod(map(math.factorial, b)) for b in basis]
     blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
     terms, c = gram_kernel.expr.numerator.sorted_terms(), gram_kernel.kind.c
     scale = gram_kernel.prefactor * gram_kernel.p ** (-d)
     for ib, b in enumerate(basis):
         for gamma, raw in _pairing_row(terms, c, r, b).items():
-            if gamma in index:
-                g = basis[index[gamma]]
-                w = scale * PI ** ((b.total + g.total) / 2.0) / math.sqrt(b.factorial * g.factorial)
-                blocks[ib, index[gamma]] = w * raw
+            if (ig := index.get(gamma)) is not None:
+                w = scale * PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
+                blocks[ib, ig] = w * raw
     G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
     G = 0.5 * (G + G.conj().T)
     return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))

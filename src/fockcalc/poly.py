@@ -17,7 +17,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "DEFAULT_DEGREE_CAP",
     "DegreeOverflowError",
     "Dims",
-    "VarId",
     "Poly",
     "O_Z",
     "O_ZB",
@@ -96,40 +95,6 @@ class Dims:
             l=_json_int(d.get("l", n), "dims l"),
             m=_json_int(d.get("m", n), "dims m"),
             fiber_rank=_json_int(d.get("fiber_rank", 1), "dims fiber_rank"),
-        )
-
-
-@dataclass(frozen=True)
-class VarId:
-    """One variable: slot ('unprimed'|'primed'), kind ('holomorphic'|'antiholomorphic'), 1-based index."""
-
-    slot: str
-    kind: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.slot not in ("unprimed", "primed"):
-            raise ValueError(f"bad slot {self.slot!r}")
-        if self.kind not in ("holomorphic", "antiholomorphic"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"index is 1-based, got {self.index}")
-
-    @property
-    def o(self) -> int:
-        return (2 if self.slot == "primed" else 0) + (1 if self.kind == "antiholomorphic" else 0)
-
-    @property
-    def name(self) -> str:
-        return var_name(self.index, self.o)
-
-    @classmethod
-    def from_name(cls, name: str) -> "VarId":
-        index, o = parse_var_name(name)
-        return cls(
-            slot="primed" if o >= 2 else "unprimed",
-            kind="antiholomorphic" if o % 2 else "holomorphic",
-            index=index,
         )
 
 
@@ -258,14 +223,13 @@ class Poly:
         return cls._from_arrays(dims, E, _as_coef(coef, dims.fiber_rank)[None])
 
     @classmethod
-    def monomial(cls, dims: Dims, powers: Mapping[Union[VarId, str], int], coef=1.0) -> "Poly":
+    def monomial(cls, dims: Dims, powers: Mapping[str, int], coef=1.0) -> "Poly":
         exps = [0] * (4 * dims.n)
-        for var, p in powers.items():
-            if isinstance(var, str):
-                var = VarId.from_name(var)
-            if var.index > dims.n:
-                raise ValueError(f"variable index {var.index} exceeds n={dims.n}")
-            exps[var_offset(var.index, var.o)] += int(p)
+        for name, p in powers.items():
+            index, o = parse_var_name(name)
+            if index > dims.n:
+                raise ValueError(f"variable index {index} exceeds n={dims.n}")
+            exps[var_offset(index, o)] += _json_int(p, f"exponent of {name}")
         return cls(dims, {tuple(exps): coef})
 
     # -- structure ----------------------------------------------------------
@@ -302,18 +266,8 @@ class Poly:
         E = np.concatenate([self.exps, other.exps])
         return Poly._from_arrays(self.dims, *_collect(E, np.concatenate([self.coefs, other.coefs])))
 
-    def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.scale(-1.0))
-
     def scale(self, scalar: complex) -> "Poly":
         return Poly._from_arrays(self.dims, self.exps, self.coefs * complex(scalar))
-
-    def scale_matrix(self, left=None, right=None) -> "Poly":
-        """Multiply every coefficient by fixed matrices: left @ coef @ right."""
-        r = self.dims.fiber_rank
-        lm = np.eye(r) if left is None else _as_coef(left, r)
-        rm = np.eye(r) if right is None else _as_coef(right, r)
-        return Poly._from_arrays(self.dims, self.exps, lm @ self.coefs @ rm)
 
     def mul(self, other: "Poly", degree_cap: int = DEFAULT_DEGREE_CAP) -> "Poly":
         """Product; terms accumulate in term-pair order (self outer, other inner)."""
@@ -358,11 +312,6 @@ class Poly:
         keep = self.exps[:, var_offset(index, o)] == 0
         return Poly._from_arrays(self.dims, self.exps[keep], self.coefs[keep])
 
-    def dilate(self, s: float) -> "Poly":
-        """P(Z, Z') -> P(sZ, sZ') for real s: coefficient times s^degree."""
-        factor = float(s) ** self.exps.sum(axis=1).astype(float)
-        return Poly._from_arrays(self.dims, self.exps, self.coefs * factor[:, None, None])
-
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
@@ -392,9 +341,6 @@ class Poly:
         return (monomial_values(X, E) @ C.reshape(-1, r * r)).reshape(len(X), r, r)
 
     # -- comparison ---------------------------------------------------------
-
-    def almost_equal(self, other: "Poly", tol: float = 1e-12) -> bool:
-        return self.max_coef_diff(other) <= tol
 
     def max_coef_diff(self, other: "Poly") -> float:
         self._check_compatible(other)

@@ -26,6 +26,7 @@ from fockcalc import (
     Restriction,
     Symbol,
     QuadGrid,
+    base_terms,
     c0,
     c3_c4,
     compose,
@@ -33,7 +34,6 @@ from fockcalc import (
     flat_defect_checks,
     fock_indices,
     h_gp,
-    k_base_exact,
     laplacian_eigencheck,
     m_op,
     norm_estimate,
@@ -104,13 +104,12 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_base_case_goldens():
     one = Fraction(1)
-    tangential = k_base_exact(1, 1, "tangential")
-    assert tangential == {(1, 1): {0: one}, (0, 0): {1: one}}  # z zbar' + 1/pi
-    normal = k_base_exact(1, 1, "normal")
-    assert normal == {(0, 0): {1: one}}  # 1/pi
-    assert all(
-        isinstance(f, Fraction) for by_p in tangential.values() for f in by_p.values()
-    )
+    # rows are (dz, dzp, coef, p): coef * pi**(-p) * z^dz * zb'^dzp
+    tangential = list(base_terms(1, 1, True, True))
+    assert tangential == [(1, 1, one, 0), (0, 0, one, 1)]  # z zbar' + 1/pi
+    normal = list(base_terms(1, 1, False, False))
+    assert normal == [(0, 0, one, 1)]  # 1/pi
+    assert all(isinstance(f, Fraction) for _, _, f, _ in tangential + normal)
     report(2, 0, "exact rational coefficients for both pairing base cases")
 
 

@@ -25,7 +25,6 @@ from fockcalc import (
     compose,
     compose_plan,
     default_eval_points,
-    k_base_exact,
     oracle_compose_values,
     unit_expr,
     DegreeOverflowError,
@@ -47,31 +46,31 @@ F = Fraction
 
 
 def test_base_exact_tangential_goldens():
-    assert k_base_exact(0, 0, "tangential") == {(0, 0): {0: F(1)}}
-    assert k_base_exact(1, 1, "tangential") == {(1, 1): {0: F(1)}, (0, 0): {1: F(1)}}
-    assert k_base_exact(2, 1, "tangential") == {(2, 1): {0: F(1)}, (1, 0): {1: F(2)}}
-    assert k_base_exact(1, 2, "tangential") == {(1, 2): {0: F(1)}, (0, 1): {1: F(2)}}
-    assert k_base_exact(2, 2, "tangential") == {
-        (2, 2): {0: F(1)},
-        (1, 1): {1: F(4)},
-        (0, 0): {2: F(2)},
-    }
-    assert k_base_exact(3, 3, "tangential") == {
-        (3, 3): {0: F(1)},
-        (2, 2): {1: F(9)},
-        (1, 1): {2: F(18)},
-        (0, 0): {3: F(6)},
-    }
+    # both kernels couple the coordinate; rows are (dz, dzp, coef, p)
+    assert list(base_terms(0, 0, True, True)) == [(0, 0, F(1), 0)]
+    assert list(base_terms(1, 1, True, True)) == [(1, 1, F(1), 0), (0, 0, F(1), 1)]
+    assert list(base_terms(2, 1, True, True)) == [(2, 1, F(1), 0), (1, 0, F(2), 1)]
+    assert list(base_terms(1, 2, True, True)) == [(1, 2, F(1), 0), (0, 1, F(2), 1)]
+    assert list(base_terms(2, 2, True, True)) == [
+        (2, 2, F(1), 0),
+        (1, 1, F(4), 1),
+        (0, 0, F(2), 2),
+    ]
+    assert list(base_terms(3, 3, True, True)) == [
+        (3, 3, F(1), 0),
+        (2, 2, F(9), 1),
+        (1, 1, F(18), 2),
+        (0, 0, F(6), 3),
+    ]
 
 
 def test_base_exact_normal_goldens():
-    assert k_base_exact(0, 0, "normal") == {(0, 0): {0: F(1)}}
-    assert k_base_exact(1, 1, "normal") == {(0, 0): {1: F(1)}}
-    assert k_base_exact(3, 3, "normal") == {(0, 0): {3: F(6)}}
-    assert k_base_exact(1, 0, "normal") == {}
-    assert k_base_exact(2, 1, "normal") == {}
-    with pytest.raises(ValueError):
-        k_base_exact(1, 1, "diagonal")
+    # neither kernel couples the coordinate
+    assert list(base_terms(0, 0, False, False)) == [(0, 0, F(1), 0)]
+    assert list(base_terms(1, 1, False, False)) == [(0, 0, F(1), 1)]
+    assert list(base_terms(3, 3, False, False)) == [(0, 0, F(6), 3)]
+    assert list(base_terms(1, 0, False, False)) == []
+    assert list(base_terms(2, 1, False, False)) == []
 
 
 def test_base_terms_one_sided():
@@ -85,16 +84,14 @@ def test_base_terms_one_sided():
 
 def test_base_exact_matches_gaussian_moments():
     # with no outer coupling the pairing is the plain moment a!/pi^a.
-    from fockcalc import gaussian_moment
-
     for a in range(5):
         for b in range(5):
-            table = k_base_exact(a, b, "normal")
             val = 0.0
-            for (dz, dzp), fr in table.items():
+            for dz, dzp, c, p in base_terms(a, b, False, False):
                 assert (dz, dzp) == (0, 0)
-                val += sum(float(c) / PI**p for p, c in fr.items())
-            assert abs(val - gaussian_moment(a, b)) < 1e-15
+                val += float(c) / PI**p
+            want = math.factorial(a) / PI**a if a == b else 0.0
+            assert abs(val - want) < 1e-15
 
 
 # -- hand-computed composite goldens ---------------------------------------------------

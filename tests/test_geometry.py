@@ -68,6 +68,16 @@ def test_validation_errors():
     data_with([GeometrySample(id="a", lambda_RF_X=2j * PI * np.array([[3.0]]))])
 
 
+def test_constructors_reject_non_finite_and_misshapen_matrices():
+    # each was accepted at construction and failed, or read 0.0, only once a
+    # constant read the matrix
+    for nabla, match in (([[math.nan, 0.0], [0.0, 1.0]], "non-finite"), (np.eye(3), "must be 2x2")):
+        with pytest.raises(ValueError, match=match):
+            data_with([GeometrySample(id="s", normal_dirs=(wy("d", nabla=nabla),))], fiber_rank=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        data_with([GeometrySample(id="s", lambda_RF_X=[[math.nan]], normal_dirs=(wy("d", d_scal=1.0),))])
+
+
 def test_json_round_trip():
     h = 2j * PI * np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])
     sample = GeometrySample(
@@ -215,6 +225,25 @@ def test_tensor_norm_lies_in_its_bracket(mats):
     assert lower - slack <= got <= upper + slack
     if len(mats) == 1:
         assert abs(got - lower) <= slack
+
+
+def test_c0_lies_in_its_bracket():
+    # The tensor norm of the family M_d lies in [max_d ||M_d||_2, min(a, b)],
+    # a = sqrt(lambda_max(sum M_d^H M_d)), b = sqrt(lambda_max(sum M_d M_d^H)).
+    # A value that the alternating maximisation leaves slightly low (it stops
+    # after 80 iterations) still lies inside, so this does not catch that.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        D, r = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        mats = rng.normal(size=(D, r, r)) + 1j * rng.normal(size=(D, r, r))
+        if seed % 2:
+            mats = 1j * (mats + mats.conj().transpose(0, 2, 1)) / 2
+        dirs = tuple(wy(f"d{d}", nabla=-2j * PI * M) for d, M in enumerate(mats))
+        got = float(c0(data_with([GeometrySample(id="s", normal_dirs=dirs)], fiber_rank=r))) * math.sqrt(PI)
+        lower = max(np.linalg.norm(M, 2) for M in mats)
+        a = math.sqrt(np.linalg.eigvalsh(sum(M.conj().T @ M for M in mats))[-1])
+        b = math.sqrt(np.linalg.eigvalsh(sum(M @ M.conj().T for M in mats))[-1])
+        assert lower * (1 - 1e-12) <= got <= min(a, b) * (1 + 1e-12), seed
 
 
 def test_constant_result_shape():

@@ -335,7 +335,7 @@ def test_ladder_commutator_is_4pi(rng):
         for j in range(1, (kind.du if slot == "unprimed" else kind.dp) + 1):
             ac = apply_ladder(apply_ladder(e, j, "creation", slot), j, "annihilation", slot)
             ca = apply_ladder(apply_ladder(e, j, "annihilation", slot), j, "creation", slot)
-            comm = ac.numerator.sub(ca.numerator)
+            comm = ac.numerator.add(ca.numerator.scale(-1.0))
             assert comm.max_coef_diff(e.numerator.scale(4 * PI)) < 1e-10
 
 

@@ -379,16 +379,6 @@ def test_bracket_field():
     assert abs(values[1, 0, 0] - 0.4) < 1e-15
     with pytest.raises(ValueError, match="normal point must have length 1"):
         bump.evaluate_batch([0.2])
-
-
-def test_bracket_polynomial():
-    g = Symbol.monomial(1, 0, (2,), (0,))
-    poly = bracket(g, 9.0).polynomial()
-    w = 0.5 + 0.25j
-    X = variable_columns(1, [[w]], [[np.conj(w)]], 0.0, 0.0)
-    assert abs(poly.evaluate_batch(X)[0, 0, 0] - 9.0 * w**2) < 1e-14
-    with pytest.raises(ValueError):
-        bracket(g, 4.0, CutoffSpec()).polynomial()
     with pytest.raises(ValueError):
         bracket(g, 0.5)
 
@@ -419,19 +409,8 @@ def test_m_op_errors():
     g = Symbol.monomial(1, 0, (0,), (1,))
     with pytest.raises(ValueError):
         m_op(g, p=0.5)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        m_op(g, p=2.0, n=2, m=0)
     with pytest.raises(ValueError, match="variant"):
         m_op(g, p=2.0, variant="sideways")
-
-
-@pytest.mark.parametrize("bad", [1.9, True, "1"])
-def test_m_op_dimensions_must_be_integers(bad):
-    g = Symbol.monomial(1, 0, (0,), (1,))
-    for kwargs in ({"n": bad}, {"m": bad}, {"n": bad, "m": 0.7}):
-        with pytest.raises(ValueError, match="must be an integer"):
-            m_op(g, p=2.0, **kwargs)
-    assert m_op(g, p=2.0, n=1.0, m=0.0).kind == Extension(1, 0)
 
 
 def test_m_op_rejects_nan_level():

@@ -11,7 +11,6 @@ from fockcalc import (
     Bergman,
     Dims,
     Extension,
-    FockIndex,
     InsufficientNodesError,
     KernelExpr,
     OrthBergman,
@@ -23,10 +22,8 @@ from fockcalc import (
     compose,
     default_eval_points,
     fock_indices,
-    fock_norm,
     gauss_hermite,
     gaussian_mesh,
-    gaussian_moment,
     gaussian_pairing,
     laplacian_eigencheck,
     m_op,
@@ -105,22 +102,7 @@ def test_fock_indices():
     idx = fock_indices(2, 2)
     assert len(idx) == 6  # (0,0),(0,1),(0,2),(1,0),(1,1),(2,0)
     assert idx == sorted(idx)
-    assert fock_indices(0, 3) == [FockIndex(())]
-    b = FockIndex((2, 1))
-    assert b.total == 3 and b.factorial == 2
-
-
-def test_gaussian_moment_and_fock_norm():
-    assert gaussian_moment(0, 0) == 1.0
-    assert gaussian_moment(2, 2) == 2.0 / PI**2
-    assert gaussian_moment(1, 2) == 0.0
-    with pytest.raises(ValueError):
-        gaussian_moment(-1, 0)
-    assert fock_norm((0, 0)) == 1.0
-    assert abs(fock_norm((1,)) - 1 / math.sqrt(PI)) < 1e-15
-    assert abs(fock_norm((2, 1)) - math.sqrt(2.0 / PI**3)) < 1e-15
-    with pytest.raises(ValueError):
-        fock_norm((-1,))
+    assert fock_indices(0, 3) == [()]
 
 
 # -- numeric composition vs the closed form -------------------------------------------
@@ -354,7 +336,7 @@ def test_gaussian_pairing_orthogonality():
     e = unit_expr(Bergman(2))
     assert abs(gaussian_pairing(e, (1, 0), (0, 1))[0, 0]) == 0.0
     got = gaussian_pairing(e, (1, 1), (1, 1))[0, 0]
-    assert abs(got - fock_norm((1, 1)) ** 2) < 1e-15
+    assert abs(got - 1.0 / PI**2) < 1e-15  # ||z1 z2||^2 = 1! 1! / pi^2
     with pytest.raises(ValueError):
         gaussian_pairing(unit_expr(Extension(2, 1)), (0, 0), (0,))
     with pytest.raises(ValueError):

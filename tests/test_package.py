@@ -21,21 +21,18 @@ SUBMODULES = ("poly", "kernels", "compose", "oracle", "operators", "geometry")
 PUBLIC_API = {
     "__version__",
     # poly
-    "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "VarId", "Poly", "O_Z", "O_ZB",
-    "O_ZP", "O_ZBP", "var_offset", "var_name", "parse_var_name", "variable_columns",
-    "monomial_values",
+    "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly", "O_Z", "O_ZB", "O_ZP",
+    "O_ZBP", "var_offset", "var_name", "parse_var_name", "variable_columns", "monomial_values",
     # kernels
     "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
     "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
     "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
     # compose
-    "ComposePlan", "UnsupportedCompositionError", "base_terms", "k_base_exact", "compose",
-    "compose_plan",
+    "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     # oracle
-    "InsufficientNodesError", "QuadGrid", "OracleReport", "FockIndex", "fock_indices",
-    "gauss_hermite", "gaussian_mesh", "gaussian_moment", "fock_norm", "default_eval_points",
-    "oracle_compose_values", "oracle_compose", "laplacian_eigencheck", "gaussian_pairing",
-    "norm_estimate",
+    "InsufficientNodesError", "QuadGrid", "OracleReport", "fock_indices", "gauss_hermite",
+    "gaussian_mesh", "default_eval_points", "oracle_compose_values", "oracle_compose",
+    "laplacian_eigencheck", "gaussian_pairing", "norm_estimate",
     # operators
     "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "BracketField", "MOpField", "HgpResult",
     "DefectRecord", "rotate_symbol", "lambda_eq", "lambda_h", "lambda_a",
@@ -78,14 +75,17 @@ def test_each_name_is_the_object_its_submodule_defines():
 
 
 def test_benchmark_uses_only_public_names():
-    # the benchmark imports names and submodules from the package and calls
-    # names through ``call("<name>", ...)`` or ``partial(call, "<name>", ...)``;
-    # each name must stay in ``__all__``
-    used = {}
+    # the benchmark imports names and submodules from the package, imports
+    # names from submodules, and calls names through ``call("<name>", ...)`` or
+    # ``partial(call, "<name>", ...)``; each name must stay in the ``__all__``
+    # of the package or of the submodule it is imported from
+    used, from_submodule = {}, {}
     for path in sorted((ROOT / "benchmarks").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "fockcalc":
                 used.update({alias.name: path.name for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fockcalc."):
+                from_submodule.update({(node.module, alias.name): path.name for alias in node.names})
             elif isinstance(node, ast.Call):
                 args = [node.func, *node.args]
                 for fn, name in zip(args, args[1:]):
@@ -94,6 +94,13 @@ def test_benchmark_uses_only_public_names():
     assert {"primed_dim", "kind_name", "compose_plan", "flat_defect_checks"} <= set(used)
     modules = {*SUBMODULES, "cli"}
     missing = {name: where for name, where in used.items() if name not in {*fockcalc.__all__, *modules}}
+    assert not missing
+    assert ("fockcalc.kernels", "primed_dim") in from_submodule
+    missing = {
+        key: where
+        for key, where in from_submodule.items()
+        if key[1] not in importlib.import_module(key[0]).__all__
+    }
     assert not missing
 
 

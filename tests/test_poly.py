@@ -11,7 +11,6 @@ from fockcalc import (
     DegreeOverflowError,
     Dims,
     Poly,
-    VarId,
     O_Z,
     O_ZB,
     O_ZP,
@@ -70,19 +69,12 @@ def test_var_names_round_trip():
         for o in range(4):
             assert parse_var_name(var_name(i, o)) == (i, o)
     assert var_name(2, O_ZBP) == "zb'2"
-    assert VarId.from_name("zb'3") == VarId(slot="primed", kind="antiholomorphic", index=3)
-    assert VarId(slot="unprimed", kind="holomorphic", index=1).o == O_Z
-    assert VarId(slot="primed", kind="holomorphic", index=1).o == O_ZP
 
 
 def test_var_name_errors():
     for bad in ("w1", "z0", "z-1", "zb", "z1x", ""):
         with pytest.raises(ValueError):
             parse_var_name(bad)
-    with pytest.raises(ValueError):
-        VarId(slot="middle", kind="holomorphic", index=1)
-    with pytest.raises(ValueError):
-        VarId(slot="primed", kind="holomorphic", index=0)
 
 
 # -- construction and validation ----------------------------------------------------
@@ -112,9 +104,11 @@ def test_bad_terms_rejected():
 
 @pytest.mark.parametrize("bad", [1.5, True, "1", math.inf])
 def test_non_integer_exponents_rejected(bad):
-    # the exponent used to be stored as int(bad), 1.5 as 1
+    # the exponent used to be stored as int(bad), 1.5 as 1, by both constructors
     with pytest.raises(ValueError, match="exponent must be an integer"):
         Poly(Dims.of(1), {(bad, 0, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="exponent of z1 must be an integer"):
+        Poly.monomial(Dims.of(1), {"z1": bad})
 
 
 def test_integral_float_and_numpy_exponents_accepted():
@@ -170,22 +164,22 @@ def test_monomial_and_constant():
 def test_add_identity_and_inverse(dims):
     z = Poly.zero(dims)
     p = Poly.one(dims)
-    assert p.add(z).almost_equal(p)
-    assert p.sub(p).is_zero()
+    assert p.add(z).max_coef_diff(p) <= 1e-12
+    assert p.add(p.scale(-1.0)).is_zero()
 
 
 @given(poly_st(), poly_st())
 def test_add_commutes(a, b):
     if a.dims.n != b.dims.n or a.dims.fiber_rank != b.dims.fiber_rank:
         return
-    assert a.add(b).almost_equal(b.add(a))
+    assert a.add(b).max_coef_diff(b.add(a)) <= 1e-12
 
 
 @given(poly_st(max_deg=2, max_terms=2))
 def test_mul_unit_and_zero(p):
     one = Poly.one(p.dims)
-    assert one.mul(p).almost_equal(p)
-    assert p.mul(one).almost_equal(p)
+    assert one.mul(p).max_coef_diff(p) <= 1e-12
+    assert p.mul(one).max_coef_diff(p) <= 1e-12
     assert p.mul(Poly.zero(p.dims)).is_zero()
 
 
@@ -240,7 +234,7 @@ def test_conjugate_swap_golden():
 
 @given(poly_st())
 def test_conjugate_swap_involution(p):
-    assert p.conjugate_swap().conjugate_swap().almost_equal(p)
+    assert p.conjugate_swap().conjugate_swap().max_coef_diff(p) <= 1e-12
 
 
 def test_conjugate_swap_antihomomorphism(rng):
@@ -271,18 +265,16 @@ def test_degree_and_parity():
 # -- calculus helpers -----------------------------------------------------------------------
 
 
-def test_diff_times_var_set_zero_dilate():
+def test_diff_times_var_set_zero():
     dims = Dims.of(1)
     p = Poly.monomial(dims, {"z1": 3, "zb1": 1}, 2.0)
     d = p.diff(1, O_Z)
-    assert d.almost_equal(Poly.monomial(dims, {"z1": 2, "zb1": 1}, 6.0))
+    assert d.max_coef_diff(Poly.monomial(dims, {"z1": 2, "zb1": 1}, 6.0)) <= 1e-12
     assert p.diff(1, O_ZP).is_zero()
     t = p.times_var(1, O_ZBP, 2)
-    assert t.almost_equal(Poly.monomial(dims, {"z1": 3, "zb1": 1, "zb'1": 2}, 2.0))
+    assert t.max_coef_diff(Poly.monomial(dims, {"z1": 3, "zb1": 1, "zb'1": 2}, 2.0)) <= 1e-12
     assert p.set_var_zero(1, O_Z).is_zero()
-    assert p.set_var_zero(1, O_ZP).almost_equal(p)
-    s = p.dilate(2.0)
-    assert s.almost_equal(Poly.monomial(dims, {"z1": 3, "zb1": 1}, 2.0 * 2.0**4))
+    assert p.set_var_zero(1, O_ZP).max_coef_diff(p) <= 1e-12
 
 
 def test_evaluate_matches_manual():
@@ -333,14 +325,6 @@ def test_evaluate_batch_zero_and_shape_errors():
         zero.evaluate_batch(np.ones((3, 4)))
     with pytest.raises(ValueError):
         zero.evaluate_batch(np.ones(8))
-
-
-def test_scale_matrix():
-    dims = Dims.of(1, fiber_rank=2)
-    p = Poly.constant(dims, np.array([[1.0, 0.0], [0.0, 2.0]]))
-    L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    q = p.scale_matrix(left=L)
-    assert np.allclose(q.terms[tuple([0] * 4)], L @ np.diag([1.0, 2.0]))
 
 
 # -- comparison and serialization --------------------------------------------------------------
