@@ -17,20 +17,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _coef_to_json, _coef_from_json
+from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly
+from .poly import _coef_from_json, _coef_to_json, _json_list, _json_object, _json_real
 
 # Every command needs ``poly``; the other modules are imported by the
 # functions that use them, so a process loads only what its command needs.
 if TYPE_CHECKING:
-    from .geometry import GeometryData
     from .kernels import KernelExpr
-    from .operators import Symbol
 
 PI = math.pi
 
 KERNEL_SCHEMA = "kernel/1"
 SYMBOL_SCHEMA = "symbol/1"
 MATRIX_SCHEMA = "matrix/1"
+GEOM_SCHEMA = "geom/1"  # geometry.GEOM_SCHEMA, spelled out so the CLI need not load geometry
 
 
 class CliError(Exception):
@@ -64,47 +64,44 @@ def _read_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {e}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise CliError(f"malformed JSON in {path}: {e}")
     if not isinstance(data, dict):
         raise CliError(f"top-level JSON in {path} must be an object")
     return data
 
 
-def _strip_schema(d: dict, expected: str, path: str) -> dict:
-    got = d.get("schema")
-    if got != expected:
-        raise CliError(f"{path}: schema {got!r} does not match expected {expected!r}")
-    return {k: v for k, v in d.items() if k != "schema"}
+# schema -> how its payload errors are prefixed after the path
+_PAYLOAD_ERRORS = {
+    KERNEL_SCHEMA: "invalid kernel payload: ",
+    SYMBOL_SCHEMA: "invalid symbol payload: ",
+    GEOM_SCHEMA: "invalid geometry payload: ",
+    MATRIX_SCHEMA: "",
+}
 
 
-def _load_kernel(path: str) -> KernelExpr:
-    from .kernels import KernelExpr
-
-    body = _strip_schema(_read_json(path), KERNEL_SCHEMA, path)
+def _load(path: str, schema: str, reader):
+    """``reader`` applied to the payload of a ``schema`` file: the JSON object
+    without its ``schema`` field, which must match (geom/1's reader takes the
+    whole object and checks it itself).  A bad file is a usage error."""
+    data = _read_json(path)
+    if schema != GEOM_SCHEMA:
+        if data.get("schema") != schema:
+            raise CliError(f"{path}: schema {data.get('schema')!r} does not match expected {schema!r}")
+        data = {k: v for k, v in data.items() if k != "schema"}
     try:
-        return KernelExpr.from_json_dict(body)
+        return reader(data)
     except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise CliError(f"{path}: invalid kernel payload: {e}")
+        raise CliError(f"{path}: {_PAYLOAD_ERRORS[schema]}{e}")
 
 
-def _load_symbol(path: str) -> Symbol:
-    from .operators import Symbol
-
-    body = _strip_schema(_read_json(path), SYMBOL_SCHEMA, path)
-    try:
-        return Symbol.from_json_dict(body)
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise CliError(f"{path}: invalid symbol payload: {e}")
-
-
-def _load_geometry(path: str) -> GeometryData:
-    from .geometry import GeometryData
-
-    try:
-        return GeometryData.from_json_dict(_read_json(path))
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise CliError(f"{path}: invalid geometry payload: {e}")
+def _read_matrix(body: dict) -> np.ndarray:
+    """The ``(r, r)`` matrix of a matrix/1 payload."""
+    body = _json_object(body, "matrix", ("matrix",))
+    if "matrix" not in body:
+        raise ValueError("missing 'matrix' field")
+    rows = _json_list(body["matrix"], "'matrix'", "rows")
+    return _coef_from_json(rows, len(rows), "matrix")
 
 
 def _kernel_json(e: KernelExpr) -> dict:
@@ -131,22 +128,17 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
         raise CliError("--direction is required for dp3 and tower")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise CliError(f"--direction is not valid JSON: {e}")
     if not isinstance(raw, dict) or not raw:
         raise CliError("--direction must be a non-empty JSON object of id -> coefficient")
     out: dict[str, complex] = {}
     for key, val in raw.items():
-        parts = [val, 0.0] if isinstance(val, (int, float)) else val
-        z = None
-        if isinstance(parts, list) and len(parts) == 2:
-            try:
-                z = complex(float(parts[0]), float(parts[1]))
-            except (TypeError, ValueError, OverflowError):
-                pass
-        if z is None or not np.isfinite(z):
-            raise CliError(f"--direction value for {key!r} must be a finite number or [re, im]")
-        out[str(key)] = z
+        try:
+            re, im = val if isinstance(val, list) else (val, 0.0)
+            out[key] = complex(_json_real(re, key), _json_real(im, key))
+        except ValueError:
+            raise CliError(f"--direction value for {key!r} must be a finite number or [re, im]") from None
     return out
 
 
@@ -155,8 +147,9 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
 
 def _cmd_compose(args) -> int:
     from .compose import UnsupportedCompositionError, compose, compose_plan
+    from .kernels import KernelExpr
 
-    e1, e2 = _load_kernel(args.left), _load_kernel(args.right)
+    e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
     try:
         plan = compose_plan(e1.kind, e2.kind)
         # a result kind without a kernel/1 name cannot be written
@@ -169,11 +162,12 @@ def _cmd_compose(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     from .compose import UnsupportedCompositionError, compose, compose_plan
+    from .kernels import KernelExpr
     from .oracle import QuadGrid, default_eval_points, oracle_compose
 
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
-    e1, e2 = _load_kernel(args.left), _load_kernel(args.right)
+    e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
     try:
         plan = compose_plan(e1.kind, e2.kind)
         grid = None
@@ -199,18 +193,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_spectrum(args) -> int:
     from .geometry import hermitian_eigs
 
-    body = _strip_schema(_read_json(args.input), MATRIX_SCHEMA, args.input)
-    raw = body.get("matrix")
-    if raw is None:
-        raise CliError(f"{args.input}: missing 'matrix' field")
-    if not isinstance(raw, list):
-        raise CliError(f"{args.input}: 'matrix' must be a list of rows")
-    r = len(raw)
-    try:
-        H = _coef_from_json(raw, r)
-        vals = hermitian_eigs(H)
-    except (ValueError, TypeError, RuntimeError) as e:
-        raise CliError(f"{args.input}: {e}")
+    vals = _load(args.input, MATRIX_SCHEMA, lambda body: hermitian_eigs(_read_matrix(body)))
     _emit_json(
         {"schema": "spectrum/1", "eigenvalues": [float(v) for v in vals]},
         args.out,
@@ -221,7 +204,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_toeplitz_leading(args) -> int:
     from .operators import Symbol, _effective_kind, toeplitz_leading
 
-    g = _load_symbol(args.symbol)
+    g = _load(args.symbol, SYMBOL_SCHEMA, Symbol.from_json_dict)
     try:
         value = toeplitz_leading(args.kind, g)
     except (ValueError, AssertionError) as e:
@@ -244,9 +227,9 @@ def _cmd_toeplitz_leading(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .geometry import c0, c3_c4, dp3, tower_dp3
+    from .geometry import GeometryData, c0, c3_c4, dp3, tower_dp3
 
-    data = _load_geometry(args.geom)
+    data = _load(args.geom, GEOM_SCHEMA, GeometryData.from_json_dict)
     which = args.which
     csv_rows: list[tuple[str, float, str]] | None = None
     if which == "c0":

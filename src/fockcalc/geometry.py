@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import _coef_to_json, _coef_from_json, _json_int, _json_object
+from .poly import _coef_from_json, _coef_to_json, _json_int, _json_list, _json_object, _json_real, _json_str
 
 PI = math.pi
 
@@ -43,18 +43,12 @@ def _as_matrix(value, r: int, label: str) -> np.ndarray:
     return a
 
 
-def _check_i_hermitian(V: np.ndarray, label: str) -> None:
-    """V is stored so that V / (2 pi i) must be Hermitian."""
-    H = V / (2j * PI)
-    dev = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    scale = 1.0 + float(np.max(np.abs(H))) if H.size else 1.0
-    if dev > _HERM_TOL * scale:
-        raise ValueError(f"{label} / (2 pi i) is not Hermitian (deviation {dev:.3e})")
-
-
-def _check_finite(value: float | None, name: str, owner: str) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"{name} of {owner} must be finite, got {value!r}")
+def _check_hermitian(H: np.ndarray, message: str) -> None:
+    """Raise ``message`` with the deviation unless the square matrix H is
+    Hermitian within 1e-10, scaled by 1 + its largest entry."""
+    dev = float(np.max(np.abs(H - H.conj().T), initial=0.0))
+    if dev > _HERM_TOL * (1.0 + float(np.max(np.abs(H), initial=0.0))):
+        raise ValueError(f"{message} (deviation {dev:.3e})")
 
 
 # -- data model -----------------------------------------------------------------
@@ -70,22 +64,16 @@ class NormalDirection:
     nabla_lambda_diff: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        _json_str(self.id, "direction id")
         if self.level not in ("WY", "XW"):
             raise ValueError(f"direction level must be 'WY' or 'XW', got {self.level!r}")
-        _check_finite(self.d_scal_diff, "d_scal_diff", f"direction {self.id!r}")
+        object.__setattr__(self, "d_scal_diff", _json_real(self.d_scal_diff, f"d_scal_diff of direction {self.id!r}"))
 
     def matrix(self, r: int) -> np.ndarray:
-        if self.nabla_lambda_diff is None:
-            return np.zeros((r, r), dtype=complex)
-        return _as_matrix(self.nabla_lambda_diff, r, f"nabla_lambda_diff[{self.id}]")
+        return _field_matrix(self, "nabla_lambda_diff", r)
 
     def to_json_dict(self, r: int) -> dict:
-        return {
-            "id": self.id,
-            "level": self.level,
-            "d_scal_diff": float(self.d_scal_diff),
-            "nabla_lambda_diff": _coef_to_json(self.matrix(r)),
-        }
+        return {"id": self.id, "level": self.level, **_fields_to_json(self, _DIRECTION_FIELDS, r)}
 
 
 @dataclass(frozen=True)
@@ -103,8 +91,11 @@ class GeometrySample:
     normal_dirs: tuple[NormalDirection, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        _json_str(self.id, "sample id")
         for name in ("scal_X", "scal_Y", "scal_W", "kappa"):
-            _check_finite(getattr(self, name), name, f"sample {self.id!r}")
+            value = getattr(self, name)
+            if value is not None or name != "scal_W":  # scal_W alone is optional
+                object.__setattr__(self, name, _json_real(value, f"{name} of sample {self.id!r}"))
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         ids = [d.id for d in self.normal_dirs]
@@ -112,10 +103,7 @@ class GeometrySample:
             raise ValueError(f"duplicate direction ids in sample {self.id!r}")
 
     def lam(self, which: str, r: int) -> np.ndarray:
-        v = getattr(self, f"lambda_RF_{which}")
-        if v is None:
-            return np.zeros((r, r), dtype=complex)
-        return _as_matrix(v, r, f"lambda_RF_{which}[{self.id}]")
+        return _field_matrix(self, f"lambda_RF_{which}", r)
 
     def direction(self, dir_id: str) -> NormalDirection:
         for d in self.normal_dirs:
@@ -150,34 +138,23 @@ class GeometryData:
         for s in self.samples:
             for which in ("X", "Y", "W"):
                 if getattr(s, f"lambda_RF_{which}") is not None:
-                    _check_i_hermitian(s.lam(which, r), f"lambda_RF_{which}[{s.id}]")
+                    H = s.lam(which, r) / (2j * PI)
+                    _check_hermitian(H, f"lambda_RF_{which}[{s.id}] / (2 pi i) is not Hermitian")
             for d in s.normal_dirs:
                 d.matrix(r)  # a wrong shape or a non-finite entry raises here
 
     def to_json_dict(self) -> dict:
         r = self.fiber_rank
-        out = {
-            "schema": GEOM_SCHEMA,
-            "dims": list(self.dims),
-            "fiber_rank": r,
-            "samples": [],
-        }
-        for s in self.samples:
-            rec = {
+        samples = [
+            {
                 "id": s.id,
-                "scal_X": float(s.scal_X),
-                "scal_Y": float(s.scal_Y),
-                "lambda_RF_X": _coef_to_json(s.lam("X", r)),
-                "lambda_RF_Y": _coef_to_json(s.lam("Y", r)),
-                "kappa": float(s.kappa),
+                **_fields_to_json(s, _SAMPLE_FIELDS, r),
                 "normal_dirs": [d.to_json_dict(r) for d in s.normal_dirs],
+                **_fields_to_json(s, _SAMPLE_W_FIELDS, r),
             }
-            if s.scal_W is not None:
-                rec["scal_W"] = float(s.scal_W)
-            if s.lambda_RF_W is not None:
-                rec["lambda_RF_W"] = _coef_to_json(s.lam("W", r))
-            out["samples"].append(rec)
-        return out
+            for s in self.samples
+        ]
+        return {"schema": GEOM_SCHEMA, "dims": list(self.dims), "fiber_rank": r, "samples": samples}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "GeometryData":
@@ -185,67 +162,59 @@ class GeometryData:
             raise ValueError(
                 f"unsupported geometry schema {d.get('schema')!r}; expected {GEOM_SCHEMA!r}"
             )
-        allowed = {"schema", "dims", "fiber_rank", "samples"}
-        extra = set(d) - allowed
-        if extra:
-            raise ValueError(f"unknown geometry keys: {sorted(extra)}")
+        d = _json_object(d, "geometry", ("schema", "dims", "fiber_rank", "samples"))
         r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
         samples = []
-        for rec in d["samples"]:
-            bad = set(_json_object(rec, "sample")) - {
-                "id",
-                "scal_X",
-                "scal_Y",
-                "scal_W",
-                "lambda_RF_X",
-                "lambda_RF_Y",
-                "lambda_RF_W",
-                "kappa",
-                "normal_dirs",
-            }
-            if bad:
-                raise ValueError(f"unknown sample keys: {sorted(bad)}")
+        for rec in _json_list(d["samples"], "samples", "sample objects"):
+            rec = _json_object(rec, "sample", ("id", "normal_dirs", *_SAMPLE_FIELDS, *_SAMPLE_W_FIELDS))
             dirs = []
-            for dd in rec.get("normal_dirs", []):
-                badd = set(_json_object(dd, "direction")) - {"id", "level", "d_scal_diff", "nabla_lambda_diff"}
-                if badd:
-                    raise ValueError(f"unknown direction keys: {sorted(badd)}")
-                dirs.append(
-                    NormalDirection(
-                        id=str(dd["id"]),
-                        level=str(dd["level"]),
-                        d_scal_diff=float(dd.get("d_scal_diff", 0.0)),
-                        nabla_lambda_diff=(
-                            _coef_from_json(dd["nabla_lambda_diff"], r)
-                            if "nabla_lambda_diff" in dd
-                            else None
-                        ),
-                    )
-                )
-            samples.append(
-                GeometrySample(
-                    id=str(rec["id"]),
-                    scal_X=float(rec.get("scal_X", 0.0)),
-                    scal_Y=float(rec.get("scal_Y", 0.0)),
-                    scal_W=(float(rec["scal_W"]) if "scal_W" in rec else None),
-                    lambda_RF_X=(
-                        _coef_from_json(rec["lambda_RF_X"], r) if "lambda_RF_X" in rec else None
-                    ),
-                    lambda_RF_Y=(
-                        _coef_from_json(rec["lambda_RF_Y"], r) if "lambda_RF_Y" in rec else None
-                    ),
-                    lambda_RF_W=(
-                        _coef_from_json(rec["lambda_RF_W"], r) if "lambda_RF_W" in rec else None
-                    ),
-                    kappa=float(rec.get("kappa", 1.0)),
-                    normal_dirs=tuple(dirs),
-                )
-            )
-        return cls(
-            dims=d["dims"],
-            fiber_rank=r,
-            samples=tuple(samples),
-        )
+            for dd in _json_list(rec.get("normal_dirs", []), "normal_dirs", "direction objects"):
+                dd = _json_object(dd, "direction", ("id", "level", *_DIRECTION_FIELDS))
+                fields = _fields_from_json(dd, _DIRECTION_FIELDS, r, f"direction {dd['id']!r}")
+                dirs.append(NormalDirection(dd["id"], dd["level"], **fields))
+            fields = _fields_from_json(rec, _SAMPLE_FIELDS + _SAMPLE_W_FIELDS, r, f"sample {rec['id']!r}")
+            samples.append(GeometrySample(rec["id"], normal_dirs=tuple(dirs), **fields))
+        dims = tuple(_json_list(d["dims"], "dims", "integers"))
+        return cls(dims=dims, fiber_rank=r, samples=tuple(samples))
+
+
+# -- geom/1 fields ------------------------------------------------------------------
+
+# The real and matrix fields of a sample and of a direction, in output order.
+# The W-level sample fields are written only when set; any other unset
+# matrix is written as zeros.
+_SAMPLE_FIELDS = ("scal_X", "scal_Y", "lambda_RF_X", "lambda_RF_Y", "kappa")
+_SAMPLE_W_FIELDS = ("scal_W", "lambda_RF_W")
+_DIRECTION_FIELDS = ("d_scal_diff", "nabla_lambda_diff")
+_REAL_FIELDS = {"scal_X", "scal_Y", "scal_W", "kappa", "d_scal_diff"}
+
+
+def _field_matrix(owner, name: str, r: int) -> np.ndarray:
+    """The matrix field ``name`` of a sample or direction, zeros if unset."""
+    value = getattr(owner, name)
+    if value is None:
+        return np.zeros((r, r), dtype=complex)
+    return _as_matrix(value, r, f"{name}[{owner.id}]")
+
+
+def _fields_to_json(owner, names, r: int) -> dict:
+    out = {}
+    for name in names:
+        value = getattr(owner, name)
+        if value is None and name in _SAMPLE_W_FIELDS:
+            continue
+        out[name] = value if name in _REAL_FIELDS else _coef_to_json(_field_matrix(owner, name, r))
+    return out
+
+
+def _fields_from_json(rec: Mapping, names, r: int, owner: str) -> dict:
+    """The named fields present in ``rec``: matrices read from JSON pairs, reals
+    as given (the constructors read them)."""
+    return {
+        name: rec[name] if name in _REAL_FIELDS else _coef_from_json(rec[name], r, f"{name} of {owner}")
+        for name in names
+        if name in rec
+    }
 
 
 # -- eigensolver ------------------------------------------------------------------
@@ -264,10 +233,7 @@ def hermitian_eigs(H) -> np.ndarray:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
-    scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    dev = float(np.max(np.abs(A - A.conj().T)))
-    if dev > _HERM_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian within tolerance (deviation {dev:.3e})")
+    _check_hermitian(A, "matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
 

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, variable_columns
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, variable_columns, _json_object
 
 __all__ = [
     "Bergman",
@@ -209,9 +209,7 @@ class KernelExpr:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "KernelExpr":
-        extra = set(d) - {"dims", "kind", "terms"}
-        if extra:
-            raise ValueError(f"unknown kernel expr keys: {sorted(extra)}")
+        d = _json_object(d, "kernel expr", ("dims", "kind", "terms"))
         num = Poly.from_json_dict({"dims": d["dims"], "terms": d["terms"]})
         kind = kind_from_json(d["kind"], num.dims)
         return cls(num, kind)

@@ -37,7 +37,10 @@ from .poly import (
     _collect,
     _coef_to_json,
     _coef_from_json,
+    _exponent_rows,
     _json_int,
+    _json_list,
+    _json_object,
 )
 from .kernels import (
     TOEPLITZ_KINDS,
@@ -101,21 +104,21 @@ class Symbol:
         terms: Mapping[tuple[MultiIndex, MultiIndex], object],
         fiber_rank: int = 1,
     ) -> "Symbol":
-        dims = Dims.of(n, m=m, fiber_rank=fiber_rank)
-        k = n - m
-        rows = []
-        for hol, antihol in terms:
+        return cls._from_pairs(Dims.of(n, m=m, fiber_rank=fiber_rank), terms.items())
+
+    @classmethod
+    def _from_pairs(cls, dims: Dims, pairs) -> "Symbol":
+        """The sum of ``((hol, antihol), coef)`` terms, equal exponents summed in order."""
+        k, rows, coefs = dims.n - dims.m, [], []
+        for (hol, antihol), c in pairs:
             if len(hol) != k or len(antihol) != k:
                 raise ValueError(f"multi-index length must be n-m={k}")
             rows.append([_json_int(a, "symbol exponent") for a in (*hol, *antihol)])
+            coefs.append(_as_coef(c, dims.fiber_rank))
         if any(a < 0 for row in rows for a in row):
             raise ValueError("negative exponent in symbol term")
-        try:
-            HA = np.array(rows, dtype=np.int64).reshape(len(rows), 2, k)
-        except OverflowError:
-            raise ValueError("exponent out of range") from None
-        C = np.array([_as_coef(c, fiber_rank) for c in terms.values()], dtype=complex)
-        return cls._from_blocks(dims, HA[:, 0], HA[:, 1], C)
+        HA = _exponent_rows(rows, 2 * k).reshape(len(rows), 2, k)
+        return cls._from_blocks(dims, HA[:, 0], HA[:, 1], np.array(coefs, dtype=complex))
 
     @classmethod
     def _from_blocks(cls, dims: Dims, hol: np.ndarray, anti: np.ndarray, C) -> "Symbol":
@@ -245,19 +248,17 @@ class Symbol:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Symbol":
-        extra = set(d) - {"n", "m", "fiber_rank", "terms"}
-        if extra:
-            raise ValueError(f"unknown symbol keys: {sorted(extra)}")
+        d = _json_object(d, "symbol", ("n", "m", "fiber_rank", "terms"))
         r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
-        terms: dict[tuple[MultiIndex, MultiIndex], np.ndarray] = {}
-        for t in d["terms"]:
-            bad = set(t) - {"hol", "antihol", "coef"}
-            if bad:
-                raise ValueError(f"unknown symbol term keys: {sorted(bad)}")
-            key = tuple(tuple(_json_int(a, f"symbol {side}") for a in t[side]) for side in ("hol", "antihol"))
-            c = _coef_from_json(t["coef"], r)
-            terms[key] = terms[key] + c if key in terms else c
-        return cls.from_terms(_json_int(d["n"], "n"), _json_int(d["m"], "m"), terms, r)
+        pairs = []
+        for t in _json_list(d["terms"], "terms", "term objects"):
+            t = _json_object(t, "symbol term", ("hol", "antihol", "coef"))
+            key = tuple(
+                tuple(_json_int(a, f"symbol {side}") for a in _json_list(t[side], f"symbol {side}", "integers"))
+                for side in ("hol", "antihol")
+            )
+            pairs.append((key, _coef_from_json(t["coef"], r)))
+        return cls._from_pairs(Dims.of(_json_int(d["n"], "n"), m=_json_int(d["m"], "m"), fiber_rank=r), pairs)
 
 
 def rotate_symbol(g: Symbol, U) -> Symbol:

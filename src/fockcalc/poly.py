@@ -13,6 +13,7 @@ with layout ``exps[4*(i-1) + o]`` where ``o`` selects, in order,
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -86,9 +87,7 @@ class Dims:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Dims":
-        extra = set(d) - {"n", "l", "m", "fiber_rank"}
-        if extra:
-            raise ValueError(f"unknown dims keys: {sorted(extra)}")
+        d = _json_object(d, "dims", ("n", "l", "m", "fiber_rank"))
         n = _json_int(d["n"], "dims n")
         return cls(
             n=n,
@@ -163,10 +162,7 @@ class Poly:
                 raise ValueError(f"exponent tuple length {len(exps)} != {width}")
         if not all(type(v) is int for exps in keys for v in exps):
             keys = [[_json_int(v, "exponent") for v in exps] for exps in keys]
-        try:
-            E = np.array(keys, dtype=np.int64).reshape(count, width)
-        except OverflowError:
-            raise ValueError("exponent out of range") from None
+        E = _exponent_rows(keys, width)
         if (E < 0).any():
             row = E[(E < 0).any(axis=1)][0]
             raise ValueError(f"negative exponent in {tuple(row.tolist())}")
@@ -364,15 +360,11 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Poly":
-        extra = set(d) - {"dims", "terms"}
-        if extra:
-            raise ValueError(f"unknown poly keys: {sorted(extra)}")
+        d = _json_object(d, "poly", ("dims", "terms"))
         dims = Dims.from_json_dict(d["dims"])
-        out: dict[ExpKey, np.ndarray] = {}
-        for t in d["terms"]:
-            textra = set(_json_object(t, "term")) - {"exps", "coef"}
-            if textra:
-                raise ValueError(f"unknown term keys: {sorted(textra)}")
+        rows, coefs = [], []
+        for t in _json_list(d["terms"], "terms", "term objects"):
+            t = _json_object(t, "term", ("exps", "coef"))
             exps = [0] * (4 * dims.n)
             for name, p in _json_object(t["exps"], "term exps").items():
                 index, o = parse_var_name(name)
@@ -382,10 +374,10 @@ class Poly:
                 if p < 0:
                     raise ValueError(f"negative exponent for {name}")
                 exps[var_offset(index, o)] += p
-            k = tuple(exps)
-            c = _coef_from_json(t["coef"], dims.fiber_rank)
-            out[k] = out[k] + c if k in out else c
-        return cls(dims, out)
+            rows.append(exps)
+            coefs.append(_coef_from_json(t["coef"], dims.fiber_rank))
+        C = np.array(coefs, dtype=complex).reshape(len(rows), dims.fiber_rank, dims.fiber_rank)
+        return cls._from_arrays(dims, *_collect(_exponent_rows(rows, 4 * dims.n), C))
 
 
 def variable_columns(n: int, z, zb, zp, zbp) -> np.ndarray:
@@ -410,6 +402,14 @@ def monomial_values(X, E) -> np.ndarray:
     for j in E.any(axis=0).nonzero()[0]:
         out *= X[:, j, None] ** E[:, j]
     return out
+
+
+def _exponent_rows(rows, width: int) -> np.ndarray:
+    """Integer exponent rows as an int64 ``(T, width)`` array."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        raise ValueError("exponent out of range") from None
 
 
 def _row_keys(E: np.ndarray) -> np.ndarray:
@@ -449,9 +449,31 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E[first[rank]], acc[rank]
 
 
-def _json_object(value, what: str) -> Mapping:
+# -- JSON field readers -----------------------------------------------------------
+#
+# Every payload loader reads its fields through these, so each field type has
+# one rule and a bad field is named in the error.
+
+
+def _json_object(value, what: str, keys=None) -> Mapping:
+    """A JSON object; given ``keys``, one with no key outside them."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    if keys is not None and (extra := set(value) - set(keys)):
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    return value
+
+
+def _json_list(value, what: str, items: str) -> list:
+    """A JSON list (or a tuple, from Python callers), never an object's keys."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of {items}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -467,15 +489,35 @@ def _json_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON int or float as a float (an int beyond float range as +-inf);
+    booleans, strings and null are rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _json_real(value, what: str) -> float:
+    """A finite real field, read like :func:`_json_number`."""
+    x = _json_number(value, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def _coef_to_json(coef: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in coef]
 
 
-def _coef_from_json(data, r: int) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    if a.shape != (r, r, 2):
-        raise ValueError(f"coef shape {a.shape} != ({r}, {r}, 2)")
-    if not np.isfinite(a).all():
+def _coef_from_json(data, r: int, what: str = "coef") -> np.ndarray:
+    """An ``(r, r)`` complex matrix from ``r`` rows of ``[re, im]`` pairs of finite reals."""
+    cells = np.array(data, dtype=object)
+    if cells.shape != (r, r, 2):
+        raise ValueError(f"{what} shape {cells.shape} != ({r}, {r}, 2)")
+    a = np.array([_json_number(v, f"{what} entry") for v in cells.flat]).reshape(r, r, 2)
+    if not np.isfinite(a).all():  # the message the coefficient constructors raise too
         raise ValueError("non-finite coefficient")
     return a[..., 0] + 1j * a[..., 1]
-

@@ -223,6 +223,16 @@ def test_spectrum_rejects_scalar_matrix(tmp_path, capsys):
     assert err.count("\n") == 1 and "list of rows" in err
 
 
+def test_integer_too_long_to_parse_is_a_usage_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError past 4300 digits; it used to escape
+    # as a traceback with exit 1
+    mf = tmp_path / "m.json"
+    mf.write_text('{"schema": "matrix/1", "matrix": [[[' + "1" * 5000 + ", 0]]]}")
+    assert run(["spectrum", "--input", str(mf)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "malformed JSON" in err
+
+
 def test_spectrum_sixteen_by_sixteen(tmp_path, capsys):
     rng = np.random.default_rng(1)
     M = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))

@@ -197,3 +197,48 @@ def test_non_integer_field_mutations_are_usage_errors(command, path, value):
     code, out, err = _run(command, json.dumps(doc), REQUIRED.get(command, []))
     _check_clean_exit(code, out, err)
     assert code == 2 and "must be an integer" in err
+
+
+# command -> (path to one [re, im] coefficient cell, the field's name)
+COEF_CELLS = {
+    "compose": (("terms", 0, "coef", 0, 0), "coef"),
+    "toeplitz-leading": (("terms", 0, "coef", 1, 1), "coef"),
+    "spectrum": (("matrix", 1, 1), "matrix"),
+    "constants": (("samples", 0, "normal_dirs", 0, "nabla_lambda_diff", 1, 1), "nabla_lambda_diff of direction 'd1'"),
+}
+# Real, string and list fields given a value of the wrong JSON type:
+# (command, path, value, the field name the error must carry).  A path of None
+# puts the value in ``--direction '{"d1": value}'``.  Each of these used to
+# load (a string or boolean read as a number, null as the id "None") or to
+# fail without naming the field (an object iterated by its keys).
+REAL_MUTATIONS = [
+    ("constants", ("samples", 0, "kappa"), "2", "kappa of sample 'p0'"),
+    ("constants", ("samples", 0, "scal_X"), True, "scal_X of sample 'p0'"),
+    ("constants", ("samples", 0, "normal_dirs", 0, "d_scal_diff"), "8", "d_scal_diff of direction 'd1'"),
+    ("constants", ("samples", 0, "id"), None, "sample id"),
+    ("constants", ("samples",), {"p0": GEOM["samples"][0]}, "samples"),
+    ("compose", ("terms",), {"t0": KERNEL["terms"][0]}, "terms"),
+    ("toeplitz-leading", ("terms",), {"t0": SYMBOL["terms"][0]}, "terms"),
+    *((None, None, value, "--direction value for 'd1'") for value in (["1", 0], True, [True, False])),
+    *(
+        (command, path + tail, value, field)
+        for command, (path, field) in COEF_CELLS.items()
+        for tail, value in (((0,), "1"), ((0,), True), ((), [True, 1.5]))
+    ),
+]
+
+
+@pytest.mark.parametrize("command, path, value, field", REAL_MUTATIONS)
+def test_wrongly_typed_field_mutations_are_usage_errors(command, path, value, field):
+    if path is None:
+        command, flags = "constants", ["--which", "dp3", "--direction", json.dumps({"d1": value})]
+        doc = INPUTS[command][0]
+    else:
+        flags, doc = REQUIRED.get(command, []), copy.deepcopy(INPUTS[command][0])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    code, out, err = _run(command, json.dumps(doc), flags)
+    _check_clean_exit(code, out, err)
+    assert code == 2 and field in err and "must be" in err, err

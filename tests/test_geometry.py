@@ -68,6 +68,21 @@ def test_validation_errors():
     data_with([GeometrySample(id="a", lambda_RF_X=2j * PI * np.array([[3.0]]))])
 
 
+def test_constructors_read_reals_and_ids_like_the_loader():
+    # the geom/1 loader passes reals and ids to the constructors, which read them
+    s = GeometrySample(id="a", scal_X=2, kappa=np.float64(0.5), normal_dirs=(wy("d", d_scal=3),))
+    assert (type(s.scal_X), type(s.kappa), type(s.normal_dirs[0].d_scal_diff)) == (float, float, float)
+    for bad in ("2", True, None):
+        with pytest.raises(ValueError, match="kappa of sample 'a' must be a real number"):
+            GeometrySample(id="a", kappa=bad)
+        with pytest.raises(ValueError, match="d_scal_diff of direction 'd' must be a real number"):
+            wy("d", d_scal=bad)
+    with pytest.raises(ValueError, match="sample id must be a string"):
+        GeometrySample(id=None)
+    with pytest.raises(ValueError, match="direction id must be a string"):
+        wy(1)
+
+
 def test_constructors_reject_non_finite_and_misshapen_matrices():
     # each was accepted at construction and failed, or read 0.0, only once a
     # constant read the matrix
@@ -154,6 +169,11 @@ def test_hermitian_eigs_errors():
         hermitian_eigs(np.ones((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         hermitian_eigs(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
+def test_hermitian_eigs_of_an_empty_matrix():
+    # the Hermitian test once took the maximum of an empty array and raised
+    assert hermitian_eigs(np.zeros((0, 0))).shape == (0,)
 
 
 # -- C0 -----------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Polynomial layer: ring structure, the adjoint swap, calculus helpers, JSON."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -357,3 +359,77 @@ def test_json_rejects_unknown_keys():
     with pytest.raises(ValueError):
         Poly.from_json_dict(d2)
 
+
+
+# Payloads whose terms repeat exponents: a pair that cancels to an exact zero
+# (and is pruned), a pair whose real part sums to -0.0 (only ``[-0.0, -0.0]``
+# loads with a negative real zero), three-way sums whose value depends on the
+# order, and single terms between them.
+DUPLICATE_KERNEL = {
+    "dims": {"n": 1, "l": 1, "m": 1, "fiber_rank": 1},
+    "kind": "Bergman",
+    "terms": [
+        {"exps": {"z1": 1}, "coef": [[[1.5, -0.25]]]},
+        {"exps": {"zb1": 2}, "coef": [[[-0.0, 2.0]]]},
+        {"exps": {}, "coef": [[[0.1, 0.2]]]},
+        {"exps": {"z1": 1}, "coef": [[[-1.5, 0.25]]]},
+        {"exps": {"z1": 2, "zb'1": 1}, "coef": [[[0.7, -0.0]]]},
+        {"exps": {"zb1": 2}, "coef": [[[-0.0, 1.0]]]},
+        {"exps": {}, "coef": [[[0.2, 0.1]]]},
+        {"exps": {}, "coef": [[[0.3, -0.3]]]},
+    ],
+}
+DUPLICATE_SYMBOL = {
+    "n": 2,
+    "m": 1,
+    "fiber_rank": 2,
+    "terms": [
+        {"hol": [1], "antihol": [0], "coef": [[[-0.0, -0.0], [0.0, 0.5]], [[2.0, 0.0], [0.0, 0.0]]]},
+        {"hol": [0], "antihol": [0], "coef": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.3]]]},
+        {"hol": [2], "antihol": [1], "coef": [[[1.0, -1.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.4]]]},
+        {"hol": [1], "antihol": [0], "coef": [[[-0.0, -0.0], [0.0, 0.25]], [[0.0, 0.0], [0.0, 0.0]]]},
+        {"hol": [0], "antihol": [0], "coef": [[[0.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.3]]]},
+        {"hol": [2], "antihol": [1], "coef": [[[-1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, -0.4]]]},
+        {"hol": [0], "antihol": [0], "coef": [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, -0.6]]]},
+    ],
+}
+
+
+def _dict_sum(pairs):
+    """Equal keys summed as ``out[k] = out[k] + c if k in out else c``."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out[k] + c if k in out else c
+    return out
+
+
+def _store_bytes(poly, payload) -> bytes:
+    return poly.exps.tobytes() + poly.coefs.tobytes() + json.dumps(payload).encode()
+
+
+def test_duplicate_terms_load_bit_identically():
+    # the loaders sum repeated exponents with _collect; a dict summing them
+    # first, as the loaders once did, must give the same bits
+    from fockcalc import KernelExpr, Symbol
+    from fockcalc.poly import _coef_from_json
+
+    e = KernelExpr.from_json_dict(DUPLICATE_KERNEL)
+    dims = e.numerator.dims
+    terms = DUPLICATE_KERNEL["terms"]
+    want = Poly(dims, _dict_sum(
+        (tuple(Poly.monomial(dims, t["exps"]).exps[0].tolist()), _coef_from_json(t["coef"], 1)) for t in terms
+    ))
+    got_k = _store_bytes(e.numerator, e.to_json_dict())
+    assert got_k == _store_bytes(want, KernelExpr(want, e.kind).to_json_dict())
+    assert e.numerator.exps.tolist() == [[0, 2, 0, 0], [0, 0, 0, 0], [2, 0, 0, 1]]  # z1 cancelled
+
+    g = Symbol.from_json_dict(DUPLICATE_SYMBOL)
+    want = Symbol.from_terms(2, 1, _dict_sum(
+        ((tuple(t["hol"]), tuple(t["antihol"])), _coef_from_json(t["coef"], 2)) for t in DUPLICATE_SYMBOL["terms"]
+    ), 2)
+    got_s = _store_bytes(g.poly, g.to_json_dict())
+    assert got_s == _store_bytes(want.poly, want.to_json_dict())
+    assert len(g.poly.exps) == 2  # w^2 wbar cancelled
+    assert np.signbit(g.terms()[(1,), (0,)][0, 0].real)
+    # the bytes at the commit whose loaders still summed into a dict
+    assert hashlib.sha256(got_k + got_s).hexdigest() == "da998c7f9a8d50e72c888e23e9006320e9344308a6e980b5f269a461e66a419f"
