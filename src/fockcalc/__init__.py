@@ -5,8 +5,8 @@ The package is organised bottom-up:
 - ``poly``      four-family polynomial coefficients with matrix fibers
 - ``kernels``   the one kernel descriptor, its four named families, and ladder ops
 - ``compose``   closed-form operator composition on those families
-- ``oracle``    Gauss-Hermite quadrature cross-checks and norm estimation
-- ``operators`` symbols, leading-term contractions, model multiplication ops
+- ``oracle``    Gauss-Hermite quadrature cross-checks, nothing closed-form
+- ``operators`` symbols, leading-term contractions, model ops, norm estimation
 - ``geometry``  curvature-sample data model and comparison constants
 - ``cli``       file-based command line (``fockcalc`` entry point)
 
@@ -35,16 +35,16 @@ _EXPORTS = {
         "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     ),
     "oracle": (
-        "InsufficientNodesError", "QuadGrid", "OracleReport", "fock_indices", "gauss_hermite",
-        "gaussian_mesh", "default_eval_points", "oracle_compose_values", "oracle_compose",
-        "laplacian_eigencheck", "gaussian_pairing", "norm_estimate",
+        "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite", "gaussian_mesh",
+        "default_eval_points", "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     ),
     "operators": (
         "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "BracketField", "MOpField", "HgpResult",
         "DefectRecord", "rotate_symbol", "lambda_eq", "lambda_h", "lambda_a",
         "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature", "bracket",
-        "m_op", "h_gp", "c1_c2", "toeplitz_leading", "toeplitz_flat_composite",
-        "toeplitz_predicted_kernel", "flat_defect_checks",
+        "m_op", "h_gp", "c1_c2", "fock_indices", "gaussian_pairing", "norm_estimate",
+        "toeplitz_leading", "toeplitz_flat_composite", "toeplitz_predicted_kernel",
+        "flat_defect_checks",
     ),
     "geometry": (
         "GEOM_SCHEMA", "NormalDirection", "GeometrySample", "GeometryData",

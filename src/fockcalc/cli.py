@@ -324,11 +324,12 @@ def _selftest_checks(seed: int):
         tower_dp3,
     )
     from .kernels import Bergman, Extension, KernelExpr, Restriction, unit_expr
-    from .oracle import laplacian_eigencheck, norm_estimate, oracle_compose
+    from .oracle import laplacian_eigencheck, oracle_compose
     from .operators import (
         Symbol,
         flat_defect_checks,
         m_op,
+        norm_estimate,
         toeplitz_flat_composite,
         toeplitz_predicted_kernel,
     )

@@ -21,7 +21,8 @@ Everything else (outer polynomial factors, spectator variables, matrix
 coefficients multiplying in operator order) tensors over coordinates.
 The generator :func:`base_terms` yields exact rational-in-1/pi
 coefficients; the float engine reads the same terms from one bounded
-registry of float entries, which builds each coordinate's table once.
+registry of float entries, which builds each coordinate's table once;
+:mod:`.operators` reads the one-sided rows as integers (:func:`_one_sided`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -95,6 +97,15 @@ def base_terms(a: int, b: int, left_cross: bool, right_cross: bool) -> Iterator[
     else:
         if a == b:
             yield (0, 0, Fraction(math.factorial(a)), a)
+
+
+@lru_cache(maxsize=4096)
+def _one_sided(a: int, b: int, left_cross: bool, right_cross: bool) -> tuple[int, int, int, int] | None:
+    """The one term of a pairing that couples at most one side, as
+    ``(dz, dzp, coef, p)`` with an integer ``coef``, or None where it vanishes."""
+    for dz, dzp, coef, p in base_terms(a, b, left_cross, right_cross):
+        return dz, dzp, int(coef), p
+    return None
 
 
 # -- the shared bracket core --------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, variable_columns, _json_object
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, variable_columns, _json_int, _json_object
 
 __all__ = [
     "Bergman",
@@ -64,6 +64,8 @@ class KernelKind:
     c: int
 
     def __post_init__(self) -> None:
+        for name in ("du", "dp", "c"):
+            object.__setattr__(self, name, _json_int(getattr(self, name), name))
         if not 0 <= self.c <= min(self.du, self.dp):
             raise ValueError(f"need 0 <= c <= min(du, dp), got (du, dp, c) = {(self.du, self.dp, self.c)}")
 

@@ -11,7 +11,8 @@ serializers build or walk a dict.  On top of it this module provides:
   ``lambda_a`` plus quadrature cross-checks of each;
 * cutoff profiles (:class:`CutoffSpec`) and the ``bracket`` field;
 * model operators ``m_op`` (direct and adjoint variants);
-* the normal-fibre integral ``h_gp`` and norm constants ``c1_c2``;
+* the normal-fibre integral ``h_gp``, norm constants ``c1_c2`` and the
+  Gram-matrix ``norm_estimate`` over exact Fock pairings;
 * the leading-term dispatch ``toeplitz_leading`` together with the fully
   symbolic composite chains it is checked against;
 * the flat defect identity battery ``flat_defect_checks``.
@@ -19,6 +20,7 @@ serializers build or walk a dict.  On top of it this module provides:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -51,7 +53,7 @@ from .kernels import (
     Restriction,
     unit_expr,
 )
-from .compose import compose
+from .compose import _one_sided, compose
 from .geometry import hermitian_eigs
 
 PI = math.pi
@@ -336,42 +338,42 @@ IDENTITY_CUTOFF = CutoffSpec(r_perp=1.0, profile="identity")
 
 def lambda_eq(g: Symbol) -> np.ndarray:
     """Equal-bidegree contraction: sum over alpha == beta of coef * alpha!/pi^|alpha|."""
-    hol, anti, C = g._table()
-    diag = (hol == anti).all(axis=1)
-    weights = [math.prod(map(math.factorial, a)) / PI ** sum(a) for a in anti[diag].tolist()]
+    _, C = _contract(g, False, False)
     # builtin sum adds row by row onto +0.0, in the order of the sorted rows
-    return sum(C[diag] * np.reshape(weights, (-1, 1, 1)), np.zeros((g.fiber_rank,) * 2, dtype=complex))
+    return sum(C, np.zeros((g.fiber_rank,) * 2, dtype=complex))
 
 
 def lambda_h(g: Symbol) -> Symbol:
     """Holomorphic contraction: (alpha, beta) with alpha > beta componentwise-ge
     maps to coef * prod alpha_i!/(alpha_i-beta_i)! / pi^|beta| * w^(alpha-beta)."""
-    return _contract(g, holomorphic=True)
+    dz, C = _contract(g, True, False)
+    moved = dz.any(axis=1)  # the rows left constant are lambda_eq's
+    return Symbol._from_blocks(g.dims, dz[moved], 0 * dz[moved], C[moved])
 
 
 def lambda_a(g: Symbol) -> Symbol:
     """Antiholomorphic contraction, mirror of :func:`lambda_h`."""
-    return _contract(g, holomorphic=False)
+    dzp, C = _contract(g, False, True)
+    moved = dzp.any(axis=1)
+    return Symbol._from_blocks(g.dims, 0 * dzp[moved], dzp[moved], C[moved])
 
 
-def _contract(g: Symbol, holomorphic: bool) -> Symbol:
-    """lambda_h (holomorphic) or lambda_a: with (top, bottom) the (hol, anti)
-    blocks or the reverse, each row with top >= bottom componentwise and
-    top != bottom maps to coef * prod top_i!/(top_i - bottom_i)! / pi^|bottom|
-    times the monomial top - bottom in w (holomorphic) or wbar."""
+def _contract(g: Symbol, left_cross: bool, right_cross: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each row of g through compose's one-sided table, coupled to z, to zb' or
+    neither; for the rows whose pairing does not vanish, in order, the exponents
+    ``(T, k)`` it leaves (on w or wbar) and the coefficients times the pairing."""
     hol, anti, C = g._table()
-    top, bottom = (hol, anti) if holomorphic else (anti, hol)
-    keep = (top >= bottom).all(axis=1) & (top != bottom).any(axis=1)
-    top, bottom, C = top[keep], bottom[keep], C[keep]
-    weights = []
-    for t, b in zip(top.tolist(), bottom.tolist()):
-        weight = 1.0
-        for ti, bi in zip(t, b):
-            weight *= math.factorial(ti) / math.factorial(ti - bi)
-        weights.append(weight / PI ** sum(b))
-    diff, zero = top - bottom, np.zeros_like(top)
-    blocks = (diff, zero) if holomorphic else (zero, diff)
-    return Symbol._from_blocks(g.dims, *blocks, C * np.reshape(weights, (-1, 1, 1)))
+    span = int(anti.max(initial=0)) + 1
+    keys = hol * span + anti
+    distinct = sorted(set(keys.ravel().tolist()))  # each (a, b) in the symbol is looked up once
+    table = [_one_sided(key // span, key % span, left_cross, right_cross) or (0, 0, 0, -1) for key in distinct]
+    steps = np.array([(dz + dzp, p) for dz, dzp, _, p in table], dtype=np.int64).reshape(-1, 2)  # p = -1: vanishes
+    at = np.searchsorted(distinct, keys)
+    keep = (steps[at, 1] >= 0).all(axis=1)
+    at = at[keep]
+    powers = steps[at, 1].sum(axis=1).tolist()
+    weights = [math.prod(table[j][2] for j in row) / PI**p for row, p in zip(at.tolist(), powers)]
+    return steps[at, 0], C[keep] * np.reshape(weights, (-1, 1, 1))
 
 
 def _mesh_integral(g: Symbol, nodes: int, hol_shift=0.0, anti_shift=0.0) -> np.ndarray:
@@ -587,6 +589,116 @@ def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[floa
     return c1, c2
 
 
+# -- exact Fock pairings and norm estimation -----------------------------------
+
+
+def fock_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
+    """All multi-indices of length dim with |beta| <= max_total, sorted."""
+    grid = itertools.product(range(max_total + 1), repeat=dim)
+    return [b for b in grid if sum(b) <= max_total]
+
+
+def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]) -> np.ndarray:
+    """Exact integral conj(z)^beta expr(Z, Z') z'^gamma against the split weight.
+
+    Both slots carry exp(-pi |.|^2 / 2) from the weighted monomials; the
+    kernel contributes the other half, so each coordinate reduces to
+    Gaussian moments (coupled to z'-bar where the kernel couples the
+    coordinate).  Only Bergman / OrthBergman kinds make sense here (both
+    slots must carry the same dimension).  The value is the gamma entry of
+    :func:`_pairing_row`, whose selection rule fixes gamma for each term
+    given beta; every other gamma pairs to exactly zero.
+    """
+    kind = expr.kind
+    d = kind.du
+    if kind.dp != d:
+        raise ValueError("pairing needs a square kernel (Bergman or OrthBergman)")
+    beta = tuple(_json_int(x, "beta entry") for x in beta)
+    gamma = tuple(_json_int(x, "gamma entry") for x in gamma)
+    if len(beta) != d or len(gamma) != d:
+        raise ValueError(f"index length must be {d}")
+    if min(beta + gamma, default=0) < 0:
+        raise ValueError("indices must be non-negative")
+    r = expr.dims.fiber_rank
+    row = _pairing_row(expr.numerator.sorted_terms(), kind.c, r, beta)
+    return row.get(gamma, np.zeros((r, r), dtype=complex))
+
+
+def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
+    """{gamma: pairing of conj(z)^beta with z'^gamma}, summed over ``sorted_terms``.
+
+    Each coordinate of a term z^u zb^v z'^s zb'^t pairs twice through
+    compose's one-sided table: first w^u wbar^(v + beta_i) against the
+    kernel, which leaves zb'^j where it couples the coordinate (i < c) and
+    nothing (j = 0) where it does not; then z'^(s + gamma_i) against the
+    leftover zb'^(t + j), uncoupled, which fixes gamma_i = t + j - s >= 0.
+    Every other gamma pairs to zero, so a row costs one pass over the terms,
+    added in order.
+    """
+    zero = np.zeros((r, r), dtype=complex)
+    row: dict[tuple[int, ...], np.ndarray] = {}
+    for exps, coef in terms:
+        num, p, gamma = 1, 0, []
+        for i, b in enumerate(beta):
+            u, v, s, t = exps[4 * i : 4 * i + 4]
+            kernel = _one_sided(u, v + b, False, i < c)
+            if kernel is None or (g := kernel[1] + t - s) < 0:
+                break
+            _, j, k1, p1 = kernel
+            _, _, k2, p2 = _one_sided(s + g, t + j, False, False)
+            num, p = num * k1 * k2, p + p1 + p2
+            gamma.append(g)
+        else:
+            key = tuple(gamma)
+            row[key] = row.get(key, zero) + num / PI**p * coef
+    return row
+
+
+def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
+    if s1.p != s2.p:
+        raise ValueError("cannot compose kernels at different scales")
+    base = compose(s1.expr, s2.expr)
+    return ScaledKernel(base, s1.p, s1.prefactor * s2.prefactor / s1.p**s1.kind.dp)
+
+
+def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
+    """Operator norm from the largest eigenvalue of a Gram matrix of basis images.
+
+    Builds the Gram kernel on the smaller side, T*T on C^dp when
+    ``dp <= du`` and TT* on C^du otherwise, evaluates it exactly on the
+    weighted monomial basis up to ``basis_cutoff`` and takes the square root
+    of the PSD matrix's top eigenvalue.  The result is a monotone lower
+    bound converging in the cutoff.  Each row of the Gram matrix is one
+    :func:`_pairing_row`, so filling it costs basis size times terms, not
+    basis size squared; the eigenvalue is taken of the full matrix.
+    """
+    basis_cutoff = _json_int(basis_cutoff, "basis_cutoff")
+    if basis_cutoff < 0:
+        raise ValueError(f"basis_cutoff must be >= 0, got {basis_cutoff}")
+    if isinstance(op, KernelExpr):
+        op = ScaledKernel(op, 1.0, 1.0)
+    if op.kind.dp <= op.kind.du:
+        gram_kernel = _scaled_compose(op.adjoint(), op)
+    else:
+        gram_kernel = _scaled_compose(op, op.adjoint())
+    d = gram_kernel.kind.du
+    r = gram_kernel.expr.dims.fiber_rank
+    basis = fock_indices(d, basis_cutoff)
+    index = {b: i for i, b in enumerate(basis)}
+    total = [sum(b) for b in basis]
+    factorial = [math.prod(map(math.factorial, b)) for b in basis]
+    blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
+    terms, c = gram_kernel.expr.numerator.sorted_terms(), gram_kernel.kind.c
+    scale = gram_kernel.prefactor * gram_kernel.p ** (-d)
+    for ib, b in enumerate(basis):
+        for gamma, raw in _pairing_row(terms, c, r, b).items():
+            if (ig := index.get(gamma)) is not None:
+                w = scale * PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
+                blocks[ib, ig] = w * raw
+    G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
+    return math.sqrt(max(float(hermitian_eigs(G)[-1]), 0.0))
+
+
 # -- leading-term dispatch -------------------------------------------------------
 
 
@@ -745,6 +857,9 @@ __all__ = [
     "m_op",
     "h_gp",
     "c1_c2",
+    "fock_indices",
+    "gaussian_pairing",
+    "norm_estimate",
     "toeplitz_leading",
     "toeplitz_flat_composite",
     "toeplitz_predicted_kernel",

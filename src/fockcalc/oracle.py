@@ -1,4 +1,5 @@
-"""Independent numerics: quadrature composition oracle, Fock-basis tools.
+"""Independent numerics: the quadrature composition oracle, its grids and
+meshes, and the ladder-spectrum check.
 
 Nothing here reuses the closed-form pairing rules from :mod:`.compose`;
 composites are integrated directly on Gauss-Hermite grids so the two
@@ -7,12 +8,12 @@ routes check each other.  The one-axis rule is numpy's ``hermgauss``
 axis's contour so that its integrand is a polynomial, which the rule
 integrates exactly at any evaluation point; :func:`gaussian_mesh` is the
 one tensor mesh the other quadratures here and in :mod:`.operators`
-integrate on.
+integrate on.  The exact Fock pairings and the Gram-matrix norm estimate
+are closed forms and live in :mod:`.operators`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,29 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from .poly import Dims, Poly, _json_int, monomial_values, variable_columns
-from .kernels import (
-    KernelExpr,
-    KernelKind,
-    ScaledKernel,
-    Extension,
-    apply_ladder,
-    apply_model_laplacian,
-)
+from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian
 from .compose import compose
 
 __all__ = [
     "InsufficientNodesError",
     "QuadGrid",
     "OracleReport",
-    "fock_indices",
     "gauss_hermite",
     "gaussian_mesh",
     "default_eval_points",
     "oracle_compose_values",
     "oracle_compose",
     "laplacian_eigencheck",
-    "gaussian_pairing",
-    "norm_estimate",
 ]
 
 PI = math.pi
@@ -51,12 +42,6 @@ PI = math.pi
 
 class InsufficientNodesError(ValueError):
     """Raised when the requested grid cannot integrate the middle degree exactly."""
-
-
-def fock_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
-    """All multi-indices of length dim with |beta| <= max_total, sorted."""
-    grid = itertools.product(range(max_total + 1), repeat=dim)
-    return [b for b in grid if sum(b) <= max_total]
 
 
 # -- Gauss-Hermite ------------------------------------------------------------
@@ -166,19 +151,14 @@ def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) ->
     return pts
 
 
-def _middle_dim(e1: KernelExpr, e2: KernelExpr) -> int:
-    d1, d2 = e1.kind.dp, e2.kind.du
-    if d1 != d2:
-        raise ValueError(f"middle dimension mismatch: {d1} vs {d2}")
-    return d1
-
-
 def _oracle_inputs(
     e1: KernelExpr, e2: KernelExpr, grid: QuadGrid | None, eval_points: Sequence[tuple] | None
 ) -> tuple[QuadGrid, np.ndarray, np.ndarray]:
     """The grid (default 44 nodes per axis) and the evaluation pairs (default
     :func:`default_eval_points`) stacked into ``(P, du)`` and ``(P, dp)`` arrays."""
-    n_mid = _middle_dim(e1, e2)
+    n_mid = e1.kind.dp
+    if n_mid != e2.kind.du:
+        raise ValueError(f"middle dimension mismatch: {n_mid} vs {e2.kind.du}")
     if grid is None:
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
     if eval_points is None:
@@ -355,118 +335,3 @@ def laplacian_eigencheck(
         pts = pts[:: len(pts) // 4096 + 1]
     no_primed = np.zeros((len(pts), 0))
     return _report(want.evaluate_batch(pts, no_primed), lap.evaluate_batch(pts, no_primed), grid, tol)
-
-
-# -- exact Fock pairings and norm estimation -----------------------------------
-
-
-def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]) -> np.ndarray:
-    """Exact integral conj(z)^beta expr(Z, Z') z'^gamma against the split weight.
-
-    Both slots carry exp(-pi |.|^2 / 2) from the weighted monomials; the
-    kernel contributes the other half, so each coordinate reduces to
-    diagonal Gaussian moments (with the cross series where the kernel
-    couples the coordinate).  Only Bergman / OrthBergman kinds make sense
-    here (both slots must carry the same dimension).  The value is the
-    gamma entry of :func:`_pairing_row`, whose selection rule fixes gamma
-    for each term given beta; every other gamma pairs to exactly zero.
-    """
-    kind = expr.kind
-    d = kind.du
-    if kind.dp != d:
-        raise ValueError("pairing needs a square kernel (Bergman or OrthBergman)")
-    beta = tuple(_json_int(x, "beta entry") for x in beta)
-    gamma = tuple(_json_int(x, "gamma entry") for x in gamma)
-    if len(beta) != d or len(gamma) != d:
-        raise ValueError(f"index length must be {d}")
-    if min(beta + gamma, default=0) < 0:
-        raise ValueError("indices must be non-negative")
-    r = expr.dims.fiber_rank
-    row = _pairing_row(expr.numerator.sorted_terms(), kind.c, r, beta)
-    return row.get(gamma, np.zeros((r, r), dtype=complex))
-
-
-def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
-    """{gamma: pairing of conj(z)^beta with z'^gamma}, summed over ``sorted_terms``.
-
-    Per coordinate a term (u, v, s, t) fixes gamma_i: coupled (i < c) needs
-    j = v + beta_i - u >= 0 and gives gamma_i = j + t - s >= 0; uncoupled
-    needs u = v + beta_i and gives gamma_i = t - s >= 0.  Every other gamma
-    pairs to zero, so a row costs one pass over the terms, added in order.
-    Each diagonal moment, the integral of |w|^(2a) exp(-pi |w|^2), is a!/pi^a.
-    """
-    zero = np.zeros((r, r), dtype=complex)
-    row: dict[tuple[int, ...], np.ndarray] = {}
-    for exps, coef in terms:
-        val, gamma = 1.0, []
-        for i, b in enumerate(beta):
-            u, v, s, t = exps[4 * i : 4 * i + 4]
-            if i < c:
-                j = v + b - u
-                g = j + t - s
-                if j < 0 or g < 0:
-                    break
-                val *= (
-                    PI**j
-                    / math.factorial(j)
-                    * (math.factorial(u + j) / PI ** (u + j))
-                    * (math.factorial(s + g) / PI ** (s + g))
-                )
-            else:
-                g = t - s
-                if u != v + b or g < 0:
-                    break
-                val *= math.factorial(u) / PI**u * (math.factorial(t) / PI**t)
-            gamma.append(g)
-        else:
-            if val:
-                key = tuple(gamma)
-                row[key] = row.get(key, zero) + val * coef
-    return row
-
-
-def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
-    if s1.p != s2.p:
-        raise ValueError("cannot compose kernels at different scales")
-    n_mid = _middle_dim(s1.expr, s2.expr)
-    base = compose(s1.expr, s2.expr)
-    return ScaledKernel(base, s1.p, s1.prefactor * s2.prefactor / s1.p**n_mid)
-
-
-def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
-    """Operator norm from the largest eigenvalue of a Gram matrix of basis images.
-
-    Builds the Gram kernel on the smaller side, T*T on C^dp when
-    ``dp <= du`` and TT* on C^du otherwise, evaluates it exactly on the
-    weighted monomial basis up to ``basis_cutoff`` and takes the square root
-    of the PSD matrix's top eigenvalue.  The result is a monotone lower
-    bound converging in the cutoff.  Each row of the Gram matrix is one
-    :func:`_pairing_row`, so filling it costs basis size times terms, not
-    basis size squared; the eigenvalue is taken of the full matrix.
-    """
-    basis_cutoff = _json_int(basis_cutoff, "basis_cutoff")
-    if basis_cutoff < 0:
-        raise ValueError(f"basis_cutoff must be >= 0, got {basis_cutoff}")
-    if isinstance(op, KernelExpr):
-        op = ScaledKernel(op, 1.0, 1.0)
-    if op.kind.dp <= op.kind.du:
-        gram_kernel = _scaled_compose(op.adjoint(), op)
-    else:
-        gram_kernel = _scaled_compose(op, op.adjoint())
-    d = gram_kernel.kind.du
-    r = gram_kernel.expr.dims.fiber_rank
-    basis = fock_indices(d, basis_cutoff)
-    index = {b: i for i, b in enumerate(basis)}
-    total = [sum(b) for b in basis]
-    factorial = [math.prod(map(math.factorial, b)) for b in basis]
-    blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
-    terms, c = gram_kernel.expr.numerator.sorted_terms(), gram_kernel.kind.c
-    scale = gram_kernel.prefactor * gram_kernel.p ** (-d)
-    for ib, b in enumerate(basis):
-        for gamma, raw in _pairing_row(terms, c, r, b).items():
-            if (ig := index.get(gamma)) is not None:
-                w = scale * PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
-                blocks[ib, ig] = w * raw
-    G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
-    G = 0.5 * (G + G.conj().T)
-    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))

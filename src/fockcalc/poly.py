@@ -125,17 +125,21 @@ def parse_var_name(name: str) -> tuple[int, int]:
     return index, (2 if primed else 0) + (1 if anti else 0)
 
 
-def _as_coef(value, r: int) -> np.ndarray:
-    a = np.asarray(value, dtype=complex)
-    if a.ndim == 0:
+def _as_coef(value, r: int, count: int | None = None) -> np.ndarray:
+    """A read-only ``(r, r)`` complex matrix, or ``count`` of them stacked; a
+    number stands for a 1x1 matrix.  Booleans and strings are no numbers."""
+    cells = np.asarray(value, dtype=object)
+    if not all(issubclass(t, numbers.Number) and t is not bool for t in set(map(type, cells.flat))):
+        raise ValueError(f"coefficient must be a number or a matrix of numbers, got {value!r}")
+    a, lead = cells.astype(complex), () if count is None else (count,)
+    if a.shape == lead:
         if r != 1:
             raise ValueError("scalar coefficient only allowed for fiber_rank 1")
-        a = a.reshape(1, 1)
-    if a.shape != (r, r):
+        a = a.reshape(lead + (1, 1))
+    if a.shape != lead + (r, r):
         raise ValueError(f"coefficient shape {a.shape} != ({r}, {r})")
     if not np.isfinite(a).all():
         raise ValueError("non-finite coefficient")
-    a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -166,15 +170,11 @@ class Poly:
         if (E < 0).any():
             row = E[(E < 0).any(axis=1)][0]
             raise ValueError(f"negative exponent in {tuple(row.tolist())}")
-        # One stacked pass over the coefficients; scalars (fiber rank 1) and
-        # mixed inputs go through _as_coef, which also names a bad shape.
+        # One stacked pass over the coefficients; mixed scalars and matrices, and
+        # a fault, go value by value, so the error names the value at fault.
         try:
-            C = np.array(values, dtype=complex)
-        except (ValueError, TypeError):
-            C = None
-        if C is not None and C.shape == (count,) and r == 1:
-            C = C.reshape(count, 1, 1)
-        if C is None or C.shape != (count, r, r):
+            C = _as_coef(values, r, count)
+        except ValueError:
             C = np.array([_as_coef(v, r) for v in values], dtype=complex).reshape(count, r, r)
         self._store(dims, E, C)
 

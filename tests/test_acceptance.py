@@ -245,6 +245,17 @@ def _constant_coef_norm(e: KernelExpr) -> float:
 
 
 def test_criterion_08_leading_term_table():
+    """All ten leading-term table entries: the contraction each names against
+    the flat p = 1 operator chain, composed in closed form up to its last
+    step, which the oracle integrates.
+
+    The contractions and ``compose`` take their Gaussian moments from one
+    table, ``compose.base_terms``, so this compares compose's expansion with
+    the contraction bookkeeping (which terms survive, with which exponents),
+    not two moment formulas.  Criterion 1 (compose against the quadrature
+    oracle) and the lambda quadratures still check the moment values
+    independently.
+    """
     entries_seen = set()
     worst = 0.0
 

@@ -134,6 +134,17 @@ def test_dims_helpers():
         Extension(1, 2)
 
 
+def test_kind_fields_are_integers():
+    # KernelKind(1.5, 1, 1) and KernelKind(True, 1, 1) used to be accepted
+    for bad, name in (((1.5, 1, 1), "du"), ((True, 1, 1), "du"), ((1, "1", 1), "dp"), ((1, 1, 0.5), "c")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            KernelKind(*bad)
+    with pytest.raises(ValueError, match="du must be an integer"):
+        Bergman(1.5)
+    kind = KernelKind(2.0, np.int64(1), 1)
+    assert all(type(v) is int for v in (kind.du, kind.dp, kind.c)) and kind == Extension(2, 1)
+
+
 def test_kind_json_round_trip():
     for kind in (Bergman(2), OrthBergman(3, 1), Extension(3, 2), Restriction(2, 0)):
         dims = Dims(n=kind.n, l=kind.n, m=kind.m)

@@ -178,6 +178,13 @@ def test_symbol_json_round_trip():
         Symbol.from_json_dict(bad)
 
 
+def test_symbol_rejects_string_and_boolean_coefficients():
+    # from_terms used to store "3" as 3
+    for bad in ("3", True):
+        with pytest.raises(ValueError, match="coefficient must be a number"):
+            Symbol.from_terms(1, 0, {((1,), (0,)): bad})
+
+
 def test_rotate_symbol(rng):
     # unitary substitution: lambda_eq is invariant, lambda_h is equivariant
     theta = 0.7

@@ -1,4 +1,5 @@
-"""Quadrature oracle: the Gauss-Hermite rule, numeric composition, norms."""
+"""Quadrature oracle: the Gauss-Hermite rule and numeric composition; the exact
+Fock pairings and norm estimates checked against it."""
 
 import ast
 import math
@@ -33,7 +34,8 @@ from fockcalc import (
     unit_expr,
 )
 from fockcalc import oracle
-from fockcalc.oracle import _report, _scaled_compose
+from fockcalc.oracle import _report
+from fockcalc.operators import _scaled_compose
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -223,7 +225,8 @@ def test_oracle_exact_at_far_points_bergman2_pair():
 
 
 def test_oracle_imports_only_compose_from_compose():
-    # the independence contract: no pairing rule, registry or base case
+    # the independence contract: no pairing rule, registry or base case, no
+    # hand-written moment, and none of the closed forms that moved to operators
     tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "fockcalc" / "oracle.py").read_text())
     names = []
     for node in ast.walk(tree):
@@ -232,6 +235,11 @@ def test_oracle_imports_only_compose_from_compose():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module itself, e.g. from . import compose
             names += [f"module {alias.name}" for alias in node.names if alias.name.endswith("compose")]
     assert names == ["compose"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "factorial" not in used
+    for name in ("norm_estimate", "gaussian_pairing", "fock_indices", "_pairing_row"):
+        assert not hasattr(oracle, name), name
 
 
 # -- ladder spectrum -----------------------------------------------------------------
@@ -331,6 +339,63 @@ def test_gaussian_pairing_vs_quadrature(powers, beta, gamma):
             assert abs(quad) > 1e-2, kind  # no case sits near the threshold
 
 
+def _pairing_by_oracle(expr, beta, gammas, nodes=6):
+    """{gamma: <z^beta, expr z^gamma>} with both integrals numeric and no pairing rule.
+
+    The bra conj(w)^beta exp(-pi |w|^2 / 2) is a Restriction(d, 0) kernel; the
+    oracle integrates it against expr at the mesh points z', and the mesh sums
+    the result against z'^gamma.  The composite carries exp(-pi |z'|^2 / 2),
+    and the ket's half weight over the mesh's exp(-pi |z'|^2) leaves
+    exp(pi |z'|^2 / 2), so each integrand is a polynomial the mesh integrates
+    exactly.
+    """
+    d, r = expr.kind.du, expr.dims.fiber_rank
+    bra_kind = Restriction(d, 0)
+    powers = {f"zb'{i + 1}": b for i, b in enumerate(beta) if b}
+    bra = KernelExpr(Poly.monomial(unit_expr(bra_kind, r).dims, powers, np.eye(r)), bra_kind)
+    pts, wts = gaussian_mesh(d, nodes)
+    values = oracle_compose_values(bra, expr, eval_points=[(np.zeros(0), zp) for zp in pts])
+    weight = wts * np.exp(0.5 * PI * np.sum(np.abs(pts) ** 2, axis=1))
+    return {g: np.tensordot(weight * np.prod(pts ** np.array(g), axis=1), values, axes=1) for g in gammas}
+
+
+_D2_TERMS = [
+    {},
+    {"z1": 1},
+    {"zb'2": 1},
+    {"z1": 1, "zb'1": 1},
+    {"zb1": 1, "z'2": 1},
+    {"z2": 1, "zb'1": 1, "zb2": 1},
+    {"z'1": 1, "zb'1": 1},
+]
+
+
+@pytest.mark.parametrize("kind", [Bergman(2), OrthBergman(2, 1), OrthBergman(2, 0)], ids=repr)
+def test_gaussian_pairing_vs_oracle_quadrature_d2(kind):
+    # multi-coordinate Gram rows: both coordinates coupled, one, or neither,
+    # with rank-2 coefficients that do not commute
+    rng = np.random.default_rng(11)
+    dims = Dims.of(2, fiber_rank=2)
+    numerator = Poly.zero(dims)
+    for powers in _D2_TERMS:
+        coef = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        numerator = numerator.add(Poly.monomial(dims, powers, coef))
+    expr = KernelExpr(numerator, kind)
+    indices = fock_indices(2, 2)
+    nonzero = 0
+    for beta in indices:
+        quad = _pairing_by_oracle(expr, beta, indices)
+        for gamma in indices:
+            exact = gaussian_pairing(expr, beta, gamma)
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(exact - quad[gamma])) < 1e-9 * scale, (beta, gamma)
+            if np.max(np.abs(quad[gamma])) < 1e-12:
+                assert not exact.any(), (beta, gamma)  # the selection rule drops it exactly
+            else:
+                nonzero += 1
+    assert nonzero >= 5  # 18, 9 and 5 of the 36 pairs, so no kind passes on zeros alone
+
+
 def test_gaussian_pairing_orthogonality():
     # the unit kernel reproduces the weighted monomials: <z^b, K z^g> = 0 unless b == g.
     e = unit_expr(Bergman(2))
@@ -414,7 +479,7 @@ def test_norm_estimate_gram_side_is_pinned(shape, variant, p, cutoff, want):
 SELECTION_RULE_NORMS = [
     (unit_expr(Bergman(2)), 14, 1.0),
     (unit_expr(OrthBergman(3, 1)), 10, 1.0),
-    (KernelExpr(Poly.monomial(Dims.of(2), {"z1": 1, "zb'1": 1}), Bergman(2)), 10, 3.1830988618379066),
+    (KernelExpr(Poly.monomial(Dims.of(2), {"z1": 1, "zb'1": 1}), Bergman(2)), 10, 3.183098861837907),
 ]
 
 
@@ -442,7 +507,7 @@ _MIXED_TERMS = [
     ({"zb1": 1, "z'2": 1}, 0.25),
 ]
 ORDER_NORMS = [
-    (KernelExpr(_poly(Dims.of(2), _MIXED_TERMS), Bergman(2)), 4, 2.385626305286593),
+    (KernelExpr(_poly(Dims.of(2), _MIXED_TERMS), Bergman(2)), 4, 2.3856263052865927),
     (KernelExpr(_poly(Dims.of(2), _MIXED_TERMS), OrthBergman(2, 1)), 4, 2.3202558244658875),
 ]
 
@@ -455,7 +520,7 @@ def test_norm_estimate_accumulation_order_is_pinned(op, cutoff, want):
 def test_norm_estimate_z1_is_pinned():
     z1 = KernelExpr(Poly.monomial(Dims.of(1), {"z1": 1}), Bergman(1))
     got = [norm_estimate(z1, cutoff) for cutoff in (0, 2, 4, 8, 16)]
-    assert got == [0.5641895835477563, 0.9772050238058398, 1.2615662610100802, 1.692568750643269, 2.326213245840639]
+    assert got == [0.5641895835477563, 0.9772050238058398, 1.26156626101008, 1.692568750643269, 2.3262132458406386]
 
 
 def test_norm_estimate_scaling():

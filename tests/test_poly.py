@@ -133,6 +133,23 @@ def test_non_finite_coefficients_rejected():
         Poly.from_json_dict({"dims": {"n": 1}, "terms": [{"exps": {}, "coef": [[[math.nan, 0.0]]]}]})
 
 
+@pytest.mark.parametrize("bad", ["1", True, "2+1j", np.True_])
+def test_string_and_boolean_coefficients_rejected(bad):
+    # each used to be stored as a number: "1" and True as 1, "2+1j" as 2+1j
+    dims = Dims.of(1)
+    match = "coefficient must be a number or a matrix of numbers"
+    with pytest.raises(ValueError, match=match):
+        Poly(dims, {(0, 0, 0, 0): bad})  # scalar path
+    with pytest.raises(ValueError, match=match):
+        Poly(dims, {(1, 0, 0, 0): 1.0, (0, 0, 0, 0): bad})  # stacked path
+    with pytest.raises(ValueError, match=match):
+        Poly(dims, {(1, 0, 0, 0): [[1.0]], (0, 0, 0, 0): [[bad]]})  # stacked matrices
+    with pytest.raises(ValueError, match=match):
+        Poly(Dims.of(1, fiber_rank=2), {(0, 0, 0, 0): [[1.0, 0.0], [bad, 1.0]]})  # one cell of a matrix
+    with pytest.raises(ValueError, match=match):
+        Poly.monomial(dims, {"z1": 1}, bad)
+
+
 def test_stored_coefficients_are_read_only_copies():
     dims = Dims.of(1, fiber_rank=2)
     src = np.array([[1.0, 2.0], [3.0, 4.0]])
