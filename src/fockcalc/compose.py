@@ -119,13 +119,15 @@ def _pairing_table(a: int, b: int, left_cross: bool, right_cross: bool) -> tuple
     too large for a float reads ``inf``; the bracket checks the degree cap
     before it builds any table, so only pairs within the cap get here.
     """
-    table = []
-    for dz, dzp, frac, p in base_terms(a, b, left_cross, right_cross):
-        try:
-            table.append((dz, dzp, float(frac) / PI**p))
-        except OverflowError:
-            table.append((dz, dzp, math.inf))
-    return tuple(table)
+    return tuple((dz, dzp, _over_pi(frac, p)) for dz, dzp, frac, p in base_terms(a, b, left_cross, right_cross))
+
+
+def _over_pi(x, p: int) -> float:
+    """``float(x) / pi**p``, or ``inf`` where either is beyond float range."""
+    try:
+        return float(x) / PI**p
+    except OverflowError:
+        return math.inf
 
 
 #: Middle exponents below this pack into one registry key.

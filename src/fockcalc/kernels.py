@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, variable_columns, _json_int, _json_object
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, variable_columns, _collect, _json_int, _json_object
 
 __all__ = [
     "Bergman",
@@ -266,40 +266,54 @@ class ScaledKernel:
 #
 # Acting on numerator * kernel, the annihilation multiplication term always
 # cancels against the kernel derivative, so annihilation = 2 d(numerator).
-# The creation derivative picks up the kernel cross term when present.
+# The creation derivative picks up the kernel cross term when present.  Per
+# coordinate, each operator on numerators is (variable differentiated,
+# factor), ((variable multiplied in, factor), ...), the cross term last.
+_LADDER = {
+    ("unprimed", "creation"): ((O_Z, -2.0), ((O_ZB, 2 * PI), (O_ZBP, -2 * PI))),
+    ("unprimed", "annihilation"): ((O_ZB, 2.0), ()),
+    ("primed", "creation"): ((O_ZBP, -2.0), ((O_ZP, 2 * PI), (O_Z, -2 * PI))),
+    ("primed", "annihilation"): ((O_ZP, 2.0), ()),
+}
+
+
+def _slot_dim(kind: KernelKind, slot: str) -> int:
+    if slot not in ("unprimed", "primed"):
+        raise ValueError(f"bad slot {slot!r}")
+    return kind.du if slot == "unprimed" else kind.dp
+
+
+def _ladder_rows(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A ``_LADDER`` operator on coordinate j of exponent rows ``(T, 4n)`` and coefficients
+    ``(T, r, r)``: the image rows, uncollected, the derivative's first and then each product's."""
+    (o, factor), products = op
+    keep = E[:, col := var_offset(j, o)] > 0
+    rows, coefs = [E[keep]], [C[keep] * E[keep, col, None, None] * complex(factor)]
+    rows[0][:, col] -= 1
+    for o, factor in products[: None if crossed else 1]:
+        rows.append(E.copy())
+        rows[-1][:, var_offset(j, o)] += 1
+        coefs.append(C * complex(factor))
+    return np.concatenate(rows), np.concatenate(coefs)
 
 
 def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> KernelExpr:
     if which not in ("creation", "annihilation"):
         raise ValueError(f"bad ladder kind {which!r}")
-    if slot not in ("unprimed", "primed"):
-        raise ValueError(f"bad slot {slot!r}")
-    dim = e.kind.du if slot == "unprimed" else e.kind.dp
+    j, dim = _json_int(j, "ladder coordinate"), _slot_dim(e.kind, slot)
     if not 1 <= j <= dim:
         raise ValueError(f"coordinate {j} outside {slot} slot of dimension {dim}")
     P = e.numerator
-    crossed = j <= e.kind.c
-    if slot == "unprimed":
-        if which == "annihilation":
-            out = P.diff(j, O_ZB).scale(2.0)
-        else:
-            out = P.diff(j, O_Z).scale(-2.0).add(P.times_var(j, O_ZB).scale(2 * PI))
-            if crossed:
-                out = out.add(P.times_var(j, O_ZBP).scale(-2 * PI))
-    else:
-        if which == "annihilation":
-            out = P.diff(j, O_ZP).scale(2.0)
-        else:
-            out = P.diff(j, O_ZBP).scale(-2.0).add(P.times_var(j, O_ZP).scale(2 * PI))
-            if crossed:
-                out = out.add(P.times_var(j, O_Z).scale(-2 * PI))
-    return KernelExpr(out, e.kind)
+    E, C = _ladder_rows(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c)
+    return KernelExpr(Poly._from_arrays(P.dims, *_collect(E, C)), e.kind)
 
 
 def apply_model_laplacian(e: KernelExpr, slot: str = "unprimed") -> KernelExpr:
-    """Sum over coordinates of creation after annihilation, in the given slot."""
-    dim = e.kind.du if slot == "unprimed" else e.kind.dp
-    acc = KernelExpr(Poly.zero(e.numerator.dims), e.kind)
-    for j in range(1, dim + 1):
-        acc = acc.add(apply_ladder(apply_ladder(e, j, "annihilation", slot), j, "creation", slot))
-    return acc
+    """Sum over coordinates of creation after annihilation in the slot; each coordinate is collected first."""
+    P = e.numerator
+    parts = [(P.exps[:0], P.coefs[:0])]
+    for j in range(1, _slot_dim(e.kind, slot) + 1):
+        E, C = _ladder_rows(P.exps, P.coefs, j, _LADDER[slot, "annihilation"], False)
+        parts.append(_collect(*_ladder_rows(E, C, j, _LADDER[slot, "creation"], j <= e.kind.c)))
+    E, C = map(np.concatenate, zip(*parts))
+    return KernelExpr(Poly._from_arrays(P.dims, *_collect(E, C)), e.kind)

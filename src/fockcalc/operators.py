@@ -53,7 +53,7 @@ from .kernels import (
     Restriction,
     unit_expr,
 )
-from .compose import _one_sided, compose
+from .compose import _one_sided, _over_pi, compose
 from .geometry import hermitian_eigs
 
 PI = math.pi
@@ -372,8 +372,13 @@ def _contract(g: Symbol, left_cross: bool, right_cross: bool) -> tuple[np.ndarra
     keep = (steps[at, 1] >= 0).all(axis=1)
     at = at[keep]
     powers = steps[at, 1].sum(axis=1).tolist()
-    weights = [math.prod(table[j][2] for j in row) / PI**p for row, p in zip(at.tolist(), powers)]
-    return steps[at, 0], C[keep] * np.reshape(weights, (-1, 1, 1))
+    weights = [_over_pi(math.prod(table[j][2] for j in row), p) for row, p in zip(at.tolist(), powers)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = C[keep] * np.reshape(weights, (-1, 1, 1))
+    if (bad := ~np.isfinite(C).all(axis=(1, 2))).any():
+        h, a = (x[keep][bad][0].tolist() for x in (hol, anti))
+        raise ValueError(f"contracting symbol term hol {h}, antihol {a} overflows a float")
+    return steps[at, 0], C
 
 
 def _mesh_integral(g: Symbol, nodes: int, hol_shift=0.0, anti_shift=0.0) -> np.ndarray:
@@ -620,12 +625,12 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     if min(beta + gamma, default=0) < 0:
         raise ValueError("indices must be non-negative")
     r = expr.dims.fiber_rank
-    row = _pairing_row(expr.numerator.sorted_terms(), kind.c, r, beta)
-    return row.get(gamma, np.zeros((r, r), dtype=complex))
+    E, C = expr.numerator.table
+    return _pairing_row(E.tolist(), C, kind.c, r, beta).get(gamma, np.zeros((r, r), dtype=complex))
 
 
-def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
-    """{gamma: pairing of conj(z)^beta with z'^gamma}, summed over ``sorted_terms``.
+def _pairing_row(rows: list, C: np.ndarray, c: int, r: int, beta: tuple) -> dict[tuple[int, ...], np.ndarray]:
+    """{gamma: pairing of conj(z)^beta with z'^gamma}, summed over a ``table``'s rows (as lists) and ``C``.
 
     Each coordinate of a term z^u zb^v z'^s zb'^t pairs twice through
     compose's one-sided table: first w^u wbar^(v + beta_i) against the
@@ -637,7 +642,7 @@ def _pairing_row(terms: list, c: int, r: int, beta: tuple[int, ...]) -> dict[tup
     """
     zero = np.zeros((r, r), dtype=complex)
     row: dict[tuple[int, ...], np.ndarray] = {}
-    for exps, coef in terms:
+    for exps, coef in zip(rows, C):
         num, p, gamma = 1, 0, []
         for i, b in enumerate(beta):
             u, v, s, t = exps[4 * i : 4 * i + 4]
@@ -688,10 +693,11 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     total = [sum(b) for b in basis]
     factorial = [math.prod(map(math.factorial, b)) for b in basis]
     blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
-    terms, c = gram_kernel.expr.numerator.sorted_terms(), gram_kernel.kind.c
+    (E, C), c = gram_kernel.expr.numerator.table, gram_kernel.kind.c
+    rows = E.tolist()
     scale = gram_kernel.prefactor * gram_kernel.p ** (-d)
     for ib, b in enumerate(basis):
-        for gamma, raw in _pairing_row(terms, c, r, b).items():
+        for gamma, raw in _pairing_row(rows, C, c, r, b).items():
             if (ig := index.get(gamma)) is not None:
                 w = scale * PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
                 blocks[ib, ig] = w * raw

@@ -318,6 +318,8 @@ def laplacian_eigencheck(
     beta = tuple(_json_int(b, "beta entry") for b in beta)
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same length")
+    if not alpha or min(alpha + beta) < 0:
+        raise ValueError(f"alpha and beta must be non-empty and non-negative, got {alpha} and {beta}")
     n = len(alpha)
     if grid is None:
         grid = QuadGrid(nodes_per_axis=5, n=n)

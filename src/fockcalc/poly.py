@@ -233,10 +233,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not len(self.exps)
 
-    def sorted_terms(self) -> list[tuple[ExpKey, np.ndarray]]:
-        E, C = self.table
-        return list(zip(map(tuple, E.tolist()), C))
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return int(self.exps.sum(axis=1).max(initial=-1))
@@ -286,28 +282,6 @@ class Poly:
         E = self._blocks()[:, :, ::-1].reshape(self.exps.shape)
         return Poly._from_arrays(self.dims, E, self.coefs.conj().transpose(0, 2, 1))
 
-    # -- calculus helpers ---------------------------------------------------
-
-    def diff(self, index: int, o: int) -> "Poly":
-        """Formal partial derivative in the variable (index, o)."""
-        off = var_offset(index, o)
-        keep = self.exps[:, off] > 0
-        E, p = self.exps[keep], self.exps[keep, off]
-        E[:, off] -= 1
-        return Poly._from_arrays(self.dims, E, self.coefs[keep] * p[:, None, None])
-
-    def times_var(self, index: int, o: int, power: int = 1) -> "Poly":
-        off = var_offset(index, o)
-        E = self.exps.copy()
-        E[:, off] += power
-        if (E[:, off] < 0).any():
-            raise ValueError(f"negative exponent from times_var power {power}")
-        return Poly._from_arrays(self.dims, E, self.coefs)
-
-    def set_var_zero(self, index: int, o: int) -> "Poly":
-        keep = self.exps[:, var_offset(index, o)] == 0
-        return Poly._from_arrays(self.dims, self.exps[keep], self.coefs[keep])
-
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
@@ -352,9 +326,10 @@ class Poly:
 
     def to_json_dict(self) -> dict:
         names = [var_name(i, o) for i in range(1, self.dims.n + 1) for o in range(4)]
+        E, C = self.table
         terms = [
             {"exps": {name: p for name, p in zip(names, exps) if p}, "coef": _coef_to_json(coef)}
-            for exps, coef in self.sorted_terms()
+            for exps, coef in zip(E.tolist(), C)
         ]
         return {"dims": self.dims.to_json_dict(), "terms": terms}
 

@@ -274,6 +274,15 @@ def test_toeplitz_leading_errors(tmp_path):
     assert run(["toeplitz-leading", "--kind", "XX", "--symbol", ok]) == 2  # argparse rejects
 
 
+@pytest.mark.parametrize("kind", ["YY", "XY_even", "XY_odd", "YX_even", "YX_odd"])
+def test_toeplitz_leading_contraction_overflow_is_a_usage_error(tmp_path, capsys, kind):
+    # 200! does not fit a float, so this used to end in an OverflowError traceback
+    sf = symbol_file(tmp_path, "big.json", Symbol.monomial(2, 1, (200,), (200,)))
+    assert run(["toeplitz-leading", "--kind", kind, "--symbol", sf]) == 2
+    err = "fockcalc: error: contracting symbol term hol [200], antihol [200] overflows a float\n"
+    assert capsys.readouterr().err == err
+
+
 # -- constants -------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Kernel families: evaluation formulas, domain checks, adjoints, ladder operators."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from fockcalc import (
     unit_expr,
 )
 
-from conftest import complex_rows, kind_st, random_kernel_expr, term_sum
+from conftest import complex_rows, kind_st, random_kernel_expr, random_poly, term_sum, trim_poly_for_kind
 
 PI = math.pi
 
@@ -358,8 +359,74 @@ def test_ladder_errors():
         apply_ladder(e, 1, "creation", "sideways")
     with pytest.raises(ValueError):
         apply_ladder(e, 2, "creation")
+    # 1.5 used to end in an IndexError and True was read as 1; 1.0 is read as 1
+    for j in (1.5, True):
+        with pytest.raises(ValueError, match="ladder coordinate must be an integer"):
+            apply_ladder(e, j, "creation")
+    assert apply_ladder(e, 1.0, "creation").numerator.max_coef_diff(apply_ladder(e, 1, "creation").numerator) == 0
     with pytest.raises(ValueError):
         apply_ladder(unit_expr(Extension(2, 1)), 2, "creation", "primed")
+    # the Laplacian checks its slot too, also where a slot has no coordinates
+    for kind in (Bergman(1), Extension(2, 0)):
+        with pytest.raises(ValueError, match="bad slot 'sideways'"):
+            apply_model_laplacian(unit_expr(kind), "sideways")
+
+
+def _ladder_family():
+    """Seeded numerators for the ladder pins: ranks 1 and 2 on kinds with coupled
+    and uncoupled coordinates, plus hand-built ones whose images collide within
+    one coordinate (creation_1 sends both 1 and z1 zb1 to zb1, and the pi
+    coefficient cancels that row exactly) and across coordinates."""
+    rng = np.random.default_rng(20261019)
+    kinds = (Bergman(1), Bergman(2), OrthBergman(2, 1), OrthBergman(3, 1), Extension(2, 1), Restriction(2, 1))
+    for kind in kinds:
+        for r in (1, 2):
+            dims = Dims(n=kind.n, l=kind.n, m=kind.m, fiber_rank=r)
+            yield KernelExpr(trim_poly_for_kind(random_poly(rng, dims, max_deg=3, n_terms=6), kind), kind)
+    one = Dims(n=1, l=1, m=1)
+    rows = {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): PI, (0, 1, 0, 1): -0.5j, (1, 0, 1, 0): 2.0}
+    yield KernelExpr(Poly(one, rows), Bergman(1))
+    two = Dims(n=2, l=2, m=1, fiber_rank=2)
+    m = np.array([[1.0, -2.0], [0.5j, 3.0]])
+    rows = {(0,) * 8: m, (1, 1, 0, 0, 0, 0, 0, 0): PI * m, (0, 0, 0, 0, 1, 1, 0, 0): -m, (0, 0, 1, 1, 0, 0, 2, 0): 1j * m}
+    yield KernelExpr(Poly(two, rows), OrthBergman(2, 1))
+    # z1 zb1 z2 zb2 gets two Laplacian rows from each coordinate, so summing
+    # coordinate by coordinate and summing all rows in turn round differently
+    rows = {(2, 2, 0, 0, 1, 1, 0, 0): 0.3, (1, 1, 0, 0, 2, 2, 0, 0): 0.7, (1, 1, 0, 0, 1, 1, 0, 0): 0.45}
+    yield KernelExpr(Poly(Dims.of(2), rows), Bergman(2))
+
+
+def _slot_dims(kind):
+    return (("unprimed", kind.du), ("primed", kind.dp))
+
+
+# sha256 of the ``table`` bytes of every ladder step (both kinds, both slots,
+# every coordinate) and of the model Laplacian in both slots, over
+# :func:`_ladder_family`.
+PINNED_LADDER_SHA256 = "26f1c88f9c9b376dbc041d7adfbc4c3a9c89d07485f879e934c356fccb9b0ccd"
+
+
+def test_ladder_output_bytes_are_pinned():
+    h = hashlib.sha256()
+    for e in _ladder_family():
+        for slot, dim in _slot_dims(e.kind):
+            for j in range(1, dim + 1):
+                for which in ("creation", "annihilation"):
+                    for a in apply_ladder(e, j, which, slot).numerator.table:
+                        h.update(a.tobytes())
+            for a in apply_model_laplacian(e, slot).numerator.table:
+                h.update(a.tobytes())
+    assert h.hexdigest() == PINNED_LADDER_SHA256
+
+
+def test_model_laplacian_is_the_sum_of_ladder_pairs():
+    for e in _ladder_family():
+        for slot, dim in _slot_dims(e.kind):
+            want = Poly.zero(e.dims)
+            for j in range(1, dim + 1):
+                pair = apply_ladder(apply_ladder(e, j, "annihilation", slot), j, "creation", slot)
+                want = want.add(pair.numerator)
+            assert apply_model_laplacian(e, slot).numerator.max_coef_diff(want) == 0
 
 
 def test_model_laplacian_eigenrelation():

@@ -333,6 +333,18 @@ def test_lambda_a_goldens():
     assert lambda_a(Symbol.monomial(1, 0, (2,), (1,))).is_zero()
 
 
+def test_contraction_overflow_is_a_value_error():
+    # 200! / pi^200 is about 3e275, but 200! itself does not fit a float; the
+    # contraction used to end in an OverflowError from int to float
+    g = Symbol.monomial(2, 1, (200,), (200,))
+    for f in (lambda_eq, lambda_h, lambda_a, c1_c2, h_gp):
+        with pytest.raises(ValueError, match=r"symbol term hol \[\d+\], antihol \[\d+\] overflows a float"):
+            f(g)
+    # a finite weight can still carry a coefficient beyond float range
+    with pytest.raises(ValueError, match=r"hol \[151\], antihol \[150\] overflows a float"):
+        lambda_h(Symbol.monomial(2, 1, (151,), (150,), coef=1e150))
+
+
 def test_lambda_duality(rng):
     for _ in range(6):
         g = random_symbol(rng, 2, 1, fiber_rank=2, max_deg=3)

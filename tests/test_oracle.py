@@ -276,6 +276,11 @@ def test_laplacian_eigencheck_validation():
         laplacian_eigencheck((1.7,), (0.2,))
     with pytest.raises(ValueError, match="beta entry must be an integer"):
         laplacian_eigencheck((1,), (0.2,))
+    # (-1,), (0,) used to read the eigenvalue as -4 pi and fail like a numerical
+    # error; (), () used to pass by comparing 0 with 0 at one point
+    for alpha, beta in (((-1,), (0,)), ((0,), (-1,)), ((1, 0), (0, -2)), ((), ())):
+        with pytest.raises(ValueError, match="must be non-empty and non-negative"):
+            laplacian_eigencheck(alpha, beta)
 
 
 # -- exact pairings ----------------------------------------------------------------------

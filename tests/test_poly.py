@@ -14,8 +14,6 @@ from fockcalc import (
     Dims,
     Poly,
     O_Z,
-    O_ZB,
-    O_ZP,
     O_ZBP,
     parse_var_name,
     var_name,
@@ -281,19 +279,7 @@ def test_degree_and_parity():
     assert mixed.degree() == 1
 
 
-# -- calculus helpers -----------------------------------------------------------------------
-
-
-def test_diff_times_var_set_zero():
-    dims = Dims.of(1)
-    p = Poly.monomial(dims, {"z1": 3, "zb1": 1}, 2.0)
-    d = p.diff(1, O_Z)
-    assert d.max_coef_diff(Poly.monomial(dims, {"z1": 2, "zb1": 1}, 6.0)) <= 1e-12
-    assert p.diff(1, O_ZP).is_zero()
-    t = p.times_var(1, O_ZBP, 2)
-    assert t.max_coef_diff(Poly.monomial(dims, {"z1": 3, "zb1": 1, "zb'1": 2}, 2.0)) <= 1e-12
-    assert p.set_var_zero(1, O_Z).is_zero()
-    assert p.set_var_zero(1, O_ZP).max_coef_diff(p) <= 1e-12
+# -- evaluation ---------------------------------------------------------------------------
 
 
 def test_evaluate_matches_manual():
