@@ -291,4 +291,4 @@ def compose(e1: KernelExpr, e2: KernelExpr, degree_cap: int = DEFAULT_DEGREE_CAP
         raise ValueError("fiber rank mismatch")
     out_dims = Dims(n=result_kind.n, l=result_kind.n, m=result_kind.m, fiber_rank=e1.dims.fiber_rank)
     num = _bracket(e1.numerator, e2.numerator, k1.dp, k1.c, k2.c, out_dims, degree_cap)
-    return KernelExpr(num, result_kind)
+    return KernelExpr._of(num, result_kind)  # each side's outer variables stay in its slot

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -65,7 +66,8 @@ class KernelKind:
 
     def __post_init__(self) -> None:
         for name in ("du", "dp", "c"):
-            object.__setattr__(self, name, _json_int(getattr(self, name), name))
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, _json_int(getattr(self, name), name))
         if not 0 <= self.c <= min(self.du, self.dp):
             raise ValueError(f"need 0 <= c <= min(du, dp), got (du, dp, c) = {(self.du, self.dp, self.c)}")
 
@@ -114,8 +116,10 @@ class Restriction(KernelKind):
         super().__init__(m, n, m)
 
 
+@lru_cache(maxsize=256)
 def _named(du: int, dp: int, c: int) -> KernelKind:
-    """The kind ``(du, dp, c)`` under its canonical name, or unnamed if it has none."""
+    """The kind ``(du, dp, c)`` under its canonical name, or unnamed if it has none;
+    one object per descriptor, as kinds are frozen."""
     if du == dp == c:
         return Bergman(du)
     if du == dp:
@@ -176,6 +180,14 @@ class KernelExpr:
             if dim < kind.n and num.uses_slot(slot, beyond=dim):
                 raise ValueError(f"{kind!r} numerator uses a {slot} coordinate beyond {dim}")
 
+    @classmethod
+    def _of(cls, numerator: Poly, kind: KernelKind) -> "KernelExpr":
+        """The expression, unchecked: for numerators that fit ``kind`` by construction."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "numerator", numerator)
+        object.__setattr__(e, "kind", kind)
+        return e
+
     @property
     def dims(self) -> Dims:
         return self.numerator.dims
@@ -191,7 +203,7 @@ class KernelExpr:
     def adjoint(self) -> "KernelExpr":
         """Kernel adjoint: numerator conjugate-swap plus kind swap ``(du, dp, c) -> (dp, du, c)``."""
         kind = self.kind
-        return KernelExpr(self.numerator.conjugate_swap(), _named(kind.dp, kind.du, kind.c))
+        return KernelExpr._of(self.numerator.conjugate_swap(), _named(kind.dp, kind.du, kind.c))
 
     def evaluate_batch(self, Z, Zp) -> np.ndarray:
         """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""

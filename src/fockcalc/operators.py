@@ -340,7 +340,11 @@ def lambda_eq(g: Symbol) -> np.ndarray:
     """Equal-bidegree contraction: sum over alpha == beta of coef * alpha!/pi^|alpha|."""
     _, C = _contract(g, False, False)
     # builtin sum adds row by row onto +0.0, in the order of the sorted rows
-    return sum(C, np.zeros((g.fiber_rank,) * 2, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(C, np.zeros((g.fiber_rank,) * 2, dtype=complex))
+    if not np.isfinite(total).all():
+        raise ValueError(f"lambda_eq: the sum of {len(C)} contracted symbol terms overflows a float")
+    return total
 
 
 def lambda_h(g: Symbol) -> Symbol:
@@ -809,14 +813,14 @@ def flat_defect_checks(max_n: int = 4, fiber_rank: int = 1) -> list[DefectRecord
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     records: list[DefectRecord] = []
+    # each unit kernel is built once per call and shared by the chains that use it
+    ext = {(n, m): unit_expr(Extension(n, m), fiber_rank) for n in range(max_n + 1) for m in range(n + 1)}
+    bergman = [unit_expr(Bergman(n), fiber_rank) for n in range(max_n + 1)]
     for n in range(max_n + 1):
         for l in range(n + 1):
             for m in range(l + 1):
-                got = compose(
-                    unit_expr(Extension(n, l), fiber_rank),
-                    unit_expr(Extension(l, m), fiber_rank),
-                )
-                want = unit_expr(Extension(n, m), fiber_rank)
+                got = compose(ext[n, l], ext[l, m])
+                want = ext[n, m]
                 records.append(
                     DefectRecord(
                         name="transitivity",
@@ -829,9 +833,9 @@ def flat_defect_checks(max_n: int = 4, fiber_rank: int = 1) -> list[DefectRecord
     for n in range(max_n + 1):
         for m in range(n + 1):
             res = unit_expr(Restriction(n, m), fiber_rank)
-            restricted = compose(res, unit_expr(Bergman(n), fiber_rank))
+            restricted = compose(res, bergman[n])
             got = compose(res, restricted.adjoint())
-            want = unit_expr(Bergman(m), fiber_rank)
+            want = bergman[m]
             records.append(
                 DefectRecord(
                     name="adjoint_extension",

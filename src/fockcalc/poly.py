@@ -128,10 +128,14 @@ def parse_var_name(name: str) -> tuple[int, int]:
 def _as_coef(value, r: int, count: int | None = None) -> np.ndarray:
     """A read-only ``(r, r)`` complex matrix, or ``count`` of them stacked; a
     number stands for a 1x1 matrix.  Booleans and strings are no numbers."""
-    cells = np.asarray(value, dtype=object)
-    if not all(issubclass(t, numbers.Number) and t is not bool for t in set(map(type, cells.flat))):
-        raise ValueError(f"coefficient must be a number or a matrix of numbers, got {value!r}")
-    a, lead = cells.astype(complex), () if count is None else (count,)
+    lead = () if count is None else (count,)
+    if all(type(v) is np.ndarray and v.dtype.kind in "iufc" for v in (value if count is not None else [value])):
+        a = np.array(value, dtype=complex)  # a copy; numeric arrays need no cell-by-cell check
+    else:
+        cells = np.asarray(value, dtype=object)
+        if not all(issubclass(t, numbers.Number) and t is not bool for t in set(map(type, cells.flat))):
+            raise ValueError(f"coefficient must be a number or a matrix of numbers, got {value!r}")
+        a = cells.astype(complex)
     if a.shape == lead:
         if r != 1:
             raise ValueError("scalar coefficient only allowed for fiber_rank 1")
@@ -405,21 +409,25 @@ def _digit_weights(base: int, width: int) -> np.ndarray:
 def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the coefficients of equal exponent rows; distinct rows in first-occurrence order.
 
-    Each sum runs in row order from -0.0, so its first addition is exact and
-    a lone signed zero survives (the sums a dict accumulating ``out[k] =
-    out[k] + c if k in out else c`` forms), and distinct rows come back as is.
+    Each sum starts from its group's first row and adds the others in row
+    order (the sums a dict accumulating ``out[k] = out[k] + c if k in out
+    else c`` forms, a lone signed zero included), and distinct rows come back
+    as is.
     """
     if len(E) < 2:
         return E, C
     keys = _row_keys(E)
     order = keys.argsort(kind="stable")  # equal rows stay in row order
     ordered = keys[order]
-    new = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    new = np.empty(len(E), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     if new.all():
         return E, C
-    acc = np.full((new.sum(),) + C.shape[1:], complex(-0.0, -0.0))
-    np.add.at(acc, new.cumsum() - 1, C[order])
     first = order[new]
+    acc = C[first]
+    dup = ~new
+    np.add.at(acc, new.cumsum()[dup] - 1, C[order[dup]])  # unbuffered, so in row order
     rank = first.argsort()
     return E[first[rank]], acc[rank]
 

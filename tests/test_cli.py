@@ -283,6 +283,24 @@ def test_toeplitz_leading_contraction_overflow_is_a_usage_error(tmp_path, capsys
     assert capsys.readouterr().err == err
 
 
+def test_toeplitz_leading_sum_overflow_is_one_line(tmp_path):
+    # every contracted term is finite but lambda_eq's sum of them is not; this used to
+    # print numpy's RuntimeWarning and its source line before the error, so the
+    # command runs in its own process, where warnings reach stderr
+    k = 4
+    rows = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    sf = symbol_file(tmp_path, "big.json", Symbol.from_terms(5, 1, {(e, e): 1.7e308 for e in rows}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockcalc", "toeplitz-leading", "--kind", "YY", "--symbol", sf],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "fockcalc: error: lambda_eq: the sum of 4 contracted symbol terms overflows a float\n"
+
+
 # -- constants -------------------------------------------------------------------------
 
 

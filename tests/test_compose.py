@@ -31,6 +31,7 @@ from fockcalc import (
     var_offset,
 )
 from fockcalc.compose import _bracket, _pairing_table, _PairingRegistry
+from fockcalc.kernels import _named
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -250,6 +251,29 @@ def test_composition_is_associative_and_reversed_by_adjoints(kinds, rank, seed):
     ba = compose(e2.adjoint(), e1.adjoint())
     assert ab.kind == ba.kind
     assert ab.numerator.max_coef_diff(ba.numerator) <= 1e-12 * _coef_scale(ab)
+
+
+@st.composite
+def supported_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    l = draw(st.integers(min_value=0, max_value=n))
+    m = draw(st.integers(min_value=0, max_value=l))
+    return draw(st.sampled_from(supported_kind_pairs(n, l, m)))
+
+
+@given(st.one_of(supported_pair(), kind_chain(length=2)), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_unchecked_results_pass_the_public_checks(kinds, rank, seed):
+    # compose and adjoint build their results with KernelExpr._of, which skips the
+    # domain checks; the public constructor must accept each one as it is
+    rng = np.random.default_rng(seed)
+    e1, e2 = (random_kernel_expr(rng, kind, rank, max_deg=3) for kind in kinds)
+    out = compose(e1, e2)
+    for e in (out, out.adjoint(), e1.adjoint(), e2.adjoint()):
+        assert KernelExpr(e.numerator, e.kind) == e
+        du, dp, c = e.kind.du, e.kind.dp, e.kind.c
+        assert e.kind is _named(du, dp, c)  # one interned object per descriptor
+        fresh = _named.__wrapped__(du, dp, c)
+        assert type(e.kind) is type(fresh) and repr(e.kind) == repr(fresh)
 
 
 def test_fiber_rank_mismatch():

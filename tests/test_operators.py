@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,16 @@ def test_contraction_overflow_is_a_value_error():
     # a finite weight can still carry a coefficient beyond float range
     with pytest.raises(ValueError, match=r"hol \[151\], antihol \[150\] overflows a float"):
         lambda_h(Symbol.monomial(2, 1, (151,), (150,), coef=1e150))
+
+
+def test_lambda_eq_sum_overflow_is_a_value_error():
+    # each of the four w_i wbar_i terms contracts to 1.7e308 / pi, finite; their sum is not
+    k = 4
+    g = Symbol.from_terms(5, 1, {(e, e): 1.7e308 for e in (tuple(int(i == j) for j in range(k)) for i in range(k))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match=r"^lambda_eq: the sum of 4 contracted symbol terms overflows a float$"):
+            lambda_eq(g)
 
 
 def test_lambda_duality(rng):

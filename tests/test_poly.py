@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
     DEFAULT_DEGREE_CAP,
@@ -131,7 +131,10 @@ def test_non_finite_coefficients_rejected():
         Poly.from_json_dict({"dims": {"n": 1}, "terms": [{"exps": {}, "coef": [[[math.nan, 0.0]]]}]})
 
 
-@pytest.mark.parametrize("bad", ["1", True, "2+1j", np.True_])
+@pytest.mark.parametrize(
+    "bad",
+    ["1", True, "2+1j", np.True_, np.array(True), np.array("1"), np.array(True, dtype=object), np.array("1", dtype=object)],
+)
 def test_string_and_boolean_coefficients_rejected(bad):
     # each used to be stored as a number: "1" and True as 1, "2+1j" as 2+1j
     dims = Dims.of(1)
@@ -436,3 +439,93 @@ def test_duplicate_terms_load_bit_identically():
     assert np.signbit(g.terms()[(1,), (0,)][0, 0].real)
     # the bytes at the commit whose loaders still summed into a dict
     assert hashlib.sha256(got_k + got_s).hexdigest() == "da998c7f9a8d50e72c888e23e9006320e9344308a6e980b5f269a461e66a419f"
+
+
+# -- the coefficient reader's numeric-array path ------------------------------------------
+
+
+def test_mixed_and_object_coefficient_arrays_take_the_checked_path():
+    match = "coefficient must be a number or a matrix of numbers"
+    r2 = Dims.of(1, fiber_rank=2)
+    mixed = [np.array([1.0, 0.0]), [True, 1.0]]  # a numeric array beside a boolean
+    for dims, bad in ((r2, mixed), (r2, np.array([[1.0, 0.0], [True, 1.0]], dtype=object))):
+        with pytest.raises(ValueError, match=match):
+            Poly(dims, {(0, 0, 0, 0): bad})  # scalar path
+        with pytest.raises(ValueError, match=match):
+            Poly(dims, {(1, 0, 0, 0): np.eye(2), (0, 0, 0, 0): bad})  # stacked path
+        with pytest.raises(ValueError, match=match):
+            Poly.constant(dims, bad)
+    with pytest.raises(ValueError, match=match):
+        Poly(Dims.of(1), {(1, 0, 0, 0): np.array(1.0), (0, 0, 0, 0): True})  # stacked values, mixed
+    # an object array of numbers is still read, cell by cell
+    p = Poly.constant(r2, np.array([[1.0, 2], [3j, 4]], dtype=object))
+    assert p.coefs.tobytes() == np.array([[[1.0, 2], [3j, 4]]], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float32, np.float64, np.complex64, complex])
+def test_numeric_coefficient_arrays_read_like_the_checked_path(dtype):
+    from fockcalc.poly import _as_coef
+
+    rng = np.random.default_rng(7)
+    big = {np.int64: 2**62 + 1, np.uint64: 2**64 - 1}.get(dtype, 100)  # beyond float precision for the wide ints
+    values = [np.array(rng.integers(0, big, size=(2, 2), endpoint=True, dtype=np.uint64)).astype(dtype) for _ in range(3)]
+    if np.dtype(dtype).kind in "fc":
+        values = [(v * 0.37).astype(dtype) for v in values]
+    if np.dtype(dtype).kind == "c":
+        values = [(v - 1.5j * v).astype(dtype) for v in values]
+    for v in values:
+        fast = _as_coef(v, 2)
+        assert fast.tobytes() == _as_coef(v.astype(object), 2).tobytes()
+        assert not fast.flags.writeable and v.flags.writeable  # a read-only copy; the caller's array is untouched
+    stacked = _as_coef(values, 2, len(values))
+    assert stacked.tobytes() == _as_coef([v.astype(object) for v in values], 2, len(values)).tobytes()
+    scalars = [v[0, 0] * np.ones((), dtype) for v in values]  # 0-d arrays read as 1x1 matrices
+    assert _as_coef(scalars, 1, 3).tobytes() == _as_coef([s.item() for s in scalars], 1, 3).tobytes()
+
+
+# -- summing equal exponent rows ----------------------------------------------------------
+
+_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, -0.7, 1e16, -1e16, 3.5e-300])
+
+
+@st.composite
+def _collect_input(draw):
+    """Exponent rows drawn with repeats from a few distinct ones, and coefficients
+    of +-0.0 and order-sensitive parts; some rows' every addend is -0.0."""
+    width, r = draw(st.sampled_from([4, 8])), draw(st.sampled_from([1, 2]))
+    pool = draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=12))
+    all_negative_zero = draw(st.sets(st.integers(0, len(pool) - 1)))
+    coefs = []
+    for k in picks:
+        if k in all_negative_zero:
+            coefs.append(np.full((r, r), complex(-0.0, -0.0)))
+        else:
+            cells = draw(st.lists(st.tuples(_parts, _parts), min_size=r * r, max_size=r * r))
+            coefs.append(np.array([complex(a, b) for a, b in cells]).reshape(r, r))
+    E = np.array([pool[k] for k in picks], dtype=np.int64).reshape(len(picks), width)
+    return E, np.array(coefs, dtype=complex).reshape(len(picks), r, r)
+
+
+@settings(max_examples=200)
+@given(_collect_input())
+def test_collect_sums_like_a_dict_in_first_occurrence_order(data):
+    from fockcalc.poly import _collect
+
+    E, C = data
+    want = _dict_sum(zip(map(tuple, E.tolist()), C))
+    got_E, got_C = _collect(E, C)
+    assert got_E.tolist() == [list(k) for k in want]
+    r = C.shape[1]
+    assert got_C.tobytes() == np.array(list(want.values()), dtype=complex).reshape(len(want), r, r).tobytes()
+
+
+def test_collect_keeps_a_group_of_negative_zeros():
+    from fockcalc.poly import _collect
+
+    E = np.array([[1, 0], [0, 0], [1, 0], [1, 0]])
+    nz = complex(-0.0, -0.0)
+    C = np.array([nz, 0.1, nz, nz]).reshape(4, 1, 1)
+    got_E, got_C = _collect(E, C)
+    assert got_E.tolist() == [[1, 0], [0, 0]]
+    assert np.signbit(got_C[0, 0, 0].real) and np.signbit(got_C[0, 0, 0].imag)
