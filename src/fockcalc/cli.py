@@ -4,6 +4,8 @@ Subcommands: compose, oracle-check, spectrum, toeplitz-leading, constants,
 defect-check, selftest.  All inputs and outputs are JSON with a ``schema``
 version field (CSV export exists only for constant tables); exit codes are
 0 for pass, 1 for a numerical-check failure, 2 for usage or format errors.
+:func:`run` is where every input error, a ``ValueError`` raised anywhere in
+a command, becomes one stderr line and exit 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly
+from .poly import DEFAULT_DEGREE_CAP, Dims, Poly
 from .poly import _coef_from_json, _coef_to_json, _json_list, _json_object, _json_real
 
 # Every command needs ``poly``; the other modules are imported by the
@@ -34,7 +36,7 @@ GEOM_SCHEMA = "geom/1"  # geometry.GEOM_SCHEMA, spelled out so the CLI need not 
 
 
 class CliError(Exception):
-    """Carries the process exit code for input/usage problems."""
+    """An input or usage problem the command line itself finds; carries the exit code."""
 
     def __init__(self, message: str, code: int = 2):
         super().__init__(message)
@@ -146,38 +148,30 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
 
 
 def _cmd_compose(args) -> int:
-    from .compose import UnsupportedCompositionError, compose, compose_plan
+    from .compose import compose, compose_plan
     from .kernels import KernelExpr
 
     e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
-    try:
-        plan = compose_plan(e1.kind, e2.kind)
-        # a result kind without a kernel/1 name cannot be written
-        result = _kernel_json(compose(e1, e2, degree_cap=args.degree_cap))
-    except (UnsupportedCompositionError, DegreeOverflowError, ValueError) as e:
-        raise CliError(str(e))
+    plan = compose_plan(e1.kind, e2.kind)
+    # a result kind without a kernel/1 name cannot be written
+    result = _kernel_json(compose(e1, e2, degree_cap=args.degree_cap))
     _emit_json({"schema": "compose/1", "plan": plan.to_json_dict(), "result": result}, args.out)
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
-    from .compose import UnsupportedCompositionError, compose, compose_plan
+    from .compose import compose, compose_plan
     from .kernels import KernelExpr
     from .oracle import QuadGrid, default_eval_points, oracle_compose
 
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
     e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
-    try:
-        plan = compose_plan(e1.kind, e2.kind)
-        grid = None
-        if args.nodes is not None:
-            grid = QuadGrid(nodes_per_axis=args.nodes, n=e1.kind.dp)
-        points = default_eval_points(e1.kind, e2.kind, count=args.points)
-        expected = compose(e1, e2, degree_cap=args.degree_cap)
-        report = oracle_compose(e1, e2, grid=grid, eval_points=points, expected=expected, rel_tol=args.tol)
-    except (UnsupportedCompositionError, DegreeOverflowError, ValueError) as e:
-        raise CliError(str(e))
+    plan = compose_plan(e1.kind, e2.kind)
+    grid = None if args.nodes is None else QuadGrid(nodes_per_axis=args.nodes, n=e1.kind.dp)
+    points = default_eval_points(e1.kind, e2.kind, count=args.points)
+    expected = compose(e1, e2, degree_cap=args.degree_cap)
+    report = oracle_compose(e1, e2, grid=grid, eval_points=points, expected=expected, rel_tol=args.tol)
     _emit_json(
         {
             "schema": "oracle/1",
@@ -205,10 +199,7 @@ def _cmd_toeplitz_leading(args) -> int:
     from .operators import Symbol, _effective_kind, toeplitz_leading
 
     g = _load(args.symbol, SYMBOL_SCHEMA, Symbol.from_json_dict)
-    try:
-        value = toeplitz_leading(args.kind, g)
-    except (ValueError, AssertionError) as e:
-        raise CliError(str(e))
+    value = toeplitz_leading(args.kind, g)
     effective = _effective_kind(args.kind, g)
     payload: dict = {
         "schema": "toeplitz/1",
@@ -248,18 +239,13 @@ def _cmd_constants(args) -> int:
             ("C3", res34.c3, res34.c3_sample_id),
             ("C4", res34.c4, res34.c4_sample_id),
         ]
-    elif which in ("dp3", "tower"):
+    else:  # dp3 or tower: argparse allows no other --which
         direction = _parse_direction(args.direction)
-        try:
-            if which == "dp3":
-                mat = dp3(data, direction, sample_id=args.sample)
-            else:
-                mat = tower_dp3(data.samples, direction, fiber_rank=data.fiber_rank)
-        except ValueError as e:
-            raise CliError(str(e))
+        if which == "dp3":
+            mat = dp3(data, direction, sample_id=args.sample)
+        else:
+            mat = tower_dp3(data.samples, direction, fiber_rank=data.fiber_rank)
         payload = {"schema": "constants/1", "which": which, "matrix": _coef_to_json(mat)}
-    else:  # pragma: no cover - argparse choices guard this
-        raise CliError(f"unknown --which {which!r}")
     if args.csv is not None:
         if csv_rows is None:
             raise CliError("--csv only applies to constant tables (c0, c3c4)")
@@ -549,15 +535,16 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # Any ValueError is an input error: a bad flag, file or payload, or one the
+    # calculus cannot take (say a degree over the cap).  numpy's floating-point
+    # warnings are silenced, as what overflows is rejected where it is stored or written.
     try:
         _check_flags(args)
-        return _DISPATCH[args.command](args)
-    except CliError as e:
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](args)
+    except (CliError, ValueError, OSError) as e:
         sys.stderr.write(f"fockcalc: error: {e}\n")
-        return e.code
-    except OSError as e:
-        sys.stderr.write(f"fockcalc: error: {e}\n")
-        return 2
+        return e.code if isinstance(e, CliError) else 2
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect
+from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect, _json_int
 from .kernels import KernelExpr, KernelKind, _named
 
 __all__ = [
@@ -290,5 +290,5 @@ def compose(e1: KernelExpr, e2: KernelExpr, degree_cap: int = DEFAULT_DEGREE_CAP
     if e1.dims.fiber_rank != e2.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
     out_dims = Dims(n=result_kind.n, l=result_kind.n, m=result_kind.m, fiber_rank=e1.dims.fiber_rank)
-    num = _bracket(e1.numerator, e2.numerator, k1.dp, k1.c, k2.c, out_dims, degree_cap)
+    num = _bracket(e1.numerator, e2.numerator, k1.dp, k1.c, k2.c, out_dims, _json_int(degree_cap, "degree_cap"))
     return KernelExpr._of(num, result_kind)  # each side's outer variables stay in its slot

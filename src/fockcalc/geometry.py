@@ -21,26 +21,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import _coef_from_json, _coef_to_json, _json_int, _json_list, _json_object, _json_real, _json_str
+from .poly import _as_coef, _coef_from_json, _coef_to_json, _json_complex, _json_int, _json_list, _json_object
+from .poly import _json_real, _json_str
 
 PI = math.pi
 
 GEOM_SCHEMA = "geom/1"
 
 _HERM_TOL = 1e-10
-
-
-def _as_matrix(value, r: int, label: str) -> np.ndarray:
-    a = np.asarray(value, dtype=complex)
-    if a.shape == () and r == 1:
-        a = a.reshape(1, 1)
-    if a.shape != (r, r):
-        raise ValueError(f"{label} must be {r}x{r}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{label} has a non-finite entry")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 def _check_hermitian(H: np.ndarray, message: str) -> None:
@@ -194,7 +182,7 @@ def _field_matrix(owner, name: str, r: int) -> np.ndarray:
     value = getattr(owner, name)
     if value is None:
         return np.zeros((r, r), dtype=complex)
-    return _as_matrix(value, r, f"{name}[{owner.id}]")
+    return _as_coef(value, r, what=f"{name}[{owner.id}]")
 
 
 def _fields_to_json(owner, names, r: int) -> dict:
@@ -226,13 +214,10 @@ def hermitian_eigs(H) -> np.ndarray:
     The input must be finite, square and Hermitian within 1e-10 (scaled by
     its largest entry); it is symmetrized before the solve.
     """
-    A = np.asarray(H, dtype=complex)
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
+    shape = np.shape(H)
+    if len(shape) not in (0, 2) or shape[:1] != shape[1:]:
+        raise ValueError(f"need a square matrix, got shape {shape}")
+    A = _as_coef(H, shape[0] if shape else 1, what="matrix")
     _check_hermitian(A, "matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
@@ -328,7 +313,7 @@ def _top_right_singular(A: np.ndarray) -> np.ndarray:
 def c0(data: GeometryData, seed: int = 0) -> ConstantResult:
     """(1/sqrt(pi)) * sup over samples of the induced tensor norm of the
     direction-indexed family (1/8pi) d_scal * Id - (1/2pi i) nabla_lambda."""
-    r = data.fiber_rank
+    r, seed = data.fiber_rank, _json_int(seed, "seed")
     best_val, best_id = -1.0, ""
     for s in data.samples:
         mats = [_direction_matrix(d, r) for d in s.normal_dirs if d.level == "WY"]
@@ -381,11 +366,12 @@ def dp3(
     if sample is None:
         raise ValueError(f"unknown sample id {sample_id!r}")
     acc = np.zeros((r, r), dtype=complex)
-    for dir_id, coef in direction.items():
+    for dir_id, coef in _json_object(direction, "direction").items():
         d = sample.direction(str(dir_id))
+        coef = _json_complex(coef, f"direction coefficient {dir_id!r}")
         if d.level == "XW":
             continue
-        acc = acc + complex(coef) * _direction_matrix(d, r)
+        acc = acc + coef * _direction_matrix(d, r)
     return acc
 
 
@@ -403,7 +389,9 @@ def tower_dp3(
     """
     if not levels:
         raise ValueError("tower needs at least one level record")
-    r = fiber_rank
+    r = _json_int(fiber_rank, "fiber_rank")
+    direction = _json_object(direction, "direction")
+    direction = {k: _json_complex(v, f"direction coefficient {k!r}") for k, v in direction.items()}
     acc = np.zeros((r, r), dtype=complex)
     known: set[str] = set()
     for level in levels:
@@ -412,7 +400,7 @@ def tower_dp3(
         for dir_id, coef in direction.items():
             d = tabulated.get(str(dir_id))
             if d is not None:
-                acc = acc + complex(coef) * _direction_matrix(d, r)
+                acc = acc + coef * _direction_matrix(d, r)
     missing = set(str(k) for k in direction) - known
     if missing:
         raise ValueError(f"direction components not tabulated in any level: {sorted(missing)}")

@@ -17,7 +17,6 @@ ladder operators act on expressions and stay in the family.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, variable_columns, _collect, _json_int, _json_object
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, variable_columns, _collect
+from .poly import _json_complex, _json_int, _json_number, _json_object
 
 __all__ = [
     "Bergman",
@@ -218,8 +218,10 @@ class KernelExpr:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        d = self.numerator.to_json_dict()
-        return {"dims": d["dims"], "kind": kind_name(self.kind), "terms": d["terms"]}
+        """The ``kernel/1`` payload; its dims are the kind's, which the reader takes the kind from."""
+        kind, d = self.kind, self.numerator.to_json_dict()
+        dims = {"n": kind.n, "l": kind.n, "m": kind.m, "fiber_rank": self.dims.fiber_rank}
+        return {"dims": dims, "kind": kind_name(kind), "terms": d["terms"]}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "KernelExpr":
@@ -247,10 +249,11 @@ class ScaledKernel:
     prefactor: complex = 1.0
 
     def __post_init__(self):
-        if not (self.p > 0 and math.isfinite(self.p)):
-            raise ValueError(f"p must be positive and finite, got {self.p}")
-        if not cmath.isfinite(self.prefactor):
-            raise ValueError(f"prefactor must be finite, got {self.prefactor}")
+        p = _json_number(self.p, "p")
+        if not (p > 0 and math.isfinite(p)):
+            raise ValueError(f"p must be positive and finite, got {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "prefactor", _json_complex(self.prefactor, "prefactor"))
 
     @property
     def kind(self) -> KernelKind:
@@ -261,11 +264,8 @@ class ScaledKernel:
         zu, zp = (math.sqrt(self.p) * np.asarray(z, dtype=complex) for z in (Z, Zp))
         return self.prefactor * self.expr.evaluate_batch(zu, zp)
 
-    def scale(self, scalar: complex) -> "ScaledKernel":
-        return ScaledKernel(self.expr, self.p, self.prefactor * complex(scalar))
-
     def adjoint(self) -> "ScaledKernel":
-        return ScaledKernel(self.expr.adjoint(), self.p, complex(np.conj(self.prefactor)))
+        return ScaledKernel(self.expr.adjoint(), self.p, self.prefactor.conjugate())
 
 
 # -- ladder operators --------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly, _json_int, monomial_values, variable_columns
+from .poly import Dims, Poly, _json_int, _json_number, monomial_values, variable_columns
 from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian
 from .compose import compose
 
@@ -47,10 +47,10 @@ class InsufficientNodesError(ValueError):
 # -- Gauss-Hermite ------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed, so True is read and rejected, not served the rule for 1
 def gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights for integral f(x) exp(-x^2) dx, k-point rule (numpy's ``hermgauss``)."""
-    if k < 1:
+    if (k := _json_int(k, "k")) < 1:
         raise ValueError("need at least one node")
     from numpy.polynomial.hermite import hermgauss  # only commands that build a rule pay the import
 
@@ -73,6 +73,7 @@ class QuadGrid:
         if nodes < 1:
             raise ValueError(f"nodes_per_axis must be an integer >= 1, got {nodes!r}")
         object.__setattr__(self, "nodes_per_axis", nodes)
+        object.__setattr__(self, "n", _json_int(self.n, "n"))
 
     def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights absorbing the Gaussian: sum w f(x) ~ int f(x) e^{-pi x^2} dx."""
@@ -84,7 +85,7 @@ class QuadGrid:
         return {"nodes_per_axis": self.nodes_per_axis, "n": self.n}
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed, as gauss_hermite
 def gaussian_mesh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tensor mesh on C^k for integrals against exp(-pi |u|^2).
 
@@ -95,6 +96,7 @@ def gaussian_mesh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     axis, so a polynomial of degree up to ``2 * nodes - 1`` in each real
     variable integrates exactly.
     """
+    k, nodes = _json_int(k, "k"), _json_int(nodes, "nodes")
     xs, ws = QuadGrid(nodes, k).axis_nodes()
     axis = (xs[:, None] + 1j * xs[None, :]).ravel()
     axis_w = (ws[:, None] * ws[None, :]).ravel()
@@ -144,7 +146,7 @@ def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) ->
     """Deterministic point pairs with moderate coordinates for oracle checks."""
     du, dp = kind1.du, kind2.dp
     pts = []
-    for t in range(count):
+    for t in range(_json_int(count, "count")):
         Z = np.array([_PALETTE[(t + 2 * i) % len(_PALETTE)] for i in range(du)])
         Zp = np.array([_PALETTE[(t + 3 * i + 5) % len(_PALETTE)] for i in range(dp)])
         pts.append((Z, Zp))
@@ -293,7 +295,7 @@ def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> Or
     scale = np.max(np.abs(want).reshape(len(want), -1), axis=1, initial=0.0)
     rel = np.where(scale > 1e-150, err / np.maximum(scale, 1e-150), err)
     worst = int(np.argmax(rel))
-    max_rel = float(rel[worst])
+    max_rel, tol = float(rel[worst]), _json_number(tol, "tol")
     return OracleReport(
         max_abs=float(np.max(err)), max_rel=max_rel, worst_point=worst, grid=grid, passed=max_rel <= tol
     )

@@ -13,6 +13,7 @@ with layout ``exps[4*(i-1) + o]`` where ``o`` selects, in order,
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -125,25 +126,24 @@ def parse_var_name(name: str) -> tuple[int, int]:
     return index, (2 if primed else 0) + (1 if anti else 0)
 
 
-def _as_coef(value, r: int, count: int | None = None) -> np.ndarray:
-    """A read-only ``(r, r)`` complex matrix, or ``count`` of them stacked; a
-    number stands for a 1x1 matrix.  Booleans and strings are no numbers."""
+def _as_coef(value, r: int, count: int | None = None, what: str = "coefficient") -> np.ndarray:
+    """A read-only finite ``(r, r)`` complex matrix, or ``count`` of them stacked;
+    a number stands for a 1x1 matrix.  Booleans and strings are no numbers, and
+    ``what`` names the value in the errors."""
     lead = () if count is None else (count,)
     if all(type(v) is np.ndarray and v.dtype.kind in "iufc" for v in (value if count is not None else [value])):
         a = np.array(value, dtype=complex)  # a copy; numeric arrays need no cell-by-cell check
     else:
         cells = np.asarray(value, dtype=object)
         if not all(issubclass(t, numbers.Number) and t is not bool for t in set(map(type, cells.flat))):
-            raise ValueError(f"coefficient must be a number or a matrix of numbers, got {value!r}")
+            raise ValueError(f"{what} must be a number or a matrix of numbers, got {value!r}")
         a = cells.astype(complex)
-    if a.shape == lead:
-        if r != 1:
-            raise ValueError("scalar coefficient only allowed for fiber_rank 1")
+    if a.shape == lead and r == 1:
         a = a.reshape(lead + (1, 1))
     if a.shape != lead + (r, r):
-        raise ValueError(f"coefficient shape {a.shape} != ({r}, {r})")
+        raise ValueError(f"{what} must be {r}x{r}, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("non-finite coefficient")
+        raise ValueError(f"non-finite {what}")
     a.setflags(write=False)
     return a
 
@@ -263,11 +263,12 @@ class Poly:
         return Poly._from_arrays(self.dims, *_collect(E, np.concatenate([self.coefs, other.coefs])))
 
     def scale(self, scalar: complex) -> "Poly":
-        return Poly._from_arrays(self.dims, self.exps, self.coefs * complex(scalar))
+        return Poly._from_arrays(self.dims, self.exps, self.coefs * _json_complex(scalar, "scalar"))
 
     def mul(self, other: "Poly", degree_cap: int = DEFAULT_DEGREE_CAP) -> "Poly":
         """Product; terms accumulate in term-pair order (self outer, other inner)."""
         self._check_compatible(other)
+        degree_cap = _json_int(degree_cap, "degree_cap")
         count, r = len(self.exps) * len(other.exps), self.dims.fiber_rank
         E = (self.exps[:, None] + other.exps[None]).reshape(count, self.exps.shape[1])
         degree = E.sum(axis=1)
@@ -432,10 +433,12 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E[first[rank]], acc[rank]
 
 
-# -- JSON field readers -----------------------------------------------------------
+# -- field readers -----------------------------------------------------------------
 #
-# Every payload loader reads its fields through these, so each field type has
-# one rule and a bad field is named in the error.
+# Every payload loader reads its fields through these (and :func:`_as_coef`), and
+# so does every public function or constructor for its counts, levels, scalars
+# and matrices: each field type has one rule, and a bad field or argument is
+# named in the error.  Point coordinates are arrays, read by numpy.
 
 
 def _json_object(value, what: str, keys=None) -> Mapping:
@@ -475,6 +478,8 @@ def _json_int(value, what: str) -> int:
 def _json_number(value, what: str) -> float:
     """A JSON int or float as a float (an int beyond float range as +-inf);
     booleans, strings and null are rejected by name."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
@@ -489,6 +494,20 @@ def _json_real(value, what: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return x
+
+
+def _json_complex(value, what: str) -> complex:
+    """A finite complex number: any real or complex number but a boolean; strings
+    and null are rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        z = complex(value)
+    except OverflowError:  # an int beyond float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return z
 
 
 def _coef_to_json(coef: np.ndarray) -> list:

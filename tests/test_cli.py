@@ -31,6 +31,13 @@ from fockcalc.cli import build_parser, run
 PI = math.pi
 
 
+def run_process(*argv):
+    """``python -m fockcalc`` on argv in its own process, where numpy's warnings reach stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "fockcalc", *argv], capture_output=True, text=True, env=env)
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -156,6 +163,17 @@ def test_compose_rejects_nan_coefficient(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["compose", "oracle-check"])
+def test_coefficient_overflow_is_one_line(tmp_path, command):
+    # 1e200 squared overflows in the composition; four numpy RuntimeWarning lines
+    # used to come before the error
+    body = {"schema": "kernel/1", **unit_expr(Bergman(1)).to_json_dict()}
+    body["terms"][0]["coef"] = [[[1e200, 0.0]]]
+    kf = write_json(tmp_path, "big.json", body)
+    proc = run_process(command, "--left", kf, "--right", kf)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "fockcalc: error: non-finite coefficient\n")
 
 
 # -- oracle-check -----------------------------------------------------------------
@@ -290,13 +308,7 @@ def test_toeplitz_leading_sum_overflow_is_one_line(tmp_path):
     k = 4
     rows = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     sf = symbol_file(tmp_path, "big.json", Symbol.from_terms(5, 1, {(e, e): 1.7e308 for e in rows}))
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockcalc", "toeplitz-leading", "--kind", "YY", "--symbol", sf],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_process("toeplitz-leading", "--kind", "YY", "--symbol", sf)
     assert proc.returncode == 2
     assert proc.stderr == "fockcalc: error: lambda_eq: the sum of 4 contracted symbol terms overflows a float\n"
 
@@ -364,6 +376,16 @@ def test_constants_errors(tmp_path, geom_data):
     )
     bad = write_json(tmp_path, "bad.json", {"schema": "geom/1", "dims": [2], "samples": []})
     assert run(["constants", "--geom", bad, "--which", "c0"]) == 2
+
+
+def test_constants_c0_without_a_wy_direction_is_one_line(tmp_path):
+    # a valid geom/1 file whose sample has only XW directions used to end in a
+    # ValueError traceback and exit 1
+    sample = GeometrySample(id="p0", normal_dirs=(NormalDirection(id="f1", level="XW", d_scal_diff=3.0),))
+    gf = geom_file(tmp_path, "xw.json", GeometryData(dims=(0, 1, 2), samples=(sample,)))
+    proc = run_process("constants", "--geom", gf, "--which", "c0")
+    want = "fockcalc: error: sample 'p0' has no N^(W|Y) direction data\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
 
 @pytest.mark.parametrize("field", ["scal_X", "scal_Y", "scal_W", "kappa", "d_scal_diff"])

@@ -93,6 +93,17 @@ def test_constructors_reject_non_finite_and_misshapen_matrices():
         data_with([GeometrySample(id="s", lambda_RF_X=[[math.nan]], normal_dirs=(wy("d", d_scal=1.0),))])
 
 
+@pytest.mark.parametrize("value", ["2j", True, [[None]]])
+def test_constructors_reject_matrices_of_non_numbers(value):
+    # nabla_lambda_diff="2j" used to be read as 2j and True as 1
+    with pytest.raises(ValueError, match=r"^nabla_lambda_diff\[d\] must be a number or a matrix of numbers"):
+        data_with([GeometrySample(id="s", normal_dirs=(wy("d", nabla=value),))])
+    with pytest.raises(ValueError, match=r"^lambda_RF_Y\[s\] must be a number or a matrix of numbers"):
+        data_with([GeometrySample(id="s", lambda_RF_Y=value, normal_dirs=(wy("d", d_scal=1.0),))])
+    with pytest.raises(ValueError, match=r"^nabla_lambda_diff\[d\] must be a number"):
+        wy("d", nabla=value).matrix(1)
+
+
 def test_json_round_trip():
     h = 2j * PI * np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])
     sample = GeometrySample(
@@ -167,6 +178,8 @@ def test_hermitian_eigs_errors():
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         hermitian_eigs(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^matrix must be a number or a matrix of numbers"):
+        hermitian_eigs([["2", 0.0], [0.0, True]])  # once read as diag(2, 1)
     with pytest.raises(ValueError, match="non-finite"):
         hermitian_eigs(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
@@ -200,6 +213,14 @@ def test_c0_requires_wy_direction():
     )
     with pytest.raises(ValueError, match="direction data"):
         c0(data_with([xw_only]))
+
+
+def test_c0_reads_its_seed_as_an_integer():
+    # seed=1.5 used to end in numpy's TypeError (rank > 1), or pass unused (rank 1)
+    data = data_with([GeometrySample(id="s", normal_dirs=(wy("d", d_scal=1.0),))])
+    for seed in (1.5, "0", True):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            c0(data, seed=seed)
 
 
 def test_c0_commuting_matrix_case():
@@ -436,3 +457,17 @@ def test_tower_errors():
         tower_dp3([], {"e1": 1.0})
     with pytest.raises(ValueError, match="not tabulated in any level"):
         tower_dp3([lower], {"e9": 1.0})
+    with pytest.raises(ValueError, match="^fiber_rank must be an integer"):
+        tower_dp3([lower], {"e1": 1.0}, fiber_rank=1.5)
+
+
+@pytest.mark.parametrize("value, match", [("1", "a number"), (True, "a number"), (None, "a number"), (math.nan, "finite")])
+@pytest.mark.parametrize("component", ["e1", "f1"])
+def test_dp3_and_tower_read_direction_coefficients(component, value, match):
+    # a string coefficient used to be read as a number, and a NaN one gave a NaN matrix
+    sample = _two_frame_sample()
+    for call in (lambda d: dp3(data_with([sample]), d), lambda d: tower_dp3([sample], d)):
+        with pytest.raises(ValueError, match=f"^direction coefficient '{component}' must be {match}"):
+            call({component: value})
+    with pytest.raises(ValueError, match="^direction must be a JSON object"):
+        dp3(data_with([sample]), [("e1", 1.0)])

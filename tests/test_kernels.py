@@ -259,6 +259,22 @@ def test_scaled_kernel_rejects_a_non_finite_prefactor(prefactor):
         ScaledKernel(unit_expr(Bergman(1)), prefactor=prefactor)
 
 
+@pytest.mark.parametrize("value", ["4", True, None])
+@pytest.mark.parametrize("field", ["p", "prefactor"])
+def test_scaled_kernel_rejects_a_level_or_prefactor_that_is_no_number(field, value):
+    # "4" used to pass as a level and fail later; True passed as p = 1 or prefactor 1
+    with pytest.raises(ValueError, match=f"^{field} must be a (real )?number, got {value!r}$"):
+        ScaledKernel(unit_expr(Bergman(1)), **{field: value})
+
+
+@pytest.mark.parametrize("scalar, match", [("1e3", "a number"), (True, "a number"), (math.nan, "finite")])
+def test_kernel_expr_scale_reads_its_scalar(scalar, match):
+    # unit_expr(Bergman(1)).scale("1e3") used to multiply by 1000
+    with pytest.raises(ValueError, match=f"^scalar must be {match}"):
+        unit_expr(Bergman(1)).scale(scalar)
+    assert unit_expr(Bergman(1)).scale(np.float32(2.0)).numerator.coefs[0, 0, 0] == 2.0
+
+
 # -- ladder operators ---------------------------------------------------------------
 
 
@@ -459,3 +475,22 @@ def test_kernel_expr_json_round_trip(rng):
         assert back.numerator.max_coef_diff(e.numerator) < 1e-15
     with pytest.raises(ValueError):
         KernelExpr.from_json_dict({"dims": {"n": 1}, "kind": "Bergman", "terms": [], "x": 1})
+
+
+@pytest.mark.parametrize(
+    "kind, dims",
+    [
+        (Bergman(2), Dims.of(2, m=0)),
+        (OrthBergman(2, 1), Dims.of(2, m=0)),
+        (Extension(3, 1), Dims.of(3)),
+        (Restriction(3, 1), Dims(n=3, l=1, m=0, fiber_rank=2)),
+    ],
+)
+def test_kernel_json_keeps_the_kind_whatever_the_numerator_dims(kind, dims):
+    # kernel/1 used to carry the numerator's own m, so OrthBergman(2,1) read back
+    # as OrthBergman(2,0) and Extension(3,1) as Extension(3,3)
+    e = KernelExpr(Poly.one(dims), kind)
+    back = KernelExpr.from_json_dict(e.to_json_dict())
+    assert (type(back.kind), back.kind) == (type(kind), kind)
+    assert back.dims.fiber_rank == dims.fiber_rank
+    assert back.numerator.max_coef_diff(e.numerator) == 0.0

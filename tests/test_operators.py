@@ -222,6 +222,31 @@ def test_rotate_symbol_signed_permutation_is_exact():
     assert rotate_symbol(Symbol.zero(4, 1), U).is_zero()
 
 
+# A number each public operator function or constructor reads, as a call on the
+# value and the start of the error it must raise.  Each once took a string or a
+# boolean as a number (or failed with a TypeError), and a NaN rotation or
+# scale of the zero symbol passed.
+_G = Symbol.monomial(2, 1, (1,), (1,))
+NUMBER_ARGUMENTS = {
+    "CutoffSpec r_perp": (lambda v: CutoffSpec(r_perp=v), "r_perp must be"),
+    "m_op p": (lambda v: m_op(_G, p=v), "p must be"),
+    "h_gp p": (lambda v: h_gp(_G, p=v), "p must be"),
+    "bracket p": (lambda v: bracket(_G, p=v), "p must be"),
+    "c1_c2 kappa": (lambda v: c1_c2(_G, kappa_samples=[1.0, v]), "kappa sample"),
+    "rotate_symbol U": (lambda v: rotate_symbol(_G, [[v]]), "(non-finite )?rotation"),
+    "Symbol.scale": (lambda v: _G.scale(v), "scalar must be"),
+    "Symbol.scale of zero": (lambda v: Symbol.zero(2, 1).scale(v), "scalar must be"),
+}
+
+
+@pytest.mark.parametrize("value", ["4", True, math.nan])
+@pytest.mark.parametrize("site", sorted(NUMBER_ARGUMENTS))
+def test_number_arguments_reject_strings_booleans_and_nan(site, value):
+    call, match = NUMBER_ARGUMENTS[site]
+    with pytest.raises(ValueError, match=f"^{match}"):
+        call(value)
+
+
 # SHA-256 over the JSON of lambda_eq, lambda_h, lambda_a, adjoint and both
 # to_poly slots of every symbol of ``_pinned_symbols``, in order, each
 # polynomial with its exponent rows in store order (the order later products
@@ -724,3 +749,10 @@ def test_flat_defect_checks_needs_a_chain():
         ("transitivity", 0, 0),
         ("adjoint_extension", 0, 0),
     ]
+
+
+@pytest.mark.parametrize("max_n", [True, 1.5, "1"])
+def test_flat_defect_checks_reads_max_n_as_an_integer(max_n):
+    # max_n=True used to run as max_n=1 and return 7 records; 1.5 raised a TypeError
+    with pytest.raises(ValueError, match="^max_n must be an integer"):
+        flat_defect_checks(max_n=max_n)

@@ -97,6 +97,25 @@ def test_quad_grid_stores_an_int_node_count():
         QuadGrid(True, 1)
 
 
+def test_integer_arguments_are_read_by_name():
+    # each used to raise a TypeError or run on the value as an int; QuadGrid(4, "x")
+    # was accepted and oracle/1 then carried "n": "x"
+    gaussian_mesh(1, 3), gauss_hermite(1)  # cached, so True must not be served what 1 gets
+    calls = [
+        (lambda: fock_indices(1, 1.5), "max_total"),
+        (lambda: fock_indices(True, 2), "dim"),
+        (lambda: default_eval_points(Bergman(1), Bergman(1), count=2.5), "count"),
+        (lambda: gaussian_mesh(True, 3), "k"),
+        (lambda: gaussian_mesh(1, 2.5), "nodes"),
+        (lambda: gauss_hermite(True), "k"),
+        (lambda: gauss_hermite(2.5), "k"),
+        (lambda: QuadGrid(4, "x"), "n"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+
 # -- basis bookkeeping ---------------------------------------------------------------
 
 
@@ -152,6 +171,15 @@ def test_oracle_compose_takes_its_values_from_oracle_compose_values(monkeypatch)
 def test_oracle_middle_dimension_mismatch():
     with pytest.raises(ValueError):
         oracle_compose_values(unit_expr(Extension(2, 1)), unit_expr(Bergman(2)))
+
+
+def test_oracle_rejects_misshapen_points_and_mixed_fiber_ranks():
+    e = unit_expr(Bergman(1))
+    for check in (oracle_compose, oracle_compose_values):
+        with pytest.raises(ValueError, match="^evaluation point has wrong dimensions$"):
+            check(e, e, eval_points=[(np.zeros(1), np.zeros(1)), (np.zeros(2), np.zeros(1))])
+    with pytest.raises(ValueError, match="^fiber rank mismatch$"):
+        oracle_compose_values(e, unit_expr(Bergman(1), fiber_rank=2))
 
 
 def test_oracle_expected_override_projector_identity(rng):
@@ -249,6 +277,23 @@ def test_laplacian_eigencheck_passes():
     for alpha, beta in (((0,), (0,)), ((2,), (1,)), ((1, 1), (0, 1)), ((0, 2), (2, 0))):
         rep = laplacian_eigencheck(alpha, beta)
         assert rep.passed, f"alpha={alpha} beta={beta}: rel={rep.max_rel:.2e}"
+
+
+def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):
+    # n = 3 at the default 5 nodes is a 5^6 = 15,625-point mesh, checked at every
+    # fourth point: 3,907 of them
+    alpha, beta = (1, 0, 1), (0, 1, 0)
+    checked, report = [], oracle._report
+    monkeypatch.setattr(oracle, "_report", lambda want, *rest: checked.append(len(want)) or report(want, *rest))
+    rep = laplacian_eigencheck(alpha, beta)
+    assert rep.passed and rep.max_rel <= 1e-12, rep
+    assert len(gaussian_mesh(3, 5)[0]) == 15625 and checked == [3907]
+    # a Laplacian off by one part in a million fails on the thinned mesh
+    laplacian = oracle.apply_model_laplacian
+    monkeypatch.setattr(oracle, "apply_model_laplacian", lambda e: laplacian(e).scale(1.0 + 1e-6))
+    rep = laplacian_eigencheck(alpha, beta)
+    assert not rep.passed and 0 <= rep.worst_point < 3907
+    assert math.isclose(rep.max_rel, 1e-6, rel_tol=1e-6)
 
 
 def test_gaussian_mesh_order_and_weights():
