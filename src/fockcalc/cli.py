@@ -15,17 +15,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .poly import DEFAULT_DEGREE_CAP, Dims, Poly
-from .poly import _coef_from_json, _coef_to_json, _json_list, _json_object, _json_real
-
 # Every command needs ``poly``; the other modules are imported by the
 # functions that use them, so a process loads only what its command needs.
-if TYPE_CHECKING:
-    from .kernels import KernelExpr
+from .poly import DEFAULT_DEGREE_CAP, Dims, Poly
+from .poly import _coef_from_json, _coef_to_json, _json_list, _json_object, _json_real
 
 PI = math.pi
 
@@ -35,25 +31,17 @@ MATRIX_SCHEMA = "matrix/1"
 GEOM_SCHEMA = "geom/1"  # geometry.GEOM_SCHEMA, spelled out so the CLI need not load geometry
 
 
-class CliError(Exception):
-    """An input or usage problem the command line itself finds; carries the exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _check_flags(args) -> None:
     """Validate the shared flags the command declares."""
     tol, seed, nodes, degree_cap = (getattr(args, name, None) for name in ("tol", "seed", "nodes", "degree_cap"))
     if tol is not None and not 0 < tol < math.inf:
-        raise CliError(f"--tol must be positive and finite, got {tol}")
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
     if seed is not None and seed < 0:
-        raise CliError(f"--seed must be >= 0, got {seed}")
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if nodes is not None and nodes < 1:
-        raise CliError(f"--nodes must be >= 1, got {nodes}")
+        raise ValueError(f"--nodes must be >= 1, got {nodes}")
     if degree_cap is not None and degree_cap < 0:
-        raise CliError(f"--degree-cap must be >= 0, got {degree_cap}")
+        raise ValueError(f"--degree-cap must be >= 0, got {degree_cap}")
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -63,13 +51,13 @@ def _read_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
+        raise ValueError(f"cannot read {path}: {e}")
     try:
         data = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
-        raise CliError(f"malformed JSON in {path}: {e}")
+        raise ValueError(f"malformed JSON in {path}: {e}")
     if not isinstance(data, dict):
-        raise CliError(f"top-level JSON in {path} must be an object")
+        raise ValueError(f"top-level JSON in {path} must be an object")
     return data
 
 
@@ -89,12 +77,12 @@ def _load(path: str, schema: str, reader):
     data = _read_json(path)
     if schema != GEOM_SCHEMA:
         if data.get("schema") != schema:
-            raise CliError(f"{path}: schema {data.get('schema')!r} does not match expected {schema!r}")
+            raise ValueError(f"{path}: schema {data.get('schema')!r} does not match expected {schema!r}")
         data = {k: v for k, v in data.items() if k != "schema"}
     try:
         return reader(data)
     except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise CliError(f"{path}: {_PAYLOAD_ERRORS[schema]}{e}")
+        raise ValueError(f"{path}: {_PAYLOAD_ERRORS[schema]}{e}")
 
 
 def _read_matrix(body: dict) -> np.ndarray:
@@ -104,10 +92,6 @@ def _read_matrix(body: dict) -> np.ndarray:
         raise ValueError("missing 'matrix' field")
     rows = _json_list(body["matrix"], "'matrix'", "rows")
     return _coef_from_json(rows, len(rows), "matrix")
-
-
-def _kernel_json(e: KernelExpr) -> dict:
-    return {"schema": KERNEL_SCHEMA, **e.to_json_dict()}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -121,26 +105,26 @@ def _emit_json(obj: dict, out: str | None) -> None:
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as e:
-        raise CliError(f"result is not finite: {e}")
+        raise ValueError(f"result is not finite: {e}")
     _emit(text + "\n", out)
 
 
 def _parse_direction(text: str | None) -> dict[str, complex]:
     if text is None:
-        raise CliError("--direction is required for dp3 and tower")
+        raise ValueError("--direction is required for dp3 and tower")
     try:
         raw = json.loads(text)
     except ValueError as e:
-        raise CliError(f"--direction is not valid JSON: {e}")
+        raise ValueError(f"--direction is not valid JSON: {e}")
     if not isinstance(raw, dict) or not raw:
-        raise CliError("--direction must be a non-empty JSON object of id -> coefficient")
+        raise ValueError("--direction must be a non-empty JSON object of id -> coefficient")
     out: dict[str, complex] = {}
     for key, val in raw.items():
         try:
             re, im = val if isinstance(val, list) else (val, 0.0)
             out[key] = complex(_json_real(re, key), _json_real(im, key))
         except ValueError:
-            raise CliError(f"--direction value for {key!r} must be a finite number or [re, im]") from None
+            raise ValueError(f"--direction value for {key!r} must be a finite number or [re, im]") from None
     return out
 
 
@@ -154,7 +138,7 @@ def _cmd_compose(args) -> int:
     e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
     plan = compose_plan(e1.kind, e2.kind)
     # a result kind without a kernel/1 name cannot be written
-    result = _kernel_json(compose(e1, e2, degree_cap=args.degree_cap))
+    result = {"schema": KERNEL_SCHEMA, **compose(e1, e2, degree_cap=args.degree_cap).to_json_dict()}
     _emit_json({"schema": "compose/1", "plan": plan.to_json_dict(), "result": result}, args.out)
     return 0
 
@@ -165,7 +149,7 @@ def _cmd_oracle_check(args) -> int:
     from .oracle import QuadGrid, default_eval_points, oracle_compose
 
     if args.points < 1:
-        raise CliError(f"--points must be >= 1, got {args.points}")
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
     plan = compose_plan(e1.kind, e2.kind)
     grid = None if args.nodes is None else QuadGrid(nodes_per_axis=args.nodes, n=e1.kind.dp)
@@ -248,7 +232,7 @@ def _cmd_constants(args) -> int:
         payload = {"schema": "constants/1", "which": which, "matrix": _coef_to_json(mat)}
     if args.csv is not None:
         if csv_rows is None:
-            raise CliError("--csv only applies to constant tables (c0, c3c4)")
+            raise ValueError("--csv only applies to constant tables (c0, c3c4)")
         lines = ["constant,value,sample_id"]
         lines += [f"{name},{value!r},{sid}" for name, value, sid in csv_rows]
         Path(args.csv).write_text("\n".join(lines) + "\n")
@@ -260,15 +244,14 @@ def _cmd_defect_check(args) -> int:
     from .operators import flat_defect_checks
 
     if args.max_n < 0:
-        raise CliError(f"--max-n must be >= 0, got {args.max_n}")
+        raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     explicit = [v is not None for v in (args.n, args.l, args.m)]
     if any(explicit) and not all(explicit):
-        raise CliError("--n, --l, --m must be given together")
-    records = []
+        raise ValueError("--n, --l, --m must be given together")
     if all(explicit):
         n, l, m = args.n, args.l, args.m
         if not (0 <= m <= l <= n):
-            raise CliError(f"need 0 <= m <= l <= n, got n={n} l={l} m={m}")
+            raise ValueError(f"need 0 <= m <= l <= n, got n={n} l={l} m={m}")
         full = flat_defect_checks(max_n=n)
         records = [
             rec
@@ -542,16 +525,16 @@ def run(argv=None) -> int:
         _check_flags(args)
         with np.errstate(all="ignore"):
             return _DISPATCH[args.command](args)
-    except (CliError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"fockcalc: error: {e}\n")
-        return e.code if isinstance(e, CliError) else 2
+        return 2
 
 
 def main() -> None:
     sys.exit(run())
 
 
-__all__ = ["CliError", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 
 if __name__ == "__main__":

@@ -286,7 +286,7 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 
         value = 0.0
         for _ in range(80):
             A = np.tensordot(u, stack, axes=(0, 0))
-            x = _top_right_singular(A)
+            x = np.linalg.eigh(A.conj().T @ A)[1][:, -1]  # top right singular vector of A
             y = A @ x
             ny = np.linalg.norm(y)
             if ny == 0.0:
@@ -303,11 +303,6 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 
             value = nc
         best = max(best, value)
     return float(best)
-
-
-def _top_right_singular(A: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of A^H A for its largest eigenvalue."""
-    return np.linalg.eigh(A.conj().T @ A)[1][:, -1]
 
 
 def c0(data: GeometryData, seed: int = 0) -> ConstantResult:
@@ -389,7 +384,8 @@ def tower_dp3(
     """
     if not levels:
         raise ValueError("tower needs at least one level record")
-    r = _json_int(fiber_rank, "fiber_rank")
+    if (r := _json_int(fiber_rank, "fiber_rank")) < 1:
+        raise ValueError(f"fiber_rank must be >= 1, got {r}")
     direction = _json_object(direction, "direction")
     direction = {k: _json_complex(v, f"direction coefficient {k!r}") for k, v in direction.items()}
     acc = np.zeros((r, r), dtype=complex)

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, variable_columns, _collect
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, _as_points, _collect, _columns
 from .poly import _json_complex, _json_int, _json_number, _json_object
 
 __all__ = [
@@ -158,6 +158,13 @@ def primed_dim(kind: KernelKind) -> int:
     return kind.dp
 
 
+def _kernel_points(kind: KernelKind, Z, Zp) -> tuple[np.ndarray, np.ndarray]:
+    """The N point pairs a kernel of ``kind`` is evaluated at, read: ``(N, du)`` and ``(N, dp)``."""
+    shape = "{what} have shape {shape}, kernel expects (N, {d})"
+    zu = _as_points(Z, kind.du, "unprimed points", wrong_shape=shape)
+    return zu, _as_points(Zp, kind.dp, "primed points", len(zu), shape)
+
+
 def _gaussian(kind: KernelKind, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
     """Kernel values at N point pairs, ``zu`` of shape (N, du) and ``zp`` (N, dp)."""
     c = kind.c
@@ -207,13 +214,12 @@ class KernelExpr:
 
     def evaluate_batch(self, Z, Zp) -> np.ndarray:
         """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
-        kind, n = self.kind, self.kind.n
-        zu, zp = np.asarray(Z, dtype=complex), np.asarray(Zp, dtype=complex)
-        for z, dim, label in ((zu, kind.du, "unprimed"), (zp, kind.dp, "primed")):
-            if z.ndim != 2 or z.shape[1] != dim or len(z) != len(zu):
-                raise ValueError(f"{label} points have shape {z.shape}, kernel expects (N, {dim})")
-        X = variable_columns(n, zu, zu.conj(), zp, zp.conj())
-        return self.numerator.evaluate_batch(X) * _gaussian(kind, zu, zp)[:, None, None]
+        return self._values(*_kernel_points(self.kind, Z, Zp))
+
+    def _values(self, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` at point pairs already read."""
+        X = _columns(self.kind.n, len(zu), (zu, zu.conj(), zp, zp.conj()))
+        return self.numerator._values(X) * _gaussian(self.kind, zu, zp)[:, None, None]
 
     # -- serialization ------------------------------------------------------
 
@@ -261,8 +267,12 @@ class ScaledKernel:
 
     def evaluate_batch(self, Z, Zp) -> np.ndarray:
         """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
-        zu, zp = (math.sqrt(self.p) * np.asarray(z, dtype=complex) for z in (Z, Zp))
-        return self.prefactor * self.expr.evaluate_batch(zu, zp)
+        return self._values(*_kernel_points(self.kind, Z, Zp))
+
+    def _values(self, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` at point pairs already read."""
+        s = math.sqrt(self.p)
+        return self.prefactor * self.expr._values(s * zu, s * zp)
 
     def adjoint(self) -> "ScaledKernel":
         return ScaledKernel(self.expr.adjoint(), self.p, self.prefactor.conjugate())

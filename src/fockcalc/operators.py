@@ -9,8 +9,8 @@ serializers build or walk a dict.  On top of it this module provides:
 
 * the three Gaussian-moment contractions ``lambda_eq`` / ``lambda_h`` /
   ``lambda_a`` plus quadrature cross-checks of each;
-* cutoff profiles (:class:`CutoffSpec`) and the ``bracket`` field;
-* model operators ``m_op`` (direct and adjoint variants);
+* cutoff profiles (:class:`CutoffSpec`);
+* model operators ``m_op`` (direct and adjoint variants, sampled under a cutoff);
 * the normal-fibre integral ``h_gp``, norm constants ``c1_c2`` and the
   Gram-matrix ``norm_estimate`` over exact Fock pairings;
 * the leading-term dispatch ``toeplitz_leading`` together with the fully
@@ -29,31 +29,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import (
-    Dims,
-    Poly,
-    O_Z,
-    O_ZB,
-    variable_columns,
-    _as_coef,
-    _collect,
-    _coef_to_json,
-    _coef_from_json,
-    _exponent_rows,
-    _json_int,
-    _json_list,
-    _json_number,
-    _json_object,
-)
-from .kernels import (
-    TOEPLITZ_KINDS,
-    KernelExpr,
-    ScaledKernel,
-    Bergman,
-    Extension,
-    Restriction,
-    unit_expr,
-)
+from .poly import Dims, Poly, O_Z, O_ZB, _as_coef, _as_numbers, _as_points, _collect, _columns, _coef_to_json
+from .poly import _coef_from_json, _exponent_rows, _json_int, _json_list, _json_number, _json_object
+from .kernels import TOEPLITZ_KINDS, KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
+from .kernels import _kernel_points
 from .compose import _one_sided, _over_pi, compose
 from .geometry import hermitian_eigs
 
@@ -212,17 +191,18 @@ class Symbol:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate_split(self, hol_point, anti_point) -> np.ndarray:
-        """Polarized value: w^alpha from hol_point, wbar^beta from anti_point."""
-        return self.evaluate_batch(np.reshape(hol_point, (1, -1)), np.reshape(anti_point, (1, -1)))[0]
+        """Polarized value: w^alpha from hol_point, wbar^beta from anti_point, each of length n-m."""
+        return self.evaluate_batch([hol_point], [anti_point])[0]
 
     def evaluate_batch(self, hol, anti) -> np.ndarray:
         """Polarized values at N points: hol and anti are (N, n-m); returns (N, r, r)."""
-        zh, za = np.asarray(hol, dtype=complex), np.asarray(anti, dtype=complex)
-        if zh.ndim != 2 or zh.shape[1] != self.k or za.shape != zh.shape:
-            raise ValueError(f"normal point must have length {self.k}")
-        tangential = np.zeros((len(zh), self.m))
-        zh, za = np.concatenate([tangential, zh], axis=1), np.concatenate([tangential, za], axis=1)
-        return self.poly.evaluate_batch(variable_columns(self.n, zh, za, 0.0, 0.0))
+        shape = "{what} normal point must have length {d}"
+        zh = _as_points(hol, self.k, "hol", wrong_shape=shape)
+        return self._values(zh, _as_points(anti, self.k, "anti", len(zh), shape))
+
+    def _values(self, zh: np.ndarray, za: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` at points already read, the normal coordinates after the m tangential ones."""
+        return self.poly._values(_columns(self.n, len(zh), (zh, za, 0.0, 0.0), self.m))
 
     # -- kernel embeddings ----------------------------------------------------
 
@@ -321,7 +301,7 @@ class CutoffSpec:
 
     def rho(self, x) -> np.ndarray:
         """Profile values at an array of x = |Z_N| / r_perp, elementwise."""
-        x = np.asarray(x, dtype=float)
+        x = _as_numbers(x, "x", real=True)
         if self.is_identity:
             return np.ones_like(x)
         out = np.zeros_like(x)
@@ -392,7 +372,12 @@ def _mesh_integral(g: Symbol, nodes: int, hol_shift=0.0, anti_shift=0.0) -> np.n
     from .oracle import gaussian_mesh  # only the quadrature checks need the oracle
 
     pts, wts = gaussian_mesh(g.k, nodes)
-    return np.tensordot(wts, g.evaluate_batch(pts + hol_shift, pts.conj() + anti_shift), axes=1)
+    return np.tensordot(wts, g._values(pts + hol_shift, pts.conj() + anti_shift), axes=1)
+
+
+def _shift(g: Symbol, point, what: str) -> np.ndarray:
+    """A normal point of g, read: ``(n-m,)``."""
+    return _as_points([point], g.k, what, wrong_shape="{what} must have length {d}")[0]
 
 
 def lambda_eq_quadrature(g: Symbol, nodes: int = 20) -> np.ndarray:
@@ -403,49 +388,35 @@ def lambda_eq_quadrature(g: Symbol, nodes: int = 20) -> np.ndarray:
 def lambda_h_quadrature(g: Symbol, z_point, nodes: int = 20) -> np.ndarray:
     """Independent check of lambda_h at a holomorphic point z:
     integral of g(z + u, ubar) exp(-pi|u|^2) du minus the lambda_eq part."""
-    return _mesh_integral(g, nodes, hol_shift=np.ravel(z_point)) - lambda_eq_quadrature(g, nodes)
+    return _mesh_integral(g, nodes, hol_shift=_shift(g, z_point, "z_point")) - lambda_eq_quadrature(g, nodes)
 
 
 def lambda_a_quadrature(g: Symbol, zbar_point, nodes: int = 20) -> np.ndarray:
     """Independent check of lambda_a at an antiholomorphic point zbar."""
-    return _mesh_integral(g, nodes, anti_shift=np.ravel(zbar_point)) - lambda_eq_quadrature(g, nodes)
+    return _mesh_integral(g, nodes, anti_shift=_shift(g, zbar_point, "zbar_point")) - lambda_eq_quadrature(g, nodes)
 
 
-# -- bracket fields and model operators ----------------------------------------
-
-
-@dataclass(frozen=True)
-class BracketField:
-    """The cutoff symbol field rho(|Z_N|/r_perp) * g(sqrt(p) Z_N)."""
-
-    symbol: Symbol
-    p: float
-    cutoff: CutoffSpec
-
-    def evaluate_batch(self, Z_N) -> np.ndarray:
-        """Values at N normal points, Z_N of shape (N, n-m): (N, r, r)."""
-        z = math.sqrt(self.p) * np.asarray(Z_N, dtype=complex)
-        values = self.symbol.evaluate_batch(z, z.conj())
-        return self.cutoff.rho(np.linalg.norm(Z_N, axis=1) / self.cutoff.r_perp)[:, None, None] * values
-
-
-def bracket(g: Symbol, p: float, cutoff: CutoffSpec | None = None) -> BracketField:
-    return BracketField(g, _check_level(p), cutoff or IDENTITY_CUTOFF)
+# -- model operators --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MOpField:
-    """Sampled model-operator kernel: cutoff factor times a scaled kernel."""
+    """Sampled model-operator kernel: cutoff factor times a scaled kernel.
+
+    The normal variables are the coordinates past m of the wider argument:
+    the primed one of a restriction kernel (``dp > du``), else the unprimed.
+    """
 
     base: ScaledKernel
     cutoff: CutoffSpec
-    normal_slot: str  # which argument carries the normal variables
 
     def evaluate_batch(self, Z, Zp) -> np.ndarray:
         """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
-        values = self.base.evaluate_batch(Z, Zp)
-        normal = np.asarray(Zp if self.normal_slot == "primed" else Z)[:, self.base.kind.m :]
-        return self.cutoff.rho(np.linalg.norm(normal, axis=1) / self.cutoff.r_perp)[:, None, None] * values
+        kind = self.base.kind
+        zu, zp = _kernel_points(kind, Z, Zp)
+        normal = (zp if kind.dp > kind.du else zu)[:, kind.m :]
+        rho = self.cutoff.rho(np.linalg.norm(normal, axis=1) / self.cutoff.r_perp)
+        return rho[:, None, None] * self.base._values(zu, zp)
 
 
 def m_op(
@@ -471,16 +442,14 @@ def m_op(
     if variant == "direct":
         expr = KernelExpr(g.to_poly("unprimed"), Extension(n, m))
         base = ScaledKernel(expr, p, p**m)
-        slot = "unprimed"
     elif variant == "adjoint":
         expr = KernelExpr(g.to_poly("primed"), Restriction(n, m))
         base = ScaledKernel(expr, p, p**n)
-        slot = "primed"
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if cutoff.is_identity:
         return base
-    return MOpField(base, cutoff, slot)
+    return MOpField(base, cutoff)
 
 
 # -- the h^2 fibre integral ----------------------------------------------------
@@ -820,31 +789,13 @@ def flat_defect_checks(max_n: int = 4, fiber_rank: int = 1) -> list[DefectRecord
         for l in range(n + 1):
             for m in range(l + 1):
                 got = compose(ext[n, l], ext[l, m])
-                want = ext[n, m]
-                records.append(
-                    DefectRecord(
-                        name="transitivity",
-                        n=n,
-                        l=l,
-                        m=m,
-                        deviation=got.numerator.max_coef_diff(want.numerator),
-                    )
-                )
+                records.append(DefectRecord("transitivity", n, l, m, got.numerator.max_coef_diff(ext[n, m].numerator)))
     for n in range(max_n + 1):
         for m in range(n + 1):
             res = unit_expr(Restriction(n, m), fiber_rank)
-            restricted = compose(res, bergman[n])
-            got = compose(res, restricted.adjoint())
-            want = bergman[m]
-            records.append(
-                DefectRecord(
-                    name="adjoint_extension",
-                    n=n,
-                    l=None,
-                    m=m,
-                    deviation=got.numerator.max_coef_diff(want.numerator),
-                )
-            )
+            got = compose(res, compose(res, bergman[n]).adjoint())
+            deviation = got.numerator.max_coef_diff(bergman[m].numerator)
+            records.append(DefectRecord("adjoint_extension", n, None, m, deviation))
     return records
 
 
@@ -852,7 +803,6 @@ __all__ = [
     "Symbol",
     "CutoffSpec",
     "IDENTITY_CUTOFF",
-    "BracketField",
     "MOpField",
     "HgpResult",
     "DefectRecord",
@@ -863,7 +813,6 @@ __all__ = [
     "lambda_eq_quadrature",
     "lambda_h_quadrature",
     "lambda_a_quadrature",
-    "bracket",
     "m_op",
     "h_gp",
     "c1_c2",

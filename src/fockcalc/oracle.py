@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly, _json_int, _json_number, monomial_values, variable_columns
+from .poly import Dims, Poly, _as_points, _columns, _json_int, _json_number, monomial_values
 from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian
 from .compose import compose
 
@@ -69,11 +69,10 @@ class QuadGrid:
     n: int
 
     def __post_init__(self):
-        nodes = _json_int(self.nodes_per_axis, "nodes_per_axis")
-        if nodes < 1:
-            raise ValueError(f"nodes_per_axis must be an integer >= 1, got {nodes!r}")
-        object.__setattr__(self, "nodes_per_axis", nodes)
-        object.__setattr__(self, "n", _json_int(self.n, "n"))
+        for name, least in (("nodes_per_axis", 1), ("n", 0)):  # n = 0 is a valid middle dimension
+            if (value := _json_int(getattr(self, name), name)) < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights absorbing the Gaussian: sum w f(x) ~ int f(x) e^{-pi x^2} dx."""
@@ -165,12 +164,11 @@ def _oracle_inputs(
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
     if eval_points is None:
         eval_points = default_eval_points(e1.kind, e2.kind)
-    du, dp = e1.kind.du, e2.kind.dp
-    z = [np.asarray(Z, dtype=complex).ravel() for Z, _ in eval_points]
-    zp = [np.asarray(Zp, dtype=complex).ravel() for _, Zp in eval_points]
-    if any(len(u) != du for u in z) or any(len(v) != dp for v in zp):
-        raise ValueError("evaluation point has wrong dimensions")
-    return grid, np.array(z, dtype=complex).reshape(len(z), du), np.array(zp, dtype=complex).reshape(len(zp), dp)
+    if not len(eval_points):
+        raise ValueError("need at least one evaluation point")
+    shape = "evaluation point has wrong dimensions"
+    z = _as_points([Z for Z, _ in eval_points], e1.kind.du, "evaluation point", wrong_shape=shape)
+    return grid, z, _as_points([Zp for _, Zp in eval_points], e2.kind.dp, "evaluation point", len(z), shape)
 
 
 def oracle_compose_values(
@@ -223,8 +221,8 @@ def oracle_compose_values(
 
     P = len(z)
     factor = (
-        monomial_values(variable_columns(e1.dims.n, z, z.conj(), 1.0, 1.0), E1)[:, :, None]
-        * monomial_values(variable_columns(e2.dims.n, 1.0, 1.0, zp, zp.conj()), E2)[:, None, :]
+        monomial_values(_columns(e1.dims.n, P, (z, z.conj(), 1.0, 1.0)), E1)[:, :, None]
+        * monomial_values(_columns(e2.dims.n, P, (1.0, 1.0, zp, zp.conj())), E2)[:, None, :]
     ).reshape(P, T1 * T2)
     zi, zpi = np.zeros((2, n_mid, P), dtype=complex)
     zi[:lc], zpi[:rc] = z[:, :lc].T, zp[:, :rc].conj().T
@@ -280,8 +278,6 @@ def oracle_compose(
     closed form.
     """
     grid, z, zp = _oracle_inputs(e1, e2, grid, eval_points)
-    if len(z) == 0:
-        raise ValueError("need at least one evaluation point")
     if expected is None:
         expected = compose(e1, e2)
     numeric = oracle_compose_values(e1, e2, grid, list(zip(z, zp)))
@@ -338,4 +334,4 @@ def laplacian_eigencheck(
     if len(pts) > 4096:
         pts = pts[:: len(pts) // 4096 + 1]
     no_primed = np.zeros((len(pts), 0))
-    return _report(want.evaluate_batch(pts, no_primed), lap.evaluate_batch(pts, no_primed), grid, tol)
+    return _report(want._values(pts, no_primed), lap._values(pts, no_primed), grid, tol)

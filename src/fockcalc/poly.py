@@ -133,11 +133,8 @@ def _as_coef(value, r: int, count: int | None = None, what: str = "coefficient")
     lead = () if count is None else (count,)
     if all(type(v) is np.ndarray and v.dtype.kind in "iufc" for v in (value if count is not None else [value])):
         a = np.array(value, dtype=complex)  # a copy; numeric arrays need no cell-by-cell check
-    else:
-        cells = np.asarray(value, dtype=object)
-        if not all(issubclass(t, numbers.Number) and t is not bool for t in set(map(type, cells.flat))):
-            raise ValueError(f"{what} must be a number or a matrix of numbers, got {value!r}")
-        a = cells.astype(complex)
+    elif (a := _cast_cells(np.asarray(value, dtype=object), complex, what)) is None:
+        raise ValueError(f"{what} must be a number or a matrix of numbers, got {value!r}")
     if a.shape == lead and r == 1:
         a = a.reshape(lead + (1, 1))
     if a.shape != lead + (r, r):
@@ -145,6 +142,51 @@ def _as_coef(value, r: int, count: int | None = None, what: str = "coefficient")
     if not np.isfinite(a).all():
         raise ValueError(f"non-finite {what}")
     a.setflags(write=False)
+    return a
+
+
+def _cast_cells(cells: np.ndarray, dtype, what: str, number=numbers.Number) -> np.ndarray | None:
+    """An object array cast to ``dtype``, or None if a cell is no ``number`` (no
+    boolean is); an integer beyond float range is a non-finite ``what``."""
+    if not all(issubclass(t, number) and t is not bool for t in set(map(type, cells.flat))):
+        return None
+    try:
+        return cells.astype(dtype)
+    except OverflowError:
+        raise ValueError(f"non-finite {what}") from None
+
+
+def _as_points(value, d: int | None, what: str, count=None, wrong_shape="{what} have shape {shape}, need ({n}, {d})"):
+    """N points of C^d read by :func:`_as_numbers`, an ``(N, d)`` array: ``count``
+    points if given, of any width if ``d`` is None.  A list of numeric ndarrays
+    of one shape is stacked by one numpy cast.  A wrong shape, ragged rows
+    included, raises ``wrong_shape`` formatted with ``what``, ``shape`` and the
+    shape needed, ``n`` by ``d``."""
+    if type(value) is list and all(type(v) is np.ndarray and v.dtype.kind in "iufc" for v in value):
+        value = np.array(value, dtype=complex) if len({v.shape for v in value}) == 1 else value
+    try:
+        a = value if type(value) is np.ndarray else np.asarray(value, dtype=object)
+    except ValueError:  # rows of several depths, which numpy cannot hold even as objects
+        a = np.empty(len(value), object)
+    if a.ndim != 2 or (d is not None and a.shape[1] != d) or (count is not None and len(a) != count):
+        need = {"n": "N" if count is None else count, "d": "d" if d is None else d}
+        raise ValueError(wrong_shape.format(what=what, shape=a.shape, **need))
+    return _as_numbers(a, what)
+
+
+def _as_numbers(value, what: str, real: bool = False) -> np.ndarray:
+    """A finite complex (or, if ``real``, float) array of any shape.  A numeric-dtype
+    ndarray is cast at once, and not copied if it has the dtype already; anything
+    else is read cell by cell, as :func:`_as_coef` reads, so booleans and strings
+    are no numbers.  ``what`` names the value in the errors."""
+    dtype, number = (float, numbers.Real) if real else (complex, numbers.Number)
+    if type(value) is np.ndarray and value.dtype.kind in ("iuf" if real else "iufc"):
+        a = value.astype(dtype, copy=False)
+    elif (a := _cast_cells(cells := np.asarray(value, dtype=object), dtype, what, number)) is None:
+        bad = next(v for v in cells.flat if type(v) is bool or not isinstance(v, number))
+        raise ValueError(f"{what} must be {'real ' if real else ''}numbers, got {bad!r}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite {what}")
     return a
 
 
@@ -308,10 +350,11 @@ class Poly:
     def evaluate_batch(self, X) -> np.ndarray:
         """Values at N points given as an ``(N, 4n)`` array of variable values
         in the exponent layout (see :func:`variable_columns`): ``(N, r, r)``."""
+        return self._values(_as_points(X, 4 * self.dims.n, "variable values"))
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` at variable values already read."""
         E, C = self.table
-        X = np.asarray(X, dtype=complex)
-        if X.ndim != 2 or X.shape[1] != E.shape[1]:
-            raise ValueError(f"variable values have shape {X.shape}, need (N, {E.shape[1]})")
         r = self.dims.fiber_rank
         return (monomial_values(X, E) @ C.reshape(-1, r * r)).reshape(len(X), r, r)
 
@@ -364,15 +407,30 @@ def variable_columns(n: int, z, zb, zp, zbp) -> np.ndarray:
     """Values of ``z_i``, ``conj(z_i)``, ``z'_i``, ``conj(z'_i)`` in the ``(N, 4n)``
     exponent layout.
 
-    Each slot is an ``(N, d)`` array filling the first ``d <= n`` coordinates
-    (the rest stay 0) or a scalar for all ``n``.  The slots need not be
-    conjugate pairs, which is how polarized and partial evaluation work.
+    Each slot is an ``(N, d)`` array of points filling the first ``d <= n``
+    coordinates (the rest stay 0) or a number for all ``n``.  The slots need
+    not be conjugate pairs, which is how polarized and partial evaluation work.
     """
-    slots = [np.asarray(v, dtype=complex) for v in (z, zb, zp, zbp)]
-    count = max(len(v) for v in slots if v.ndim)
+    slots, count = [], None
+    for name, v in zip(("z", "zb", "zp", "zbp"), (z, zb, zp, zbp)):
+        if isinstance(v, numbers.Number):
+            v = _json_complex(v, name)
+        elif (v := _as_points(v, None, name, count)).shape[1] > n:
+            raise ValueError(f"{name} have shape {v.shape}, need (N, d) with d <= {n}")
+        else:
+            count = len(v)
+        slots.append(v)
+    if count is None:
+        raise ValueError("need an array of points in at least one slot")
+    return _columns(n, count, slots)
+
+
+def _columns(n: int, count: int, slots, start: int = 0) -> np.ndarray:
+    """:func:`variable_columns` of slots already read, ``(count, d)`` arrays or
+    numbers, filling the coordinates after the first ``start``."""
     X = np.zeros((count, n, 4), dtype=complex)
     for o, v in enumerate(slots):
-        X[:, : v.shape[1] if v.ndim else n, o] = v
+        X[:, start : start + v.shape[1] if type(v) is np.ndarray else n, o] = v
     return X.reshape(count, 4 * n)
 
 
@@ -438,7 +496,7 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Every payload loader reads its fields through these (and :func:`_as_coef`), and
 # so does every public function or constructor for its counts, levels, scalars
 # and matrices: each field type has one rule, and a bad field or argument is
-# named in the error.  Point coordinates are arrays, read by numpy.
+# named in the error.  Point coordinates are arrays, read by :func:`_as_points`.
 
 
 def _json_object(value, what: str, keys=None) -> Mapping:

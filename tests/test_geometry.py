@@ -461,6 +461,14 @@ def test_tower_errors():
         tower_dp3([lower], {"e1": 1.0}, fiber_rank=1.5)
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_tower_rejects_a_fiber_rank_below_one(rank):
+    # 0 gave a 0x0 matrix and -1 numpy's "negative dimensions are not allowed"
+    lower = GeometrySample(id="low", normal_dirs=(wy("e1"),))
+    with pytest.raises(ValueError, match=f"^fiber_rank must be >= 1, got {rank}$"):
+        tower_dp3([lower], {"e1": 1.0}, fiber_rank=rank)
+
+
 @pytest.mark.parametrize("value, match", [("1", "a number"), (True, "a number"), (None, "a number"), (math.nan, "finite")])
 @pytest.mark.parametrize("component", ["e1", "f1"])
 def test_dp3_and_tower_read_direction_coefficients(component, value, match):

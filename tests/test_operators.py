@@ -22,7 +22,6 @@ from fockcalc import (
     ScaledKernel,
     Symbol,
     TOEPLITZ_KINDS,
-    bracket,
     c1_c2,
     compose,
     flat_defect_checks,
@@ -231,7 +230,6 @@ NUMBER_ARGUMENTS = {
     "CutoffSpec r_perp": (lambda v: CutoffSpec(r_perp=v), "r_perp must be"),
     "m_op p": (lambda v: m_op(_G, p=v), "p must be"),
     "h_gp p": (lambda v: h_gp(_G, p=v), "p must be"),
-    "bracket p": (lambda v: bracket(_G, p=v), "p must be"),
     "c1_c2 kappa": (lambda v: c1_c2(_G, kappa_samples=[1.0, v]), "kappa sample"),
     "rotate_symbol U": (lambda v: rotate_symbol(_G, [[v]]), "(non-finite )?rotation"),
     "Symbol.scale": (lambda v: _G.scale(v), "scalar must be"),
@@ -420,24 +418,6 @@ def test_lambda_eq_positive_on_squares(rng):
         assert eigs[0] > -1e-12
 
 
-# -- bracket fields ---------------------------------------------------------------------
-
-
-def test_bracket_field():
-    g = Symbol.monomial(1, 0, (0,), (1,))
-    assert abs(bracket(g, 1.0).evaluate_batch([[1.0]])[0, 0, 0] - 1.0) < 1e-15
-    assert abs(bracket(g, 4.0).evaluate_batch([[1.0]])[0, 0, 0] - 2.0) < 1e-15
-    bump = bracket(g, 4.0, CutoffSpec(r_perp=1.0))
-    values = bump.evaluate_batch([[0.6], [0.2]])
-    assert values.shape == (2, 1, 1)
-    assert values[0, 0, 0] == 0.0
-    assert abs(values[1, 0, 0] - 0.4) < 1e-15
-    with pytest.raises(ValueError, match="normal point must have length 1"):
-        bump.evaluate_batch([0.2])
-    with pytest.raises(ValueError):
-        bracket(g, 0.5)
-
-
 # -- model operators ---------------------------------------------------------------------
 
 
@@ -487,6 +467,16 @@ def test_m_op_bump_field():
     assert np.max(np.abs(adj.evaluate_batch(Zp[1:], Z[1:]))) == 0.0
     with pytest.raises(ValueError, match="kernel expects"):
         op.evaluate_batch([0.5, 0.1], [0.4])
+
+
+def test_m_op_field_takes_its_normal_side_from_the_kind():
+    # the field had a normal_slot of its own, and MOpField(base, cutoff, "sideways") read the unprimed side
+    op = m_op(Symbol.monomial(2, 1, (1,), (0,)), p=1.0, cutoff=CutoffSpec(r_perp=1.0))
+    with pytest.raises(TypeError):
+        MOpField(op.base, op.cutoff, "sideways")
+    square = m_op(Symbol.monomial(1, 1, (), ()), p=1.0, cutoff=CutoffSpec(r_perp=1.0))  # n = m: no normal variable
+    Z = np.array([[5.0]])
+    assert np.array_equal(square.evaluate_batch(Z, Z), square.base.evaluate_batch(Z, Z))
 
 
 def test_m_op_adjoint_identity(rng):

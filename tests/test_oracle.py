@@ -116,6 +116,13 @@ def test_integer_arguments_are_read_by_name():
             call()
 
 
+def test_quad_grid_middle_dimension_is_not_negative():
+    # QuadGrid(4, -1) was accepted and written to oracle/1 as "n": -1; 0 is a valid middle dimension
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, got -1$"):
+        QuadGrid(4, -1)
+    assert QuadGrid(4, 0).to_json_dict() == {"nodes_per_axis": 4, "n": 0}
+
+
 # -- basis bookkeeping ---------------------------------------------------------------
 
 

@@ -462,6 +462,13 @@ def test_mixed_and_object_coefficient_arrays_take_the_checked_path():
     assert p.coefs.tobytes() == np.array([[[1.0, 2], [3j, 4]]], dtype=complex).tobytes()
 
 
+def test_an_integer_coefficient_beyond_float_range_is_non_finite():
+    # it raised an OverflowError from the cast
+    for call in (lambda: Poly.constant(Dims.of(1), 10**400), lambda: Poly(Dims.of(1), {(1, 0, 0, 0): [[10**400]]})):
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            call()
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float32, np.float64, np.complex64, complex])
 def test_numeric_coefficient_arrays_read_like_the_checked_path(dtype):
     from fockcalc.poly import _as_coef
