@@ -35,7 +35,7 @@ _EXPORTS = {
         "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     ),
     "oracle": (
-        "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite", "gaussian_mesh",
+        "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite",
         "default_eval_points", "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     ),
     "operators": (

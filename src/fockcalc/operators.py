@@ -198,11 +198,8 @@ class Symbol:
         """Polarized values at N points: hol and anti are (N, n-m); returns (N, r, r)."""
         shape = "{what} normal point must have length {d}"
         zh = _as_points(hol, self.k, "hol", wrong_shape=shape)
-        return self._values(zh, _as_points(anti, self.k, "anti", len(zh), shape))
-
-    def _values(self, zh: np.ndarray, za: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` at points already read, the normal coordinates after the m tangential ones."""
-        return self.poly._values(_columns(self.n, len(zh), (zh, za, 0.0, 0.0), self.m))
+        za = _as_points(anti, self.k, "anti", len(zh), shape)
+        return self.poly._values(_columns(self.n, len(zh), (zh, za, 0.0, 0.0), self.m))  # after the m tangential ones
 
     # -- kernel embeddings ----------------------------------------------------
 
@@ -367,33 +364,40 @@ def _contract(g: Symbol, left_cross: bool, right_cross: bool) -> tuple[np.ndarra
     return steps[at, 0], C
 
 
-def _mesh_integral(g: Symbol, nodes: int, hol_shift=0.0, anti_shift=0.0) -> np.ndarray:
-    """integral of g(u + hol_shift, conj(u) + anti_shift) exp(-pi|u|^2) du on the mesh."""
-    from .oracle import gaussian_mesh  # only the quadrature checks need the oracle
+def _witness(g: Symbol, nodes: int, point=None, what: str = "", side: int = 0) -> np.ndarray:
+    """Quadrature of integral g(u + hol, ubar + anti) exp(-pi|u|^2) du: unshifted, or with the normal
+    ``point`` as the hol (side 0) or anti (side 1) shift less the unshifted value, both in one pass.
+    Weight and terms are products over coordinates, so it is sum_t C_t prod_i S_i[t], S_i[t] the sum of
+    w (u + hol_i)^a (ubar + anti_i)^b at term t's exponents over coordinate i's ``nodes^2``-point mesh
+    (:func:`~fockcalc.oracle._plane_mesh`): exact once 2 nodes - 1 reaches each real degree."""
+    from .oracle import _plane_mesh  # only the quadrature checks need the oracle
 
-    pts, wts = gaussian_mesh(g.k, nodes)
-    return np.tensordot(wts, g._values(pts + hol_shift, pts.conj() + anti_shift), axes=1)
-
-
-def _shift(g: Symbol, point, what: str) -> np.ndarray:
-    """A normal point of g, read: ``(n-m,)``."""
-    return _as_points([point], g.k, what, wrong_shape="{what} must have length {d}")[0]
+    shifts = np.zeros((2, 1 if point is None else 2, g.k), dtype=complex)  # (hol | anti, shifted | plain, k)
+    if point is not None:
+        shifts[side, 0] = _as_points([point], g.k, what, wrong_shape="{what} must have length {d}")[0]
+    pts, wts = _plane_mesh(nodes)
+    (a, b, C), r = g._table(), g.fiber_rank
+    x, y = pts + shifts[0, ..., None], pts.conj() + shifts[1, ..., None]  # (shifts, k, nodes^2)
+    x_pow = x[..., None, :] ** np.arange(int(a.max(initial=0)) + 1)[:, None]  # each coordinate's powers, once
+    y_pow = y[..., None, :] ** np.arange(int(b.max(initial=0)) + 1)[:, None]
+    sums = (x_pow * wts) @ y_pow.swapaxes(-1, -2)  # (shifts, k, a, b): every exponent pair of each coordinate
+    values = (sums[:, np.arange(g.k), a, b].prod(axis=-1) @ C.reshape(-1, r * r)).reshape(-1, r, r)
+    return values[0] if point is None else values[0] - values[1]
 
 
 def lambda_eq_quadrature(g: Symbol, nodes: int = 20) -> np.ndarray:
-    """Independent check of lambda_eq: integral of g(u) exp(-pi|u|^2) du."""
-    return _mesh_integral(g, nodes)
+    """Independent check of lambda_eq: integral of g(u) exp(-pi|u|^2) du, one-coordinate mesh sums per term."""
+    return _witness(g, nodes)
 
 
 def lambda_h_quadrature(g: Symbol, z_point, nodes: int = 20) -> np.ndarray:
-    """Independent check of lambda_h at a holomorphic point z:
-    integral of g(z + u, ubar) exp(-pi|u|^2) du minus the lambda_eq part."""
-    return _mesh_integral(g, nodes, hol_shift=_shift(g, z_point, "z_point")) - lambda_eq_quadrature(g, nodes)
+    """Independent check of lambda_h at z: integral of g(z + u, ubar) exp(-pi|u|^2) du less its value at z = 0."""
+    return _witness(g, nodes, z_point, "z_point", 0)
 
 
 def lambda_a_quadrature(g: Symbol, zbar_point, nodes: int = 20) -> np.ndarray:
-    """Independent check of lambda_a at an antiholomorphic point zbar."""
-    return _mesh_integral(g, nodes, anti_shift=_shift(g, zbar_point, "zbar_point")) - lambda_eq_quadrature(g, nodes)
+    """Independent check of lambda_a at an antiholomorphic point zbar, mirror of :func:`lambda_h_quadrature`."""
+    return _witness(g, nodes, zbar_point, "zbar_point", 1)
 
 
 # -- model operators --------------------------------------------------------------

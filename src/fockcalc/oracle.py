@@ -6,10 +6,11 @@ composites are integrated directly on Gauss-Hermite grids so the two
 routes check each other.  The one-axis rule is numpy's ``hermgauss``
 (:func:`gauss_hermite`).  The composition oracle shifts each middle
 axis's contour so that its integrand is a polynomial, which the rule
-integrates exactly at any evaluation point; :func:`gaussian_mesh` is the
-one tensor mesh the other quadratures here and in :mod:`.operators`
-integrate on.  The exact Fock pairings and the Gram-matrix norm estimate
-are closed forms and live in :mod:`.operators`.
+integrates exactly at any evaluation point.  The other quadratures, here
+and the lambda witnesses in :mod:`.operators`, work one coordinate at a
+time on :func:`_plane_mesh`, the rule's ``x + iy`` grid on C; none builds
+a tensor mesh on C^k.  The exact Fock pairings and the Gram-matrix norm
+estimate are closed forms and live in :mod:`.operators`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly, _as_points, _columns, _json_int, _json_number, monomial_values
-from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian
+from .poly import O_Z, O_ZP, Dims, Poly, _as_points, _columns, _json_int, _json_number, monomial_values
+from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian, _gaussian
 from .compose import compose
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "QuadGrid",
     "OracleReport",
     "gauss_hermite",
-    "gaussian_mesh",
     "default_eval_points",
     "oracle_compose_values",
     "oracle_compose",
@@ -85,26 +85,15 @@ class QuadGrid:
 
 
 @lru_cache(maxsize=32, typed=True)  # typed, as gauss_hermite
-def gaussian_mesh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tensor mesh on C^k for integrals against exp(-pi |u|^2).
-
-    Points are ``(nodes^(2k), k)``: each coordinate runs over the
-    ``x + iy`` grid of the ``QuadGrid(nodes, k)`` axis nodes, x slower
-    than y, the first coordinate slowest.  The weights ``(nodes^(2k),)``
-    are products of axis weights, which absorb exp(-pi x^2) on each real
-    axis, so a polynomial of degree up to ``2 * nodes - 1`` in each real
-    variable integrates exactly.
-    """
-    k, nodes = _json_int(k, "k"), _json_int(nodes, "nodes")
-    xs, ws = QuadGrid(nodes, k).axis_nodes()
-    axis = (xs[:, None] + 1j * xs[None, :]).ravel()
-    axis_w = (ws[:, None] * ws[None, :]).ravel()
-    idx = np.indices((len(axis),) * k).reshape(k, len(axis) ** k).T
-    pts = axis[idx]
-    wts = np.prod(axis_w[idx], axis=1)
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return pts, wts
+def _plane_mesh(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only mesh on C against exp(-pi |u|^2), exact to degree ``2 * nodes - 1`` in
+    x and in y: the ``x + iy`` grid ``(nodes^2,)`` of the ``QuadGrid`` axis nodes, x
+    slower than y, and the weight products.  A mesh on C^k is k copies, first slowest."""
+    xs, ws = QuadGrid(_json_int(nodes, "nodes"), 1).axis_nodes()
+    mesh = (xs[:, None] + 1j * xs[None, :]).ravel(), (ws[:, None] * ws[None, :]).ravel()
+    for a in mesh:
+        a.setflags(write=False)
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -118,38 +107,26 @@ class OracleReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "worst_point": self.worst_point,
-            "grid": self.grid.to_json_dict(),
-            "pass": self.passed,
-        }
+        errors = {"max_abs": self.max_abs, "max_rel": self.max_rel, "worst_point": self.worst_point}
+        return {**errors, "grid": self.grid.to_json_dict(), "pass": self.passed}
 
 
 # -- numeric composition -------------------------------------------------------
 
-_PALETTE = [
-    0.35 + 0.20j,
-    -0.40 + 0.55j,
-    0.80 - 0.30j,
-    -0.15 - 0.70j,
-    0.50 + 0.45j,
-    1.00 + 0.10j,
-    -0.90 + 0.25j,
-    0.30 - 0.95j,
-]
+_PALETTE = np.array(
+    [0.35 + 0.20j, -0.40 + 0.55j, 0.80 - 0.30j, -0.15 - 0.70j, 0.50 + 0.45j, 1.00 + 0.10j, -0.90 + 0.25j, 0.30 - 0.95j]
+)
 
 
 def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic point pairs with moderate coordinates for oracle checks."""
-    du, dp = kind1.du, kind2.dp
-    pts = []
-    for t in range(_json_int(count, "count")):
-        Z = np.array([_PALETTE[(t + 2 * i) % len(_PALETTE)] for i in range(du)])
-        Zp = np.array([_PALETTE[(t + 3 * i + 5) % len(_PALETTE)] for i in range(dp)])
-        pts.append((Z, Zp))
-    return pts
+    return list(zip(*_palette_points(kind1.du, kind2.dp, _json_int(count, "count"))))
+
+
+def _palette_points(du: int, dp: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`default_eval_points` stacked: ``(count, du)`` and ``(count, dp)``."""
+    t = np.arange(count)[:, None]
+    return _PALETTE[(t + 2 * np.arange(du)) % len(_PALETTE)], _PALETTE[(t + 3 * np.arange(dp) + 5) % len(_PALETTE)]
 
 
 def _oracle_inputs(
@@ -163,7 +140,7 @@ def _oracle_inputs(
     if grid is None:
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
     if eval_points is None:
-        eval_points = default_eval_points(e1.kind, e2.kind)
+        return grid, *_palette_points(e1.kind.du, e2.kind.dp, 5)
     if not len(eval_points):
         raise ValueError("need at least one evaluation point")
     shape = "evaluation point has wrong dimensions"
@@ -171,11 +148,32 @@ def _oracle_inputs(
     return grid, z, _as_points([Zp for _, Zp in eval_points], e2.kind.dp, "evaluation point", len(z), shape)
 
 
+def _outer_monomials(points: np.ndarray, E: np.ndarray, slot: int) -> np.ndarray:
+    """``(P, T)`` monomials ``E`` at the ``(P, d)`` points and conjugates in slots ``slot``, ``slot + 1`` only."""
+    P, dim = points.shape
+    X = np.stack([points, points.conj()], axis=2).reshape(P, 2 * dim)
+    return monomial_values(X, E.reshape(len(E), E.shape[1] // 4, 4)[:, :dim, slot : slot + 2].reshape(len(E), 2 * dim))
+
+
+@lru_cache(maxsize=128)
+def _expansion(d: int) -> np.ndarray:
+    """Read-only ``(d + 1, d + 1)``: row a holds the c_m of w^a conj(w)^(d-a) = sum_m c_m x^m y^(d-m),
+    w = x + iy, built a degree at a time by the factor x + iy (rows a >= 1) or x - iy (row 0);
+    Gaussian integers, exact up to d = 56.  An entry is 16 (d + 1)^2 bytes: 64 nodes^2 at a
+    grid's degree limit 2 nodes - 1, 124 KB at the default 44; every degree to 87 takes 3.7 MB."""
+    c = np.ones((1, 1), dtype=complex)
+    for e in range(1, d + 1):
+        nxt = np.zeros((e + 1, e + 1), dtype=complex)
+        nxt[1:, 1:], nxt[0, 1:] = c, c[0]
+        nxt[1:, :e] += 1j * c
+        nxt[0, :e] -= 1j * c[0]
+        c = nxt
+    c.setflags(write=False)
+    return c
+
+
 def oracle_compose_values(
-    e1: KernelExpr,
-    e2: KernelExpr,
-    grid: QuadGrid | None = None,
-    eval_points: Sequence[tuple] | None = None,
+    e1: KernelExpr, e2: KernelExpr, grid: QuadGrid | None = None, eval_points: Sequence[tuple] | None = None
 ) -> np.ndarray:
     """Numeric values ``(P, r, r)`` of (e1 o e2)(Z, Z') at the P evaluation pairs.
 
@@ -203,65 +201,54 @@ def oracle_compose_values(
         raise ValueError("fiber rank mismatch")
     r, n_mid = e1.dims.fiber_rank, e1.kind.dp
     lc, rc = e1.kind.c, e2.kind.c
-    E1, C1 = e1.numerator.table
-    E2, C2 = e2.numerator.table
+    (E1, C1), (E2, C2) = e1.numerator.table, e2.numerator.table
     T1, T2 = len(E1), len(E2)
 
     # Middle exponents (a, b) of every coordinate and term pair, (n_mid, T1 * T2):
     # z'^a zb'^b of the left term times z^a zb^b of the right one.
-    ab = (
-        E1[:, : 4 * n_mid].reshape(T1, 1, n_mid, 4)[..., 2:]
-        + E2[:, : 4 * n_mid].reshape(1, T2, n_mid, 4)[..., :2]
-    ).reshape(T1 * T2, n_mid, 2).transpose(1, 0, 2)
-    max_ab = int(np.max(ab.sum(axis=-1), initial=0))
+    ab = E1[:, : 4 * n_mid].reshape(T1, 1, n_mid, 4)[..., 2:] + E2[:, : 4 * n_mid].reshape(1, T2, n_mid, 4)[..., :2]
+    ab = ab.reshape(T1 * T2, n_mid, 2).transpose(1, 0, 2)
+    max_ab = int(ab.sum(axis=-1).max(initial=0))
     if 2 * grid.nodes_per_axis - 1 < max_ab:
-        raise InsufficientNodesError(
-            f"{grid.nodes_per_axis} nodes per axis cannot integrate middle degree {max_ab}"
-        )
+        raise InsufficientNodesError(f"{grid.nodes_per_axis} nodes per axis cannot integrate middle degree {max_ab}")
 
     P = len(z)
-    factor = (
-        monomial_values(_columns(e1.dims.n, P, (z, z.conj(), 1.0, 1.0)), E1)[:, :, None]
-        * monomial_values(_columns(e2.dims.n, P, (1.0, 1.0, zp, zp.conj())), E2)[:, None, :]
-    ).reshape(P, T1 * T2)
+    factor = (_outer_monomials(z, E1, O_Z)[:, :, None] * _outer_monomials(zp, E2, O_ZP)[:, None]).reshape(P, -1)
     zi, zpi = np.zeros((2, n_mid, P), dtype=complex)
     zi[:lc], zpi[:rc] = z[:, :lc].T, zp[:, :rc].conj().T
 
-    # Distinct (coordinate, a, b) under one packed key; d = a + b is the degree.
-    S = max_ab + 1
-    keys, inverse = np.unique((np.arange(n_mid)[:, None] * S + ab[..., 0]) * S + ab[..., 1], return_inverse=True)
+    # Distinct (coordinate, a, b), ascending, marked in the packed key range (C order, as the product below reduces).
+    S = max_ab + 1  # also the length of every moment and coefficient row
+    packed = np.ascontiguousarray((np.arange(n_mid)[:, None] * S + ab[..., 0]) * S + ab[..., 1])
+    seen = np.zeros(n_mid * S * S, dtype=bool)
+    seen[packed] = True
+    keys = np.flatnonzero(seen)
     coord, a, b = keys // (S * S), keys // S % S, keys % S
-    d = a + b
-    top = int(np.max(d, initial=0))
 
     # mu[0 | 1, i, m, p]: sum_j W_j (xi_j + shift)^m on the x | y axis of coordinate i.
     xs, ws = grid.axis_nodes()
     shifted = np.stack([0.5 * (zi + zpi), 0.5j * (zpi - zi)])[..., None] + xs
-    mu = np.empty((2, n_mid, top + 1, P), dtype=complex)
+    mu = np.empty((2, n_mid, S, P), dtype=complex)
     mu[:, :, 0] = ws.sum()
     term = ws * shifted
-    for power in range(1, top + 1):
+    for power in range(1, S):
         mu[:, :, power] = term.sum(axis=-1)
         term *= shifted
 
-    # w^a conj(w)^b = sum_m c_m x^m y^(a+b-m) on the shifted axes: c convolves
-    # (x + iy)^a's row C(a, s) i^(a-s) with (x - iy)^b's row C(b, t) (-i)^(b-t).
-    m = np.arange(top + 1)
-    binom = np.array([[math.comb(n, k) for k in range(top + 1)] for n in range(top + 1)], dtype=float)
-    i_pow = np.array([1.0, 1j, -1.0, -1j])
-    left = binom[a] * i_pow[(a[:, None] - m) % 4]
-    right = binom[b] * i_pow[(m - b[:, None]) % 4]
-    lag = m - m[:, None]
-    c = np.einsum("ks,ksm->km", left, np.where(lag >= 0, right[:, lag], 0.0))
-    # Past a + b the rows of c vanish, so the clipped y indices only meet zeros.
+    # w^a conj(w)^b = sum_m c_m x^m y^(a+b-m) on the shifted axes, c from the table of degree
+    # a + b; past a + b the rows of c vanish, so the clipped y indices only meet zeros.
+    c = np.zeros((len(keys), S), dtype=complex)
+    for k, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+        c[k, : i + j + 1] = _expansion(i + j)[i]
+    m, d = np.arange(S), a + b
     mu_y = mu[1][coord[:, None], np.maximum(d[:, None] - m, 0)]
     moments = np.einsum("km,kmp,kmp->pk", c, mu[0][coord], mu_y)
 
-    factor = factor * np.prod(moments[:, inverse.reshape(n_mid, T1 * T2)], axis=1)
+    factor = factor * np.prod(moments[:, (np.cumsum(seen) - 1)[packed]], axis=1)
     pair_coefs = (C1[:, None] @ C2[None, :]).reshape(T1 * T2, r * r)
     acc = (factor @ pair_coefs).reshape(P, r, r)
-    norms = np.sum(np.abs(z) ** 2, axis=1) + np.sum(np.abs(zp) ** 2, axis=1)
-    return np.exp(PI * (np.sum(zi * zpi, axis=0) - 0.5 * norms))[:, None, None] * acc
+    norms = (abs(z) ** 2).sum(axis=1) + (abs(zp) ** 2).sum(axis=1)
+    return np.exp(PI * ((zi * zpi).sum(axis=0) - 0.5 * norms))[:, None, None] * acc
 
 
 def oracle_compose(
@@ -280,37 +267,34 @@ def oracle_compose(
     grid, z, zp = _oracle_inputs(e1, e2, grid, eval_points)
     if expected is None:
         expected = compose(e1, e2)
-    numeric = oracle_compose_values(e1, e2, grid, list(zip(z, zp)))
-    want = expected.evaluate_batch(z, zp)
+    if (expected.kind.du, expected.kind.dp) != (e1.kind.du, e2.kind.dp):
+        raise ValueError(f"expected kind {expected.kind!r} does not match the composite's dimensions")
+    numeric = oracle_compose_values(e1, e2, grid, eval_points)
+    want = expected._values(z, zp)
     return _report(want, numeric.reshape(want.shape), grid, rel_tol)
 
 
 def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> OracleReport:
     """Errors per point, each scaled by that point's largest |want| entry (absolute below 1e-150)."""
-    err = np.max(np.abs(want - got).reshape(len(want), -1), axis=1, initial=0.0)
-    scale = np.max(np.abs(want).reshape(len(want), -1), axis=1, initial=0.0)
+    err = abs(want - got).reshape(len(want), -1).max(axis=1, initial=0.0)
+    scale = abs(want).reshape(len(want), -1).max(axis=1, initial=0.0)
     rel = np.where(scale > 1e-150, err / np.maximum(scale, 1e-150), err)
-    worst = int(np.argmax(rel))
+    worst = int(rel.argmax())
     max_rel, tol = float(rel[worst]), _json_number(tol, "tol")
-    return OracleReport(
-        max_abs=float(np.max(err)), max_rel=max_rel, worst_point=worst, grid=grid, passed=max_rel <= tol
-    )
+    return OracleReport(max_abs=float(err.max()), max_rel=max_rel, worst_point=worst, grid=grid, passed=max_rel <= tol)
 
 
 # -- ladder spectrum check -----------------------------------------------------
 
 
 def laplacian_eigencheck(
-    alpha: Sequence[int],
-    beta: Sequence[int],
-    grid: QuadGrid | None = None,
-    tol: float = 1e-9,
+    alpha: Sequence[int], beta: Sequence[int], grid: QuadGrid | None = None, tol: float = 1e-9
 ) -> OracleReport:
     """Check the flat spectrum: creation^alpha lifts of z^beta Gaussians.
 
-    The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy
-    Laplacian = 4 pi |alpha| pointwise; the residual is evaluated on the
-    grid's tensor mesh, thinned to at most 4096 points by a fixed stride.
+    The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy Laplacian = 4 pi |alpha|
+    pointwise; the residual is evaluated on the grid's tensor mesh (:func:`_plane_mesh` in each
+    coordinate) thinned to at most 4096 points by a fixed stride, each found from its mesh index.
     """
     alpha = tuple(_json_int(a, "alpha entry") for a in alpha)
     beta = tuple(_json_int(b, "beta entry") for b in beta)
@@ -328,10 +312,19 @@ def laplacian_eigencheck(
         for _ in range(alpha[j - 1]):
             state = apply_ladder(state, j, "creation")
     lap = apply_model_laplacian(state)
-    want = state.scale(4.0 * PI * sum(alpha))
 
-    pts, _ = gaussian_mesh(n, grid.nodes_per_axis)
-    if len(pts) > 4096:
-        pts = pts[:: len(pts) // 4096 + 1]
-    no_primed = np.zeros((len(pts), 0))
-    return _report(want._values(pts, no_primed), lap._values(pts, no_primed), grid, tol)
+    plane, _ = _plane_mesh(grid.nodes_per_axis)
+    size = len(plane) ** n
+    index = np.arange(0, size, size // 4096 + 1 if size > 4096 else 1)
+    digits = index[:, None] // len(plane) ** np.arange(n - 1, -1, -1) % len(plane)  # plane point per coordinate
+    pts = plane[digits]
+    # One monomial table for the state and its Laplacian, column by column as monomial_values
+    # builds it, each power taken once per plane point; an Extension(n, 0) numerator uses z, zb only.
+    (Ew, Cw), (El, Cl) = state.numerator.table, lap.numerator.table
+    E, on_plane = np.concatenate([Ew, El]), np.stack([plane, plane.conj()], axis=1)
+    monomials = np.ones((len(pts), len(E)), dtype=complex)
+    for j in E.any(axis=0).nonzero()[0].tolist():
+        monomials *= (on_plane[:, j % 4, None] ** E[:, j])[digits[:, j // 4]]
+    gaussian = _gaussian(state.kind, pts, pts[:, :0])[:, None]
+    want = monomials[:, : len(Ew)] @ (4.0 * PI * sum(alpha) * Cw.reshape(-1, 1)) * gaussian
+    return _report(want, monomials[:, len(Ew) :] @ Cl.reshape(-1, 1) * gaussian, grid, tol)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -407,6 +409,60 @@ def test_lambda_quadrature_rank_two():
     got = lambda_h_quadrature(g, z, nodes=24)
     want = lambda_h(g).evaluate_split(z, np.zeros(2))
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _witness_values(g, z, nodes):
+    return (lambda_eq_quadrature(g, nodes), lambda_h_quadrature(g, z, nodes), lambda_a_quadrature(g, z, nodes))
+
+
+def _closed_form_values(g, z):
+    zero = np.zeros(g.k)
+    return (lambda_eq(g), lambda_h(g).evaluate_split(z, zero), lambda_a(g).evaluate_split(zero, z))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fiber_rank", [1, 2])
+def test_lambda_witnesses_agree_with_the_closed_forms(k, fiber_rank):
+    # degree 4 needs 3 nodes per axis; complex points, so a shift that lost its
+    # imaginary part fails
+    rng = np.random.default_rng(100 * k + fiber_rank)
+    for m in (0, 1):
+        for _ in range(4):
+            g = random_symbol(rng, k + m, m, fiber_rank, max_deg=4, n_terms=5)
+            z = rng.normal(size=k) + 1j * rng.normal(size=k)
+            for got, want in zip(_witness_values(g, z, 6), _closed_form_values(g, z)):
+                assert got.shape == (fiber_rank, fiber_rank)
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_lambda_witnesses_at_the_default_nodes_on_three_normal_variables():
+    # 20 nodes on C^3 is a 20^6 = 64M-point tensor mesh; the witnesses used to
+    # build it (1.5 GB of indices alone) and were killed for lack of memory
+    rng = np.random.default_rng(5)
+    g = random_symbol(rng, 4, 1, 2, max_deg=4, n_terms=6)
+    z = np.array([0.3 - 0.2j, -0.5j, 0.7])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        got = _witness_values(g, z, 20)
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0 and peak < 16 * 2**20, (seconds, peak)
+    for value, want in zip(got, _closed_form_values(g, z)):
+        assert np.max(np.abs(value - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_lambda_witnesses_on_no_normal_variable_and_the_zero_symbol():
+    # k = 0: the integral is the symbol's constant, and a shift has nothing to move
+    coef = np.array([[1.0, 2.0j], [-0.5, 3.0]])
+    g = Symbol.from_terms(2, 2, {((), ()): coef}, fiber_rank=2)
+    assert np.array_equal(lambda_eq_quadrature(g, 4), coef)
+    assert not lambda_h_quadrature(g, [], 4).any() and not lambda_a_quadrature(g, [], 4).any()
+    for k in (1, 3):
+        zero = Symbol.zero(k + 1, 1, fiber_rank=2)
+        for value in _witness_values(zero, np.full(k, 0.5j), 20):
+            assert value.shape == (2, 2) and not value.any()
 
 
 def test_lambda_eq_positive_on_squares(rng):

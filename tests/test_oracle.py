@@ -3,6 +3,8 @@ Fock pairings and norm estimates checked against it."""
 
 import ast
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,6 @@ from fockcalc import (
     default_eval_points,
     fock_indices,
     gauss_hermite,
-    gaussian_mesh,
     gaussian_pairing,
     laplacian_eigencheck,
     m_op,
@@ -100,13 +101,13 @@ def test_quad_grid_stores_an_int_node_count():
 def test_integer_arguments_are_read_by_name():
     # each used to raise a TypeError or run on the value as an int; QuadGrid(4, "x")
     # was accepted and oracle/1 then carried "n": "x"
-    gaussian_mesh(1, 3), gauss_hermite(1)  # cached, so True must not be served what 1 gets
+    oracle._plane_mesh(1), gauss_hermite(1)  # cached, so True must not be served what 1 gets
     calls = [
         (lambda: fock_indices(1, 1.5), "max_total"),
         (lambda: fock_indices(True, 2), "dim"),
         (lambda: default_eval_points(Bergman(1), Bergman(1), count=2.5), "count"),
-        (lambda: gaussian_mesh(True, 3), "k"),
-        (lambda: gaussian_mesh(1, 2.5), "nodes"),
+        (lambda: oracle._plane_mesh(True), "nodes"),
+        (lambda: oracle._plane_mesh(2.5), "nodes"),
         (lambda: gauss_hermite(True), "k"),
         (lambda: gauss_hermite(2.5), "k"),
         (lambda: QuadGrid(4, "x"), "n"),
@@ -173,6 +174,15 @@ def test_oracle_compose_takes_its_values_from_oracle_compose_values(monkeypatch)
     want = values(e1, e2)
     assert want.shape == (5, 1, 1)
     assert np.array_equal(counted(*calls[0][0], **calls[0][1]), want)
+
+
+def test_oracle_compose_refuses_an_expected_form_of_other_dimensions():
+    # the closed form is evaluated at the points already read, so its kind must fit them
+    e = unit_expr(Bergman(1))
+    with pytest.raises(ValueError, match="does not match"):
+        oracle_compose(e, e, expected=unit_expr(Bergman(2)))
+    with pytest.raises(ValueError, match="does not match"):
+        oracle_compose(e, e, expected=unit_expr(Extension(1, 0)))
 
 
 def test_oracle_middle_dimension_mismatch():
@@ -259,10 +269,35 @@ def test_oracle_exact_at_far_points_bergman2_pair():
         assert rep.max_rel <= 1e-12, f"{nodes} nodes: rel={rep.max_rel:.2e} at point {rep.worst_point}"
 
 
+def test_oracle_keeps_its_digits_on_middle_powers_to_eight():
+    # (z'^a + 1) Bergman(1) o (zbar^b + 1) Bergman(1) for a, b <= 8 at 81 point pairs with
+    # |z| <= 4, on the 9-node grid that integrates middle degree 16 exactly.  The worst
+    # per-point error read 6.55e-12 while the expansion was rebuilt on every call from
+    # binomials; a way of building the moments that loses digits fails this 10x bound.
+    dims = Dims.of(1)
+    ring = [4.0, 4.0j, -4.0, -4.0j, 2.8 + 2.8j, -2.8 + 2.8j, 1.0 - 3.0j, 0.5, 0.0]
+    points = [(np.array([z]), np.array([zp])) for z in ring for zp in ring]
+    worst = 0.0
+    for a in range(9):
+        for b in range(9):
+            e1 = KernelExpr(Poly.monomial(dims, {"z'1": a}).add(Poly.one(dims)), Bergman(1))
+            e2 = KernelExpr(Poly.monomial(dims, {"zb1": b}).add(Poly.one(dims)), Bergman(1))
+            worst = max(worst, oracle_compose(e1, e2, grid=QuadGrid(9, 1), eval_points=points).max_rel)
+    assert worst <= 6.6e-11, worst
+
+
+def _names_in(node) -> set[str]:
+    """Every name and attribute a piece of syntax reads."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
 def test_oracle_imports_only_compose_from_compose():
     # the independence contract: no pairing rule, registry or base case, no
     # hand-written moment, and none of the closed forms that moved to operators
-    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "fockcalc" / "oracle.py").read_text())
+    src = Path(__file__).resolve().parent.parent / "src" / "fockcalc"
+    tree = ast.parse((src / "oracle.py").read_text())
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module in ("compose", "fockcalc.compose"):
@@ -275,6 +310,29 @@ def test_oracle_imports_only_compose_from_compose():
     assert "factorial" not in used
     for name in ("norm_estimate", "gaussian_pairing", "fock_indices", "_pairing_row"):
         assert not hasattr(oracle, name), name
+    # the expansion table the oracle caches reads no name compose defines
+    defined = {"compose"} | {
+        target.id if isinstance(target, ast.Name) else target.name
+        for node in ast.parse((src / "compose.py").read_text()).body
+        for target in (node.targets if isinstance(node, ast.Assign) else [node])
+        if isinstance(target, (ast.Name, ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"base_terms", "_one_sided", "_over_pi", "_REGISTRY"} <= defined
+    expansion = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_expansion")
+    assert not _names_in(expansion) & defined
+    # the lambda quadratures, and every operators function they reach, use no pairing
+    # table, no moment rule and none of the closed forms they check
+    body = ast.parse((src / "operators.py").read_text()).body
+    functions = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature"]
+    while todo:
+        if (name := todo.pop()) not in reached:
+            reached.add(name)
+            todo += [used for used in _names_in(functions[name]) if used in functions]
+    assert "_witness" in reached
+    used = set().union(*(_names_in(functions[name]) for name in reached))
+    for rule in ("_one_sided", "_over_pi", "_contract", "base_terms", "_REGISTRY", "compose", "lambda_eq", "lambda_h"):
+        assert rule not in used, rule
 
 
 # -- ladder spectrum -----------------------------------------------------------------
@@ -294,7 +352,7 @@ def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):
     monkeypatch.setattr(oracle, "_report", lambda want, *rest: checked.append(len(want)) or report(want, *rest))
     rep = laplacian_eigencheck(alpha, beta)
     assert rep.passed and rep.max_rel <= 1e-12, rep
-    assert len(gaussian_mesh(3, 5)[0]) == 15625 and checked == [3907]
+    assert len(oracle._plane_mesh(5)[0]) ** 3 == 15625 and checked == [3907]
     # a Laplacian off by one part in a million fails on the thinned mesh
     laplacian = oracle.apply_model_laplacian
     monkeypatch.setattr(oracle, "apply_model_laplacian", lambda e: laplacian(e).scale(1.0 + 1e-6))
@@ -303,21 +361,50 @@ def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):
     assert math.isclose(rep.max_rel, 1e-6, rel_tol=1e-6)
 
 
-def test_gaussian_mesh_order_and_weights():
-    # first coordinate slowest, x before y within a coordinate: the order the
-    # Laplacian check strides through.
-    xs, _ = QuadGrid(nodes_per_axis=3, n=2).axis_nodes()
-    axis = [complex(x, y) for x in xs for y in xs]
-    pts, wts = gaussian_mesh(2, 3)
-    assert pts.shape == (81, 2) and wts.shape == (81,)
-    assert np.array_equal(pts, np.array([(a, b) for a in axis for b in axis]))
+def test_laplacian_eigencheck_keeps_the_full_mesh_stride(monkeypatch):
+    # the 3,907 points checked on the 5-node mesh on C^3 are those a stride of 4
+    # through the whole 15,625-point tensor mesh selects, bit for bit
+    xs, _ = QuadGrid(5, 3).axis_nodes()
+    axis = (xs[:, None] + 1j * xs[None, :]).ravel()
+    full = axis[np.indices((25, 25, 25)).reshape(3, -1).T]
+    seen, gaussian = [], oracle._gaussian
+    monkeypatch.setattr(oracle, "_gaussian", lambda kind, zu, zp: seen.append(zu) or gaussian(kind, zu, zp))
+    assert laplacian_eigencheck((1, 0, 1), (0, 1, 0)).passed
+    assert len(seen) == 1 and seen[0].shape == (3907, 3)
+    assert seen[0].tobytes() == full[::4].tobytes()
+
+
+def test_laplacian_eigencheck_at_twenty_nodes_builds_no_tensor_mesh(monkeypatch):
+    # QuadGrid(20, 3) spans a 20^6 = 64M-point mesh, which the check used to build
+    # whole (gaussian_mesh) before keeping 4,096 of its points
+    def no_mesh(*args):
+        raise AssertionError("the tensor mesh was built")
+
+    monkeypatch.setattr(oracle, "gaussian_mesh", no_mesh, raising=False)
+    checked, report = [], oracle._report
+    monkeypatch.setattr(oracle, "_report", lambda want, *rest: checked.append(len(want)) or report(want, *rest))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rep = laplacian_eigencheck((1, 0, 1), (0, 1, 0), QuadGrid(20, 3))
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.max_rel <= 1e-12 and checked == [4096], rep
+    assert seconds < 1.0 and peak < 16 * 2**20, (seconds, peak)
+
+
+def test_plane_mesh_order_and_weights():
+    # x before y: the order the Laplacian check strides through in each coordinate
+    xs, _ = QuadGrid(nodes_per_axis=3, n=1).axis_nodes()
+    pts, wts = oracle._plane_mesh(3)
+    assert pts.shape == (9,) and wts.shape == (9,)
+    assert np.array_equal(pts, np.array([complex(x, y) for x in xs for y in xs]))
     assert not pts.flags.writeable and not wts.flags.writeable
     # integrates against exp(-pi |u|^2): mass 1, E|u|^2 = 1/pi
-    pts, wts = gaussian_mesh(1, 44)
+    pts, wts = oracle._plane_mesh(44)
     assert abs(float(np.sum(wts)) - 1.0) < 1e-13
-    assert abs(float(np.sum(wts * np.abs(pts[:, 0]) ** 2)) - 1.0 / PI) < 1e-13
-    pts, wts = gaussian_mesh(0, 4)
-    assert pts.shape == (1, 0) and wts.tolist() == [1.0]
+    assert abs(float(np.sum(wts * np.abs(pts) ** 2)) - 1.0 / PI) < 1e-13
 
 
 def test_laplacian_eigencheck_validation():
@@ -410,7 +497,10 @@ def _pairing_by_oracle(expr, beta, gammas, nodes=6):
     bra_kind = Restriction(d, 0)
     powers = {f"zb'{i + 1}": b for i, b in enumerate(beta) if b}
     bra = KernelExpr(Poly.monomial(unit_expr(bra_kind, r).dims, powers, np.eye(r)), bra_kind)
-    pts, wts = gaussian_mesh(d, nodes)
+    xs, ws = (a / math.sqrt(PI) for a in gauss_hermite(nodes))  # the tensor mesh on C^d, first coordinate slowest
+    axis, axis_w = (xs[:, None] + 1j * xs[None, :]).ravel(), (ws[:, None] * ws[None, :]).ravel()
+    idx = np.indices((len(axis),) * d).reshape(d, -1).T
+    pts, wts = axis[idx], np.prod(axis_w[idx], axis=1)
     values = oracle_compose_values(bra, expr, eval_points=[(np.zeros(0), zp) for zp in pts])
     weight = wts * np.exp(0.5 * PI * np.sum(np.abs(pts) ** 2, axis=1))
     return {g: np.tensordot(weight * np.prod(pts ** np.array(g), axis=1), values, axes=1) for g in gammas}

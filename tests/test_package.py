@@ -30,7 +30,7 @@ PUBLIC_API = {
     # compose
     "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     # oracle
-    "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite", "gaussian_mesh",
+    "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite",
     "default_eval_points", "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     # operators
     "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "MOpField", "HgpResult",
