@@ -24,12 +24,11 @@ _EXPORTS = {
     "poly": (
         "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",
         "O_Z", "O_ZB", "O_ZP", "O_ZBP", "var_offset", "var_name", "parse_var_name",
-        "variable_columns", "monomial_values",
     ),
     "kernels": (
         "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
         "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
-        "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
+        "primed_dim", "TOEPLITZ_KINDS",
     ),
     "compose": (
         "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
@@ -40,7 +39,7 @@ _EXPORTS = {
     ),
     "operators": (
         "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "MOpField", "HgpResult",
-        "DefectRecord", "rotate_symbol", "lambda_eq", "lambda_h", "lambda_a",
+        "DefectRecord", "lambda_eq", "lambda_h", "lambda_a",
         "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature",
         "m_op", "h_gp", "c1_c2", "fock_indices", "gaussian_pairing", "norm_estimate",
         "toeplitz_leading", "toeplitz_flat_composite", "toeplitz_predicted_kernel",

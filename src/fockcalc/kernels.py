@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, _as_points, _collect, _columns
+from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, _as_points, _collect
 from .poly import _json_complex, _json_int, _json_number, _json_object
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "apply_ladder",
     "apply_model_laplacian",
     "kind_name",
-    "kind_from_json",
     "primed_dim",
     "TOEPLITZ_KINDS",
 ]
@@ -148,12 +147,6 @@ _FROM_JSON = {
 }
 
 
-def kind_from_json(name: str, dims: Dims) -> KernelKind:
-    if not isinstance(name, str) or name not in _FROM_JSON:
-        raise ValueError(f"unknown kernel kind {name!r}")
-    return _FROM_JSON[name](dims.n, dims.m)
-
-
 def primed_dim(kind: KernelKind) -> int:
     return kind.dp
 
@@ -218,8 +211,7 @@ class KernelExpr:
 
     def _values(self, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
         """:meth:`evaluate_batch` at point pairs already read."""
-        X = _columns(self.kind.n, len(zu), (zu, zu.conj(), zp, zp.conj()))
-        return self.numerator._values(X) * _gaussian(self.kind, zu, zp)[:, None, None]
+        return self.numerator._values((zu, zu.conj(), zp, zp.conj())) * _gaussian(self.kind, zu, zp)[:, None, None]
 
     # -- serialization ------------------------------------------------------
 
@@ -233,8 +225,10 @@ class KernelExpr:
     def from_json_dict(cls, d: Mapping) -> "KernelExpr":
         d = _json_object(d, "kernel expr", ("dims", "kind", "terms"))
         num = Poly.from_json_dict({"dims": d["dims"], "terms": d["terms"]})
-        kind = kind_from_json(d["kind"], num.dims)
-        return cls(num, kind)
+        name = d["kind"]
+        if not isinstance(name, str) or name not in _FROM_JSON:
+            raise ValueError(f"unknown kernel kind {name!r}")
+        return cls(num, _FROM_JSON[name](num.dims.n, num.dims.m))
 
 
 def unit_expr(kind: KernelKind, fiber_rank: int = 1) -> KernelExpr:

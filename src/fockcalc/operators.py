@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly, O_Z, O_ZB, _as_coef, _as_numbers, _as_points, _collect, _columns, _coef_to_json
+from .poly import Dims, Poly, O_Z, O_ZB, _as_coef, _as_numbers, _as_points, _collect, _coef_to_json
 from .poly import _coef_from_json, _exponent_rows, _json_int, _json_list, _json_number, _json_object
 from .kernels import TOEPLITZ_KINDS, KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
 from .kernels import _kernel_points
@@ -199,7 +199,7 @@ class Symbol:
         shape = "{what} normal point must have length {d}"
         zh = _as_points(hol, self.k, "hol", wrong_shape=shape)
         za = _as_points(anti, self.k, "anti", len(zh), shape)
-        return self.poly._values(_columns(self.n, len(zh), (zh, za, 0.0, 0.0), self.m))  # after the m tangential ones
+        return self.poly._values((zh, za, None, None), self.m)  # after the m tangential ones
 
     # -- kernel embeddings ----------------------------------------------------
 
@@ -240,33 +240,6 @@ class Symbol:
             )
             pairs.append((key, _coef_from_json(t["coef"], r)))
         return cls._from_pairs(Dims.of(_json_int(d["n"], "n"), m=_json_int(d["m"], "m"), fiber_rank=r), pairs)
-
-
-def rotate_symbol(g: Symbol, U) -> Symbol:
-    """Substitute w_i -> sum_j U[i, j] w_j (and the conjugate on wbar)."""
-    n, m, k, cap = g.n, g.m, g.k, g.degree()
-    U = _as_coef(U, k, what="rotation")
-    if g.is_zero():
-        return g
-    scalar = Dims.of(n, m=m)
-
-    def linear(row, o: int) -> Poly:
-        E = np.zeros((k, n, 4), dtype=np.int64)
-        E[np.arange(k), m + np.arange(k), o] = 1
-        return Poly._from_arrays(scalar, E.reshape(k, 4 * n), row.reshape(k, 1, 1))
-
-    forms = [linear(U[i], O_Z) for i in range(k)] + [linear(U[i].conj(), O_ZB) for i in range(k)]
-    hol, anti, C = g._table()
-    rows, coefs = [], []
-    for powers, coef in zip(np.hstack([hol, anti]).tolist(), C):
-        term = Poly.one(scalar)
-        for form, power in zip(forms, powers):
-            for _ in range(power):
-                term = term.mul(form, degree_cap=cap)
-        rows.append(term.exps)
-        coefs.append(term.coefs * coef)
-    E, C = _collect(np.concatenate(rows), np.concatenate(coefs))
-    return Symbol(g.dims, Poly._from_arrays(g.dims, E, C))
 
 
 # -- cutoff profiles ----------------------------------------------------------
@@ -561,7 +534,8 @@ def _product(a: Symbol, b: Symbol) -> Symbol:
 def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[float, float]:
     """sup over kappa samples of kappa^(1/2) ||lambda_eq(g* g)||^(1/2) and
     kappa^(-1/2) ||lambda_eq(g g*)||^(1/2), norms as largest eigenvalues."""
-    kappas = [1.0] if kappa_samples is None else [_json_number(v, "kappa sample") for v in kappa_samples]
+    samples = [1.0] if kappa_samples is None else _json_list(kappa_samples, "kappa_samples", "numbers")
+    kappas = [_json_number(v, "kappa sample") for v in samples]
     if not kappas:
         raise ValueError("need at least one kappa sample")
     if not all(math.isfinite(v) and v > 0 for v in kappas):
@@ -579,6 +553,8 @@ def c1_c2(g: Symbol, kappa_samples: Sequence[float] | None = None) -> tuple[floa
 def fock_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
     """All multi-indices of length dim with |beta| <= max_total, sorted."""
     dim, max_total = _json_int(dim, "dim"), _json_int(max_total, "max_total")
+    if dim < 0:
+        raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
     grid = itertools.product(range(max_total + 1), repeat=dim)
     return [b for b in grid if sum(b) <= max_total]
 
@@ -598,8 +574,8 @@ def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]
     d = kind.du
     if kind.dp != d:
         raise ValueError("pairing needs a square kernel (Bergman or OrthBergman)")
-    beta = tuple(_json_int(x, "beta entry") for x in beta)
-    gamma = tuple(_json_int(x, "gamma entry") for x in gamma)
+    beta = tuple(_json_int(x, "beta entry") for x in _json_list(beta, "beta", "integers"))
+    gamma = tuple(_json_int(x, "gamma entry") for x in _json_list(gamma, "gamma", "integers"))
     if len(beta) != d or len(gamma) != d:
         raise ValueError(f"index length must be {d}")
     if min(beta + gamma, default=0) < 0:
@@ -810,7 +786,6 @@ __all__ = [
     "MOpField",
     "HgpResult",
     "DefectRecord",
-    "rotate_symbol",
     "lambda_eq",
     "lambda_h",
     "lambda_a",

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import O_Z, O_ZP, Dims, Poly, _as_points, _columns, _json_int, _json_number, monomial_values
+from .poly import Dims, Poly, _as_points, _json_int, _json_list, _json_number, _monomials
 from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian, _gaussian
 from .compose import compose
 
@@ -120,7 +120,9 @@ _PALETTE = np.array(
 
 def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic point pairs with moderate coordinates for oracle checks."""
-    return list(zip(*_palette_points(kind1.du, kind2.dp, _json_int(count, "count"))))
+    if (count := _json_int(count, "count")) < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    return list(zip(*_palette_points(kind1.du, kind2.dp, count)))
 
 
 def _palette_points(du: int, dp: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,13 +148,6 @@ def _oracle_inputs(
     shape = "evaluation point has wrong dimensions"
     z = _as_points([Z for Z, _ in eval_points], e1.kind.du, "evaluation point", wrong_shape=shape)
     return grid, z, _as_points([Zp for _, Zp in eval_points], e2.kind.dp, "evaluation point", len(z), shape)
-
-
-def _outer_monomials(points: np.ndarray, E: np.ndarray, slot: int) -> np.ndarray:
-    """``(P, T)`` monomials ``E`` at the ``(P, d)`` points and conjugates in slots ``slot``, ``slot + 1`` only."""
-    P, dim = points.shape
-    X = np.stack([points, points.conj()], axis=2).reshape(P, 2 * dim)
-    return monomial_values(X, E.reshape(len(E), E.shape[1] // 4, 4)[:, :dim, slot : slot + 2].reshape(len(E), 2 * dim))
 
 
 @lru_cache(maxsize=128)
@@ -213,7 +208,9 @@ def oracle_compose_values(
         raise InsufficientNodesError(f"{grid.nodes_per_axis} nodes per axis cannot integrate middle degree {max_ab}")
 
     P = len(z)
-    factor = (_outer_monomials(z, E1, O_Z)[:, :, None] * _outer_monomials(zp, E2, O_ZP)[:, None]).reshape(P, -1)
+    outer1 = _monomials((z, z.conj(), None, None), E1)  # the middle slots are integrated below
+    outer2 = _monomials((None, None, zp, zp.conj()), E2)
+    factor = (outer1[:, :, None] * outer2[:, None]).reshape(P, -1)
     zi, zpi = np.zeros((2, n_mid, P), dtype=complex)
     zi[:lc], zpi[:rc] = z[:, :lc].T, zp[:, :rc].conj().T
 
@@ -296,8 +293,8 @@ def laplacian_eigencheck(
     pointwise; the residual is evaluated on the grid's tensor mesh (:func:`_plane_mesh` in each
     coordinate) thinned to at most 4096 points by a fixed stride, each found from its mesh index.
     """
-    alpha = tuple(_json_int(a, "alpha entry") for a in alpha)
-    beta = tuple(_json_int(b, "beta entry") for b in beta)
+    alpha = tuple(_json_int(a, "alpha entry") for a in _json_list(alpha, "alpha", "integers"))
+    beta = tuple(_json_int(b, "beta entry") for b in _json_list(beta, "beta", "integers"))
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same length")
     if not alpha or min(alpha + beta) < 0:
@@ -318,7 +315,7 @@ def laplacian_eigencheck(
     index = np.arange(0, size, size // 4096 + 1 if size > 4096 else 1)
     digits = index[:, None] // len(plane) ** np.arange(n - 1, -1, -1) % len(plane)  # plane point per coordinate
     pts = plane[digits]
-    # One monomial table for the state and its Laplacian, column by column as monomial_values
+    # One monomial table for the state and its Laplacian, column by column as poly._monomials
     # builds it, each power taken once per plane point; an Extension(n, 0) numerator uses z, zb only.
     (Ew, Cw), (El, Cl) = state.numerator.table, lap.numerator.table
     E, on_plane = np.concatenate([Ew, El]), np.stack([plane, plane.conj()], axis=1)

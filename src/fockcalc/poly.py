@@ -35,8 +35,6 @@ __all__ = [
     "var_offset",
     "var_name",
     "parse_var_name",
-    "variable_columns",
-    "monomial_values",
 ]
 
 # Offsets within one coordinate block.
@@ -347,16 +345,34 @@ class Poly:
         C.setflags(write=False)
         return E, C
 
-    def evaluate_batch(self, X) -> np.ndarray:
-        """Values at N points given as an ``(N, 4n)`` array of variable values
-        in the exponent layout (see :func:`variable_columns`): ``(N, r, r)``."""
-        return self._values(_as_points(X, 4 * self.dims.n, "variable values"))
+    def evaluate_batch(self, z, zb, zp, zbp) -> np.ndarray:
+        """Values ``(N, r, r)`` at N points given slot by slot: the values of
+        ``z_i``, ``conj(z_i)``, ``z'_i`` and ``conj(z'_i)``.
 
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` at variable values already read."""
+        Each slot is an ``(N, d)`` array of points filling the first ``d <= n``
+        coordinates (the rest read 0) or a number for all ``n``, and one slot at
+        least is an array.  The slots need not be conjugate pairs, which is how
+        polarized and partial evaluation work.
+        """
+        slots, count = [], None
+        for name, v in zip(("z", "zb", "zp", "zbp"), (z, zb, zp, zbp)):
+            if isinstance(v, numbers.Number):
+                v = _json_complex(v, name)
+            elif (v := _as_points(v, None, name, count)).shape[1] > self.dims.n:
+                raise ValueError(f"{name} have shape {v.shape}, need (N, d) with d <= {self.dims.n}")
+            else:
+                count = len(v)
+            slots.append(v)
+        if count is None:
+            raise ValueError("need an array of points in at least one slot")
+        return self._values(slots)
+
+    def _values(self, slots, start: int = 0) -> np.ndarray:
+        """:meth:`evaluate_batch` at slots already read, as :func:`_monomials` reads them."""
         E, C = self.table
         r = self.dims.fiber_rank
-        return (monomial_values(X, E) @ C.reshape(-1, r * r)).reshape(len(X), r, r)
+        M = _monomials(slots, E, start)
+        return (M @ C.reshape(-1, r * r)).reshape(len(M), r, r)
 
     # -- comparison ---------------------------------------------------------
 
@@ -403,42 +419,25 @@ class Poly:
         return cls._from_arrays(dims, *_collect(_exponent_rows(rows, 4 * dims.n), C))
 
 
-def variable_columns(n: int, z, zb, zp, zbp) -> np.ndarray:
-    """Values of ``z_i``, ``conj(z_i)``, ``z'_i``, ``conj(z'_i)`` in the ``(N, 4n)``
-    exponent layout.
+def _monomials(slots, E: np.ndarray, start: int = 0) -> np.ndarray:
+    """The ``(N, T)`` table of the monomials ``E`` ``(T, 4n)`` at N points given
+    by four slots, one per offset ``o`` (``z``, ``zb``, ``z'``, ``zb'``).
 
-    Each slot is an ``(N, d)`` array of points filling the first ``d <= n``
-    coordinates (the rest stay 0) or a number for all ``n``.  The slots need
-    not be conjugate pairs, which is how polarized and partial evaluation work.
+    For each nonzero exponent column ``j = 4i + o``, in ascending order, the
+    table is multiplied by slot ``o``'s coordinate ``i - start`` to the power
+    ``E[:, j]``.  An ``(N, d)`` array slot covers coordinates ``start`` to
+    ``start + d - 1`` and reads 0 outside them, a number fills every coordinate,
+    and ``None`` adds no factor.  One slot at least is an array.
     """
-    slots, count = [], None
-    for name, v in zip(("z", "zb", "zp", "zbp"), (z, zb, zp, zbp)):
-        if isinstance(v, numbers.Number):
-            v = _json_complex(v, name)
-        elif (v := _as_points(v, None, name, count)).shape[1] > n:
-            raise ValueError(f"{name} have shape {v.shape}, need (N, d) with d <= {n}")
-        else:
-            count = len(v)
-        slots.append(v)
-    if count is None:
-        raise ValueError("need an array of points in at least one slot")
-    return _columns(n, count, slots)
-
-
-def _columns(n: int, count: int, slots, start: int = 0) -> np.ndarray:
-    """:func:`variable_columns` of slots already read, ``(count, d)`` arrays or
-    numbers, filling the coordinates after the first ``start``."""
-    X = np.zeros((count, n, 4), dtype=complex)
-    for o, v in enumerate(slots):
-        X[:, start : start + v.shape[1] if type(v) is np.ndarray else n, o] = v
-    return X.reshape(count, 4 * n)
-
-
-def monomial_values(X, E) -> np.ndarray:
-    """``prod_j X[:, j] ** E[t, j]`` for N value rows and T exponent rows: ``(N, T)``."""
-    out = np.ones((len(X), len(E)), dtype=complex)
-    for j in E.any(axis=0).nonzero()[0]:
-        out *= X[:, j, None] ** E[:, j]
+    count = next(len(v) for v in slots if type(v) is np.ndarray)
+    out = np.ones((count, len(E)), dtype=complex)
+    for j in E.any(axis=0).nonzero()[0].tolist():
+        i, o = divmod(j, 4)
+        if (v := slots[o]) is None:
+            continue
+        if type(v) is np.ndarray:
+            v = v[:, i - start, None] if 0 <= i - start < v.shape[1] else 0j
+        out *= v ** E[:, j]
     return out
 
 

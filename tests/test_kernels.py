@@ -20,7 +20,6 @@ from fockcalc import (
     apply_ladder,
     apply_model_laplacian,
     KernelKind,
-    kind_from_json,
     kind_name,
     unit_expr,
 )
@@ -148,15 +147,16 @@ def test_kind_fields_are_integers():
 
 def test_kind_json_round_trip():
     for kind in (Bergman(2), OrthBergman(3, 1), Extension(3, 2), Restriction(2, 0)):
-        dims = Dims(n=kind.n, l=kind.n, m=kind.m)
-        assert kind_from_json(kind_name(kind), dims) == kind
+        back = KernelExpr.from_json_dict(unit_expr(kind).to_json_dict()).kind
+        assert back == kind and kind_name(back) == kind_name(kind)
     # a kind keeps the name it was built with; a bare descriptor takes its canonical one
     assert kind_name(Extension(2, 2)) == "Extension"
     assert kind_name(KernelKind(2, 2, 2)) == "Bergman"
     assert kind_name(KernelKind(1, 3, 1)) == "Restriction"
+    payload = unit_expr(Bergman(1)).to_json_dict()
     for name in ("Hankel", ["Bergman"], None):
         with pytest.raises(ValueError, match="unknown kernel kind"):
-            kind_from_json(name, Dims.of(1))
+            KernelExpr.from_json_dict({**payload, "kind": name})
     # a descriptor outside the four families has no kernel/1 name
     e = unit_expr(KernelKind(3, 2, 1))
     for write in (lambda: kind_name(e.kind), e.to_json_dict):

@@ -3,6 +3,7 @@ Fock pairings and norm estimates checked against it."""
 
 import ast
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -22,6 +23,7 @@ from fockcalc import (
     Restriction,
     ScaledKernel,
     Symbol,
+    c1_c2,
     compose,
     default_eval_points,
     fock_indices,
@@ -114,6 +116,34 @@ def test_integer_arguments_are_read_by_name():
     ]
     for call, name in calls:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+
+def test_counts_below_their_least_are_rejected_by_name():
+    # a count of -2 gave no points, which oracle_compose rejects; fock_indices(-1, 2)
+    # raised itertools' "repeat argument cannot be negative"
+    calls = [
+        (lambda: default_eval_points(Bergman(1), Bergman(1), count=0), "count must be an integer >= 1, got 0"),
+        (lambda: default_eval_points(Bergman(1), Bergman(1), count=-2), "count must be an integer >= 1, got -2"),
+        (lambda: fock_indices(-1, 2), "dim must be an integer >= 0, got -1"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_numbers_are_no_sequences():
+    # each raised a bare "'int' object is not iterable" (or "'float' ...")
+    e, g = unit_expr(Bergman(1)), Symbol.monomial(1, 0, (1,), (0,))
+    calls = [
+        (lambda: laplacian_eigencheck(1, 0), "alpha must be a list of integers"),
+        (lambda: laplacian_eigencheck((1,), 0), "beta must be a list of integers"),
+        (lambda: gaussian_pairing(e, 1, (0,)), "beta must be a list of integers"),
+        (lambda: gaussian_pairing(e, (0,), 1), "gamma must be a list of integers"),
+        (lambda: c1_c2(g, 1.0), "kappa_samples must be a list of numbers"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 

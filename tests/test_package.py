@@ -22,11 +22,11 @@ PUBLIC_API = {
     "__version__",
     # poly
     "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly", "O_Z", "O_ZB", "O_ZP",
-    "O_ZBP", "var_offset", "var_name", "parse_var_name", "variable_columns", "monomial_values",
+    "O_ZBP", "var_offset", "var_name", "parse_var_name",
     # kernels
     "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
     "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
-    "kind_from_json", "primed_dim", "TOEPLITZ_KINDS",
+    "primed_dim", "TOEPLITZ_KINDS",
     # compose
     "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     # oracle
@@ -34,7 +34,7 @@ PUBLIC_API = {
     "default_eval_points", "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     # operators
     "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "MOpField", "HgpResult",
-    "DefectRecord", "rotate_symbol", "lambda_eq", "lambda_h", "lambda_a",
+    "DefectRecord", "lambda_eq", "lambda_h", "lambda_a",
     "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature", "m_op",
     "h_gp", "c1_c2", "fock_indices", "gaussian_pairing", "norm_estimate", "toeplitz_leading",
     "toeplitz_flat_composite", "toeplitz_predicted_kernel", "flat_defect_checks",
@@ -139,6 +139,25 @@ def test_benchmark_tracer_reaches_each_layer(monkeypatch):
         "fockcalc.poly.Poly.evaluate",
     ]
     assert not tracer.broken_hooks
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module's top-level imports bind that no name in it reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_every_top_level_import_is_used():
+    # the package __init__ imports ``compose`` to bind it, not to use it
+    paths = [*sorted((SRC / "fockcalc").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    unused = {path.name: names for path in paths if path.name != "__init__.py" and (names := _unused_imports(path))}
+    assert not unused
 
 
 def test_unknown_names_raise_attribute_error():

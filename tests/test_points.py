@@ -19,11 +19,11 @@ from fockcalc import (
     oracle_compose,
     oracle_compose_values,
     unit_expr,
-    variable_columns,
 )
 from fockcalc.poly import _as_points
 
 _E = unit_expr(Bergman(1))
+_P = Poly.monomial(Dims.of(1), {"z1": 1, "z'1": 2}, 0.5)  # reads the z and zp slots
 _G1 = Symbol.monomial(1, 0, (1,), (1,))  # one normal variable
 _G2 = Symbol.monomial(2, 0, (1, 1), (0, 0))  # two
 _FIELD = m_op(Symbol.monomial(2, 1, (1,), (0,)), p=4.0, cutoff=CutoffSpec(r_perp=1.0))  # Extension(2, 1)
@@ -32,8 +32,8 @@ _FIELD = m_op(Symbol.monomial(2, 1, (1,), (0,)), p=4.0, cutoff=CutoffSpec(r_perp
 # call with that slot filled).  Points are small integers, so that int, float
 # and complex arrays and lists all hold the same numbers.
 ENTRIES = {
-    "Poly.evaluate_batch": ("variable values", [[1, 2, 0, 1]], lambda v: Poly.one(Dims.of(1)).evaluate_batch(v)),
-    "variable_columns": ("zp", [[1], [2]], lambda v: variable_columns(1, 0.5, 0.5, v, 0.5)),
+    "Poly.evaluate_batch": ("z", [[1], [2]], lambda v: _P.evaluate_batch(v, 0.5, 0.5, 0.5)),
+    "Poly.evaluate_batch zp": ("zp", [[1], [2]], lambda v: _P.evaluate_batch(0.5, 0.5, v, 0.5)),
     "KernelExpr Z": ("unprimed points", [[1], [0]], lambda v: _E.evaluate_batch(v, [[1], [2]])),
     "KernelExpr Zp": ("primed points", [[1], [0]], lambda v: _E.evaluate_batch([[1], [2]], v)),
     "ScaledKernel": ("primed points", [[1], [0]], lambda v: ScaledKernel(_E, 4.0).evaluate_batch([[1], [2]], v)),
@@ -84,7 +84,7 @@ def test_boolean_and_string_arrays_are_no_points(entry):
 # Wrong widths whose error did not name the argument, or that numpy broadcast:
 # a length-1 shift on a k = 2 symbol read 0.25, where [0.5, 0.0] reads 0.
 WRONG_WIDTHS = {
-    "variable_columns": [[1, 2]],
+    "Poly.evaluate_batch zp": [[1, 2]],
     "Symbol.evaluate_batch": [[1, 2]],
     "Symbol.evaluate_split": [1, 2],
     "lambda_h_quadrature": [0.5],

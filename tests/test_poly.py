@@ -18,7 +18,6 @@ from fockcalc import (
     parse_var_name,
     var_name,
     var_offset,
-    variable_columns,
 )
 
 from conftest import complex_rows, dims_st, poly_st, term_sum
@@ -291,19 +290,19 @@ def test_evaluate_matches_manual():
     Z = np.array([[0.3 + 0.4j, -0.2 + 0.1j]])
     Zp = np.array([[0.7 - 0.5j, 0.0]])
     want = 1.5 * Z[0, 0] ** 2 * np.conj(Z[0, 1]) * Zp[0, 0]
-    got = p.evaluate_batch(variable_columns(2, Z, Z.conj(), Zp, Zp.conj()))[0, 0, 0]
+    got = p.evaluate_batch(Z, Z.conj(), Zp, Zp.conj())[0, 0, 0]
     assert abs(got - want) < 1e-14
     # short points are zero-padded
     short = Zp[:, :1]
-    assert abs(p.evaluate_batch(variable_columns(2, Z, Z.conj(), short, short.conj()))[0, 0, 0] - want) < 1e-14
+    assert abs(p.evaluate_batch(Z, Z.conj(), short, short.conj())[0, 0, 0] - want) < 1e-14
     with pytest.raises(ValueError):
-        variable_columns(2, np.zeros((1, 3)), 0.0, 0.0, 0.0)
+        p.evaluate_batch(np.zeros((1, 3)), 0.0, 0.0, 0.0)
 
 
 @given(poly_st(), st.sampled_from([0, 1, 7]), st.data())
 def test_evaluate_batch_matches_term_sum(p, count, data):
     X = data.draw(complex_rows(count, 4 * p.dims.n))
-    got = p.evaluate_batch(X)
+    got = p.evaluate_batch(*X.reshape(count, p.dims.n, 4).transpose(2, 0, 1))
     r = p.dims.fiber_rank
     assert got.shape == (count, r, r)
     for row, x in zip(got, X):
@@ -319,20 +318,24 @@ def test_evaluate_pads_short_points(p, data):
     z = np.concatenate([Z, np.zeros(n - len(Z))])
     zp = np.concatenate([Zp, np.zeros(n - len(Zp))])
     want, scale = term_sum(p, np.stack([z, z.conj(), zp, zp.conj()], axis=1).ravel())
-    X = variable_columns(n, Z[None], Z[None].conj(), Zp[None], Zp[None].conj())
-    assert np.max(np.abs(p.evaluate_batch(X)[0] - want)) <= 1e-12 * (1.0 + scale)
+    got = p.evaluate_batch(Z[None], Z[None].conj(), Zp[None], Zp[None].conj())
+    assert np.max(np.abs(got[0] - want)) <= 1e-12 * (1.0 + scale)
 
 
 def test_evaluate_batch_zero_and_shape_errors():
     zero = Poly.zero(Dims.of(2, fiber_rank=2))
-    assert np.array_equal(zero.evaluate_batch(np.ones((7, 8))), np.zeros((7, 2, 2)))
-    assert zero.evaluate_batch(np.ones((0, 8))).shape == (0, 2, 2)
-    one_point = variable_columns(2, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), 0.0, 0.0)
-    assert np.array_equal(zero.evaluate_batch(one_point), np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError):
-        zero.evaluate_batch(np.ones((3, 4)))
-    with pytest.raises(ValueError):
-        zero.evaluate_batch(np.ones(8))
+    assert np.array_equal(zero.evaluate_batch(*np.ones((4, 7, 2))), np.zeros((7, 2, 2)))
+    assert zero.evaluate_batch(*np.ones((4, 0, 2))).shape == (0, 2, 2)
+    one_point = np.array([[1.0, 2.0]])
+    assert np.array_equal(zero.evaluate_batch(one_point, one_point, 0.0, 0.0), np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="^z have shape"):
+        zero.evaluate_batch(np.ones((3, 4)), 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^zb have shape"):
+        zero.evaluate_batch(0.0, np.ones(8), 0.0, 0.0)
+    with pytest.raises(ValueError, match="^zbp have shape"):
+        zero.evaluate_batch(np.ones((3, 2)), 0.0, 0.0, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="at least one slot"):
+        zero.evaluate_batch(0.0, 0.0, 0.0, 0.0)
 
 
 # -- comparison and serialization --------------------------------------------------------------
