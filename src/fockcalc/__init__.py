@@ -35,13 +35,13 @@ _EXPORTS = {
     ),
     "oracle": (
         "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite",
-        "default_eval_points", "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
+        "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     ),
     "operators": (
         "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "MOpField", "HgpResult",
         "DefectRecord", "lambda_eq", "lambda_h", "lambda_a",
         "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature",
-        "m_op", "h_gp", "c1_c2", "fock_indices", "gaussian_pairing", "norm_estimate",
+        "m_op", "h_gp", "c1_c2", "fock_indices", "norm_estimate",
         "toeplitz_leading", "toeplitz_flat_composite", "toeplitz_predicted_kernel",
         "flat_defect_checks",
     ),

@@ -261,12 +261,17 @@ class C3C4Result:
         }
 
 
+_MAX_ITERATIONS = 10_000  # per start of _tensor_norm: over 2.5 times the most that 300 random families need
+
+
 def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 8) -> float:
     """sup over unit u in C^D of the spectral norm of sum_d u_d mats[d].
 
     Alternating maximisation over u and the top singular pair of
     sum_d u_d mats[d], started from each mats[d] alone (so from its top right
-    singular vector) and from ``restarts`` seeded random u.  The result lies
+    singular vector) and from ``restarts`` seeded random u, each run until the
+    value is stationary to 1e-14 relative; a start that is not stationary
+    within ``_MAX_ITERATIONS`` raises a ``ValueError``.  The result lies
     between max_d ||mats[d]|| and sqrt(lambda_max(sum_d mats[d]^H mats[d])).
     """
     D = len(mats)
@@ -284,7 +289,7 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 
     best = 0.0
     for u in starts:
         value = 0.0
-        for _ in range(80):
+        for _ in range(_MAX_ITERATIONS):
             A = np.tensordot(u, stack, axes=(0, 0))
             x = np.linalg.eigh(A.conj().T @ A)[1][:, -1]  # top right singular vector of A
             y = A @ x
@@ -301,6 +306,8 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 
                 value = nc
                 break
             value = nc
+        else:
+            raise ValueError(f"the tensor norm is not stationary after {_MAX_ITERATIONS} iterations")
         best = max(best, value)
     return float(best)
 
@@ -314,7 +321,10 @@ def c0(data: GeometryData, seed: int = 0) -> ConstantResult:
         mats = [_direction_matrix(d, r) for d in s.normal_dirs if d.level == "WY"]
         if not mats:
             raise ValueError(f"sample {s.id!r} has no N^(W|Y) direction data")
-        val = _tensor_norm(mats, r, seed)
+        try:
+            val = _tensor_norm(mats, r, seed)
+        except ValueError as e:
+            raise ValueError(f"sample {s.id!r}: {e}") from None
         if val > best_val:
             best_val, best_id = val, s.id
     return ConstantResult(value=best_val / math.sqrt(PI), sample_id=best_id)

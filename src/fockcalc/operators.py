@@ -342,14 +342,17 @@ def _witness(g: Symbol, nodes: int, point=None, what: str = "", side: int = 0) -
     ``point`` as the hol (side 0) or anti (side 1) shift less the unshifted value, both in one pass.
     Weight and terms are products over coordinates, so it is sum_t C_t prod_i S_i[t], S_i[t] the sum of
     w (u + hol_i)^a (ubar + anti_i)^b at term t's exponents over coordinate i's ``nodes^2``-point mesh
-    (:func:`~fockcalc.oracle._plane_mesh`): exact once 2 nodes - 1 reaches each real degree."""
-    from .oracle import _plane_mesh  # only the quadrature checks need the oracle
+    (:func:`~fockcalc.oracle._plane_mesh`): exact once 2 nodes - 1 reaches each real degree a + b,
+    and :class:`~fockcalc.oracle.InsufficientNodesError` when it does not."""
+    from .oracle import InsufficientNodesError, _plane_mesh  # only the quadrature checks need the oracle
 
     shifts = np.zeros((2, 1 if point is None else 2, g.k), dtype=complex)  # (hol | anti, shifted | plain, k)
     if point is not None:
         shifts[side, 0] = _as_points([point], g.k, what, wrong_shape="{what} must have length {d}")[0]
-    pts, wts = _plane_mesh(nodes)
+    pts, wts = _plane_mesh(nodes := _json_int(nodes, "nodes"))
     (a, b, C), r = g._table(), g.fiber_rank
+    if 2 * nodes - 1 < (degree := int((a + b).max(initial=0))):
+        raise InsufficientNodesError(f"{nodes} nodes per axis cannot integrate degree {degree}")
     x, y = pts + shifts[0, ..., None], pts.conj() + shifts[1, ..., None]  # (shifts, k, nodes^2)
     x_pow = x[..., None, :] ** np.arange(int(a.max(initial=0)) + 1)[:, None]  # each coordinate's powers, once
     y_pow = y[..., None, :] ** np.arange(int(b.max(initial=0)) + 1)[:, None]
@@ -444,16 +447,16 @@ class HgpResult:
         return float(np.max(np.abs(self.h_sq - self.leading)))
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per count."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=1)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 160-node Gauss-Legendre nodes and weights on [-1, 1], built once."""
+    x, w = np.polynomial.legendre.leggauss(160)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec, nodes: int) -> dict[int, float]:
+def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec) -> dict[int, float]:
     """N -> reduced integral over C of |u|^(2N): int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr.
 
     Eight Gauss-Legendre pieces: per N, equal ones out to sqrt((2N + 80)/pi)
@@ -467,7 +470,7 @@ def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec, nodes: int) -> d
         lo, hi = R / 4.0, R / 2.0
         transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
         groups = [(np.array([0.0, lo / 2.0, *transition]), Ns)]
-    x, w = _gl_rule(nodes)
+    x, w = _gl_rule()
     out = {}
     for edges, group in groups:
         a, b = edges[:-1, None], edges[1:, None]
@@ -479,31 +482,21 @@ def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec, nodes: int) -> d
     return out
 
 
-def h_gp(
-    g: Symbol,
-    p: float = 1.0,
-    cutoff: CutoffSpec | None = None,
-    grid: int | None = None,
-) -> HgpResult:
+def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResult:
     """Normal-fibre integral of e^{-p pi |Z_N|^2} (g g)(sqrt(p) Z_N) rho^2.
 
     After substitution the integral is p^{-k} * integral of
     e^{-pi|u|^2} g(u)^H g(u) rho(|u| / (sqrt(p) r_perp))^2 du.  Off-diagonal
     bidegrees vanish against the radial weight, so each diagonal bidegree
     alpha reduces to a 1-d radial integral with the Dirichlet constant
-    pi^k * prod(alpha_i!) / (|alpha| + k - 1)!.  ``grid`` is the number of
-    Gauss-Legendre nodes on each of the radial pieces; the rule for a node
-    count is built once and cached.  Every radial degree the call needs is
-    taken from one array pass per piece set: one per degree under the
-    identity cutoff, one in all under the bump.
+    pi^k * prod(alpha_i!) / (|alpha| + k - 1)!, taken with 160
+    Gauss-Legendre nodes on each of the radial pieces (:func:`_gl_rule`, built
+    once).  Every radial degree the call needs is taken from one array pass
+    per piece set: one per degree under the identity cutoff, one in all
+    under the bump.
     """
     p = _check_level(p)
     cutoff = cutoff or IDENTITY_CUTOFF
-    nodes = 160 if grid is None else _json_int(grid, "grid")
-    if nodes < 8:
-        from .oracle import InsufficientNodesError
-
-        raise InsufficientNodesError("quadrature budget too small for h_gp")
     k = g.k
     r = g.fiber_rank
     product = _product(g.adjoint(), g)
@@ -516,7 +509,7 @@ def h_gp(
     diag = (hol == anti).all(axis=1)
     alphas = hol[diag].tolist()
     Ns = [sum(alpha) + k - 1 for alpha in alphas]
-    moments = _radial_moments(set(Ns), R, cutoff, nodes)
+    moments = _radial_moments(set(Ns), R, cutoff)
     dirichlet = [PI**k * math.prod(map(math.factorial, a)) / math.factorial(N) for a, N in zip(alphas, Ns)]
     terms = C[diag] * np.reshape(dirichlet, (-1, 1, 1)) * np.reshape([moments[N] for N in Ns], (-1, 1, 1))
     h_sq = sum(terms, np.zeros((r, r), dtype=complex))
@@ -557,32 +550,6 @@ def fock_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
         raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
     grid = itertools.product(range(max_total + 1), repeat=dim)
     return [b for b in grid if sum(b) <= max_total]
-
-
-def gaussian_pairing(expr: KernelExpr, beta: Sequence[int], gamma: Sequence[int]) -> np.ndarray:
-    """Exact integral conj(z)^beta expr(Z, Z') z'^gamma against the split weight.
-
-    Both slots carry exp(-pi |.|^2 / 2) from the weighted monomials; the
-    kernel contributes the other half, so each coordinate reduces to
-    Gaussian moments (coupled to z'-bar where the kernel couples the
-    coordinate).  Only Bergman / OrthBergman kinds make sense here (both
-    slots must carry the same dimension).  The value is the gamma entry of
-    :func:`_pairing_row`, whose selection rule fixes gamma for each term
-    given beta; every other gamma pairs to exactly zero.
-    """
-    kind = expr.kind
-    d = kind.du
-    if kind.dp != d:
-        raise ValueError("pairing needs a square kernel (Bergman or OrthBergman)")
-    beta = tuple(_json_int(x, "beta entry") for x in _json_list(beta, "beta", "integers"))
-    gamma = tuple(_json_int(x, "gamma entry") for x in _json_list(gamma, "gamma", "integers"))
-    if len(beta) != d or len(gamma) != d:
-        raise ValueError(f"index length must be {d}")
-    if min(beta + gamma, default=0) < 0:
-        raise ValueError("indices must be non-negative")
-    r = expr.dims.fiber_rank
-    E, C = expr.numerator.table
-    return _pairing_row(E.tolist(), C, kind.c, r, beta).get(gamma, np.zeros((r, r), dtype=complex))
 
 
 def _pairing_row(rows: list, C: np.ndarray, c: int, r: int, beta: tuple) -> dict[tuple[int, ...], np.ndarray]:
@@ -796,7 +763,6 @@ __all__ = [
     "h_gp",
     "c1_c2",
     "fock_indices",
-    "gaussian_pairing",
     "norm_estimate",
     "toeplitz_leading",
     "toeplitz_flat_composite",

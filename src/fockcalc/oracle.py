@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .poly import Dims, Poly, _as_points, _json_int, _json_list, _json_number, _monomials
-from .kernels import KernelExpr, KernelKind, Extension, apply_ladder, apply_model_laplacian, _gaussian
+from .kernels import KernelExpr, Extension, apply_ladder, apply_model_laplacian, _gaussian
 from .compose import compose
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "QuadGrid",
     "OracleReport",
     "gauss_hermite",
-    "default_eval_points",
     "oracle_compose_values",
     "oracle_compose",
     "laplacian_eigencheck",
@@ -41,7 +40,7 @@ PI = math.pi
 
 
 class InsufficientNodesError(ValueError):
-    """Raised when the requested grid cannot integrate the middle degree exactly."""
+    """Raised when the requested grid cannot integrate a quadrature's degree exactly."""
 
 
 # -- Gauss-Hermite ------------------------------------------------------------
@@ -118,16 +117,10 @@ _PALETTE = np.array(
 )
 
 
-def default_eval_points(kind1: KernelKind, kind2: KernelKind, count: int = 5) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic point pairs with moderate coordinates for oracle checks."""
-    if (count := _json_int(count, "count")) < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    return list(zip(*_palette_points(kind1.du, kind2.dp, count)))
-
-
-def _palette_points(du: int, dp: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`default_eval_points` stacked: ``(count, du)`` and ``(count, dp)``."""
-    t = np.arange(count)[:, None]
+def _palette_points(du: int, dp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's default evaluation pairs: five deterministic points with moderate
+    coordinates, stacked into ``(5, du)`` and ``(5, dp)``."""
+    t = np.arange(5)[:, None]
     return _PALETTE[(t + 2 * np.arange(du)) % len(_PALETTE)], _PALETTE[(t + 3 * np.arange(dp) + 5) % len(_PALETTE)]
 
 
@@ -135,14 +128,16 @@ def _oracle_inputs(
     e1: KernelExpr, e2: KernelExpr, grid: QuadGrid | None, eval_points: Sequence[tuple] | None
 ) -> tuple[QuadGrid, np.ndarray, np.ndarray]:
     """The grid (default 44 nodes per axis) and the evaluation pairs (default
-    :func:`default_eval_points`) stacked into ``(P, du)`` and ``(P, dp)`` arrays."""
+    :func:`_palette_points`) stacked into ``(P, du)`` and ``(P, dp)`` arrays."""
     n_mid = e1.kind.dp
     if n_mid != e2.kind.du:
         raise ValueError(f"middle dimension mismatch: {n_mid} vs {e2.kind.du}")
     if grid is None:
         grid = QuadGrid(nodes_per_axis=44, n=n_mid)
+    elif grid.n != n_mid:
+        raise ValueError(f"grid n {grid.n} does not match the middle dimension {n_mid}")
     if eval_points is None:
-        return grid, *_palette_points(e1.kind.du, e2.kind.dp, 5)
+        return grid, *_palette_points(e1.kind.du, e2.kind.dp)
     if not len(eval_points):
         raise ValueError("need at least one evaluation point")
     shape = "evaluation point has wrong dimensions"
@@ -266,6 +261,8 @@ def oracle_compose(
         expected = compose(e1, e2)
     if (expected.kind.du, expected.kind.dp) != (e1.kind.du, e2.kind.dp):
         raise ValueError(f"expected kind {expected.kind!r} does not match the composite's dimensions")
+    if (rank := expected.dims.fiber_rank) != e1.dims.fiber_rank:
+        raise ValueError(f"expected fiber rank {rank} does not match the composite's {e1.dims.fiber_rank}")
     numeric = oracle_compose_values(e1, e2, grid, eval_points)
     want = expected._values(z, zp)
     return _report(want, numeric.reshape(want.shape), grid, rel_tol)
@@ -284,14 +281,13 @@ def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> Or
 # -- ladder spectrum check -----------------------------------------------------
 
 
-def laplacian_eigencheck(
-    alpha: Sequence[int], beta: Sequence[int], grid: QuadGrid | None = None, tol: float = 1e-9
-) -> OracleReport:
+def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleReport:
     """Check the flat spectrum: creation^alpha lifts of z^beta Gaussians.
 
     The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy Laplacian = 4 pi |alpha|
-    pointwise; the residual is evaluated on the grid's tensor mesh (:func:`_plane_mesh` in each
-    coordinate) thinned to at most 4096 points by a fixed stride, each found from its mesh index.
+    pointwise, to 1e-9 relative; the residual is evaluated on the 5-node tensor mesh
+    (:func:`_plane_mesh` in each coordinate, reported as ``QuadGrid(5, n)``) thinned to at
+    most 4096 points by a fixed stride, each found from its mesh index.
     """
     alpha = tuple(_json_int(a, "alpha entry") for a in _json_list(alpha, "alpha", "integers"))
     beta = tuple(_json_int(b, "beta entry") for b in _json_list(beta, "beta", "integers"))
@@ -300,8 +296,7 @@ def laplacian_eigencheck(
     if not alpha or min(alpha + beta) < 0:
         raise ValueError(f"alpha and beta must be non-empty and non-negative, got {alpha} and {beta}")
     n = len(alpha)
-    if grid is None:
-        grid = QuadGrid(nodes_per_axis=5, n=n)
+    grid = QuadGrid(nodes_per_axis=5, n=n)
     dims = Dims(n=n, l=n, m=0, fiber_rank=1)
     powers = {f"z{i + 1}": beta[i] for i in range(n) if beta[i]}
     state = KernelExpr(Poly.monomial(dims, powers) if powers else Poly.one(dims), Extension(n, 0))
@@ -324,4 +319,4 @@ def laplacian_eigencheck(
         monomials *= (on_plane[:, j % 4, None] ** E[:, j])[digits[:, j // 4]]
     gaussian = _gaussian(state.kind, pts, pts[:, :0])[:, None]
     want = monomials[:, : len(Ew)] @ (4.0 * PI * sum(alpha) * Cw.reshape(-1, 1)) * gaussian
-    return _report(want, monomials[:, len(Ew) :] @ Cl.reshape(-1, 1) * gaussian, grid, tol)
+    return _report(want, monomials[:, len(Ew) :] @ Cl.reshape(-1, 1) * gaussian, grid, 1e-9)

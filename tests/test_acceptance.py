@@ -39,12 +39,12 @@ from fockcalc import (
     norm_estimate,
     oracle_compose,
     oracle_compose_values,
-    default_eval_points,
     primed_dim,
     toeplitz_leading,
     tower_dp3,
     unit_expr,
 )
+from fockcalc.oracle import _palette_points
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -137,9 +137,9 @@ def test_criterion_04_laplacian_spectrum():
     for dim in (1, 2):
         indices = [tuple(ix) for ix in fock_indices(dim, 3)]
         for alpha, beta in itertools.product(indices, indices):
-            rep = laplacian_eigencheck(alpha, beta, tol=1e-9)
+            rep = laplacian_eigencheck(alpha, beta)
             worst = max(worst, rep.max_rel)
-            assert rep.passed, f"alpha={alpha} beta={beta}: rel={rep.max_rel:.2e}"
+            assert rep.passed and rep.max_rel <= 1e-9, f"alpha={alpha} beta={beta}: rel={rep.max_rel:.2e}"
             count += 1
     elapsed = time.monotonic() - t0
     assert elapsed <= 30.0, f"battery took {elapsed:.1f}s"
@@ -214,6 +214,11 @@ def _leading_kernel(family: str, g: Symbol) -> KernelExpr:
     return KernelExpr(value.to_poly("primed"), Restriction(n, m))
 
 
+def _palette(kind1, kind2) -> list:
+    """The oracle's default point pairs for a kind1 o kind2 composite."""
+    return list(zip(*_palette_points(kind1.du, kind2.dp)))
+
+
 def _numeric_composite(family: str, g: Symbol):
     """Quadrature values of the flat p = 1 operator chain at shared points."""
     n, m, r = g.n, g.m, g.fiber_rank
@@ -223,16 +228,16 @@ def _numeric_composite(family: str, g: Symbol):
     sandwich = compose(bergman, KernelExpr(g.to_poly("unprimed"), Bergman(n)))
     inner = compose(sandwich, ext)
     if family == "YY":
-        pts = default_eval_points(res.kind, inner.kind)
+        pts = _palette(res.kind, inner.kind)
         vals = oracle_compose_values(res, inner, eval_points=pts)
     elif family == "XY":
-        pts = default_eval_points(bergman.kind, inner.kind)
+        pts = _palette(bergman.kind, inner.kind)
         direct = oracle_compose_values(bergman, inner, eval_points=pts)
         reflected = oracle_compose_values(ext, compose(res, inner), eval_points=pts)
         vals = direct - reflected
     else:  # YX
         left = compose(res, sandwich)
-        pts = default_eval_points(left.kind, bergman.kind)
+        pts = _palette(left.kind, bergman.kind)
         direct = oracle_compose_values(left, bergman, eval_points=pts)
         reflected = oracle_compose_values(compose(left, ext), res, eval_points=pts)
         vals = direct - reflected

@@ -195,19 +195,9 @@ def test_oracle_check_pass_and_fail(tmp_path, capsys):
 
 def test_oracle_check_custom_budget(tmp_path, capsys):
     lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
-    assert run(["oracle-check", "--left", lf, "--right", lf, "--nodes", "16", "--points", "3"]) == 0
+    assert run(["oracle-check", "--left", lf, "--right", lf, "--nodes", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["grid"]["nodes_per_axis"] == 16
-
-
-@pytest.mark.parametrize("points", ["0", "-3"])
-def test_oracle_check_rejects_no_points(tmp_path, capsys, points):
-    # checking zero points used to report "pass": true with max_rel 0.0
-    lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
-    assert run(["oracle-check", "--left", lf, "--right", lf, "--points", points]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"fockcalc: error: --points must be >= 1, got {points}\n"
 
 
 # -- spectrum ------------------------------------------------------------------------
@@ -466,12 +456,10 @@ def test_shared_flag_validation(tmp_path, capsys):
         assert run([command, "--left", lf, "--right", lf, *flag]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"fockcalc: error: {message}\n"
-    # a negative seed used to fail selftest's duality check (exit 1) and raise
-    # a traceback from c0 on a rank-2 geometry
-    for argv in (["selftest", "--seed", "-1"], ["constants", "--geom", lf, "--which", "c0", "--seed", "-5"]):
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"fockcalc: error: --seed must be >= 0, got {argv[-1]}\n"
+    # a negative seed used to raise a traceback from c0 on a rank-2 geometry
+    assert run(["constants", "--geom", lf, "--which", "c0", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "fockcalc: error: --seed must be >= 0, got -5\n"
 
 
 # The shared flags each subcommand reads; --out is everyone's.
@@ -482,7 +470,7 @@ SHARED_FLAGS = {
     "toeplitz-leading": {"--out"},
     "constants": {"--seed", "--out"},
     "defect-check": {"--tol", "--out"},
-    "selftest": {"--seed", "--out"},
+    "selftest": {"--out"},
 }
 
 
@@ -495,7 +483,7 @@ def test_each_command_declares_only_the_shared_flags_it_reads(capsys):
         for name, sub in commands.items()
     }
     assert declared == SHARED_FLAGS
-    assert sum(map(len, declared.values())) == 14
+    assert sum(map(len, declared.values())) == 13
     # a flag the command would ignore is a usage error, not a silent no-op
     assert run(["spectrum", "--input", "m.json", "--tol", "1e-3"]) == 2
     assert capsys.readouterr().err == "fockcalc: error: unrecognized arguments: --tol 1e-3\n"

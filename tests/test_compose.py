@@ -24,7 +24,6 @@ from fockcalc import (
     base_terms,
     compose,
     compose_plan,
-    default_eval_points,
     oracle_compose_values,
     unit_expr,
     DegreeOverflowError,
@@ -32,6 +31,7 @@ from fockcalc import (
 )
 from fockcalc.compose import _bracket, _pairing_table, _PairingRegistry
 from fockcalc.kernels import _named
+from fockcalc.oracle import _palette_points
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -211,7 +211,7 @@ NEWLY_COMPOSABLE = [
 
 @pytest.mark.parametrize("k1, k2", NEWLY_COMPOSABLE, ids=repr)
 def test_matching_middle_dimensions_compose_like_the_oracle(rng, k1, k2):
-    points = default_eval_points(k1, k2)
+    points = list(zip(*_palette_points(k1.du, k2.dp)))  # the oracle's default pairs
     Z = np.array([z for z, _ in points]).reshape(len(points), k1.du)
     Zp = np.array([zp for _, zp in points]).reshape(len(points), k2.dp)
     for rank in (1, 2):

@@ -19,6 +19,7 @@ from fockcalc import (
     hermitian_eigs,
     tower_dp3,
 )
+from fockcalc import geometry
 from fockcalc.geometry import _tensor_norm
 
 from conftest import complex_rows
@@ -271,8 +272,8 @@ def test_tensor_norm_lies_in_its_bracket(mats):
 def test_c0_lies_in_its_bracket():
     # The tensor norm of the family M_d lies in [max_d ||M_d||_2, min(a, b)],
     # a = sqrt(lambda_max(sum M_d^H M_d)), b = sqrt(lambda_max(sum M_d M_d^H)).
-    # A value that the alternating maximisation leaves slightly low (it stops
-    # after 80 iterations) still lies inside, so this does not catch that.
+    # A value the alternating maximisation left slightly low would still lie
+    # inside, so this does not catch that; the Bloch-sphere test below does.
     for seed in range(40):
         rng = np.random.default_rng(seed)
         D, r = int(rng.integers(2, 6)), int(rng.integers(2, 4))
@@ -285,6 +286,53 @@ def test_c0_lies_in_its_bracket():
         a = math.sqrt(np.linalg.eigvalsh(sum(M.conj().T @ M for M in mats))[-1])
         b = math.sqrt(np.linalg.eigvalsh(sum(M @ M.conj().T for M in mats))[-1])
         assert lower * (1 - 1e-12) <= got <= min(a, b) * (1 + 1e-12), seed
+
+
+def _bloch_maximum(mats):
+    """max over unit x in C^2 of sigma_max([M_1 x, ..., M_D x]), the tensor norm at r = 2:
+    a 1-degree grid over the Bloch sphere, then twenty 21 x 21 grids, each a quarter as wide,
+    around the best point so far."""
+
+    def value(theta, phi):
+        x = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+        return np.linalg.svd(np.einsum("dij,nj->ndi", mats, x), compute_uv=False)[:, 0]
+
+    theta, phi = (a.ravel() for a in np.meshgrid(np.linspace(0, PI, 181), np.linspace(0, 2 * PI, 361), indexing="ij"))
+    best = int(value(theta, phi).argmax())
+    t, p, h = theta[best], phi[best], PI / 180
+    for _ in range(20):
+        dt, dp = (a.ravel() for a in np.meshgrid(np.linspace(-h, h, 21), np.linspace(-h, h, 21), indexing="ij"))
+        vals = value(t + dt, p + dp)
+        best = int(vals.argmax())
+        t, p, h = t + dt[best], p + dp[best], h / 4
+    return float(vals[best])
+
+
+def _seed_49_sample():
+    """Seed 49 of the bracket family (D = 2, r = 2, Hermitian times i) as geom/1 directions,
+    d_scal_diff = 0 and nabla_lambda_diff = -2 pi i M_d, whose direction matrices are the M_d."""
+    rng = np.random.default_rng(49)
+    D, r = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+    mats = [rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)) for _ in range(D)]
+    mats = np.array([1j * (M + M.conj().T) / 2 for M in mats])
+    dirs = tuple(wy(f"d{d}", nabla=-2j * PI * M) for d, M in enumerate(mats))
+    return mats, data_with([GeometrySample(id="s49", normal_dirs=dirs)], fiber_rank=r)
+
+
+def test_c0_reaches_the_bloch_sphere_maximum():
+    # each start used to stop after 80 iterations: this read 2.458646890398218,
+    # 2.1e-6 below the maximum, 2.4586490273810537
+    mats, data = _seed_49_sample()
+    assert mats.shape == (2, 2, 2)
+    want = _bloch_maximum(mats)
+    assert float(c0(data)) * math.sqrt(PI) >= want * (1 - 1e-11)
+
+
+def test_c0_that_is_not_stationary_within_the_cap_raises(monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_ITERATIONS", 80)
+    _, data = _seed_49_sample()
+    with pytest.raises(ValueError, match="^sample 's49': the tensor norm is not stationary after 80 iterations$"):
+        c0(data)
 
 
 def test_constant_result_shape():

@@ -475,6 +475,23 @@ def test_lambda_witnesses_on_no_normal_variable_and_the_zero_symbol():
             assert value.shape == (2, 2) and not value.any()
 
 
+def test_lambda_witnesses_refuse_a_grid_below_the_symbol_degree():
+    # |w1|^6 |w2|^2 has real degree 6 in w1, past the 3 that 2 nodes integrate exactly:
+    # lambda_eq_quadrature read 0.01027 there against lambda_eq's 0.06160
+    g, z = Symbol.monomial(2, 0, (3, 1), (3, 1)), np.array([0.5, 0.0])
+    for nodes in (2, 3):
+        message = f"^{nodes} nodes per axis cannot integrate degree 6$"
+        with pytest.raises(InsufficientNodesError, match=message):
+            lambda_eq_quadrature(g, nodes)
+        with pytest.raises(InsufficientNodesError, match=message):
+            lambda_h_quadrature(g, z, nodes)
+        with pytest.raises(InsufficientNodesError, match=message):
+            lambda_a_quadrature(g, z, nodes)
+    # 4 nodes are exact to degree 7
+    for got, want in zip(_witness_values(g, z, 4), _closed_form_values(g, z)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_lambda_eq_positive_on_squares(rng):
     for _ in range(5):
         g = random_symbol(rng, 2, 0, fiber_rank=2, max_deg=2)
@@ -603,20 +620,12 @@ def test_h_gp_errors():
     g = Symbol.monomial(1, 0, (0,), (1,))
     with pytest.raises(ValueError):
         h_gp(g, p=0.25)
-    with pytest.raises(InsufficientNodesError):
-        h_gp(g, grid=4)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf])
 def test_h_gp_rejects_non_finite_level(p):
     with pytest.raises(ValueError, match="p must be finite"):
         h_gp(Symbol.monomial(1, 0, (0,), (1,)), p=p)
-
-
-def test_h_gp_rejects_fractional_grid():
-    for grid in (8.7, "96", True):
-        with pytest.raises(ValueError, match="grid must be an integer"):
-            h_gp(Symbol.monomial(1, 0, (0,), (1,)), grid=grid)
 
 
 def test_gl_rule_is_built_once_per_node_count(monkeypatch):
@@ -632,28 +641,27 @@ def test_gl_rule_is_built_once_per_node_count(monkeypatch):
     g = Symbol.monomial(2, 0, (1, 0), (2, 1)).add(Symbol.monomial(2, 0, (0, 0), (0, 3)))
     for cutoff in (None, CutoffSpec(r_perp=1.0)):
         for p in (1.0, 4.0, 64.0):
-            h_gp(g, p=p, cutoff=cutoff, grid=96)
+            h_gp(g, p=p, cutoff=cutoff)
     operators._gl_rule.cache_clear()
-    assert builds == [96]
+    assert builds == [160]
 
 
 def test_gl_rule_arrays_are_read_only():
-    x, w = operators._gl_rule(64)
+    x, w = operators._gl_rule()
     with pytest.raises(ValueError):
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
 
 
-@pytest.mark.parametrize("grid", [64, 160])
 @pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
-def test_h_gp_cached_rule_is_bit_identical(monkeypatch, grid, cutoff):
+def test_h_gp_cached_rule_is_bit_identical(monkeypatch, cutoff):
     terms = {((1, 0), (1, 2)): [[1.0, 2.0j], [0.5, -1.0]], ((0, 2), (0, 0)): 3.0 * np.eye(2)}
     g = Symbol.from_terms(2, 0, terms, fiber_rank=2)
-    cached = [h_gp(g, p=p, cutoff=cutoff, grid=grid) for p in (1.0, 8.0)]
-    cached += [h_gp(g, p=p, cutoff=cutoff, grid=grid) for p in (1.0, 8.0)]  # cache hits
-    monkeypatch.setattr(operators, "_gl_rule", np.polynomial.legendre.leggauss)
-    fresh = [h_gp(g, p=p, cutoff=cutoff, grid=grid) for p in (1.0, 8.0)] * 2
+    cached = [h_gp(g, p=p, cutoff=cutoff) for p in (1.0, 8.0)]
+    cached += [h_gp(g, p=p, cutoff=cutoff) for p in (1.0, 8.0)]  # cache hits
+    monkeypatch.setattr(operators, "_gl_rule", lambda: np.polynomial.legendre.leggauss(160))
+    fresh = [h_gp(g, p=p, cutoff=cutoff) for p in (1.0, 8.0)] * 2
     for got, want in zip(cached, fresh):
         assert np.array_equal(got.h_sq, want.h_sq)
         assert np.array_equal(got.leading, want.leading)

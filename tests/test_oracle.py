@@ -25,10 +25,8 @@ from fockcalc import (
     Symbol,
     c1_c2,
     compose,
-    default_eval_points,
     fock_indices,
     gauss_hermite,
-    gaussian_pairing,
     laplacian_eigencheck,
     m_op,
     norm_estimate,
@@ -38,7 +36,7 @@ from fockcalc import (
 )
 from fockcalc import oracle
 from fockcalc.oracle import _report
-from fockcalc.operators import _scaled_compose
+from fockcalc.operators import _pairing_row, _scaled_compose
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -107,7 +105,6 @@ def test_integer_arguments_are_read_by_name():
     calls = [
         (lambda: fock_indices(1, 1.5), "max_total"),
         (lambda: fock_indices(True, 2), "dim"),
-        (lambda: default_eval_points(Bergman(1), Bergman(1), count=2.5), "count"),
         (lambda: oracle._plane_mesh(True), "nodes"),
         (lambda: oracle._plane_mesh(2.5), "nodes"),
         (lambda: gauss_hermite(True), "k"),
@@ -120,11 +117,8 @@ def test_integer_arguments_are_read_by_name():
 
 
 def test_counts_below_their_least_are_rejected_by_name():
-    # a count of -2 gave no points, which oracle_compose rejects; fock_indices(-1, 2)
-    # raised itertools' "repeat argument cannot be negative"
+    # fock_indices(-1, 2) raised itertools' "repeat argument cannot be negative"
     calls = [
-        (lambda: default_eval_points(Bergman(1), Bergman(1), count=0), "count must be an integer >= 1, got 0"),
-        (lambda: default_eval_points(Bergman(1), Bergman(1), count=-2), "count must be an integer >= 1, got -2"),
         (lambda: fock_indices(-1, 2), "dim must be an integer >= 0, got -1"),
     ]
     for call, message in calls:
@@ -134,12 +128,10 @@ def test_counts_below_their_least_are_rejected_by_name():
 
 def test_numbers_are_no_sequences():
     # each raised a bare "'int' object is not iterable" (or "'float' ...")
-    e, g = unit_expr(Bergman(1)), Symbol.monomial(1, 0, (1,), (0,))
+    g = Symbol.monomial(1, 0, (1,), (0,))
     calls = [
         (lambda: laplacian_eigencheck(1, 0), "alpha must be a list of integers"),
         (lambda: laplacian_eigencheck((1,), 0), "beta must be a list of integers"),
-        (lambda: gaussian_pairing(e, 1, (0,)), "beta must be a list of integers"),
-        (lambda: gaussian_pairing(e, (0,), 1), "gamma must be a list of integers"),
         (lambda: c1_c2(g, 1.0), "kappa_samples must be a list of numbers"),
     ]
     for call, message in calls:
@@ -215,6 +207,22 @@ def test_oracle_compose_refuses_an_expected_form_of_other_dimensions():
         oracle_compose(e, e, expected=unit_expr(Extension(1, 0)))
 
 
+def test_oracle_compose_refuses_an_expected_form_of_another_fiber_rank():
+    # numpy used to fail with "cannot reshape array of size 5 into shape (5,2,2)"
+    e = unit_expr(Bergman(1))
+    with pytest.raises(ValueError, match="^expected fiber rank 2 does not match the composite's 1$"):
+        oracle_compose(e, e, expected=unit_expr(Bergman(1), fiber_rank=2))
+
+
+def test_oracle_refuses_a_grid_of_another_middle_dimension():
+    # QuadGrid(8, 7) used to pass for a 2-dimensional middle and be reported as "n": 7
+    e = unit_expr(Bergman(2))
+    for check in (oracle_compose, oracle_compose_values):
+        with pytest.raises(ValueError, match="^grid n 7 does not match the middle dimension 2$"):
+            check(e, e, grid=QuadGrid(8, 7))
+    assert oracle_compose(e, e, grid=QuadGrid(8, 2)).to_json_dict()["grid"] == {"nodes_per_axis": 8, "n": 2}
+
+
 def test_oracle_middle_dimension_mismatch():
     with pytest.raises(ValueError):
         oracle_compose_values(unit_expr(Extension(2, 1)), unit_expr(Bergman(2)))
@@ -237,13 +245,6 @@ def test_oracle_expected_override_projector_identity(rng):
         r = unit_expr(Restriction(n, m))
         report = oracle_compose(e, r, expected=unit_expr(OrthBergman(n, m)))
         assert report.passed, f"(n,m)=({n},{m}): rel={report.max_rel:.2e}"
-
-
-def test_default_eval_points_shapes():
-    pts = default_eval_points(Extension(3, 1), Restriction(2, 1), count=4)
-    assert len(pts) == 4
-    for Z, Zp in pts:
-        assert len(Z) == 3 and len(Zp) == 2
 
 
 def test_oracle_needs_an_evaluation_point():
@@ -375,7 +376,7 @@ def test_laplacian_eigencheck_passes():
 
 
 def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):
-    # n = 3 at the default 5 nodes is a 5^6 = 15,625-point mesh, checked at every
+    # n = 3 at the check's 5 nodes is a 25^3 = 15,625-point mesh, checked at every
     # fourth point: 3,907 of them
     alpha, beta = (1, 0, 1), (0, 1, 0)
     checked, report = [], oracle._report
@@ -404,9 +405,9 @@ def test_laplacian_eigencheck_keeps_the_full_mesh_stride(monkeypatch):
     assert seen[0].tobytes() == full[::4].tobytes()
 
 
-def test_laplacian_eigencheck_at_twenty_nodes_builds_no_tensor_mesh(monkeypatch):
-    # QuadGrid(20, 3) spans a 20^6 = 64M-point mesh, which the check used to build
-    # whole (gaussian_mesh) before keeping 4,096 of its points
+def test_laplacian_eigencheck_at_six_coordinates_builds_no_tensor_mesh(monkeypatch):
+    # n = 6 spans a 25^6 = 244M-point mesh, which the check used to build whole
+    # (gaussian_mesh) before keeping 4,096 of its points
     def no_mesh(*args):
         raise AssertionError("the tensor mesh was built")
 
@@ -416,7 +417,7 @@ def test_laplacian_eigencheck_at_twenty_nodes_builds_no_tensor_mesh(monkeypatch)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        rep = laplacian_eigencheck((1, 0, 1), (0, 1, 0), QuadGrid(20, 3))
+        rep = laplacian_eigencheck((1, 0, 1, 0, 0, 1), (0, 1, 0, 1, 0, 0))
         seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,6 +454,14 @@ def test_laplacian_eigencheck_validation():
 
 
 # -- exact pairings ----------------------------------------------------------------------
+
+
+def _pairing(expr, beta, gamma):
+    """The exact pairing of conj(z)^beta with expr z'^gamma that ``norm_estimate``'s Gram rows
+    hold: the gamma entry of ``_pairing_row``, zero where its selection rule drops gamma."""
+    (E, C), r = expr.numerator.table, expr.dims.fiber_rank
+    row = _pairing_row(E.tolist(), C, expr.kind.c, r, tuple(beta))
+    return row.get(tuple(gamma), np.zeros((r, r), dtype=complex))
 
 
 def _pairing_quadrature(expr, beta, gamma, nodes=14):
@@ -504,7 +513,7 @@ def test_gaussian_pairing_vs_quadrature(powers, beta, gamma):
     poly = Poly.monomial(dims, powers) if powers else Poly.one(dims)
     for kind in (Bergman(1), OrthBergman(1, 0)):
         expr = KernelExpr(poly, kind)
-        exact = gaussian_pairing(expr, beta, gamma)[0, 0]
+        exact = _pairing(expr, beta, gamma)[0, 0]
         quad = _pairing_quadrature(expr, beta, gamma)
         assert abs(exact - quad) < 1e-9 * max(1.0, abs(exact)), kind
         if abs(quad) < 1e-12:
@@ -563,7 +572,7 @@ def test_gaussian_pairing_vs_oracle_quadrature_d2(kind):
     for beta in indices:
         quad = _pairing_by_oracle(expr, beta, indices)
         for gamma in indices:
-            exact = gaussian_pairing(expr, beta, gamma)
+            exact = _pairing(expr, beta, gamma)
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(exact - quad[gamma])) < 1e-9 * scale, (beta, gamma)
             if np.max(np.abs(quad[gamma])) < 1e-12:
@@ -576,20 +585,9 @@ def test_gaussian_pairing_vs_oracle_quadrature_d2(kind):
 def test_gaussian_pairing_orthogonality():
     # the unit kernel reproduces the weighted monomials: <z^b, K z^g> = 0 unless b == g.
     e = unit_expr(Bergman(2))
-    assert abs(gaussian_pairing(e, (1, 0), (0, 1))[0, 0]) == 0.0
-    got = gaussian_pairing(e, (1, 1), (1, 1))[0, 0]
+    assert abs(_pairing(e, (1, 0), (0, 1))[0, 0]) == 0.0
+    got = _pairing(e, (1, 1), (1, 1))[0, 0]
     assert abs(got - 1.0 / PI**2) < 1e-15  # ||z1 z2||^2 = 1! 1! / pi^2
-    with pytest.raises(ValueError):
-        gaussian_pairing(unit_expr(Extension(2, 1)), (0, 0), (0,))
-    with pytest.raises(ValueError):
-        gaussian_pairing(e, (0,), (0, 0))
-    with pytest.raises(ValueError, match="non-negative"):
-        gaussian_pairing(e, (0, 0), (-1, 1))
-    # beta = (1.9, 0) used to pair as (1, 0) and return 1/pi
-    with pytest.raises(ValueError, match="beta entry must be an integer"):
-        gaussian_pairing(e, (1.9, 0), (1, 0))
-    with pytest.raises(ValueError, match="gamma entry must be an integer"):
-        gaussian_pairing(e, (1, 0), (True, 0))
 
 
 # -- norms ------------------------------------------------------------------------------
