@@ -2,6 +2,7 @@
 
 The package is organised bottom-up:
 
+- ``fields``    JSON field readers and the command line's settings, no numpy
 - ``poly``      four-family polynomial coefficients with matrix fibers
 - ``kernels``   the one kernel descriptor, its four named families, and ladder ops
 - ``compose``   closed-form operator composition on those families
@@ -10,16 +11,18 @@ The package is organised bottom-up:
 - ``geometry``  curvature-sample data model and comparison constants
 - ``cli``       file-based command line (``fockcalc`` entry point)
 
-Every name in ``__all__`` is importable from the package itself; the
-submodule that defines it is imported on first use, so a process loads only
-the submodules it touches.
+Every name in ``__all__`` is importable from the package itself.
+``import fockcalc`` loads no submodule: the one that defines a name is
+imported on first use, so a process loads only the submodules it touches.
 """
 
 import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-# The public names, by the submodule that defines them.
+# The public names, by the submodule that exports them.
 _EXPORTS = {
     "poly": (
         "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",
@@ -28,7 +31,7 @@ _EXPORTS = {
     "kernels": (
         "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
         "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
-        "primed_dim", "TOEPLITZ_KINDS",
+        "primed_dim",
     ),
     "compose": (
         "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
@@ -43,7 +46,7 @@ _EXPORTS = {
         "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature",
         "m_op", "h_gp", "c1_c2", "fock_indices", "norm_estimate",
         "toeplitz_leading", "toeplitz_flat_composite", "toeplitz_predicted_kernel",
-        "flat_defect_checks",
+        "flat_defect_checks", "TOEPLITZ_KINDS",
     ),
     "geometry": (
         "GEOM_SCHEMA", "NormalDirection", "GeometrySample", "GeometryData",
@@ -54,22 +57,30 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = ["__version__", *_OWNER]
 
-# ``compose`` is both a submodule and its main function.  The first import of
-# a submodule sets the package attribute of that name to the module, so the
-# function is bound here, after ``fockcalc.compose`` has been imported; bound
-# lazily, any later ``import fockcalc.compose`` would replace it by the module.
-from .compose import compose  # noqa: E402
+
+class _Package(types.ModuleType):
+    """``compose`` is both a submodule and its main function.  The import system
+    binds a submodule to the package attribute of its name when it first loads
+    it; this binds the submodule's function of that name instead, so
+    ``fockcalc.compose`` stays the function under every import order."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "compose" and isinstance(value, types.ModuleType):
+            value = value.compose
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name: str):
+    if name in _OWNER:  # before the submodules, so ``compose`` is the function
+        module = importlib.import_module(f"{__name__}.{_OWNER[name]}")
+        value = globals()[name] = getattr(module, name)
+        return value
     if name in _EXPORTS:  # a submodule not imported yet
         return importlib.import_module(f"{__name__}.{name}")
-    try:
-        module = _OWNER[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

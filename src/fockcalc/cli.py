@@ -6,6 +6,13 @@ version field (CSV export exists only for constant tables); exit codes are
 0 for pass, 1 for a numerical-check failure, 2 for usage or format errors.
 :func:`run` is where every input error, a ``ValueError`` raised anywhere in
 a command, becomes one stderr line and exit 2.
+
+A call runs in two stages.  The read stage uses the standard library and
+:mod:`.fields` only: it checks the flags, reads each file, parses its JSON,
+checks its schema and the fields the command line reads itself (the
+``matrix`` rows, ``--direction``).  So a bad flag or file exits before numpy
+is loaded.  The compute stage (:func:`_numeric`) loads numpy and the
+submodules a command uses, and builds and evaluates the objects.
 """
 
 from __future__ import annotations
@@ -14,14 +21,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
-import numpy as np
-
-# Every command needs ``poly``; the other modules are imported by the
-# functions that use them, so a process loads only what its command needs.
-from .poly import DEFAULT_DEGREE_CAP, Dims, Poly
-from .poly import _coef_from_json, _coef_to_json, _json_list, _json_object, _json_real
+from .fields import DEFAULT_DEGREE_CAP, TOEPLITZ_KINDS, _json_list, _json_object, _json_real
 
 PI = math.pi
 
@@ -42,6 +45,15 @@ def _check_flags(args) -> None:
         raise ValueError(f"--nodes must be >= 1, got {nodes}")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"--degree-cap must be >= 0, got {degree_cap}")
+
+
+def _numeric(stack: ExitStack) -> None:
+    """Enter the compute stage: load numpy and silence its floating-point warnings
+    until :func:`run` closes ``stack``, as what overflows is rejected where it is
+    stored or written."""
+    import numpy as np
+
+    stack.enter_context(np.errstate(all="ignore"))
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -70,28 +82,32 @@ _PAYLOAD_ERRORS = {
 }
 
 
-def _load(path: str, schema: str, reader):
-    """``reader`` applied to the payload of a ``schema`` file: the JSON object
-    without its ``schema`` field, which must match (geom/1's reader takes the
-    whole object and checks it itself).  A bad file is a usage error."""
+def _load(path: str, schema: str):
+    """Read a ``schema`` file, whose ``schema`` field must match: a bad file is a
+    usage error.  Returns ``parse``: ``parse(reader)`` is ``reader`` applied to the
+    payload, the JSON object without its ``schema`` field (geom/1's reader takes
+    the whole object), with the reader's errors named as the file's."""
     data = _read_json(path)
+    if data.get("schema") != schema:
+        raise ValueError(f"{path}: schema {data.get('schema')!r} does not match expected {schema!r}")
     if schema != GEOM_SCHEMA:
-        if data.get("schema") != schema:
-            raise ValueError(f"{path}: schema {data.get('schema')!r} does not match expected {schema!r}")
         data = {k: v for k, v in data.items() if k != "schema"}
-    try:
-        return reader(data)
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise ValueError(f"{path}: {_PAYLOAD_ERRORS[schema]}{e}")
+
+    def parse(reader):
+        try:
+            return reader(data)
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
+            raise ValueError(f"{path}: {_PAYLOAD_ERRORS[schema]}{e}")
+
+    return parse
 
 
-def _read_matrix(body: dict) -> np.ndarray:
-    """The ``(r, r)`` matrix of a matrix/1 payload."""
+def _matrix_rows(body: dict) -> list:
+    """The rows of a matrix/1 payload."""
     body = _json_object(body, "matrix", ("matrix",))
     if "matrix" not in body:
         raise ValueError("missing 'matrix' field")
-    rows = _json_list(body["matrix"], "'matrix'", "rows")
-    return _coef_from_json(rows, len(rows), "matrix")
+    return _json_list(body["matrix"], "'matrix'", "rows")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -129,13 +145,17 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
 
 
 # -- subcommands -------------------------------------------------------------------
+#
+# Each reads its flags and files first, then enters the compute stage.
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args, numeric: ExitStack) -> int:
+    left, right = (_load(path, KERNEL_SCHEMA) for path in (args.left, args.right))
+    _numeric(numeric)
     from .compose import compose, compose_plan
     from .kernels import KernelExpr
 
-    e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
+    e1, e2 = left(KernelExpr.from_json_dict), right(KernelExpr.from_json_dict)
     plan = compose_plan(e1.kind, e2.kind)
     # a result kind without a kernel/1 name cannot be written
     result = {"schema": KERNEL_SCHEMA, **compose(e1, e2, degree_cap=args.degree_cap).to_json_dict()}
@@ -143,12 +163,14 @@ def _cmd_compose(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args, numeric: ExitStack) -> int:
+    left, right = (_load(path, KERNEL_SCHEMA) for path in (args.left, args.right))
+    _numeric(numeric)
     from .compose import compose, compose_plan
     from .kernels import KernelExpr
     from .oracle import QuadGrid, oracle_compose
 
-    e1, e2 = (_load(path, KERNEL_SCHEMA, KernelExpr.from_json_dict) for path in (args.left, args.right))
+    e1, e2 = left(KernelExpr.from_json_dict), right(KernelExpr.from_json_dict)
     plan = compose_plan(e1.kind, e2.kind)
     grid = None if args.nodes is None else QuadGrid(nodes_per_axis=args.nodes, n=e1.kind.dp)
     expected = compose(e1, e2, degree_cap=args.degree_cap)
@@ -165,10 +187,14 @@ def _cmd_oracle_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, numeric: ExitStack) -> int:
+    matrix = _load(args.input, MATRIX_SCHEMA)
+    rows = matrix(_matrix_rows)
+    _numeric(numeric)
     from .geometry import hermitian_eigs
+    from .poly import _coef_from_json
 
-    vals = _load(args.input, MATRIX_SCHEMA, lambda body: hermitian_eigs(_read_matrix(body)))
+    vals = matrix(lambda _: hermitian_eigs(_coef_from_json(rows, len(rows), "matrix")))
     _emit_json(
         {"schema": "spectrum/1", "eigenvalues": [float(v) for v in vals]},
         args.out,
@@ -176,10 +202,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_toeplitz_leading(args) -> int:
+def _cmd_toeplitz_leading(args, numeric: ExitStack) -> int:
+    symbol = _load(args.symbol, SYMBOL_SCHEMA)
+    _numeric(numeric)
     from .operators import Symbol, _effective_kind, toeplitz_leading
+    from .poly import _coef_to_json
 
-    g = _load(args.symbol, SYMBOL_SCHEMA, Symbol.from_json_dict)
+    g = symbol(Symbol.from_json_dict)
     value = toeplitz_leading(args.kind, g)
     effective = _effective_kind(args.kind, g)
     payload: dict = {
@@ -198,12 +227,18 @@ def _cmd_toeplitz_leading(args) -> int:
     return 0
 
 
-def _cmd_constants(args) -> int:
-    from .geometry import GeometryData, c0, c3_c4, dp3, tower_dp3
-
-    data = _load(args.geom, GEOM_SCHEMA, GeometryData.from_json_dict)
+def _cmd_constants(args, numeric: ExitStack) -> int:
+    geom = _load(args.geom, GEOM_SCHEMA)
     which = args.which
-    csv_rows: list[tuple[str, float, str]] | None = None
+    table = which in ("c0", "c3c4")  # argparse allows no other --which than these and dp3, tower
+    direction = None if table else _parse_direction(args.direction)
+    if args.csv is not None and not table:
+        raise ValueError("--csv only applies to constant tables (c0, c3c4)")
+    _numeric(numeric)
+    from .geometry import GeometryData, c0, c3_c4, dp3, tower_dp3
+    from .poly import _coef_to_json
+
+    data = geom(GeometryData.from_json_dict)
     if which == "c0":
         res = c0(data, seed=args.seed)
         payload = {
@@ -220,16 +255,13 @@ def _cmd_constants(args) -> int:
             ("C3", res34.c3, res34.c3_sample_id),
             ("C4", res34.c4, res34.c4_sample_id),
         ]
-    else:  # dp3 or tower: argparse allows no other --which
-        direction = _parse_direction(args.direction)
+    else:
         if which == "dp3":
             mat = dp3(data, direction, sample_id=args.sample)
         else:
             mat = tower_dp3(data.samples, direction, fiber_rank=data.fiber_rank)
         payload = {"schema": "constants/1", "which": which, "matrix": _coef_to_json(mat)}
     if args.csv is not None:
-        if csv_rows is None:
-            raise ValueError("--csv only applies to constant tables (c0, c3c4)")
         lines = ["constant,value,sample_id"]
         lines += [f"{name},{value!r},{sid}" for name, value, sid in csv_rows]
         Path(args.csv).write_text("\n".join(lines) + "\n")
@@ -237,18 +269,19 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _cmd_defect_check(args) -> int:
-    from .operators import flat_defect_checks
-
+def _cmd_defect_check(args, numeric: ExitStack) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     explicit = [v is not None for v in (args.n, args.l, args.m)]
     if any(explicit) and not all(explicit):
         raise ValueError("--n, --l, --m must be given together")
+    if all(explicit) and not (0 <= args.m <= args.l <= args.n):
+        raise ValueError(f"need 0 <= m <= l <= n, got n={args.n} l={args.l} m={args.m}")
+    _numeric(numeric)
+    from .operators import flat_defect_checks
+
     if all(explicit):
         n, l, m = args.n, args.l, args.m
-        if not (0 <= m <= l <= n):
-            raise ValueError(f"need 0 <= m <= l <= n, got n={n} l={l} m={m}")
         full = flat_defect_checks(max_n=n)
         records = [
             rec
@@ -278,6 +311,8 @@ def _cmd_defect_check(args) -> int:
 
 def _selftest_checks():
     """Yield (name, callable) pairs; each callable returns (ok, detail)."""
+    import numpy as np
+
     from .compose import base_terms
     from .geometry import (
         GeometryData,
@@ -299,6 +334,7 @@ def _selftest_checks():
         toeplitz_flat_composite,
         toeplitz_predicted_kernel,
     )
+    from .poly import Dims, Poly
 
     def base_goldens():
         # coupled on both sides ("tangential") and on neither ("normal")
@@ -405,7 +441,8 @@ def _selftest_checks():
     yield "model_norm", model_norm
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, numeric: ExitStack) -> int:
+    _numeric(numeric)
     lines = []
     failures = 0
     total = 0
@@ -433,8 +470,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .kernels import TOEPLITZ_KINDS
-
     parser = _Parser(
         prog="fockcalc",
         description="Polynomial Gaussian-kernel calculus: composition, quadrature "
@@ -515,12 +550,11 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     # Any ValueError is an input error: a bad flag, file or payload, or one the
-    # calculus cannot take (say a degree over the cap).  numpy's floating-point
-    # warnings are silenced, as what overflows is rejected where it is stored or written.
+    # calculus cannot take (say a degree over the cap).
     try:
-        _check_flags(args)
-        with np.errstate(all="ignore"):
-            return _DISPATCH[args.command](args)
+        with ExitStack() as numeric:
+            _check_flags(args)
+            return _DISPATCH[args.command](args, numeric)
     except (ValueError, OSError) as e:
         sys.stderr.write(f"fockcalc: error: {e}\n")
         return 2

@@ -35,7 +35,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly, _collect, _json_int
+from .fields import DEFAULT_DEGREE_CAP, _json_int
+from .poly import DegreeOverflowError, Dims, Poly, _collect
 from .kernels import KernelExpr, KernelKind, _named
 
 __all__ = [

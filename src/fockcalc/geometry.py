@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import _as_coef, _coef_from_json, _coef_to_json, _json_complex, _json_int, _json_list, _json_object
-from .poly import _json_real, _json_str
+from .fields import _json_complex, _json_int, _json_list, _json_object, _json_real, _json_str
+from .poly import _as_coef, _coef_from_json, _coef_to_json
 
 PI = math.pi
 

@@ -24,8 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .fields import _json_complex, _json_int, _json_number, _json_object
 from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, _as_points, _collect
-from .poly import _json_complex, _json_int, _json_number, _json_object
 
 __all__ = [
     "Bergman",
@@ -40,16 +40,9 @@ __all__ = [
     "apply_model_laplacian",
     "kind_name",
     "primed_dim",
-    "TOEPLITZ_KINDS",
 ]
 
 PI = math.pi
-
-# The five basic operator kinds whose leading terms ``operators.toeplitz_leading``
-# gives.  Defined here so the command line can list them without loading
-# ``operators``.
-TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class KernelKind:

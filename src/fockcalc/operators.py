@@ -29,9 +29,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .fields import TOEPLITZ_KINDS, _json_int, _json_list, _json_number, _json_object
 from .poly import Dims, Poly, O_Z, O_ZB, _as_coef, _as_numbers, _as_points, _collect, _coef_to_json
-from .poly import _coef_from_json, _exponent_rows, _json_int, _json_list, _json_number, _json_object
-from .kernels import TOEPLITZ_KINDS, KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
+from .poly import _coef_from_json, _exponent_rows
+from .kernels import KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
 from .kernels import _kernel_points
 from .compose import _one_sided, _over_pi, compose
 from .geometry import hermitian_eigs
@@ -768,4 +769,5 @@ __all__ = [
     "toeplitz_flat_composite",
     "toeplitz_predicted_kernel",
     "flat_defect_checks",
+    "TOEPLITZ_KINDS",
 ]

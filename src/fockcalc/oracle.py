@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Dims, Poly, _as_points, _json_int, _json_list, _json_number, _monomials
+from .fields import _json_int, _json_list, _json_number
+from .poly import Dims, Poly, _as_points, _monomials
 from .kernels import KernelExpr, Extension, apply_ladder, apply_model_laplacian, _gaussian
 from .compose import compose
 
@@ -117,11 +118,15 @@ _PALETTE = np.array(
 )
 
 
+@lru_cache(maxsize=32)
 def _palette_points(du: int, dp: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's default evaluation pairs: five deterministic points with moderate
-    coordinates, stacked into ``(5, du)`` and ``(5, dp)``."""
+    """The oracle's default evaluation pairs, read-only: five deterministic points with
+    moderate coordinates, stacked into ``(5, du)`` and ``(5, dp)``."""
     t = np.arange(5)[:, None]
-    return _PALETTE[(t + 2 * np.arange(du)) % len(_PALETTE)], _PALETTE[(t + 3 * np.arange(dp) + 5) % len(_PALETTE)]
+    points = _PALETTE[(t + 2 * np.arange(du)) % len(_PALETTE)], _PALETTE[(t + 3 * np.arange(dp) + 5) % len(_PALETTE)]
+    for a in points:
+        a.setflags(write=False)
+    return points
 
 
 def _oracle_inputs(

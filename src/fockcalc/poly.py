@@ -13,8 +13,6 @@ with layout ``exps[4*(i-1) + o]`` where ``o`` selects, in order,
 
 from __future__ import annotations
 
-import cmath
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -22,6 +20,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+from .fields import DEFAULT_DEGREE_CAP, _json_complex, _json_int, _json_list, _json_number, _json_object
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
@@ -41,11 +41,6 @@ __all__ = [
 O_Z, O_ZB, O_ZP, O_ZBP = 0, 1, 2, 3
 
 _O_NAMES = {O_Z: "z", O_ZB: "zb", O_ZP: "z'", O_ZBP: "zb'"}
-
-#: Hard ceiling on total degree produced by multiplication; results above
-#: this raise :class:`DegreeOverflowError` instead of silently growing.
-DEFAULT_DEGREE_CAP = 16
-
 
 class DegreeOverflowError(ValueError):
     """Raised when a product term would exceed the configured degree cap."""
@@ -490,81 +485,7 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E[first[rank]], acc[rank]
 
 
-# -- field readers -----------------------------------------------------------------
-#
-# Every payload loader reads its fields through these (and :func:`_as_coef`), and
-# so does every public function or constructor for its counts, levels, scalars
-# and matrices: each field type has one rule, and a bad field or argument is
-# named in the error.  Point coordinates are arrays, read by :func:`_as_points`.
-
-
-def _json_object(value, what: str, keys=None) -> Mapping:
-    """A JSON object; given ``keys``, one with no key outside them."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    if keys is not None and (extra := set(value) - set(keys)):
-        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
-    return value
-
-
-def _json_list(value, what: str, items: str) -> list:
-    """A JSON list (or a tuple, from Python callers), never an object's keys."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list of {items}")
-    return value
-
-
-def _json_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    """An integer field: ints and integral floats such as ``2.0``; booleans,
-    strings and fractional or non-finite numbers are rejected by name."""
-    if type(value) is int:
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _json_number(value, what: str) -> float:
-    """A JSON int or float as a float (an int beyond float range as +-inf);
-    booleans, strings and null are rejected by name."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.copysign(math.inf, value)
-
-
-def _json_real(value, what: str) -> float:
-    """A finite real field, read like :func:`_json_number`."""
-    x = _json_number(value, what)
-    if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return x
-
-
-def _json_complex(value, what: str) -> complex:
-    """A finite complex number: any real or complex number but a boolean; strings
-    and null are rejected by name."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        z = complex(value)
-    except OverflowError:  # an int beyond float range
-        z = complex(math.inf)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return z
+# -- matrix fields -------------------------------------------------------------------
 
 
 def _coef_to_json(coef: np.ndarray) -> list:

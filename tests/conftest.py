@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -181,6 +183,17 @@ def random_symbol(
         key = (tuple(hol), tuple(antihol))
         terms[key] = terms.get(key, 0) + coef
     return Symbol.from_terms(n, m, terms, fiber_rank)
+
+
+def linear_symbol(mats: np.ndarray, m: int) -> tuple[Symbol, float, float]:
+    """g_M = sum_d M_d wbar_d on C^(m + D) over C^m for the D matrices ``mats``, and the
+    ends of c0's bracket over sqrt(pi): a / sqrt(pi) and b / sqrt(pi), with
+    a^2 = lambda_max(sum M_d^H M_d) and b^2 = lambda_max(sum M_d M_d^H)."""
+    D, r = len(mats), mats.shape[1]
+    terms = {((0,) * D, tuple(int(e == d) for e in range(D))): M for d, M in enumerate(mats)}
+    a2 = np.linalg.eigvalsh(sum(M.conj().T @ M for M in mats))[-1]
+    b2 = np.linalg.eigvalsh(sum(M @ M.conj().T for M in mats))[-1]
+    return Symbol.from_terms(m + D, m, terms, fiber_rank=r), math.sqrt(a2 / math.pi), math.sqrt(b2 / math.pi)
 
 
 @pytest.fixture

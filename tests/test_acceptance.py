@@ -28,6 +28,7 @@ from fockcalc import (
     QuadGrid,
     base_terms,
     c0,
+    c1_c2,
     c3_c4,
     compose,
     dp3,
@@ -46,7 +47,7 @@ from fockcalc import (
 )
 from fockcalc.oracle import _palette_points
 
-from conftest import random_kernel_expr, supported_kind_pairs
+from conftest import linear_symbol, random_kernel_expr, supported_kind_pairs
 
 PI = math.pi
 
@@ -322,8 +323,22 @@ def test_criterion_09_constants_goldens():
     worst = max(worst, float(np.max(np.abs(single - dp3(data, {"d1": 0.5})))))
     telescoped = tower_dp3((lower, upper), {"d1": 1.0, "d2": 1.0})
     worst = max(worst, float(np.max(np.abs(telescoped - np.array([[3.0]])))))
+    # c1_c2 and both model-operator norms of g_M = sum_d M_d wbar_d are the ends of
+    # c0's bracket, a / sqrt(pi) and b / sqrt(pi): closed forms on both sides
+    rng = np.random.default_rng(9)
+    worst_rel = 0.0
+    for D, r, m in ((1, 1, 0), (2, 2, 1), (3, 3, 1)):
+        g, a, b = linear_symbol(rng.normal(size=(D, r, r)) + 1j * rng.normal(size=(D, r, r)), m)
+        got = (*c1_c2(g), norm_estimate(m_op(g, 1.0), 3), norm_estimate(m_op(g, 1.0, variant="adjoint"), 3))
+        worst_rel = max(worst_rel, *(abs(x - want) / want for x, want in zip(got, (a, b, a, b))))
     assert worst <= 1e-12, f"worst deviation {worst:.2e}"
-    report(9, "1e-12", f"C3/C4, C0, dp3 and tower goldens, worst deviation {worst:.2e}")
+    assert worst_rel <= 1e-12, f"worst c1_c2 / norm_estimate relative deviation {worst_rel:.2e}"
+    report(
+        9,
+        "1e-12",
+        f"C3/C4, C0, dp3 and tower goldens, worst deviation {worst:.2e}; "
+        f"c1_c2 and m_op norms vs bracket ends, worst relative {worst_rel:.2e}",
+    )
 
 
 def test_criterion_10_restriction_extension_duality():

@@ -647,22 +647,31 @@ def test_python_dash_m_runs_selftest(module):
     assert proc.stdout.strip().endswith("selftest: 9/9 passed")
 
 
+def run_python(code: str, cwd) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=env)
+
+
 @pytest.mark.parametrize(
     "command,unused",
     [
         ("compose", {"oracle", "operators", "geometry"}),
-        ("spectrum", {"oracle", "operators"}),
+        ("spectrum", {"oracle", "operators", "kernels", "compose"}),
         ("toeplitz-leading", {"oracle"}),
         ("defect-check", {"oracle"}),
+        ("constants", {"oracle", "operators", "kernels", "compose"}),
     ],
 )
-def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
+def test_command_loads_only_the_modules_it_uses(tmp_path, geom_data, command, unused):
     lf = kernel_file(tmp_path, "l.json", unit_expr(Bergman(1)))
     mf = write_json(tmp_path, "m.json", matrix_json(np.diag([2.0, 1.0])))
     sf = symbol_file(tmp_path, "g.json", Symbol.monomial(1, 0, (1,), (1,)))
+    gf = geom_file(tmp_path, "geom.json", geom_data)
     argv = {
         "compose": ["compose", "--left", lf, "--right", lf],
         "spectrum": ["spectrum", "--input", mf],
+        "constants": ["constants", "--geom", gf, "--which", "c0"],
         "toeplitz-leading": ["toeplitz-leading", "--kind", "YY", "--symbol", sf],
         "defect-check": ["defect-check", "--max-n", "1"],
     }[command]
@@ -673,14 +682,7 @@ def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
         "print(*sorted(m[9:] for m in sys.modules if m.startswith('fockcalc.')))\n"
         "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     modules, numpy_extras = proc.stdout.splitlines()
     loaded = set(modules.split())
@@ -690,3 +692,60 @@ def test_command_loads_only_the_modules_it_uses(tmp_path, command, unused):
     assert {"cli", "poly"} <= loaded
     assert not loaded & unused, f"{command} loaded {sorted(loaded & unused)}"
     assert (tmp_path / "out.json").is_file()
+
+
+# -- the read stage: flags and files are checked before numpy is loaded ----------------
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import fockcalc", "import fockcalc.cli", "from fockcalc.cli import run; run(['--help'])"],
+    ids=["package", "cli", "help"],
+)
+def test_import_and_help_load_no_numpy(tmp_path, code):
+    proc = run_python(f"import sys\n{code}\nprint('numpy' in sys.modules)\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+# case -> (argv, a fragment of the one stderr line, whether numpy is loaded by then)
+READ_STAGE_ERRORS = {
+    "truncated JSON": (["compose", "--left", "truncated.json", "--right", "k.json"], "malformed JSON in", False),
+    "wrong schema": (["compose", "--left", "k9.json", "--right", "k.json"], "'kernel/9' does not match", False),
+    "missing file": (["oracle-check", "--left", "absent.json", "--right", "k.json"], "cannot read absent.json", False),
+    "negative tol": (["oracle-check", "--left", "k.json", "--right", "k.json", "--tol", "-1"], "--tol must be", False),
+    "no matrix field": (["spectrum", "--input", "no_matrix.json"], "missing 'matrix' field", False),
+    "symbol schema": (["toeplitz-leading", "--kind", "YY", "--symbol", "k.json"], "expected 'symbol/1'", False),
+    "geometry schema": (["constants", "--geom", "s.json", "--which", "c3c4"], "expected 'geom/1'", False),
+    "scalar-matrix": (["spectrum", "--input", "scalar.json"], "'matrix' must be a list of rows", False),
+    "dp3-direction": (
+        ["constants", "--geom", "geom.json", "--which", "dp3", "--direction", '{"d1": ["a", 1]}'],
+        "--direction value for 'd1'",
+        False,
+    ),
+    # these need numbers to find the error
+    "unsupported pair": (["compose", "--left", "r.json", "--right", "r.json"], "middle dimension mismatch", True),
+    "not hermitian": (["spectrum", "--input", "skew.json"], "not Hermitian", True),
+    "nan-coefficient": (["compose", "--left", "nan.json", "--right", "k.json"], "non-finite coefficient", True),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_STAGE_ERRORS))
+def test_usage_errors_exit_before_numpy_where_no_number_is_needed(tmp_path, geom_data, case):
+    argv, fragment, numeric = READ_STAGE_ERRORS[case]
+    body = {"schema": "kernel/1", **unit_expr(Bergman(1)).to_json_dict()}
+    kernel_file(tmp_path, "k.json", unit_expr(Bergman(1)))
+    kernel_file(tmp_path, "r.json", unit_expr(Restriction(2, 1)))
+    write_json(tmp_path, "k9.json", {**body, "schema": "kernel/9"})
+    (tmp_path / "truncated.json").write_text('{"schema": "kernel/1", "dims": ')
+    write_json(tmp_path, "nan.json", {**body, "terms": [{"exps": {"z1": 1}, "coef": [[[math.nan, 0.0]]]}]})
+    write_json(tmp_path, "no_matrix.json", {"schema": "matrix/1"})
+    write_json(tmp_path, "scalar.json", {"schema": "matrix/1", "matrix": 5})
+    write_json(tmp_path, "skew.json", matrix_json(np.array([[1.0, 2.0], [0.0, 1.0]])))
+    symbol_file(tmp_path, "s.json", Symbol.monomial(1, 0, (1,), (1,)))
+    geom_file(tmp_path, "geom.json", geom_data)
+    code = f"import sys\nfrom fockcalc.cli import run\nprint(run({argv!r}), 'numpy' in sys.modules)\n"
+    proc = run_python(code, tmp_path)
+    assert proc.stdout == f"2 {numeric}\n", proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("fockcalc: error: ")
+    assert fragment in proc.stderr

@@ -33,6 +33,7 @@ from fockcalc import (
     lambda_h,
     lambda_h_quadrature,
     m_op,
+    norm_estimate,
     toeplitz_flat_composite,
     toeplitz_leading,
     toeplitz_predicted_kernel,
@@ -42,7 +43,7 @@ from fockcalc import operators
 from fockcalc.geometry import hermitian_eigs
 from fockcalc.poly import _coef_to_json
 
-from conftest import complex_rows, random_symbol, term_sum
+from conftest import complex_rows, linear_symbol, random_symbol, term_sum
 
 PI = math.pi
 
@@ -706,6 +707,20 @@ def test_c1_c2():
         c1_c2(g, kappa_samples=[])
     with pytest.raises(ValueError):
         c1_c2(g, kappa_samples=[-1.0])
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_linear_symbol_norms_are_the_bracket_ends(D, r, m, seed):
+    # a closed form against closed forms, no quadrature: for g_M = sum_d M_d wbar_d,
+    # c1_c2 contracts the symbol and norm_estimate composes and pairs the model
+    # operator's Gram kernel; both read the ends of c0's bracket
+    rng = np.random.default_rng(seed)
+    g, a, b = linear_symbol(rng.normal(size=(D, r, r)) + 1j * rng.normal(size=(D, r, r)), m)
+    c1, c2 = c1_c2(g)
+    direct = norm_estimate(m_op(g, 1.0), 3)
+    adjoint = norm_estimate(m_op(g, 1.0, variant="adjoint"), 3)
+    for got, want in ((c1, a), (c2, b), (direct, a), (adjoint, b)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_fibre_integrals_take_symbols_beyond_the_default_cap():

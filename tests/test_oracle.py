@@ -198,6 +198,18 @@ def test_oracle_compose_takes_its_values_from_oracle_compose_values(monkeypatch)
     assert np.array_equal(counted(*calls[0][0], **calls[0][1]), want)
 
 
+def test_default_points_are_built_once_per_dimension_pair():
+    # oracle_compose and its oracle_compose_values call used to build them each
+    oracle._palette_points.cache_clear()
+    e = KernelExpr(Poly.monomial(Dims.of(2), {"zb'1": 1}), Bergman(2))
+    report = oracle_compose(e, e)
+    info = oracle._palette_points.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    z, zp = oracle._palette_points(2, 2)
+    assert not z.flags.writeable and not zp.flags.writeable
+    assert oracle_compose(e, e, eval_points=list(zip(z.copy(), zp.copy()))) == report
+
+
 def test_oracle_compose_refuses_an_expected_form_of_other_dimensions():
     # the closed form is evaluated at the points already read, so its kind must fit them
     e = unit_expr(Bergman(1))
