@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "poly": (
         "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",
-        "O_Z", "O_ZB", "O_ZP", "O_ZBP", "var_offset", "var_name", "parse_var_name",
     ),
     "kernels": (
         "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import _json_complex, _json_int, _json_number, _json_object
-from .poly import Dims, Poly, O_Z, O_ZB, O_ZP, O_ZBP, var_offset, _as_points, _collect
+from .poly import Dims, Poly, _O_Z, _O_ZB, _O_ZP, _O_ZBP, _var_offset, _as_points, _collect
 
 __all__ = [
     "Bergman",
@@ -279,10 +279,10 @@ class ScaledKernel:
 # coordinate, each operator on numerators is (variable differentiated,
 # factor), ((variable multiplied in, factor), ...), the cross term last.
 _LADDER = {
-    ("unprimed", "creation"): ((O_Z, -2.0), ((O_ZB, 2 * PI), (O_ZBP, -2 * PI))),
-    ("unprimed", "annihilation"): ((O_ZB, 2.0), ()),
-    ("primed", "creation"): ((O_ZBP, -2.0), ((O_ZP, 2 * PI), (O_Z, -2 * PI))),
-    ("primed", "annihilation"): ((O_ZP, 2.0), ()),
+    ("unprimed", "creation"): ((_O_Z, -2.0), ((_O_ZB, 2 * PI), (_O_ZBP, -2 * PI))),
+    ("unprimed", "annihilation"): ((_O_ZB, 2.0), ()),
+    ("primed", "creation"): ((_O_ZBP, -2.0), ((_O_ZP, 2 * PI), (_O_Z, -2 * PI))),
+    ("primed", "annihilation"): ((_O_ZP, 2.0), ()),
 }
 
 
@@ -296,14 +296,22 @@ def _ladder_rows(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool)
     """A ``_LADDER`` operator on coordinate j of exponent rows ``(T, 4n)`` and coefficients
     ``(T, r, r)``: the image rows, uncollected, the derivative's first and then each product's."""
     (o, factor), products = op
-    keep = E[:, col := var_offset(j, o)] > 0
+    keep = E[:, col := _var_offset(j, o)] > 0
     rows, coefs = [E[keep]], [C[keep] * E[keep, col, None, None] * complex(factor)]
     rows[0][:, col] -= 1
     for o, factor in products[: None if crossed else 1]:
         rows.append(E.copy())
-        rows[-1][:, var_offset(j, o)] += 1
+        rows[-1][:, _var_offset(j, o)] += 1
         coefs.append(C * complex(factor))
     return np.concatenate(rows), np.concatenate(coefs)
+
+
+def _ladder_step(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ladder_rows`, collected, less the rows whose coefficients vanish (as ``Poly``
+    prunes them): the store of the image, for a chain of steps that builds no ``KernelExpr``."""
+    E, C = _collect(*_ladder_rows(E, C, j, op, crossed))
+    live = C.any(axis=(1, 2))
+    return (E, C) if live.all() else (E[live], C[live])
 
 
 def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> KernelExpr:
@@ -313,8 +321,8 @@ def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> K
     if not 1 <= j <= dim:
         raise ValueError(f"coordinate {j} outside {slot} slot of dimension {dim}")
     P = e.numerator
-    E, C = _ladder_rows(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c)
-    return KernelExpr(Poly._from_arrays(P.dims, *_collect(E, C)), e.kind)
+    E, C = _ladder_step(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c)
+    return KernelExpr(Poly._from_arrays(P.dims, E, C), e.kind)
 
 
 def apply_model_laplacian(e: KernelExpr, slot: str = "unprimed") -> KernelExpr:

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fields import TOEPLITZ_KINDS, _json_int, _json_list, _json_number, _json_object
-from .poly import Dims, Poly, O_Z, O_ZB, _as_coef, _as_numbers, _as_points, _collect, _coef_to_json
+from .poly import Dims, Poly, _O_Z, _O_ZB, _as_coef, _as_numbers, _as_points, _collect, _coef_to_json
 from .poly import _coef_from_json, _exponent_rows
 from .kernels import KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
 from .kernels import _kernel_points
@@ -110,7 +110,7 @@ class Symbol:
         blocks; equal rows are summed in row order (see :func:`~fockcalc.poly._collect`)."""
         n, r, count = dims.n, dims.fiber_rank, len(hol)
         E = np.zeros((count, n, 4), dtype=np.int64)
-        E[:, dims.m :, O_Z], E[:, dims.m :, O_ZB] = hol, anti
+        E[:, dims.m :, _O_Z], E[:, dims.m :, _O_ZB] = hol, anti
         E, C = _collect(E.reshape(count, 4 * n), np.ascontiguousarray(C).reshape(count, r, r))
         return cls(dims, Poly._from_arrays(dims, E, C))
 
@@ -150,7 +150,7 @@ class Symbol:
         and the coefficients ``(T, r, r)``, in the sorted order of ``poly.table``."""
         E, C = self.poly.table
         B = E.reshape(len(E), self.n, 4)[:, self.m :]
-        return B[:, :, O_Z], B[:, :, O_ZB], C
+        return B[:, :, _O_Z], B[:, :, _O_ZB], C
 
     def terms(self) -> dict[tuple[MultiIndex, MultiIndex], np.ndarray]:
         hol, anti, C = self._table()
@@ -461,26 +461,29 @@ def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec) -> dict[int, flo
     """N -> reduced integral over C of |u|^(2N): int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr.
 
     Eight Gauss-Legendre pieces: per N, equal ones out to sqrt((2N + 80)/pi)
-    under the identity; under the bump one set for every N, two on the
-    plateau and six over [R/4, R/2].  Piece sums add as floats in order:
-    ``reduce``, because builtin ``sum`` compensates floats from Python 3.12.
+    under the identity, all N weighted in one ``(G, 8, 160)`` pass with no rho
+    factor (rho = 1, and a product by 1.0 changes no bit); under the bump one
+    set for every N, two on the plateau and six over [R/4, R/2].  Piece sums
+    add as floats in order: ``reduce``, because builtin ``sum`` compensates
+    floats from Python 3.12.
     """
-    if cutoff.is_identity:
-        groups = [(np.linspace(0.0, math.sqrt((2 * N + 80.0) / PI), 9), [N]) for N in Ns]
-    else:
-        lo, hi = R / 4.0, R / 2.0
-        transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
-        groups = [(np.array([0.0, lo / 2.0, *transition]), Ns)]
     x, w = _gl_rule()
-    out = {}
-    for edges, group in groups:
-        a, b = edges[:-1, None], edges[1:, None]
+    if cutoff.is_identity:
+        Ns = sorted(Ns)
+        twice = 2.0 * np.array(Ns, dtype=float)
+        edges = np.linspace(0.0, np.sqrt((twice + 80.0) / PI), 9, axis=-1)  # each row the linspace of its N
+        a, b = edges[:, :-1, None], edges[:, 1:, None]
         r = 0.5 * (a + b) + 0.5 * (b - a) * x
-        rho = cutoff.rho(r / R)
-        weight = 0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho
-        for N in group:
-            out[N] = reduce(add, np.sum(weight * r ** (2 * N + 1) * 2.0, axis=1).tolist(), 0.0)
-    return out
+        sums = np.sum(0.5 * (b - a) * w * np.exp(-PI * r * r) * r ** (twice + 1.0)[:, None, None] * 2.0, axis=-1)
+        return {N: reduce(add, piece_sums, 0.0) for N, piece_sums in zip(Ns, sums.tolist())}
+    lo, hi = R / 4.0, R / 2.0
+    transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
+    edges = np.array([0.0, lo / 2.0, *transition])
+    a, b = edges[:-1, None], edges[1:, None]
+    r = 0.5 * (a + b) + 0.5 * (b - a) * x
+    rho = cutoff.rho(r / R)
+    weight = 0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho
+    return {N: reduce(add, np.sum(weight * r ** (2 * N + 1) * 2.0, axis=1).tolist(), 0.0) for N in Ns}
 
 
 def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResult:
@@ -493,8 +496,7 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
     pi^k * prod(alpha_i!) / (|alpha| + k - 1)!, taken with 160
     Gauss-Legendre nodes on each of the radial pieces (:func:`_gl_rule`, built
     once).  Every radial degree the call needs is taken from one array pass
-    per piece set: one per degree under the identity cutoff, one in all
-    under the bump.
+    under either cutoff (:func:`_radial_moments`).
     """
     p = _check_level(p)
     cutoff = cutoff or IDENTITY_CUTOFF

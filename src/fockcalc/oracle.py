@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import _json_int, _json_list, _json_number
 from .poly import Dims, Poly, _as_points, _monomials
-from .kernels import KernelExpr, Extension, apply_ladder, apply_model_laplacian, _gaussian
+from .kernels import KernelExpr, Extension, apply_model_laplacian, _LADDER, _gaussian, _ladder_step
 from .compose import compose
 
 __all__ = [
@@ -286,13 +286,45 @@ def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> Or
 # -- ladder spectrum check -----------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _laplacian_points(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only points of :func:`laplacian_eigencheck` on C^n: the 5-node tensor mesh
+    (:func:`_plane_mesh` in each coordinate, first slowest) thinned to at most 4096 points
+    by a fixed stride, as their plane indices ``(P, n)``, found from each mesh index, and
+    their values ``(P, n)``; and the plane's ``(z, zb)`` values ``(25, 2)``."""
+    plane, _ = _plane_mesh(5)
+    size = len(plane) ** n
+    index = np.arange(0, size, size // 4096 + 1 if size > 4096 else 1)
+    digits = index[:, None] // len(plane) ** np.arange(n - 1, -1, -1) % len(plane)  # plane point per coordinate
+    points = digits, plane[digits], np.stack([plane, plane.conj()], axis=1)
+    for a in points:
+        a.setflags(write=False)
+    return points
+
+
+def _ladder_state(alpha: tuple[int, ...], beta: tuple[int, ...]) -> KernelExpr:
+    """creation^alpha (z^beta) on ``Extension(n, 0)``, bit for bit the chain of
+    :func:`~fockcalc.kernels.apply_ladder` calls: each step runs on the numerator's
+    exponent rows, and one ``KernelExpr`` is built and checked at the end."""
+    n = len(alpha)
+    E = np.zeros((1, 4 * n), dtype=np.int64)
+    E[0, ::4] = beta  # z_i is column 4 (i - 1)
+    C = np.ones((1, 1, 1), dtype=complex)
+    for j in range(1, n + 1):
+        for _ in range(alpha[j - 1]):
+            E, C = _ladder_step(E, C, j, _LADDER["unprimed", "creation"], False)  # Extension(n, 0) couples nothing
+    return KernelExpr(Poly._from_arrays(Dims(n=n, l=n, m=0, fiber_rank=1), E, C), Extension(n, 0))
+
+
 def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleReport:
     """Check the flat spectrum: creation^alpha lifts of z^beta Gaussians.
 
     The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy Laplacian = 4 pi |alpha|
-    pointwise, to 1e-9 relative; the residual is evaluated on the 5-node tensor mesh
-    (:func:`_plane_mesh` in each coordinate, reported as ``QuadGrid(5, n)``) thinned to at
-    most 4096 points by a fixed stride, each found from its mesh index.
+    pointwise, to 1e-9 relative.  The state is built on exponent rows (:func:`_ladder_state`).
+    The residual is evaluated on the 5-node tensor mesh (:func:`_plane_mesh` in each
+    coordinate, reported as ``QuadGrid(5, n)``) thinned to at most 4096 points by a fixed
+    stride, each found from its mesh index; the points are built once per dimension
+    (:func:`_laplacian_points`).
     """
     alpha = tuple(_json_int(a, "alpha entry") for a in _json_list(alpha, "alpha", "integers"))
     beta = tuple(_json_int(b, "beta entry") for b in _json_list(beta, "beta", "integers"))
@@ -300,28 +332,18 @@ def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleRep
         raise ValueError("alpha and beta must have the same length")
     if not alpha or min(alpha + beta) < 0:
         raise ValueError(f"alpha and beta must be non-empty and non-negative, got {alpha} and {beta}")
-    n = len(alpha)
-    grid = QuadGrid(nodes_per_axis=5, n=n)
-    dims = Dims(n=n, l=n, m=0, fiber_rank=1)
-    powers = {f"z{i + 1}": beta[i] for i in range(n) if beta[i]}
-    state = KernelExpr(Poly.monomial(dims, powers) if powers else Poly.one(dims), Extension(n, 0))
-    for j in range(1, n + 1):
-        for _ in range(alpha[j - 1]):
-            state = apply_ladder(state, j, "creation")
+    state = _ladder_state(alpha, beta)
     lap = apply_model_laplacian(state)
 
-    plane, _ = _plane_mesh(grid.nodes_per_axis)
-    size = len(plane) ** n
-    index = np.arange(0, size, size // 4096 + 1 if size > 4096 else 1)
-    digits = index[:, None] // len(plane) ** np.arange(n - 1, -1, -1) % len(plane)  # plane point per coordinate
-    pts = plane[digits]
+    digits, pts, on_plane = _laplacian_points(len(alpha))
     # One monomial table for the state and its Laplacian, column by column as poly._monomials
     # builds it, each power taken once per plane point; an Extension(n, 0) numerator uses z, zb only.
     (Ew, Cw), (El, Cl) = state.numerator.table, lap.numerator.table
-    E, on_plane = np.concatenate([Ew, El]), np.stack([plane, plane.conj()], axis=1)
+    E = np.concatenate([Ew, El])
     monomials = np.ones((len(pts), len(E)), dtype=complex)
     for j in E.any(axis=0).nonzero()[0].tolist():
         monomials *= (on_plane[:, j % 4, None] ** E[:, j])[digits[:, j // 4]]
     gaussian = _gaussian(state.kind, pts, pts[:, :0])[:, None]
     want = monomials[:, : len(Ew)] @ (4.0 * PI * sum(alpha) * Cw.reshape(-1, 1)) * gaussian
+    grid = QuadGrid(nodes_per_axis=5, n=len(alpha))
     return _report(want, monomials[:, len(Ew) :] @ Cl.reshape(-1, 1) * gaussian, grid, 1e-9)

@@ -28,19 +28,12 @@ __all__ = [
     "DegreeOverflowError",
     "Dims",
     "Poly",
-    "O_Z",
-    "O_ZB",
-    "O_ZP",
-    "O_ZBP",
-    "var_offset",
-    "var_name",
-    "parse_var_name",
 ]
 
 # Offsets within one coordinate block.
-O_Z, O_ZB, O_ZP, O_ZBP = 0, 1, 2, 3
+_O_Z, _O_ZB, _O_ZP, _O_ZBP = 0, 1, 2, 3
 
-_O_NAMES = {O_Z: "z", O_ZB: "zb", O_ZP: "z'", O_ZBP: "zb'"}
+_O_NAMES = {_O_Z: "z", _O_ZB: "zb", _O_ZP: "z'", _O_ZBP: "zb'"}
 
 class DegreeOverflowError(ValueError):
     """Raised when a product term would exceed the configured degree cap."""
@@ -91,16 +84,16 @@ class Dims:
         )
 
 
-def var_offset(index: int, o: int) -> int:
+def _var_offset(index: int, o: int) -> int:
     return 4 * (index - 1) + o
 
 
-def var_name(index: int, o: int) -> str:
+def _var_name(index: int, o: int) -> str:
     return f"{_O_NAMES[o]}{index}"
 
 
-def parse_var_name(name: str) -> tuple[int, int]:
-    """Inverse of :func:`var_name`: 'zb'2' -> (2, 3)."""
+def _parse_var_name(name: str) -> tuple[int, int]:
+    """Inverse of :func:`_var_name`: 'zb'2' -> (2, 3)."""
     s = name
     if not s.startswith("z"):
         raise ValueError(f"bad variable name {name!r}")
@@ -261,10 +254,10 @@ class Poly:
     def monomial(cls, dims: Dims, powers: Mapping[str, int], coef=1.0) -> "Poly":
         exps = [0] * (4 * dims.n)
         for name, p in powers.items():
-            index, o = parse_var_name(name)
+            index, o = _parse_var_name(name)
             if index > dims.n:
                 raise ValueError(f"variable index {index} exceeds n={dims.n}")
-            exps[var_offset(index, o)] += _json_int(p, f"exponent of {name}")
+            exps[_var_offset(index, o)] += _json_int(p, f"exponent of {name}")
         return cls(dims, {tuple(exps): coef})
 
     # -- structure ----------------------------------------------------------
@@ -384,7 +377,7 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        names = [var_name(i, o) for i in range(1, self.dims.n + 1) for o in range(4)]
+        names = [_var_name(i, o) for i in range(1, self.dims.n + 1) for o in range(4)]
         E, C = self.table
         terms = [
             {"exps": {name: p for name, p in zip(names, exps) if p}, "coef": _coef_to_json(coef)}
@@ -401,13 +394,13 @@ class Poly:
             t = _json_object(t, "term", ("exps", "coef"))
             exps = [0] * (4 * dims.n)
             for name, p in _json_object(t["exps"], "term exps").items():
-                index, o = parse_var_name(name)
+                index, o = _parse_var_name(name)
                 if index > dims.n:
                     raise ValueError(f"variable {name} exceeds n={dims.n}")
                 p = _json_int(p, f"exponent of {name}")
                 if p < 0:
                     raise ValueError(f"negative exponent for {name}")
-                exps[var_offset(index, o)] += p
+                exps[_var_offset(index, o)] += p
             rows.append(exps)
             coefs.append(_coef_from_json(t["coef"], dims.fiber_rank))
         C = np.array(coefs, dtype=complex).reshape(len(rows), dims.fiber_rank, dims.fiber_rank)

@@ -17,8 +17,8 @@ from fockcalc import (
     Poly,
     Restriction,
     Symbol,
-    var_offset,
 )
+from fockcalc.poly import _var_offset
 
 settings.register_profile(
     "suite",
@@ -118,7 +118,7 @@ def random_poly(
         for _ in range(degree):
             i = int(rng.integers(1, n + 1))
             o = int(rng.integers(0, 2)) if unprimed_only else int(rng.integers(0, 4))
-            exps[var_offset(i, o)] += 1
+            exps[_var_offset(i, o)] += 1
         coef = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coef

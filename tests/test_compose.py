@@ -27,11 +27,11 @@ from fockcalc import (
     oracle_compose_values,
     unit_expr,
     DegreeOverflowError,
-    var_offset,
 )
 from fockcalc.compose import _bracket, _pairing_table, _PairingRegistry
 from fockcalc.kernels import _named
 from fockcalc.oracle import _palette_points
+from fockcalc.poly import _var_offset
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -524,7 +524,7 @@ def _numerator_slots(kind) -> list[int]:
     """Exponent columns a numerator of this kind may use."""
     m = getattr(kind, "m", kind.n)
     return [
-        var_offset(i, o)
+        _var_offset(i, o)
         for i in range(1, kind.n + 1)
         for o in range(4)
         if not (isinstance(kind, Extension) and o >= 2 and i > m)

@@ -617,6 +617,37 @@ def test_h_gp_constant_symbol():
     assert res.h_sq[0, 0] == 4.0 and res.max_abs_diff == 0.0
 
 
+@pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
+def test_h_gp_without_a_diagonal_degree_is_zero(cutoff):
+    # g = 0 leaves g* g no diagonal bidegree, so no radial moment is taken
+    for g in (Symbol.zero(2, 0), Symbol.zero(3, 1, fiber_rank=2)):
+        res = h_gp(g, p=4.0, cutoff=cutoff)
+        r = g.fiber_rank
+        assert np.array_equal(res.h_sq, np.zeros((r, r))) and np.array_equal(res.leading, np.zeros((r, r)))
+    assert operators._radial_moments(set(), 2.0, cutoff) == {}
+
+
+def test_identity_radial_moments_are_the_gamma_integral(monkeypatch):
+    # int_0^inf e^{-pi r^2} r^(2N+1) 2 dr = N!/pi^(N+1).  The bound, set from the rule's
+    # error before the run: cutting the integral at sqrt((2N + 80)/pi) drops under
+    # e^{-60} of it for N <= 20, and 160 Legendre nodes per piece leave no visible
+    # error on an entire integrand.  What is left is rounding over positive summands:
+    # a node off by 3 eps relative moves its summand by (2N + 1 + 2 pi r^2) 3 eps, at
+    # most 840 eps at r^2 = (2N + 80)/pi, and exp, the power, five products and the
+    # pairwise sums add under 20 eps; the Legendre nodes and weights numpy returns may
+    # err as much again.  So 2 * 860 eps ~ 3.8e-13, rounded up to 1e-12.
+    Ns = set(range(21))
+    moments = operators._radial_moments(Ns, 1.0, IDENTITY_CUTOFF)
+    for N in Ns:
+        exact = math.factorial(N) / PI ** (N + 1)
+        assert abs(moments[N] - exact) <= 1e-12 * exact, (N, moments[N], exact)
+    # the moments come from the Legendre rule, not a closed form: criterion 6 checks
+    # the Dirichlet constant through this quadrature, and doubled weights double it
+    x, w = operators._gl_rule()
+    monkeypatch.setattr(operators, "_gl_rule", lambda: (x, 2.0 * w))
+    assert operators._radial_moments(Ns, 1.0, IDENTITY_CUTOFF) == {N: 2.0 * v for N, v in moments.items()}
+
+
 def test_h_gp_errors():
     g = Symbol.monomial(1, 0, (0,), (1,))
     with pytest.raises(ValueError):

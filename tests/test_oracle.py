@@ -23,6 +23,7 @@ from fockcalc import (
     Restriction,
     ScaledKernel,
     Symbol,
+    apply_ladder,
     c1_c2,
     compose,
     fock_indices,
@@ -385,6 +386,38 @@ def test_laplacian_eigencheck_passes():
     for alpha, beta in (((0,), (0,)), ((2,), (1,)), ((1, 1), (0, 1)), ((0, 2), (2, 0))):
         rep = laplacian_eigencheck(alpha, beta)
         assert rep.passed, f"alpha={alpha} beta={beta}: rel={rep.max_rel:.2e}"
+
+
+def test_ladder_state_is_the_apply_ladder_chain_bit_for_bit():
+    # the check steps creation^alpha on exponent rows; the chain of validated
+    # KernelExprs it replaced must give the same rows and coefficient bytes
+    for n in (1, 2, 3):
+        dims, indices = Dims(n=n, l=n, m=0), fock_indices(n, 3)
+        for beta in indices:
+            powers = {f"z{i + 1}": b for i, b in enumerate(beta) if b}
+            start = KernelExpr(Poly.monomial(dims, powers) if powers else Poly.one(dims), Extension(n, 0))
+            for alpha in indices:
+                chain = start
+                for j, a in enumerate(alpha, 1):
+                    for _ in range(a):
+                        chain = apply_ladder(chain, j, "creation")
+                state = oracle._ladder_state(alpha, beta)
+                assert state.kind == chain.kind and state.dims == chain.dims
+                got, want = state.numerator, chain.numerator
+                assert got.exps.tobytes() == want.exps.tobytes() and got.exps.shape == want.exps.shape
+                assert got.coefs.tobytes() == want.coefs.tobytes(), (alpha, beta)
+
+
+def test_laplacian_points_are_built_once_per_dimension():
+    oracle._laplacian_points.cache_clear()
+    for alpha, beta in (((1,), (0,)), ((2,), (1,)), ((1, 1), (0, 1)), ((0, 2), (2, 0)), ((3,), (3,))):
+        assert laplacian_eigencheck(alpha, beta).passed
+    info = oracle._laplacian_points.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
+    for n in (1, 2):
+        digits, pts, on_plane = oracle._laplacian_points(n)
+        assert not any(a.flags.writeable for a in (digits, pts, on_plane))
+        assert digits.shape == pts.shape == (25**n, n) and on_plane.shape == (25, 2)
 
 
 def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):

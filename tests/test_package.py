@@ -21,8 +21,7 @@ SUBMODULES = ("poly", "kernels", "compose", "oracle", "operators", "geometry")
 PUBLIC_API = {
     "__version__",
     # poly
-    "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly", "O_Z", "O_ZB", "O_ZP",
-    "O_ZBP", "var_offset", "var_name", "parse_var_name",
+    "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",
     # kernels
     "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
     "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
@@ -158,6 +157,40 @@ def test_every_top_level_import_is_used():
     paths = [*sorted((SRC / "fockcalc").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
     unused = {path.name: names for path in paths if (names := _unused_imports(path))}
     assert not unused
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """Functions the source caches with ``functools`` but without an integer ``maxsize``
+    literal: a bare ``lru_cache``, ``maxsize=None``, a computed size, or ``cache``."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        for deco in getattr(fn, "decorator_list", ()):
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name not in ("cache", "lru_cache"):
+                continue
+            sizes = ([k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]) if call else []
+            if name == "cache" or not (
+                len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+            ):
+                out.append(fn.name)
+    return out
+
+
+def test_every_cache_is_bounded():
+    # a per-shape cache with no bound grows for the life of the process
+    sources = [path.read_text() for path in sorted((SRC / "fockcalc").glob("*.py"))]
+    assert sum(source.count("@lru_cache(maxsize=") for source in sources) >= 8
+    assert not [name for source in sources for name in _unbounded_caches(source)]
+    # each unbounded form is caught, and the bounded ones pass
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache\ndef a(): pass\n@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.lru_cache(maxsize=2 * 8)\ndef c(): pass\n@cache\ndef d(): pass\n"
+        "@functools.lru_cache(32)\ndef e(): pass\n@lru_cache(maxsize=4, typed=True)\ndef f(): pass\n"
+    )
+    assert _unbounded_caches(source) == ["a", "b", "c", "d"]
 
 
 def test_unknown_names_raise_attribute_error():

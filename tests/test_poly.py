@@ -8,17 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcalc import (
-    DEFAULT_DEGREE_CAP,
-    DegreeOverflowError,
-    Dims,
-    Poly,
-    O_Z,
-    O_ZBP,
-    parse_var_name,
-    var_name,
-    var_offset,
-)
+from fockcalc import DEFAULT_DEGREE_CAP, DegreeOverflowError, Dims, Poly
+from fockcalc.poly import _O_Z, _O_ZBP, _parse_var_name, _var_name, _var_offset
 
 from conftest import complex_rows, dims_st, poly_st, term_sum
 
@@ -66,14 +57,14 @@ def test_dims_json_round_trip():
 def test_var_names_round_trip():
     for i in (1, 2, 7):
         for o in range(4):
-            assert parse_var_name(var_name(i, o)) == (i, o)
-    assert var_name(2, O_ZBP) == "zb'2"
+            assert _parse_var_name(_var_name(i, o)) == (i, o)
+    assert _var_name(2, _O_ZBP) == "zb'2"
 
 
 def test_var_name_errors():
     for bad in ("w1", "z0", "z-1", "zb", "z1x", ""):
         with pytest.raises(ValueError):
-            parse_var_name(bad)
+            _parse_var_name(bad)
 
 
 # -- construction and validation ----------------------------------------------------
@@ -172,7 +163,7 @@ def test_monomial_and_constant():
     assert np.array_equal(p.terms[tuple([0] * 8)], c)
     q = Poly.monomial(dims, {"z1": 2, "zb'2": 1}, np.eye(2))
     (key,) = q.terms
-    assert key[var_offset(1, O_Z)] == 2 and key[var_offset(2, O_ZBP)] == 1
+    assert key[_var_offset(1, _O_Z)] == 2 and key[_var_offset(2, _O_ZBP)] == 1
     assert Poly.one(dims).degree() == 0
 
 
