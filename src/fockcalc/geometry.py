@@ -238,9 +238,6 @@ class ConstantResult:
     def __float__(self) -> float:
         return float(self.value)
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "sample_id": self.sample_id}
-
 
 @dataclass(frozen=True)
 class C3C4Result:

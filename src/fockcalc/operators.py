@@ -512,7 +512,10 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
     diag = (hol == anti).all(axis=1)
     alphas = hol[diag].tolist()
     Ns = [sum(alpha) + k - 1 for alpha in alphas]
-    moments = _radial_moments(set(Ns), R, cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _radial_moments(set(Ns), R, cutoff)
+    if overflowed := [N for N in sorted(moments) if not math.isfinite(moments[N])]:
+        raise ValueError(f"h_gp: the radial moment of degree {overflowed[0]} overflows a float")
     dirichlet = [PI**k * math.prod(map(math.factorial, a)) / math.factorial(N) for a, N in zip(alphas, Ns)]
     terms = C[diag] * np.reshape(dirichlet, (-1, 1, 1)) * np.reshape([moments[N] for N in Ns], (-1, 1, 1))
     h_sq = sum(terms, np.zeros((r, r), dtype=complex))

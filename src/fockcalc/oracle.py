@@ -1,16 +1,16 @@
 """Independent numerics: the quadrature composition oracle, its grids and
-meshes, and the ladder-spectrum check.
+meshes, and the ladder-spectrum check, which compares coefficients.
 
 Nothing here reuses the closed-form pairing rules from :mod:`.compose`;
 composites are integrated directly on Gauss-Hermite grids so the two
 routes check each other.  The one-axis rule is numpy's ``hermgauss``
 (:func:`gauss_hermite`).  The composition oracle shifts each middle
 axis's contour so that its integrand is a polynomial, which the rule
-integrates exactly at any evaluation point.  The other quadratures, here
-and the lambda witnesses in :mod:`.operators`, work one coordinate at a
-time on :func:`_plane_mesh`, the rule's ``x + iy`` grid on C; none builds
-a tensor mesh on C^k.  The exact Fock pairings and the Gram-matrix norm
-estimate are closed forms and live in :mod:`.operators`.
+integrates exactly at any evaluation point.  The lambda witnesses in
+:mod:`.operators` work one coordinate at a time on :func:`_plane_mesh`,
+the rule's ``x + iy`` grid on C; none builds a tensor mesh on C^k.  The
+exact Fock pairings and the Gram-matrix norm estimate are closed forms
+and live in :mod:`.operators`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .fields import _json_int, _json_list, _json_number
-from .poly import Dims, Poly, _as_points, _monomials
-from .kernels import KernelExpr, Extension, apply_model_laplacian, _LADDER, _gaussian, _ladder_step
+from .poly import Dims, Poly, _as_points, _collect, _monomials
+from .kernels import KernelExpr, Extension, apply_model_laplacian, _LADDER, _ladder_step
 from .compose import compose
 
 __all__ = [
@@ -98,17 +98,20 @@ def _plane_mesh(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Largest error over the points; ``max_rel`` and ``worst_point`` scale each point by its own values."""
+    """Largest error over the points; ``max_rel`` and ``worst_point`` scale each point by its own values.
+
+    ``grid`` is the quadrature rule, or ``None`` for :func:`laplacian_eigencheck`, whose
+    points are coefficient rows."""
 
     max_abs: float
     max_rel: float
     worst_point: int
-    grid: QuadGrid
+    grid: QuadGrid | None
     passed: bool
 
     def to_json_dict(self) -> dict:
         errors = {"max_abs": self.max_abs, "max_rel": self.max_rel, "worst_point": self.worst_point}
-        return {**errors, "grid": self.grid.to_json_dict(), "pass": self.passed}
+        return {**errors, "grid": None if self.grid is None else self.grid.to_json_dict(), "pass": self.passed}
 
 
 # -- numeric composition -------------------------------------------------------
@@ -273,8 +276,8 @@ def oracle_compose(
     return _report(want, numeric.reshape(want.shape), grid, rel_tol)
 
 
-def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> OracleReport:
-    """Errors per point, each scaled by that point's largest |want| entry (absolute below 1e-150)."""
+def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid | None, tol: float) -> OracleReport:
+    """Errors per point (or coefficient row), each scaled by its largest |want| entry (absolute below 1e-150)."""
     err = abs(want - got).reshape(len(want), -1).max(axis=1, initial=0.0)
     scale = abs(want).reshape(len(want), -1).max(axis=1, initial=0.0)
     rel = np.where(scale > 1e-150, err / np.maximum(scale, 1e-150), err)
@@ -284,22 +287,6 @@ def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid, tol: float) -> Or
 
 
 # -- ladder spectrum check -----------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _laplacian_points(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only points of :func:`laplacian_eigencheck` on C^n: the 5-node tensor mesh
-    (:func:`_plane_mesh` in each coordinate, first slowest) thinned to at most 4096 points
-    by a fixed stride, as their plane indices ``(P, n)``, found from each mesh index, and
-    their values ``(P, n)``; and the plane's ``(z, zb)`` values ``(25, 2)``."""
-    plane, _ = _plane_mesh(5)
-    size = len(plane) ** n
-    index = np.arange(0, size, size // 4096 + 1 if size > 4096 else 1)
-    digits = index[:, None] // len(plane) ** np.arange(n - 1, -1, -1) % len(plane)  # plane point per coordinate
-    points = digits, plane[digits], np.stack([plane, plane.conj()], axis=1)
-    for a in points:
-        a.setflags(write=False)
-    return points
 
 
 def _ladder_state(alpha: tuple[int, ...], beta: tuple[int, ...]) -> KernelExpr:
@@ -319,12 +306,11 @@ def _ladder_state(alpha: tuple[int, ...], beta: tuple[int, ...]) -> KernelExpr:
 def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleReport:
     """Check the flat spectrum: creation^alpha lifts of z^beta Gaussians.
 
-    The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy Laplacian = 4 pi |alpha|
-    pointwise, to 1e-9 relative.  The state is built on exponent rows (:func:`_ladder_state`).
-    The residual is evaluated on the 5-node tensor mesh (:func:`_plane_mesh` in each
-    coordinate, reported as ``QuadGrid(5, n)``) thinned to at most 4096 points by a fixed
-    stride, each found from its mesh index; the points are built once per dimension
-    (:func:`_laplacian_points`).
+    The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy Laplacian = 4 pi |alpha|,
+    an identity between numerators, so it is checked on coefficients, to 1e-9 relative.
+    The state is built on exponent rows (:func:`_ladder_state`).  Each exponent row of
+    either side is one "point" of the report, in :func:`~fockcalc.poly._collect` order,
+    and the report has no grid: nothing is integrated.
     """
     alpha = tuple(_json_int(a, "alpha entry") for a in _json_list(alpha, "alpha", "integers"))
     beta = tuple(_json_int(b, "beta entry") for b in _json_list(beta, "beta", "integers"))
@@ -333,17 +319,9 @@ def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleRep
     if not alpha or min(alpha + beta) < 0:
         raise ValueError(f"alpha and beta must be non-empty and non-negative, got {alpha} and {beta}")
     state = _ladder_state(alpha, beta)
-    lap = apply_model_laplacian(state)
-
-    digits, pts, on_plane = _laplacian_points(len(alpha))
-    # One monomial table for the state and its Laplacian, column by column as poly._monomials
-    # builds it, each power taken once per plane point; an Extension(n, 0) numerator uses z, zb only.
-    (Ew, Cw), (El, Cl) = state.numerator.table, lap.numerator.table
+    (Ew, Cw), (El, Cl) = state.numerator.table, apply_model_laplacian(state).numerator.table
+    # Both sides on the union of their rows, each zero on the other's rows, collected alike.
     E = np.concatenate([Ew, El])
-    monomials = np.ones((len(pts), len(E)), dtype=complex)
-    for j in E.any(axis=0).nonzero()[0].tolist():
-        monomials *= (on_plane[:, j % 4, None] ** E[:, j])[digits[:, j // 4]]
-    gaussian = _gaussian(state.kind, pts, pts[:, :0])[:, None]
-    want = monomials[:, : len(Ew)] @ (4.0 * PI * sum(alpha) * Cw.reshape(-1, 1)) * gaussian
-    grid = QuadGrid(nodes_per_axis=5, n=len(alpha))
-    return _report(want, monomials[:, len(Ew) :] @ Cl.reshape(-1, 1) * gaussian, grid, 1e-9)
+    _, want = _collect(E, np.concatenate([4.0 * PI * sum(alpha) * Cw, np.zeros_like(Cl)]))
+    _, got = _collect(E, np.concatenate([np.zeros_like(Cw), Cl]))
+    return _report(want, got, None, 1e-9)

@@ -338,7 +338,6 @@ def test_c0_that_is_not_stationary_within_the_cap_raises(monkeypatch):
 def test_constant_result_shape():
     out = ConstantResult(value=1.5, sample_id="s")
     assert float(out) == 1.5
-    assert out.to_json_dict() == {"value": 1.5, "sample_id": "s"}
 
 
 # -- C3 / C4 -------------------------------------------------------------------------

@@ -660,6 +660,18 @@ def test_h_gp_rejects_non_finite_level(p):
         h_gp(Symbol.monomial(1, 0, (0,), (1,)), p=p)
 
 
+def test_h_gp_refuses_an_overflowing_radial_moment():
+    # r^(2N+1) passes 1e308 before the Gaussian weight brings it down: N = 150 used to
+    # return a nan h_sq, with a RuntimeWarning, next to a finite leading 1.53e188
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radial moment of degree 150 overflows"):
+            h_gp(Symbol.monomial(1, 0, (0,), (150,)))
+        res = h_gp(Symbol.monomial(1, 0, (0,), (140,)))
+    assert res.h_sq.tobytes() == np.array([[3.3738658587470234e171]], dtype=complex).tobytes()
+    assert res.leading.tobytes() == np.array([[3.3738658587470075e171]], dtype=complex).tobytes()
+
+
 def test_gl_rule_is_built_once_per_node_count(monkeypatch):
     builds = []
     leggauss = np.polynomial.legendre.leggauss

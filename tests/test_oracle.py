@@ -408,46 +408,17 @@ def test_ladder_state_is_the_apply_ladder_chain_bit_for_bit():
                 assert got.coefs.tobytes() == want.coefs.tobytes(), (alpha, beta)
 
 
-def test_laplacian_points_are_built_once_per_dimension():
-    oracle._laplacian_points.cache_clear()
-    for alpha, beta in (((1,), (0,)), ((2,), (1,)), ((1, 1), (0, 1)), ((0, 2), (2, 0)), ((3,), (3,))):
-        assert laplacian_eigencheck(alpha, beta).passed
-    info = oracle._laplacian_points.cache_info()
-    assert (info.misses, info.hits) == (2, 3)
-    for n in (1, 2):
-        digits, pts, on_plane = oracle._laplacian_points(n)
-        assert not any(a.flags.writeable for a in (digits, pts, on_plane))
-        assert digits.shape == pts.shape == (25**n, n) and on_plane.shape == (25, 2)
-
-
 def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):
-    # n = 3 at the check's 5 nodes is a 25^3 = 15,625-point mesh, checked at every
-    # fourth point: 3,907 of them
+    # n = 3 used to span a 15,625-point mesh; the check now reads coefficient rows
     alpha, beta = (1, 0, 1), (0, 1, 0)
-    checked, report = [], oracle._report
-    monkeypatch.setattr(oracle, "_report", lambda want, *rest: checked.append(len(want)) or report(want, *rest))
     rep = laplacian_eigencheck(alpha, beta)
     assert rep.passed and rep.max_rel <= 1e-12, rep
-    assert len(oracle._plane_mesh(5)[0]) ** 3 == 15625 and checked == [3907]
-    # a Laplacian off by one part in a million fails on the thinned mesh
+    # a Laplacian off by one part in a million fails on the rows
     laplacian = oracle.apply_model_laplacian
     monkeypatch.setattr(oracle, "apply_model_laplacian", lambda e: laplacian(e).scale(1.0 + 1e-6))
     rep = laplacian_eigencheck(alpha, beta)
-    assert not rep.passed and 0 <= rep.worst_point < 3907
+    assert not rep.passed and 0 <= rep.worst_point < len(oracle._ladder_state(alpha, beta).numerator.exps)
     assert math.isclose(rep.max_rel, 1e-6, rel_tol=1e-6)
-
-
-def test_laplacian_eigencheck_keeps_the_full_mesh_stride(monkeypatch):
-    # the 3,907 points checked on the 5-node mesh on C^3 are those a stride of 4
-    # through the whole 15,625-point tensor mesh selects, bit for bit
-    xs, _ = QuadGrid(5, 3).axis_nodes()
-    axis = (xs[:, None] + 1j * xs[None, :]).ravel()
-    full = axis[np.indices((25, 25, 25)).reshape(3, -1).T]
-    seen, gaussian = [], oracle._gaussian
-    monkeypatch.setattr(oracle, "_gaussian", lambda kind, zu, zp: seen.append(zu) or gaussian(kind, zu, zp))
-    assert laplacian_eigencheck((1, 0, 1), (0, 1, 0)).passed
-    assert len(seen) == 1 and seen[0].shape == (3907, 3)
-    assert seen[0].tobytes() == full[::4].tobytes()
 
 
 def test_laplacian_eigencheck_at_six_coordinates_builds_no_tensor_mesh(monkeypatch):
@@ -457,8 +428,6 @@ def test_laplacian_eigencheck_at_six_coordinates_builds_no_tensor_mesh(monkeypat
         raise AssertionError("the tensor mesh was built")
 
     monkeypatch.setattr(oracle, "gaussian_mesh", no_mesh, raising=False)
-    checked, report = [], oracle._report
-    monkeypatch.setattr(oracle, "_report", lambda want, *rest: checked.append(len(want)) or report(want, *rest))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -466,12 +435,39 @@ def test_laplacian_eigencheck_at_six_coordinates_builds_no_tensor_mesh(monkeypat
         seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.passed and rep.max_rel <= 1e-12 and checked == [4096], rep
+    assert rep.passed and rep.max_rel <= 1e-12, rep
     assert seconds < 1.0 and peak < 16 * 2**20, (seconds, peak)
 
 
+def test_laplacian_eigencheck_passes_at_many_coordinates():
+    # n >= 14 raised IndexError: the mesh size 25^n no longer fit an int64 index
+    for n in (14, 20):
+        rep = laplacian_eigencheck((1,) + (0,) * (n - 1), (0,) * n)
+        assert rep.passed and rep.max_rel == 0.0, (n, rep)
+    rep = laplacian_eigencheck((0, 2) + (1,) * 18, (1,) + (0,) * 19)
+    assert rep.passed and rep.max_rel <= 1e-12, rep
+
+
+def test_laplacian_eigencheck_names_a_row_the_state_lacks(monkeypatch):
+    alpha, beta = (1, 1), (0, 1)
+    state = oracle._ladder_state(alpha, beta).numerator
+    stray = Poly.monomial(state.dims, {"z1": 7})
+    assert not (state.exps == stray.exps).all(axis=1).any()
+    laplacian = oracle.apply_model_laplacian
+    monkeypatch.setattr(oracle, "apply_model_laplacian", lambda e: KernelExpr(laplacian(e).numerator.add(stray), e.kind))
+    rep = laplacian_eigencheck(alpha, beta)
+    # rows come in first-occurrence order: the state's, then the Laplacian's new one
+    assert not rep.passed and rep.max_rel == 1.0 and rep.worst_point == len(state.exps), rep
+
+
+def test_laplacian_eigencheck_report_has_no_grid():
+    rep = laplacian_eigencheck((1, 0), (0, 1))
+    assert rep.grid is None
+    assert rep.to_json_dict() == {"max_abs": 0.0, "max_rel": 0.0, "worst_point": 0, "grid": None, "pass": True}
+
+
 def test_plane_mesh_order_and_weights():
-    # x before y: the order the Laplacian check strides through in each coordinate
+    # x before y in each coordinate
     xs, _ = QuadGrid(nodes_per_axis=3, n=1).axis_nodes()
     pts, wts = oracle._plane_mesh(3)
     assert pts.shape == (9,) and wts.shape == (9,)
