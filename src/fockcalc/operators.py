@@ -50,6 +50,14 @@ def _check_level(p: float) -> float:
     return p
 
 
+def _level_power(p: float, e: int, where: str) -> float:
+    """p**e, or a ValueError naming p where that overflows a float."""
+    try:
+        return p**e
+    except OverflowError:
+        raise ValueError(f"{where}: p**{e} overflows a float at p = {p!r}") from None
+
+
 # -- symbols ------------------------------------------------------------------
 
 
@@ -284,6 +292,7 @@ class CutoffSpec:
 
 
 IDENTITY_CUTOFF = CutoffSpec(r_perp=1.0, profile="identity")
+_SMOOTH_BUMP = CutoffSpec()  # the bump profile; rho reads no r_perp
 
 
 # -- the three Lambda contractions --------------------------------------------
@@ -422,10 +431,10 @@ def m_op(
     cutoff = cutoff or IDENTITY_CUTOFF
     if variant == "direct":
         expr = KernelExpr(g.to_poly("unprimed"), Extension(n, m))
-        base = ScaledKernel(expr, p, p**m)
+        base = ScaledKernel(expr, p, _level_power(p, m, "m_op"))
     elif variant == "adjoint":
         expr = KernelExpr(g.to_poly("primed"), Restriction(n, m))
-        base = ScaledKernel(expr, p, p**n)
+        base = ScaledKernel(expr, p, _level_power(p, n, "m_op"))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if cutoff.is_identity:
@@ -457,33 +466,40 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _radial_moments(Ns: set[int], R: float, cutoff: CutoffSpec) -> dict[int, float]:
-    """N -> reduced integral over C of |u|^(2N): int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr.
+@lru_cache(maxsize=1024)
+def _radial_moment(N: int, R: float | None) -> float:
+    """Reduced integral over C of |u|^(2N): int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr.
 
-    Eight Gauss-Legendre pieces: per N, equal ones out to sqrt((2N + 80)/pi)
-    under the identity, all N weighted in one ``(G, 8, 160)`` pass with no rho
-    factor (rho = 1, and a product by 1.0 changes no bit); under the bump one
-    set for every N, two on the plateau and six over [R/4, R/2].  Piece sums
+    ``R`` is None under the identity cutoff (rho = 1), else sqrt(p) r_perp
+    under the smooth bump.  A table of single moments, one entry per degree
+    and R, since callers repeat them across symbols and levels.  Eight
+    Gauss-Legendre pieces: under the identity equal ones out to
+    sqrt((2N + 80)/pi), with no rho factor (a product by 1.0 changes no bit);
+    under the bump two on the plateau and six over [R/4, R/2].  Piece sums
     add as floats in order: ``reduce``, because builtin ``sum`` compensates
-    floats from Python 3.12.
+    floats from Python 3.12.  A moment that overflows a float raises, on
+    every call, as exceptions are not cached.
     """
     x, w = _gl_rule()
-    if cutoff.is_identity:
-        Ns = sorted(Ns)
-        twice = 2.0 * np.array(Ns, dtype=float)
-        edges = np.linspace(0.0, np.sqrt((twice + 80.0) / PI), 9, axis=-1)  # each row the linspace of its N
-        a, b = edges[:, :-1, None], edges[:, 1:, None]
-        r = 0.5 * (a + b) + 0.5 * (b - a) * x
-        sums = np.sum(0.5 * (b - a) * w * np.exp(-PI * r * r) * r ** (twice + 1.0)[:, None, None] * 2.0, axis=-1)
-        return {N: reduce(add, piece_sums, 0.0) for N, piece_sums in zip(Ns, sums.tolist())}
-    lo, hi = R / 4.0, R / 2.0
-    transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
-    edges = np.array([0.0, lo / 2.0, *transition])
-    a, b = edges[:-1, None], edges[1:, None]
-    r = 0.5 * (a + b) + 0.5 * (b - a) * x
-    rho = cutoff.rho(r / R)
-    weight = 0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho
-    return {N: reduce(add, np.sum(weight * r ** (2 * N + 1) * 2.0, axis=1).tolist(), 0.0) for N in Ns}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if R is None:
+            edges = np.linspace(0.0, np.sqrt((2.0 * N + 80.0) / PI), 9)
+            a, b = edges[:-1, None], edges[1:, None]
+            r = 0.5 * (a + b) + 0.5 * (b - a) * x
+            pieces = np.sum(0.5 * (b - a) * w * np.exp(-PI * r * r) * r ** (2.0 * N + 1.0) * 2.0, axis=-1)
+        else:
+            lo, hi = R / 4.0, R / 2.0
+            transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
+            edges = np.array([0.0, lo / 2.0, *transition])
+            a, b = edges[:-1, None], edges[1:, None]
+            r = 0.5 * (a + b) + 0.5 * (b - a) * x
+            rho = _SMOOTH_BUMP.rho(r / R)
+            weight = 0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho
+            pieces = np.sum(weight * r ** (2 * N + 1) * 2.0, axis=1)
+    moment = reduce(add, pieces.tolist(), 0.0)
+    if not math.isfinite(moment):
+        raise ValueError(f"h_gp: the radial moment of degree {N} overflows a float")
+    return moment
 
 
 def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResult:
@@ -495,31 +511,37 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
     alpha reduces to a 1-d radial integral with the Dirichlet constant
     pi^k * prod(alpha_i!) / (|alpha| + k - 1)!, taken with 160
     Gauss-Legendre nodes on each of the radial pieces (:func:`_gl_rule`, built
-    once).  Every radial degree the call needs is taken from one array pass
-    under either cutoff (:func:`_radial_moments`).
+    once).  Each radial degree is looked up in the moment table
+    (:func:`_radial_moment`), keyed by degree under the identity and by
+    degree and sqrt(p) r_perp under the bump.
     """
     p = _check_level(p)
     cutoff = cutoff or IDENTITY_CUTOFF
     k = g.k
     r = g.fiber_rank
     product = _product(g.adjoint(), g)
-    leading = lambda_eq(product) / p**k
+    scale = _level_power(p, k, "h_gp")
+    leading = lambda_eq(product) / scale
     hol, anti, C = product._table()
     if k == 0:  # only the constant row
         h_sq = C[0].copy() if len(C) else np.zeros((r, r), dtype=complex)
         return HgpResult(h_sq=h_sq, leading=leading)
-    R = math.sqrt(p) * cutoff.r_perp
+    R = None
+    if not cutoff.is_identity:
+        R = math.sqrt(p) * cutoff.r_perp
+        if not math.isfinite(R):
+            raise ValueError(f"h_gp: sqrt(p) * r_perp overflows a float at p = {p!r}, r_perp = {cutoff.r_perp!r}")
     diag = (hol == anti).all(axis=1)
     alphas = hol[diag].tolist()
     Ns = [sum(alpha) + k - 1 for alpha in alphas]
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = _radial_moments(set(Ns), R, cutoff)
-    if overflowed := [N for N in sorted(moments) if not math.isfinite(moments[N])]:
-        raise ValueError(f"h_gp: the radial moment of degree {overflowed[0]} overflows a float")
-    dirichlet = [PI**k * math.prod(map(math.factorial, a)) / math.factorial(N) for a, N in zip(alphas, Ns)]
+    moments = {N: _radial_moment(N, R) for N in sorted(set(Ns))}
+    try:
+        dirichlet = [PI**k * math.prod(map(math.factorial, a)) / math.factorial(N) for a, N in zip(alphas, Ns)]
+    except OverflowError:
+        raise ValueError(f"h_gp: the Dirichlet constant of degree {max(Ns)} overflows a float") from None
     terms = C[diag] * np.reshape(dirichlet, (-1, 1, 1)) * np.reshape([moments[N] for N in Ns], (-1, 1, 1))
     h_sq = sum(terms, np.zeros((r, r), dtype=complex))
-    return HgpResult(h_sq=h_sq / p**k, leading=leading)
+    return HgpResult(h_sq=h_sq / scale, leading=leading)
 
 
 def _product(a: Symbol, b: Symbol) -> Symbol:

@@ -532,6 +532,17 @@ def test_m_op_errors():
         m_op(g, p=2.0, variant="sideways")
 
 
+def test_m_op_refuses_a_level_that_overflows():
+    # p**m, and p**n for the adjoint, used to end in a bare OverflowError
+    g = Symbol.monomial(3, 2, (0,), (1,))
+    with pytest.raises(ValueError, match=r"m_op: p\*\*2 overflows a float at p = 1e\+200"):
+        m_op(g, p=1e200)
+    with pytest.raises(ValueError, match=r"m_op: p\*\*3 overflows a float at p = 1e\+200"):
+        m_op(g, p=1e200, variant="adjoint")
+    assert m_op(g, p=1e154).prefactor == 1e308
+    assert m_op(g, p=1e102, variant="adjoint").prefactor == 9.999999999999999e305
+
+
 def test_m_op_rejects_nan_level():
     with pytest.raises(ValueError, match="p must be finite"):
         m_op(Symbol.monomial(1, 0, (0,), (1,)), p=math.nan)
@@ -584,6 +595,15 @@ def test_m_op_adjoint_identity(rng):
 # -- the h^2 fibre integral -----------------------------------------------------------
 
 
+@pytest.fixture
+def empty_table():
+    """An empty radial-moment table, emptied again after the test: a test that
+    patches the Legendre rule must not read, or leave, entries of another rule."""
+    operators._radial_moment.cache_clear()
+    yield operators._radial_moment
+    operators._radial_moment.cache_clear()
+
+
 def test_h_gp_identity_goldens():
     g = Symbol.monomial(1, 0, (0,), (1,))
     res = h_gp(g, p=1.0)
@@ -620,14 +640,16 @@ def test_h_gp_constant_symbol():
 @pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
 def test_h_gp_without_a_diagonal_degree_is_zero(cutoff):
     # g = 0 leaves g* g no diagonal bidegree, so no radial moment is taken
+    before = operators._radial_moment.cache_info()
     for g in (Symbol.zero(2, 0), Symbol.zero(3, 1, fiber_rank=2)):
         res = h_gp(g, p=4.0, cutoff=cutoff)
         r = g.fiber_rank
         assert np.array_equal(res.h_sq, np.zeros((r, r))) and np.array_equal(res.leading, np.zeros((r, r)))
-    assert operators._radial_moments(set(), 2.0, cutoff) == {}
+    after = operators._radial_moment.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def test_identity_radial_moments_are_the_gamma_integral(monkeypatch):
+def test_identity_radial_moments_are_the_gamma_integral(monkeypatch, empty_table):
     # int_0^inf e^{-pi r^2} r^(2N+1) 2 dr = N!/pi^(N+1).  The bound, set from the rule's
     # error before the run: cutting the integral at sqrt((2N + 80)/pi) drops under
     # e^{-60} of it for N <= 20, and 160 Legendre nodes per piece leave no visible
@@ -636,16 +658,18 @@ def test_identity_radial_moments_are_the_gamma_integral(monkeypatch):
     # most 840 eps at r^2 = (2N + 80)/pi, and exp, the power, five products and the
     # pairwise sums add under 20 eps; the Legendre nodes and weights numpy returns may
     # err as much again.  So 2 * 860 eps ~ 3.8e-13, rounded up to 1e-12.
-    Ns = set(range(21))
-    moments = operators._radial_moments(Ns, 1.0, IDENTITY_CUTOFF)
+    Ns = range(21)
+    moments = {N: operators._radial_moment(N, None) for N in Ns}
     for N in Ns:
         exact = math.factorial(N) / PI ** (N + 1)
         assert abs(moments[N] - exact) <= 1e-12 * exact, (N, moments[N], exact)
     # the moments come from the Legendre rule, not a closed form: criterion 6 checks
     # the Dirichlet constant through this quadrature, and doubled weights double it
+    # (once the table is empty: a table entry reads no rule)
     x, w = operators._gl_rule()
     monkeypatch.setattr(operators, "_gl_rule", lambda: (x, 2.0 * w))
-    assert operators._radial_moments(Ns, 1.0, IDENTITY_CUTOFF) == {N: 2.0 * v for N, v in moments.items()}
+    empty_table.cache_clear()
+    assert {N: operators._radial_moment(N, None) for N in Ns} == {N: 2.0 * v for N, v in moments.items()}
 
 
 def test_h_gp_errors():
@@ -672,7 +696,84 @@ def test_h_gp_refuses_an_overflowing_radial_moment():
     assert res.leading.tobytes() == np.array([[3.3738658587470075e171]], dtype=complex).tobytes()
 
 
-def test_gl_rule_is_built_once_per_node_count(monkeypatch):
+def test_an_overflowing_radial_moment_raises_on_every_call(empty_table):
+    # the table keeps no entry for a moment that raised, so a repeat raises too; under
+    # the bump at R = 1e4, r^301 passes 1e308 on the transition pieces
+    g = Symbol.monomial(1, 0, (0,), (150,))
+    for p, cutoff in ((1.0, IDENTITY_CUTOFF), (1e8, CutoffSpec(r_perp=1.0))):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="radial moment of degree 150 overflows"):
+                h_gp(g, p=p, cutoff=cutoff)
+    assert empty_table.cache_info().currsize == 0
+
+
+def test_h_gp_refuses_an_overflowing_dirichlet_constant():
+    # 173! does not fit a float: pi^k prod(alpha!) / N! used to end in an uncaught
+    # OverflowError, though the bump's moment of degree 173 is finite
+    with pytest.raises(ValueError, match="Dirichlet constant of degree 173 overflows"):
+        h_gp(Symbol.monomial(2, 0, (0, 0), (100, 72)), cutoff=CutoffSpec(r_perp=1.0))
+    res = h_gp(Symbol.monomial(2, 0, (0, 0), (100, 69)), cutoff=CutoffSpec(r_perp=1.0))  # degree 170 fits
+    assert res.h_sq.tobytes() == np.array([[6.680134567371375e-166]], dtype=complex).tobytes()
+    assert res.leading.tobytes() == np.array([[1.5310245866658265e172]], dtype=complex).tobytes()
+
+
+def test_h_gp_refuses_a_level_that_overflows():
+    # p**k and sqrt(p) r_perp used to end in a bare OverflowError and in rho's
+    # "non-finite x"; both now name the level
+    with pytest.raises(ValueError, match=r"h_gp: p\*\*2 overflows a float at p = 1e\+155"):
+        h_gp(Symbol.monomial(2, 0, (1, 0), (0, 1)), p=1e155)
+    with pytest.raises(ValueError, match=r"p = 1e\+300, r_perp = 1e\+200"):
+        h_gp(Symbol.monomial(1, 0, (0,), (1,)), p=1e300, cutoff=CutoffSpec(r_perp=1e200))
+    res = h_gp(Symbol.monomial(2, 0, (1, 0), (0, 1)), p=1e154)  # p**2 fits
+    assert res.h_sq.tobytes() == res.leading.tobytes() == np.array([[1.01321183642338e-309]], dtype=complex).tobytes()
+
+
+def test_radial_moment_table_builds_once_per_key(monkeypatch, empty_table):
+    # every miss reads the rule once; the identity keys on the degree alone and the
+    # bump on the degree and sqrt(p) r_perp, so repeated calls build nothing
+    reads = []
+    rule = operators._gl_rule
+
+    def counting():
+        reads.append(1)
+        return rule()
+
+    monkeypatch.setattr(operators, "_gl_rule", counting)
+    g = Symbol.monomial(2, 0, (1, 0), (2, 1)).add(Symbol.monomial(2, 0, (0, 0), (0, 3)))  # radial degrees 4 and 5
+    for _ in range(3):
+        for p in (1.0, 4.0, 64.0):
+            h_gp(g, p=p)
+            h_gp(g, p=p, cutoff=CutoffSpec(r_perp=1.0))
+        h_gp(g, p=16.0, cutoff=CutoffSpec(r_perp=0.5))  # R = 2, as at p = 4 with r_perp = 1
+    assert len(reads) == empty_table.cache_info().misses == 2 + 2 * 3
+
+
+@pytest.mark.parametrize("cutoff, p", [(IDENTITY_CUTOFF, 1.0), (CutoffSpec(r_perp=1.0), 64.0)])
+def test_h_gp_cold_and_warm_table_are_bit_identical(empty_table, cutoff, p):
+    for N in range(141):
+        g = Symbol.monomial(1, 0, (0,), (N,))  # radial degree N
+        empty_table.cache_clear()
+        cold = h_gp(g, p=p, cutoff=cutoff)
+        warm = h_gp(g, p=p, cutoff=cutoff)
+        assert cold.h_sq.tobytes() == warm.h_sq.tobytes(), N
+    assert empty_table.cache_info().hits == 1
+
+
+# SHA-256 over the float hex of the radial moments of degree 0-140 under the identity,
+# then under the bump at R = 0.3, 1 and 8: the bits of the batched passes the table
+# replaced, which each entry reproduces one degree at a time.
+PINNED_MOMENTS_SHA256 = "eb66144328080cadd03844614b8d20451da34896cd8684bd9d99d71584bfd882"
+
+
+def test_radial_moments_are_pinned(empty_table):
+    h = hashlib.sha256()
+    for R in (None, 0.3, 1.0, 8.0):
+        for N in range(141):
+            h.update(float.hex(operators._radial_moment(N, R)).encode())
+    assert h.hexdigest() == PINNED_MOMENTS_SHA256
+
+
+def test_gl_rule_is_built_once_per_node_count(monkeypatch, empty_table):  # a table hit reads no rule
     builds = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -699,12 +800,13 @@ def test_gl_rule_arrays_are_read_only():
 
 
 @pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
-def test_h_gp_cached_rule_is_bit_identical(monkeypatch, cutoff):
+def test_h_gp_cached_rule_is_bit_identical(monkeypatch, empty_table, cutoff):
     terms = {((1, 0), (1, 2)): [[1.0, 2.0j], [0.5, -1.0]], ((0, 2), (0, 0)): 3.0 * np.eye(2)}
     g = Symbol.from_terms(2, 0, terms, fiber_rank=2)
     cached = [h_gp(g, p=p, cutoff=cutoff) for p in (1.0, 8.0)]
     cached += [h_gp(g, p=p, cutoff=cutoff) for p in (1.0, 8.0)]  # cache hits
     monkeypatch.setattr(operators, "_gl_rule", lambda: np.polynomial.legendre.leggauss(160))
+    empty_table.cache_clear()  # or every moment below is a table hit, and the rule goes unread
     fresh = [h_gp(g, p=p, cutoff=cutoff) for p in (1.0, 8.0)] * 2
     for got, want in zip(cached, fresh):
         assert np.array_equal(got.h_sq, want.h_sq)
