@@ -3,6 +3,7 @@
 The package is organised bottom-up:
 
 - ``fields``    JSON field readers and the command line's settings, no numpy
+- ``arrays``    array readers, matrix fields and the one Hermitian eigen path
 - ``poly``      four-family polynomial coefficients with matrix fibers
 - ``kernels``   the one kernel descriptor, its four named families, and ladder ops
 - ``compose``   closed-form operator composition on those families
@@ -10,6 +11,7 @@ The package is organised bottom-up:
 - ``operators`` symbols, leading-term contractions, model ops, norm estimation
 - ``geometry``  curvature-sample data model and comparison constants
 - ``cli``       file-based command line (``fockcalc`` entry point)
+- ``checks``    the invariants ``fockcalc selftest`` runs
 
 Every name in ``__all__`` is importable from the package itself.
 ``import fockcalc`` loads no submodule: the one that defines a name is

@@ -1,10 +1,10 @@
 """Field readers and the settings the command line names, with no numpy.
 
 Every payload loader reads its fields through the ``_json_*`` readers (and
-``poly._as_coef``), and so does every public function or constructor for its
+``arrays._as_coef``), and so does every public function or constructor for its
 counts, levels, scalars and matrices: each field type has one rule, and a bad
 field or argument is named in the error.  Point coordinates are arrays, read
-by ``poly._as_points``.  The command line checks its flags and files through
+by ``arrays._as_points``.  The command line checks its flags and files through
 this module before it loads numpy.
 """
 

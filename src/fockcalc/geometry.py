@@ -5,7 +5,8 @@ of scalar curvatures, curvature contractions, normal-direction derivative
 data and the density kappa, following the ``geom/1`` JSON schema.  This
 module evaluates the constants C0, C3, C4, the third-order defect
 coefficient ``dp3`` and its tower generalization, with numpy's Hermitian
-eigensolver (``eigvalsh``) underneath.
+eigensolver (``eigvalsh``) underneath.  That eigen path,
+:func:`hermitian_eigs`, lives in :mod:`.arrays` and is exported here.
 
 Direction records are understood as an orthonormal frame of the relevant
 normal space: every ``d_scal_diff`` / ``nabla_lambda_diff`` entry is the
@@ -21,22 +22,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .arrays import _as_coef, _check_hermitian, _coef_from_json, _coef_to_json, hermitian_eigs
 from .fields import _json_complex, _json_int, _json_list, _json_object, _json_real, _json_str
-from .poly import _as_coef, _coef_from_json, _coef_to_json
 
 PI = math.pi
 
 GEOM_SCHEMA = "geom/1"
-
-_HERM_TOL = 1e-10
-
-
-def _check_hermitian(H: np.ndarray, message: str) -> None:
-    """Raise ``message`` with the deviation unless the square matrix H is
-    Hermitian within 1e-10, scaled by 1 + its largest entry."""
-    dev = float(np.max(np.abs(H - H.conj().T), initial=0.0))
-    if dev > _HERM_TOL * (1.0 + float(np.max(np.abs(H), initial=0.0))):
-        raise ValueError(f"{message} (deviation {dev:.3e})")
 
 
 # -- data model -----------------------------------------------------------------
@@ -203,23 +194,6 @@ def _fields_from_json(rec: Mapping, names, r: int, owner: str) -> dict:
         for name in names
         if name in rec
     }
-
-
-# -- eigensolver ------------------------------------------------------------------
-
-
-def hermitian_eigs(H) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, by ``numpy.linalg.eigvalsh``.
-
-    The input must be finite, square and Hermitian within 1e-10 (scaled by
-    its largest entry); it is symmetrized before the solve.
-    """
-    shape = np.shape(H)
-    if len(shape) not in (0, 2) or shape[:1] != shape[1:]:
-        raise ValueError(f"need a square matrix, got shape {shape}")
-    A = _as_coef(H, shape[0] if shape else 1, what="matrix")
-    _check_hermitian(A, "matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
 
 # -- constant assembly -------------------------------------------------------------

@@ -24,8 +24,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .arrays import _as_points
 from .fields import _json_complex, _json_int, _json_number, _json_object
-from .poly import Dims, Poly, _O_Z, _O_ZB, _O_ZP, _O_ZBP, _var_offset, _as_points, _collect
+from .poly import Dims, Poly, _O_Z, _O_ZB, _O_ZP, _O_ZBP, _var_offset, _collect
 
 __all__ = [
     "Bergman",

@@ -29,9 +29,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .arrays import _as_coef, _as_numbers, _as_points, _coef_from_json, _coef_to_json
 from .fields import TOEPLITZ_KINDS, _json_int, _json_list, _json_number, _json_object
-from .poly import Dims, Poly, _O_Z, _O_ZB, _as_coef, _as_numbers, _as_points, _collect, _coef_to_json
-from .poly import _coef_from_json, _exponent_rows
+from .poly import Dims, Poly, _O_Z, _O_ZB, _collect, _exponent_rows
 from .kernels import KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
 from .kernels import _kernel_points
 from .compose import _one_sided, _over_pi, compose
@@ -614,7 +614,8 @@ def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
     if s1.p != s2.p:
         raise ValueError("cannot compose kernels at different scales")
     base = compose(s1.expr, s2.expr)
-    return ScaledKernel(base, s1.p, s1.prefactor * s2.prefactor / s1.p**s1.kind.dp)
+    scale = _level_power(s1.p, s1.kind.dp, "norm_estimate")
+    return ScaledKernel(base, s1.p, s1.prefactor * s2.prefactor / scale)
 
 
 def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:

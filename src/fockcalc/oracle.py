@@ -22,8 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .arrays import _as_points
 from .fields import _json_int, _json_list, _json_number
-from .poly import Dims, Poly, _as_points, _collect, _monomials
+from .poly import Dims, Poly, _collect, _monomials
 from .kernels import KernelExpr, Extension, apply_model_laplacian, _LADDER, _ladder_step
 from .compose import compose
 

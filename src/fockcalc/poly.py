@@ -21,7 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .fields import DEFAULT_DEGREE_CAP, _json_complex, _json_int, _json_list, _json_number, _json_object
+from .arrays import _as_coef, _as_points, _coef_from_json, _coef_to_json
+from .fields import DEFAULT_DEGREE_CAP, _json_complex, _json_int, _json_list, _json_object
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
@@ -110,70 +111,6 @@ def _parse_var_name(name: str) -> tuple[int, int]:
     if index < 1:
         raise ValueError(f"bad variable index in {name!r}")
     return index, (2 if primed else 0) + (1 if anti else 0)
-
-
-def _as_coef(value, r: int, count: int | None = None, what: str = "coefficient") -> np.ndarray:
-    """A read-only finite ``(r, r)`` complex matrix, or ``count`` of them stacked;
-    a number stands for a 1x1 matrix.  Booleans and strings are no numbers, and
-    ``what`` names the value in the errors."""
-    lead = () if count is None else (count,)
-    if all(type(v) is np.ndarray and v.dtype.kind in "iufc" for v in (value if count is not None else [value])):
-        a = np.array(value, dtype=complex)  # a copy; numeric arrays need no cell-by-cell check
-    elif (a := _cast_cells(np.asarray(value, dtype=object), complex, what)) is None:
-        raise ValueError(f"{what} must be a number or a matrix of numbers, got {value!r}")
-    if a.shape == lead and r == 1:
-        a = a.reshape(lead + (1, 1))
-    if a.shape != lead + (r, r):
-        raise ValueError(f"{what} must be {r}x{r}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"non-finite {what}")
-    a.setflags(write=False)
-    return a
-
-
-def _cast_cells(cells: np.ndarray, dtype, what: str, number=numbers.Number) -> np.ndarray | None:
-    """An object array cast to ``dtype``, or None if a cell is no ``number`` (no
-    boolean is); an integer beyond float range is a non-finite ``what``."""
-    if not all(issubclass(t, number) and t is not bool for t in set(map(type, cells.flat))):
-        return None
-    try:
-        return cells.astype(dtype)
-    except OverflowError:
-        raise ValueError(f"non-finite {what}") from None
-
-
-def _as_points(value, d: int | None, what: str, count=None, wrong_shape="{what} have shape {shape}, need ({n}, {d})"):
-    """N points of C^d read by :func:`_as_numbers`, an ``(N, d)`` array: ``count``
-    points if given, of any width if ``d`` is None.  A list of numeric ndarrays
-    of one shape is stacked by one numpy cast.  A wrong shape, ragged rows
-    included, raises ``wrong_shape`` formatted with ``what``, ``shape`` and the
-    shape needed, ``n`` by ``d``."""
-    if type(value) is list and all(type(v) is np.ndarray and v.dtype.kind in "iufc" for v in value):
-        value = np.array(value, dtype=complex) if len({v.shape for v in value}) == 1 else value
-    try:
-        a = value if type(value) is np.ndarray else np.asarray(value, dtype=object)
-    except ValueError:  # rows of several depths, which numpy cannot hold even as objects
-        a = np.empty(len(value), object)
-    if a.ndim != 2 or (d is not None and a.shape[1] != d) or (count is not None and len(a) != count):
-        need = {"n": "N" if count is None else count, "d": "d" if d is None else d}
-        raise ValueError(wrong_shape.format(what=what, shape=a.shape, **need))
-    return _as_numbers(a, what)
-
-
-def _as_numbers(value, what: str, real: bool = False) -> np.ndarray:
-    """A finite complex (or, if ``real``, float) array of any shape.  A numeric-dtype
-    ndarray is cast at once, and not copied if it has the dtype already; anything
-    else is read cell by cell, as :func:`_as_coef` reads, so booleans and strings
-    are no numbers.  ``what`` names the value in the errors."""
-    dtype, number = (float, numbers.Real) if real else (complex, numbers.Number)
-    if type(value) is np.ndarray and value.dtype.kind in ("iuf" if real else "iufc"):
-        a = value.astype(dtype, copy=False)
-    elif (a := _cast_cells(cells := np.asarray(value, dtype=object), dtype, what, number)) is None:
-        bad = next(v for v in cells.flat if type(v) is bool or not isinstance(v, number))
-        raise ValueError(f"{what} must be {'real ' if real else ''}numbers, got {bad!r}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"non-finite {what}")
-    return a
 
 
 ExpKey = tuple[int, ...]
@@ -476,21 +413,3 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(acc, new.cumsum()[dup] - 1, C[order[dup]])  # unbuffered, so in row order
     rank = first.argsort()
     return E[first[rank]], acc[rank]
-
-
-# -- matrix fields -------------------------------------------------------------------
-
-
-def _coef_to_json(coef: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in coef]
-
-
-def _coef_from_json(data, r: int, what: str = "coef") -> np.ndarray:
-    """An ``(r, r)`` complex matrix from ``r`` rows of ``[re, im]`` pairs of finite reals."""
-    cells = np.array(data, dtype=object)
-    if cells.shape != (r, r, 2):
-        raise ValueError(f"{what} shape {cells.shape} != ({r}, {r}, 2)")
-    a = np.array([_json_number(v, f"{what} entry") for v in cells.flat]).reshape(r, r, 2)
-    if not np.isfinite(a).all():  # the message the coefficient constructors raise too
-        raise ValueError("non-finite coefficient")
-    return a[..., 0] + 1j * a[..., 1]

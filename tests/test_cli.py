@@ -231,6 +231,18 @@ def test_spectrum_rejects_scalar_matrix(tmp_path, capsys):
     assert err.count("\n") == 1 and "list of rows" in err
 
 
+def test_spectrum_near_the_float_maximum(tmp_path, capsys):
+    # finite input once came back as nan: exit 2 on a wrong "not finite" result
+    mf = write_json(tmp_path, "m.json", matrix_json(np.diag([1e308, -1e308])))
+    assert run(["spectrum", "--input", mf]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [-1e308, 1e308]
+    mf = write_json(tmp_path, "full.json", matrix_json(np.full((2, 2), 1e308)))
+    assert run(["spectrum", "--input", mf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"fockcalc: error: {mf}: an eigenvalue overflows a float")
+
+
 def test_integer_too_long_to_parse_is_a_usage_error(tmp_path, capsys):
     # json.loads raises a plain ValueError past 4300 digits; it used to escape
     # as a traceback with exit 1
@@ -657,10 +669,10 @@ def run_python(code: str, cwd) -> subprocess.CompletedProcess:
     "command,unused",
     [
         ("compose", {"oracle", "operators", "geometry"}),
-        ("spectrum", {"oracle", "operators", "kernels", "compose"}),
+        ("spectrum", {"oracle", "operators", "kernels", "compose", "poly", "geometry"}),
         ("toeplitz-leading", {"oracle"}),
         ("defect-check", {"oracle"}),
-        ("constants", {"oracle", "operators", "kernels", "compose"}),
+        ("constants", {"oracle", "operators", "kernels", "compose", "poly"}),
     ],
 )
 def test_command_loads_only_the_modules_it_uses(tmp_path, geom_data, command, unused):
@@ -689,9 +701,23 @@ def test_command_loads_only_the_modules_it_uses(tmp_path, geom_data, command, un
     masked, polynomial = numpy_extras.split()
     assert masked == "False", f"{command} imported numpy.ma"  # ~1 MB and its import time
     assert polynomial == "False", f"{command} imported numpy.polynomial"  # only Gauss rules need it
-    assert {"cli", "poly"} <= loaded
+    assert {"cli", "fields", "arrays"} <= loaded
+    unused = unused | {"checks"}  # selftest's module, loaded by selftest alone
     assert not loaded & unused, f"{command} loaded {sorted(loaded & unused)}"
     assert (tmp_path / "out.json").is_file()
+
+
+def test_selftest_loads_its_checks(tmp_path):
+    code = (
+        "import sys\n"
+        "import fockcalc.cli\n"
+        "assert fockcalc.cli.run(['selftest', '--out', 'out.txt']) == 0\n"
+        "print('fockcalc.checks' in sys.modules)\n"
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+    assert (tmp_path / "out.txt").read_text().endswith("selftest: 9/9 passed\n")
 
 
 # -- the read stage: flags and files are checked before numpy is loaded ----------------

@@ -185,6 +185,29 @@ def test_hermitian_eigs_errors():
         hermitian_eigs(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
+def test_hermitian_eigs_near_the_float_maximum():
+    # symmetrizing as (A + A^H) / 2 once overflowed finite input to nan
+    assert hermitian_eigs(np.diag([1e308, -1e308])).tolist() == [-1e308, 1e308]
+    with pytest.raises(ValueError, match="^an eigenvalue overflows a float$"):
+        hermitian_eigs(np.full((2, 2), 1e308))
+    # H - H^H, or the largest |entry| that scales the tolerance, leaves float
+    # range: each is refused without a RuntimeWarning (an infinite tolerance
+    # once let the second matrix, with its non-real diagonal, through)
+    for H in ([[0.0, 1e308], [-1e308, 0.0]], [[1.7e308 + 1.7e308j, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match=r"not Hermitian within tolerance \(deviation inf\)"):
+            hermitian_eigs(np.array(H))
+
+
+def test_hermitian_eigs_symmetrizes_to_the_same_bits(rng):
+    # A/2 + A^H/2 equals (A + A^H)/2 wherever the halves are normal floats
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+        raw = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        H = raw + raw.conj().T
+        H[0, 1] += scale * 1e-12  # Hermitian within tolerance, not exactly
+        want = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+        assert hermitian_eigs(H).tobytes() == want.tobytes()
+
+
 def test_hermitian_eigs_of_an_empty_matrix():
     # the Hermitian test once took the maximum of an empty array and raised
     assert hermitian_eigs(np.zeros((0, 0))).shape == (0,)

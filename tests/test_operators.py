@@ -40,8 +40,8 @@ from fockcalc import (
     unit_expr,
 )
 from fockcalc import operators
+from fockcalc.arrays import _coef_to_json
 from fockcalc.geometry import hermitian_eigs
-from fockcalc.poly import _coef_to_json
 
 from conftest import complex_rows, linear_symbol, random_symbol, term_sum
 
@@ -541,6 +541,14 @@ def test_m_op_refuses_a_level_that_overflows():
         m_op(g, p=1e200, variant="adjoint")
     assert m_op(g, p=1e154).prefactor == 1e308
     assert m_op(g, p=1e102, variant="adjoint").prefactor == 9.999999999999999e305
+
+
+def test_norm_estimate_refuses_a_level_that_overflows():
+    # the Gram kernel's p**dp used to end in a bare OverflowError
+    op = m_op(Symbol.monomial(2, 1, (0,), (1,)), p=1e160)
+    with pytest.raises(ValueError, match=r"^norm_estimate: p\*\*2 overflows a float at p = 1e\+160$"):
+        norm_estimate(op, 2)
+    assert norm_estimate(m_op(Symbol.monomial(2, 1, (0,), (1,)), p=1e100), 2) == 5.641895835477563e-51
 
 
 def test_m_op_rejects_nan_level():

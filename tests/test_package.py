@@ -224,8 +224,8 @@ def test_import_loads_only_what_is_used():
     )
     assert out.splitlines() == [
         "",
-        "module compose fields kernels oracle poly",
-        "compose fields geometry kernels operators oracle poly",
+        "module arrays compose fields kernels oracle poly",
+        "arrays compose fields geometry kernels operators oracle poly",
     ]
 
 

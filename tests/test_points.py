@@ -1,4 +1,4 @@
-"""Every evaluation entry reads its points by one rule (``poly._as_points``)."""
+"""Every evaluation entry reads its points by one rule (``arrays._as_points``)."""
 
 import math
 import re
@@ -20,7 +20,7 @@ from fockcalc import (
     oracle_compose_values,
     unit_expr,
 )
-from fockcalc.poly import _as_points
+from fockcalc.arrays import _as_points
 
 _E = unit_expr(Bergman(1))
 _P = Poly.monomial(Dims.of(1), {"z1": 1, "z'1": 2}, 0.5)  # reads the z and zp slots

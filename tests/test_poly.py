@@ -411,7 +411,7 @@ def test_duplicate_terms_load_bit_identically():
     # the loaders sum repeated exponents with _collect; a dict summing them
     # first, as the loaders once did, must give the same bits
     from fockcalc import KernelExpr, Symbol
-    from fockcalc.poly import _coef_from_json
+    from fockcalc.arrays import _coef_from_json
 
     e = KernelExpr.from_json_dict(DUPLICATE_KERNEL)
     dims = e.numerator.dims
@@ -465,7 +465,7 @@ def test_an_integer_coefficient_beyond_float_range_is_non_finite():
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float32, np.float64, np.complex64, complex])
 def test_numeric_coefficient_arrays_read_like_the_checked_path(dtype):
-    from fockcalc.poly import _as_coef
+    from fockcalc.arrays import _as_coef
 
     rng = np.random.default_rng(7)
     big = {np.int64: 2**62 + 1, np.uint64: 2**64 - 1}.get(dtype, 100)  # beyond float precision for the wide ints
