@@ -31,8 +31,7 @@ _EXPORTS = {
     ),
     "kernels": (
         "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
-        "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
-        "primed_dim",
+        "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name", "primed_dim",
     ),
     "compose": (
         "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
@@ -42,7 +41,7 @@ _EXPORTS = {
         "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     ),
     "operators": (
-        "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "MOpField", "HgpResult",
+        "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "HgpResult",
         "DefectRecord", "lambda_eq", "lambda_h", "lambda_a",
         "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature",
         "m_op", "h_gp", "c1_c2", "fock_indices", "norm_estimate",

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .arrays import _as_points
-from .fields import _json_complex, _json_int, _json_number, _json_object
+from .fields import _json_int, _json_object
 from .poly import Dims, Poly, _O_Z, _O_ZB, _O_ZP, _O_ZBP, _var_offset, _collect
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "Restriction",
     "KernelKind",
     "KernelExpr",
-    "ScaledKernel",
     "unit_expr",
     "apply_ladder",
     "apply_model_laplacian",
@@ -228,42 +227,6 @@ class KernelExpr:
 def unit_expr(kind: KernelKind, fiber_rank: int = 1) -> KernelExpr:
     dims = Dims(n=kind.n, l=kind.n, m=kind.m, fiber_rank=fiber_rank)
     return KernelExpr(Poly.one(dims), kind)
-
-
-@dataclass(frozen=True)
-class ScaledKernel:
-    """``prefactor * expr(sqrt(p) Z, sqrt(p) Z')`` -- semiclassical rescaling.
-
-    Rescaling is always substitution plus prefactor, never a separate kernel
-    family; ``p = 1, prefactor = 1`` wraps a plain expression.
-    """
-
-    expr: KernelExpr
-    p: float = 1.0
-    prefactor: complex = 1.0
-
-    def __post_init__(self):
-        p = _json_number(self.p, "p")
-        if not (p > 0 and math.isfinite(p)):
-            raise ValueError(f"p must be positive and finite, got {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prefactor", _json_complex(self.prefactor, "prefactor"))
-
-    @property
-    def kind(self) -> KernelKind:
-        return self.expr.kind
-
-    def evaluate_batch(self, Z, Zp) -> np.ndarray:
-        """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
-        return self._values(*_kernel_points(self.kind, Z, Zp))
-
-    def _values(self, zu: np.ndarray, zp: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` at point pairs already read."""
-        s = math.sqrt(self.p)
-        return self.prefactor * self.expr._values(s * zu, s * zp)
-
-    def adjoint(self) -> "ScaledKernel":
-        return ScaledKernel(self.expr.adjoint(), self.p, self.prefactor.conjugate())
 
 
 # -- ladder operators --------------------------------------------------------

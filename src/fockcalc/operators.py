@@ -10,7 +10,7 @@ serializers build or walk a dict.  On top of it this module provides:
 * the three Gaussian-moment contractions ``lambda_eq`` / ``lambda_h`` /
   ``lambda_a`` plus quadrature cross-checks of each;
 * cutoff profiles (:class:`CutoffSpec`);
-* model operators ``m_op`` (direct and adjoint variants, sampled under a cutoff);
+* model operators ``m_op`` (direct and adjoint variants, carried to level 1);
 * the normal-fibre integral ``h_gp``, norm constants ``c1_c2`` and the
   Gram-matrix ``norm_estimate`` over exact Fock pairings;
 * the leading-term dispatch ``toeplitz_leading`` together with the fully
@@ -32,8 +32,7 @@ import numpy as np
 from .arrays import _as_coef, _as_numbers, _as_points, _coef_from_json, _coef_to_json
 from .fields import TOEPLITZ_KINDS, _json_int, _json_list, _json_number, _json_object
 from .poly import Dims, Poly, _O_Z, _O_ZB, _collect, _exponent_rows
-from .kernels import KernelExpr, ScaledKernel, Bergman, Extension, Restriction, unit_expr
-from .kernels import _kernel_points
+from .kernels import KernelExpr, Bergman, Extension, Restriction, unit_expr
 from .compose import _one_sided, _over_pi, compose
 from .geometry import hermitian_eigs
 
@@ -389,57 +388,27 @@ def lambda_a_quadrature(g: Symbol, zbar_point, nodes: int = 20) -> np.ndarray:
 # -- model operators --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MOpField:
-    """Sampled model-operator kernel: cutoff factor times a scaled kernel.
+def m_op(g: Symbol, p: float, variant: str = "direct") -> KernelExpr:
+    """Model operator kernel at level p, carried to level 1 by the dilation u = sqrt(p) Z.
 
-    The normal variables are the coordinates past m of the wider argument:
-    the primed one of a restriction kernel (``dp > du``), else the unprimed.
+    ``direct``   : bracket symbol on the unprimed normal variables, extension kernel;
+    ``adjoint``  : bracket symbol on the primed normal variables, restriction kernel.
+
+    In the flat model the dilation is unitary, so a level changes nothing but a
+    power: the level-p operator is the p = 1 kernel with its numerator scaled by
+    p^(-k/2) (``direct``) or p^(k/2) (``adjoint``), k = n - m.  A cutoff bump
+    moves to radius R = sqrt(p) r_perp, which is how :func:`h_gp` takes it.
+    A level whose p**k overflows a float is refused.
     """
-
-    base: ScaledKernel
-    cutoff: CutoffSpec
-
-    def evaluate_batch(self, Z, Zp) -> np.ndarray:
-        """Values at N point pairs: Z is (N, du), Zp is (N, dp); returns (N, r, r)."""
-        kind = self.base.kind
-        zu, zp = _kernel_points(kind, Z, Zp)
-        normal = (zp if kind.dp > kind.du else zu)[:, kind.m :]
-        rho = self.cutoff.rho(np.linalg.norm(normal, axis=1) / self.cutoff.r_perp)
-        return rho[:, None, None] * self.base._values(zu, zp)
-
-
-def m_op(
-    g: Symbol,
-    p: float,
-    cutoff: CutoffSpec | None = None,
-    variant: str = "direct",
-):
-    """Model operator kernel.
-
-    ``direct``   : prefactor p^m, bracket symbol on the unprimed normal
-                   variables, extension kernel;
-    ``adjoint``  : prefactor p^n (the extra p^(n-m) from fibre integration),
-                   bracket symbol on the primed normal variables, restriction
-                   kernel.
-
-    Identity cutoff returns a :class:`ScaledKernel`; a smooth bump returns a
-    sampled :class:`MOpField`.
-    """
-    p = _check_level(p)
-    n, m = g.n, g.m
-    cutoff = cutoff or IDENTITY_CUTOFF
+    p, k = _check_level(p), g.k
     if variant == "direct":
-        expr = KernelExpr(g.to_poly("unprimed"), Extension(n, m))
-        base = ScaledKernel(expr, p, _level_power(p, m, "m_op"))
+        numerator, kind, power = g.to_poly("unprimed"), Extension(g.n, g.m), -k / 2
     elif variant == "adjoint":
-        expr = KernelExpr(g.to_poly("primed"), Restriction(n, m))
-        base = ScaledKernel(expr, p, _level_power(p, n, "m_op"))
+        numerator, kind, power = g.to_poly("primed"), Restriction(g.n, g.m), k / 2
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if cutoff.is_identity:
-        return base
-    return MOpField(base, cutoff)
+    _level_power(p, k, "m_op")  # the operator's Gram kernel carries p**(-k) or p**k
+    return KernelExpr._of(numerator.scale(p**power), kind)
 
 
 # -- the h^2 fibre integral ----------------------------------------------------
@@ -610,15 +579,7 @@ def _pairing_row(rows: list, C: np.ndarray, c: int, r: int, beta: tuple) -> dict
     return row
 
 
-def _scaled_compose(s1: ScaledKernel, s2: ScaledKernel) -> ScaledKernel:
-    if s1.p != s2.p:
-        raise ValueError("cannot compose kernels at different scales")
-    base = compose(s1.expr, s2.expr)
-    scale = _level_power(s1.p, s1.kind.dp, "norm_estimate")
-    return ScaledKernel(base, s1.p, s1.prefactor * s2.prefactor / scale)
-
-
-def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
+def norm_estimate(op: KernelExpr, basis_cutoff: int) -> float:
     """Operator norm from the largest eigenvalue of a Gram matrix of basis images.
 
     Builds the Gram kernel on the smaller side, T*T on C^dp when
@@ -632,26 +593,20 @@ def norm_estimate(op: KernelExpr | ScaledKernel, basis_cutoff: int) -> float:
     basis_cutoff = _json_int(basis_cutoff, "basis_cutoff")
     if basis_cutoff < 0:
         raise ValueError(f"basis_cutoff must be >= 0, got {basis_cutoff}")
-    if isinstance(op, KernelExpr):
-        op = ScaledKernel(op, 1.0, 1.0)
-    if op.kind.dp <= op.kind.du:
-        gram_kernel = _scaled_compose(op.adjoint(), op)
-    else:
-        gram_kernel = _scaled_compose(op, op.adjoint())
+    gram_kernel = compose(op.adjoint(), op) if op.kind.dp <= op.kind.du else compose(op, op.adjoint())
     d = gram_kernel.kind.du
-    r = gram_kernel.expr.dims.fiber_rank
+    r = gram_kernel.dims.fiber_rank
     basis = fock_indices(d, basis_cutoff)
     index = {b: i for i, b in enumerate(basis)}
     total = [sum(b) for b in basis]
     factorial = [math.prod(map(math.factorial, b)) for b in basis]
     blocks = np.zeros((len(basis), len(basis), r, r), dtype=complex)
-    (E, C), c = gram_kernel.expr.numerator.table, gram_kernel.kind.c
+    (E, C), c = gram_kernel.numerator.table, gram_kernel.kind.c
     rows = E.tolist()
-    scale = gram_kernel.prefactor * gram_kernel.p ** (-d)
     for ib, b in enumerate(basis):
         for gamma, raw in _pairing_row(rows, C, c, r, b).items():
             if (ig := index.get(gamma)) is not None:
-                w = scale * PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
+                w = PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
                 blocks[ib, ig] = w * raw
     G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
     return math.sqrt(max(float(hermitian_eigs(G)[-1]), 0.0))
@@ -779,7 +734,6 @@ __all__ = [
     "Symbol",
     "CutoffSpec",
     "IDENTITY_CUTOFF",
-    "MOpField",
     "HgpResult",
     "DefectRecord",
     "lambda_eq",

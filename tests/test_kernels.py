@@ -16,7 +16,6 @@ from fockcalc import (
     OrthBergman,
     Poly,
     Restriction,
-    ScaledKernel,
     apply_ladder,
     apply_model_laplacian,
     KernelKind,
@@ -97,8 +96,6 @@ def test_kernel_eval_dimension_errors():
     for Z, Zp in ((np.zeros(1), np.zeros((1, 1))), (np.zeros((2, 1)), np.zeros((3, 1)))):
         with pytest.raises(ValueError, match="kernel expects"):
             e.evaluate_batch(Z, Zp)
-        with pytest.raises(ValueError, match="kernel expects"):
-            ScaledKernel(e, 4.0).evaluate_batch(Z, Zp)
 
 
 def test_restriction_is_bergman_on_padded_point(rng):
@@ -232,39 +229,6 @@ def test_unit_restriction_extension_duality(rng):
         lhs = res.evaluate_batch(zy, w)[:, 0, 0]
         rhs = np.conj(ext.evaluate_batch(w, zy)[:, 0, 0])
         assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-
-def test_scaled_kernel(rng):
-    e = unit_expr(Bergman(1))
-    s = ScaledKernel(e, 4.0, 3.0)
-    z, zp = _pts(rng, 1)[None], _pts(rng, 1)[None]
-    want = 3.0 * e.evaluate_batch(2.0 * z, 2.0 * zp)
-    assert np.max(np.abs(s.evaluate_batch(z, zp) - want)) < 1e-13
-    with pytest.raises(ValueError):
-        ScaledKernel(e, 0.0)
-    sa = s.adjoint()
-    assert abs(sa.prefactor - 3.0) < 1e-15
-    assert np.max(np.abs(sa.evaluate_batch(zp, z) - s.evaluate_batch(z, zp).conj().transpose(0, 2, 1))) < 1e-12
-
-
-@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
-def test_scaled_kernel_rejects_a_non_finite_level(p):
-    with pytest.raises(ValueError, match="^p must be positive and finite"):
-        ScaledKernel(unit_expr(Bergman(1)), p=p)
-
-
-@pytest.mark.parametrize("prefactor", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
-def test_scaled_kernel_rejects_a_non_finite_prefactor(prefactor):
-    with pytest.raises(ValueError, match="^prefactor must be finite"):
-        ScaledKernel(unit_expr(Bergman(1)), prefactor=prefactor)
-
-
-@pytest.mark.parametrize("value", ["4", True, None])
-@pytest.mark.parametrize("field", ["p", "prefactor"])
-def test_scaled_kernel_rejects_a_level_or_prefactor_that_is_no_number(field, value):
-    # "4" used to pass as a level and fail later; True passed as p = 1 or prefactor 1
-    with pytest.raises(ValueError, match=f"^{field} must be a (real )?number, got {value!r}$"):
-        ScaledKernel(unit_expr(Bergman(1)), **{field: value})
 
 
 @pytest.mark.parametrize("scalar, match", [("1e3", "a number"), (True, "a number"), (math.nan, "finite")])

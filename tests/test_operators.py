@@ -17,10 +17,9 @@ from fockcalc import (
     Extension,
     IDENTITY_CUTOFF,
     InsufficientNodesError,
-    MOpField,
+    KernelExpr,
     Poly,
     Restriction,
-    ScaledKernel,
     Symbol,
     TOEPLITZ_KINDS,
     c1_c2,
@@ -37,7 +36,6 @@ from fockcalc import (
     toeplitz_flat_composite,
     toeplitz_leading,
     toeplitz_predicted_kernel,
-    unit_expr,
 )
 from fockcalc import operators
 from fockcalc.arrays import _coef_to_json
@@ -506,22 +504,22 @@ def test_lambda_eq_positive_on_squares(rng):
 
 
 def test_m_op_direct_golden():
+    # wbar on C^1 at p = 4: the p = 1 extension kernel, its numerator scaled by 4**(-1/2)
     g = Symbol.monomial(1, 0, (0,), (1,))
     op = m_op(g, p=4.0)
-    assert isinstance(op, ScaledKernel)
-    assert op.p == 4.0 and op.prefactor == 1.0  # p^m with m = 0
-    Z, none = np.array([[0.3 + 0.1j]]), np.zeros((1, 0))
-    want = np.conj(2.0 * Z[0, 0]) * unit_expr(Extension(1, 0)).evaluate_batch(2.0 * Z, none)[0, 0, 0]
-    assert abs(op.evaluate_batch(Z, none)[0, 0, 0] - want) < 1e-14
+    assert isinstance(op, KernelExpr) and op.kind == Extension(1, 0)
+    assert op.numerator.max_coef_diff(Poly.monomial(g.poly.dims, {"zb1": 1}, 0.5)) == 0.0
+    assert op.numerator.max_coef_diff(m_op(g, p=1.0).numerator.scale(0.5)) == 0.0
 
 
 def test_m_op_adjoint_prefactor():
+    # k = 1: the direct numerator takes p^(-1/2), the adjoint one p^(1/2)
     g = Symbol.monomial(2, 1, (0,), (1,))
     direct = m_op(g, p=4.0)
     adj = m_op(g, p=4.0, variant="adjoint")
-    assert direct.prefactor == 4.0  # p^m, m = 1
-    assert adj.prefactor == 16.0  # p^n, n = 2
-    assert adj.expr.kind == Restriction(2, 1)
+    assert direct.numerator.max_coef_diff(g.to_poly("unprimed").scale(0.5)) == 0.0
+    assert adj.numerator.max_coef_diff(g.to_poly("primed").scale(2.0)) == 0.0
+    assert (direct.kind, adj.kind) == (Extension(2, 1), Restriction(2, 1))
 
 
 def test_m_op_errors():
@@ -533,22 +531,54 @@ def test_m_op_errors():
 
 
 def test_m_op_refuses_a_level_that_overflows():
-    # p**m, and p**n for the adjoint, used to end in a bare OverflowError
-    g = Symbol.monomial(3, 2, (0,), (1,))
-    with pytest.raises(ValueError, match=r"m_op: p\*\*2 overflows a float at p = 1e\+200"):
-        m_op(g, p=1e200)
-    with pytest.raises(ValueError, match=r"m_op: p\*\*3 overflows a float at p = 1e\+200"):
-        m_op(g, p=1e200, variant="adjoint")
-    assert m_op(g, p=1e154).prefactor == 1e308
-    assert m_op(g, p=1e102, variant="adjoint").prefactor == 9.999999999999999e305
+    # the one overflow rule: p**k, with k = n - m, must be a float, for either variant
+    g = Symbol.monomial(3, 1, (0, 0), (1, 0))
+    for variant in ("direct", "adjoint"):
+        with pytest.raises(ValueError, match=r"^m_op: p\*\*2 overflows a float at p = 1e\+200$"):
+            m_op(g, p=1e200, variant=variant)
+        assert np.isfinite(m_op(g, p=1e154, variant=variant).numerator.coefs).all()
 
 
 def test_norm_estimate_refuses_a_level_that_overflows():
-    # the Gram kernel's p**dp used to end in a bare OverflowError
-    op = m_op(Symbol.monomial(2, 1, (0,), (1,)), p=1e160)
-    with pytest.raises(ValueError, match=r"^norm_estimate: p\*\*2 overflows a float at p = 1e\+160$"):
-        norm_estimate(op, 2)
-    assert norm_estimate(m_op(Symbol.monomial(2, 1, (0,), (1,)), p=1e100), 2) == 5.641895835477563e-51
+    # the Gram kernel's p**dp overflowed at p = 1e160 though the norm is finite; now only a
+    # level whose p**k overflows is refused, by m_op
+    g = Symbol.monomial(2, 1, (0,), (1,))
+    assert norm_estimate(m_op(g, p=1e160), 2) == 5.641895835477563e-81
+    assert norm_estimate(m_op(g, p=1e100), 2) == 5.641895835477563e-51
+    with pytest.raises(ValueError, match=r"^m_op: p\*\*2 overflows a float at p = 1e\+160$"):
+        norm_estimate(m_op(Symbol.monomial(3, 1, (0, 0), (1, 0)), p=1e160), 2)
+
+
+# The level law off powers of 2, as a relative tolerance in units of the unit roundoff
+# u = 2**-53.  Each run of norm_estimate rounds its Gram entries three times (compose's
+# products and sums, the pairing row, the basis weight) and its top eigenvalue once; the
+# level-p run also rounds its scale p**(-+k/2) once, and squaring it through compose doubles
+# that.  So the two eigenvalues differ by at most (3 + 1) + (2 + 3 + 1) = 10u; the sqrt halves
+# that and rounds once in each run, 7u; the reference p**(-+k/2) * value rounds its power and
+# its product, 9u.
+LEVEL_LAW_RTOL = 9 * 2.0**-53
+
+
+@given(st.sampled_from([(1, 0), (2, 0), (2, 1)]), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_a_level_is_a_dilation(nm, fiber_rank, seed):
+    # norm_estimate at level p is p^(-k/2) (direct) or p^(k/2) (adjoint) times its p = 1 value:
+    # bit for bit at p = 4, where the scale is a power of 2
+    g = random_symbol(np.random.default_rng(seed), *nm, fiber_rank=fiber_rank, max_deg=2)
+    k = g.k
+    for variant, sign in (("direct", -1), ("adjoint", 1)):
+        base = norm_estimate(m_op(g, 1.0, variant), 6)
+        assert norm_estimate(m_op(g, 4.0, variant), 6) == 2.0 ** (sign * k) * base
+        for p in (2.0, 9.0, 1000.0, 1e100):
+            got, want = norm_estimate(m_op(g, p, variant), 6), p ** (sign * k / 2) * base
+            assert math.isclose(got, want, rel_tol=LEVEL_LAW_RTOL, abs_tol=0.0), (variant, p, got, want)
+
+
+def test_an_adjoint_level_whose_gram_scale_squared_overflowed():
+    # the Gram kernel used to form prefactor**2 = 1e320 before it divided by p, and raised
+    # "prefactor must be finite, got (inf+nanj)"
+    op = m_op(Symbol.monomial(1, 0, (0,), (1,)), p=1e160, variant="adjoint")
+    want = 1e80 * norm_estimate(m_op(Symbol.monomial(1, 0, (0,), (1,)), p=1.0, variant="adjoint"), 6)
+    assert math.isclose(norm_estimate(op, 6), want, rel_tol=LEVEL_LAW_RTOL, abs_tol=0.0)
 
 
 def test_m_op_rejects_nan_level():
@@ -556,48 +586,15 @@ def test_m_op_rejects_nan_level():
         m_op(Symbol.monomial(1, 0, (0,), (1,)), p=math.nan)
 
 
-def test_m_op_bump_field():
-    g = Symbol.monomial(2, 1, (1,), (0,))
-    op = m_op(g, p=1.0, cutoff=CutoffSpec(r_perp=1.0))
-    assert isinstance(op, MOpField)
-    Z, Zp = np.array([[0.5, 0.1], [0.5, 0.9]]), np.array([[0.4], [0.4]])
-    values = op.evaluate_batch(Z, Zp)
-    base = op.base.evaluate_batch(Z, Zp)
-    assert np.max(np.abs(values[0] - base[0])) < 1e-15  # |w| = 0.1 on the plateau
-    assert np.max(np.abs(values[1])) == 0.0  # |w| = 0.9 cut off
-    adj = m_op(g, p=1.0, cutoff=CutoffSpec(r_perp=1.0), variant="adjoint")
-    # adjoint reads the normal radius off the primed argument
-    assert np.max(np.abs(adj.evaluate_batch(Zp[1:], Z[1:]))) == 0.0
-    with pytest.raises(ValueError, match="kernel expects"):
-        op.evaluate_batch([0.5, 0.1], [0.4])
-
-
-def test_m_op_field_takes_its_normal_side_from_the_kind():
-    # the field had a normal_slot of its own, and MOpField(base, cutoff, "sideways") read the unprimed side
-    op = m_op(Symbol.monomial(2, 1, (1,), (0,)), p=1.0, cutoff=CutoffSpec(r_perp=1.0))
-    with pytest.raises(TypeError):
-        MOpField(op.base, op.cutoff, "sideways")
-    square = m_op(Symbol.monomial(1, 1, (), ()), p=1.0, cutoff=CutoffSpec(r_perp=1.0))  # n = m: no normal variable
-    Z = np.array([[5.0]])
-    assert np.array_equal(square.evaluate_batch(Z, Z), square.base.evaluate_batch(Z, Z))
-
-
 def test_m_op_adjoint_identity(rng):
-    # (adjoint-variant kernel).adjoint() == p^(n-m) * direct kernel of g*
+    # (adjoint-variant kernel).adjoint() == p^(n-m) * direct kernel of g*, numerator by numerator
     for n, m in ((1, 0), (2, 1), (3, 1)):
         g = random_symbol(rng, n, m, fiber_rank=2, max_deg=2)
         p = 4.0
         lhs = m_op(g, p=p, variant="adjoint").adjoint()
         rhs = m_op(g.adjoint(), p=p)
-        pts = [
-            (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=m) + 1j * rng.normal(size=m))
-            for _ in range(6)
-        ]
-        Z, Zp = np.array([z for z, _ in pts]), np.array([zp for _, zp in pts]).reshape(6, m)
-        a = lhs.evaluate_batch(Z, Zp)
-        b = p ** (n - m) * rhs.evaluate_batch(Z, Zp)
-        worst = float(np.max(np.abs(a - b)))
-        assert worst < 1e-10, f"(n,m)=({n},{m}): {worst:.2e}"
+        assert lhs.kind == rhs.kind == Extension(n, m)
+        assert lhs.numerator.max_coef_diff(rhs.numerator.scale(p ** (n - m))) == 0.0, (n, m)
 
 
 # -- the h^2 fibre integral -----------------------------------------------------------

@@ -21,11 +21,9 @@ from fockcalc import (
     Poly,
     QuadGrid,
     Restriction,
-    ScaledKernel,
     Symbol,
     apply_ladder,
     c1_c2,
-    compose,
     fock_indices,
     gauss_hermite,
     laplacian_eigencheck,
@@ -37,7 +35,7 @@ from fockcalc import (
 )
 from fockcalc import oracle
 from fockcalc.oracle import _report
-from fockcalc.operators import _pairing_row, _scaled_compose
+from fockcalc.operators import _pairing_row
 
 from conftest import random_kernel_expr, supported_kind_pairs
 
@@ -737,18 +735,3 @@ def test_norm_estimate_z1_is_pinned():
     z1 = KernelExpr(Poly.monomial(Dims.of(1), {"z1": 1}), Bergman(1))
     got = [norm_estimate(z1, cutoff) for cutoff in (0, 2, 4, 8, 16)]
     assert got == [0.5641895835477563, 0.9772050238058398, 1.26156626101008, 1.692568750643269, 2.3262132458406386]
-
-
-def test_norm_estimate_scaling():
-    e = unit_expr(Bergman(1))
-    assert abs(norm_estimate(ScaledKernel(e, 1.0, 2.5), 4) - 2.5) < 1e-9
-
-
-def test_scaled_compose_requires_matching_p():
-    e = unit_expr(Bergman(1))
-    with pytest.raises(ValueError):
-        _scaled_compose(ScaledKernel(e, 1.0), ScaledKernel(e, 4.0))
-    out = _scaled_compose(ScaledKernel(e, 4.0, 2.0), ScaledKernel(e, 4.0, 3.0))
-    assert abs(out.prefactor - 2.0 * 3.0 / 4.0) < 1e-15
-    got = compose(e, e)
-    assert out.expr.numerator.max_coef_diff(got.numerator) < 1e-15

@@ -24,7 +24,7 @@ PUBLIC_API = {
     "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",
     # kernels
     "Bergman", "OrthBergman", "Extension", "Restriction", "KernelKind", "KernelExpr",
-    "ScaledKernel", "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
+    "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name",
     "primed_dim", "TOEPLITZ_KINDS",
     # compose
     "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
@@ -32,7 +32,7 @@ PUBLIC_API = {
     "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite",
     "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     # operators
-    "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "MOpField", "HgpResult",
+    "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "HgpResult",
     "DefectRecord", "lambda_eq", "lambda_h", "lambda_a",
     "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature", "m_op",
     "h_gp", "c1_c2", "fock_indices", "norm_estimate", "toeplitz_leading",

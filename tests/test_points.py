@@ -11,11 +11,9 @@ from fockcalc import (
     CutoffSpec,
     Dims,
     Poly,
-    ScaledKernel,
     Symbol,
     lambda_a_quadrature,
     lambda_h_quadrature,
-    m_op,
     oracle_compose,
     oracle_compose_values,
     unit_expr,
@@ -26,7 +24,6 @@ _E = unit_expr(Bergman(1))
 _P = Poly.monomial(Dims.of(1), {"z1": 1, "z'1": 2}, 0.5)  # reads the z and zp slots
 _G1 = Symbol.monomial(1, 0, (1,), (1,))  # one normal variable
 _G2 = Symbol.monomial(2, 0, (1, 1), (0, 0))  # two
-_FIELD = m_op(Symbol.monomial(2, 1, (1,), (0,)), p=4.0, cutoff=CutoffSpec(r_perp=1.0))  # Extension(2, 1)
 
 # entry -> (the name its errors give, valid points for the slot under test, the
 # call with that slot filled).  Points are small integers, so that int, float
@@ -36,8 +33,6 @@ ENTRIES = {
     "Poly.evaluate_batch zp": ("zp", [[1], [2]], lambda v: _P.evaluate_batch(0.5, 0.5, v, 0.5)),
     "KernelExpr Z": ("unprimed points", [[1], [0]], lambda v: _E.evaluate_batch(v, [[1], [2]])),
     "KernelExpr Zp": ("primed points", [[1], [0]], lambda v: _E.evaluate_batch([[1], [2]], v)),
-    "ScaledKernel": ("primed points", [[1], [0]], lambda v: ScaledKernel(_E, 4.0).evaluate_batch([[1], [2]], v)),
-    "MOpField": ("unprimed points", [[0, 0], [1, 0]], lambda v: _FIELD.evaluate_batch(v, [[0], [0]])),
     "Symbol.evaluate_batch": ("anti", [[1], [2]], lambda v: _G1.evaluate_batch([[1], [0]], v)),
     "Symbol.evaluate_split": ("hol", [2], lambda v: _G1.evaluate_split(v, [1])),
     "lambda_h_quadrature": ("z_point", [1, 0], lambda v: lambda_h_quadrature(_G2, v, 4)),
