@@ -34,14 +34,14 @@ _EXPORTS = {
         "unit_expr", "apply_ladder", "apply_model_laplacian", "kind_name", "primed_dim",
     ),
     "compose": (
-        "ComposePlan", "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
+        "UnsupportedCompositionError", "base_terms", "compose", "compose_plan",
     ),
     "oracle": (
         "InsufficientNodesError", "QuadGrid", "OracleReport", "gauss_hermite",
         "oracle_compose_values", "oracle_compose", "laplacian_eigencheck",
     ),
     "operators": (
-        "Symbol", "CutoffSpec", "IDENTITY_CUTOFF", "HgpResult",
+        "Symbol", "CutoffSpec", "HgpResult",
         "DefectRecord", "lambda_eq", "lambda_h", "lambda_a",
         "lambda_eq_quadrature", "lambda_h_quadrature", "lambda_a_quadrature",
         "m_op", "h_gp", "c1_c2", "fock_indices", "norm_estimate",
@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "geometry": (
         "GEOM_SCHEMA", "NormalDirection", "GeometrySample", "GeometryData",
-        "ConstantResult", "C3C4Result", "hermitian_eigs", "c0", "c3_c4", "dp3", "tower_dp3",
+        "ConstantResult", "hermitian_eigs", "c0", "c3_c4", "dp3", "tower_dp3",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

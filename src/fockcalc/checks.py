@@ -102,8 +102,8 @@ def selftest_checks():
         s_val = 16.0 * PI
         flat_sample = GeometrySample(id="s0", scal_X=s_val, scal_Y=0.0)
         data = GeometryData(dims=(0, 1), samples=(flat_sample,))
-        res = c3_c4(data)
-        ok1 = abs(res.c3 + 1.0) <= 1e-12 and abs(res.c4 - 1.0) <= 1e-12
+        c3, c4 = c3_c4(data)
+        ok1 = abs(c3.value + 1.0) <= 1e-12 and abs(c4.value - 1.0) <= 1e-12
         dir_sample = GeometrySample(
             id="y0",
             normal_dirs=(
@@ -112,13 +112,13 @@ def selftest_checks():
             ),
         )
         ddata = GeometryData(dims=(0, 1, 2), samples=(dir_sample,))
-        ok2 = abs(float(c0(ddata)) - 1.0 / math.sqrt(PI)) <= 1e-12
+        ok2 = abs(c0(ddata).value - 1.0 / math.sqrt(PI)) <= 1e-12
         zero = dp3(ddata, {"e1": 1.0})
         ok3 = float(np.max(np.abs(zero))) <= 1e-15
         lhs = tower_dp3((dir_sample,), {"d1": 0.5})
         rhs = dp3(ddata, {"d1": 0.5})
         ok4 = float(np.max(np.abs(lhs - rhs))) <= 1e-15
-        return ok1 and ok2 and ok3 and ok4, f"c3c4=({res.c3:.6f},{res.c4:.6f})"
+        return ok1 and ok2 and ok3 and ok4, f"c3c4=({c3.value:.6f},{c4.value:.6f})"
 
     def eigs():
         v1 = hermitian_eigs(np.diag([3.0, 1.0, 2.0]))

@@ -24,12 +24,11 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from .fields import DEFAULT_DEGREE_CAP, TOEPLITZ_KINDS, _json_list, _json_object, _json_real
+from .fields import DEFAULT_DEGREE_CAP, GEOM_SCHEMA, TOEPLITZ_KINDS, _json_list, _json_object, _json_real
 
 KERNEL_SCHEMA = "kernel/1"
 SYMBOL_SCHEMA = "symbol/1"
 MATRIX_SCHEMA = "matrix/1"
-GEOM_SCHEMA = "geom/1"  # geometry.GEOM_SCHEMA, spelled out so the CLI need not load geometry
 
 
 def _check_flags(args) -> None:
@@ -157,7 +156,7 @@ def _cmd_compose(args, numeric: ExitStack) -> int:
     plan = compose_plan(e1.kind, e2.kind)
     # a result kind without a kernel/1 name cannot be written
     result = {"schema": KERNEL_SCHEMA, **compose(e1, e2, degree_cap=args.degree_cap).to_json_dict()}
-    _emit_json({"schema": "compose/1", "plan": plan.to_json_dict(), "result": result}, args.out)
+    _emit_json({"schema": "compose/1", "plan": plan, "result": result}, args.out)
     return 0
 
 
@@ -176,7 +175,7 @@ def _cmd_oracle_check(args, numeric: ExitStack) -> int:
     _emit_json(
         {
             "schema": "oracle/1",
-            "plan": plan.to_json_dict(),
+            "plan": plan,
             "tol": args.tol,
             "report": report.to_json_dict(),
         },
@@ -238,20 +237,19 @@ def _cmd_constants(args, numeric: ExitStack) -> int:
     data = geom(GeometryData.from_json_dict)
     if which == "c0":
         res = c0(data, seed=args.seed)
+        payload = {"schema": "constants/1", "which": "c0", "C0": res.value, "sample_id": res.sample_id}
+        csv_rows = [("C0", res)]
+    elif which == "c3c4":
+        c3, c4 = c3_c4(data)
         payload = {
             "schema": "constants/1",
-            "which": "c0",
-            "C0": res.value,
-            "sample_id": res.sample_id,
+            "which": "c3c4",
+            "C3": c3.value,
+            "C4": c4.value,
+            "c3_sample_id": c3.sample_id,
+            "c4_sample_id": c4.sample_id,
         }
-        csv_rows = [("C0", res.value, res.sample_id)]
-    elif which == "c3c4":
-        res34 = c3_c4(data)
-        payload = {"schema": "constants/1", "which": "c3c4", **res34.to_json_dict()}
-        csv_rows = [
-            ("C3", res34.c3, res34.c3_sample_id),
-            ("C4", res34.c4, res34.c4_sample_id),
-        ]
+        csv_rows = [("C3", c3), ("C4", c4)]
     else:
         if which == "dp3":
             mat = dp3(data, direction, sample_id=args.sample)
@@ -260,7 +258,7 @@ def _cmd_constants(args, numeric: ExitStack) -> int:
         payload = {"schema": "constants/1", "which": which, "matrix": _coef_to_json(mat)}
     if args.csv is not None:
         lines = ["constant,value,sample_id"]
-        lines += [f"{name},{value!r},{sid}" for name, value, sid in csv_rows]
+        lines += [f"{name},{res.value!r},{res.sample_id}" for name, res in csv_rows]
         Path(args.csv).write_text("\n".join(lines) + "\n")
     _emit_json(payload, args.out)
     return 0
@@ -375,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("constants", help="geometric constants from sampled data")
-    # the schema is spelled out so that building the parser does not load geometry
-    p.add_argument("--geom", required=True, help="geometry JSON file (schema geom/1)")
+    p.add_argument("--geom", required=True, help=f"geometry JSON file (schema {GEOM_SCHEMA})")
     p.add_argument("--which", required=True, choices=["c0", "c3c4", "dp3", "tower"])
     p.add_argument("--direction", default=None, help='JSON object, e.g. \'{"d1": 1.0}\'')
     p.add_argument("--sample", default=None, help="sample id for dp3 (default: first)")

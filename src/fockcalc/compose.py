@@ -28,7 +28,6 @@ registry of float entries, which builds each coordinate's table once;
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -40,7 +39,6 @@ from .poly import DegreeOverflowError, Dims, Poly, _collect
 from .kernels import KernelExpr, KernelKind, _named
 
 __all__ = [
-    "ComposePlan",
     "UnsupportedCompositionError",
     "base_terms",
     "compose",
@@ -52,22 +50,6 @@ PI = math.pi
 
 class UnsupportedCompositionError(ValueError):
     """Raised when the left kind's primed dimension differs from the right kind's unprimed one."""
-
-
-@dataclass(frozen=True)
-class ComposePlan:
-    """The kinds of a composition and the three integers the pairing rule uses:
-    the middle dimension and how many leading middle coordinates each side couples."""
-
-    left_kind: str
-    right_kind: str
-    result_kind: str
-    middle_dim: int
-    left_cross: int
-    right_cross: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 # -- base cases ---------------------------------------------------------------
@@ -124,11 +106,15 @@ def _pairing_table(a: int, b: int, left_cross: bool, right_cross: bool) -> tuple
 
 
 def _over_pi(x, p: int) -> float:
-    """``float(x) / pi**p``, or ``inf`` where either is beyond float range."""
+    """``float(x) / pi**p``; where either is beyond float range, the exact quotient of the
+    rational ``x`` by the p-th power of the float pi, rounded once, or ``inf`` where that is too."""
     try:
         return float(x) / PI**p
     except OverflowError:
-        return math.inf
+        try:
+            return float(Fraction(x) / Fraction(PI) ** p)
+        except OverflowError:
+            return math.inf
 
 
 #: Middle exponents below this pack into one registry key.
@@ -279,9 +265,19 @@ def _result_kind(k1: KernelKind, k2: KernelKind) -> KernelKind:
     return _named(k1.du, k2.dp, min(k1.c, k2.c))
 
 
-def compose_plan(k1: KernelKind, k2: KernelKind) -> ComposePlan:
+def compose_plan(k1: KernelKind, k2: KernelKind) -> dict:
+    """The kinds of a composition and the three integers the pairing rule uses: the
+    middle dimension and how many leading middle coordinates each side couples, as
+    the ``plan`` object the command line writes."""
     result = _result_kind(k1, k2)
-    return ComposePlan(repr(k1), repr(k2), repr(result), k1.dp, k1.c, k2.c)
+    return {
+        "left_kind": repr(k1),
+        "right_kind": repr(k2),
+        "result_kind": repr(result),
+        "middle_dim": k1.dp,
+        "left_cross": k1.c,
+        "right_cross": k2.c,
+    }
 
 
 def compose(e1: KernelExpr, e2: KernelExpr, degree_cap: int = DEFAULT_DEGREE_CAP) -> KernelExpr:

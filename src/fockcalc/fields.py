@@ -22,6 +22,9 @@ DEFAULT_DEGREE_CAP = 16
 # The five basic operator kinds whose leading terms ``operators.toeplitz_leading`` gives.
 TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 
+# The schema name of a sampled-geometry file, read by ``geometry`` and the command line.
+GEOM_SCHEMA = "geom/1"
+
 
 def _json_object(value, what: str, keys=None) -> Mapping:
     """A JSON object; given ``keys``, one with no key outside them."""

@@ -23,11 +23,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .arrays import _as_coef, _check_hermitian, _coef_from_json, _coef_to_json, hermitian_eigs
-from .fields import _json_complex, _json_int, _json_list, _json_object, _json_real, _json_str
+from .fields import GEOM_SCHEMA, _json_complex, _json_int, _json_list, _json_object, _json_real, _json_str
 
 PI = math.pi
-
-GEOM_SCHEMA = "geom/1"
 
 
 # -- data model -----------------------------------------------------------------
@@ -206,30 +204,10 @@ def _direction_matrix(d: NormalDirection, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstantResult:
+    """A constant's value and the id of the sample that attains it."""
+
     value: float
     sample_id: str
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class C3C4Result:
-    c3: float
-    c4: float
-    c3_sample_id: str
-    c4_sample_id: str
-
-    def __iter__(self):
-        return iter((self.c3, self.c4))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "C3": self.c3,
-            "C4": self.c4,
-            "c3_sample_id": self.c3_sample_id,
-            "c4_sample_id": self.c4_sample_id,
-        }
 
 
 _MAX_ITERATIONS = 10_000  # per start of _tensor_norm: over 2.5 times the most that 300 random families need
@@ -301,8 +279,8 @@ def c0(data: GeometryData, seed: int = 0) -> ConstantResult:
     return ConstantResult(value=best_val / math.sqrt(PI), sample_id=best_id)
 
 
-def c3_c4(data: GeometryData) -> C3C4Result:
-    """C3 = -(1/2) inf(s - lambda_max(H)), C4 = (1/2) sup(s - lambda_min(H)),
+def c3_c4(data: GeometryData) -> tuple[ConstantResult, ConstantResult]:
+    """(C3, C4): C3 = -(1/2) inf(s - lambda_max(H)), C4 = (1/2) sup(s - lambda_min(H)),
     with s = (scal_X - scal_Y)/8pi and H = (lambda_RF_X - lambda_RF_Y)/(2 pi i)."""
     r = data.fiber_rank
     inf_val, inf_id = math.inf, ""
@@ -317,9 +295,7 @@ def c3_c4(data: GeometryData) -> C3C4Result:
             inf_val, inf_id = t3, s.id
         if t4 > sup_val:
             sup_val, sup_id = t4, s.id
-    return C3C4Result(
-        c3=-0.5 * inf_val, c4=0.5 * sup_val, c3_sample_id=inf_id, c4_sample_id=sup_id
-    )
+    return ConstantResult(-0.5 * inf_val, inf_id), ConstantResult(0.5 * sup_val, sup_id)
 
 
 def dp3(
@@ -390,7 +366,6 @@ __all__ = [
     "GeometrySample",
     "GeometryData",
     "ConstantResult",
-    "C3C4Result",
     "hermitian_eigs",
     "c0",
     "c3_c4",

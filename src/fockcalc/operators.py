@@ -9,7 +9,7 @@ serializers build or walk a dict.  On top of it this module provides:
 
 * the three Gaussian-moment contractions ``lambda_eq`` / ``lambda_h`` /
   ``lambda_a`` plus quadrature cross-checks of each;
-* cutoff profiles (:class:`CutoffSpec`);
+* the smooth bump cutoff (:class:`CutoffSpec`);
 * model operators ``m_op`` (direct and adjoint variants, carried to level 1);
 * the normal-fibre integral ``h_gp``, norm constants ``c1_c2`` and the
   Gram-matrix ``norm_estimate`` over exact Fock pairings;
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add
 from typing import Mapping, Sequence
@@ -64,28 +64,24 @@ def _level_power(p: float, e: int, where: str) -> float:
 class Symbol:
     """Polynomial in the normal variables with End(C^r) coefficients.
 
-    Stored as a :class:`Poly` over the ambient dims that only touches the
+    It is its :class:`Poly`, over the ambient dims, which touches only the
     unprimed variables of index ``m+1 .. n``; the pair of multi-exponents of
     a monomial is its bidegree.
     """
 
-    dims: Dims
-    poly: Poly = field(default_factory=lambda: Poly.zero(Dims.of(1, m=0)))
+    poly: Poly
 
     def __post_init__(self) -> None:
-        if self.poly.dims != self.dims:
-            raise ValueError("symbol poly dims disagree with declared dims")
         if self.poly.uses_slot("primed"):
             raise ValueError("symbol uses a primed variable")
-        if self.poly._blocks()[:, : self.dims.m].any():
+        if self.poly._blocks()[:, : self.m].any():
             raise ValueError("symbol uses a tangential variable")
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, m: int, fiber_rank: int = 1) -> "Symbol":
-        dims = Dims.of(n, m=m, fiber_rank=fiber_rank)
-        return cls(dims, Poly.zero(dims))
+        return cls(Poly.zero(Dims.of(n, m=m, fiber_rank=fiber_rank)))
 
     @classmethod
     def from_terms(
@@ -119,7 +115,7 @@ class Symbol:
         E = np.zeros((count, n, 4), dtype=np.int64)
         E[:, dims.m :, _O_Z], E[:, dims.m :, _O_ZB] = hol, anti
         E, C = _collect(E.reshape(count, 4 * n), np.ascontiguousarray(C).reshape(count, r, r))
-        return cls(dims, Poly._from_arrays(dims, E, C))
+        return cls(Poly._from_arrays(dims, E, C))
 
     @classmethod
     def monomial(
@@ -134,6 +130,10 @@ class Symbol:
         return cls.from_terms(n, m, {(tuple(hol), tuple(antihol)): coef}, fiber_rank)
 
     # -- structure ------------------------------------------------------------
+
+    @property
+    def dims(self) -> Dims:
+        return self.poly.dims
 
     @property
     def n(self) -> int:
@@ -179,14 +179,14 @@ class Symbol:
     # -- algebra --------------------------------------------------------------
 
     def add(self, other: "Symbol") -> "Symbol":
-        return Symbol(self.dims, self.poly.add(other.poly))
+        return Symbol(self.poly.add(other.poly))
 
     def scale(self, scalar: complex) -> "Symbol":
-        return Symbol(self.dims, self.poly.scale(scalar))
+        return Symbol(self.poly.scale(scalar))
 
     def mul(self, other: "Symbol") -> "Symbol":
         """Pointwise product (coefficients multiply as matrices, left first)."""
-        return Symbol(self.dims, self.poly.mul(other.poly))
+        return Symbol(self.poly.mul(other.poly))
 
     def adjoint(self) -> "Symbol":
         """g*: swap each bidegree (i, j) -> (j, i), conjugate-transpose coefs.
@@ -255,33 +255,24 @@ class Symbol:
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial cutoff profile rho(|Z_N| / r_perp).
+    """The smooth bump cutoff rho(|Z_N| / r_perp).
 
-    ``smooth_bump`` is 1 below 1/4, 0 above 1/2, and
-    exp(1 - 1/(1 - t^2)) with t affine over [1/4, 1/2] between the plateaus;
-    ``identity`` means rho == 1 everywhere.
+    rho is 1 below 1/4, 0 above 1/2, and exp(1 - 1/(1 - t^2)) with t affine
+    over [1/4, 1/2] between the plateaus.  No cutoff (rho == 1 everywhere) is
+    ``cutoff=None``.
     """
 
     r_perp: float = 1.0
-    profile: str = "smooth_bump"
 
     def __post_init__(self) -> None:
         r_perp = _json_number(self.r_perp, "r_perp")
         if not (math.isfinite(r_perp) and r_perp > 0):
             raise ValueError(f"r_perp must be positive and finite, got {r_perp!r}")
         object.__setattr__(self, "r_perp", r_perp)
-        if self.profile not in ("smooth_bump", "identity"):
-            raise ValueError(f"unknown cutoff profile {self.profile!r}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.profile == "identity"
 
     def rho(self, x) -> np.ndarray:
         """Profile values at an array of x = |Z_N| / r_perp, elementwise."""
         x = _as_numbers(x, "x", real=True)
-        if self.is_identity:
-            return np.ones_like(x)
         out = np.zeros_like(x)
         out[x <= 0.25] = 1.0
         mid = (x > 0.25) & (x < 0.5)
@@ -290,8 +281,7 @@ class CutoffSpec:
         return out
 
 
-IDENTITY_CUTOFF = CutoffSpec(r_perp=1.0, profile="identity")
-_SMOOTH_BUMP = CutoffSpec()  # the bump profile; rho reads no r_perp
+_SMOOTH_BUMP = CutoffSpec()  # rho reads no r_perp
 
 
 # -- the three Lambda contractions --------------------------------------------
@@ -439,10 +429,10 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
 def _radial_moment(N: int, R: float | None) -> float:
     """Reduced integral over C of |u|^(2N): int_0^inf e^{-pi r^2} rho(r/R)^2 r^(2N+1) 2 dr.
 
-    ``R`` is None under the identity cutoff (rho = 1), else sqrt(p) r_perp
-    under the smooth bump.  A table of single moments, one entry per degree
-    and R, since callers repeat them across symbols and levels.  Eight
-    Gauss-Legendre pieces: under the identity equal ones out to
+    ``R`` is None without a cutoff (rho = 1), else sqrt(p) r_perp under the
+    smooth bump.  A table of single moments, one entry per degree and R,
+    since callers repeat them across symbols and levels.  Eight
+    Gauss-Legendre pieces: without a cutoff equal ones out to
     sqrt((2N + 80)/pi), with no rho factor (a product by 1.0 changes no bit);
     under the bump two on the plateau and six over [R/4, R/2].  Piece sums
     add as floats in order: ``reduce``, because builtin ``sum`` compensates
@@ -472,7 +462,8 @@ def _radial_moment(N: int, R: float | None) -> float:
 
 
 def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResult:
-    """Normal-fibre integral of e^{-p pi |Z_N|^2} (g g)(sqrt(p) Z_N) rho^2.
+    """Normal-fibre integral of e^{-p pi |Z_N|^2} (g g)(sqrt(p) Z_N) rho^2, rho = 1
+    where ``cutoff`` is None.
 
     After substitution the integral is p^{-k} * integral of
     e^{-pi|u|^2} g(u)^H g(u) rho(|u| / (sqrt(p) r_perp))^2 du.  Off-diagonal
@@ -481,11 +472,10 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
     pi^k * prod(alpha_i!) / (|alpha| + k - 1)!, taken with 160
     Gauss-Legendre nodes on each of the radial pieces (:func:`_gl_rule`, built
     once).  Each radial degree is looked up in the moment table
-    (:func:`_radial_moment`), keyed by degree under the identity and by
+    (:func:`_radial_moment`), keyed by degree without a cutoff and by
     degree and sqrt(p) r_perp under the bump.
     """
     p = _check_level(p)
-    cutoff = cutoff or IDENTITY_CUTOFF
     k = g.k
     r = g.fiber_rank
     product = _product(g.adjoint(), g)
@@ -496,7 +486,7 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
         h_sq = C[0].copy() if len(C) else np.zeros((r, r), dtype=complex)
         return HgpResult(h_sq=h_sq, leading=leading)
     R = None
-    if not cutoff.is_identity:
+    if cutoff is not None:
         R = math.sqrt(p) * cutoff.r_perp
         if not math.isfinite(R):
             raise ValueError(f"h_gp: sqrt(p) * r_perp overflows a float at p = {p!r}, r_perp = {cutoff.r_perp!r}")
@@ -515,7 +505,7 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
 
 def _product(a: Symbol, b: Symbol) -> Symbol:
     """a b, capped at its own degree: fibre integrals take any valid symbol."""
-    return Symbol(a.dims, a.poly.mul(b.poly, degree_cap=a.degree() + b.degree()))
+    return Symbol(a.poly.mul(b.poly, degree_cap=a.degree() + b.degree()))
 
 
 # -- norm constants -------------------------------------------------------------
@@ -575,8 +565,19 @@ def _pairing_row(rows: list, C: np.ndarray, c: int, r: int, beta: tuple) -> dict
             gamma.append(g)
         else:
             key = tuple(gamma)
-            row[key] = row.get(key, zero) + num / PI**p * coef
+            row[key] = row.get(key, zero) + _over_pi(num, p) * coef
     return row
+
+
+def _gram_weight(total: int, factorials: int) -> float:
+    """pi^(total/2) / sqrt(factorials), the product of two basis normalizations.  Where the
+    integer ``factorials`` is beyond float range, the root is taken of it shifted right by
+    an even number of bits, and the quotient shifted back by half as many."""
+    try:
+        return PI ** (total / 2.0) / math.sqrt(factorials)
+    except OverflowError:
+        shift = (factorials.bit_length() - 106) & ~1
+        return math.ldexp(PI ** (total / 2.0) / math.sqrt(factorials >> shift), -shift // 2)
 
 
 def norm_estimate(op: KernelExpr, basis_cutoff: int) -> float:
@@ -606,8 +607,7 @@ def norm_estimate(op: KernelExpr, basis_cutoff: int) -> float:
     for ib, b in enumerate(basis):
         for gamma, raw in _pairing_row(rows, C, c, r, b).items():
             if (ig := index.get(gamma)) is not None:
-                w = PI ** ((total[ib] + total[ig]) / 2.0) / math.sqrt(factorial[ib] * factorial[ig])
-                blocks[ib, ig] = w * raw
+                blocks[ib, ig] = _gram_weight(total[ib] + total[ig], factorial[ib] * factorial[ig]) * raw
     G = blocks.transpose(0, 2, 1, 3).reshape(len(basis) * r, len(basis) * r)
     return math.sqrt(max(float(hermitian_eigs(G)[-1]), 0.0))
 
@@ -733,7 +733,6 @@ def flat_defect_checks(max_n: int = 4, fiber_rank: int = 1) -> list[DefectRecord
 __all__ = [
     "Symbol",
     "CutoffSpec",
-    "IDENTITY_CUTOFF",
     "HgpResult",
     "DefectRecord",
     "lambda_eq",

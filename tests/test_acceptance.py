@@ -305,8 +305,8 @@ def test_criterion_09_constants_goldens():
     worst = 0.0
     for s_raw in (16.0 * PI, 5.0):
         sample = GeometrySample(id="s", scal_X=s_raw, scal_Y=0.0)
-        res = c3_c4(GeometryData(dims=(0, 1), samples=(sample,)))
-        worst = max(worst, abs(res.c3 + s_raw / (16.0 * PI)), abs(res.c4 - s_raw / (16.0 * PI)))
+        c3, c4 = c3_c4(GeometryData(dims=(0, 1), samples=(sample,)))
+        worst = max(worst, abs(c3.value + s_raw / (16.0 * PI)), abs(c4.value - s_raw / (16.0 * PI)))
     sample = GeometrySample(
         id="y0",
         normal_dirs=(
@@ -315,7 +315,7 @@ def test_criterion_09_constants_goldens():
         ),
     )
     data = GeometryData(dims=(0, 1, 2), samples=(sample,))
-    worst = max(worst, abs(float(c0(data)) - 1.0 / math.sqrt(PI)))
+    worst = max(worst, abs(c0(data).value - 1.0 / math.sqrt(PI)))
     worst = max(worst, float(np.max(np.abs(dp3(data, {"f1": 1.0})))))
     lower = GeometrySample(id="low", normal_dirs=(NormalDirection(id="d1", level="WY", d_scal_diff=8.0 * PI),))
     upper = GeometrySample(id="up", normal_dirs=(NormalDirection(id="d2", level="WY", d_scal_diff=16.0 * PI),))

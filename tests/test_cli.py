@@ -81,14 +81,14 @@ def test_compose_round_trip(tmp_path, capsys):
     assert run(["compose", "--left", lf, "--right", rf]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["schema"] == "compose/1"
-    assert out["plan"] == {
-        "left_kind": "Bergman(1)",
-        "right_kind": "Bergman(1)",
-        "result_kind": "Bergman(1)",
-        "middle_dim": 1,
-        "left_cross": 1,
-        "right_cross": 1,
-    }
+    assert list(out["plan"].items()) == [  # in the order written
+        ("left_kind", "Bergman(1)"),
+        ("right_kind", "Bergman(1)"),
+        ("result_kind", "Bergman(1)"),
+        ("middle_dim", 1),
+        ("left_cross", 1),
+        ("right_cross", 1),
+    ]
     assert out["result"]["schema"] == "kernel/1"
     # the emitted kernel is valid input: compose it again
     back = write_json(tmp_path, "back.json", out["result"])
@@ -139,7 +139,16 @@ def test_compose_result_without_a_kind_name_exits_2(tmp_path, capsys):
     assert err == "fockcalc: error: KernelKind(3,2,1) has no kernel/1 name\n"
     # the oracle needs no name for the composite and still checks it
     assert run(["oracle-check", "--left", lf, "--right", rf]) == 0
-    assert json.loads(capsys.readouterr().out)["plan"]["result_kind"] == "KernelKind(3,2,1)"
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["schema", "plan", "tol", "report"]
+    assert list(out["plan"].items()) == [  # in the order written
+        ("left_kind", "Extension(3,2)"),
+        ("right_kind", "OrthBergman(2,1)"),
+        ("result_kind", "KernelKind(3,2,1)"),
+        ("middle_dim", 2),
+        ("left_cross", 2),
+        ("right_cross", 1),
+    ]
 
 
 def test_compose_output_deterministic(tmp_path):
@@ -296,10 +305,10 @@ def test_toeplitz_leading_errors(tmp_path):
 
 @pytest.mark.parametrize("kind", ["YY", "XY_even", "XY_odd", "YX_even", "YX_odd"])
 def test_toeplitz_leading_contraction_overflow_is_a_usage_error(tmp_path, capsys, kind):
-    # 200! does not fit a float, so this used to end in an OverflowError traceback
-    sf = symbol_file(tmp_path, "big.json", Symbol.monomial(2, 1, (200,), (200,)))
+    # 300!/pi^300, about 2e465, does not fit a float; 300! used to end in an OverflowError traceback
+    sf = symbol_file(tmp_path, "big.json", Symbol.monomial(2, 1, (300,), (300,)))
     assert run(["toeplitz-leading", "--kind", kind, "--symbol", sf]) == 2
-    err = "fockcalc: error: contracting symbol term hol [200], antihol [200] overflows a float\n"
+    err = "fockcalc: error: contracting symbol term hol [300], antihol [300] overflows a float\n"
     assert capsys.readouterr().err == err
 
 
@@ -322,22 +331,22 @@ def test_constants_c0_with_csv(tmp_path, capsys, geom_data):
     gf = geom_file(tmp_path, "geom.json", geom_data)
     csv_path = tmp_path / "c0.csv"
     assert run(["constants", "--geom", gf, "--which", "c0", "--csv", str(csv_path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["schema"] == "constants/1" and out["which"] == "c0"
-    assert abs(out["C0"] - 1.0 / math.sqrt(PI)) < 1e-12
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "constant,value,sample_id"
-    assert lines[1].startswith("C0,") and lines[1].endswith(",p0")
+    text = capsys.readouterr().out
+    assert abs(json.loads(text)["C0"] - 1.0 / math.sqrt(PI)) < 1e-12
+    # the bytes, key order included
+    assert text == '{\n  "schema": "constants/1",\n  "which": "c0",\n  "C0": 0.5641895835477563,\n  "sample_id": "p0"\n}\n'
+    assert csv_path.read_text() == "constant,value,sample_id\nC0,0.5641895835477563,p0\n"
 
 
 def test_constants_c3c4(tmp_path, capsys, geom_data):
     gf = geom_file(tmp_path, "geom.json", geom_data)
     csv_path = tmp_path / "t.csv"
     assert run(["constants", "--geom", gf, "--which", "c3c4", "--csv", str(csv_path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert abs(out["C3"] + 1.0) < 1e-12 and abs(out["C4"] - 1.0) < 1e-12
-    rows = csv_path.read_text().strip().splitlines()
-    assert len(rows) == 3 and rows[1].startswith("C3,") and rows[2].startswith("C4,")
+    assert capsys.readouterr().out == (
+        '{\n  "schema": "constants/1",\n  "which": "c3c4",\n  "C3": -1.0,\n  "C4": 1.0,\n'
+        '  "c3_sample_id": "p0",\n  "c4_sample_id": "p0"\n}\n'
+    )
+    assert csv_path.read_text() == "constant,value,sample_id\nC3,-1.0,p0\nC4,1.0,p0\n"
 
 
 def test_constants_dp3_and_tower(tmp_path, capsys, geom_data):

@@ -158,8 +158,7 @@ def test_plan_table_covers_all_supported_pairs():
         (Restriction(n, m), m, m, m),
     ]
     for (k1, k2), (want, mid, lc, rc) in zip(supported_kind_pairs(n, l, m), expected):
-        plan = compose_plan(k1, k2)
-        assert plan.to_json_dict() == {
+        assert compose_plan(k1, k2) == {
             "left_kind": repr(k1),
             "right_kind": repr(k2),
             "result_kind": repr(want),
@@ -169,13 +168,13 @@ def test_plan_table_covers_all_supported_pairs():
         }
         got = compose(unit_expr(k1), unit_expr(k2))
         assert got.kind == want and type(got.kind) is type(want)
-    labels = compose_plan(Extension(n, l), Extension(l, m)).to_json_dict()
+    labels = compose_plan(Extension(n, l), Extension(l, m))
     assert [labels[k] for k in ("left_kind", "right_kind", "result_kind")] == [
         "Extension(3,2)",
         "Extension(2,1)",
         "Extension(3,1)",
     ]
-    assert compose_plan(Bergman(m), Restriction(n, m)).left_kind == "Bergman(1)"
+    assert compose_plan(Bergman(m), Restriction(n, m))["left_kind"] == "Bergman(1)"
 
 
 def test_unsupported_pairs_raise():
@@ -407,10 +406,10 @@ def test_bracket_degree_cap_boundary():
         _bracket(left, right, 1, 1, 1, Dims.of(1), degree_cap=7)
 
 
-@pytest.mark.parametrize("a", [200, 700])
+@pytest.mark.parametrize("a", [300, 700])
 def test_float_overflowing_pairing_fails_cleanly(a):
-    # 200! overflows a float and so does pi**700; the top-degree term still
-    # meets the degree cap first, as it did when pairings were converted lazily
+    # 300!/pi^300 overflows a float and so does 700!/pi^700; the top-degree term
+    # still meets the degree cap first, as it did when pairings were converted lazily
     dims = Dims.of(1)
     left = KernelExpr(Poly.monomial(dims, {"z'1": a}), Bergman(1))
     right = KernelExpr(Poly.monomial(dims, {"zb1": a}), Bergman(1))
@@ -418,6 +417,16 @@ def test_float_overflowing_pairing_fails_cleanly(a):
         compose(left, right)
     with pytest.raises(ValueError, match="overflows a float"):
         compose(left, right, degree_cap=2 * a)
+
+
+def test_a_pairing_whose_factorial_overflows_is_exact():
+    # 171! does not fit a float, but 171!/pi^171 does; it used to raise "overflows a float"
+    dims = Dims.of(1)
+    left = KernelExpr(Poly.monomial(dims, {"zb'1": 171}), Bergman(1))
+    right = KernelExpr(Poly.monomial(dims, {"z1": 171}), OrthBergman(1, 0))
+    out = compose(left, right, degree_cap=400)
+    want = float(Fraction(math.factorial(171)) / Fraction(math.pi) ** 171)
+    assert {e: c.tolist() for e, c in out.numerator.terms.items()} == {(0, 0, 0, 0): [[want]]}
 
 
 @pytest.fixture

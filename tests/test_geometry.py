@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fockcalc import (
-    C3C4Result,
     ConstantResult,
     GEOM_SCHEMA,
     GeometryData,
@@ -220,7 +219,7 @@ def test_c0_scalar_case():
     s1 = GeometrySample(id="low", normal_dirs=(wy("d", d_scal=8.0 * PI),))
     s2 = GeometrySample(id="high", normal_dirs=(wy("d", d_scal=24.0 * PI),))
     out = c0(data_with([s1, s2]))
-    assert abs(float(out) - 3.0 / math.sqrt(PI)) < 1e-14
+    assert abs(out.value - 3.0 / math.sqrt(PI)) < 1e-14
     assert out.sample_id == "high"
 
 
@@ -228,7 +227,7 @@ def test_c0_scalar_euclidean_norm():
     # rank one: the sup over unit direction combinations is the plain 2-norm
     dirs = (wy("a", d_scal=8.0 * PI * 3.0), wy("b", d_scal=8.0 * PI * 4.0))
     out = c0(data_with([GeometrySample(id="s", normal_dirs=dirs)]))
-    assert abs(float(out) - 5.0 / math.sqrt(PI)) < 1e-12
+    assert abs(out.value - 5.0 / math.sqrt(PI)) < 1e-12
 
 
 def test_c0_requires_wy_direction():
@@ -252,7 +251,7 @@ def test_c0_commuting_matrix_case():
     d1 = wy("a", nabla=-2j * PI * np.diag([3.0, 1.0]))
     d2 = wy("b", nabla=-2j * PI * np.diag([0.0, 4.0]))
     out = c0(data_with([GeometrySample(id="s", normal_dirs=(d1, d2))], fiber_rank=2))
-    assert abs(float(out) - math.sqrt(17.0) / math.sqrt(PI)) < 1e-10
+    assert abs(out.value - math.sqrt(17.0) / math.sqrt(PI)) < 1e-10
 
 
 def test_c0_rank_one_family():
@@ -262,7 +261,7 @@ def test_c0_rank_one_family():
     d2 = wy("b", nabla=-2j * PI * 2.0 * M)
     out = c0(data_with([GeometrySample(id="s", normal_dirs=(d1, d2))], fiber_rank=2))
     want = math.sqrt(5.0) * 2.0 / math.sqrt(PI)
-    assert abs(float(out) - want) < 1e-10
+    assert abs(out.value - want) < 1e-10
 
 
 def test_c0_rank_two_golden():
@@ -271,7 +270,7 @@ def test_c0_rank_two_golden():
     # 1) never leaves it and reads this constant low
     d = wy("a", nabla=2j * PI * np.array([[2.0, -1.0], [-1.0, 2.0]]))
     out = c0(data_with([GeometrySample(id="s", normal_dirs=(d,))], fiber_rank=2))
-    assert abs(float(out) - 3.0 / math.sqrt(PI)) < 1e-12
+    assert abs(out.value - 3.0 / math.sqrt(PI)) < 1e-12
 
 
 @given(
@@ -304,7 +303,7 @@ def test_c0_lies_in_its_bracket():
         if seed % 2:
             mats = 1j * (mats + mats.conj().transpose(0, 2, 1)) / 2
         dirs = tuple(wy(f"d{d}", nabla=-2j * PI * M) for d, M in enumerate(mats))
-        got = float(c0(data_with([GeometrySample(id="s", normal_dirs=dirs)], fiber_rank=r))) * math.sqrt(PI)
+        got = c0(data_with([GeometrySample(id="s", normal_dirs=dirs)], fiber_rank=r)).value * math.sqrt(PI)
         lower = max(np.linalg.norm(M, 2) for M in mats)
         a = math.sqrt(np.linalg.eigvalsh(sum(M.conj().T @ M for M in mats))[-1])
         b = math.sqrt(np.linalg.eigvalsh(sum(M @ M.conj().T for M in mats))[-1])
@@ -348,7 +347,7 @@ def test_c0_reaches_the_bloch_sphere_maximum():
     mats, data = _seed_49_sample()
     assert mats.shape == (2, 2, 2)
     want = _bloch_maximum(mats)
-    assert float(c0(data)) * math.sqrt(PI) >= want * (1 - 1e-11)
+    assert c0(data).value * math.sqrt(PI) >= want * (1 - 1e-11)
 
 
 def test_c0_that_is_not_stationary_within_the_cap_raises(monkeypatch):
@@ -360,7 +359,7 @@ def test_c0_that_is_not_stationary_within_the_cap_raises(monkeypatch):
 
 def test_constant_result_shape():
     out = ConstantResult(value=1.5, sample_id="s")
-    assert float(out) == 1.5
+    assert (out.value, out.sample_id) == (1.5, "s")
 
 
 # -- C3 / C4 -------------------------------------------------------------------------
@@ -368,19 +367,18 @@ def test_constant_result_shape():
 
 def test_c3_c4_constant_scalar():
     s = GeometrySample(id="a", scal_X=16.0 * PI, scal_Y=0.0)
-    res = c3_c4(data_with([s]))
-    c3, c4 = res
-    assert abs(c3 - (-1.0)) < 1e-14
-    assert abs(c4 - 1.0) < 1e-14
-    assert res.c3_sample_id == "a" and res.c4_sample_id == "a"
+    c3, c4 = c3_c4(data_with([s]))
+    assert abs(c3.value - (-1.0)) < 1e-14
+    assert abs(c4.value - 1.0) < 1e-14
+    assert c3.sample_id == "a" and c4.sample_id == "a"
 
 
 def test_c3_c4_matrix_case():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues -1, 1
     s = GeometrySample(id="a", lambda_RF_X=2j * PI * H)
-    res = c3_c4(data_with([s], fiber_rank=2))
-    assert abs(res.c3 - 0.5) < 1e-12
-    assert abs(res.c4 - 0.5) < 1e-12
+    c3, c4 = c3_c4(data_with([s], fiber_rank=2))
+    assert abs(c3.value - 0.5) < 1e-12
+    assert abs(c4.value - 0.5) < 1e-12
 
 
 def test_c3_c4_rank_two_golden():
@@ -391,11 +389,11 @@ def test_c3_c4_rank_two_golden():
     s = GeometrySample(
         id="a", scal_X=24.0 * PI, scal_Y=8.0 * PI, lambda_RF_X=2j * PI * (H + B), lambda_RF_Y=2j * PI * B
     )
-    res = c3_c4(data_with([s], fiber_rank=2))
+    c3, c4 = c3_c4(data_with([s], fiber_rank=2))
     # s = (scal_X - scal_Y)/(8 pi) = 2, so C3 = -(2 - 4)/2 and C4 = (2 - 1)/2;
     # the diagonal alone would give 0.5 and 0, the swapped difference -1.5 and 3
-    assert abs(res.c3 - 1.0) < 1e-12
-    assert abs(res.c4 - 0.5) < 1e-12
+    assert abs(c3.value - 1.0) < 1e-12
+    assert abs(c4.value - 0.5) < 1e-12
 
 
 def test_c3_c4_monotone_and_stable():
@@ -403,13 +401,9 @@ def test_c3_c4_monotone_and_stable():
     s2 = GeometrySample(id="b", scal_X=-16.0 * PI)
     small = c3_c4(data_with([s1]))
     big = c3_c4(data_with([s1, s2]))
-    assert big.c3 >= small.c3 - 1e-15 and big.c4 >= small.c4 - 1e-15
-    assert big.c3_sample_id == "b" and big.c4_sample_id == "a"
-    reordered = c3_c4(data_with([s2, s1]))
-    assert (reordered.c3, reordered.c4) == (big.c3, big.c4)
-    d = big.to_json_dict()
-    assert set(d) == {"C3", "C4", "c3_sample_id", "c4_sample_id"}
-    assert isinstance(C3C4Result(0.0, 0.0, "x", "y").to_json_dict(), dict)
+    assert all(b.value >= s.value - 1e-15 for b, s in zip(big, small))
+    assert [b.sample_id for b in big] == ["b", "a"]
+    assert c3_c4(data_with([s2, s1])) == big
 
 
 # -- dp3 and the tower ----------------------------------------------------------------

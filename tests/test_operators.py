@@ -6,6 +6,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fockcalc import (
     CutoffSpec,
     Dims,
     Extension,
-    IDENTITY_CUTOFF,
     InsufficientNodesError,
     KernelExpr,
     Poly,
@@ -71,11 +71,11 @@ def test_symbol_validation():
         Symbol.monomial(2, 1, (-1,), (0,))
     dims = Dims.of(2, m=1)
     with pytest.raises(ValueError, match="tangential"):
-        Symbol(dims, Poly.monomial(dims, {"z1": 1}))
+        Symbol(Poly.monomial(dims, {"z1": 1}))
     with pytest.raises(ValueError, match="primed"):
-        Symbol(dims, Poly.monomial(dims, {"z'2": 1}))
-    with pytest.raises(ValueError, match="dims"):
-        Symbol(dims, Poly.one(Dims.of(2, m=0)))
+        Symbol(Poly.monomial(dims, {"z'2": 1}))
+    g = Symbol(Poly.monomial(dims, {"z2": 1, "zb2": 2}))
+    assert g.dims == dims and g.terms().keys() == {((1,), (2,))}
     # a fractional or boolean exponent used to be stored as int(value)
     for bad in (1.5, True, "1"):
         with pytest.raises(ValueError, match="symbol exponent must be an integer"):
@@ -311,7 +311,6 @@ def test_symbol_layer_output_bytes_are_pinned():
 
 def test_cutoff_profile_values():
     c = CutoffSpec(r_perp=2.0)
-    assert not c.is_identity
     plateaus = c.rho(np.array([0.0, 0.25, 0.5, 1.7]))
     assert plateaus.tolist() == [1.0, 1.0, 0.0, 0.0]
     assert abs(c.rho(np.array([0.375]))[0] - math.exp(1.0 - 1.0 / (1.0 - 0.25))) < 1e-15
@@ -319,13 +318,12 @@ def test_cutoff_profile_values():
     assert arr.shape == (3,)
     assert arr[0] == 1.0 and arr[2] == 0.0
     assert c.rho(np.zeros((2, 3))).shape == (2, 3)
-    assert IDENTITY_CUTOFF.is_identity and IDENTITY_CUTOFF.rho(np.array([7.0])).tolist() == [1.0]
 
 
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         CutoffSpec(r_perp=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the bump is the one profile
         CutoffSpec(profile="hard_edge")
 
 
@@ -369,15 +367,22 @@ def test_lambda_a_goldens():
 
 
 def test_contraction_overflow_is_a_value_error():
-    # 200! / pi^200 is about 3e275, but 200! itself does not fit a float; the
-    # contraction used to end in an OverflowError from int to float
-    g = Symbol.monomial(2, 1, (200,), (200,))
+    # 300! / pi^300 is about 2e465, beyond float range; the contraction used to
+    # end in an OverflowError from int to float
+    g = Symbol.monomial(2, 1, (300,), (300,))
     for f in (lambda_eq, lambda_h, lambda_a, c1_c2, h_gp):
         with pytest.raises(ValueError, match=r"symbol term hol \[\d+\], antihol \[\d+\] overflows a float"):
             f(g)
     # a finite weight can still carry a coefficient beyond float range
     with pytest.raises(ValueError, match=r"hol \[151\], antihol \[150\] overflows a float"):
         lambda_h(Symbol.monomial(2, 1, (151,), (150,), coef=1e150))
+
+
+def test_a_contraction_whose_factorial_overflows_is_exact():
+    # 171! does not fit a float, but 171!/pi^171 does; it used to raise "overflows a float"
+    want = float(Fraction(math.factorial(171)) / Fraction(math.pi) ** 171)
+    assert want == 1.2054518686456522e224
+    assert lambda_eq(Symbol.monomial(1, 0, (171,), (171,))).tolist() == [[want]]
 
 
 def test_lambda_eq_sum_overflow_is_a_value_error():
@@ -642,7 +647,7 @@ def test_h_gp_constant_symbol():
     assert res.h_sq[0, 0] == 4.0 and res.max_abs_diff == 0.0
 
 
-@pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
+@pytest.mark.parametrize("cutoff", [None, CutoffSpec(r_perp=1.0)], ids=["cutoff0", "cutoff1"])
 def test_h_gp_without_a_diagonal_degree_is_zero(cutoff):
     # g = 0 leaves g* g no diagonal bidegree, so no radial moment is taken
     before = operators._radial_moment.cache_info()
@@ -705,7 +710,7 @@ def test_an_overflowing_radial_moment_raises_on_every_call(empty_table):
     # the table keeps no entry for a moment that raised, so a repeat raises too; under
     # the bump at R = 1e4, r^301 passes 1e308 on the transition pieces
     g = Symbol.monomial(1, 0, (0,), (150,))
-    for p, cutoff in ((1.0, IDENTITY_CUTOFF), (1e8, CutoffSpec(r_perp=1.0))):
+    for p, cutoff in ((1.0, None), (1e8, CutoffSpec(r_perp=1.0))):
         for _ in range(3):
             with pytest.raises(ValueError, match="radial moment of degree 150 overflows"):
                 h_gp(g, p=p, cutoff=cutoff)
@@ -753,7 +758,9 @@ def test_radial_moment_table_builds_once_per_key(monkeypatch, empty_table):
     assert len(reads) == empty_table.cache_info().misses == 2 + 2 * 3
 
 
-@pytest.mark.parametrize("cutoff, p", [(IDENTITY_CUTOFF, 1.0), (CutoffSpec(r_perp=1.0), 64.0)])
+@pytest.mark.parametrize(
+    "cutoff, p", [(None, 1.0), (CutoffSpec(r_perp=1.0), 64.0)], ids=["cutoff0-1.0", "cutoff1-64.0"]
+)
 def test_h_gp_cold_and_warm_table_are_bit_identical(empty_table, cutoff, p):
     for N in range(141):
         g = Symbol.monomial(1, 0, (0,), (N,))  # radial degree N
@@ -804,7 +811,7 @@ def test_gl_rule_arrays_are_read_only():
         w[0] = 0.0
 
 
-@pytest.mark.parametrize("cutoff", [IDENTITY_CUTOFF, CutoffSpec(r_perp=1.0)])
+@pytest.mark.parametrize("cutoff", [None, CutoffSpec(r_perp=1.0)], ids=["cutoff0", "cutoff1"])
 def test_h_gp_cached_rule_is_bit_identical(monkeypatch, empty_table, cutoff):
     terms = {((1, 0), (1, 2)): [[1.0, 2.0j], [0.5, -1.0]], ((0, 2), (0, 0)): 3.0 * np.eye(2)}
     g = Symbol.from_terms(2, 0, terms, fiber_rank=2)
@@ -832,7 +839,7 @@ def test_h_gp_output_bytes_are_pinned():
     for g in _pinned_symbols():
         if g.k == 0:
             continue
-        for p, cutoff in ((1.0, IDENTITY_CUTOFF), (4.0, IDENTITY_CUTOFF), (64.0, CutoffSpec(r_perp=1.0))):
+        for p, cutoff in ((1.0, None), (4.0, None), (64.0, CutoffSpec(r_perp=1.0))):
             res = h_gp(g, p=p, cutoff=cutoff)
             h.update(json.dumps([_coef_to_json(res.h_sq), _coef_to_json(res.leading)]).encode())
             calls += 1

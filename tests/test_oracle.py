@@ -647,6 +647,13 @@ def test_norm_estimate_golden_through_cutoff(cutoff):
     assert abs(norm_estimate(z1, cutoff) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("cutoff", [99, 180])
+def test_norm_estimate_past_the_float_range_of_a_factorial(cutoff):
+    # from cutoff 99 the Gram weight's product of factorials, and from 171 a pairing's
+    # factorial, is beyond float range; both used to raise a bare OverflowError
+    assert abs(norm_estimate(unit_expr(Bergman(1)), cutoff) - 1.0) <= 1e-14
+
+
 def test_norm_estimate_rejects_bad_cutoff():
     e = unit_expr(Bergman(2))
     with pytest.raises(ValueError, match="basis_cutoff must be >= 0, got -1"):
