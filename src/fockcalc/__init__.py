@@ -24,7 +24,7 @@ import types
 
 __version__ = "0.1.0"
 
-# The public names, by the submodule that exports them.
+# The public names, by the submodule that exports them; each submodule's ``__all__`` is read from here.
 _EXPORTS = {
     "poly": (
         "DEFAULT_DEGREE_CAP", "DegreeOverflowError", "Dims", "Poly",

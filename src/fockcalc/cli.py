@@ -354,25 +354,30 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None, help="write output to this file")
 
     p = sub.add_parser("compose", help="compose two kernel JSON files symbolically")
+    p.set_defaults(run=_cmd_compose)
     p.add_argument("--left", required=True, help="left kernel JSON file")
     p.add_argument("--right", required=True, help="right kernel JSON file")
     add_common(p, "degree-cap")
 
     p = sub.add_parser("oracle-check", help="compare symbolic composition against quadrature")
+    p.set_defaults(run=_cmd_oracle_check)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     add_common(p, "tol", "nodes", "degree-cap")
 
     p = sub.add_parser("spectrum", help="eigenvalues of a Hermitian matrix JSON file")
+    p.set_defaults(run=_cmd_spectrum)
     p.add_argument("--input", required=True, help=f"matrix JSON file (schema {MATRIX_SCHEMA})")
     add_common(p)
 
     p = sub.add_parser("toeplitz-leading", help="leading term of a basic operator kind")
+    p.set_defaults(run=_cmd_toeplitz_leading)
     p.add_argument("--kind", required=True, choices=list(TOEPLITZ_KINDS))
     p.add_argument("--symbol", required=True, help=f"symbol JSON file (schema {SYMBOL_SCHEMA})")
     add_common(p)
 
     p = sub.add_parser("constants", help="geometric constants from sampled data")
+    p.set_defaults(run=_cmd_constants)
     p.add_argument("--geom", required=True, help=f"geometry JSON file (schema {GEOM_SCHEMA})")
     p.add_argument("--which", required=True, choices=["c0", "c3c4", "dp3", "tower"])
     p.add_argument("--direction", default=None, help='JSON object, e.g. \'{"d1": 1.0}\'')
@@ -381,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "seed")
 
     p = sub.add_parser("defect-check", help="flat defect identities")
+    p.set_defaults(run=_cmd_defect_check)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -388,20 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "tol", tol_default=1e-12)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")
+    p.set_defaults(run=_cmd_selftest)
     add_common(p)
 
     return parser
-
-
-_DISPATCH = {
-    "compose": _cmd_compose,
-    "oracle-check": _cmd_oracle_check,
-    "spectrum": _cmd_spectrum,
-    "toeplitz-leading": _cmd_toeplitz_leading,
-    "constants": _cmd_constants,
-    "defect-check": _cmd_defect_check,
-    "selftest": _cmd_selftest,
-}
 
 
 def run(argv=None) -> int:
@@ -415,7 +411,7 @@ def run(argv=None) -> int:
     try:
         with ExitStack() as numeric:
             _check_flags(args)
-            return _DISPATCH[args.command](args, numeric)
+            return args.run(args, numeric)
     except (ValueError, OSError) as e:
         sys.stderr.write(f"fockcalc: error: {e}\n")
         return 2

@@ -34,16 +34,12 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _EXPORTS
 from .fields import DEFAULT_DEGREE_CAP, _json_int
 from .poly import DegreeOverflowError, Dims, Poly, _collect
 from .kernels import KernelExpr, KernelKind, _named
 
-__all__ = [
-    "UnsupportedCompositionError",
-    "base_terms",
-    "compose",
-    "compose_plan",
-]
+__all__ = list(_EXPORTS["compose"])
 
 PI = math.pi
 
@@ -111,6 +107,10 @@ def _over_pi(x, p: int) -> float:
     try:
         return float(x) / PI**p
     except OverflowError:
+        # |x| > 2**(n - d - 1), for n and d the bit lengths of its numerator and denominator,
+        # and pi**p < 2**(1.66 p): where that leaves the quotient above 2**1025, it is not formed
+        if x.numerator.bit_length() - x.denominator.bit_length() > 1026 + 1.66 * p:
+            return math.inf
         try:
             return float(Fraction(x) / Fraction(PI) ** p)
         except OverflowError:

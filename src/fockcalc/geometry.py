@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .arrays import _as_coef, _check_hermitian, _coef_from_json, _coef_to_json, hermitian_eigs
 from .fields import GEOM_SCHEMA, _json_complex, _json_int, _json_list, _json_object, _json_real, _json_str
 
@@ -360,15 +361,4 @@ def tower_dp3(
     return acc
 
 
-__all__ = [
-    "GEOM_SCHEMA",
-    "NormalDirection",
-    "GeometrySample",
-    "GeometryData",
-    "ConstantResult",
-    "hermitian_eigs",
-    "c0",
-    "c3_c4",
-    "dp3",
-    "tower_dp3",
-]
+__all__ = list(_EXPORTS["geometry"])

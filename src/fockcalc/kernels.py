@@ -24,23 +24,12 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _EXPORTS
 from .arrays import _as_points
 from .fields import _json_int, _json_object
 from .poly import Dims, Poly, _O_Z, _O_ZB, _O_ZP, _O_ZBP, _var_offset, _collect
 
-__all__ = [
-    "Bergman",
-    "OrthBergman",
-    "Extension",
-    "Restriction",
-    "KernelKind",
-    "KernelExpr",
-    "unit_expr",
-    "apply_ladder",
-    "apply_model_laplacian",
-    "kind_name",
-    "primed_dim",
-]
+__all__ = list(_EXPORTS["kernels"])
 
 PI = math.pi
 

@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .arrays import _as_coef, _as_numbers, _as_points, _coef_from_json, _coef_to_json
 from .fields import TOEPLITZ_KINDS, _json_int, _json_list, _json_number, _json_object
 from .poly import Dims, Poly, _O_Z, _O_ZB, _collect, _exponent_rows
@@ -548,7 +549,7 @@ def _pairing_row(rows: list, C: np.ndarray, c: int, r: int, beta: tuple) -> dict
     nothing (j = 0) where it does not; then z'^(s + gamma_i) against the
     leftover zb'^(t + j), uncoupled, which fixes gamma_i = t + j - s >= 0.
     Every other gamma pairs to zero, so a row costs one pass over the terms,
-    added in order.
+    added in order.  A pairing beyond float range raises a ``ValueError``.
     """
     zero = np.zeros((r, r), dtype=complex)
     row: dict[tuple[int, ...], np.ndarray] = {}
@@ -564,8 +565,10 @@ def _pairing_row(rows: list, C: np.ndarray, c: int, r: int, beta: tuple) -> dict
             num, p = num * k1 * k2, p + p1 + p2
             gamma.append(g)
         else:
+            if (pairing := _over_pi(num, p)) == math.inf:
+                raise ValueError(f"the Gram entry of basis degree {sum(beta)} leaves float range")
             key = tuple(gamma)
-            row[key] = row.get(key, zero) + _over_pi(num, p) * coef
+            row[key] = row.get(key, zero) + pairing * coef
     return row
 
 
@@ -730,25 +733,4 @@ def flat_defect_checks(max_n: int = 4, fiber_rank: int = 1) -> list[DefectRecord
     return records
 
 
-__all__ = [
-    "Symbol",
-    "CutoffSpec",
-    "HgpResult",
-    "DefectRecord",
-    "lambda_eq",
-    "lambda_h",
-    "lambda_a",
-    "lambda_eq_quadrature",
-    "lambda_h_quadrature",
-    "lambda_a_quadrature",
-    "m_op",
-    "h_gp",
-    "c1_c2",
-    "fock_indices",
-    "norm_estimate",
-    "toeplitz_leading",
-    "toeplitz_flat_composite",
-    "toeplitz_predicted_kernel",
-    "flat_defect_checks",
-    "TOEPLITZ_KINDS",
-]
+__all__ = list(_EXPORTS["operators"])

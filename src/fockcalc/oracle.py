@@ -22,21 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .arrays import _as_points
 from .fields import _json_int, _json_list, _json_number
 from .poly import Dims, Poly, _collect, _monomials
 from .kernels import KernelExpr, Extension, apply_model_laplacian, _LADDER, _ladder_step
 from .compose import compose
 
-__all__ = [
-    "InsufficientNodesError",
-    "QuadGrid",
-    "OracleReport",
-    "gauss_hermite",
-    "oracle_compose_values",
-    "oracle_compose",
-    "laplacian_eigencheck",
-]
+__all__ = list(_EXPORTS["oracle"])
 
 PI = math.pi
 

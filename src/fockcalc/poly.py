@@ -21,15 +21,11 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _EXPORTS
 from .arrays import _as_coef, _as_points, _coef_from_json, _coef_to_json
 from .fields import DEFAULT_DEGREE_CAP, _json_complex, _json_int, _json_list, _json_object
 
-__all__ = [
-    "DEFAULT_DEGREE_CAP",
-    "DegreeOverflowError",
-    "Dims",
-    "Poly",
-]
+__all__ = list(_EXPORTS["poly"])
 
 # Offsets within one coordinate block.
 _O_Z, _O_ZB, _O_ZP, _O_ZBP = 0, 1, 2, 3

@@ -28,7 +28,7 @@ from fockcalc import (
     unit_expr,
     DegreeOverflowError,
 )
-from fockcalc.compose import _bracket, _pairing_table, _PairingRegistry
+from fockcalc.compose import _bracket, _over_pi, _pairing_table, _PairingRegistry
 from fockcalc.kernels import _named
 from fockcalc.oracle import _palette_points
 from fockcalc.poly import _var_offset
@@ -427,6 +427,22 @@ def test_a_pairing_whose_factorial_overflows_is_exact():
     out = compose(left, right, degree_cap=400)
     want = float(Fraction(math.factorial(171)) / Fraction(math.pi) ** 171)
     assert {e: c.tolist() for e, c in out.numerator.terms.items()} == {(0, 0, 0, 0): [[want]]}
+
+
+def test_a_quotient_past_float_range_on_bit_lengths_is_not_formed(monkeypatch):
+    # on either side of the top of float range the quotient is the exact one rounded once
+    for p in (0, 1, 100, 700, 2000):
+        top, power = 1024 + round(p * math.log2(math.pi)), Fraction(math.pi) ** p
+        for x in (m << (top + k) for m in (1, 3, 7) for k in range(-3, 24, 3)):
+            exact = Fraction(x) / power
+            assert _over_pi(x, p) == (float(exact) if exact < 2**1024 else math.inf), (x, p)
+    # 700! is past 2**5600, so 700!/pi^10 is past float range without being formed; it was
+    # formed exactly, and z'^700 Bergman(1) composed with zb^700 Bergman(1) took twice as long to fail
+    def no_fraction(*args):
+        raise AssertionError("the quotient was formed exactly")
+
+    monkeypatch.setattr(compose_module, "Fraction", no_fraction)
+    assert _over_pi(math.factorial(700), 10) == math.inf
 
 
 @pytest.fixture

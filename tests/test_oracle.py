@@ -654,6 +654,14 @@ def test_norm_estimate_past_the_float_range_of_a_factorial(cutoff):
     assert abs(norm_estimate(unit_expr(Bergman(1)), cutoff) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("cutoff", [230, 625])
+def test_norm_estimate_past_a_pairings_float_range_names_the_degree(cutoff):
+    # from basis degree 218 the pairing 218!/pi^218 is beyond float range; at cutoff 230 it
+    # used to warn and then fail as a non-finite matrix, at 625 end in a bare OverflowError
+    with pytest.raises(ValueError, match="^the Gram entry of basis degree 218 leaves float range$"):
+        norm_estimate(unit_expr(Bergman(1)), cutoff)
+
+
 def test_norm_estimate_rejects_bad_cutoff():
     e = unit_expr(Bergman(2))
     with pytest.raises(ValueError, match="basis_cutoff must be >= 0, got -1"):

@@ -72,6 +72,15 @@ def test_each_name_is_the_object_its_submodule_defines():
         assert getattr(fockcalc, attr) is getattr(module, attr)
 
 
+def test_each_submodule_reads_its_names_from_the_export_table():
+    # the public names are listed once in src, in ``_EXPORTS``, which the lazy
+    # ``__getattr__`` reads without importing the owner; no submodule lists them again
+    for name in SUBMODULES:
+        tree = ast.parse((SRC / "fockcalc" / f"{name}.py").read_text())
+        statements = [ast.unparse(node) for node in tree.body if "__all__" in ast.unparse(node)]
+        assert statements == [f"__all__ = list(_EXPORTS[{name!r}])"], name
+
+
 def test_benchmark_uses_only_public_names():
     # the benchmark imports names and submodules from the package, imports
     # names from submodules, and calls names through ``call("<name>", ...)`` or
