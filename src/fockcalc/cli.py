@@ -146,31 +146,31 @@ def _parse_direction(text: str | None) -> dict[str, complex]:
 # Each reads its flags and files first, then enters the compute stage.
 
 
-def _cmd_compose(args, numeric: ExitStack) -> int:
+def _kernel_pair(args, numeric: ExitStack) -> tuple:
+    """Read ``--left`` and ``--right``, enter the compute stage, plan and compose:
+    ``(e1, e2, plan, composite)``."""
     left, right = (_load(path, KERNEL_SCHEMA) for path in (args.left, args.right))
     _numeric(numeric)
     from .compose import compose, compose_plan
     from .kernels import KernelExpr
 
     e1, e2 = left(KernelExpr.from_json_dict), right(KernelExpr.from_json_dict)
-    plan = compose_plan(e1.kind, e2.kind)
+    return e1, e2, compose_plan(e1.kind, e2.kind), compose(e1, e2, degree_cap=args.degree_cap)
+
+
+def _cmd_compose(args, numeric: ExitStack) -> int:
+    _, _, plan, composite = _kernel_pair(args, numeric)
     # a result kind without a kernel/1 name cannot be written
-    result = {"schema": KERNEL_SCHEMA, **compose(e1, e2, degree_cap=args.degree_cap).to_json_dict()}
+    result = {"schema": KERNEL_SCHEMA, **composite.to_json_dict()}
     _emit_json({"schema": "compose/1", "plan": plan, "result": result}, args.out)
     return 0
 
 
 def _cmd_oracle_check(args, numeric: ExitStack) -> int:
-    left, right = (_load(path, KERNEL_SCHEMA) for path in (args.left, args.right))
-    _numeric(numeric)
-    from .compose import compose, compose_plan
-    from .kernels import KernelExpr
+    e1, e2, plan, expected = _kernel_pair(args, numeric)
     from .oracle import QuadGrid, oracle_compose
 
-    e1, e2 = left(KernelExpr.from_json_dict), right(KernelExpr.from_json_dict)
-    plan = compose_plan(e1.kind, e2.kind)
     grid = None if args.nodes is None else QuadGrid(nodes_per_axis=args.nodes, n=e1.kind.dp)
-    expected = compose(e1, e2, degree_cap=args.degree_cap)
     report = oracle_compose(e1, e2, grid=grid, expected=expected, rel_tol=args.tol)
     _emit_json(
         {
@@ -275,17 +275,9 @@ def _cmd_defect_check(args, numeric: ExitStack) -> int:
     _numeric(numeric)
     from .operators import flat_defect_checks
 
-    if all(explicit):
-        n, l, m = args.n, args.l, args.m
-        full = flat_defect_checks(max_n=n)
-        records = [
-            rec
-            for rec in full
-            if (rec.name == "transitivity" and (rec.n, rec.l, rec.m) == (n, l, m))
-            or (rec.name == "adjoint_extension" and (rec.n, rec.m) == (n, m))
-        ]
-    else:
-        records = flat_defect_checks(max_n=args.max_n)
+    records = flat_defect_checks(max_n=args.n if all(explicit) else args.max_n)
+    if all(explicit):  # the chain's transitivity record and its (n, m) adjoint record, whose l is None
+        records = [rec for rec in records if (rec.n, rec.m) == (args.n, args.m) and rec.l in (args.l, None)]
     worst = max((rec.deviation for rec in records), default=0.0)
     passed = worst <= args.tol
     _emit_json(

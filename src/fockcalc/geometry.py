@@ -212,28 +212,27 @@ class ConstantResult:
 
 
 _MAX_ITERATIONS = 10_000  # per start of _tensor_norm: over 2.5 times the most that 300 random families need
+_RESTARTS = 8  # seeded random starts of _tensor_norm
 
 
-def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int, restarts: int = 8) -> float:
+def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int) -> float:
     """sup over unit u in C^D of the spectral norm of sum_d u_d mats[d].
 
     Alternating maximisation over u and the top singular pair of
     sum_d u_d mats[d], started from each mats[d] alone (so from its top right
-    singular vector) and from ``restarts`` seeded random u, each run until the
+    singular vector) and from ``_RESTARTS`` seeded random u, each run until the
     value is stationary to 1e-14 relative; a start that is not stationary
     within ``_MAX_ITERATIONS`` raises a ``ValueError``.  The result lies
     between max_d ||mats[d]|| and sqrt(lambda_max(sum_d mats[d]^H mats[d])).
     """
     D = len(mats)
-    if D == 0:
-        return 0.0
     if r == 1:
         vec = np.array([m[0, 0] for m in mats])
         return float(np.linalg.norm(vec))
     stack = np.stack(mats)
     rng = np.random.default_rng(seed)
     starts = [np.eye(D, dtype=complex)[d] for d in range(D)]
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         raw = rng.normal(size=D) + 1j * rng.normal(size=D)
         starts.append(raw / np.linalg.norm(raw))
     best = 0.0

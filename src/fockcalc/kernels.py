@@ -259,23 +259,18 @@ def _ladder_rows(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool)
     return np.concatenate(rows), np.concatenate(coefs)
 
 
-def _ladder_step(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ladder_rows`, collected, less the rows whose coefficients vanish (as ``Poly``
-    prunes them): the store of the image, for a chain of steps that builds no ``KernelExpr``."""
-    E, C = _collect(*_ladder_rows(E, C, j, op, crossed))
-    live = C.any(axis=(1, 2))
-    return (E, C) if live.all() else (E[live], C[live])
-
-
 def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> KernelExpr:
+    """The ladder operator on coordinate j of the slot, collected.  The image fits the kind
+    unchecked: a step multiplies in only variables of coordinate j <= the slot's dimension,
+    and the cross term, taken where j <= c, those of the other slot's coordinate j."""
     if which not in ("creation", "annihilation"):
         raise ValueError(f"bad ladder kind {which!r}")
     j, dim = _json_int(j, "ladder coordinate"), _slot_dim(e.kind, slot)
     if not 1 <= j <= dim:
         raise ValueError(f"coordinate {j} outside {slot} slot of dimension {dim}")
     P = e.numerator
-    E, C = _ladder_step(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c)
-    return KernelExpr(Poly._from_arrays(P.dims, E, C), e.kind)
+    E, C = _collect(*_ladder_rows(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c))
+    return KernelExpr._of(Poly._from_arrays(P.dims, E, C), e.kind)
 
 
 def apply_model_laplacian(e: KernelExpr, slot: str = "unprimed") -> KernelExpr:

@@ -271,7 +271,8 @@ class CutoffSpec:
             raise ValueError(f"r_perp must be positive and finite, got {r_perp!r}")
         object.__setattr__(self, "r_perp", r_perp)
 
-    def rho(self, x) -> np.ndarray:
+    @staticmethod
+    def rho(x) -> np.ndarray:
         """Profile values at an array of x = |Z_N| / r_perp, elementwise."""
         x = _as_numbers(x, "x", real=True)
         out = np.zeros_like(x)
@@ -280,9 +281,6 @@ class CutoffSpec:
         t = 4.0 * x[mid] - 1.0
         out[mid] = np.exp(1.0 - 1.0 / (1.0 - t * t))
         return out
-
-
-_SMOOTH_BUMP = CutoffSpec()  # rho reads no r_perp
 
 
 # -- the three Lambda contractions --------------------------------------------
@@ -434,7 +432,7 @@ def _radial_moment(N: int, R: float | None) -> float:
     smooth bump.  A table of single moments, one entry per degree and R,
     since callers repeat them across symbols and levels.  Eight
     Gauss-Legendre pieces: without a cutoff equal ones out to
-    sqrt((2N + 80)/pi), with no rho factor (a product by 1.0 changes no bit);
+    sqrt((2N + 80)/pi), where rho is 1.0 (a product by 1.0 changes no bit);
     under the bump two on the plateau and six over [R/4, R/2].  Piece sums
     add as floats in order: ``reduce``, because builtin ``sum`` compensates
     floats from Python 3.12.  A moment that overflows a float raises, on
@@ -444,18 +442,14 @@ def _radial_moment(N: int, R: float | None) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         if R is None:
             edges = np.linspace(0.0, np.sqrt((2.0 * N + 80.0) / PI), 9)
-            a, b = edges[:-1, None], edges[1:, None]
-            r = 0.5 * (a + b) + 0.5 * (b - a) * x
-            pieces = np.sum(0.5 * (b - a) * w * np.exp(-PI * r * r) * r ** (2.0 * N + 1.0) * 2.0, axis=-1)
         else:
             lo, hi = R / 4.0, R / 2.0
             transition = [lo + f * (hi - lo) for f in (0.0, 1.0 / 16, 1.0 / 4, 1.0 / 2, 3.0 / 4, 15.0 / 16, 1.0)]
             edges = np.array([0.0, lo / 2.0, *transition])
-            a, b = edges[:-1, None], edges[1:, None]
-            r = 0.5 * (a + b) + 0.5 * (b - a) * x
-            rho = _SMOOTH_BUMP.rho(r / R)
-            weight = 0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho
-            pieces = np.sum(weight * r ** (2 * N + 1) * 2.0, axis=1)
+        a, b = edges[:-1, None], edges[1:, None]
+        r = 0.5 * (a + b) + 0.5 * (b - a) * x
+        rho = 1.0 if R is None else CutoffSpec.rho(r / R)
+        pieces = np.sum(0.5 * (b - a) * w * np.exp(-PI * r * r) * rho * rho * r ** (2 * N + 1) * 2.0, axis=1)
     moment = reduce(add, pieces.tolist(), 0.0)
     if not math.isfinite(moment):
         raise ValueError(f"h_gp: the radial moment of degree {N} overflows a float")

@@ -26,7 +26,7 @@ from . import _EXPORTS
 from .arrays import _as_points
 from .fields import _json_int, _json_list, _json_number
 from .poly import Dims, Poly, _collect, _monomials
-from .kernels import KernelExpr, Extension, apply_model_laplacian, _LADDER, _ladder_step
+from .kernels import KernelExpr, Extension, apply_ladder, apply_model_laplacian
 from .compose import compose
 
 __all__ = list(_EXPORTS["oracle"])
@@ -256,8 +256,10 @@ def oracle_compose(
     """Compare the closed-form composite against direct quadrature (:func:`oracle_compose_values`).
 
     ``expected`` defaults to ``compose(e1, e2)``; pass it to check another
-    closed form.
+    closed form.  ``rel_tol`` must be positive and finite.
     """
+    if not 0 < (rel_tol := _json_number(rel_tol, "rel_tol")) < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     grid, z, zp = _oracle_inputs(e1, e2, grid, eval_points)
     if expected is None:
         expected = compose(e1, e2)
@@ -276,7 +278,7 @@ def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid | None, tol: float
     scale = abs(want).reshape(len(want), -1).max(axis=1, initial=0.0)
     rel = np.where(scale > 1e-150, err / np.maximum(scale, 1e-150), err)
     worst = int(rel.argmax())
-    max_rel, tol = float(rel[worst]), _json_number(tol, "tol")
+    max_rel = float(rel[worst])
     return OracleReport(max_abs=float(err.max()), max_rel=max_rel, worst_point=worst, grid=grid, passed=max_rel <= tol)
 
 
@@ -284,17 +286,15 @@ def _report(want: np.ndarray, got: np.ndarray, grid: QuadGrid | None, tol: float
 
 
 def _ladder_state(alpha: tuple[int, ...], beta: tuple[int, ...]) -> KernelExpr:
-    """creation^alpha (z^beta) on ``Extension(n, 0)``, bit for bit the chain of
-    :func:`~fockcalc.kernels.apply_ladder` calls: each step runs on the numerator's
-    exponent rows, and one ``KernelExpr`` is built and checked at the end."""
+    """creation^alpha (z^beta) on ``Extension(n, 0)``, a chain of :func:`~fockcalc.kernels.apply_ladder` calls."""
     n = len(alpha)
     E = np.zeros((1, 4 * n), dtype=np.int64)
-    E[0, ::4] = beta  # z_i is column 4 (i - 1)
-    C = np.ones((1, 1, 1), dtype=complex)
-    for j in range(1, n + 1):
-        for _ in range(alpha[j - 1]):
-            E, C = _ladder_step(E, C, j, _LADDER["unprimed", "creation"], False)  # Extension(n, 0) couples nothing
-    return KernelExpr(Poly._from_arrays(Dims(n=n, l=n, m=0, fiber_rank=1), E, C), Extension(n, 0))
+    E[0, ::4] = beta  # z_j is column 4 (j - 1): the start z^beta fits Extension(n, 0)
+    state = KernelExpr._of(Poly._from_arrays(Dims(n=n, l=n, m=0), E, np.ones((1, 1, 1), complex)), Extension(n, 0))
+    for j, a in enumerate(alpha, 1):
+        for _ in range(a):
+            state = apply_ladder(state, j, "creation")
+    return state
 
 
 def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleReport:
@@ -302,7 +302,7 @@ def laplacian_eigencheck(alpha: Sequence[int], beta: Sequence[int]) -> OracleRep
 
     The state creation^alpha (z^beta exp(-pi|Z|^2/2)) must satisfy Laplacian = 4 pi |alpha|,
     an identity between numerators, so it is checked on coefficients, to 1e-9 relative.
-    The state is built on exponent rows (:func:`_ladder_state`).  Each exponent row of
+    The state is a chain of ladder steps (:func:`_ladder_state`).  Each exponent row of
     either side is one "point" of the report, in :func:`~fockcalc.poly._collect` order,
     and the report has no grid: nothing is integrated.
     """

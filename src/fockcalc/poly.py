@@ -185,13 +185,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, dims: Dims, powers: Mapping[str, int], coef=1.0) -> "Poly":
-        exps = [0] * (4 * dims.n)
-        for name, p in powers.items():
-            index, o = _parse_var_name(name)
-            if index > dims.n:
-                raise ValueError(f"variable index {index} exceeds n={dims.n}")
-            exps[_var_offset(index, o)] += _json_int(p, f"exponent of {name}")
-        return cls(dims, {tuple(exps): coef})
+        return cls(dims, {tuple(_exponent_row(dims, powers)): coef})
 
     # -- structure ----------------------------------------------------------
 
@@ -325,16 +319,7 @@ class Poly:
         rows, coefs = [], []
         for t in _json_list(d["terms"], "terms", "term objects"):
             t = _json_object(t, "term", ("exps", "coef"))
-            exps = [0] * (4 * dims.n)
-            for name, p in _json_object(t["exps"], "term exps").items():
-                index, o = _parse_var_name(name)
-                if index > dims.n:
-                    raise ValueError(f"variable {name} exceeds n={dims.n}")
-                p = _json_int(p, f"exponent of {name}")
-                if p < 0:
-                    raise ValueError(f"negative exponent for {name}")
-                exps[_var_offset(index, o)] += p
-            rows.append(exps)
+            rows.append(_exponent_row(dims, _json_object(t["exps"], "term exps")))
             coefs.append(_coef_from_json(t["coef"], dims.fiber_rank))
         C = np.array(coefs, dtype=complex).reshape(len(rows), dims.fiber_rank, dims.fiber_rank)
         return cls._from_arrays(dims, *_collect(_exponent_rows(rows, 4 * dims.n), C))
@@ -360,6 +345,19 @@ def _monomials(slots, E: np.ndarray, start: int = 0) -> np.ndarray:
             v = v[:, i - start, None] if 0 <= i - start < v.shape[1] else 0j
         out *= v ** E[:, j]
     return out
+
+
+def _exponent_row(dims: Dims, powers: Mapping[str, int]) -> list[int]:
+    """The exponent row of a ``{variable name: power}`` map; names of one variable (z1, z01) add."""
+    exps = [0] * (4 * dims.n)
+    for name, p in powers.items():
+        index, o = _parse_var_name(name)
+        if index > dims.n:
+            raise ValueError(f"variable {name} exceeds n={dims.n}")
+        if (p := _json_int(p, f"exponent of {name}")) < 0:
+            raise ValueError(f"negative exponent for {name}")
+        exps[_var_offset(index, o)] += p
+    return exps
 
 
 def _exponent_rows(rows, width: int) -> np.ndarray:

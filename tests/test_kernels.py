@@ -380,6 +380,22 @@ def _slot_dims(kind):
     return (("unprimed", kind.du), ("primed", kind.dp))
 
 
+def test_ladder_images_fit_their_kind():
+    # apply_ladder builds its image unchecked (KernelExpr._of): on a numerator using
+    # every variable its kind allows, each step's image must pass the checked constructor
+    variables = {"unprimed": ("z", "zb"), "primed": ("z'", "zb'")}
+    for n in (1, 2, 3):
+        for kind in [Bergman(n)] + [K(n, m) for K in (OrthBergman, Extension, Restriction) for m in range(n + 1)]:
+            dims = Dims(n=n, l=n, m=kind.m)
+            powers = {f"{v}{i}": 1 for slot, dim in _slot_dims(kind) for i in range(1, dim + 1) for v in variables[slot]}
+            e = KernelExpr(Poly.monomial(dims, powers).add(Poly.one(dims)), kind)
+            for slot, dim in _slot_dims(kind):
+                for j in range(1, dim + 1):
+                    for which in ("creation", "annihilation"):
+                        image = apply_ladder(e, j, which, slot)
+                        assert KernelExpr(image.numerator, image.kind).kind == kind, (kind, slot, j, which)
+
+
 # sha256 of the ``table`` bytes of every ladder step (both kinds, both slots,
 # every coordinate) and of the model Laplacian in both slots, over
 # :func:`_ladder_family`.

@@ -22,7 +22,6 @@ from fockcalc import (
     QuadGrid,
     Restriction,
     Symbol,
-    apply_ladder,
     c1_c2,
     fock_indices,
     gauss_hermite,
@@ -225,6 +224,19 @@ def test_oracle_compose_refuses_an_expected_form_of_another_fiber_rank():
         oracle_compose(e, e, expected=unit_expr(Bergman(1), fiber_rank=2))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True, "1e-9"])
+def test_oracle_compose_refuses_a_tolerance_the_cli_refuses(monkeypatch, tol):
+    # nan and -1 used to fail every result and inf to pass any; as --tol, the
+    # tolerance is read before any quadrature runs
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(oracle, "oracle_compose_values", no_quadrature)
+    e = unit_expr(Bergman(1))
+    with pytest.raises(ValueError, match="^rel_tol must be"):
+        oracle_compose(e, e, rel_tol=tol)
+
+
 def test_oracle_refuses_a_grid_of_another_middle_dimension():
     # QuadGrid(8, 7) used to pass for a 2-dimensional middle and be reported as "n": 7
     e = unit_expr(Bergman(2))
@@ -384,26 +396,6 @@ def test_laplacian_eigencheck_passes():
     for alpha, beta in (((0,), (0,)), ((2,), (1,)), ((1, 1), (0, 1)), ((0, 2), (2, 0))):
         rep = laplacian_eigencheck(alpha, beta)
         assert rep.passed, f"alpha={alpha} beta={beta}: rel={rep.max_rel:.2e}"
-
-
-def test_ladder_state_is_the_apply_ladder_chain_bit_for_bit():
-    # the check steps creation^alpha on exponent rows; the chain of validated
-    # KernelExprs it replaced must give the same rows and coefficient bytes
-    for n in (1, 2, 3):
-        dims, indices = Dims(n=n, l=n, m=0), fock_indices(n, 3)
-        for beta in indices:
-            powers = {f"z{i + 1}": b for i, b in enumerate(beta) if b}
-            start = KernelExpr(Poly.monomial(dims, powers) if powers else Poly.one(dims), Extension(n, 0))
-            for alpha in indices:
-                chain = start
-                for j, a in enumerate(alpha, 1):
-                    for _ in range(a):
-                        chain = apply_ladder(chain, j, "creation")
-                state = oracle._ladder_state(alpha, beta)
-                assert state.kind == chain.kind and state.dims == chain.dims
-                got, want = state.numerator, chain.numerator
-                assert got.exps.tobytes() == want.exps.tobytes() and got.exps.shape == want.exps.shape
-                assert got.coefs.tobytes() == want.coefs.tobytes(), (alpha, beta)
 
 
 def test_laplacian_eigencheck_thins_a_large_mesh(monkeypatch):

@@ -167,6 +167,19 @@ def test_monomial_and_constant():
     assert Poly.one(dims).degree() == 0
 
 
+@pytest.mark.parametrize(
+    "powers, message",
+    [({"z3": 1}, "^variable z3 exceeds n=2$"), ({"z1": -1}, "^negative exponent for z1$")],
+    ids=["beyond-n", "negative"],
+)
+def test_monomial_and_json_read_exponent_maps_alike(powers, message):
+    dims = Dims.of(2)
+    with pytest.raises(ValueError, match=message):
+        Poly.monomial(dims, powers)
+    with pytest.raises(ValueError, match=message):
+        Poly.from_json_dict({"dims": dims.to_json_dict(), "terms": [{"exps": powers, "coef": [[[1.0, 0.0]]]}]})
+
+
 # -- ring structure -------------------------------------------------------------------
 
 
