@@ -24,7 +24,7 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from .fields import DEFAULT_DEGREE_CAP, GEOM_SCHEMA, TOEPLITZ_KINDS, _json_list, _json_object, _json_real
+from .fields import DEFAULT_DEGREE_CAP, GEOM_SCHEMA, MAX_NODES, TOEPLITZ_KINDS, _json_list, _json_object, _json_real
 
 KERNEL_SCHEMA = "kernel/1"
 SYMBOL_SCHEMA = "symbol/1"
@@ -40,6 +40,8 @@ def _check_flags(args) -> None:
         raise ValueError(f"--seed must be >= 0, got {seed}")
     if nodes is not None and nodes < 1:
         raise ValueError(f"--nodes must be >= 1, got {nodes}")
+    if nodes is not None and nodes > MAX_NODES:
+        raise ValueError(f"--nodes must be <= {MAX_NODES}, got {nodes}")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"--degree-cap must be >= 0, got {degree_cap}")
 
@@ -273,11 +275,9 @@ def _cmd_defect_check(args, numeric: ExitStack) -> int:
     if all(explicit) and not (0 <= args.m <= args.l <= args.n):
         raise ValueError(f"need 0 <= m <= l <= n, got n={args.n} l={args.l} m={args.m}")
     _numeric(numeric)
-    from .operators import flat_defect_checks
+    from .operators import _defect_records, flat_defect_checks
 
-    records = flat_defect_checks(max_n=args.n if all(explicit) else args.max_n)
-    if all(explicit):  # the chain's transitivity record and its (n, m) adjoint record, whose l is None
-        records = [rec for rec in records if (rec.n, rec.m) == (args.n, args.m) and rec.l in (args.l, None)]
+    records = _defect_records([(args.n, args.l, args.m)]) if all(explicit) else flat_defect_checks(args.max_n)
     worst = max((rec.deviation for rec in records), default=0.0)
     passed = worst <= args.tol
     _emit_json(

@@ -11,7 +11,7 @@ outer conj(z') (i < c2):
 ==============  ==========================================================
 left, right     one-coordinate value of the pairing  <w^a wbar^b>
 ==============  ==========================================================
-both            sum_k  a! b! / ((a-k)! (b-k)! k!) pi^-k  z^(a-k) zb'^(b-k)
+both            sum_k  C(a,k) b!/(b-k)! pi^-k  z^(a-k) zb'^(b-k)
 left only       [a >= b]  a!/(a-b)! pi^-b  z^(a-b)
 right only      [b >= a]  b!/(b-a)! pi^-a  zb'^(b-a)
 neither         [a == b]  a! pi^-a
@@ -62,17 +62,13 @@ def base_terms(a: int, b: int, left_cross: bool, right_cross: bool) -> Iterator[
         raise ValueError("negative exponent")
     if left_cross and right_cross:
         for k in range(min(a, b) + 1):
-            coef = Fraction(
-                math.factorial(a) * math.factorial(b),
-                math.factorial(a - k) * math.factorial(b - k) * math.factorial(k),
-            )
-            yield (a - k, b - k, coef, k)
+            yield (a - k, b - k, Fraction(math.comb(a, k) * math.perm(b, k)), k)
     elif left_cross:
         if a >= b:
-            yield (a - b, 0, Fraction(math.factorial(a), math.factorial(a - b)), b)
+            yield (a - b, 0, Fraction(math.perm(a, b)), b)
     elif right_cross:
         if b >= a:
-            yield (0, b - a, Fraction(math.factorial(b), math.factorial(b - a)), a)
+            yield (0, b - a, Fraction(math.perm(b, a)), a)
     else:
         if a == b:
             yield (0, 0, Fraction(math.factorial(a)), a)

@@ -19,6 +19,10 @@ from typing import Mapping
 #: this raise ``DegreeOverflowError`` instead of silently growing.
 DEFAULT_DEGREE_CAP = 16
 
+#: The most Gauss-Hermite nodes per axis a rule is built with: numpy tests ``hermgauss``
+#: only up to degree 100, and 100000 nodes would ask for a 75 GiB companion matrix.
+MAX_NODES = 100
+
 # The five basic operator kinds whose leading terms ``operators.toeplitz_leading`` gives.
 TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 
@@ -69,8 +73,8 @@ def _json_number(value, what: str) -> float:
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
         return float(value)
-    except OverflowError:
-        return math.copysign(math.inf, value)
+    except OverflowError:  # an int beyond float range, which copysign could not read either
+        return math.inf if value > 0 else -math.inf
 
 
 def _json_real(value, what: str) -> float:

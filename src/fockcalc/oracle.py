@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .arrays import _as_points
-from .fields import _json_int, _json_list, _json_number
+from .fields import MAX_NODES, _json_int, _json_list, _json_number
 from .poly import Dims, Poly, _collect, _monomials
 from .kernels import KernelExpr, Extension, apply_ladder, apply_model_laplacian
 from .compose import compose
@@ -46,6 +46,8 @@ def gauss_hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights for integral f(x) exp(-x^2) dx, k-point rule (numpy's ``hermgauss``)."""
     if (k := _json_int(k, "k")) < 1:
         raise ValueError("need at least one node")
+    if k > MAX_NODES:
+        raise ValueError(f"need at most {MAX_NODES} nodes, the largest rule numpy tests, got {k}")
     from numpy.polynomial.hermite import hermgauss  # only commands that build a rule pay the import
 
     rule = hermgauss(k)

@@ -59,12 +59,8 @@ class Dims:
             raise ValueError(f"fiber_rank must be >= 1, got {self.fiber_rank}")
 
     @classmethod
-    def of(cls, n: int, m: int | None = None, l: int | None = None, fiber_rank: int = 1) -> "Dims":
-        if m is None:
-            m = n
-        if l is None:
-            l = n
-        return cls(n=n, l=l, m=m, fiber_rank=fiber_rank)
+    def of(cls, n: int, m: int | None = None, *, fiber_rank: int = 1) -> "Dims":
+        return cls(n=n, l=n, m=n if m is None else m, fiber_rank=fiber_rank)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "l": self.l, "m": self.m, "fiber_rank": self.fiber_rank}

@@ -26,6 +26,7 @@ from fockcalc import (
     Symbol,
     unit_expr,
 )
+from fockcalc import checks, operators
 from fockcalc.cli import build_parser, run
 
 PI = math.pi
@@ -207,6 +208,17 @@ def test_oracle_check_custom_budget(tmp_path, capsys):
     assert run(["oracle-check", "--left", lf, "--right", lf, "--nodes", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["grid"]["nodes_per_axis"] == 16
+
+
+def test_oracle_check_nodes_past_the_tested_rule_exit_2_before_numpy(tmp_path, capsys):
+    # --nodes 100000 asked hermgauss for a 75 GiB companion matrix and ended in a traceback
+    lf = kernel_file(tmp_path, "k.json", unit_expr(Bergman(1)))
+    argv = ["oracle-check", "--left", "k.json", "--right", "k.json", "--nodes", "100000"]
+    code = f"import sys\nfrom fockcalc.cli import run\nprint(run({argv!r}), 'numpy' in sys.modules)\n"
+    proc = run_python(code, tmp_path)
+    assert (proc.stdout, proc.stderr) == ("2 False\n", "fockcalc: error: --nodes must be <= 100, got 100000\n")
+    assert run(["oracle-check", "--left", lf, "--right", lf, "--nodes", "100"]) == 0  # the limit itself is a rule
+    assert json.loads(capsys.readouterr().out)["report"]["grid"]["nodes_per_axis"] == 100
 
 
 # -- spectrum ------------------------------------------------------------------------
@@ -441,6 +453,21 @@ def test_defect_check_explicit_chain(capsys):
     assert (trans["n"], trans["l"], trans["m"]) == (2, 1, 0)
 
 
+def test_defect_check_of_one_chain_composes_three_times(monkeypatch, capsys):
+    # the chain's transitivity record and its (n, m) adjoint record; every record up to
+    # n = 8 used to be built (255 compositions) and all but two filtered away
+    calls = []
+    compose = operators.compose
+    monkeypatch.setattr(operators, "compose", lambda *args: calls.append(args) or compose(*args))
+    assert run(["defect-check", "--n", "8", "--l", "4", "--m", "0"]) == 0
+    assert len(calls) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["n"], r.get("l"), r["m"]) for r in out["records"]] == [
+        ("transitivity", 8, 4, 0),
+        ("adjoint_extension", 8, None, 0),
+    ]
+
+
 def test_defect_check_usage_errors():
     assert run(["defect-check", "--n", "2"]) == 2  # partial chain flags
     assert run(["defect-check", "--n", "1", "--l", "2", "--m", "0"]) == 2  # bad ordering
@@ -455,6 +482,17 @@ def test_defect_check_rejects_negative_max_n(capsys):
 
 
 # -- selftest and shared flags -----------------------------------------------------------
+
+
+def test_selftest_counts_a_check_that_raises_as_failed(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("no value")
+
+    monkeypatch.setattr(checks, "selftest_checks", lambda: [("ok", lambda: (True, "fine")), ("broken", broken)])
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS ok: fine\nFAIL broken: raised RuntimeError: no value\nselftest: 1/2 passed\n"
+    )
 
 
 def test_selftest(tmp_path):
@@ -523,6 +561,24 @@ def test_oracle_check_reads_the_degree_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["pass"] is True
     assert run(["oracle-check", "--left", kf, "--right", kf, "--nodes", "12"]) == 2
     assert capsys.readouterr().err == "fockcalc: error: composition term degree 36 exceeds cap 16\n"
+
+
+def test_kernel_exponent_past_int64_is_a_usage_error(tmp_path, capsys):
+    body = {"schema": "kernel/1", **unit_expr(Bergman(1)).to_json_dict()}
+    body["terms"][0]["exps"] = {"z1": 2**63}
+    kf = write_json(tmp_path, "k.json", body)
+    assert run(["compose", "--left", kf, "--right", kf]) == 2
+    assert capsys.readouterr().err == f"fockcalc: error: {kf}: invalid kernel payload: exponent out of range\n"
+
+
+def test_geometry_number_past_float_range_names_its_field(tmp_path, capsys, geom_data):
+    # an int too large for a float used to end in "int too large to convert to float"
+    body = geom_data.to_json_dict()
+    body["samples"][0]["kappa"] = 10**400
+    gf = write_json(tmp_path, "geom.json", body)
+    assert run(["constants", "--geom", gf, "--which", "c0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{gf}: invalid geometry payload: kappa of sample 'p0' must be finite" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

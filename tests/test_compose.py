@@ -65,6 +65,26 @@ def test_base_exact_tangential_goldens():
     ]
 
 
+def test_coupled_and_one_sided_base_terms_form_no_factorial(monkeypatch):
+    # each is a binomial times a falling factorial; only the diagonal's a! is a full factorial
+    factorial = math.factorial
+    quotient = {
+        (True, True): lambda a, b, k: F(factorial(a) * factorial(b), factorial(a - k) * factorial(b - k) * factorial(k)),
+        (True, False): lambda a, b, k: F(factorial(a), factorial(a - b)),
+        (False, True): lambda a, b, k: F(factorial(b), factorial(b - a)),
+    }
+    want = {
+        (a, b, cross): [(dz, dzp, quotient[cross](a, b, p), p) for dz, dzp, _, p in base_terms(a, b, *cross)]
+        for a in range(12) for b in range(12) for cross in quotient
+    }
+
+    def no_factorial(n):
+        raise AssertionError("a factorial was formed")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    assert {(a, b, cross): list(base_terms(a, b, *cross)) for a, b, cross in want} == want
+
+
 def test_base_exact_normal_goldens():
     # neither kernel couples the coordinate
     assert list(base_terms(0, 0, False, False)) == [(0, 0, F(1), 0)]

@@ -385,6 +385,48 @@ def test_a_contraction_whose_factorial_overflows_is_exact():
     assert lambda_eq(Symbol.monomial(1, 0, (171,), (171,))).tolist() == [[want]]
 
 
+@pytest.mark.parametrize("contract", [lambda_eq, lambda_h, lambda_a])
+def test_a_pairing_past_float_range_is_refused_before_its_factorial(monkeypatch, contract):
+    # (10^6)!/pi^(10^6) is past float range by its log-size; forming it took seconds
+    def small(f):
+        def only_small(*args):
+            assert max(args) <= 1000, f"{f.__name__}{args} was formed"
+            return f(*args)
+
+        return only_small
+
+    monkeypatch.setattr(math, "factorial", small(math.factorial))
+    monkeypatch.setattr(math, "perm", small(math.perm))
+    with pytest.raises(ValueError, match=r"^contracting symbol term hol \[1000000\], antihol \[1000000\] overflows a float$"):
+        contract(Symbol.monomial(1, 0, (10**6,), (10**6,)))
+
+
+def test_a_large_pairing_within_float_range_is_still_formed():
+    # 218!/pi^218 alone is past float range, but another coordinate's 1/pi brings the row back
+    want = float(Fraction(math.factorial(218)) / Fraction(math.pi) ** 219)
+    assert lambda_eq(Symbol.monomial(2, 0, (218, 1), (218, 1))).tolist() == [[want]]
+    # the first row that overflows is named, whether or not its pairing is formed
+    g = Symbol.from_terms(1, 0, {((10,), (10,)): 1e308, ((3000,), (3000,)): 1.0})
+    with pytest.raises(ValueError, match=r"hol \[10\], antihol \[10\] overflows a float"):
+        lambda_eq(g)
+
+
+def test_level_sample_and_radius_past_float_range_name_their_field():
+    # an int too large for a float used to raise a bare OverflowError
+    g = Symbol.monomial(1, 0, (1,), (0,))
+    with pytest.raises(ValueError, match="^p must be finite and >= 1, got inf$"):
+        m_op(g, 10**400)
+    with pytest.raises(ValueError, match="^r_perp must be positive and finite, got inf$"):
+        CutoffSpec(10**400)
+    with pytest.raises(ValueError, match=r"^kappa samples must be positive and finite, got \[inf\]$"):
+        c1_c2(g, [10**400])
+
+
+def test_lambda_witness_past_the_tested_rule_is_refused():
+    with pytest.raises(ValueError, match="^need at most 100 nodes"):
+        lambda_eq_quadrature(Symbol.monomial(1, 0, (1,), (1,)), 101)
+
+
 def test_lambda_eq_sum_overflow_is_a_value_error():
     # each of the four w_i wbar_i terms contracts to 1.7e308 / pi, finite; their sum is not
     k = 4
@@ -984,6 +1026,23 @@ def test_flat_defect_checks_needs_a_chain():
     assert [(r.name, r.n, r.m) for r in flat_defect_checks(max_n=0)] == [
         ("transitivity", 0, 0),
         ("adjoint_extension", 0, 0),
+    ]
+
+
+@pytest.mark.parametrize("fiber_rank", [1, 2])
+def test_a_chains_records_are_its_records_in_the_battery(fiber_rank):
+    battery = flat_defect_checks(max_n=4, fiber_rank=fiber_rank)
+    for n, l, m in {(r.n, r.l, r.m) for r in battery if r.l is not None}:
+        kept = [r for r in battery if (r.n, r.m) == (n, m) and r.l in (l, None)]
+        assert operators._defect_records([(n, l, m)], fiber_rank) == kept
+    # a record per chain, then one per distinct (n, m) in first-appearance order
+    names = [(r.name, r.n, r.l, r.m) for r in operators._defect_records([(2, 1, 0), (1, 1, 1), (2, 2, 0)])]
+    assert names == [
+        ("transitivity", 2, 1, 0),
+        ("transitivity", 1, 1, 1),
+        ("transitivity", 2, 2, 0),
+        ("adjoint_extension", 2, None, 0),
+        ("adjoint_extension", 1, None, 1),
     ]
 
 

@@ -70,6 +70,20 @@ def test_gauss_hermite_errors():
         gauss_hermite(0)
 
 
+def test_a_rule_past_the_tested_degree_is_refused():
+    # numpy tests hermgauss up to degree 100; 100000 nodes asked for a 75 GiB companion matrix
+    assert len(gauss_hermite(100)[0]) == 100
+    for build in (lambda: gauss_hermite(101), QuadGrid(101, 1).axis_nodes):
+        with pytest.raises(ValueError, match="^need at most 100 nodes"):
+            build()
+
+
+def test_oracle_compose_reads_an_int_past_float_range_as_inf():
+    e = unit_expr(Bergman(1))
+    with pytest.raises(ValueError, match="^rel_tol must be positive and finite, got inf$"):
+        oracle_compose(e, e, rel_tol=10**400)
+
+
 def test_quad_grid():
     g = QuadGrid(nodes_per_axis=7, n=2)
     xs, ws = g.axis_nodes()

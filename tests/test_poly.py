@@ -1,6 +1,7 @@
 """Polynomial layer: ring structure, the adjoint swap, calculus helpers, JSON."""
 
 import hashlib
+import inspect
 import json
 import math
 
@@ -30,6 +31,15 @@ def test_dims_validation():
     assert (d.n, d.l, d.m, d.fiber_rank) == (3, 3, 3, 1)
     d = Dims.of(3, m=1)
     assert (d.n, d.l, d.m) == (3, 3, 1)
+
+
+def test_dims_of_takes_no_middle_dimension():
+    # l is n for every caller; only the constructor and the loader take an l.  A third
+    # positional argument, once l, is refused rather than read as the fiber rank
+    assert inspect.signature(Dims.of).parameters.keys() == {"n", "m", "fiber_rank"}
+    assert Dims.of(3, 1, fiber_rank=2) == Dims(n=3, l=3, m=1, fiber_rank=2)
+    with pytest.raises(TypeError):
+        Dims.of(3, 1, 2)
 
 
 def test_dims_of_rejects_a_fractional_dimension():
@@ -340,6 +350,17 @@ def test_evaluate_batch_zero_and_shape_errors():
         zero.evaluate_batch(np.ones((3, 2)), 0.0, 0.0, np.ones((2, 2)))
     with pytest.raises(ValueError, match="at least one slot"):
         zero.evaluate_batch(0.0, 0.0, 0.0, 0.0)
+
+
+def test_evaluate_batch_rejects_rows_of_several_widths():
+    # numpy cannot hold the two point arrays even as objects
+    with pytest.raises(ValueError, match=r"^z have shape \(2,\), need \(N, d\)$"):
+        Poly.one(Dims.of(2)).evaluate_batch([np.zeros((2, 2)), np.zeros((2, 3))], 0, 0, 0)
+
+
+def test_scale_by_an_int_past_float_range_is_refused():
+    with pytest.raises(ValueError, match="^scalar must be finite"):
+        Poly.one(Dims.of(1)).scale(10**400)
 
 
 # -- comparison and serialization --------------------------------------------------------------
