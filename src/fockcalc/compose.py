@@ -246,7 +246,8 @@ def _bracket(
     if (scalar == math.inf).any():
         d = E[(scalar == math.inf).argmax()].sum()
         raise ValueError(f"composition term of degree {d} overflows a float")
-    C = scalar[:, None, None] * (left.coefs[i] @ right.coefs[j])[pair]
+    with np.errstate(over="ignore", invalid="ignore"):  # Poly refuses a non-finite coefficient
+        C = scalar[:, None, None] * (left.coefs[i] @ right.coefs[j])[pair]
     return Poly._from_arrays(out_dims, *_collect(E.reshape(len(E), 4 * out_n), C))
 
 

@@ -164,30 +164,7 @@ class Symbol:
         hol, anti, C = self._table()
         return dict(zip(zip(map(tuple, hol.tolist()), map(tuple, anti.tolist())), C))
 
-    def bidegrees(self) -> list[tuple[int, int]]:
-        hol, anti, _ = self._table()
-        return sorted(set(zip(hol.sum(axis=1).tolist(), anti.sum(axis=1).tolist())))
-
-    def degree(self) -> int:
-        return self.poly.degree()
-
-    def parity(self) -> int | None:
-        return self.poly.parity()
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    # -- algebra --------------------------------------------------------------
-
-    def add(self, other: "Symbol") -> "Symbol":
-        return Symbol(self.poly.add(other.poly))
-
-    def scale(self, scalar: complex) -> "Symbol":
-        return Symbol(self.poly.scale(scalar))
-
-    def mul(self, other: "Symbol") -> "Symbol":
-        """Pointwise product (coefficients multiply as matrices, left first)."""
-        return Symbol(self.poly.mul(other.poly))
+    # -- algebra (sums, products and scalings are g.poly's) -------------------
 
     def adjoint(self) -> "Symbol":
         """g*: swap each bidegree (i, j) -> (j, i), conjugate-transpose coefs.
@@ -314,30 +291,32 @@ def lambda_a(g: Symbol) -> Symbol:
 
 def _contract(g: Symbol, left_cross: bool, right_cross: bool) -> tuple[np.ndarray, np.ndarray]:
     """Pair each row of g through compose's one-sided table, coupled to z, to zb' or
-    neither; for the rows whose pairing does not vanish, in order, the exponents
-    ``(T, k)`` it leaves (on w or wbar) and the coefficients times the pairing."""
+    neither, coordinate by coordinate as :func:`_pairing_row` does; for the rows whose
+    pairing does not vanish, in order, the exponents ``(T, k)`` it leaves (on w or wbar)
+    and the coefficients times the pairing, its exact integer divided once by pi**p."""
     hol, anti, C = g._table()
-    span = int(anti.max(initial=0)) + 1
-    keys = hol * span + anti
-    if span > 218 and (lo := np.minimum(hol, anti)).max() >= 218:  # lo!/pi^lo overflows from lo = 218 on
-        # a live row past float range by its pairing's bound prod lo!/pi^lo is paired as 1 times inf
-        bound = np.array([sum(math.lgamma(x + 1) - x * math.log(PI) for x in row) for row in lo.tolist()])
-        past = (bound > 710) & ((left_cross | (hol <= anti)) & (right_cross | (anti <= hol))).all(axis=1)
-        keys[past], C = 0, np.where(past[:, None, None], np.inf, C)
-    distinct = sorted(set(keys.ravel().tolist()))  # each (a, b) in the symbol is looked up once
-    table = [_one_sided(key // span, key % span, left_cross, right_cross) or (0, 0, 0, -1) for key in distinct]
-    steps = np.array([(dz + dzp, p) for dz, dzp, _, p in table], dtype=np.int64).reshape(-1, 2)  # p = -1: vanishes
-    at = np.searchsorted(distinct, keys)
-    keep = (steps[at, 1] >= 0).all(axis=1)
-    at = at[keep]
-    powers = steps[at, 1].sum(axis=1).tolist()
-    weights = [_over_pi(math.prod(table[j][2] for j in row), p) for row, p in zip(at.tolist(), powers)]
+    kept, steps, weights = [], [], []
+    for t, (h, a) in enumerate(zip(hol.tolist(), anti.tolist())):
+        if not all((left_cross or x <= y) and (right_cross or y <= x) for x, y in zip(h, a)):
+            continue
+        lo = list(map(min, h, a))
+        # a row past float range by the bound prod lo!/pi^lo on its pairing (which overflows
+        # from lo = 218 on) is paired as inf, and so refused below, without forming a factorial
+        if max(lo, default=0) >= 218 and sum(math.lgamma(x + 1) - x * math.log(PI) for x in lo) > 710:
+            step, weight = lo, math.inf
+        else:
+            pairs = [_one_sided(x, y, left_cross, right_cross) for x, y in zip(h, a)]
+            step = [dz + dzp for dz, dzp, _, _ in pairs]
+            weight = _over_pi(math.prod(c for _, _, c, _ in pairs), sum(p for *_, p in pairs))
+        kept.append(t)
+        steps.append(step)
+        weights.append(weight)
     with np.errstate(over="ignore", invalid="ignore"):
-        C = C[keep] * np.reshape(weights, (-1, 1, 1))
+        C = C[kept] * np.reshape(weights, (-1, 1, 1))
     if (bad := ~np.isfinite(C).all(axis=(1, 2))).any():
-        h, a = (x[keep][bad][0].tolist() for x in (hol, anti))
+        h, a = (x[kept][bad][0].tolist() for x in (hol, anti))
         raise ValueError(f"contracting symbol term hol {h}, antihol {a} overflows a float")
-    return steps[at, 0], C
+    return np.array(steps, dtype=np.int64).reshape(len(kept), g.k), C
 
 
 def _witness(g: Symbol, nodes: int, point=None, what: str = "", side: int = 0) -> np.ndarray:
@@ -505,7 +484,7 @@ def h_gp(g: Symbol, p: float = 1.0, cutoff: CutoffSpec | None = None) -> HgpResu
 
 def _product(a: Symbol, b: Symbol) -> Symbol:
     """a b, capped at its own degree: fibre integrals take any valid symbol."""
-    return Symbol(a.poly.mul(b.poly, degree_cap=a.degree() + b.degree()))
+    return Symbol(a.poly.mul(b.poly, degree_cap=a.poly.degree() + b.poly.degree()))
 
 
 # -- norm constants -------------------------------------------------------------
@@ -637,8 +616,8 @@ def _effective_kind(kind: str, g: Symbol) -> str:
     to its sibling of g's parity; a mixed-parity symbol is rejected."""
     if kind not in TOEPLITZ_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {TOEPLITZ_KINDS}")
-    parity = g.parity()
-    if parity is None and not g.is_zero():
+    parity = g.poly.parity()
+    if parity is None and not g.poly.is_zero():
         raise ValueError("symbol has mixed parity; split it into even and odd parts")
     if kind == "YY" or parity is None:
         return kind

@@ -181,7 +181,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, dims: Dims, powers: Mapping[str, int], coef=1.0) -> "Poly":
-        return cls(dims, {tuple(_exponent_row(dims, powers)): coef})
+        E = _exponent_rows([_exponent_row(dims, powers)], 4 * dims.n)
+        return cls._from_arrays(dims, E, _as_coef(coef, dims.fiber_rank)[None])
 
     # -- structure ----------------------------------------------------------
 
@@ -214,7 +215,8 @@ class Poly:
         return Poly._from_arrays(self.dims, *_collect(E, np.concatenate([self.coefs, other.coefs])))
 
     def scale(self, scalar: complex) -> "Poly":
-        return Poly._from_arrays(self.dims, self.exps, self.coefs * _json_complex(scalar, "scalar"))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+            return Poly._from_arrays(self.dims, self.exps, self.coefs * _json_complex(scalar, "scalar"))
 
     def mul(self, other: "Poly", degree_cap: int = DEFAULT_DEGREE_CAP) -> "Poly":
         """Product; terms accumulate in term-pair order (self outer, other inner)."""
@@ -226,7 +228,8 @@ class Poly:
         if (over := degree > degree_cap).any():
             d = degree[over.argmax()]
             raise DegreeOverflowError(f"product term degree {d} exceeds cap {degree_cap}")
-        C = (self.coefs[:, None] @ other.coefs[None]).reshape(count, r, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = (self.coefs[:, None] @ other.coefs[None]).reshape(count, r, r)
         return Poly._from_arrays(self.dims, *_collect(E, C))
 
     def conjugate_swap(self) -> "Poly":
@@ -400,6 +403,7 @@ def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = order[new]
     acc = C[first]
     dup = ~new
-    np.add.at(acc, new.cumsum()[dup] - 1, C[order[dup]])  # unbuffered, so in row order
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past float range reads inf
+        np.add.at(acc, new.cumsum()[dup] - 1, C[order[dup]])  # unbuffered, so in row order
     rank = first.argsort()
     return E[first[rank]], acc[rank]

@@ -185,6 +185,11 @@ def random_symbol(
     return Symbol.from_terms(n, m, terms, fiber_rank)
 
 
+def bidegrees(g: Symbol) -> list[tuple[int, int]]:
+    """The sorted distinct (|hol|, |antihol|) of g's terms."""
+    return sorted({(sum(hol), sum(anti)) for hol, anti in g.terms()})
+
+
 def linear_symbol(mats: np.ndarray, m: int) -> tuple[Symbol, float, float]:
     """g_M = sum_d M_d wbar_d on C^(m + D) over C^m for the D matrices ``mats``, and the
     ends of c0's bracket over sqrt(pi): a / sqrt(pi) and b / sqrt(pi), with

@@ -47,7 +47,7 @@ from fockcalc import (
 )
 from fockcalc.oracle import _palette_points
 
-from conftest import linear_symbol, random_kernel_expr, supported_kind_pairs
+from conftest import bidegrees, linear_symbol, random_kernel_expr, supported_kind_pairs
 
 PI = math.pi
 
@@ -273,7 +273,7 @@ def test_criterion_08_leading_term_table():
         Zp = np.array([zp for _, zp in pts]).reshape(len(pts), predicted.kind.dp)
         dev = float(np.max(np.abs(predicted.evaluate_batch(Z, Zp) - vals)))
         worst = max(worst, dev)
-        assert dev <= 1e-8, f"{family} {g.bidegrees()}: {dev:.2e}"
+        assert dev <= 1e-8, f"{family} {bidegrees(g)}: {dev:.2e}"
         entries_seen.update(entries)
         if zero_order_entry is not None:
             assert _constant_coef_norm(predicted) == 0.0

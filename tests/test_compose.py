@@ -449,6 +449,19 @@ def test_a_pairing_whose_factorial_overflows_is_exact():
     assert {e: c.tolist() for e, c in out.numerator.terms.items()} == {(0, 0, 0, 0): [[want]]}
 
 
+def test_a_coefficient_past_float_range_is_refused_without_a_warning():
+    # the coefficients' product, and then the pairing times it, overflow; numpy's overflow
+    # warning (an error under this suite's filter) used to come first
+    dims = Dims.of(1)
+    huge = KernelExpr(Poly.constant(dims, 1e200), Bergman(1))
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        compose(huge, huge)
+    left = KernelExpr(Poly.monomial(dims, {"zb'1": 171}, 1e300), Bergman(1))
+    right = KernelExpr(Poly.monomial(dims, {"z1": 171}), OrthBergman(1, 0))
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        compose(left, right, degree_cap=400)
+
+
 def test_a_quotient_past_float_range_on_bit_lengths_is_not_formed(monkeypatch):
     # on either side of the top of float range the quotient is the exact one rounded once
     for p in (0, 1, 100, 700, 2000):
