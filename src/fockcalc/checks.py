@@ -48,7 +48,7 @@ def selftest_checks():
         return ok, f"tangential={got_t} normal={got_n}"
 
     def compose_oracle():
-        dims = Dims(n=2, l=2, m=1)
+        dims = Dims.of(2, 1)
         a = KernelExpr(
             Poly.monomial(dims, {"z1": 1, "zb'1": 1}, 0.5).add(Poly.one(dims)),
             Bergman(2),

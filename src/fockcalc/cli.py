@@ -229,9 +229,13 @@ def _cmd_constants(args, numeric: ExitStack) -> int:
     geom = _load(args.geom, GEOM_SCHEMA)
     which = args.which
     table = which in ("c0", "c3c4")  # argparse allows no other --which than these and dp3, tower
+    if args.direction is not None and table:
+        raise ValueError("--direction only applies to direction contractions (dp3, tower)")
     direction = None if table else _parse_direction(args.direction)
     if args.csv is not None and not table:
         raise ValueError("--csv only applies to constant tables (c0, c3c4)")
+    if args.sample is not None and which != "dp3":
+        raise ValueError("--sample only applies to dp3")
     _numeric(numeric)
     from .arrays import _coef_to_json
     from .geometry import GeometryData, c0, c3_c4, dp3, tower_dp3
@@ -267,17 +271,20 @@ def _cmd_constants(args, numeric: ExitStack) -> int:
 
 
 def _cmd_defect_check(args, numeric: ExitStack) -> int:
-    if args.max_n < 0:
-        raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
+    max_n = 4 if args.max_n is None else args.max_n
+    if max_n < 0:
+        raise ValueError(f"--max-n must be >= 0, got {max_n}")
     explicit = [v is not None for v in (args.n, args.l, args.m)]
     if any(explicit) and not all(explicit):
         raise ValueError("--n, --l, --m must be given together")
     if all(explicit) and not (0 <= args.m <= args.l <= args.n):
         raise ValueError(f"need 0 <= m <= l <= n, got n={args.n} l={args.l} m={args.m}")
+    if all(explicit) and args.max_n is not None:
+        raise ValueError("--max-n only applies without a chain (--n, --l, --m)")
     _numeric(numeric)
     from .operators import _defect_records, flat_defect_checks
 
-    records = _defect_records([(args.n, args.l, args.m)]) if all(explicit) else flat_defect_checks(args.max_n)
+    records = _defect_records([(args.n, args.l, args.m)]) if all(explicit) else flat_defect_checks(max_n)
     worst = max((rec.deviation for rec in records), default=0.0)
     passed = worst <= args.tol
     _emit_json(
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--max-n", dest="max_n", type=int, default=4)
+    p.add_argument("--max-n", dest="max_n", type=int, default=None)
     add_common(p, "tol", tol_default=1e-12)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")

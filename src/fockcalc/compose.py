@@ -283,6 +283,6 @@ def compose(e1: KernelExpr, e2: KernelExpr, degree_cap: int = DEFAULT_DEGREE_CAP
     result_kind = _result_kind(k1, k2)
     if e1.dims.fiber_rank != e2.dims.fiber_rank:
         raise ValueError("fiber rank mismatch")
-    out_dims = Dims(n=result_kind.n, l=result_kind.n, m=result_kind.m, fiber_rank=e1.dims.fiber_rank)
+    out_dims = Dims.of(result_kind.n, result_kind.m, fiber_rank=e1.dims.fiber_rank)
     num = _bracket(e1.numerator, e2.numerator, k1.dp, k1.c, k2.c, out_dims, _json_int(degree_cap, "degree_cap"))
     return KernelExpr._of(num, result_kind)  # each side's outer variables stay in its slot

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,12 +84,6 @@ class GeometrySample:
     def lam(self, which: str, r: int) -> np.ndarray:
         return _field_matrix(self, f"lambda_RF_{which}", r)
 
-    def direction(self, dir_id: str) -> NormalDirection:
-        for d in self.normal_dirs:
-            if d.id == dir_id:
-                return d
-        raise ValueError(f"direction {dir_id!r} is not tabulated in sample {self.id!r}")
-
 
 @dataclass(frozen=True)
 class GeometryData:
@@ -136,11 +131,11 @@ class GeometryData:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "GeometryData":
+        d = _json_object(d, "geometry", ("schema", "dims", "fiber_rank", "samples"))
         if d.get("schema") != GEOM_SCHEMA:
             raise ValueError(
                 f"unsupported geometry schema {d.get('schema')!r}; expected {GEOM_SCHEMA!r}"
             )
-        d = _json_object(d, "geometry", ("schema", "dims", "fiber_rank", "samples"))
         r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
         samples = []
         for rec in _json_list(d["samples"], "samples", "sample objects"):
@@ -265,37 +260,30 @@ def c0(data: GeometryData, seed: int = 0) -> ConstantResult:
     """(1/sqrt(pi)) * sup over samples of the induced tensor norm of the
     direction-indexed family (1/8pi) d_scal * Id - (1/2pi i) nabla_lambda."""
     r, seed = data.fiber_rank, _json_int(seed, "seed")
-    best_val, best_id = -1.0, ""
+    rows = []
     for s in data.samples:
         mats = [_direction_matrix(d, r) for d in s.normal_dirs if d.level == "WY"]
         if not mats:
             raise ValueError(f"sample {s.id!r} has no N^(W|Y) direction data")
         try:
-            val = _tensor_norm(mats, r, seed)
+            rows.append((_tensor_norm(mats, r, seed), s.id))
         except ValueError as e:
             raise ValueError(f"sample {s.id!r}: {e}") from None
-        if val > best_val:
-            best_val, best_id = val, s.id
-    return ConstantResult(value=best_val / math.sqrt(PI), sample_id=best_id)
+    value, sample_id = max(rows, key=itemgetter(0))  # the first of equal values
+    return ConstantResult(value=value / math.sqrt(PI), sample_id=sample_id)
 
 
 def c3_c4(data: GeometryData) -> tuple[ConstantResult, ConstantResult]:
     """(C3, C4): C3 = -(1/2) inf(s - lambda_max(H)), C4 = (1/2) sup(s - lambda_min(H)),
     with s = (scal_X - scal_Y)/8pi and H = (lambda_RF_X - lambda_RF_Y)/(2 pi i)."""
-    r = data.fiber_rank
-    inf_val, inf_id = math.inf, ""
-    sup_val, sup_id = -math.inf, ""
+    r, rows = data.fiber_rank, []
     for s in data.samples:
         sv = (s.scal_X - s.scal_Y) / (8.0 * PI)
-        H = (s.lam("X", r) - s.lam("Y", r)) / (2j * PI)
-        eigs = hermitian_eigs(H)
-        t3 = sv - float(eigs[-1])
-        t4 = sv - float(eigs[0])
-        if t3 < inf_val:
-            inf_val, inf_id = t3, s.id
-        if t4 > sup_val:
-            sup_val, sup_id = t4, s.id
-    return ConstantResult(-0.5 * inf_val, inf_id), ConstantResult(0.5 * sup_val, sup_id)
+        eigs = hermitian_eigs((s.lam("X", r) - s.lam("Y", r)) / (2j * PI))
+        rows.append((sv - float(eigs[-1]), sv - float(eigs[0]), s.id))
+    t3, _, c3_id = min(rows, key=itemgetter(0))  # the first of equal values, as in c0
+    _, t4, c4_id = max(rows, key=itemgetter(1))
+    return ConstantResult(-0.5 * t3, c3_id), ConstantResult(0.5 * t4, c4_id)
 
 
 def dp3(
@@ -317,13 +305,14 @@ def dp3(
     )
     if sample is None:
         raise ValueError(f"unknown sample id {sample_id!r}")
+    tabulated = {d.id: d for d in sample.normal_dirs}
     acc = np.zeros((r, r), dtype=complex)
     for dir_id, coef in _json_object(direction, "direction").items():
-        d = sample.direction(str(dir_id))
+        if (d := tabulated.get(str(dir_id))) is None:
+            raise ValueError(f"direction {str(dir_id)!r} is not tabulated in sample {sample.id!r}")
         coef = _json_complex(coef, f"direction coefficient {dir_id!r}")
-        if d.level == "XW":
-            continue
-        acc = acc + coef * _direction_matrix(d, r)
+        if d.level == "WY":
+            acc = acc + coef * _direction_matrix(d, r)
     return acc
 
 

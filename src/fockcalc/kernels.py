@@ -200,8 +200,8 @@ class KernelExpr:
     def to_json_dict(self) -> dict:
         """The ``kernel/1`` payload; its dims are the kind's, which the reader takes the kind from."""
         kind, d = self.kind, self.numerator.to_json_dict()
-        dims = {"n": kind.n, "l": kind.n, "m": kind.m, "fiber_rank": self.dims.fiber_rank}
-        return {"dims": dims, "kind": kind_name(kind), "terms": d["terms"]}
+        dims = Dims.of(kind.n, kind.m, fiber_rank=self.dims.fiber_rank)
+        return {"dims": dims.to_json_dict(), "kind": kind_name(kind), "terms": d["terms"]}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "KernelExpr":
@@ -214,8 +214,7 @@ class KernelExpr:
 
 
 def unit_expr(kind: KernelKind, fiber_rank: int = 1) -> KernelExpr:
-    dims = Dims(n=kind.n, l=kind.n, m=kind.m, fiber_rank=fiber_rank)
-    return KernelExpr(Poly.one(dims), kind)
+    return KernelExpr(Poly.one(Dims.of(kind.n, kind.m, fiber_rank=fiber_rank)), kind)
 
 
 # -- ladder operators --------------------------------------------------------
@@ -250,12 +249,13 @@ def _ladder_rows(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool)
     ``(T, r, r)``: the image rows, uncollected, the derivative's first and then each product's."""
     (o, factor), products = op
     keep = E[:, col := _var_offset(j, o)] > 0
-    rows, coefs = [E[keep]], [C[keep] * E[keep, col, None, None] * complex(factor)]
-    rows[0][:, col] -= 1
-    for o, factor in products[: None if crossed else 1]:
-        rows.append(E.copy())
-        rows[-1][:, _var_offset(j, o)] += 1
-        coefs.append(C * complex(factor))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+        rows, coefs = [E[keep]], [C[keep] * E[keep, col, None, None] * complex(factor)]
+        rows[0][:, col] -= 1
+        for o, factor in products[: None if crossed else 1]:
+            rows.append(E.copy())
+            rows[-1][:, _var_offset(j, o)] += 1
+            coefs.append(C * complex(factor))
     return np.concatenate(rows), np.concatenate(coefs)
 
 

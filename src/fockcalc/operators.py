@@ -185,7 +185,8 @@ class Symbol:
         shape = "{what} normal point must have length {d}"
         zh = _as_points(hol, self.k, "hol", wrong_shape=shape)
         za = _as_points(anti, self.k, "anti", len(zh), shape)
-        return self.poly._values((zh, za, None, None), self.m)  # after the m tangential ones
+        pad = np.zeros((len(zh), self.m), dtype=complex)  # the m tangential coordinates read 0
+        return self.poly._values((np.concatenate([pad, zh], 1), np.concatenate([pad, za], 1), None, None))
 
     # -- kernel embeddings ----------------------------------------------------
 
@@ -656,8 +657,7 @@ def toeplitz_predicted_kernel(family: str, g: Symbol) -> KernelExpr:
     """lambda-contraction of g attached to the kernel the table names."""
     n, m, r = g.n, g.m, g.fiber_rank
     if family == "YY":
-        dims = Dims(n=m, l=m, m=m, fiber_rank=r)
-        return KernelExpr(Poly.constant(dims, lambda_eq(g)), Bergman(m))
+        return KernelExpr(Poly.constant(Dims.of(m, m, fiber_rank=r), lambda_eq(g)), Bergman(m))
     if family == "XY":
         return KernelExpr(lambda_h(g).to_poly("unprimed"), Extension(n, m))
     if family == "YX":

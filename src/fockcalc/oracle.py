@@ -292,7 +292,7 @@ def _ladder_state(alpha: tuple[int, ...], beta: tuple[int, ...]) -> KernelExpr:
     n = len(alpha)
     E = np.zeros((1, 4 * n), dtype=np.int64)
     E[0, ::4] = beta  # z_j is column 4 (j - 1): the start z^beta fits Extension(n, 0)
-    state = KernelExpr._of(Poly._from_arrays(Dims(n=n, l=n, m=0), E, np.ones((1, 1, 1), complex)), Extension(n, 0))
+    state = KernelExpr._of(Poly._from_arrays(Dims.of(n, 0), E, np.ones((1, 1, 1), complex)), Extension(n, 0))
     for j, a in enumerate(alpha, 1):
         for _ in range(a):
             state = apply_ladder(state, j, "creation")

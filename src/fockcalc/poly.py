@@ -40,8 +40,8 @@ class DegreeOverflowError(ValueError):
 class Dims:
     """Ambient dimensions: C^m inside C^l inside C^n, fiber rank r >= 1.
 
-    ``l`` only matters for two-step extension chains; everything else reads
-    ``n`` and ``m``.
+    ``l`` is carried for the JSON formats and nothing reads it; the calculus
+    reads ``n``, ``m`` and ``fiber_rank``.
     """
 
     n: int
@@ -68,13 +68,8 @@ class Dims:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Dims":
         d = _json_object(d, "dims", ("n", "l", "m", "fiber_rank"))
-        n = _json_int(d["n"], "dims n")
-        return cls(
-            n=n,
-            l=_json_int(d.get("l", n), "dims l"),
-            m=_json_int(d.get("m", n), "dims m"),
-            fiber_rank=_json_int(d.get("fiber_rank", 1), "dims fiber_rank"),
-        )
+        n = d["n"]
+        return cls(n=n, l=d.get("l", n), m=d.get("m", n), fiber_rank=d.get("fiber_rank", 1))
 
 
 def _var_offset(index: int, o: int) -> int:
@@ -281,11 +276,11 @@ class Poly:
             raise ValueError("need an array of points in at least one slot")
         return self._values(slots)
 
-    def _values(self, slots, start: int = 0) -> np.ndarray:
+    def _values(self, slots) -> np.ndarray:
         """:meth:`evaluate_batch` at slots already read, as :func:`_monomials` reads them."""
         E, C = self.table
         r = self.dims.fiber_rank
-        M = _monomials(slots, E, start)
+        M = _monomials(slots, E)
         return (M @ C.reshape(-1, r * r)).reshape(len(M), r, r)
 
     # -- comparison ---------------------------------------------------------
@@ -324,15 +319,15 @@ class Poly:
         return cls._from_arrays(dims, *_collect(_exponent_rows(rows, 4 * dims.n), C))
 
 
-def _monomials(slots, E: np.ndarray, start: int = 0) -> np.ndarray:
+def _monomials(slots, E: np.ndarray) -> np.ndarray:
     """The ``(N, T)`` table of the monomials ``E`` ``(T, 4n)`` at N points given
     by four slots, one per offset ``o`` (``z``, ``zb``, ``z'``, ``zb'``).
 
     For each nonzero exponent column ``j = 4i + o``, in ascending order, the
-    table is multiplied by slot ``o``'s coordinate ``i - start`` to the power
-    ``E[:, j]``.  An ``(N, d)`` array slot covers coordinates ``start`` to
-    ``start + d - 1`` and reads 0 outside them, a number fills every coordinate,
-    and ``None`` adds no factor.  One slot at least is an array.
+    table is multiplied by slot ``o``'s coordinate ``i`` to the power
+    ``E[:, j]``.  An ``(N, d)`` array slot covers the first ``d`` coordinates
+    and reads 0 beyond them, a number fills every coordinate, and ``None``
+    adds no factor.  One slot at least is an array.
     """
     count = next(len(v) for v in slots if type(v) is np.ndarray)
     out = np.ones((count, len(E)), dtype=complex)
@@ -341,7 +336,7 @@ def _monomials(slots, E: np.ndarray, start: int = 0) -> np.ndarray:
         if (v := slots[o]) is None:
             continue
         if type(v) is np.ndarray:
-            v = v[:, i - start, None] if 0 <= i - start < v.shape[1] else 0j
+            v = v[:, i, None] if i < v.shape[1] else 0j
         out *= v ** E[:, j]
     return out
 

@@ -446,6 +446,13 @@ def test_defect_check_default(tmp_path, capsys):
     assert len(out["records"]) == 30
 
 
+def test_defect_check_reads_max_n_4_by_default(capsys):
+    assert run(["defect-check", "--max-n", "4"]) == 0
+    want = capsys.readouterr().out
+    assert run(["defect-check"]) == 0
+    assert capsys.readouterr().out == want and len(json.loads(want)["records"]) == 50
+
+
 def test_defect_check_explicit_chain(capsys):
     assert run(["defect-check", "--n", "2", "--l", "1", "--m", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -814,6 +821,23 @@ READ_STAGE_ERRORS = {
     "dp3-direction": (
         ["constants", "--geom", "geom.json", "--which", "dp3", "--direction", '{"d1": ["a", 1]}'],
         "--direction value for 'd1'",
+        False,
+    ),
+    # flags the command would ignore
+    "c0-direction": (
+        ["constants", "--geom", "geom.json", "--which", "c0", "--direction", '{"d1": 1.0}'],
+        "--direction only applies to direction contractions (dp3, tower)",
+        False,
+    ),
+    "c3c4-sample": (["constants", "--geom", "geom.json", "--which", "c3c4", "--sample", "p0"], "--sample only applies to dp3", False),
+    "tower-sample": (
+        ["constants", "--geom", "geom.json", "--which", "tower", "--direction", '{"d1": 1.0}', "--sample", "p0"],
+        "--sample only applies to dp3",
+        False,
+    ),
+    "chain-max-n": (
+        ["defect-check", "--n", "2", "--l", "1", "--m", "0", "--max-n", "3"],
+        "--max-n only applies without a chain (--n, --l, --m)",
         False,
     ),
     # these need numbers to find the error

@@ -142,6 +142,12 @@ def test_json_validation():
         GeometryData.from_json_dict({**base, "samples": [rec]})
 
 
+def test_json_non_object_is_refused_by_name():
+    # the payload is read as an object before its schema (a list used to raise AttributeError)
+    with pytest.raises(ValueError, match="^geometry must be a JSON object, got list$"):
+        GeometryData.from_json_dict([1, 2])
+
+
 # -- eigensolver ---------------------------------------------------------------------
 
 
@@ -404,6 +410,19 @@ def test_c3_c4_monotone_and_stable():
     assert all(b.value >= s.value - 1e-15 for b, s in zip(big, small))
     assert [b.sample_id for b in big] == ["b", "a"]
     assert c3_c4(data_with([s2, s1])) == big
+
+
+def test_c0_and_c3_c4_name_the_first_of_tied_samples():
+    # equal samples under other ids: each constant names the first that attains it
+    dirs = (wy("e1", d_scal=8.0 * PI), wy("e2", d_scal=-8.0 * PI))
+    b, a, c = (GeometrySample(id=sid, scal_X=8.0 * PI, normal_dirs=dirs) for sid in "bac")
+    low = GeometrySample(id="z", normal_dirs=(wy("e1"),))  # below the tie in C0, C3's term and C4's
+    high = GeometrySample(id="y", scal_X=16.0 * PI, normal_dirs=(wy("e1"),))  # above it in both terms
+    cases = [([b, a, c], "b", "b", "b"), ([low, b, a], "b", "z", "b"), ([high, c, b], "c", "c", "y")]
+    for samples, c0_id, c3_id, c4_id in cases:
+        data = data_with(samples)
+        c3, c4 = c3_c4(data)
+        assert (c0(data).sample_id, c3.sample_id, c4.sample_id) == (c0_id, c3_id, c4_id)
 
 
 # -- dp3 and the tower ----------------------------------------------------------------

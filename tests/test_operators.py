@@ -145,6 +145,20 @@ def test_evaluate_split_matches_term_sum(n, data):
         assert np.max(np.abs(g.evaluate_split(zh, za) - want)) <= 1e-12 * (1.0 + scale)
 
 
+@given(st.integers(1, 3), st.data())
+def test_symbol_evaluate_batch_is_its_poly_at_zero_padded_points(n, data):
+    # a symbol's points fill its normal coordinates; its m tangential ones read 0
+    m = data.draw(st.integers(1, n))
+    rank = data.draw(st.sampled_from([1, 2]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    g = random_symbol(np.random.default_rng(seed), n, m, rank, max_deg=3 if m < n else 0)
+    count = data.draw(st.sampled_from([0, 1, 7]))
+    hol, anti = data.draw(complex_rows(count, n - m)), data.draw(complex_rows(count, n - m))
+    pad = np.zeros((count, m))
+    want = g.poly.evaluate_batch(np.hstack([pad, hol]), np.hstack([pad, anti]), 0.0, 0.0)
+    assert g.evaluate_batch(hol, anti).tobytes() == want.tobytes()
+
+
 def test_symbol_to_poly_slots():
     g = Symbol.monomial(2, 1, (1,), (2,))
     unprimed = g.to_poly("unprimed")

@@ -61,6 +61,13 @@ def test_dims_json_round_trip():
         Dims.from_json_dict({"n": 1, "bogus": 2})
 
 
+@pytest.mark.parametrize("field", ["l", "m", "fiber_rank"])
+def test_dims_loader_names_each_field(field):
+    # the loader hands its fields to the constructor, which reads and names them
+    with pytest.raises(ValueError, match=f"^dims {field} must be an integer, got 1.5$"):
+        Dims.from_json_dict({"n": 2, "l": 2, "m": 1, field: 1.5})
+
+
 # -- variable naming ----------------------------------------------------------------
 
 
