@@ -103,9 +103,7 @@ def _load(path: str, schema: str):
 
 def _matrix_rows(body: dict) -> list:
     """The rows of a matrix/1 payload."""
-    body = _json_object(body, "matrix", ("matrix",))
-    if "matrix" not in body:
-        raise ValueError("missing 'matrix' field")
+    body = _json_object(body, "matrix", ("matrix",), ("matrix",))
     return _json_list(body["matrix"], "'matrix'", "rows")
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .fields import DEFAULT_DEGREE_CAP, _json_int
-from .poly import DegreeOverflowError, Dims, Poly, _collect
+from .poly import DegreeOverflowError, Dims, Poly, _block_products, _collect
 from .kernels import KernelExpr, KernelKind, _named
 
 __all__ = list(_EXPORTS["compose"])
@@ -247,7 +247,7 @@ def _bracket(
         d = E[(scalar == math.inf).argmax()].sum()
         raise ValueError(f"composition term of degree {d} overflows a float")
     with np.errstate(over="ignore", invalid="ignore"):  # Poly refuses a non-finite coefficient
-        C = scalar[:, None, None] * (left.coefs[i] @ right.coefs[j])[pair]
+        C = scalar[:, None, None] * _block_products(left.coefs[i], right.coefs[j])[pair]
     return Poly._from_arrays(out_dims, *_collect(E.reshape(len(E), 4 * out_n), C))
 
 

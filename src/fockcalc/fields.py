@@ -30,12 +30,16 @@ TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 GEOM_SCHEMA = "geom/1"
 
 
-def _json_object(value, what: str, keys=None) -> Mapping:
-    """A JSON object; given ``keys``, one with no key outside them."""
+def _json_object(value, what: str, keys=None, required=()) -> Mapping:
+    """A JSON object; given ``keys``, one with no key outside them, and with
+    every key of ``required``."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     if keys is not None and (extra := set(value) - set(keys)):
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"missing {key!r} field in {what}")
     return value
 
 

@@ -205,7 +205,7 @@ class KernelExpr:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "KernelExpr":
-        d = _json_object(d, "kernel expr", ("dims", "kind", "terms"))
+        d = _json_object(d, "kernel expr", ("dims", "kind", "terms"), ("dims", "kind", "terms"))
         num = Poly.from_json_dict({"dims": d["dims"], "terms": d["terms"]})
         name = d["kind"]
         if not isinstance(name, str) or name not in _FROM_JSON:
@@ -246,16 +246,16 @@ def _slot_dim(kind: KernelKind, slot: str) -> int:
 
 def _ladder_rows(E: np.ndarray, C: np.ndarray, j: int, op: tuple, crossed: bool) -> tuple[np.ndarray, np.ndarray]:
     """A ``_LADDER`` operator on coordinate j of exponent rows ``(T, 4n)`` and coefficients
-    ``(T, r, r)``: the image rows, uncollected, the derivative's first and then each product's."""
+    ``(T, r, r)``: the image rows, uncollected, the derivative's first and then each product's.
+    Its callers run it under one ``np.errstate`` guard each."""
     (o, factor), products = op
     keep = E[:, col := _var_offset(j, o)] > 0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
-        rows, coefs = [E[keep]], [C[keep] * E[keep, col, None, None] * complex(factor)]
-        rows[0][:, col] -= 1
-        for o, factor in products[: None if crossed else 1]:
-            rows.append(E.copy())
-            rows[-1][:, _var_offset(j, o)] += 1
-            coefs.append(C * complex(factor))
+    rows, coefs = [E[keep]], [C[keep] * E[keep, col, None, None] * complex(factor)]
+    rows[0][:, col] -= 1
+    for o, factor in products[: None if crossed else 1]:
+        rows.append(E.copy())
+        rows[-1][:, _var_offset(j, o)] += 1
+        coefs.append(C * complex(factor))
     return np.concatenate(rows), np.concatenate(coefs)
 
 
@@ -269,7 +269,8 @@ def apply_ladder(e: KernelExpr, j: int, which: str, slot: str = "unprimed") -> K
     if not 1 <= j <= dim:
         raise ValueError(f"coordinate {j} outside {slot} slot of dimension {dim}")
     P = e.numerator
-    E, C = _collect(*_ladder_rows(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+        E, C = _collect(*_ladder_rows(P.exps, P.coefs, j, _LADDER[slot, which], j <= e.kind.c))
     return KernelExpr._of(Poly._from_arrays(P.dims, E, C), e.kind)
 
 
@@ -277,8 +278,9 @@ def apply_model_laplacian(e: KernelExpr, slot: str = "unprimed") -> KernelExpr:
     """Sum over coordinates of creation after annihilation in the slot; each coordinate is collected first."""
     P = e.numerator
     parts = [(P.exps[:0], P.coefs[:0])]
-    for j in range(1, _slot_dim(e.kind, slot) + 1):
-        E, C = _ladder_rows(P.exps, P.coefs, j, _LADDER[slot, "annihilation"], False)
-        parts.append(_collect(*_ladder_rows(E, C, j, _LADDER[slot, "creation"], j <= e.kind.c)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+        for j in range(1, _slot_dim(e.kind, slot) + 1):
+            E, C = _ladder_rows(P.exps, P.coefs, j, _LADDER[slot, "annihilation"], False)
+            parts.append(_collect(*_ladder_rows(E, C, j, _LADDER[slot, "creation"], j <= e.kind.c)))
     E, C = map(np.concatenate, zip(*parts))
     return KernelExpr(Poly._from_arrays(P.dims, *_collect(E, C)), e.kind)

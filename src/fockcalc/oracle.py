@@ -25,7 +25,7 @@ import numpy as np
 from . import _EXPORTS
 from .arrays import _as_points
 from .fields import MAX_NODES, _json_int, _json_list, _json_number
-from .poly import Dims, Poly, _collect, _monomials
+from .poly import Dims, Poly, _block_products, _collect, _monomials
 from .kernels import KernelExpr, Extension, apply_ladder, apply_model_laplacian
 from .compose import compose
 
@@ -241,7 +241,7 @@ def oracle_compose_values(
     moments = np.einsum("km,kmp,kmp->pk", c, mu[0][coord], mu_y)
 
     factor = factor * np.prod(moments[:, (np.cumsum(seen) - 1)[packed]], axis=1)
-    pair_coefs = (C1[:, None] @ C2[None, :]).reshape(T1 * T2, r * r)
+    pair_coefs = _block_products(C1[:, None], C2[None, :]).reshape(T1 * T2, r * r)
     acc = (factor @ pair_coefs).reshape(P, r, r)
     norms = (abs(z) ** 2).sum(axis=1) + (abs(zp) ** 2).sum(axis=1)
     return np.exp(PI * ((zi * zpi).sum(axis=0) - 0.5 * norms))[:, None, None] * acc

@@ -67,7 +67,7 @@ class Dims:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Dims":
-        d = _json_object(d, "dims", ("n", "l", "m", "fiber_rank"))
+        d = _json_object(d, "dims", ("n", "l", "m", "fiber_rank"), ("n",))
         n = d["n"]
         return cls(n=n, l=d.get("l", n), m=d.get("m", n), fiber_rank=d.get("fiber_rank", 1))
 
@@ -224,7 +224,7 @@ class Poly:
             d = degree[over.argmax()]
             raise DegreeOverflowError(f"product term degree {d} exceeds cap {degree_cap}")
         with np.errstate(over="ignore", invalid="ignore"):
-            C = (self.coefs[:, None] @ other.coefs[None]).reshape(count, r, r)
+            C = _block_products(self.coefs[:, None], other.coefs[None]).reshape(count, r, r)
         return Poly._from_arrays(self.dims, *_collect(E, C))
 
     def conjugate_swap(self) -> "Poly":
@@ -308,11 +308,11 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Poly":
-        d = _json_object(d, "poly", ("dims", "terms"))
+        d = _json_object(d, "poly", ("dims", "terms"), ("dims", "terms"))
         dims = Dims.from_json_dict(d["dims"])
         rows, coefs = [], []
         for t in _json_list(d["terms"], "terms", "term objects"):
-            t = _json_object(t, "term", ("exps", "coef"))
+            t = _json_object(t, "term", ("exps", "coef"), ("exps", "coef"))
             rows.append(_exponent_row(dims, _json_object(t["exps"], "term exps")))
             coefs.append(_coef_from_json(t["coef"], dims.fiber_rank))
         C = np.array(coefs, dtype=complex).reshape(len(rows), dims.fiber_rank, dims.fiber_rank)
@@ -375,6 +375,19 @@ def _row_keys(E: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _digit_weights(base: int, width: int) -> np.ndarray:
     return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _block_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The products of broadcast stacks of ``(r, r)`` blocks, each entry summed
+    over the inner index k = 0, 1, ... in order (for r = 1 the one product
+    ``A * B``), so their bits do not depend on the BLAS kernel a stacked ``@``
+    would call once per block."""
+    if A.shape[-1] == 1:
+        return A * B
+    out = A[..., :, 0, None] * B[..., 0, None, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k, None] * B[..., k, None, :]
+    return out
 
 
 def _collect(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

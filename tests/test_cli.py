@@ -844,6 +844,7 @@ READ_STAGE_ERRORS = {
     "unsupported pair": (["compose", "--left", "r.json", "--right", "r.json"], "middle dimension mismatch", True),
     "not hermitian": (["spectrum", "--input", "skew.json"], "not Hermitian", True),
     "nan-coefficient": (["compose", "--left", "nan.json", "--right", "k.json"], "non-finite coefficient", True),
+    "missing-field": (["compose", "--left", "no_n.json", "--right", "k.json"], "missing 'n' field in dims", True),
 }
 
 
@@ -856,6 +857,7 @@ def test_usage_errors_exit_before_numpy_where_no_number_is_needed(tmp_path, geom
     write_json(tmp_path, "k9.json", {**body, "schema": "kernel/9"})
     (tmp_path / "truncated.json").write_text('{"schema": "kernel/1", "dims": ')
     write_json(tmp_path, "nan.json", {**body, "terms": [{"exps": {"z1": 1}, "coef": [[[math.nan, 0.0]]]}]})
+    write_json(tmp_path, "no_n.json", {**body, "dims": {"m": 1}})
     write_json(tmp_path, "no_matrix.json", {"schema": "matrix/1"})
     write_json(tmp_path, "scalar.json", {"schema": "matrix/1", "matrix": 5})
     write_json(tmp_path, "skew.json", matrix_json(np.array([[1.0, 2.0], [0.0, 1.0]])))

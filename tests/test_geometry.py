@@ -142,6 +142,19 @@ def test_json_validation():
         GeometryData.from_json_dict({**base, "samples": [rec]})
 
 
+@pytest.mark.parametrize(
+    "what, key",
+    [("geometry", "schema"), ("geometry", "dims"), ("geometry", "samples"), ("sample", "id"), ("direction", "id"), ("direction", "level")],
+)
+def test_json_loader_names_a_missing_field(what, key):
+    # each used to raise a bare KeyError
+    d = data_with([GeometrySample(id="a", normal_dirs=(NormalDirection("d", "WY"),))]).to_json_dict()
+    rec = {"geometry": d, "sample": d["samples"][0], "direction": d["samples"][0]["normal_dirs"][0]}[what]
+    del rec[key]
+    with pytest.raises(ValueError, match=f"^missing '{key}' field in {what}$"):
+        GeometryData.from_json_dict(d)
+
+
 def test_json_non_object_is_refused_by_name():
     # the payload is read as an object before its schema (a list used to raise AttributeError)
     with pytest.raises(ValueError, match="^geometry must be a JSON object, got list$"):

@@ -475,6 +475,15 @@ def test_kernel_expr_json_round_trip(rng):
         KernelExpr.from_json_dict({"dims": {"n": 1}, "kind": "Bergman", "terms": [], "x": 1})
 
 
+@pytest.mark.parametrize("key", ["dims", "kind", "terms"])
+def test_kernel_expr_loader_names_a_missing_field(key):
+    # each used to raise a bare KeyError, which the command line printed as the key alone
+    d = unit_expr(Bergman(1)).to_json_dict()
+    del d[key]
+    with pytest.raises(ValueError, match=f"^missing '{key}' field in kernel expr$"):
+        KernelExpr.from_json_dict(d)
+
+
 @pytest.mark.parametrize(
     "kind, dims",
     [

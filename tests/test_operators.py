@@ -189,6 +189,18 @@ def test_symbol_json_round_trip():
         Symbol.from_json_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "what, key",
+    [("symbol", "n"), ("symbol", "m"), ("symbol", "terms"), ("symbol term", "hol"), ("symbol term", "antihol"), ("symbol term", "coef")],
+)
+def test_symbol_loader_names_a_missing_field(what, key):
+    # each used to raise a bare KeyError
+    d = Symbol.monomial(2, 1, (2,), (1,)).to_json_dict()
+    del (d if what == "symbol" else d["terms"][0])[key]
+    with pytest.raises(ValueError, match=f"^missing '{key}' field in {what}$"):
+        Symbol.from_json_dict(d)
+
+
 def test_symbol_rejects_string_and_boolean_coefficients():
     # from_terms used to store "3" as 3
     for bad in ("3", True):
@@ -930,23 +942,31 @@ def test_h_gp_cached_rule_is_bit_identical(monkeypatch, empty_table, cutoff):
 # SHA-256 over the JSON of h_sq and leading of h_gp for every symbol of
 # ``_pinned_symbols`` with k >= 1, under the identity cutoff at p = 1 and 4 and
 # the bump at p = 64.  It pins the radial moments' node layout and summation
-# order bit for bit.  g* g is a Poly.mul product, whose coefficient products
-# run through BLAS, so like PINNED_OUTPUT_SHA256 it holds for one BLAS kernel.
-PINNED_HGP_SHA256 = "8e3c34ca4cd1d586853a625955e755c334e42128d5bbd65beee80e1b5a0bfeb7"
+# order bit for bit.  g* g is a Poly.mul product, whose coefficient blocks are
+# multiplied in a fixed order, so like PINNED_OUTPUT_SHA256 it reads the same
+# under every OpenBLAS kernel and follows numpy's SIMD dispatch level.
+PINNED_HGP_SHA256 = "22e0db2a81b1c96839c085670bc9b708059d01bc7c19a700f1261807875255a8"
 
 
-def test_h_gp_output_bytes_are_pinned():
-    h = hashlib.sha256()
-    calls = 0
+def _hgp_results():
     for g in _pinned_symbols():
         if g.k == 0:
             continue
         for p, cutoff in ((1.0, None), (4.0, None), (64.0, CutoffSpec(r_perp=1.0))):
-            res = h_gp(g, p=p, cutoff=cutoff)
-            h.update(json.dumps([_coef_to_json(res.h_sq), _coef_to_json(res.leading)]).encode())
-            calls += 1
-    assert calls == 432
-    assert h.hexdigest() == PINNED_HGP_SHA256
+            yield h_gp(g, p=p, cutoff=cutoff)
+
+
+def _hgp_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        h.update(json.dumps([_coef_to_json(res.h_sq), _coef_to_json(res.leading)]).encode())
+    return h.hexdigest()
+
+
+def test_h_gp_output_bytes_are_pinned():
+    results = list(_hgp_results())
+    assert len(results) == 432
+    assert _hgp_digest(results) == PINNED_HGP_SHA256
 
 
 # -- norm constants ----------------------------------------------------------------------

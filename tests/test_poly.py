@@ -68,6 +68,12 @@ def test_dims_loader_names_each_field(field):
         Dims.from_json_dict({"n": 2, "l": 2, "m": 1, field: 1.5})
 
 
+def test_dims_loader_names_a_missing_field():
+    # it used to raise a bare KeyError: 'n'
+    with pytest.raises(ValueError, match="^missing 'n' field in dims$"):
+        Dims.from_json_dict({})
+
+
 # -- variable naming ----------------------------------------------------------------
 
 
@@ -516,6 +522,15 @@ def test_duplicate_terms_load_bit_identically():
     assert hashlib.sha256(got_k + got_s).hexdigest() == "da998c7f9a8d50e72c888e23e9006320e9344308a6e980b5f269a461e66a419f"
 
 
+@pytest.mark.parametrize("what, key", [("poly", "dims"), ("poly", "terms"), ("term", "exps"), ("term", "coef")])
+def test_poly_loader_names_a_missing_field(what, key):
+    # each used to raise a bare KeyError
+    d = Poly.one(Dims.of(1)).to_json_dict()
+    del (d if what == "poly" else d["terms"][0])[key]
+    with pytest.raises(ValueError, match=f"^missing '{key}' field in {what}$"):
+        Poly.from_json_dict(d)
+
+
 # -- the coefficient reader's numeric-array path ------------------------------------------
 
 
@@ -563,6 +578,81 @@ def test_numeric_coefficient_arrays_read_like_the_checked_path(dtype):
     assert stacked.tobytes() == _as_coef([v.astype(object) for v in values], 2, len(values)).tobytes()
     scalars = [v[0, 0] * np.ones((), dtype) for v in values]  # 0-d arrays read as 1x1 matrices
     assert _as_coef(scalars, 1, 3).tobytes() == _as_coef([s.item() for s in scalars], 1, 3).tobytes()
+
+
+# -- products of coefficient blocks -------------------------------------------------------
+
+# Signed zeros and magnitudes far from both ends of float range, so no product
+# underflows or overflows and the rounding-error bound below holds as stated.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.copysign, st.floats(1e-100, 1e100), st.sampled_from([1.0, -1.0])),
+)
+# The three ways the callers broadcast their stacks: every pair of two stacks
+# (``Poly.mul``, the oracle), stacks paired index by index (``compose``), and
+# one block against a stack.
+_BLOCK_SHAPES = {"outer": ((3, 1), (1, 2)), "paired": ((4,), (4,)), "one": ((), (3,))}
+
+
+@st.composite
+def _block_stacks(draw):
+    r = draw(st.sampled_from([1, 2, 3]))
+    lead_a, lead_b = _BLOCK_SHAPES[draw(st.sampled_from(sorted(_BLOCK_SHAPES)))]
+    blocks = []
+    for lead in (lead_a, lead_b):
+        size = 2 * r * r * math.prod(lead)
+        parts = np.array(draw(st.lists(_entries, min_size=size, max_size=size)))
+        blocks.append(parts.view(complex).reshape(*lead, r, r))
+    return blocks
+
+
+def _loop_products(A, B):
+    """Entry by entry, ``sum_k A[.., i, k] B[.., k, j]`` added left to right."""
+    A, B = np.broadcast_arrays(A, B)
+    out = np.empty(A.shape, dtype=complex)
+    r = A.shape[-1]
+    for i in range(r):
+        for j in range(r):
+            acc = A[..., i, 0] * B[..., 0, j]
+            for k in range(1, r):
+                acc = acc + A[..., i, k] * B[..., k, j]
+            out[..., i, j] = acc
+    return out
+
+
+@settings(max_examples=200)
+@given(_block_stacks())
+def test_block_products_sum_the_inner_index_in_order(blocks):
+    from fockcalc.poly import _block_products
+
+    A, B = blocks
+    got = _block_products(A, B)
+    assert got.tobytes() == _loop_products(A, B).tobytes()
+    # Each real and imaginary part is a sum of 2r real products, each at most
+    # |a_ik| |b_kj| in size; formed in any order, with or without FMA, it lies
+    # within gamma_2r * sum_k |a_ik| |b_kj| of the exact sum, so two such sums
+    # (the loop's and BLAS's) lie within twice that of each other.
+    r, u = A.shape[-1], 2.0**-53
+    gamma = 2 * r * u / (1 - 2 * r * u)
+    bound = 2 * gamma * (abs(A)[..., :, :, None] * abs(B)[..., None, :, :]).sum(axis=-2)
+    want = np.matmul(A, B)
+    assert (abs(got.real - want.real) <= bound).all()
+    assert (abs(got.imag - want.imag) <= bound).all()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_coefficients_past_float_range_raise_only_their_error(r):
+    # 1e308 squared overflows, and at r >= 2 the blocks' sums meet inf - inf;
+    # both are refused as a non-finite coefficient, with no warning first
+    from fockcalc import Bergman, KernelExpr, compose
+
+    dims = Dims.of(1, fiber_rank=r)
+    signs = np.where(np.add.outer(np.arange(r), np.arange(r)) % 2, -1.0, 1.0)
+    huge = Poly.monomial(dims, {"z1": 1}, 1e308 * signs)
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        huge.mul(huge)
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        compose(KernelExpr(huge, Bergman(1)), KernelExpr(huge, Bergman(1)))
 
 
 # -- summing equal exponent rows ----------------------------------------------------------
