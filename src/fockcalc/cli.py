@@ -95,7 +95,7 @@ def _load(path: str, schema: str):
     def parse(reader):
         try:
             return reader(data)
-        except (ValueError, KeyError, TypeError, OverflowError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ValueError(f"{path}: {_PAYLOAD_ERRORS[schema]}{e}")
 
     return parse
@@ -103,7 +103,9 @@ def _load(path: str, schema: str):
 
 def _matrix_rows(body: dict) -> list:
     """The rows of a matrix/1 payload."""
-    body = _json_object(body, "matrix", ("matrix",), ("matrix",))
+    body = _json_object(body, "matrix", optional=("matrix",))
+    if "matrix" not in body:
+        raise ValueError("missing 'matrix' field")
     return _json_list(body["matrix"], "'matrix'", "rows")
 
 

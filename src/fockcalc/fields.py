@@ -30,12 +30,12 @@ TOEPLITZ_KINDS = ("YY", "XY_even", "XY_odd", "YX_even", "YX_odd")
 GEOM_SCHEMA = "geom/1"
 
 
-def _json_object(value, what: str, keys=None, required=()) -> Mapping:
-    """A JSON object; given ``keys``, one with no key outside them, and with
-    every key of ``required``."""
+def _json_object(value, what: str, required=(), optional=()) -> Mapping:
+    """A JSON object; given key names, one with every key of ``required`` and
+    no key outside ``required + optional``."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    if keys is not None and (extra := set(value) - set(keys)):
+    if (required or optional) and (extra := set(value).difference(required, optional)):
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
     for key in required:
         if key not in value:

@@ -131,16 +131,16 @@ class GeometryData:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "GeometryData":
-        d = _json_object(d, "geometry", ("schema", "dims", "fiber_rank", "samples"), ("schema", "dims", "samples"))
+        d = _json_object(d, "geometry", ("schema", "dims", "samples"), ("fiber_rank",))
         if d["schema"] != GEOM_SCHEMA:
             raise ValueError(f"unsupported geometry schema {d['schema']!r}; expected {GEOM_SCHEMA!r}")
         r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
         samples = []
         for rec in _json_list(d["samples"], "samples", "sample objects"):
-            rec = _json_object(rec, "sample", ("id", "normal_dirs", *_SAMPLE_FIELDS, *_SAMPLE_W_FIELDS), ("id",))
+            rec = _json_object(rec, "sample", ("id",), ("normal_dirs", *_SAMPLE_FIELDS, *_SAMPLE_W_FIELDS))
             dirs = []
             for dd in _json_list(rec.get("normal_dirs", []), "normal_dirs", "direction objects"):
-                dd = _json_object(dd, "direction", ("id", "level", *_DIRECTION_FIELDS), ("id", "level"))
+                dd = _json_object(dd, "direction", ("id", "level"), _DIRECTION_FIELDS)
                 fields = _fields_from_json(dd, _DIRECTION_FIELDS, r, f"direction {dd['id']!r}")
                 dirs.append(NormalDirection(dd["id"], dd["level"], **fields))
             fields = _fields_from_json(rec, _SAMPLE_FIELDS + _SAMPLE_W_FIELDS, r, f"sample {rec['id']!r}")

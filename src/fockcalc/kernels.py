@@ -205,7 +205,7 @@ class KernelExpr:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "KernelExpr":
-        d = _json_object(d, "kernel expr", ("dims", "kind", "terms"), ("dims", "kind", "terms"))
+        d = _json_object(d, "kernel expr", ("dims", "kind", "terms"))
         num = Poly.from_json_dict({"dims": d["dims"], "terms": d["terms"]})
         name = d["kind"]
         if not isinstance(name, str) or name not in _FROM_JSON:

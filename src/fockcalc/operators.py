@@ -216,11 +216,11 @@ class Symbol:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Symbol":
-        d = _json_object(d, "symbol", ("n", "m", "fiber_rank", "terms"), ("n", "m", "terms"))
+        d = _json_object(d, "symbol", ("n", "m", "terms"), ("fiber_rank",))
         r = _json_int(d.get("fiber_rank", 1), "fiber_rank")
         pairs = []
         for t in _json_list(d["terms"], "terms", "term objects"):
-            t = _json_object(t, "symbol term", ("hol", "antihol", "coef"), ("hol", "antihol", "coef"))
+            t = _json_object(t, "symbol term", ("hol", "antihol", "coef"))
             key = tuple(
                 tuple(_json_int(a, f"symbol {side}") for a in _json_list(t[side], f"symbol {side}", "integers"))
                 for side in ("hol", "antihol")

@@ -67,7 +67,7 @@ class Dims:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Dims":
-        d = _json_object(d, "dims", ("n", "l", "m", "fiber_rank"), ("n",))
+        d = _json_object(d, "dims", ("n",), ("l", "m", "fiber_rank"))
         n = d["n"]
         return cls(n=n, l=d.get("l", n), m=d.get("m", n), fiber_rank=d.get("fiber_rank", 1))
 
@@ -308,11 +308,11 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Poly":
-        d = _json_object(d, "poly", ("dims", "terms"), ("dims", "terms"))
+        d = _json_object(d, "poly", ("dims", "terms"))
         dims = Dims.from_json_dict(d["dims"])
         rows, coefs = [], []
         for t in _json_list(d["terms"], "terms", "term objects"):
-            t = _json_object(t, "term", ("exps", "coef"), ("exps", "coef"))
+            t = _json_object(t, "term", ("exps", "coef"))
             rows.append(_exponent_row(dims, _json_object(t["exps"], "term exps")))
             coefs.append(_coef_from_json(t["coef"], dims.fiber_rank))
         C = np.array(coefs, dtype=complex).reshape(len(rows), dims.fiber_rank, dims.fiber_rank)
@@ -382,8 +382,6 @@ def _block_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     over the inner index k = 0, 1, ... in order (for r = 1 the one product
     ``A * B``), so their bits do not depend on the BLAS kernel a stacked ``@``
     would call once per block."""
-    if A.shape[-1] == 1:
-        return A * B
     out = A[..., :, 0, None] * B[..., 0, None, :]
     for k in range(1, A.shape[-1]):
         out += A[..., :, k, None] * B[..., k, None, :]
