@@ -33,11 +33,9 @@ MATRIX_SCHEMA = "matrix/1"
 
 def _check_flags(args) -> None:
     """Validate the shared flags the command declares."""
-    tol, seed, nodes, degree_cap = (getattr(args, name, None) for name in ("tol", "seed", "nodes", "degree_cap"))
+    tol, nodes, degree_cap = (getattr(args, name, None) for name in ("tol", "nodes", "degree_cap"))
     if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {tol}")
-    if seed is not None and seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
     if nodes is not None and nodes < 1:
         raise ValueError(f"--nodes must be >= 1, got {nodes}")
     if nodes is not None and nodes > MAX_NODES:
@@ -242,7 +240,7 @@ def _cmd_constants(args, numeric: ExitStack) -> int:
 
     data = geom(GeometryData.from_json_dict)
     if which == "c0":
-        res = c0(data, seed=args.seed)
+        res = c0(data)
         payload = {"schema": "constants/1", "which": "c0", "C0": res.value, "sample_id": res.sample_id}
         csv_rows = [("C0", res)]
     elif which == "c3c4":
@@ -339,11 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp: argparse.ArgumentParser, *flags: str, tol_default: float = 1e-9) -> None:
-        """The shared flags the command reads, out of tol, seed, nodes and degree-cap, and --out."""
+        """The shared flags the command reads, out of tol, nodes and degree-cap, and --out."""
         if "tol" in flags:
             sp.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
-        if "seed" in flags:
-            sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         if "nodes" in flags:
             sp.add_argument("--nodes", type=int, default=None, help="quadrature nodes per axis")
         if "degree-cap" in flags:
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default=None, help='JSON object, e.g. \'{"d1": 1.0}\'')
     p.add_argument("--sample", default=None, help="sample id for dp3 (default: first)")
     p.add_argument("--csv", default=None, help="also write a CSV constant table here")
-    add_common(p, "seed")
+    add_common(p)
 
     p = sub.add_parser("defect-check", help="flat defect identities")
     p.set_defaults(run=_cmd_defect_check)

@@ -169,15 +169,12 @@ def _split_terms(p: Poly, side: str, n_mid: int, out_n: int) -> tuple[np.ndarray
     ``(T, out_n, 4)`` and the middle ``(a, b)`` per middle coordinate
     ``(T, n_mid, 2)``, a view (a side has at least ``n_mid`` coordinates).
     The left side's outer variable is unprimed and its middle primed; the
-    right side the other way round.
+    right side the other way round.  Neither uses a coordinate beyond its
+    dimension: :class:`~.kernels.KernelExpr` checks its slots.
     """
     outer, mid = (slice(0, 2), slice(2, 4)) if side == "left" else (slice(2, 4), slice(0, 2))
     E = p._blocks()
     count, n = E.shape[:2]
-    if n > out_n and E[:, out_n:, outer].any():
-        raise ValueError(f"{side} outer variable beyond result dimensions")
-    if n > n_mid and E[:, n_mid:, mid].any():
-        raise ValueError(f"{side} middle variable beyond middle dimension")
     outers = np.zeros((count, out_n, 4), dtype=np.int64)
     outers[:, : min(n, out_n), outer] = E[:, :out_n, outer]
     return outers, E[:, :n_mid, mid]

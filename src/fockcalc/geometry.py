@@ -205,15 +205,15 @@ class ConstantResult:
 
 
 _MAX_ITERATIONS = 10_000  # per start of _tensor_norm: over 2.5 times the most that 300 random families need
-_RESTARTS = 8  # seeded random starts of _tensor_norm
+_RESTARTS = 8  # random starts of _tensor_norm
 
 
-def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int) -> float:
+def _tensor_norm(mats: Sequence[np.ndarray], r: int) -> float:
     """sup over unit u in C^D of the spectral norm of sum_d u_d mats[d].
 
     Alternating maximisation over u and the top singular pair of
     sum_d u_d mats[d], started from each mats[d] alone (so from its top right
-    singular vector) and from ``_RESTARTS`` seeded random u, each run until the
+    singular vector) and from ``_RESTARTS`` random u, each run until the
     value is stationary to 1e-14 relative; a start that is not stationary
     within ``_MAX_ITERATIONS`` raises a ``ValueError``.  The result lies
     between max_d ||mats[d]|| and sqrt(lambda_max(sum_d mats[d]^H mats[d])).
@@ -223,7 +223,7 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int) -> float:
         vec = np.array([m[0, 0] for m in mats])
         return float(np.linalg.norm(vec))
     stack = np.stack(mats)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [np.eye(D, dtype=complex)[d] for d in range(D)]
     for _ in range(_RESTARTS):
         raw = rng.normal(size=D) + 1j * rng.normal(size=D)
@@ -254,17 +254,16 @@ def _tensor_norm(mats: Sequence[np.ndarray], r: int, seed: int) -> float:
     return float(best)
 
 
-def c0(data: GeometryData, seed: int = 0) -> ConstantResult:
+def c0(data: GeometryData) -> ConstantResult:
     """(1/sqrt(pi)) * sup over samples of the induced tensor norm of the
     direction-indexed family (1/8pi) d_scal * Id - (1/2pi i) nabla_lambda."""
-    r, seed = data.fiber_rank, _json_int(seed, "seed")
-    rows = []
+    r, rows = data.fiber_rank, []
     for s in data.samples:
         mats = [_direction_matrix(d, r) for d in s.normal_dirs if d.level == "WY"]
         if not mats:
             raise ValueError(f"sample {s.id!r} has no N^(W|Y) direction data")
         try:
-            rows.append((_tensor_norm(mats, r, seed), s.id))
+            rows.append((_tensor_norm(mats, r), s.id))
         except ValueError as e:
             raise ValueError(f"sample {s.id!r}: {e}") from None
     value, sample_id = max(rows, key=itemgetter(0))  # the first of equal values

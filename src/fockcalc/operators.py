@@ -98,7 +98,10 @@ class Symbol:
     def _from_pairs(cls, dims: Dims, pairs) -> "Symbol":
         """The sum of ``((hol, antihol), coef)`` terms, equal exponents summed in order."""
         k, rows, coefs = dims.n - dims.m, [], []
-        for (hol, antihol), c in pairs:
+        for key, c in pairs:
+            if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(side, tuple) for side in key)):
+                raise ValueError(f"symbol term key must be a (hol, antihol) pair, got {key!r}")
+            hol, antihol = key
             if len(hol) != k or len(antihol) != k:
                 raise ValueError(f"multi-index length must be n-m={k}")
             rows.append([_json_int(a, "symbol exponent") for a in (*hol, *antihol)])
@@ -515,6 +518,8 @@ def fock_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
     dim, max_total = _json_int(dim, "dim"), _json_int(max_total, "max_total")
     if dim < 0:
         raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
+    if max_total < 0:
+        raise ValueError(f"max_total must be an integer >= 0, got {max_total!r}")
     grid = itertools.product(range(max_total + 1), repeat=dim)
     return [b for b in grid if sum(b) <= max_total]
 

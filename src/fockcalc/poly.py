@@ -14,6 +14,7 @@ with layout ``exps[4*(i-1) + o]`` where ``o`` selects, in order,
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -82,20 +83,10 @@ def _var_name(index: int, o: int) -> str:
 
 def _parse_var_name(name: str) -> tuple[int, int]:
     """Inverse of :func:`_var_name`: 'zb'2' -> (2, 3)."""
-    s = name
-    if not s.startswith("z"):
+    if not isinstance(name, str) or (match := re.fullmatch(r"z(b?)('?)([0-9]+)", name)) is None:
         raise ValueError(f"bad variable name {name!r}")
-    s = s[1:]
-    anti = s.startswith("b")
-    if anti:
-        s = s[1:]
-    primed = s.startswith("'")
-    if primed:
-        s = s[1:]
-    if not s.isdigit():
-        raise ValueError(f"bad variable name {name!r}")
-    index = int(s)
-    if index < 1:
+    anti, primed, digits = match.groups()
+    if (index := int(digits)) < 1:
         raise ValueError(f"bad variable index in {name!r}")
     return index, (2 if primed else 0) + (1 if anti else 0)
 

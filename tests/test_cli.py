@@ -427,6 +427,15 @@ def test_constants_rejects_non_finite_geometry(tmp_path, capsys, geom_data, fiel
     assert captured.err.count("\n") == 1 and f"{field} of " in captured.err and "must be finite" in captured.err
 
 
+def test_constants_result_out_of_float_range_is_one_line(tmp_path):
+    # finite scalars whose difference overflows: C3 is -inf, which JSON cannot hold
+    body = GeometryData(dims=(0, 1, 2), samples=(GeometrySample(id="p0", scal_X=1e308, scal_Y=-1e308),)).to_json_dict()
+    gf = write_json(tmp_path, "geom.json", body)
+    proc = run_process("constants", "--geom", gf, "--which", "c3c4")
+    want = "fockcalc: error: result is not finite: Out of range float values are not JSON compliant: -inf\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
 # -- defect-check ---------------------------------------------------------------------
 
 
@@ -524,10 +533,10 @@ def test_shared_flag_validation(tmp_path, capsys):
         assert run([command, "--left", lf, "--right", lf, *flag]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"fockcalc: error: {message}\n"
-    # a negative seed used to raise a traceback from c0 on a rank-2 geometry
+    # c0 takes no seed: its random restarts always start from the same draws
     assert run(["constants", "--geom", lf, "--which", "c0", "--seed", "-5"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "fockcalc: error: --seed must be >= 0, got -5\n"
+    assert captured.out == "" and captured.err == "fockcalc: error: unrecognized arguments: --seed -5\n"
 
 
 # The shared flags each subcommand reads; --out is everyone's.
@@ -536,14 +545,14 @@ SHARED_FLAGS = {
     "oracle-check": {"--tol", "--nodes", "--degree-cap", "--out"},
     "spectrum": {"--out"},
     "toeplitz-leading": {"--out"},
-    "constants": {"--seed", "--out"},
+    "constants": {"--out"},
     "defect-check": {"--tol", "--out"},
     "selftest": {"--out"},
 }
 
 
 def test_each_command_declares_only_the_shared_flags_it_reads(capsys):
-    shared = {"--tol", "--seed", "--nodes", "--degree-cap", "--out"}
+    shared = {"--tol", "--nodes", "--degree-cap", "--out"}
     parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     declared = {
@@ -551,7 +560,7 @@ def test_each_command_declares_only_the_shared_flags_it_reads(capsys):
         for name, sub in commands.items()
     }
     assert declared == SHARED_FLAGS
-    assert sum(map(len, declared.values())) == 13
+    assert sum(map(len, declared.values())) == 12
     # a flag the command would ignore is a usage error, not a silent no-op
     assert run(["spectrum", "--input", "m.json", "--tol", "1e-3"]) == 2
     assert capsys.readouterr().err == "fockcalc: error: unrecognized arguments: --tol 1e-3\n"

@@ -399,27 +399,6 @@ def test_pairing_table_matches_exact_base_terms():
     assert vanishing == 2 * (9 * 8 // 2) + (9 * 9 - 9)
 
 
-def _bracket_args(left_exps, right_exps, n_left=2, n_right=2, n_mid=1, out_n=1):
-    left = Poly.monomial(Dims.of(n_left), left_exps)
-    right = Poly.monomial(Dims.of(n_right), right_exps)
-    return left, right, n_mid, n_mid, n_mid, Dims.of(out_n)
-
-
-@pytest.mark.parametrize(
-    "left_exps, right_exps, n_mid, out_n, message",
-    [
-        ({"z2": 1}, {}, 1, 1, "left outer variable beyond result dimensions"),
-        ({"z'2": 1}, {}, 1, 2, "left middle variable beyond middle dimension"),
-        ({}, {"zb'2": 1}, 1, 1, "right outer variable beyond result dimensions"),
-        ({}, {"zb2": 1}, 1, 2, "right middle variable beyond middle dimension"),
-    ],
-)
-def test_bracket_dimension_guards(left_exps, right_exps, n_mid, out_n, message):
-    args = _bracket_args(left_exps, right_exps, n_mid=n_mid, out_n=out_n)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        _bracket(*args)
-
-
 def test_bracket_degree_cap_boundary():
     # <z1^2 w^2 | zb'1^2 wbar^2> over one tangential coordinate has top degree 8
     left = Poly.monomial(Dims.of(1), {"z1": 2, "z'1": 2})

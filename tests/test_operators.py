@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -81,6 +82,15 @@ def test_symbol_validation():
         with pytest.raises(ValueError, match="symbol exponent must be an integer"):
             Symbol.from_terms(1, 0, {((bad,), (0,)): 1.0})
     assert Symbol.from_terms(1, 0, {((2.0,), (0,)): 1.0}).terms().keys() == {((2,), (0,))}
+
+
+@pytest.mark.parametrize("key", [5, (1, 2, 3), ((1,),), ((1,), 0), "ab"])
+def test_symbol_term_key_must_be_a_pair(key):
+    # 5 used to raise "cannot unpack non-iterable int object" and (1, 2, 3)
+    # "too many values to unpack"
+    message = f"symbol term key must be a (hol, antihol) pair, got {key!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Symbol.from_terms(1, 0, {key: 1})
 
 
 def test_symbol_algebra():

@@ -129,9 +129,11 @@ def test_integer_arguments_are_read_by_name():
 
 
 def test_counts_below_their_least_are_rejected_by_name():
-    # fock_indices(-1, 2) raised itertools' "repeat argument cannot be negative"
+    # fock_indices(-1, 2) raised itertools' "repeat argument cannot be negative",
+    # and fock_indices(2, -1) returned []
     calls = [
         (lambda: fock_indices(-1, 2), "dim must be an integer >= 0, got -1"),
+        (lambda: fock_indices(2, -1), "max_total must be an integer >= 0, got -1"),
     ]
     for call, message in calls:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

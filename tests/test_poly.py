@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,15 +79,22 @@ def test_dims_loader_names_a_missing_field():
 
 
 def test_var_names_round_trip():
-    for i in (1, 2, 7):
+    for i in range(1, 1001):
         for o in range(4):
             assert _parse_var_name(_var_name(i, o)) == (i, o)
     assert _var_name(2, _O_ZBP) == "zb'2"
+    assert _parse_var_name("zb'01") == (1, _O_ZBP)
 
 
 def test_var_name_errors():
-    for bad in ("w1", "z0", "z-1", "zb", "z1x", ""):
-        with pytest.raises(ValueError):
+    # "z\u0663" (an Arabic-Indic three) used to read as z3, and "z\u00b2" raised
+    # int()'s "invalid literal": an index is written in ASCII digits; a name
+    # that is no string (5) raised AttributeError
+    for bad in ("w1", "z-1", "zb", "z1x", "", "z'b1", "z1\n", "z\u0663", "z\u00b2", 5):
+        with pytest.raises(ValueError, match=f"^bad variable name {re.escape(repr(bad))}$"):
+            _parse_var_name(bad)
+    for bad in ("z0", "zb'00"):
+        with pytest.raises(ValueError, match=f"^bad variable index in {re.escape(repr(bad))}$"):
             _parse_var_name(bad)
 
 
